@@ -40,7 +40,8 @@ print(f"  worst control stationarity  {hu_worst:.3e}")
 
 print("\ncost of the optimal policy vs the closed-form value")
 cost_cfg = core.SimConfig(n_steps=64, n_paths=4000, master_seed=1)
-check = verify.closed_form_cost_check(model, policy, cand, initial, cost_cfg, basis)
+cost_ensemble = sdde.simulate_forward(model, policy, initial, cost_cfg)
+check = verify.closed_form_cost_check(model, cand, cost_ensemble, basis)
 print(f"  J(u*) = {check.cost:.5f} +- {check.stderr:.5f}")
 print(f"  V     = {check.reference:.5f}   -> {'PASS' if check.passed else 'FAIL'}")
 

@@ -28,6 +28,7 @@ from .sdde import (
 from .bsdde import (
     BackwardSolution,
     RegressionBasis,
+    cost_estimate,
     polynomial_basis,
     recursive_cost,
     solve_backward,

@@ -186,7 +186,13 @@ def recursive_cost(
     basis: RegressionBasis,
 ) -> CostEstimate:
     """Simulate forward under a policy and return the recursive cost J = -Y(s)."""
-    ensemble = simulate_forward(model, policy, initial_path, config)
+    return cost_estimate(model, simulate_forward(model, policy, initial_path, config), basis)
+
+
+def cost_estimate(
+    model: StructuredModel, ensemble: ForwardEnsemble, basis: RegressionBasis
+) -> CostEstimate:
+    """Recursive cost J = -Y(s) of an already simulated ensemble."""
     sol = solve_backward(model, ensemble, basis)
     samples = -sol.y[:, 0]
     return CostEstimate(

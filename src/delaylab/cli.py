@@ -551,7 +551,7 @@ def cmd_check_relations(cfg, args, out_dir: Path) -> int:
         tol=float(checks.get("relations_tolerance", 1e-4)),
     )
     basis = merton.build_basis(params)
-    cost = verify.closed_form_cost_check(model, policy, cand, initial, sim, basis)
+    cost = verify.closed_form_cost_check(model, cand, ensemble, basis)
 
     payload = {
         "command": "check-relations",

@@ -10,8 +10,9 @@ coordinates at each time t:
 This module holds the containers shared by the simulation, verification,
 and closed-form layers: delay parameters, the sliding sample buffer that
 realizes (x1, x2) on a uniform grid, structured model coefficients, feedback
-policies, and the simulation configuration.  It also owns the deterministic
-per-path seed derivation so that every path is reproducible in isolation.
+policies, and the simulation configuration.  It also owns the splitmix64
+counter hash behind the per-path seeds and Brownian increments, so that
+every path is reproducible in isolation.
 """
 
 from __future__ import annotations
@@ -206,24 +207,41 @@ def x2_of_buffer(buffer: DelayBuffer) -> float:
 # Per-path seeding
 # ---------------------------------------------------------------------------
 
-_SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+SPLITMIX64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM_M2 = np.uint64(0x94D049BB133111EB)
+
+
+def splitmix64_mix(z):
+    """The splitmix64 finalizer, a bijection on 64-bit words.
+
+    Word j of the splitmix64 stream seeded at s is splitmix64_mix(s + γ·(j+1))
+    with γ = SPLITMIX64_GAMMA (Steele, Lea & Flood, OOPSLA 2014), so any word
+    can be computed without the ones before it.  Takes a scalar or an array
+    of uint64 and returns a new uint64 array of the same shape.
+    """
+    z = np.array(z, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z ^= z >> np.uint64(30)
+        z *= _SM_M1
+        z ^= z >> np.uint64(27)
+        z *= _SM_M2
+        z ^= z >> np.uint64(31)
+    return z
 
 
 def derive_path_seed(master_seed: int, path_index):
     """Derive a 64-bit per-path seed from a master seed and a path index.
 
-    Uses the splitmix64 finalizer on master + γ·(index + 1).  Both maps are
-    bijections on 64-bit integers, so distinct indices under one master seed
-    can never collide.  Accepts a scalar index or an integer array.
+    The seed is word `index` of the splitmix64 stream seeded at the master
+    seed.  Both maps are bijections on 64-bit integers, so distinct indices
+    under one master seed can never collide.  Accepts a scalar index or an
+    integer array.
     """
     idx = np.asarray(path_index, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF) + _SM_GAMMA * (idx + np.uint64(1))
-        z = (z ^ (z >> np.uint64(30))) * _SM_M1
-        z = (z ^ (z >> np.uint64(27))) * _SM_M2
-        z = z ^ (z >> np.uint64(31))
+        z = np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF) + SPLITMIX64_GAMMA * (idx + np.uint64(1))
+    z = splitmix64_mix(z)
     if z.ndim == 0:
         return int(z)
     return z

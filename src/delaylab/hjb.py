@@ -132,15 +132,17 @@ def _golden_refine(fun, lo: Array, hi: Array, iters: int):
     d = a + _INV_PHI * (b - a)
     fc, fd = fun(c), fun(d)
     for _ in range(iters):
+        # Keeping [a, d] makes the old c the new d; keeping [c, b] makes the
+        # old d the new c.  Only the other interior point is new, and it is
+        # chosen per probe so one call evaluates it across the probe axis.
         pick_c = fc >= fd
         b = np.where(pick_c, d, b)
         a = np.where(pick_c, a, c)
         c_new = b - _INV_PHI * (b - a)
         d_new = a + _INV_PHI * (b - a)
-        # Only one endpoint moved, but re-evaluating both keeps the update
-        # branch-free across the vectorized probe axis.
-        c, d = c_new, d_new
-        fc, fd = fun(c), fun(d)
+        f_new = fun(np.where(pick_c, c_new, d_new))
+        c, d = np.where(pick_c, c_new, d), np.where(pick_c, c, d_new)
+        fc, fd = np.where(pick_c, f_new, fd), np.where(pick_c, fc, f_new)
     mid = 0.5 * (a + b)
     return mid, fun(mid)
 

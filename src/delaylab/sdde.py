@@ -12,9 +12,11 @@ advanced either by its exact pathwise differential identity
 
     dX1 = [X(t) − e^{-λδ} X(t−δ) − λ X1(t)] dt
 
-or by re-quadrature of the sliding window at every node.  Each path draws
-its Brownian increments from a generator seeded only by (master_seed, path
-index), so ensembles are reproducible path by path.
+or by re-quadrature of the sliding window at every node.  The Brownian
+increments come from a counter-based generator: path i, step k is a fixed
+function of (master_seed, i, k), read from a splitmix64 stream keyed per
+path and turned into normals by Box–Muller.  Ensembles are therefore
+reproducible path by path, whatever their size.
 """
 
 from __future__ import annotations
@@ -31,12 +33,20 @@ from .core import (
     FeedbackPolicy,
     SimConfig,
     SimulationDivergedError,
+    SPLITMIX64_GAMMA,
     StructuredModel,
     derive_path_seed,
+    splitmix64_mix,
     x1_of_buffer,
 )
 
 DIVERGENCE_BOUND = 1e12
+
+# Increments drawn per block of paths in brownian_increments (2 MB of
+# float64), which keeps its uint64 and float64 scratch arrays small next to
+# the (n_paths, n_steps) result.
+INCREMENT_BLOCK = 1 << 18
+_ULP53 = 2.0**-53  # a 53-bit integer times this is a uniform in [0, 1)
 
 
 @dataclass(frozen=True)
@@ -97,13 +107,40 @@ def x1_step_ode(x1, x, x2, lam: float, delta: float, h: float):
 
 
 def brownian_increments(master_seed: int, n_paths: int, n_steps: int, h: float) -> Array:
-    """Per-path Brownian increments, each row from its own derived seed."""
+    """Brownian increments of variance h, shape (n_paths, n_steps).
+
+    Path i reads the splitmix64 stream keyed by derive_path_seed(master_seed, i):
+    its word j is splitmix64_mix(key_i + γ·(j+1)), so every increment is a
+    pure function of (master_seed, i, step) and no path depends on how many
+    others are drawn with it.  Steps 2m and 2m+1 are the Box–Muller pair of
+    words 2m and 2m+1: from their top 53 bits u1 ∈ (0, 1] and u2 ∈ [0, 1),
+    they are r cos 2πu2 and r sin 2πu2 with r = sqrt(−2h ln u1).  An odd last
+    step keeps the cosine alone.  Blocks of about INCREMENT_BLOCK increments
+    are written straight into the result, which bounds the scratch arrays.
+    """
     dw = np.empty((n_paths, n_steps))
-    sqrt_h = math.sqrt(h)
-    for i in range(n_paths):
-        rng = np.random.default_rng(derive_path_seed(master_seed, i))
-        dw[i] = rng.normal(0.0, sqrt_h, n_steps)
+    n_words = 2 * ((n_steps + 1) // 2)
+    counters = SPLITMIX64_GAMMA * np.arange(1, n_words + 1, dtype=np.uint64)
+    rows = max(1, INCREMENT_BLOCK // max(n_steps, 1))
+    for start in range(0, n_paths, rows):
+        stop = min(start + rows, n_paths)
+        keys = derive_path_seed(master_seed, np.arange(start, stop))
+        _box_muller(dw[start:stop], keys, counters, h)
     return dw
+
+
+def _box_muller(out: Array, keys: Array, counters: Array, h: float) -> None:
+    """Fill out[i] with the increments of the stream keyed by keys[i].
+
+    A function of its own so that each block's scratch arrays are freed
+    before the next block allocates its own.
+    """
+    words = splitmix64_mix(keys[:, np.newaxis] + counters)
+    words >>= np.uint64(11)
+    radius = np.sqrt(-2.0 * h * np.log((words[:, 0::2] + 1) * _ULP53))
+    angle = words[:, 1::2] * (2.0 * math.pi * _ULP53)
+    out[:, 0::2] = radius * np.cos(angle)
+    out[:, 1::2] = (radius * np.sin(angle))[:, : out.shape[1] // 2]
 
 
 def simulate_forward(

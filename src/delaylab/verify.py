@@ -12,8 +12,9 @@ Three families of diagnostics:
   against perturbations, using common random numbers (identical per-path
   seeds) so the cost differences are estimated path by path.
 
-* closed_form_cost_check: the regression Monte Carlo cost of a policy
-  against the closed-form value V(s, x, x1) at the initial state.
+* closed_form_cost_check: the regression Monte Carlo cost of an ensemble
+  simulated under the optimal policy against the closed-form value
+  V(s, x, x1) at the initial state.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import Array, FeedbackPolicy, SimConfig, StructuredModel
-from .bsdde import RegressionBasis, recursive_cost
+from .bsdde import RegressionBasis, cost_estimate, recursive_cost
 from .hjb import (
     CheckReport,
     ValueCandidate,
@@ -182,19 +183,27 @@ def compare_controls(
     Brownian increments path by path; cost differences are then averaged
     pathwise, which removes most of the common noise.
     """
-    base_cost = recursive_cost(model, base, initial_path, config, basis)
+
+    def cost(policy):
+        # Only the per-path samples outlive the call: each estimate holds a
+        # whole forward ensemble and backward solution, so it is released
+        # before the next policy is simulated.
+        est = recursive_cost(model, policy, initial_path, config, basis)
+        return est.value, est.stderr, est.samples
+
+    base_value, base_stderr, base_samples = cost(base)
     comparisons = []
-    n = base_cost.samples.size
+    n = base_samples.size
     for policy in perturbations:
-        alt = recursive_cost(model, policy, initial_path, config, basis)
-        diff = alt.samples - base_cost.samples
+        value, value_stderr, samples = cost(policy)
+        diff = samples - base_samples
         mean = float(diff.mean())
         stderr = float(diff.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         comparisons.append(
             PolicyComparison(
                 label=policy.label,
-                cost=alt.value,
-                cost_stderr=alt.stderr,
+                cost=value,
+                cost_stderr=value_stderr,
                 paired_diff_mean=mean,
                 paired_diff_stderr=stderr,
                 passed=mean >= -3.0 * stderr,
@@ -202,8 +211,8 @@ def compare_controls(
         )
     return ComparisonReport(
         base_label=base.label,
-        base_cost=base_cost.value,
-        base_stderr=base_cost.stderr,
+        base_cost=base_value,
+        base_stderr=base_stderr,
         comparisons=comparisons,
         passed=all(c.passed for c in comparisons),
     )
@@ -243,23 +252,21 @@ class CostCheck:
 
 def closed_form_cost_check(
     model: StructuredModel,
-    policy: FeedbackPolicy,
     cand: ValueCandidate,
-    initial_path: Callable[[float], float],
-    config: SimConfig,
+    ensemble: ForwardEnsemble,
     basis: RegressionBasis,
     bias_allowance: float = 0.5,
 ) -> CostCheck:
-    """Simulated recursive cost of the optimal policy against V(s, x, x1).
+    """Recursive cost of an optimally controlled ensemble against V(s, x, x1).
 
     The value is the cost at the optimum, J(u*) = V.  The tolerance combines
     the Monte Carlo error (3 standard errors) with a discretization
     allowance proportional to the step size.
     """
-    est = recursive_cost(model, policy, initial_path, config, basis)
-    h = config.step_size(model.params)
-    x0 = est.ensemble.x[0, 0]
-    x1_0 = est.ensemble.x1[0, 0]
+    est = cost_estimate(model, ensemble, basis)
+    h = ensemble.config.step_size(model.params)
+    x0 = ensemble.x[0, 0]
+    x1_0 = ensemble.x1[0, 0]
     reference = float(cand.v(model.params.start_s, x0, x1_0))
     tolerance = 3.0 * est.stderr + bias_allowance * h
     return CostCheck(

@@ -130,9 +130,8 @@ class CriteriaRunner:
     def cost_check(self, n_paths=10_000, n_steps=128, seed=1):
         c = self.ctx
         cfg = core.SimConfig(n_steps=n_steps, n_paths=n_paths, master_seed=seed)
-        return verify.closed_form_cost_check(
-            c["model"], c["policy"], c["cand"], INITIAL, cfg, c["basis"]
-        )
+        ens = sdde.simulate_forward(c["model"], c["policy"], INITIAL, cfg)
+        return verify.closed_form_cost_check(c["model"], c["cand"], ens, c["basis"])
 
     def comparisons(self, n_paths=2000):
         c = self.ctx

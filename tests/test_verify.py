@@ -97,9 +97,9 @@ class TestCompareControls:
 class TestClosedFormCost:
     def test_optimal_cost_matches_value(self, setup):
         cfg = core.SimConfig(n_steps=64, n_paths=4000, master_seed=1)
+        ens = sdde.simulate_forward(setup["model"], setup["policy"], INITIAL, cfg)
         check = verify.closed_form_cost_check(
-            setup["model"], setup["policy"], setup["cand"], INITIAL, cfg,
-            setup["basis"],
+            setup["model"], setup["cand"], ens, setup["basis"]
         )
         assert check.passed, check.to_dict()
         assert check.stderr > 1e-4  # the error estimate must stay honest
@@ -109,7 +109,8 @@ class TestClosedFormCost:
         # tolerance once the Monte Carlo error is small enough.
         policy = verify.scaled_policy(setup["policy"], [0.0, 0.2], "far_off")
         cfg = core.SimConfig(n_steps=64, n_paths=4000, master_seed=1)
+        ens = sdde.simulate_forward(setup["model"], policy, INITIAL, cfg)
         check = verify.closed_form_cost_check(
-            setup["model"], policy, setup["cand"], INITIAL, cfg, setup["basis"]
+            setup["model"], setup["cand"], ens, setup["basis"]
         )
         assert not check.passed
