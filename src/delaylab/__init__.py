@@ -20,7 +20,6 @@ from .core import (
 )
 from .sdde import (
     ForwardEnsemble,
-    ForwardPath,
     delayed_ito_check,
     simulate_forward,
     x1_step_ode,
@@ -43,7 +42,7 @@ from .hjb import (
     x2_independence_check,
 )
 from .pmp import (
-    AdjointPath,
+    Adjoints,
     adjoint_from_value,
     check_p3_zero,
     convexity_spot_check,

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Array, FeedbackPolicy, SimConfig, StructuredModel
+from .core import Array, FeedbackPolicy, SimConfig, StructuredModel, write_long_csv
 from .sdde import ForwardEnsemble, simulate_forward
 
 RIDGE = 1e-10
@@ -61,15 +61,6 @@ def augmented_basis(base: RegressionBasis, extra: Callable[[Array, Array], Array
 
 
 @dataclass
-class BackwardPath:
-    """Backward pair along one path; arrays have length n_steps + 1."""
-
-    times: Array
-    y: Array
-    z: Array
-
-
-@dataclass
 class BackwardSolution:
     """Regression solution of the backward equation on an ensemble.
 
@@ -86,9 +77,6 @@ class BackwardSolution:
     y_at_s: float
     stderr: float
     degraded_steps: list = field(default_factory=list)
-
-    def path(self, i: int) -> BackwardPath:
-        return BackwardPath(times=self.times, y=self.y[i], z=self.z[i])
 
 
 def _project(features: Array, target: Array, ridge: float):
@@ -206,12 +194,4 @@ def cost_estimate(
 
 def write_backward_csv(sol: BackwardSolution, stream) -> None:
     """Write the backward pair in long format: path,t,y,z."""
-    stream.write("path,t,y,z\n")
-    n_paths, n_nodes = sol.y.shape
-    for i in range(n_paths):
-        for k in range(n_nodes):
-            stream.write(
-                f"{i},{format(float(sol.times[k]), '.17g')},"
-                f"{format(float(sol.y[i, k]), '.17g')},"
-                f"{format(float(sol.z[i, k]), '.17g')}\n"
-            )
+    write_long_csv(stream, ["y", "z"], sol.times, [sol.y, sol.z])

@@ -472,47 +472,37 @@ def cmd_check_pmp(cfg, args, out_dir: Path) -> int:
     q_sim = pmp.simulate_q(model, ensemble)
     q_err = float(np.max(np.abs(q_sim - q[np.newaxis, :])))
 
-    adjoints = []
-    p3_worst = None
-    max_worst = None
-    for i in range(ensemble.n_paths):
-        path = ensemble.path(i)
-        adj = pmp.adjoint_from_value(model, cand, path, q)
-        adjoints.append(adj)
-        rep3 = pmp.check_p3_zero(
-            model, cand, path, adj, tol=float(checks.get("p3_tolerance", 1e-10))
-        )
-        repm = pmp.maximum_condition_check(
-            model, cand, path, adj,
-            tol=float(checks.get("max_condition_tolerance", 1e-6)),
-        )
-        if p3_worst is None or rep3.max_residual > p3_worst.max_residual:
-            p3_worst = rep3
-        if max_worst is None or repm.max_residual > max_worst.max_residual:
-            max_worst = repm
+    adj = pmp.adjoint_from_value(model, cand, ensemble, q)
+    p3_worst = pmp.check_p3_zero(
+        model, cand, ensemble, adj, tol=float(checks.get("p3_tolerance", 1e-10))
+    )
+    max_worst = pmp.maximum_condition_check(
+        model, cand, ensemble, adj,
+        tol=float(checks.get("max_condition_tolerance", 1e-6)),
+    )
 
-    path0 = ensemble.path(0)
-    adj0 = adjoints[0]
     mid = ensemble.n_steps // 2
     probes = []
     for k in (0, mid):
-        x, x1 = float(path0.x[k]), float(path0.x1[k])
-        y = -float(cand.v(path0.times[k], x, x1))
-        sg = np.asarray(model.sigma(path0.times[k], x, x1, path0.controls[k]))
-        z = float(sg.ravel()[0]) * -float(cand.v_x(path0.times[k], x, x1))
+        t = ensemble.times[k]
+        x, x1 = float(ensemble.x[0, k]), float(ensemble.x1[0, k])
+        u = ensemble.controls[0, k]
+        y = -float(cand.v(t, x, x1))
+        sg = np.asarray(model.sigma(t, x, x1, u))
+        z = float(sg.ravel()[0]) * -float(cand.v_x(t, x, x1))
         probes.append(
             {
-                "x": x, "x1": x1, "x2": float(path0.x2[k]), "y": y, "z": z,
-                "u": path0.controls[k],
-                "p1": float(adj0.p1[k]), "p2": float(adj0.p2[k]),
-                "q": float(adj0.q[k]), "k1": float(adj0.k1[k]),
+                "x": x, "x1": x1, "x2": float(ensemble.x2[0, k]), "y": y, "z": z,
+                "u": u,
+                "p1": float(adj.p1[0, k]), "p2": float(adj.p2[0, k]),
+                "q": float(adj.q[0, k]), "k1": float(adj.k1[0, k]),
             }
         )
-    convexity = pmp.convexity_spot_check(model, float(path0.times[0]), probes)
+    convexity = pmp.convexity_spot_check(model, float(ensemble.times[0]), probes)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "adjoint.csv", "w") as fh:
-        pmp.write_adjoint_csv(adjoints, fh)
+        pmp.write_adjoint_csv(adj, fh)
 
     q_ok = q_err < 1e-10
     payload = {
@@ -542,12 +532,9 @@ def cmd_check_relations(cfg, args, out_dir: Path) -> int:
 
     ensemble = sdde.simulate_forward(model, policy, initial, sim)
     q = merton.exact_q_factor(params, ensemble.times)
-    adjoints = [
-        merton.closed_form_adjoints(params, qsol, ensemble.path(i), q)
-        for i in range(ensemble.n_paths)
-    ]
+    adj = merton.closed_form_adjoints(params, qsol, ensemble, q)
     rel = verify.relations_report(
-        model, cand, ensemble, adjoints,
+        model, cand, ensemble, adj,
         tol=float(checks.get("relations_tolerance", 1e-4)),
     )
     basis = merton.build_basis(params)

@@ -12,14 +12,15 @@ and closed-form layers: delay parameters, the sliding sample buffer that
 realizes (x1, x2) on a uniform grid, structured model coefficients, feedback
 policies, and the simulation configuration.  It also owns the splitmix64
 counter hash behind the per-path seeds and Brownian increments, so that
-every path is reproducible in isolation.
+every path is reproducible in isolation, and the long-format CSV writer
+shared by the forward, backward and adjoint artifacts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Sequence
+from typing import Callable, Literal, Sequence, TextIO
 
 import numpy as np
 
@@ -116,11 +117,10 @@ class ModelParams:
 
 @dataclass
 class DelayBuffer:
-    """Sliding window of state samples covering [t − δ, t] on a uniform grid.
+    """Window of state samples covering [t − δ, t] on a uniform grid.
 
-    samples[0] is the oldest value X(t − δ) and samples[-1] is X(t).
-    The buffer always holds exactly round(δ/h) + 1 samples; a mismatch is
-    reported as an invalid state rather than silently accepted.
+    samples[0] is the oldest value X(t − δ) and samples[-1] is X(t);
+    from_initial_path fills it with exactly round(δ/h) + 1 samples.
     """
 
     step_h: float
@@ -155,22 +155,6 @@ class DelayBuffer:
     def delta(self) -> float:
         """Delay length spanned by the buffer."""
         return self.step_h * (self.samples.size - 1)
-
-    def require_length(self, delta: float) -> None:
-        """Raise unless the buffer spans exactly the given delay."""
-        n = lag_steps(delta, self.step_h)
-        if self.samples.size != n + 1:
-            raise InvalidStateError(
-                f"buffer holds {self.samples.size} samples, "
-                f"expected {n + 1} for delta={delta}, h={self.step_h}"
-            )
-
-    def push(self, value: float) -> None:
-        """Advance the window by one step: drop the oldest, append the newest."""
-        if self.samples.size == 1:
-            self.samples[0] = value
-        else:
-            self.samples = np.append(self.samples[1:], value)
 
 
 def lag_steps(delta: float, step_h: float) -> int:
@@ -393,3 +377,43 @@ class SimConfig:
     def validate_grid(self, params: ModelParams) -> int:
         """Check that the step divides δ; returns the lag in steps."""
         return lag_steps(params.delta, self.step_size(params))
+
+
+# ---------------------------------------------------------------------------
+# Long-format CSV artifacts
+# ---------------------------------------------------------------------------
+
+# Rows formatted per write in write_long_csv; bounds the block's table and
+# string next to the columns themselves.
+CSV_BLOCK_ROWS = 1 << 13
+
+
+def write_long_csv(
+    stream: TextIO, names: Sequence[str], times: Array, columns: Sequence[Array]
+) -> None:
+    """Write (n_paths, n_nodes) columns in long format: path,t,<names>.
+
+    One row per path and node, path by path.  Every value is written as
+    '%.17g' % v, the same text as format(float(v), '.17g'), so the file
+    round-trips every float64.  A column one node short (the Brownian
+    increments) is blank at the terminal node.
+    """
+    n_nodes = times.size
+    n_paths = columns[0].shape[0]
+    stream.write(",".join(["path", "t", *names]) + "\n")
+    cells = ["%d", "%.17g"]
+    row = ",".join(cells + ["%.17g"] * len(columns)) + "\n"
+    # '%.0s' consumes the terminal node's unused slot and prints nothing.
+    last = ",".join(
+        cells + ["%.17g" if c.shape[1] == n_nodes else "%.0s" for c in columns]
+    ) + "\n"
+    per_path = row * (n_nodes - 1) + last
+    paths_per_block = max(1, CSV_BLOCK_ROWS // n_nodes)
+    for start in range(0, n_paths, paths_per_block):
+        stop = min(start + paths_per_block, n_paths)
+        table = np.zeros((stop - start, n_nodes, 2 + len(columns)))
+        table[:, :, 0] = np.arange(start, stop)[:, np.newaxis]
+        table[:, :, 1] = times
+        for j, col in enumerate(columns):
+            table[:, : col.shape[1], 2 + j] = col[start:stop]
+        stream.write(per_path * (stop - start) % tuple(table.ravel().tolist()))

@@ -111,11 +111,9 @@ def generalized_hamiltonian(
 ):
     """G = b·p + ½σ²R + (x − λx1 − e^{-λδ}x2)·q + f(s, x, x1, k, σp, u)."""
     params = model.params
-    b = model.b1(s, x, x1, u) + model.b2(s, x, x1, u) * x2
+    b = model.drift(s, x, x1, x2, u)
     sg = model.sigma(s, x, x1, u)
-    f = model.f1(s, x, x1, args.k, sg * args.p, u) + model.f2(
-        s, x, x1, args.k, sg * args.p, u
-    ) * x2
+    f = model.generator(s, x, x1, x2, args.k, sg * args.p, u)
     return (
         b * args.p
         + 0.5 * sg**2 * args.R

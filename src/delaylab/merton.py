@@ -58,8 +58,8 @@ from .core import (
 )
 from .bsdde import RegressionBasis, augmented_basis, polynomial_basis
 from .hjb import ValueCandidate
-from .pmp import AdjointPath
-from .sdde import ForwardPath
+from .pmp import Adjoints
+from .sdde import ForwardEnsemble
 
 
 @dataclass(frozen=True)
@@ -407,23 +407,26 @@ def build_basis(p: MertonParams, degree: int = 2) -> RegressionBasis:
 def closed_form_adjoints(
     p: MertonParams,
     qsol: QSolution,
-    path: ForwardPath,
+    ensemble: ForwardEnsemble,
     q: Array,
-) -> AdjointPath:
-    """Adjoint trajectories from the explicit formulas along one path."""
-    t, x, x1 = path.times, path.x, path.x1
+) -> Adjoints:
+    """Adjoint trajectories from the explicit formulas over the ensemble.
+
+    q is the adjoint factor, per node (n_nodes,) or per path and node.
+    """
+    t, x, x1 = ensemble.times, ensemble.x, ensemble.x1
     m = _memory_wealth(p, x, x1)
     g = p.gamma
     qv = qsol(t)
     ustar = optimal_u(t, x, x1, p)
     p1 = -qv * m ** (g - 1.0) * q
     k1 = (1.0 - g) * p.sigma * ustar * x * qv * m ** (g - 2.0) * q
-    return AdjointPath(
+    return Adjoints(
         times=t,
         p1=p1,
         p2=p.theta * p1,
         p3=np.zeros_like(p1),
-        q=np.asarray(q, float),
+        q=np.broadcast_to(np.asarray(q, float), p1.shape),
         k1=k1,
         k2=p.theta * k1,
     )

@@ -19,26 +19,29 @@ directly from it:
 
 with terminal values p1(T) = −φ_x q(T), p2(T) = −φ_x1 q(T), p3(T) = 0.
 The p3 ≡ 0 reduction is equivalent to the pointwise identity
-b2·p1 − e^{-λδ}·p2 − q·f2 = 0 along the optimal path, which is checked both
+b2·p1 − e^{-λδ}·p2 − q·f2 = 0 along each optimal path, which is checked both
 directly and by back-integrating the p3 drift from its terminal value.
+
+The adjoints and the checks take whole ensembles as (n_paths, n_nodes)
+arrays; each check scales its residuals path by path and reports the
+worst path.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence, TextIO
+from dataclasses import dataclass
+from typing import Sequence, TextIO
 
 import numpy as np
 
-from .core import Array, StructuredModel
+from .core import Array, StructuredModel, write_long_csv
 from .hjb import CheckReport, ValueCandidate
-from .sdde import ForwardEnsemble, ForwardPath
+from .sdde import ForwardEnsemble
 
 
 @dataclass
-class AdjointPath:
-    """Adjoint trajectories along one forward path; arrays of length n+1."""
+class Adjoints:
+    """Adjoint trajectories of an ensemble as (n_paths, n_steps + 1) arrays."""
 
     times: Array
     p1: Array
@@ -52,7 +55,7 @@ class AdjointPath:
 def hamiltonian(model: StructuredModel, t, x, x1, x2, y, z, u, p1, p2, q, k1):
     """H = p1 b + p2 (x − λx1 − e^{-λδ}x2) + k1 σ − q f."""
     params = model.params
-    b = model.b1(t, x, x1, u) + model.b2(t, x, x1, u) * x2
+    b = model.drift(t, x, x1, x2, u)
     sg = model.sigma(t, x, x1, u)
     f = model.generator(t, x, x1, x2, y, z, u)
     return (
@@ -98,83 +101,88 @@ def simulate_q(
     return np.exp(log_q)
 
 
+def _value_slots(model: StructuredModel, cand: ValueCandidate, ensemble: ForwardEnsemble):
+    """Controls (n_u, n_paths, n_nodes) and the value-consistent backward
+    slots y = −V, z = −σV_x along the ensemble."""
+    t, x, x1 = ensemble.times, ensemble.x, ensemble.x1
+    u = np.moveaxis(ensemble.controls, 2, 0)
+    y = -cand.v(t, x, x1)
+    z = -model.sigma(t, x, x1, u) * cand.v_x(t, x, x1)
+    return u, np.broadcast_to(y, x.shape), np.broadcast_to(z, x.shape)
+
+
 def adjoint_from_value(
     model: StructuredModel,
     cand: ValueCandidate,
-    path: ForwardPath,
+    ensemble: ForwardEnsemble,
     q: Array,
-) -> AdjointPath:
-    """Adjoints recovered from a candidate value function along one path."""
-    t, x, x1 = path.times, path.x, path.x1
-    u = path.controls.T
+) -> Adjoints:
+    """Adjoints recovered from a candidate value function over the ensemble.
+
+    q is the adjoint factor, per node (n_nodes,) or per path and node.
+    """
+    t, x, x1 = ensemble.times, ensemble.x, ensemble.x1
+    u, y, z = _value_slots(model, cand, ensemble)
     sg = model.sigma(t, x, x1, u)
     vx = cand.v_x(t, x, x1)
     vx1 = cand.v_x1(t, x, x1)
-    y = -cand.v(t, x, x1)
-    z = -sg * vx
-    fz = model.f_z_value(t, x, x1, path.x2, y, z, u)
+    fz = model.f_z_value(t, x, x1, ensemble.x2, y, z, u)
     p1 = vx * q
     p2 = vx1 * q
     k1 = (cand.v_xx(t, x, x1) * sg + vx * fz) * q
     k2 = (cand.v_xx1_value(t, x, x1) * sg + vx1 * fz) * q
-    return AdjointPath(
+    return Adjoints(
         times=t,
-        p1=np.broadcast_to(p1, x.shape).astype(float),
-        p2=np.broadcast_to(p2, x.shape).astype(float),
+        p1=np.broadcast_to(p1, x.shape),
+        p2=np.broadcast_to(p2, x.shape),
         p3=np.zeros_like(x),
-        q=np.asarray(q, float),
-        k1=np.broadcast_to(k1, x.shape).astype(float),
-        k2=np.broadcast_to(k2, x.shape).astype(float),
+        q=np.broadcast_to(np.asarray(q, float), x.shape),
+        k1=np.broadcast_to(k1, x.shape),
+        k2=np.broadcast_to(k2, x.shape),
     )
-
-
-def _path_yz(model, cand, path):
-    """Value-consistent backward slots along a path: y = −V, z = −σV_x."""
-    t, x, x1 = path.times, path.x, path.x1
-    u = path.controls.T
-    y = -cand.v(t, x, x1)
-    z = -model.sigma(t, x, x1, u) * cand.v_x(t, x, x1)
-    return np.broadcast_to(y, x.shape), np.broadcast_to(z, x.shape)
 
 
 def check_p3_zero(
     model: StructuredModel,
     cand: ValueCandidate,
-    path: ForwardPath,
-    adjoint: AdjointPath,
+    ensemble: ForwardEnsemble,
+    adjoint: Adjoints,
     tol: float = 1e-10,
 ) -> CheckReport:
     """Pointwise and integrated checks that the x2-adjoint vanishes.
 
-    Pointwise: b2·p1 − e^{-λδ}·p2 − q·f2 = 0 along the path (this is the
+    Pointwise: b2·p1 − e^{-λδ}·p2 − q·f2 = 0 along each path (this is the
     drift of p3 up to sign).  Integrated: back-integration of that drift
-    from p3(T) = 0 must stay at zero.  Residuals are reported relative to
-    the path's largest |p1|.
+    from p3(T) = 0 must stay at zero.  Residuals are taken relative to each
+    path's largest |p1|, and the report is that of the worst path.
     """
     params = model.params
-    t, x, x1, x2 = path.times, path.x, path.x1, path.x2
-    u = path.controls.T
-    y, z = _path_yz(model, cand, path)
+    t, x, x1 = ensemble.times, ensemble.x, ensemble.x1
+    u, y, z = _value_slots(model, cand, ensemble)
     b2 = np.broadcast_to(model.b2(t, x, x1, u), x.shape)
     f2 = np.broadcast_to(model.f2(t, x, x1, y, z, u), x.shape)
     drift = b2 * adjoint.p1 - params.e_minus * adjoint.p2 - adjoint.q * f2
 
+    # p3[k] = p3[k+1] + h·drift[k] from p3[n] = 0, summed from the terminal
+    # node backward as a reversed cumulative sum.
     h = float(t[1] - t[0])
     p3 = np.zeros_like(x)
-    for k in range(x.size - 2, -1, -1):
-        p3[k] = p3[k + 1] + h * drift[k]
+    p3[:, :-1] = np.cumsum(h * drift[:, -2::-1], axis=1)[:, ::-1]
 
-    scale = max(float(np.max(np.abs(adjoint.p1))), 1e-300)
-    worst = max(float(np.max(np.abs(drift))), float(np.max(np.abs(p3)))) / scale
+    max_drift = np.max(np.abs(drift), axis=1)
+    max_p3 = np.max(np.abs(p3), axis=1)
+    scale = np.maximum(np.max(np.abs(adjoint.p1), axis=1), 1e-300)
+    worst = np.maximum(max_drift, max_p3) / scale
+    i = int(np.argmax(worst))  # the worst path, the first one on ties
     return CheckReport(
         check="p3_zero",
-        probes=x.size,
-        max_residual=worst,
+        probes=x.shape[1],
+        max_residual=float(worst[i]),
         tolerance=tol,
-        passed=worst < tol,
+        passed=bool(worst[i] < tol),
         extra={
-            "max_drift": float(np.max(np.abs(drift))),
-            "max_backintegrated": float(np.max(np.abs(p3))),
+            "max_drift": float(max_drift[i]),
+            "max_backintegrated": float(max_p3[i]),
         },
     )
 
@@ -211,38 +219,39 @@ def hamiltonian_control_gradient(
 def maximum_condition_check(
     model: StructuredModel,
     cand: ValueCandidate,
-    path: ForwardPath,
-    adjoint: AdjointPath,
+    ensemble: ForwardEnsemble,
+    adjoint: Adjoints,
     n_grid: int = 9,
     tol: float = 1e-6,
 ) -> CheckReport:
-    """First-order optimality of the stored controls along a path.
+    """First-order optimality of the stored controls along each path.
 
     Checks |H_u| at the stored control (interior stationarity) and the
     variational inequality H_u(u*)·(u* − u) ≤ tol over a control grid.
+    The report is that of the worst path.
     """
-    t, x, x1, x2 = path.times, path.x, path.x1, path.x2
-    u_star = path.controls.T
-    y, z = _path_yz(model, cand, path)
+    t, x, x1, x2 = ensemble.times, ensemble.x, ensemble.x1, ensemble.x2
+    u_star, y, z = _value_slots(model, cand, ensemble)
     grad = hamiltonian_control_gradient(
         model, t, x, x1, x2, y, z, u_star, adjoint.p1, adjoint.p2, adjoint.q, adjoint.k1
     )
-    max_grad = float(np.max(np.abs(grad)))
+    max_grad = np.max(np.abs(grad), axis=(0, 2))
 
-    worst_vi = -np.inf
+    worst_vi = np.full(ensemble.n_paths, -np.inf)
     box = model.control_set
     for i in range(u_star.shape[0]):
         for u_alt in box.axis_grid(i, n_grid):
-            worst_vi = max(worst_vi, float(np.max(grad[i] * (u_star[i] - u_alt))))
+            worst_vi = np.maximum(worst_vi, np.max(grad[i] * (u_star[i] - u_alt), axis=1))
 
-    worst = max(max_grad, worst_vi)
+    worst = np.maximum(max_grad, worst_vi)
+    j = int(np.argmax(worst))  # the worst path, the first one on ties
     return CheckReport(
         check="maximum_condition",
-        probes=x.size,
-        max_residual=worst,
+        probes=x.shape[1],
+        max_residual=float(worst[j]),
         tolerance=tol,
-        passed=worst < tol,
-        extra={"max_abs_h_u": max_grad, "max_variational": worst_vi},
+        passed=bool(worst[j] < tol),
+        extra={"max_abs_h_u": float(max_grad[j]), "max_variational": float(worst_vi[j])},
     )
 
 
@@ -312,15 +321,7 @@ def convexity_spot_check(
     )
 
 
-def write_adjoint_csv(adjoints: Sequence[AdjointPath], stream: TextIO) -> None:
+def write_adjoint_csv(adjoint: Adjoints, stream: TextIO) -> None:
     """Write adjoint trajectories in long format: path,t,p1,p2,p3,q,k1,k2."""
-    stream.write("path,t,p1,p2,p3,q,k1,k2\n")
-    for i, adj in enumerate(adjoints):
-        for k in range(adj.times.size):
-            vals = [
-                adj.times[k], adj.p1[k], adj.p2[k], adj.p3[k],
-                adj.q[k], adj.k1[k], adj.k2[k],
-            ]
-            stream.write(
-                str(i) + "," + ",".join(format(float(v), ".17g") for v in vals) + "\n"
-            )
+    names = ["p1", "p2", "p3", "q", "k1", "k2"]
+    write_long_csv(stream, names, adjoint.times, [getattr(adjoint, n) for n in names])

@@ -37,6 +37,7 @@ from .core import (
     StructuredModel,
     derive_path_seed,
     splitmix64_mix,
+    write_long_csv,
     x1_of_buffer,
 )
 
@@ -47,22 +48,6 @@ DIVERGENCE_BOUND = 1e12
 # the (n_paths, n_steps) result.
 INCREMENT_BLOCK = 1 << 18
 _ULP53 = 2.0**-53  # a 53-bit integer times this is a uniform in [0, 1)
-
-
-@dataclass(frozen=True)
-class ForwardPath:
-    """Single simulated path on the uniform grid.
-
-    All state arrays have length n_steps + 1; dw has length n_steps.
-    controls has shape (n_steps + 1, n_controls).
-    """
-
-    times: Array
-    x: Array
-    x1: Array
-    x2: Array
-    controls: Array
-    dw: Array
 
 
 @dataclass
@@ -89,16 +74,6 @@ class ForwardEnsemble:
     @property
     def n_steps(self) -> int:
         return self.x.shape[1] - 1
-
-    def path(self, i: int) -> ForwardPath:
-        return ForwardPath(
-            times=self.times,
-            x=self.x[i],
-            x1=self.x1[i],
-            x2=self.x2[i],
-            controls=self.controls[i],
-            dw=self.dw[i],
-        )
 
 
 def x1_step_ode(x1, x, x2, lam: float, delta: float, h: float):
@@ -182,7 +157,6 @@ def simulate_forward(
     else:
         quad_w = None
 
-    e_minus = params.e_minus
     for k in range(n_steps):
         t = float(times[k])
         x = xfull[:, lag + k]
@@ -191,7 +165,7 @@ def simulate_forward(
         u = policy.at(t, x, x1k)
         controls[:, k, :] = u.T
 
-        b = model.b1(t, x, x1k, u) + model.b2(t, x, x1k, u) * x2
+        b = model.drift(t, x, x1k, x2, u)
         sg = model.sigma(t, x, x1k, u)
         xn = x + b * h + sg * dw[:, k]
 
@@ -205,7 +179,7 @@ def simulate_forward(
         elif lag == 0:
             x1[:, k + 1] = 0.0
         else:
-            x1[:, k + 1] = x1k + h * (x - e_minus * x2 - params.lam * x1k)
+            x1[:, k + 1] = x1_step_ode(x1k, x, x2, params.lam, params.delta, h)
 
     u_T = policy.at(float(times[-1]), xfull[:, lag + n_steps], x1[:, -1])
     controls[:, -1, :] = u_T.T
@@ -276,7 +250,7 @@ def delayed_ito_check(
     xL, x1L, x2L = x[:, :-1], x1[:, :-1], x2[:, :-1]
     uL = u[:, :, :-1]
 
-    b = model.b1(tL, xL, x1L, uL) + model.b2(tL, xL, x1L, uL) * x2L
+    b = model.drift(tL, xL, x1L, x2L, uL)
     sg = model.sigma(tL, xL, x1L, uL)
     drift = (
         g.g_t(tL, xL, x1L)
@@ -299,10 +273,6 @@ def delayed_ito_check(
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def write_forward_csv(ensemble: ForwardEnsemble, stream: TextIO) -> None:
     """Write the ensemble in long format: path,t,x,x1,x2,u[,c],dw.
 
@@ -311,16 +281,10 @@ def write_forward_csv(ensemble: ForwardEnsemble, stream: TextIO) -> None:
     """
     n_u = ensemble.controls.shape[2]
     u_cols = ["u"] if n_u == 1 else ["u", "c"]
-    stream.write(",".join(["path", "t", "x", "x1", "x2", *u_cols, "dw"]) + "\n")
-    for i in range(ensemble.n_paths):
-        for k in range(ensemble.n_steps + 1):
-            row = [
-                str(i),
-                _fmt(ensemble.times[k]),
-                _fmt(ensemble.x[i, k]),
-                _fmt(ensemble.x1[i, k]),
-                _fmt(ensemble.x2[i, k]),
-                *[_fmt(ensemble.controls[i, k, j]) for j in range(n_u)],
-                _fmt(ensemble.dw[i, k]) if k < ensemble.n_steps else "",
-            ]
-            stream.write(",".join(row) + "\n")
+    controls = [ensemble.controls[:, :, j] for j in range(n_u)]
+    write_long_csv(
+        stream,
+        ["x", "x1", "x2", *u_cols, "dw"],
+        ensemble.times,
+        [ensemble.x, ensemble.x1, ensemble.x2, *controls, ensemble.dw],
+    )

@@ -5,8 +5,9 @@ Three families of diagnostics:
 * relations_report: along simulated paths, (a) the time derivative of the
   candidate value matches the maximized generalized Hamiltonian, (b) the
   stored control maximizes G against a control grid, and (c) supplied
-  adjoint trajectories match the value-derived ones
-  p1 = V_x q, p2 = V_x1 q, k1 = (V_xx σ + V_x f_z) q, k2 = (V_xx1 σ + V_x1 f_z) q.
+  adjoint trajectories match the value-derived ones of
+  pmp.adjoint_from_value, p1 = V_x q, p2 = V_x1 q, k1 = (V_xx σ + V_x f_z) q,
+  k2 = (V_xx1 σ + V_x1 f_z) q.
 
 * compare_controls: paired Monte Carlo cost comparison of a base policy
   against perturbations, using common random numbers (identical per-path
@@ -20,20 +21,15 @@ Three families of diagnostics:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Array, FeedbackPolicy, SimConfig, StructuredModel
+from .core import FeedbackPolicy, SimConfig, StructuredModel
 from .bsdde import RegressionBasis, cost_estimate, recursive_cost
-from .hjb import (
-    CheckReport,
-    ValueCandidate,
-    args_from_candidate,
-    generalized_hamiltonian,
-)
-from .pmp import AdjointPath
+from .hjb import ValueCandidate, args_from_candidate, generalized_hamiltonian
+from .pmp import Adjoints, adjoint_from_value
 from .sdde import ForwardEnsemble
 
 
@@ -58,15 +54,39 @@ class RelationsReport:
         }
 
 
+def _adjoint_mismatch(
+    model: StructuredModel,
+    cand: ValueCandidate,
+    ensemble: ForwardEnsemble,
+    adjoint: Adjoints,
+) -> dict:
+    """Largest relative mismatch of each supplied adjoint against the
+    value-derived one, each path scaled by its own largest |reference|.
+
+    A function of its own so that the reference adjoints are freed before
+    relations_report allocates its Hamiltonian arrays.
+    """
+    ref = adjoint_from_value(model, cand, ensemble, adjoint.q)
+    mismatch = {}
+    for name in ("p1", "p2", "k1", "k2"):
+        want = getattr(ref, name)
+        err = np.max(np.abs(getattr(adjoint, name) - want), axis=1)
+        scale = np.maximum(np.max(np.abs(want), axis=1), 1e-300)
+        mismatch[name] = max(0.0, float(np.max(err / scale)))
+    return mismatch
+
+
 def relations_report(
     model: StructuredModel,
     cand: ValueCandidate,
     ensemble: ForwardEnsemble,
-    adjoints: Sequence[AdjointPath],
+    adjoint: Adjoints,
     n_grid: int = 9,
     tol: float = 1e-4,
 ) -> RelationsReport:
     """Consistency of the candidate value and adjoints along simulated paths."""
+    mismatch = _adjoint_mismatch(model, cand, ensemble, adjoint)
+
     t = ensemble.times
     x, x1, x2 = ensemble.x, ensemble.x1, ensemble.x2
     u_star = np.moveaxis(ensemble.controls, 2, 0)
@@ -87,30 +107,6 @@ def relations_report(
                 g_alt = generalized_hamiltonian(model, t, x, x1, x2, u_alt, args)
             g_alt = np.where(np.isfinite(g_alt), g_alt, -np.inf)
             worst_gap = max(worst_gap, float(np.max(g_alt - g_star)))
-
-    mismatch = {"p1": 0.0, "p2": 0.0, "k1": 0.0, "k2": 0.0}
-    for i, adj in enumerate(adjoints):
-        path = ensemble.path(i)
-        u = path.controls.T
-        sg = model.sigma(t, path.x, path.x1, u)
-        vx = cand.v_x(t, path.x, path.x1)
-        vx1 = cand.v_x1(t, path.x, path.x1)
-        y = -cand.v(t, path.x, path.x1)
-        z = -sg * vx
-        fz = model.f_z_value(t, path.x, path.x1, path.x2, y, z, u)
-        refs = {
-            "p1": vx * adj.q,
-            "p2": vx1 * adj.q,
-            "k1": (cand.v_xx(t, path.x, path.x1) * sg + vx * fz) * adj.q,
-            "k2": (cand.v_xx1_value(t, path.x, path.x1) * sg + vx1 * fz) * adj.q,
-        }
-        given = {"p1": adj.p1, "p2": adj.p2, "k1": adj.k1, "k2": adj.k2}
-        for name in mismatch:
-            ref = np.broadcast_to(refs[name], path.x.shape)
-            scale = max(float(np.max(np.abs(ref))), 1e-300)
-            mismatch[name] = max(
-                mismatch[name], float(np.max(np.abs(given[name] - ref))) / scale
-            )
 
     worst = max(time_slope, worst_gap, *mismatch.values())
     return RelationsReport(

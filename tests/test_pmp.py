@@ -1,11 +1,12 @@
 """Adjoint factor, vanishing x2-adjoint, maximum condition, convexity probe."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from delaylab import core, merton, pmp, sdde
+from delaylab import core, merton, pmp, sdde, verify
 
 P0 = dict(
     r=0.03, mu0=0.08, sigma=0.2, beta=0.1, gamma=0.5,
@@ -70,93 +71,153 @@ class TestQFactor:
 class TestAdjointConstruction:
     def test_value_derived_matches_closed_form(self, merton_run):
         p, qsol = merton_run["params"], merton_run["qsol"]
-        for i in range(4):
-            path = merton_run["ensemble"].path(i)
-            built = pmp.adjoint_from_value(
-                merton_run["model"], merton_run["cand"], path, merton_run["q"]
-            )
-            explicit = merton.closed_form_adjoints(p, qsol, path, merton_run["q"])
-            for name in ("p1", "p2", "p3", "k1", "k2"):
-                a, b = getattr(built, name), getattr(explicit, name)
-                assert np.max(np.abs(a - b)) < 1e-10, name
+        ens = merton_run["ensemble"]
+        built = pmp.adjoint_from_value(
+            merton_run["model"], merton_run["cand"], ens, merton_run["q"]
+        )
+        explicit = merton.closed_form_adjoints(p, qsol, ens, merton_run["q"])
+        for name in ("p1", "p2", "p3", "k1", "k2"):
+            a, b = getattr(built, name), getattr(explicit, name)
+            assert a.shape == (ens.n_paths, ens.n_steps + 1), name
+            assert np.max(np.abs(a - b)) < 1e-10, name
 
     def test_terminal_values(self, merton_run):
         # p1(T) = -phi_x q(T), p2(T) = -phi_x1 q(T) via V(T) = -phi.
         p = merton_run["params"]
-        path = merton_run["ensemble"].path(0)
+        ens = merton_run["ensemble"]
         adj = pmp.adjoint_from_value(
-            merton_run["model"], merton_run["cand"], path, merton_run["q"]
+            merton_run["model"], merton_run["cand"], ens, merton_run["q"]
         )
-        m_T = path.x[-1] + p.theta * path.x1[-1]
+        m_T = ens.x[:, -1] + p.theta * ens.x1[:, -1]
         phi_x = m_T ** (p.gamma - 1.0)
-        assert adj.p1[-1] == pytest.approx(-phi_x * merton_run["q"][-1], rel=1e-12)
-        assert adj.p2[-1] == pytest.approx(p.theta * adj.p1[-1], rel=1e-12)
-        assert adj.p3[-1] == 0.0
+        assert adj.p1[:, -1] == pytest.approx(-phi_x * merton_run["q"][-1], rel=1e-12)
+        assert adj.p2[:, -1] == pytest.approx(p.theta * adj.p1[:, -1], rel=1e-12)
+        assert np.all(adj.p3[:, -1] == 0.0)
 
     def test_p2_proportional_to_p1(self, merton_run):
         p = merton_run["params"]
-        path = merton_run["ensemble"].path(1)
         adj = pmp.adjoint_from_value(
-            merton_run["model"], merton_run["cand"], path, merton_run["q"]
+            merton_run["model"], merton_run["cand"], merton_run["ensemble"],
+            merton_run["q"],
         )
         assert np.max(np.abs(adj.p2 - p.theta * adj.p1)) < 1e-12
 
 
 class TestP3Reduction:
     def test_constrained_model_p3_vanishes(self, merton_run):
-        for i in range(4):
-            path = merton_run["ensemble"].path(i)
-            adj = pmp.adjoint_from_value(
-                merton_run["model"], merton_run["cand"], path, merton_run["q"]
-            )
-            report = pmp.check_p3_zero(
-                merton_run["model"], merton_run["cand"], path, adj, tol=1e-10
-            )
-            assert report.passed, report.extra
+        ens = merton_run["ensemble"]
+        adj = pmp.adjoint_from_value(
+            merton_run["model"], merton_run["cand"], ens, merton_run["q"]
+        )
+        report = pmp.check_p3_zero(
+            merton_run["model"], merton_run["cand"], ens, adj, tol=1e-10
+        )
+        assert report.passed, report.extra
 
     def test_broken_theta_leaves_residual(self):
-        p_ok = merton.resolve_constraints(**P0)
-        p_bad = merton.resolve_constraints(**P0, theta=p_ok.theta + 0.01)
-        qsol = merton.solve_q(p_bad)
-        model = merton.build_model(p_bad)
-        policy = merton.build_policy(p_bad, qsol)
-        cand = merton.value_function(p_bad, qsol)
-        cfg = core.SimConfig(n_steps=64, n_paths=2, master_seed=6)
-        ens = sdde.simulate_forward(model, policy, INITIAL, cfg)
-        q = merton.exact_q_factor(p_bad, ens.times)
-        path = ens.path(0)
-        adj = pmp.adjoint_from_value(model, cand, path, q)
-        report = pmp.check_p3_zero(model, cand, path, adj, tol=1e-10)
+        model, cand, ens, adj = _broken_theta_run(n_paths=2, seed=6)
+        report = pmp.check_p3_zero(model, cand, ens, adj, tol=1e-10)
         assert not report.passed
         assert report.max_residual > 1e-4
 
 
 class TestMaximumCondition:
     def test_optimal_controls_stationary(self, merton_run):
-        path = merton_run["ensemble"].path(0)
+        ens = merton_run["ensemble"]
         adj = pmp.adjoint_from_value(
-            merton_run["model"], merton_run["cand"], path, merton_run["q"]
+            merton_run["model"], merton_run["cand"], ens, merton_run["q"]
         )
         report = pmp.maximum_condition_check(
-            merton_run["model"], merton_run["cand"], path, adj, tol=1e-6
+            merton_run["model"], merton_run["cand"], ens, adj, tol=1e-6
         )
         assert report.passed, report.extra
 
     def test_scaled_controls_rejected(self, merton_run):
-        # A path simulated under 1.5 u* has a visibly nonzero H_u.
-        from delaylab import verify
-
+        # Paths simulated under 1.5 u* have a visibly nonzero H_u.
         policy = verify.scaled_policy(merton_run["policy"], [1.5, 1.0], "u_150")
         cfg = core.SimConfig(n_steps=64, n_paths=2, master_seed=13)
         ens = sdde.simulate_forward(merton_run["model"], policy, INITIAL, cfg)
         q = merton.exact_q_factor(merton_run["params"], ens.times)
-        path = ens.path(0)
-        adj = pmp.adjoint_from_value(merton_run["model"], merton_run["cand"], path, q)
+        adj = pmp.adjoint_from_value(merton_run["model"], merton_run["cand"], ens, q)
         report = pmp.maximum_condition_check(
-            merton_run["model"], merton_run["cand"], path, adj, tol=1e-6
+            merton_run["model"], merton_run["cand"], ens, adj, tol=1e-6
         )
         assert not report.passed
         assert report.extra["max_abs_h_u"] > 1e-3
+
+
+class TestEnsembleReportIsWorstPath:
+    """An ensemble-wide report equals the worst one-path report.
+
+    Two groups of paths start from pre-histories 1 and 20, so their adjoints
+    differ in scale; each residual must be scaled by its own path.
+    """
+
+    N_PATHS = 6
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        # Broken theta leaves a p3 residual; 1.5 u* leaves an H_u residual.
+        model, cand, small, _ = _broken_theta_run(self.N_PATHS // 2, seed=6, u_factor=1.5)
+        _, _, large, _ = _broken_theta_run(
+            self.N_PATHS // 2, seed=7, u_factor=1.5, initial=lambda tau: 20.0
+        )
+        ens = dataclasses.replace(
+            small,
+            **{f: np.concatenate([getattr(small, f), getattr(large, f)])
+               for f in ("x", "x1", "x2", "controls", "dw")},
+        )
+        q = merton.exact_q_factor(merton.resolve_constraints(**P0), ens.times)
+        adj = pmp.adjoint_from_value(model, cand, ens, q)
+        return model, cand, ens, adj
+
+    def _one_path(self, ens, adj, i):
+        rows = slice(i, i + 1)
+        one_ens = dataclasses.replace(
+            ens, **{f: getattr(ens, f)[rows] for f in ("x", "x1", "x2", "controls", "dw")}
+        )
+        one_adj = dataclasses.replace(
+            adj, **{f: getattr(adj, f)[rows] for f in ("p1", "p2", "p3", "q", "k1", "k2")}
+        )
+        return one_ens, one_adj
+
+    @pytest.mark.parametrize("check", [pmp.check_p3_zero, pmp.maximum_condition_check])
+    def test_check_reports_worst_path(self, run, check):
+        model, cand, ens, adj = run
+        # With p2 = theta p1 the p3 drift is proportional to p1, so every
+        # path has the same relative residual.  A fixed offset breaks that
+        # and makes the paths of smallest |p1| the worst ones.
+        adj = dataclasses.replace(adj, p2=adj.p2 - 1e-3)
+        whole = check(model, cand, ens, adj)
+        singles = [
+            check(model, cand, *self._one_path(ens, adj, i)) for i in range(self.N_PATHS)
+        ]
+        assert len({r.max_residual for r in singles}) == self.N_PATHS
+        worst = max(singles, key=lambda r: r.max_residual)
+        assert whole.max_residual > 0.0
+        assert whole.max_residual == pytest.approx(worst.max_residual, rel=1e-12)
+        assert whole.extra == pytest.approx(worst.extra, rel=1e-12)
+        assert whole.probes == ens.n_steps + 1
+
+    def test_adjoint_mismatch_is_worst_path(self, run):
+        model, cand, ens, adj = run
+        # Offsets of fixed size give each path a relative mismatch set by
+        # its own scale.
+        given = dataclasses.replace(
+            adj, p1=adj.p1 + 1e-3, p2=adj.p2 - 2e-4, k1=adj.k1 + 3e-3, k2=adj.k2 + 1e-5
+        )
+        whole = verify.relations_report(model, cand, ens, given).adjoint_mismatch
+        singles = [
+            verify.relations_report(
+                model, cand, *self._one_path(ens, given, i)
+            ).adjoint_mismatch
+            for i in range(self.N_PATHS)
+        ]
+        for name in ("p1", "p2", "k1", "k2"):
+            per_path = [s[name] for s in singles]
+            assert len(set(per_path)) == self.N_PATHS, name
+            assert whole[name] > 0.0
+            assert whole[name] == pytest.approx(max(per_path), rel=1e-12), name
 
 
 class TestAdjointDrift:
@@ -172,29 +233,25 @@ class TestAdjointDrift:
             ens = sdde.simulate_forward(model, policy, INITIAL, cfg)
             q = merton.exact_q_factor(p, ens.times)
             h = (p.horizon_T - p.start_s) / n_steps
-            total = []
-            for i in range(ens.n_paths):
-                path = ens.path(i)
-                adj = merton.closed_form_adjoints(p, qsol, path, q)
-                t, x, x1, x2 = path.times, path.x, path.x1, path.x2
-                u = path.controls.T
-                y = -cand.v(t, x, x1)
-                z = -model.sigma(t, x, x1, u) * cand.v_x(t, x, x1)
-                e = 1e-6 * (1.0 + np.abs(x))
-                h_up = pmp.hamiltonian(
-                    model, t, x + e, x1, x2, y, z, u, adj.p1, adj.p2, adj.q, adj.k1
-                )
-                h_dn = pmp.hamiltonian(
-                    model, t, x - e, x1, x2, y, z, u, adj.p1, adj.p2, adj.q, adj.k1
-                )
-                h_x = (h_up - h_dn) / (2 * e)
-                res = (
-                    -(adj.p1[1:] - adj.p1[:-1])
-                    - h_x[:-1] * h
-                    + adj.k1[:-1] * path.dw
-                )
-                total.append(res.sum())
-            return abs(float(np.mean(total)))
+            adj = merton.closed_form_adjoints(p, qsol, ens, q)
+            t, x, x1, x2 = ens.times, ens.x, ens.x1, ens.x2
+            u = np.moveaxis(ens.controls, 2, 0)
+            y = -cand.v(t, x, x1)
+            z = -model.sigma(t, x, x1, u) * cand.v_x(t, x, x1)
+            e = 1e-6 * (1.0 + np.abs(x))
+            h_up = pmp.hamiltonian(
+                model, t, x + e, x1, x2, y, z, u, adj.p1, adj.p2, adj.q, adj.k1
+            )
+            h_dn = pmp.hamiltonian(
+                model, t, x - e, x1, x2, y, z, u, adj.p1, adj.p2, adj.q, adj.k1
+            )
+            h_x = (h_up - h_dn) / (2 * e)
+            res = (
+                -(adj.p1[:, 1:] - adj.p1[:, :-1])
+                - h_x[:, :-1] * h
+                + adj.k1[:, :-1] * ens.dw
+            )
+            return abs(float(np.mean(res.sum(axis=1))))
 
         coarse, fine = mean_residual(64), mean_residual(128)
         assert fine < coarse
@@ -240,6 +297,21 @@ class TestConvexityProbe:
         }
         report = pmp.convexity_spot_check(model, s, [probe])
         assert report.passed, report.extra
+
+
+def _broken_theta_run(n_paths, seed, u_factor=1.0, initial=INITIAL):
+    """Merton model with theta off its constraint by 0.01, simulated under
+    u_factor times the closed-form portfolio, with value-derived adjoints."""
+    p_ok = merton.resolve_constraints(**P0)
+    p_bad = merton.resolve_constraints(**P0, theta=p_ok.theta + 0.01)
+    qsol = merton.solve_q(p_bad)
+    model = merton.build_model(p_bad)
+    policy = verify.scaled_policy(merton.build_policy(p_bad, qsol), [u_factor, 1.0], "u")
+    cand = merton.value_function(p_bad, qsol)
+    cfg = core.SimConfig(n_steps=64, n_paths=n_paths, master_seed=seed)
+    ens = sdde.simulate_forward(model, policy, initial, cfg)
+    q = merton.exact_q_factor(p_bad, ens.times)
+    return model, cand, ens, pmp.adjoint_from_value(model, cand, ens, q)
 
 
 def _linear_model(f1=None):

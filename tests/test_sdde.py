@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from delaylab import core, sdde
+from delaylab import bsdde, core, pmp, sdde
 
 
 def linear_delay_model(lam=0.1, delta=0.5, T=1.0, a=-0.2, b2=0.3, sig=0.0):
@@ -309,3 +309,73 @@ class TestCsvExport:
         # Round trip at full precision.
         x_back = float(lines[1].split(",")[2])
         assert x_back == ens.x[0, 0]
+
+    @pytest.mark.parametrize("n_u", [1, 2])
+    def test_forward_bytes_match_per_value_format(self, n_u, monkeypatch):
+        # Nine rows per block: two paths of four nodes, then a partial block.
+        monkeypatch.setattr(core, "CSV_BLOCK_ROWS", 9)
+        ens = _awkward_ensemble(n_paths=5, n_steps=3, n_u=n_u)
+        out = io.StringIO()
+        sdde.write_forward_csv(ens, out)
+        controls = [ens.controls[:, :, j] for j in range(n_u)]
+        want = _reference_csv(
+            ["x", "x1", "x2", *(["u"] if n_u == 1 else ["u", "c"]), "dw"],
+            ens.times,
+            [ens.x, ens.x1, ens.x2, *controls, ens.dw],
+        )
+        assert out.getvalue() == want
+        assert out.getvalue().splitlines()[4].endswith(",")  # blank terminal dw
+
+    def test_backward_and_adjoint_bytes_match_per_value_format(self):
+        ens = _awkward_ensemble(n_paths=3, n_steps=2, n_u=1)
+        sol = bsdde.BackwardSolution(
+            times=ens.times, y=ens.x, z=ens.x1, y_at_s=0.0, stderr=0.0
+        )
+        out = io.StringIO()
+        bsdde.write_backward_csv(sol, out)
+        assert out.getvalue() == _reference_csv(["y", "z"], ens.times, [ens.x, ens.x1])
+
+        cols = [ens.x, ens.x1, ens.x2, ens.controls[:, :, 0], -ens.x, -ens.x1]
+        names = ["p1", "p2", "p3", "q", "k1", "k2"]
+        adj = pmp.Adjoints(ens.times, *cols)
+        out = io.StringIO()
+        pmp.write_adjoint_csv(adj, out)
+        assert out.getvalue() == _reference_csv(names, ens.times, cols)
+
+
+AWKWARD = np.array([-0.0, 5e-324, 1e300, 1.0 / 3.0, -2.5e-7, 12345.678901234567])
+
+
+def _awkward_ensemble(n_paths, n_steps, n_u):
+    """Ensemble whose columns cycle through signed zero, a subnormal, a huge
+    value and values with 17 significant digits, each column shifted."""
+    shape = (n_paths, n_steps + 1)
+
+    def column(shift):
+        return np.resize(np.roll(AWKWARD, shift), shape)
+
+    controls = np.stack([column(3 + j) for j in range(n_u)], axis=2)
+    return sdde.ForwardEnsemble(
+        times=np.resize(np.roll(AWKWARD, 1), n_steps + 1),
+        x=column(0),
+        x1=column(1),
+        x2=column(2),
+        controls=controls,
+        dw=column(5)[:, :n_steps],
+        initial=np.zeros(1),
+        config=core.SimConfig(n_steps=n_steps, n_paths=n_paths, master_seed=0),
+    )
+
+
+def _reference_csv(names, times, columns):
+    """Long format written one value at a time with format(float(v), '.17g');
+    a column one node short is blank at the terminal node."""
+    lines = [",".join(["path", "t", *names])]
+    for i in range(columns[0].shape[0]):
+        for k in range(times.size):
+            cells = [str(i), format(float(times[k]), ".17g")]
+            cells += [
+                format(float(c[i, k]), ".17g") if k < c.shape[1] else "" for c in columns
+            ]
+            lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
