@@ -64,11 +64,13 @@ def augmented_basis(base: RegressionBasis, extra: Callable[[Array, Array], Array
 class BackwardSolution:
     """Regression solution of the backward equation on an ensemble.
 
-    y[:, k] for 0 < k < n_steps holds the regressed conditional-expectation
-    estimates; y[:, 0] holds the per-path pathwise cost accumulations
-    (regression-free, so their spread is an honest Monte Carlo error).
-    y_at_s is their mean and stderr its standard error.  z[:, -1] is not
-    defined by the scheme and is stored as 0.
+    y and z are seen as (n_paths, n_steps + 1) arrays, stored node-major as
+    the transposes of C-order (n_nodes, n_paths) buffers.  y[:, k] for
+    0 < k < n_steps holds the regressed conditional-expectation estimates;
+    y[:, 0] holds the per-path pathwise cost accumulations (regression-free,
+    so their spread is an honest Monte Carlo error).  y_at_s is their mean
+    and stderr its standard error.  z[:, -1] is not defined by the scheme
+    and is stored as 0.
     """
 
     times: Array
@@ -105,53 +107,55 @@ def solve_backward(
     basis: RegressionBasis,
     ridge: float = RIDGE,
 ) -> BackwardSolution:
-    """Backward regression sweep along a simulated ensemble."""
+    """Backward regression sweep along a simulated ensemble.
+
+    The sweep reads node k of every path as one row of the node-major
+    ensemble and fills y and z row by row.
+    """
     t = ensemble.times
     h = float(t[1] - t[0])
     n_paths, n_steps = ensemble.n_paths, ensemble.n_steps
-    u_all = np.moveaxis(ensemble.controls, 2, 0)
+    x, x1, x2, dw = ensemble.x.T, ensemble.x1.T, ensemble.x2.T, ensemble.dw.T
+    u_all = ensemble.controls.transpose(1, 2, 0)  # (n_nodes, n_u, n_paths)
 
-    y = np.empty((n_paths, n_steps + 1))
-    z = np.zeros((n_paths, n_steps + 1))
-    y[:, -1] = model.phi(ensemble.x[:, -1], ensemble.x1[:, -1])
+    y = np.empty((n_steps + 1, n_paths))
+    z = np.zeros((n_steps + 1, n_paths))
+    y[-1] = model.phi(x[-1], x1[-1])
     degraded: list = []
 
     for k in range(n_steps - 1, 0, -1):
-        xk, x1k, x2k = ensemble.x[:, k], ensemble.x1[:, k], ensemble.x2[:, k]
-        uk = u_all[:, :, k]
-        feats = basis.features(xk, x1k)
-        y_next = y[:, k + 1]
+        feats = basis.features(x[k], x1[k])
+        y_next = y[k + 1]
 
-        z_pred, bad_z = _project(feats, y_next * ensemble.dw[:, k] / h, ridge)
-        z[:, k] = z_pred
+        z_pred, bad_z = _project(feats, y_next * dw[k] / h, ridge)
+        z[k] = z_pred
         target = y_next + h * model.generator(
-            float(t[k]), xk, x1k, x2k, y_next, z_pred, uk
+            float(t[k]), x[k], x1[k], x2[k], y_next, z_pred, u_all[k]
         )
         y_pred, bad_y = _project(feats, target, ridge)
-        y[:, k] = y_pred
+        y[k] = y_pred
         if bad_z or bad_y:
             degraded.append(k)
 
     # Z at the initial node (shared state, so the projection is an average).
-    z[:, 0] = float((y[:, 1] * ensemble.dw[:, 0] / h).mean())
+    z[0] = float((y[1] * dw[0] / h).mean())
 
     # Pathwise accumulation for the cost estimate.  Intermediate regression
     # would smooth the per-path samples and correlate them through the shared
     # fit, making the reported standard error far too small; accumulating the
     # driver along each path keeps the samples honest while the regressed
-    # y[:, k] still provide the conditional-expectation functions.
-    y_hat = y[:, -1].copy()
+    # y[k] still provide the conditional-expectation functions.
+    y_hat = y[-1].copy()
     for k in range(n_steps - 1, -1, -1):
-        xk, x1k, x2k = ensemble.x[:, k], ensemble.x1[:, k], ensemble.x2[:, k]
         y_hat = y_hat + h * model.generator(
-            float(t[k]), xk, x1k, x2k, y_hat, z[:, k], u_all[:, :, k]
+            float(t[k]), x[k], x1[k], x2[k], y_hat, z[k], u_all[k]
         )
-    y[:, 0] = y_hat
+    y[0] = y_hat
 
     y_at_s = float(y_hat.mean())
     stderr = float(y_hat.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
     return BackwardSolution(
-        times=t, y=y, z=z, y_at_s=y_at_s, stderr=stderr, degraded_steps=degraded
+        times=t, y=y.T, z=z.T, y_at_s=y_at_s, stderr=stderr, degraded_steps=degraded
     )
 
 

@@ -41,7 +41,13 @@ from .sdde import ForwardEnsemble
 
 @dataclass
 class Adjoints:
-    """Adjoint trajectories of an ensemble as (n_paths, n_steps + 1) arrays."""
+    """Adjoint trajectories of an ensemble, seen as (n_paths, n_steps + 1)
+    arrays.
+
+    They are computed element by element from the node-major ensemble, so
+    they are stored node-major too: each field's transpose is C-order
+    (n_nodes, n_paths), or a broadcast view of a smaller array.
+    """
 
     times: Array
     p1: Array
@@ -86,19 +92,18 @@ def simulate_q(
         y = np.zeros_like(ensemble.x)
     if z is None:
         z = np.zeros_like(ensemble.x)
-    u_all = np.moveaxis(ensemble.controls, 2, 0)
+    x, x1, x2, dw = ensemble.x.T, ensemble.x1.T, ensemble.x2.T, ensemble.dw.T
+    u_all = ensemble.controls.transpose(1, 2, 0)  # (n_nodes, n_u, n_paths)
+    y, z = y.T, z.T
 
-    log_q = np.zeros((n_paths, n_steps + 1))
+    # Node-major, so that step k writes one contiguous row.
+    log_q = np.zeros((n_steps + 1, n_paths))
     for k in range(n_steps):
         tk = float(t[k])
-        xk, x1k, x2k = ensemble.x[:, k], ensemble.x1[:, k], ensemble.x2[:, k]
-        uk = u_all[:, :, k]
-        fy = model.f_y_value(tk, xk, x1k, x2k, y[:, k], z[:, k], uk)
-        fz = model.f_z_value(tk, xk, x1k, x2k, y[:, k], z[:, k], uk)
-        log_q[:, k + 1] = (
-            log_q[:, k] + (fy - 0.5 * fz**2) * h + fz * ensemble.dw[:, k]
-        )
-    return np.exp(log_q)
+        fy = model.f_y_value(tk, x[k], x1[k], x2[k], y[k], z[k], u_all[k])
+        fz = model.f_z_value(tk, x[k], x1[k], x2[k], y[k], z[k], u_all[k])
+        log_q[k + 1] = log_q[k] + (fy - 0.5 * fz**2) * h + fz * dw[k]
+    return np.exp(log_q).T
 
 
 def _value_slots(model: StructuredModel, cand: ValueCandidate, ensemble: ForwardEnsemble):
@@ -164,10 +169,10 @@ def check_p3_zero(
     drift = b2 * adjoint.p1 - params.e_minus * adjoint.p2 - adjoint.q * f2
 
     # p3[k] = p3[k+1] + h·drift[k] from p3[n] = 0, summed from the terminal
-    # node backward as a reversed cumulative sum.
+    # node backward as a cumulative sum written straight into p3 reversed.
     h = float(t[1] - t[0])
     p3 = np.zeros_like(x)
-    p3[:, :-1] = np.cumsum(h * drift[:, -2::-1], axis=1)[:, ::-1]
+    np.cumsum(h * drift[:, -2::-1], axis=1, out=p3[:, -2::-1])
 
     max_drift = np.max(np.abs(drift), axis=1)
     max_p3 = np.max(np.abs(p3), axis=1)
@@ -202,18 +207,22 @@ def hamiltonian_control_gradient(
     k1,
     rel_step: float = 1e-6,
 ) -> Array:
-    """Central-difference gradient of H in each control coordinate."""
-    grads = []
+    """Central-difference gradient of H in each control coordinate.
+
+    The gradient and the one shifted copy of the controls keep the memory
+    layout of u.
+    """
+    grads = np.empty_like(u, dtype=float)
+    shifted = u.copy(order="K")
     for i in range(u.shape[0]):
         e = rel_step * (1.0 + np.abs(u[i]))
-        up = u.copy()
-        dn = u.copy()
-        up[i] = u[i] + e
-        dn[i] = u[i] - e
-        hu = hamiltonian(model, t, x, x1, x2, y, z, up, p1, p2, q, k1)
-        hd = hamiltonian(model, t, x, x1, x2, y, z, dn, p1, p2, q, k1)
-        grads.append((hu - hd) / (2.0 * e))
-    return np.stack(grads)
+        shifted[i] = u[i] + e
+        hu = hamiltonian(model, t, x, x1, x2, y, z, shifted, p1, p2, q, k1)
+        shifted[i] = u[i] - e
+        hd = hamiltonian(model, t, x, x1, x2, y, z, shifted, p1, p2, q, k1)
+        shifted[i] = u[i]
+        grads[i] = (hu - hd) / (2.0 * e)
+    return grads
 
 
 def maximum_condition_check(

@@ -52,10 +52,15 @@ _ULP53 = 2.0**-53  # a 53-bit integer times this is a uniform in [0, 1)
 
 @dataclass
 class ForwardEnsemble:
-    """Simulated ensemble stored as (n_paths, n_steps + 1) arrays.
+    """Simulated ensemble, seen as (n_paths, n_steps + 1) arrays.
 
-    initial holds the sampled pre-history on [s − δ, s] (oldest first), so
-    the full trajectory including pre-history can be reconstructed.
+    The arrays are stored node-major: x, x1, x2 and dw are the transposes
+    of C-order (n_nodes, n_paths) buffers, and controls is a view of a
+    C-order (n_nodes, n_controls, n_paths) buffer, so x.T[k],
+    controls.transpose(1, 2, 0)[k] and dw.T[k] are contiguous rows holding
+    node k of every path.  initial holds the sampled pre-history on
+    [s − δ, s] (oldest first), so the full trajectory including pre-history
+    can be reconstructed.
     """
 
     times: Array
@@ -90,32 +95,34 @@ def brownian_increments(master_seed: int, n_paths: int, n_steps: int, h: float) 
     others are drawn with it.  Steps 2m and 2m+1 are the Box–Muller pair of
     words 2m and 2m+1: from their top 53 bits u1 ∈ (0, 1] and u2 ∈ [0, 1),
     they are r cos 2πu2 and r sin 2πu2 with r = sqrt(−2h ln u1).  An odd last
-    step keeps the cosine alone.  Blocks of about INCREMENT_BLOCK increments
-    are written straight into the result, which bounds the scratch arrays.
+    step keeps the cosine alone.  The result is stored node-major: it is the
+    transpose of a C-order (n_steps, n_paths) buffer, into which blocks of
+    about INCREMENT_BLOCK increments are written straight, which bounds the
+    scratch arrays.
     """
-    dw = np.empty((n_paths, n_steps))
+    dw = np.empty((n_steps, n_paths))
     n_words = 2 * ((n_steps + 1) // 2)
     counters = SPLITMIX64_GAMMA * np.arange(1, n_words + 1, dtype=np.uint64)
-    rows = max(1, INCREMENT_BLOCK // max(n_steps, 1))
-    for start in range(0, n_paths, rows):
-        stop = min(start + rows, n_paths)
+    cols = max(1, INCREMENT_BLOCK // max(n_steps, 1))
+    for start in range(0, n_paths, cols):
+        stop = min(start + cols, n_paths)
         keys = derive_path_seed(master_seed, np.arange(start, stop))
-        _box_muller(dw[start:stop], keys, counters, h)
-    return dw
+        _box_muller(dw[:, start:stop], keys, counters, h)
+    return dw.T
 
 
 def _box_muller(out: Array, keys: Array, counters: Array, h: float) -> None:
-    """Fill out[i] with the increments of the stream keyed by keys[i].
+    """Fill out[:, i] with the increments of the stream keyed by keys[i].
 
     A function of its own so that each block's scratch arrays are freed
     before the next block allocates its own.
     """
-    words = splitmix64_mix(keys[:, np.newaxis] + counters)
+    words = splitmix64_mix(counters[:, np.newaxis] + keys)
     words >>= np.uint64(11)
-    radius = np.sqrt(-2.0 * h * np.log((words[:, 0::2] + 1) * _ULP53))
-    angle = words[:, 1::2] * (2.0 * math.pi * _ULP53)
-    out[:, 0::2] = radius * np.cos(angle)
-    out[:, 1::2] = (radius * np.sin(angle))[:, : out.shape[1] // 2]
+    radius = np.sqrt(-2.0 * h * np.log((words[0::2] + 1) * _ULP53))
+    angle = words[1::2] * (2.0 * math.pi * _ULP53)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = (radius * np.sin(angle))[: out.shape[0] // 2]
 
 
 def simulate_forward(
@@ -139,15 +146,16 @@ def simulate_forward(
     buffer = DelayBuffer.from_initial_path(initial_path, params.delta, h)
     initial = buffer.samples.copy()
 
-    # xfull[:, j] holds X(s - δ + j h); column lag + k is node t_k.
-    xfull = np.empty((n_paths, lag + n_steps + 1))
-    xfull[:, : lag + 1] = initial[np.newaxis, :]
+    # xfull[j] holds X(s - δ + j h) over the paths; row lag + k is node t_k.
+    xfull = np.empty((lag + n_steps + 1, n_paths))
+    xfull[: lag + 1] = initial[:, np.newaxis]
 
     times = params.start_s + h * np.arange(n_steps + 1)
-    x1 = np.empty((n_paths, n_steps + 1))
-    x1[:, 0] = x1_of_buffer(buffer, params.lam)
-    controls = np.empty((n_paths, n_steps + 1, n_u))
+    x1 = np.empty((n_steps + 1, n_paths))
+    x1[0] = x1_of_buffer(buffer, params.lam)
+    controls = np.empty((n_steps + 1, n_u, n_paths))
     dw = brownian_increments(config.master_seed, n_paths, n_steps, h)
+    dw_rows = dw.T
 
     if config.x1_method == "quadrature" and lag > 0:
         tau = np.linspace(-params.delta, 0.0, lag + 1)
@@ -159,37 +167,36 @@ def simulate_forward(
 
     for k in range(n_steps):
         t = float(times[k])
-        x = xfull[:, lag + k]
-        x2 = xfull[:, k]
-        x1k = x1[:, k]
+        x = xfull[lag + k]
+        x2 = xfull[k]
+        x1k = x1[k]
         u = policy.at(t, x, x1k)
-        controls[:, k, :] = u.T
+        controls[k] = u
 
         b = model.drift(t, x, x1k, x2, u)
         sg = model.sigma(t, x, x1k, u)
-        xn = x + b * h + sg * dw[:, k]
+        xn = x + b * h + sg * dw_rows[k]
 
         bad = ~np.isfinite(xn) | (np.abs(xn) > DIVERGENCE_BOUND)
         if np.any(bad):
             raise SimulationDivergedError(step=k + 1, n_bad=int(bad.sum()))
-        xfull[:, lag + k + 1] = xn
+        xfull[lag + k + 1] = xn
 
         if quad_w is not None:
-            x1[:, k + 1] = xfull[:, k + 1 : k + lag + 2] @ quad_w
+            x1[k + 1] = quad_w @ xfull[k + 1 : k + lag + 2]
         elif lag == 0:
-            x1[:, k + 1] = 0.0
+            x1[k + 1] = 0.0
         else:
-            x1[:, k + 1] = x1_step_ode(x1k, x, x2, params.lam, params.delta, h)
+            x1[k + 1] = x1_step_ode(x1k, x, x2, params.lam, params.delta, h)
 
-    u_T = policy.at(float(times[-1]), xfull[:, lag + n_steps], x1[:, -1])
-    controls[:, -1, :] = u_T.T
+    controls[-1] = policy.at(float(times[-1]), xfull[lag + n_steps], x1[-1])
 
     return ForwardEnsemble(
         times=times,
-        x=xfull[:, lag:],
-        x1=x1,
-        x2=xfull[:, : n_steps + 1],
-        controls=controls,
+        x=xfull[lag:].T,
+        x1=x1.T,
+        x2=xfull[: n_steps + 1].T,
+        controls=controls.transpose(2, 0, 1),
         dw=dw,
         initial=initial,
         config=config,
@@ -261,7 +268,9 @@ def delayed_ito_check(
     dg = g.g(t[1:], x[:, 1:], x1[:, 1:]) - g.g(tL, xL, x1L)
     defect = dg - drift * h - g.g_x(tL, xL, x1L) * sg * ensemble.dw
 
-    residuals = defect.sum(axis=1)
+    # Each path's defects are summed over a path-major copy, so that the
+    # pairwise summation adds them in the same order whatever the layout.
+    residuals = np.ascontiguousarray(defect).sum(axis=1)
     mean = float(residuals.mean())
     n = residuals.size
     stderr = float(residuals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0

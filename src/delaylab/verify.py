@@ -99,14 +99,15 @@ def relations_report(
     # Grid optimality of the stored control, coordinate by coordinate.
     worst_gap = -np.inf
     box = model.control_set
+    u_alt = u_star.copy(order="K")  # node-major, like x
     for i in range(box.n_controls):
         for val in box.axis_grid(i, n_grid):
-            u_alt = u_star.copy()
             u_alt[i] = val
             with np.errstate(all="ignore"):
                 g_alt = generalized_hamiltonian(model, t, x, x1, x2, u_alt, args)
             g_alt = np.where(np.isfinite(g_alt), g_alt, -np.inf)
             worst_gap = max(worst_gap, float(np.max(g_alt - g_star)))
+        u_alt[i] = u_star[i]
 
     worst = max(time_slope, worst_gap, *mismatch.values())
     return RelationsReport(

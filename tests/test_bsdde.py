@@ -1,11 +1,12 @@
-"""Backward regression solver: oracles, determinism, degradation."""
+"""Backward regression solver: oracles, determinism, degradation, layout."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from delaylab import bsdde, core, merton, sdde
+from delaylab import bsdde, core, merton, pmp, sdde, verify
 
 INITIAL = lambda tau: 1.0  # noqa: E731
 
@@ -123,3 +124,48 @@ class TestDegradation:
         basis = bsdde.RegressionBasis(features=dup_features, description="dup")
         sol = bsdde.solve_backward(model, ens, basis)
         assert np.all(np.isfinite(sol.y))
+
+
+class TestNodeMajorLayout:
+    @pytest.fixture(scope="class")
+    def run(self, merton_setup):
+        # 1.5 u* leaves nonzero maximum-condition and relations residuals.
+        p, model, policy, cand = merton_setup
+        policy = verify.scaled_policy(policy, [1.5, 1.0], "u")
+        cfg = core.SimConfig(n_steps=32, n_paths=300, master_seed=4)
+        ens = sdde.simulate_forward(model, policy, INITIAL, cfg)
+        path = dataclasses.replace(
+            ens,
+            **{f: np.ascontiguousarray(getattr(ens, f)) for f in ("x", "x1", "x2", "controls", "dw")},
+        )
+        return p, model, cand, ens, path
+
+    def test_backward_rows_are_contiguous(self, run):
+        p, model, _, ens, _ = run
+        sol = bsdde.solve_backward(model, ens, merton.build_basis(p))
+        assert sol.y.shape == sol.z.shape == (300, 33)
+        assert sol.y.T.flags.c_contiguous and sol.z.T.flags.c_contiguous
+        assert pmp.simulate_q(model, ens).T.flags.c_contiguous
+
+    def test_results_independent_of_layout(self, run):
+        p, model, cand, ens, path = run
+        assert not path.x.T.flags.c_contiguous
+        basis = merton.build_basis(p)
+        a, b = bsdde.solve_backward(model, ens, basis), bsdde.solve_backward(model, path, basis)
+        assert np.array_equal(a.y, b.y) and np.array_equal(a.z, b.z)
+        assert (a.y_at_s, a.stderr, a.degraded_steps) == (b.y_at_s, b.stderr, b.degraded_steps)
+
+        qa, qb = pmp.simulate_q(model, ens, a.y, a.z), pmp.simulate_q(model, path, b.y, b.z)
+        assert np.array_equal(qa, qb)
+
+        q = merton.exact_q_factor(p, ens.times)
+        adj_a = pmp.adjoint_from_value(model, cand, ens, q)
+        adj_b = pmp.adjoint_from_value(model, cand, path, q)
+        for name in ("p1", "p2", "p3", "q", "k1", "k2"):
+            assert np.array_equal(getattr(adj_a, name), getattr(adj_b, name))
+        for check in (pmp.check_p3_zero, pmp.maximum_condition_check):
+            assert check(model, cand, ens, adj_a) == check(model, cand, path, adj_b)
+        rel_a = verify.relations_report(model, cand, ens, adj_a)
+        rel_b = verify.relations_report(model, cand, path, adj_b)
+        assert rel_a.to_dict() == rel_b.to_dict()
+        assert rel_a.grid_optimality > 0.0  # the stored control is off the optimum

@@ -1,5 +1,6 @@
 """Forward simulation: convergence, reproducibility, chain-rule defect."""
 
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -229,6 +230,43 @@ class TestBrownianIncrements:
         assert peak < 1.5 * dw.nbytes
 
 
+def path_major(ens):
+    """Copy of an ensemble with every field stored path-major, C-order."""
+    return dataclasses.replace(
+        ens,
+        **{f: np.ascontiguousarray(getattr(ens, f)) for f in ("x", "x1", "x2", "controls", "dw")},
+    )
+
+
+class TestNodeMajorLayout:
+    def test_node_rows_are_contiguous(self):
+        model = linear_delay_model(sig=0.3)
+        cfg = core.SimConfig(n_steps=16, n_paths=40, master_seed=2)
+        ens = sdde.simulate_forward(model, core.constant_policy([0.2, 0.5]), lambda tau: 1.0, cfg)
+        assert ens.x.shape == ens.x1.shape == ens.x2.shape == (40, 17)
+        assert ens.controls.shape == (40, 17, 2)
+        assert ens.dw.shape == (40, 16)
+        for rows in (ens.x.T, ens.x1.T, ens.x2.T, ens.dw.T, ens.controls.transpose(1, 2, 0)):
+            assert rows.flags.c_contiguous
+        assert sdde.brownian_increments(2, 40, 16, 1 / 16).T.flags.c_contiguous
+
+    def test_chain_rule_defect_independent_of_layout(self):
+        model = linear_delay_model(sig=1.0, a=0.0, b2=0.05)
+        g = sdde.SmoothTestFunction(
+            g=lambda t, x, x1: x**2 + x1,
+            g_t=lambda t, x, x1: 0.0 * x,
+            g_x=lambda t, x, x1: 2.0 * x,
+            g_xx=lambda t, x, x1: 2.0 + 0.0 * x,
+            g_x1=lambda t, x, x1: 1.0 + 0.0 * x,
+        )
+        cfg = core.SimConfig(n_steps=200, n_paths=300, master_seed=5)
+        ens = sdde.simulate_forward(model, POLICY, lambda tau: 1.0, cfg)
+        node = sdde.delayed_ito_check(g, ens, model)
+        path = sdde.delayed_ito_check(g, path_major(ens), model)
+        assert np.array_equal(node.residuals, path.residuals)
+        assert (node.mean, node.stderr) == (path.mean, path.stderr)
+
+
 class TestDivergenceGuard:
     def test_explosion_reports_step(self):
         model = linear_delay_model(a=40.0, b2=0.0, delta=0.0, T=2.0)
@@ -325,6 +363,21 @@ class TestCsvExport:
         )
         assert out.getvalue() == want
         assert out.getvalue().splitlines()[4].endswith(",")  # blank terminal dw
+
+    @pytest.mark.parametrize("n_u", [1, 2])
+    def test_node_major_columns_write_the_same_bytes(self, n_u, monkeypatch):
+        monkeypatch.setattr(core, "CSV_BLOCK_ROWS", 9)
+        ens = _awkward_ensemble(n_paths=5, n_steps=3, n_u=n_u)
+        node = dataclasses.replace(
+            ens,
+            **{f: np.asfortranarray(getattr(ens, f)) for f in ("x", "x1", "x2", "dw")},
+            controls=np.ascontiguousarray(ens.controls.transpose(1, 2, 0)).transpose(2, 0, 1),
+        )
+        assert node.x.flags.f_contiguous and not node.x.flags.c_contiguous
+        want, got = io.StringIO(), io.StringIO()
+        sdde.write_forward_csv(ens, want)
+        sdde.write_forward_csv(node, got)
+        assert got.getvalue() == want.getvalue()
 
     def test_backward_and_adjoint_bytes_match_per_value_format(self):
         ens = _awkward_ensemble(n_paths=3, n_steps=2, n_u=1)
