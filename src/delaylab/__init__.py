@@ -16,7 +16,6 @@ from .core import (
     constant_policy,
     derive_path_seed,
     x1_of_buffer,
-    x2_of_buffer,
 )
 from .sdde import (
     ForwardEnsemble,
@@ -29,7 +28,6 @@ from .bsdde import (
     RegressionBasis,
     cost_estimate,
     polynomial_basis,
-    recursive_cost,
     solve_backward,
 )
 from .hjb import (

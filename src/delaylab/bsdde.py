@@ -24,40 +24,61 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Array, FeedbackPolicy, SimConfig, StructuredModel, write_long_csv
-from .sdde import ForwardEnsemble, simulate_forward
+from .core import Array, StructuredModel, write_long_csv
+from .sdde import ForwardEnsemble
 
 RIDGE = 1e-10
 
 
 @dataclass
 class RegressionBasis:
-    """Feature map (x, x1) -> (n_samples, n_features) used for projections."""
+    """Feature map (x, x1) -> n_features columns used for projections.
 
-    features: Callable[[Array, Array], Array]
+    fill(x, x1, out) writes the features of the samples x, x1 into the
+    columns of out, a C-order (n_samples, n_features) buffer, overwriting
+    every column.  solve_backward allocates that buffer once and reuses it
+    at every node.
+    """
+
+    n_features: int
+    fill: Callable[[Array, Array, Array], None]
     description: str = "basis"
 
 
+def _power(v: Array, p: int) -> Array:
+    """v**p, with the first power read as v itself (bit-identical)."""
+    return v if p == 1 else v**p
+
+
 def polynomial_basis(degree: int = 2) -> RegressionBasis:
-    """All monomials x^i x1^j with i + j <= degree, constant included."""
+    """All monomials x^i x1^j with i + j <= degree, constant included.
 
-    def features(x: Array, x1: Array) -> Array:
-        cols = []
-        for total in range(degree + 1):
-            for i in range(total + 1):
-                cols.append(x**i * x1 ** (total - i))
-        return np.column_stack(cols)
+    Each monomial is written straight into its column: a zero power is left
+    out of the product, which is exact, since x**0 is 1.0.
+    """
+    powers = [(i, total - i) for total in range(degree + 1) for i in range(total + 1)]
 
-    return RegressionBasis(features=features, description=f"poly(deg={degree})")
+    def fill(x: Array, x1: Array, out: Array) -> None:
+        for col, (i, j) in enumerate(powers):
+            if i and j:
+                np.multiply(_power(x, i), _power(x1, j), out=out[:, col])
+            elif i or j:
+                out[:, col] = _power(x, i) if i else _power(x1, j)
+            else:
+                out[:, col] = 1.0
+
+    return RegressionBasis(n_features=len(powers), fill=fill, description=f"poly(deg={degree})")
 
 
 def augmented_basis(base: RegressionBasis, extra: Callable[[Array, Array], Array], tag: str) -> RegressionBasis:
-    """Append one extra feature column to an existing basis."""
+    """Append one extra feature column, written after the base columns."""
+    col = base.n_features
 
-    def features(x: Array, x1: Array) -> Array:
-        return np.column_stack([base.features(x, x1), extra(x, x1)])
+    def fill(x: Array, x1: Array, out: Array) -> None:
+        base.fill(x, x1, out[:, :col])
+        out[:, col] = extra(x, x1)
 
-    return RegressionBasis(features=features, description=f"{base.description}+{tag}")
+    return RegressionBasis(n_features=col + 1, fill=fill, description=f"{base.description}+{tag}")
 
 
 @dataclass
@@ -81,18 +102,24 @@ class BackwardSolution:
     degraded_steps: list = field(default_factory=list)
 
 
-def _project(features: Array, target: Array, ridge: float):
-    """Ridge-damped least-squares prediction of target given features.
+def _gram(features: Array, ridge: float) -> Array:
+    """Ridge-damped normal matrix FᵀF/n + ridge·I, shared by the Z and Y fits."""
+    n, n_features = features.shape
+    with np.errstate(all="ignore"):
+        return features.T @ features / n + ridge * np.eye(n_features)
+
+
+def _project(features: Array, gram: Array, target: Array):
+    """Least-squares prediction of target given features and their _gram.
 
     Falls back to the ensemble mean (constant basis) if the normal equations
     cannot be solved or produce non-finite predictions.
     """
     n = features.shape[0]
     with np.errstate(all="ignore"):
-        a = features.T @ features / n + ridge * np.eye(features.shape[1])
         rhs = features.T @ target / n
         try:
-            beta = np.linalg.solve(a, rhs)
+            beta = np.linalg.solve(gram, rhs)
             pred = features @ beta
         except np.linalg.LinAlgError:
             return np.full_like(target, target.mean()), True
@@ -110,7 +137,9 @@ def solve_backward(
     """Backward regression sweep along a simulated ensemble.
 
     The sweep reads node k of every path as one row of the node-major
-    ensemble and fills y and z row by row.
+    ensemble and fills y and z row by row.  Each node writes its features
+    into one buffer reused by every node and forms their Gram matrix once
+    for both the Z and the Y fit.
     """
     t = ensemble.times
     h = float(t[1] - t[0])
@@ -122,17 +151,19 @@ def solve_backward(
     z = np.zeros((n_steps + 1, n_paths))
     y[-1] = model.phi(x[-1], x1[-1])
     degraded: list = []
+    feats = np.empty((n_paths, basis.n_features))
 
     for k in range(n_steps - 1, 0, -1):
-        feats = basis.features(x[k], x1[k])
+        basis.fill(x[k], x1[k], feats)
+        gram = _gram(feats, ridge)
         y_next = y[k + 1]
 
-        z_pred, bad_z = _project(feats, y_next * dw[k] / h, ridge)
+        z_pred, bad_z = _project(feats, gram, y_next * dw[k] / h)
         z[k] = z_pred
         target = y_next + h * model.generator(
             float(t[k]), x[k], x1[k], x2[k], y_next, z_pred, u_all[k]
         )
-        y_pred, bad_y = _project(feats, target, ridge)
+        y_pred, bad_y = _project(feats, gram, target)
         y[k] = y_pred
         if bad_z or bad_y:
             degraded.append(k)
@@ -168,17 +199,6 @@ class CostEstimate:
     samples: Array  # per-path cost samples -Y0_i
     solution: BackwardSolution
     ensemble: ForwardEnsemble
-
-
-def recursive_cost(
-    model: StructuredModel,
-    policy: FeedbackPolicy,
-    initial_path: Callable[[float], float],
-    config: SimConfig,
-    basis: RegressionBasis,
-) -> CostEstimate:
-    """Simulate forward under a policy and return the recursive cost J = -Y(s)."""
-    return cost_estimate(model, simulate_forward(model, policy, initial_path, config), basis)
 
 
 def cost_estimate(

@@ -182,11 +182,6 @@ def x1_of_buffer(buffer: DelayBuffer, lam: float) -> float:
     return float(_trapezoid(np.exp(lam * tau) * buffer.samples, dx=buffer.step_h))
 
 
-def x2_of_buffer(buffer: DelayBuffer) -> float:
-    """Pointwise delayed value X(t − δ), the oldest sample in the window."""
-    return float(buffer.samples[0])
-
-
 # ---------------------------------------------------------------------------
 # Per-path seeding
 # ---------------------------------------------------------------------------

@@ -33,10 +33,6 @@ and, with q(t) = e^{−β(t−s)}, the adjoints have the closed forms
 
     p1 = −Q m^{γ−1} q,   p2 = θ p1,   p3 = 0,
     k1 = (1 − γ) σ u* X Q m^{γ−2} q,   k2 = θ k1.
-
-Variants of Δ and of the Q exponent that circulate with sign/symbol slips
-are kept available so tests can demonstrate that only the forms above
-satisfy the ODE oracle.
 """
 
 from __future__ import annotations
@@ -153,16 +149,6 @@ def delta_coefficient(p: MertonParams) -> float:
     )
 
 
-def delta_coefficient_misprinted(p: MertonParams) -> float:
-    """Variant with (μ1 − r)² in place of (μ0 − r)²; kept only so tests can
-    show it fails the ODE oracle."""
-    return (
-        p.beta
-        + p.gamma * (p.mu1 - p.r) ** 2 / (2.0 * p.sigma**2 * (p.gamma - 1.0))
-        - p.gamma * (p.r + p.mu2 * math.exp(p.lam * p.delta))
-    )
-
-
 def q_closed_form(t, p: MertonParams, delta_coeff: float | None = None):
     """Closed-form Q(t) solving Q' = (γ−1)Q^{γ/(γ−1)} + ΔQ, Q(T) = 1."""
     if delta_coeff is None:
@@ -173,21 +159,6 @@ def q_closed_form(t, p: MertonParams, delta_coeff: float | None = None):
     k = one_m_g / delta_coeff
     bracket = (1.0 - k) * np.exp(
         -delta_coeff * (p.horizon_T - np.asarray(t, float)) / one_m_g
-    ) + k
-    if np.any(bracket <= 0.0):
-        raise DomainError("closed-form bracket is not positive on the horizon")
-    return bracket**one_m_g
-
-
-def q_closed_form_flipped_exponent(t, p: MertonParams, delta_coeff: float | None = None):
-    """Variant with e^{+Δ(T−t)/(1−γ)}; solves the time-reversed equation and
-    is kept only so tests can show it fails the ODE oracle."""
-    if delta_coeff is None:
-        delta_coeff = delta_coefficient(p)
-    one_m_g = 1.0 - p.gamma
-    k = one_m_g / delta_coeff
-    bracket = (1.0 - k) * np.exp(
-        delta_coeff * (p.horizon_T - np.asarray(t, float)) / one_m_g
     ) + k
     if np.any(bracket <= 0.0):
         raise DomainError("closed-form bracket is not positive on the horizon")

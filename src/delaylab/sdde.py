@@ -29,6 +29,7 @@ import numpy as np
 
 from .core import (
     Array,
+    ConfigError,
     DelayBuffer,
     FeedbackPolicy,
     SimConfig,
@@ -130,18 +131,27 @@ def simulate_forward(
     policy: FeedbackPolicy,
     initial_path: Callable[[float], float],
     config: SimConfig,
+    dw: Array | None = None,
 ) -> ForwardEnsemble:
     """Euler-Maruyama simulation of the delayed state and its summaries.
 
     initial_path is the deterministic segment φ(τ) for τ ∈ [−δ, 0]; it is
     sampled onto the simulation grid, which therefore must divide δ.
     Divergence (non-finite state or |X| above 1e12) aborts with the step index.
+    dw, when given, holds precomputed increments of shape (n_paths, n_steps),
+    best stored node-major like the result of brownian_increments.  It is
+    used as is in place of the draw for config.master_seed and becomes the
+    ensemble's dw, so that runs under several policies can share one draw.
     """
     params = model.params
     h = config.step_size(params)
     lag = config.validate_grid(params)
     n_steps, n_paths = config.n_steps, config.n_paths
     n_u = policy.n_controls
+    if dw is not None and dw.shape != (n_paths, n_steps):
+        raise ConfigError(
+            f"increments have shape {dw.shape}, expected ({n_paths}, {n_steps})"
+        )
 
     buffer = DelayBuffer.from_initial_path(initial_path, params.delta, h)
     initial = buffer.samples.copy()
@@ -154,7 +164,8 @@ def simulate_forward(
     x1 = np.empty((n_steps + 1, n_paths))
     x1[0] = x1_of_buffer(buffer, params.lam)
     controls = np.empty((n_steps + 1, n_u, n_paths))
-    dw = brownian_increments(config.master_seed, n_paths, n_steps, h)
+    if dw is None:
+        dw = brownian_increments(config.master_seed, n_paths, n_steps, h)
     dw_rows = dw.T
 
     if config.x1_method == "quadrature" and lag > 0:

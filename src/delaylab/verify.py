@@ -26,8 +26,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import sdde
 from .core import FeedbackPolicy, SimConfig, StructuredModel
-from .bsdde import RegressionBasis, cost_estimate, recursive_cost
+from .bsdde import RegressionBasis, cost_estimate
 from .hjb import ValueCandidate, args_from_candidate, generalized_hamiltonian
 from .pmp import Adjoints, adjoint_from_value
 from .sdde import ForwardEnsemble
@@ -176,16 +177,20 @@ def compare_controls(
 ) -> ComparisonReport:
     """Paired Monte Carlo cost comparison under common random numbers.
 
-    Every policy is simulated with the same master seed, hence identical
-    Brownian increments path by path; cost differences are then averaged
-    pathwise, which removes most of the common noise.
+    Every policy is simulated on the same Brownian increments, drawn once
+    for the master seed; cost differences are then averaged pathwise, which
+    removes most of the common noise.
     """
+    h = config.step_size(model.params)
+    config.validate_grid(model.params)  # a bad grid fails before the draw
+    dw = sdde.brownian_increments(config.master_seed, config.n_paths, config.n_steps, h)
 
     def cost(policy):
         # Only the per-path samples outlive the call: each estimate holds a
         # whole forward ensemble and backward solution, so it is released
         # before the next policy is simulated.
-        est = recursive_cost(model, policy, initial_path, config, basis)
+        ensemble = sdde.simulate_forward(model, policy, initial_path, config, dw)
+        est = cost_estimate(model, ensemble, basis)
         return est.value, est.stderr, est.samples
 
     base_value, base_stderr, base_samples = cost(base)

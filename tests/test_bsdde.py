@@ -71,7 +71,8 @@ class TestMertonBenchmark:
     def test_cost_matches_value(self, merton_setup):
         p, model, policy, cand = merton_setup
         cfg = core.SimConfig(n_steps=64, n_paths=4000, master_seed=1)
-        est = bsdde.recursive_cost(model, policy, INITIAL, cfg, merton.build_basis(p))
+        ens = sdde.simulate_forward(model, policy, INITIAL, cfg)
+        est = bsdde.cost_estimate(model, ens, merton.build_basis(p))
         v = float(cand.v(0.0, est.ensemble.x[0, 0], est.ensemble.x1[0, 0]))
         assert est.value == pytest.approx(v, abs=3 * est.stderr + 0.5 / 64)
 
@@ -90,10 +91,110 @@ class TestDeterminism:
     def test_identical_cost_bit_for_bit(self):
         model = make_model(sig=0.4)
         cfg = core.SimConfig(n_steps=32, n_paths=500, master_seed=17)
-        a = bsdde.recursive_cost(model, POLICY, INITIAL, cfg, bsdde.polynomial_basis(2))
-        b = bsdde.recursive_cost(model, POLICY, INITIAL, cfg, bsdde.polynomial_basis(2))
+        a = bsdde.cost_estimate(
+            model, sdde.simulate_forward(model, POLICY, INITIAL, cfg), bsdde.polynomial_basis(2)
+        )
+        b = bsdde.cost_estimate(
+            model, sdde.simulate_forward(model, POLICY, INITIAL, cfg), bsdde.polynomial_basis(2)
+        )
         assert a.value == b.value
         assert np.array_equal(a.samples, b.samples)
+
+
+def stacked_features(degree, p=None):
+    """Column-stacked reference of polynomial_basis, and of merton.build_basis
+    when p is given."""
+
+    def features(x, x1):
+        cols = [x**i * x1 ** (total - i) for total in range(degree + 1) for i in range(total + 1)]
+        if p is not None:
+            m = x + p.theta * x1
+            cols.append(np.where(m > 0.0, np.abs(m) ** p.gamma, 0.0))
+        return np.column_stack(cols)
+
+    return features
+
+
+def filled(basis, x, x1):
+    out = np.full((x.size, basis.n_features), np.nan)  # every column must be written
+    basis.fill(x, x1, out)
+    return out
+
+
+def reference_backward(model, ensemble, features, ridge=bsdde.RIDGE):
+    """solve_backward with freshly stacked features and one normal matrix per fit."""
+
+    def project(f, target):
+        n = f.shape[0]
+        with np.errstate(all="ignore"):
+            a = f.T @ f / n + ridge * np.eye(f.shape[1])
+            rhs = f.T @ target / n
+            try:
+                pred = f @ np.linalg.solve(a, rhs)
+            except np.linalg.LinAlgError:
+                return np.full_like(target, target.mean()), True
+        if not np.all(np.isfinite(pred)):
+            return np.full_like(target, target.mean()), True
+        return pred, False
+
+    t = ensemble.times
+    h = float(t[1] - t[0])
+    x, x1, x2, dw = ensemble.x.T, ensemble.x1.T, ensemble.x2.T, ensemble.dw.T
+    u = ensemble.controls.transpose(1, 2, 0)
+    n_steps = ensemble.n_steps
+    y = np.empty((n_steps + 1, ensemble.n_paths))
+    z = np.zeros_like(y)
+    y[-1] = model.phi(x[-1], x1[-1])
+    degraded = []
+    for k in range(n_steps - 1, 0, -1):
+        f = features(x[k], x1[k])
+        z[k], bad_z = project(f, y[k + 1] * dw[k] / h)
+        target = y[k + 1] + h * model.generator(float(t[k]), x[k], x1[k], x2[k], y[k + 1], z[k], u[k])
+        y[k], bad_y = project(f, target)
+        if bad_z or bad_y:
+            degraded.append(k)
+    z[0] = float((y[1] * dw[0] / h).mean())
+    y_hat = y[-1].copy()
+    for k in range(n_steps - 1, -1, -1):
+        y_hat = y_hat + h * model.generator(float(t[k]), x[k], x1[k], x2[k], y_hat, z[k], u[k])
+    y[0] = y_hat
+    stderr = float(y_hat.std(ddof=1) / math.sqrt(y_hat.size))
+    return y.T, z.T, float(y_hat.mean()), stderr, degraded
+
+
+class TestFeatureBuffer:
+    @pytest.fixture(scope="class")
+    def samples(self):
+        # Some rows have m = x + theta x1 <= 0, one has m = 0 exactly.
+        rng = np.random.default_rng(6)
+        x = np.concatenate([rng.uniform(-2.0, 3.0, 500), [0.0, -1.0, 2.0]])
+        x1 = np.concatenate([rng.uniform(-3.0, 3.0, 500), [0.0, 0.5, -400.0]])
+        return x, x1
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_polynomial_columns_match_stacked(self, samples, degree):
+        x, x1 = samples
+        basis = bsdde.polynomial_basis(degree)
+        assert np.array_equal(filled(basis, x, x1), stacked_features(degree)(x, x1))
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_merton_columns_match_stacked(self, samples, merton_setup, degree):
+        x, x1 = samples
+        p = merton_setup[0]
+        assert np.any(x + p.theta * x1 <= 0.0)
+        basis = merton.build_basis(p, degree)
+        assert np.array_equal(filled(basis, x, x1), stacked_features(degree, p)(x, x1))
+
+    def test_backward_sweep_matches_reference(self, merton_setup):
+        # 1.5 u* keeps the ensemble off the optimum, as in TestNodeMajorLayout.
+        p, model, policy, _ = merton_setup
+        policy = verify.scaled_policy(policy, [1.5, 1.0], "u")
+        cfg = core.SimConfig(n_steps=32, n_paths=300, master_seed=4)
+        ens = sdde.simulate_forward(model, policy, INITIAL, cfg)
+        sol = bsdde.solve_backward(model, ens, merton.build_basis(p))
+        y, z, y_at_s, stderr, degraded = reference_backward(model, ens, stacked_features(2, p))
+        assert np.array_equal(sol.y, y) and np.array_equal(sol.z, z)
+        assert (sol.y_at_s, sol.stderr, sol.degraded_steps) == (y_at_s, stderr, degraded)
 
 
 class TestDegradation:
@@ -102,11 +203,13 @@ class TestDegradation:
         cfg = core.SimConfig(n_steps=8, n_paths=50, master_seed=9)
         ens = sdde.simulate_forward(model, POLICY, INITIAL, cfg)
 
-        def bad_features(x, x1):
+        def bad_features(x, x1, out):
+            out[:, 0] = 1.0
+            out[:, 1] = x
             with np.errstate(all="ignore"):
-                return np.column_stack([np.ones_like(x), x, 1.0 / (x - x)])
+                out[:, 2] = 1.0 / (x - x)
 
-        basis = bsdde.RegressionBasis(features=bad_features, description="broken")
+        basis = bsdde.RegressionBasis(n_features=3, fill=bad_features, description="broken")
         sol = bsdde.solve_backward(model, ens, basis)
         assert sol.degraded_steps  # flagged
         assert np.all(np.isfinite(sol.y))
@@ -118,10 +221,13 @@ class TestDegradation:
         cfg = core.SimConfig(n_steps=8, n_paths=200, master_seed=9)
         ens = sdde.simulate_forward(model, POLICY, INITIAL, cfg)
 
-        def dup_features(x, x1):
-            return np.column_stack([np.ones_like(x), x, x, x1])
+        def dup_features(x, x1, out):
+            out[:, 0] = 1.0
+            out[:, 1] = x
+            out[:, 2] = x
+            out[:, 3] = x1
 
-        basis = bsdde.RegressionBasis(features=dup_features, description="dup")
+        basis = bsdde.RegressionBasis(n_features=4, fill=dup_features, description="dup")
         sol = bsdde.solve_backward(model, ens, basis)
         assert np.all(np.isfinite(sol.y))
 

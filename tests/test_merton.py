@@ -13,6 +13,29 @@ P0 = dict(
 )
 
 
+def delta_coefficient_misprinted(p):
+    """Mutant of merton.delta_coefficient with (mu1 - r)^2 for (mu0 - r)^2."""
+    return (
+        p.beta
+        + p.gamma * (p.mu1 - p.r) ** 2 / (2.0 * p.sigma**2 * (p.gamma - 1.0))
+        - p.gamma * (p.r + p.mu2 * math.exp(p.lam * p.delta))
+    )
+
+
+def q_closed_form_flipped_exponent(t, p):
+    """Mutant of merton.q_closed_form with e^{+Delta(T-t)/(1-gamma)}; it
+    solves the time-reversed equation."""
+    delta_coeff = merton.delta_coefficient(p)
+    one_m_g = 1.0 - p.gamma
+    k = one_m_g / delta_coeff
+    bracket = (1.0 - k) * np.exp(
+        delta_coeff * (p.horizon_T - np.asarray(t, float)) / one_m_g
+    ) + k
+    if np.any(bracket <= 0.0):
+        raise core.DomainError("closed-form bracket is not positive on the horizon")
+    return bracket**one_m_g
+
+
 @pytest.fixture(scope="module")
 def p0():
     return merton.resolve_constraints(**P0)
@@ -72,12 +95,12 @@ class TestQFunction:
 
     def test_flipped_exponent_variant_fails_oracle(self, p0):
         times, oracle = merton.q_ode_oracle(p0, n_steps=2_000)
-        wrong = merton.q_closed_form_flipped_exponent(times, p0)
+        wrong = q_closed_form_flipped_exponent(times, p0)
         assert np.max(np.abs(wrong - oracle)) > 0.1
 
     def test_misprinted_delta_fails_oracle(self, p0):
         times, oracle = merton.q_ode_oracle(p0, n_steps=2_000)
-        wrong = merton.q_closed_form(times, p0, merton.delta_coefficient_misprinted(p0))
+        wrong = merton.q_closed_form(times, p0, delta_coefficient_misprinted(p0))
         assert np.max(np.abs(wrong - oracle)) > 1e-3
 
     def test_initial_value_frozen(self, p0):

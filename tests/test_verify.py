@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from delaylab import core, merton, pmp, sdde, verify
+from delaylab import bsdde, core, merton, pmp, sdde, verify
 
 P0 = dict(
     r=0.03, mu0=0.08, sigma=0.2, beta=0.1, gamma=0.5,
@@ -89,6 +89,64 @@ class TestCompareControls:
         comp = report.comparisons[0]
         unpaired = float(np.hypot(report.base_stderr, comp.cost_stderr))
         assert comp.paired_diff_stderr < 0.5 * unpaired
+
+
+class TestSharedIncrements:
+    def test_compare_controls_draws_once(self, setup, monkeypatch):
+        calls = []
+        draw = sdde.brownian_increments
+
+        def counted(*args):
+            calls.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(sdde, "brownian_increments", counted)
+        perturbations = [
+            verify.scaled_policy(setup["policy"], [0.75, 1.0], "u_075"),
+            verify.scaled_policy(setup["policy"], [1.0, 1.25], "c_125"),
+        ]
+        cfg = core.SimConfig(n_steps=32, n_paths=500, master_seed=13)
+        model, basis = setup["model"], setup["basis"]
+        report = verify.compare_controls(
+            model, setup["policy"], perturbations, INITIAL, cfg, basis
+        )
+        assert len(calls) == 1
+
+        # Reference: every policy simulated with its own draw of the increments.
+        base, *others = (
+            bsdde.cost_estimate(model, sdde.simulate_forward(model, pol, INITIAL, cfg), basis)
+            for pol in [setup["policy"], *perturbations]
+        )
+        assert (report.base_cost, report.base_stderr) == (base.value, base.stderr)
+        for comp, est in zip(report.comparisons, others):
+            diff = est.samples - base.samples
+            assert (comp.cost, comp.cost_stderr) == (est.value, est.stderr)
+            assert comp.paired_diff_mean == float(diff.mean())
+            assert comp.paired_diff_stderr == float(diff.std(ddof=1) / np.sqrt(diff.size))
+
+    def test_supplied_increments_match_own_draw(self, setup):
+        cfg = core.SimConfig(n_steps=32, n_paths=200, master_seed=3)
+        h = cfg.step_size(setup["model"].params)
+        dw = sdde.brownian_increments(3, 200, 32, h)
+        own = sdde.simulate_forward(setup["model"], setup["policy"], INITIAL, cfg)
+        given = sdde.simulate_forward(setup["model"], setup["policy"], INITIAL, cfg, dw)
+        assert given.dw is dw
+        for name in ("x", "x1", "x2", "controls", "dw", "initial"):
+            assert np.array_equal(getattr(own, name), getattr(given, name))
+
+    @pytest.mark.parametrize("shape", [(200, 31), (32, 200), (199, 32)])
+    def test_wrong_shape_fails_before_any_step(self, setup, shape):
+        calls = []
+
+        def evaluate(t, x, x1):
+            calls.append(t)
+            return setup["policy"].at(t, x, x1)
+
+        policy = core.FeedbackPolicy(evaluate=evaluate, n_controls=2, label="counted")
+        cfg = core.SimConfig(n_steps=32, n_paths=200, master_seed=3)
+        with pytest.raises(core.ConfigError, match="increments"):
+            sdde.simulate_forward(setup["model"], policy, INITIAL, cfg, np.zeros(shape))
+        assert calls == []
 
 
 class TestClosedFormCost:
