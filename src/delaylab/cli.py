@@ -13,6 +13,10 @@ All subcommands read one JSON config (--config), honor --seed/--out/--quiet
 and the DELAYLAB_SEED environment variable, and write a deterministic
 report.json (plus CSV artifacts where applicable) into the output directory.
 
+Every subcommand parses and validates the whole config before any numerical
+work, so each one needs a seed, and an unknown key or a malformed value in
+any section exits with code 2.
+
 Exit codes: 0 success, 1 a check failed, 2 configuration error,
 3 numerical divergence or domain failure.
 """
@@ -21,9 +25,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,12 +39,14 @@ from .core import (
     ConfigError,
     ConstraintViolationError,
     ControlBox,
+    DelayBuffer,
     DomainError,
     FeedbackPolicy,
     ModelParams,
     SimConfig,
     SimulationDivergedError,
     StructuredModel,
+    x1_of_buffer,
 )
 
 EXIT_OK = 0
@@ -55,7 +62,9 @@ SEED_ENV_VAR = "DELAYLAB_SEED"
 # ---------------------------------------------------------------------------
 
 
-def _require_keys(section: dict, allowed: set, required: set, where: str) -> None:
+def _require_keys(section, allowed: set, required: set, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
@@ -73,8 +82,6 @@ def load_config(path: str) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
     _require_keys(
         cfg,
         allowed={"model", "sim", "initial_path", "checks", "output"},
@@ -128,8 +135,6 @@ def build_merton(section: dict):
             mu1=(float(overrides["mu1"]) if "mu1" in overrides else None),
             theta=(float(overrides["theta"]) if "theta" in overrides else None),
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model parameter: {exc}") from exc
     except ConstraintViolationError as exc:
         raise ConfigError(str(exc)) from exc
     model = merton.build_model(
@@ -277,19 +282,17 @@ def build_sim_config(cfg: dict, seed_flag: int | None) -> SimConfig:
         raise ConfigError(
             f"no seed given: set sim.master_seed, pass --seed, or export {SEED_ENV_VAR}"
         )
-    try:
-        return SimConfig(
-            n_steps=int(section["n_steps"]),
-            n_paths=int(section["n_paths"]),
-            master_seed=seed,
-            x1_method=section.get("x1_method", "ode_recursion"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad sim parameter: {exc}") from exc
+    return SimConfig(
+        n_steps=int(section["n_steps"]),
+        n_paths=int(section["n_paths"]),
+        master_seed=seed,
+        x1_method=section.get("x1_method", "ode_recursion"),
+    )
 
 
 def build_initial_path(cfg: dict):
     section = cfg.get("initial_path", {"kind": "constant", "value": 1.0})
+    _require_keys(section, allowed={"kind", "value", "expr"}, required=set(), where="initial_path")
     if section.get("kind") == "constant":
         _require_keys(section, allowed={"kind", "value"}, required={"kind", "value"}, where="initial_path")
         value = float(section["value"])
@@ -301,30 +304,77 @@ def build_initial_path(cfg: dict):
     raise ConfigError("initial_path.kind must be 'constant' or 'expr'")
 
 
-def _checks_section(cfg: dict) -> dict:
-    section = cfg.get("checks", {})
-    _require_keys(
-        section,
-        allowed={
-            "hjb_tolerance", "x2_tolerance", "compat_tolerance",
-            "p3_tolerance", "max_condition_tolerance", "relations_tolerance",
-            "x_probes", "x1_probes", "s_probes", "x2_probes", "n_grid",
-        },
-        required=set(),
-        where="checks",
-    )
-    return section
+# Check tolerances the config may set; an unset one keeps the library default.
+_TOLERANCES = (
+    "hjb_tolerance", "x2_tolerance", "compat_tolerance",
+    "p3_tolerance", "max_condition_tolerance", "relations_tolerance",
+)
 
 
-def _probe_arrays(cfg: dict, params):
-    checks = _checks_section(cfg)
-    xs = np.asarray(checks.get("x_probes", np.linspace(0.5, 5.0, 9).tolist()), float)
-    x1s = np.asarray(checks.get("x1_probes", np.linspace(0.25, 5.0, 9).tolist()), float)
-    span = params.horizon_T - params.start_s
-    default_s = (params.start_s + span * np.array([0.1, 0.3, 0.5, 0.7, 0.9])).tolist()
-    ss = [float(v) for v in checks.get("s_probes", default_s)]
-    x2s = [float(v) for v in checks.get("x2_probes", [-10.0, -5.0, 0.0, 5.0, 10.0])]
-    return ss, xs, x1s, x2s, checks
+@dataclass(frozen=True)
+class Run:
+    """One subcommand's inputs, parsed and validated from the whole config.
+
+    params, qsol and cand (the closed-form value function) are None for a
+    generic model.  ss, xs, x1s and x2s are the probe points of the HJB
+    checks; tols holds only the tolerances the config sets.
+    """
+
+    model: StructuredModel
+    policy: FeedbackPolicy
+    params: merton.MertonParams | None
+    qsol: merton.QSolution | None
+    cand: hjb.ValueCandidate | None
+    basis: bsdde.RegressionBasis
+    sim: SimConfig
+    initial: Callable[[float], float]
+    ss: list
+    xs: np.ndarray
+    x1s: np.ndarray
+    x2s: list
+    n_grid: int
+    tols: dict
+    out_dir: Path
+
+    def tol(self, key: str) -> dict:
+        """Keyword arguments that pass the configured tolerance ``key``, if any."""
+        return {"tol": self.tols[key]} if key in self.tols else {}
+
+
+def build_run(cfg: dict, seed_flag: int | None, out_flag: str | None) -> Run:
+    """Parse every section of the config; a malformed value is a ConfigError."""
+    try:
+        model, policy, params, qsol = build_model_and_policy(cfg)
+        checks = cfg.get("checks", {})
+        _require_keys(
+            checks,
+            allowed={*_TOLERANCES, "x_probes", "x1_probes", "s_probes", "x2_probes", "n_grid"},
+            required=set(),
+            where="checks",
+        )
+        start_s, span = model.params.start_s, model.params.horizon_T - model.params.start_s
+        default_s = (start_s + span * np.array([0.1, 0.3, 0.5, 0.7, 0.9])).tolist()
+        output = cfg.get("output", {})
+        _require_keys(output, allowed={"directory"}, required=set(), where="output")
+        return Run(
+            model=model,
+            policy=policy,
+            params=params,
+            qsol=qsol,
+            cand=merton.value_function(params, qsol) if params is not None else None,
+            basis=merton.build_basis(params) if params is not None else bsdde.polynomial_basis(2),
+            sim=build_sim_config(cfg, seed_flag),
+            initial=build_initial_path(cfg),
+            ss=[float(v) for v in checks.get("s_probes", default_s)],
+            xs=np.asarray(checks.get("x_probes", np.linspace(0.5, 5.0, 9)), float),
+            x1s=np.asarray(checks.get("x1_probes", np.linspace(0.25, 5.0, 9)), float),
+            x2s=[float(v) for v in checks.get("x2_probes", [-10.0, -5.0, 0.0, 5.0, 10.0])],
+            n_grid=int(checks.get("n_grid", 16)),
+            tols={key: float(checks[key]) for key in _TOLERANCES if key in checks},
+            out_dir=Path(out_flag or output.get("directory", "out")),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed config value: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -339,58 +389,35 @@ def write_report(out_dir: Path, payload: dict) -> Path:
     return path
 
 
-def _say(quiet: bool, message: str) -> None:
-    if not quiet:
-        print(message)
-
-
-def _require_merton(params, what: str):
-    if params is None:
-        raise ConfigError(f"{what} requires a model of kind 'merton'")
-
-
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each body returns its report payload and its stdout lines
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(cfg, args, out_dir: Path) -> int:
-    built = build_model_and_policy(cfg)
-    model, policy, params, _ = built
-    sim = build_sim_config(cfg, args.seed)
-    initial = build_initial_path(cfg)
-    ensemble = sdde.simulate_forward(model, policy, initial, sim)
-    basis = merton.build_basis(params) if params is not None else bsdde.polynomial_basis(2)
-    sol = bsdde.solve_backward(model, ensemble, basis)
+def cmd_simulate(run: Run):
+    ensemble = sdde.simulate_forward(run.model, run.policy, run.initial, run.sim)
+    sol = bsdde.solve_backward(run.model, ensemble, run.basis)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "forward.csv", "w") as fh:
+    run.out_dir.mkdir(parents=True, exist_ok=True)
+    with open(run.out_dir / "forward.csv", "w") as fh:
         sdde.write_forward_csv(ensemble, fh)
-    with open(out_dir / "backward.csv", "w") as fh:
+    with open(run.out_dir / "backward.csv", "w") as fh:
         bsdde.write_backward_csv(sol, fh)
     cost_samples = -sol.y[:, 0]
     payload = {
-        "command": "simulate",
         "n_paths": ensemble.n_paths,
         "n_steps": ensemble.n_steps,
-        "master_seed": sim.master_seed,
+        "master_seed": run.sim.master_seed,
         "cost": float(cost_samples.mean()),
         "cost_stderr": sol.stderr,
         "degraded_regression_steps": sol.degraded_steps,
         "artifacts": ["forward.csv", "backward.csv"],
     }
-    write_report(out_dir, payload)
-    _say(args.quiet, f"simulate: J = {cost_samples.mean():.6g} +- {sol.stderr:.2g}")
-    return EXIT_OK
+    return payload, [f"simulate: J = {cost_samples.mean():.6g} +- {sol.stderr:.2g}"]
 
 
-def cmd_solve_merton(cfg, args, out_dir: Path) -> int:
-    built = build_model_and_policy(cfg)
-    model, policy, params, qsol = built
-    _require_merton(params, "solve-merton")
-    sim = build_sim_config(cfg, args.seed)
-    initial = build_initial_path(cfg)
-
+def cmd_solve_merton(run: Run):
+    params, qsol = run.params, run.qsol
     times = np.linspace(params.start_s, params.horizon_T, 11)
     q_vals = qsol(times)
     _, oracle = merton.q_ode_oracle(params, qsol.delta_coeff, n_steps=10_000)
@@ -399,86 +426,64 @@ def cmd_solve_merton(cfg, args, out_dir: Path) -> int:
     rel_err = float(np.max(np.abs(q_vals - q_interp) / np.abs(q_interp)))
     ok = rel_err < 1e-7
 
-    h = sim.step_size(model.params)
-    from .core import DelayBuffer, x1_of_buffer
-
-    buf = DelayBuffer.from_initial_path(initial, params.delta, h)
+    h = run.sim.step_size(run.model.params)
+    buf = DelayBuffer.from_initial_path(run.initial, params.delta, h)
     x0 = float(buf.samples[-1])
     x1_0 = x1_of_buffer(buf, params.lam)
-    cand = merton.value_function(params, qsol)
     payload = {
-        "command": "solve-merton",
         "theta": params.theta,
         "mu1": params.mu1,
         "delta_coefficient": qsol.delta_coeff,
         "q_at_start": float(qsol(params.start_s)),
         "q_oracle_max_rel_err": rel_err,
-        "value_at_start": float(cand.v(params.start_s, x0, x1_0)),
+        "value_at_start": float(run.cand.v(params.start_s, x0, x1_0)),
         "u_star_at_start": float(merton.optimal_u(params.start_s, x0, x1_0, params)),
         "c_star_at_start": float(merton.optimal_c(params.start_s, x0, x1_0, params, qsol)),
         "pass": ok,
     }
-    write_report(out_dir, payload)
-    _say(args.quiet, f"solve-merton: Q(s) = {payload['q_at_start']:.8g}, "
-                     f"oracle mismatch {rel_err:.2e} -> {'PASS' if ok else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    line = (f"solve-merton: Q(s) = {payload['q_at_start']:.8g}, "
+            f"oracle mismatch {rel_err:.2e} -> {'PASS' if ok else 'FAIL'}")
+    return payload, [line]
 
 
-def cmd_check_hjb(cfg, args, out_dir: Path) -> int:
-    built = build_model_and_policy(cfg)
-    model, policy, params, qsol = built
-    _require_merton(params, "check-hjb")
-    ss, xs, x1s, x2s, checks = _probe_arrays(cfg, params)
-    n_grid = int(checks.get("n_grid", 16))
-    cand = merton.value_function(params, qsol)
-
+def cmd_check_hjb(run: Run):
     reports = [
         hjb.hjb_residual_check(
-            model, cand, ss, xs, x1s, x2=0.0, maximizer=policy,
-            n_grid=n_grid, tol=float(checks.get("hjb_tolerance", 1e-6)),
+            run.model, run.cand, run.ss, run.xs, run.x1s, x2=0.0, maximizer=run.policy,
+            n_grid=run.n_grid, **run.tol("hjb_tolerance"),
         ),
         hjb.x2_independence_check(
-            model, cand, ss, xs, x1s, x2s, maximizer=policy,
-            n_grid=n_grid, tol=float(checks.get("x2_tolerance", 1e-8)),
+            run.model, run.cand, run.ss, run.xs, run.x1s, run.x2s, maximizer=run.policy,
+            n_grid=run.n_grid, **run.tol("x2_tolerance"),
         ),
         hjb.compatibility_pde_check(
-            model, cand, ss[0], xs, x1s, policy,
-            tol=float(checks.get("compat_tolerance", 1e-6)),
+            run.model, run.cand, run.ss[0], run.xs, run.x1s, run.policy,
+            **run.tol("compat_tolerance"),
         ),
     ]
     payload = {
-        "command": "check-hjb",
         "checks": [r.to_dict() for r in reports],
         "pass": all(r.passed for r in reports),
     }
-    write_report(out_dir, payload)
-    for r in reports:
-        _say(args.quiet, f"check-hjb/{r.check}: max residual {r.max_residual:.3e} "
-                         f"(tol {r.tolerance:g}) -> {'PASS' if r.passed else 'FAIL'}")
-    return EXIT_OK if payload["pass"] else EXIT_CHECK_FAILED
+    lines = [
+        f"check-hjb/{r.check}: max residual {r.max_residual:.3e} "
+        f"(tol {r.tolerance:g}) -> {'PASS' if r.passed else 'FAIL'}"
+        for r in reports
+    ]
+    return payload, lines
 
 
-def cmd_check_pmp(cfg, args, out_dir: Path) -> int:
-    built = build_model_and_policy(cfg)
-    model, policy, params, qsol = built
-    _require_merton(params, "check-pmp")
-    sim = build_sim_config(cfg, args.seed)
-    initial = build_initial_path(cfg)
-    checks = _checks_section(cfg)
-    cand = merton.value_function(params, qsol)
-
-    ensemble = sdde.simulate_forward(model, policy, initial, sim)
-    q = merton.exact_q_factor(params, ensemble.times)
+def cmd_check_pmp(run: Run):
+    model, cand = run.model, run.cand
+    ensemble = sdde.simulate_forward(model, run.policy, run.initial, run.sim)
+    q = merton.exact_q_factor(run.params, ensemble.times)
     q_sim = pmp.simulate_q(model, ensemble)
     q_err = float(np.max(np.abs(q_sim - q[np.newaxis, :])))
 
     adj = pmp.adjoint_from_value(model, cand, ensemble, q)
-    p3_worst = pmp.check_p3_zero(
-        model, cand, ensemble, adj, tol=float(checks.get("p3_tolerance", 1e-10))
-    )
+    p3_worst = pmp.check_p3_zero(model, cand, ensemble, adj, **run.tol("p3_tolerance"))
     max_worst = pmp.maximum_condition_check(
-        model, cand, ensemble, adj,
-        tol=float(checks.get("max_condition_tolerance", 1e-6)),
+        model, cand, ensemble, adj, **run.tol("max_condition_tolerance")
     )
 
     mid = ensemble.n_steps // 2
@@ -500,68 +505,52 @@ def cmd_check_pmp(cfg, args, out_dir: Path) -> int:
         )
     convexity = pmp.convexity_spot_check(model, float(ensemble.times[0]), probes)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "adjoint.csv", "w") as fh:
+    run.out_dir.mkdir(parents=True, exist_ok=True)
+    with open(run.out_dir / "adjoint.csv", "w") as fh:
         pmp.write_adjoint_csv(adj, fh)
 
     q_ok = q_err < 1e-10
     payload = {
-        "command": "check-pmp",
         "q_factor_max_abs_err": q_err,
         "q_factor_pass": q_ok,
         "checks": [p3_worst.to_dict(), max_worst.to_dict(), convexity.to_dict()],
         "artifacts": ["adjoint.csv"],
         "pass": bool(q_ok and p3_worst.passed and max_worst.passed and convexity.passed),
     }
-    write_report(out_dir, payload)
-    _say(args.quiet, f"check-pmp/q_factor: max err {q_err:.3e} -> {'PASS' if q_ok else 'FAIL'}")
-    for r in (p3_worst, max_worst, convexity):
-        _say(args.quiet, f"check-pmp/{r.check}: residual {r.max_residual:.3e} "
-                         f"-> {'PASS' if r.passed else 'FAIL'}")
-    return EXIT_OK if payload["pass"] else EXIT_CHECK_FAILED
+    lines = [f"check-pmp/q_factor: max err {q_err:.3e} -> {'PASS' if q_ok else 'FAIL'}"]
+    lines += [
+        f"check-pmp/{r.check}: residual {r.max_residual:.3e} -> {'PASS' if r.passed else 'FAIL'}"
+        for r in (p3_worst, max_worst, convexity)
+    ]
+    return payload, lines
 
 
-def cmd_check_relations(cfg, args, out_dir: Path) -> int:
-    built = build_model_and_policy(cfg)
-    model, policy, params, qsol = built
-    _require_merton(params, "check-relations")
-    sim = build_sim_config(cfg, args.seed)
-    initial = build_initial_path(cfg)
-    checks = _checks_section(cfg)
-    cand = merton.value_function(params, qsol)
-
-    ensemble = sdde.simulate_forward(model, policy, initial, sim)
-    q = merton.exact_q_factor(params, ensemble.times)
-    adj = merton.closed_form_adjoints(params, qsol, ensemble, q)
+def cmd_check_relations(run: Run):
+    ensemble = sdde.simulate_forward(run.model, run.policy, run.initial, run.sim)
+    q = merton.exact_q_factor(run.params, ensemble.times)
+    adj = merton.closed_form_adjoints(run.params, run.qsol, ensemble, q)
     rel = verify.relations_report(
-        model, cand, ensemble, adj,
-        tol=float(checks.get("relations_tolerance", 1e-4)),
+        run.model, run.cand, ensemble, adj, **run.tol("relations_tolerance")
     )
-    basis = merton.build_basis(params)
-    cost = verify.closed_form_cost_check(model, cand, ensemble, basis)
+    cost = verify.closed_form_cost_check(run.model, run.cand, ensemble, run.basis)
 
     payload = {
-        "command": "check-relations",
         "relations": rel.to_dict(),
         "cost_check": cost.to_dict(),
         "pass": bool(rel.passed and cost.passed),
     }
-    write_report(out_dir, payload)
-    _say(args.quiet, f"check-relations/relations: slope {rel.time_slope:.3e}, "
-                     f"adjoints {max(rel.adjoint_mismatch.values()):.3e} "
-                     f"-> {'PASS' if rel.passed else 'FAIL'}")
-    _say(args.quiet, f"check-relations/cost: J = {cost.cost:.6g} vs V = {cost.reference:.6g} "
-                     f"-> {'PASS' if cost.passed else 'FAIL'}")
-    return EXIT_OK if payload["pass"] else EXIT_CHECK_FAILED
+    lines = [
+        f"check-relations/relations: slope {rel.time_slope:.3e}, "
+        f"adjoints {max(rel.adjoint_mismatch.values()):.3e} "
+        f"-> {'PASS' if rel.passed else 'FAIL'}",
+        f"check-relations/cost: J = {cost.cost:.6g} vs V = {cost.reference:.6g} "
+        f"-> {'PASS' if cost.passed else 'FAIL'}",
+    ]
+    return payload, lines
 
 
-def cmd_compare_controls(cfg, args, out_dir: Path) -> int:
-    built = build_model_and_policy(cfg)
-    model, policy, params, _ = built
-    sim = build_sim_config(cfg, args.seed)
-    initial = build_initial_path(cfg)
-    basis = merton.build_basis(params) if params is not None else bsdde.polynomial_basis(2)
-
+def cmd_compare_controls(run: Run):
+    policy = run.policy
     if policy.n_controls == 2:
         perturbations = [
             verify.scaled_policy(policy, [0.75, 1.0], "u_scaled_0.75"),
@@ -576,23 +565,26 @@ def cmd_compare_controls(cfg, args, out_dir: Path) -> int:
             verify.scaled_policy(policy, [1.25], "u_scaled_1.25"),
             verify.scaled_policy(policy, [0.0], "u_zero"),
         ]
-    report = verify.compare_controls(model, policy, perturbations, initial, sim, basis)
-    payload = {"command": "compare-controls", **report.to_dict()}
-    write_report(out_dir, payload)
-    _say(args.quiet, f"compare-controls: base J = {report.base_cost:.6g}")
-    for comp in report.comparisons:
-        _say(args.quiet, f"  {comp.label}: dJ = {comp.paired_diff_mean:+.4g} "
-                         f"+- {comp.paired_diff_stderr:.2g} -> {'PASS' if comp.passed else 'FAIL'}")
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    report = verify.compare_controls(
+        run.model, policy, perturbations, run.initial, run.sim, run.basis
+    )
+    lines = [f"compare-controls: base J = {report.base_cost:.6g}"]
+    lines += [
+        f"  {comp.label}: dJ = {comp.paired_diff_mean:+.4g} "
+        f"+- {comp.paired_diff_stderr:.2g} -> {'PASS' if comp.passed else 'FAIL'}"
+        for comp in report.comparisons
+    ]
+    return report.to_dict(), lines
 
 
+# name -> (body, whether the subcommand needs a model of kind 'merton')
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "solve-merton": cmd_solve_merton,
-    "check-hjb": cmd_check_hjb,
-    "check-pmp": cmd_check_pmp,
-    "check-relations": cmd_check_relations,
-    "compare-controls": cmd_compare_controls,
+    "simulate": (cmd_simulate, False),
+    "solve-merton": (cmd_solve_merton, True),
+    "check-hjb": (cmd_check_hjb, True),
+    "check-pmp": (cmd_check_pmp, True),
+    "check-relations": (cmd_check_relations, True),
+    "compare-controls": (cmd_compare_controls, False),
 }
 
 
@@ -613,21 +605,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    body, merton_only = _COMMANDS[args.command]
     try:
-        cfg = load_config(args.config)
-        out_section = cfg.get("output", {})
-        _require_keys(out_section, allowed={"directory"}, required=set(), where="output")
-        out_dir = Path(args.out or out_section.get("directory", "out"))
-        return _COMMANDS[args.command](cfg, args, out_dir)
+        run = build_run(load_config(args.config), args.seed, args.out)
+        if merton_only and run.params is None:
+            raise ConfigError(f"{args.command} requires a model of kind 'merton'")
+        payload, lines = body(run)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SimulationDivergedError as exc:
+    except (SimulationDivergedError, DomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except DomainError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    write_report(run.out_dir, {"command": args.command, **payload})
+    if not args.quiet:
+        for line in lines:
+            print(line)
+    return EXIT_CHECK_FAILED if payload.get("pass") is False else EXIT_OK
 
 
 if __name__ == "__main__":

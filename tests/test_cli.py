@@ -47,6 +47,26 @@ def run(cmd, cfg_path, out_dir, *extra):
     return cli.main([cmd, "--config", cfg_path, "--out", str(out_dir), "--quiet", *extra])
 
 
+COMMANDS = (
+    "simulate", "solve-merton", "check-hjb", "check-pmp", "check-relations", "compare-controls",
+)
+
+# Each edit makes MERTON_CFG malformed in one section; every subcommand
+# validates the whole config, so each must exit 2 before any numerical work.
+MALFORMED = {
+    "unknown_checks_key": lambda c: c.update(checks={"hjb_tolerence": 1e-6}),
+    "unknown_sim_key": lambda c: c["sim"].update(n_step=32),
+    "unknown_initial_path_key": lambda c: c["initial_path"].update(valu=1.0),
+    "missing_seed": lambda c: c["sim"].pop("master_seed"),
+    "string_initial_value": lambda c: c["initial_path"].update(value="one"),
+    "string_u_bound": lambda c: c["model"].update(bounds={"u_bound": "ten"}),
+    "string_hjb_tolerance": lambda c: c.update(checks={"hjb_tolerance": "tight"}),
+    "string_x_probes": lambda c: c.update(checks={"x_probes": "grid"}),
+    "string_n_grid": lambda c: c.update(checks={"n_grid": "sixteen"}),
+    "initial_path_list": lambda c: c.update(initial_path=[1.0]),
+}
+
+
 class TestExitCodes:
     def test_simulate_success(self, tmp_path):
         code = run("simulate", write_cfg(tmp_path, MERTON_CFG), tmp_path / "out")
@@ -85,6 +105,16 @@ class TestExitCodes:
         cfg["sim"]["n_steps"] = 256
         assert run("simulate", write_cfg(tmp_path, cfg), tmp_path / "out") == 3
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_malformed_config_is_two(self, tmp_path, monkeypatch, capsys, command, case):
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        cfg = json.loads(json.dumps(MERTON_CFG))
+        MALFORMED[case](cfg)
+        assert run(command, write_cfg(tmp_path, cfg), tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "out" / "report.json").exists()
+
 
 class TestSeedHandling:
     def test_flag_overrides_config(self, tmp_path):
@@ -114,11 +144,16 @@ class TestSeedHandling:
 
 
 class TestDeterminism:
-    def test_byte_identical_artifacts(self, tmp_path):
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_byte_identical_artifacts(self, tmp_path, command):
         cfg_path = write_cfg(tmp_path, MERTON_CFG)
-        run("simulate", cfg_path, tmp_path / "a")
-        run("simulate", cfg_path, tmp_path / "b")
-        for name in ("forward.csv", "backward.csv", "report.json"):
+        assert run(command, cfg_path, tmp_path / "a") == 0
+        assert run(command, cfg_path, tmp_path / "b") == 0
+        report = json.loads((tmp_path / "a" / "report.json").read_text())
+        names = {"report.json", *report.get("artifacts", [])}
+        for side in ("a", "b"):
+            assert {p.name for p in (tmp_path / side).iterdir()} == names
+        for name in names:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
@@ -140,6 +175,15 @@ class TestMertonChecks:
 
     def test_check_hjb_passes(self, tmp_path):
         assert run("check-hjb", write_cfg(tmp_path, MERTON_CFG), tmp_path / "out") == 0
+
+    def test_check_hjb_tolerances(self, tmp_path):
+        cfg = json.loads(json.dumps(MERTON_CFG))
+        cfg["checks"] = {"hjb_tolerance": 1e-3}
+        assert run("check-hjb", write_cfg(tmp_path, cfg), tmp_path / "out") == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        tolerance = {c["check"]: c["tolerance"] for c in report["checks"]}
+        assert tolerance["hjb_residual"] == 1e-3
+        assert tolerance["x2_independence"] == 1e-8  # the library default
 
     def test_check_pmp_passes(self, tmp_path):
         cfg = json.loads(json.dumps(MERTON_CFG))
