@@ -42,6 +42,7 @@ from .core import (
     DelayBuffer,
     DomainError,
     FeedbackPolicy,
+    InvalidStateError,
     ModelParams,
     SimConfig,
     SimulationDivergedError,
@@ -71,6 +72,14 @@ def _require_keys(section, allowed: set, required: set, where: str) -> None:
     missing = required - set(section)
     if missing:
         raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
+
+
+def _count(value, where: str) -> int:
+    """An integer config value: a JSON integer or an integral float (1e3)."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value)
 
 
 def load_config(path: str) -> dict:
@@ -272,7 +281,7 @@ def build_sim_config(cfg: dict, seed_flag: int | None) -> SimConfig:
     if seed_flag is not None:
         seed = seed_flag
     elif "master_seed" in section:
-        seed = int(section["master_seed"])
+        seed = _count(section["master_seed"], "sim.master_seed")
     elif SEED_ENV_VAR in os.environ:
         try:
             seed = int(os.environ[SEED_ENV_VAR])
@@ -283,8 +292,8 @@ def build_sim_config(cfg: dict, seed_flag: int | None) -> SimConfig:
             f"no seed given: set sim.master_seed, pass --seed, or export {SEED_ENV_VAR}"
         )
     return SimConfig(
-        n_steps=int(section["n_steps"]),
-        n_paths=int(section["n_paths"]),
+        n_steps=_count(section["n_steps"], "sim.n_steps"),
+        n_paths=_count(section["n_paths"], "sim.n_paths"),
         master_seed=seed,
         x1_method=section.get("x1_method", "ode_recursion"),
     )
@@ -369,11 +378,11 @@ def build_run(cfg: dict, seed_flag: int | None, out_flag: str | None) -> Run:
             xs=np.asarray(checks.get("x_probes", np.linspace(0.5, 5.0, 9)), float),
             x1s=np.asarray(checks.get("x1_probes", np.linspace(0.25, 5.0, 9)), float),
             x2s=[float(v) for v in checks.get("x2_probes", [-10.0, -5.0, 0.0, 5.0, 10.0])],
-            n_grid=int(checks.get("n_grid", 16)),
+            n_grid=_count(checks.get("n_grid", 16), "checks.n_grid"),
             tols={key: float(checks[key]) for key in _TOLERANCES if key in checks},
             out_dir=Path(out_flag or output.get("directory", "out")),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError, InvalidStateError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
 
 

@@ -12,8 +12,9 @@ and closed-form layers: delay parameters, the sliding sample buffer that
 realizes (x1, x2) on a uniform grid, structured model coefficients, feedback
 policies, and the simulation configuration.  It also owns the splitmix64
 counter hash behind the per-path seeds and Brownian increments, so that
-every path is reproducible in isolation, and the long-format CSV writer
-shared by the forward, backward and adjoint artifacts.
+every path is reproducible in isolation, the long-format CSV writer
+shared by the forward, backward and adjoint artifacts, and the node-row
+blocks over which the ensemble checks walk.
 """
 
 from __future__ import annotations
@@ -412,3 +413,23 @@ def write_long_csv(
         for j, col in enumerate(columns):
             table[:, : col.shape[1], 2 + j] = col[start:stop]
         stream.write(per_path * (stop - start) % tuple(table.ravel().tolist()))
+
+
+# ---------------------------------------------------------------------------
+# Node-row blocks
+# ---------------------------------------------------------------------------
+
+# Elements per block of node_blocks (512 KiB of float64), so that the
+# temporaries of an ensemble check on one block stay in cache.
+NODE_BLOCK = 1 << 16
+
+
+def node_blocks(n_paths: int, n_nodes: int):
+    """Consecutive node slices of about NODE_BLOCK // n_paths nodes each.
+
+    For a node-major (n_paths, n_nodes) array x, x[:, blk] is one contiguous
+    chunk of the buffer: its transpose holds the rows of nodes blk.
+    """
+    rows = max(1, NODE_BLOCK // n_paths)
+    for start in range(0, n_nodes, rows):
+        yield slice(start, min(start + rows, n_nodes))

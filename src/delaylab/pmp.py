@@ -24,7 +24,9 @@ directly and by back-integrating the p3 drift from its terminal value.
 
 The adjoints and the checks take whole ensembles as (n_paths, n_nodes)
 arrays; each check scales its residuals path by path and reports the
-worst path.
+worst path.  The maximum-condition check walks the ensemble in node-row
+blocks (core.node_blocks), so its temporaries stay the size of one block
+whatever the ensemble size.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .core import Array, StructuredModel, write_long_csv
+from .core import Array, StructuredModel, node_blocks, write_long_csv
 from .hjb import CheckReport, ValueCandidate
 from .sdde import ForwardEnsemble
 
@@ -225,6 +227,24 @@ def hamiltonian_control_gradient(
     return grads
 
 
+def _block_maximum_condition(model, cand, ensemble, adjoint, blk: slice, n_grid: int):
+    """Per-path max |H_u| and max variational gap over nodes blk."""
+    part = ensemble.nodes(blk)
+    u_star, y, z = _value_slots(model, cand, part)
+    grad = hamiltonian_control_gradient(
+        model, part.times, part.x, part.x1, part.x2, y, z, u_star,
+        adjoint.p1[:, blk], adjoint.p2[:, blk], adjoint.q[:, blk], adjoint.k1[:, blk],
+    )
+    max_grad = np.max(np.abs(grad), axis=(0, 2))
+
+    worst_vi = np.full(part.n_paths, -np.inf)
+    box = model.control_set
+    for i in range(u_star.shape[0]):
+        for u_alt in box.axis_grid(i, n_grid):
+            worst_vi = np.maximum(worst_vi, np.max(grad[i] * (u_star[i] - u_alt), axis=1))
+    return max_grad, worst_vi
+
+
 def maximum_condition_check(
     model: StructuredModel,
     cand: ValueCandidate,
@@ -237,26 +257,20 @@ def maximum_condition_check(
 
     Checks |H_u| at the stored control (interior stationarity) and the
     variational inequality H_u(u*)·(u* − u) ≤ tol over a control grid.
-    The report is that of the worst path.
+    The report is that of the worst path.  H_u is taken one node-row block
+    at a time, and each block's per-path maxima are folded into (n_paths,)
+    arrays.
     """
-    t, x, x1, x2 = ensemble.times, ensemble.x, ensemble.x1, ensemble.x2
-    u_star, y, z = _value_slots(model, cand, ensemble)
-    grad = hamiltonian_control_gradient(
-        model, t, x, x1, x2, y, z, u_star, adjoint.p1, adjoint.p2, adjoint.q, adjoint.k1
-    )
-    max_grad = np.max(np.abs(grad), axis=(0, 2))
-
-    worst_vi = np.full(ensemble.n_paths, -np.inf)
-    box = model.control_set
-    for i in range(u_star.shape[0]):
-        for u_alt in box.axis_grid(i, n_grid):
-            worst_vi = np.maximum(worst_vi, np.max(grad[i] * (u_star[i] - u_alt), axis=1))
+    max_grad, worst_vi = np.full(ensemble.n_paths, -np.inf), np.full(ensemble.n_paths, -np.inf)
+    for blk in node_blocks(*ensemble.x.shape):
+        blk_grad, blk_vi = _block_maximum_condition(model, cand, ensemble, adjoint, blk, n_grid)
+        max_grad, worst_vi = np.maximum(max_grad, blk_grad), np.maximum(worst_vi, blk_vi)
 
     worst = np.maximum(max_grad, worst_vi)
     j = int(np.argmax(worst))  # the worst path, the first one on ties
     return CheckReport(
         check="maximum_condition",
-        probes=x.shape[1],
+        probes=ensemble.x.shape[1],
         max_residual=float(worst[j]),
         tolerance=tol,
         passed=bool(worst[j] < tol),

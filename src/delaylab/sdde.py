@@ -22,7 +22,7 @@ reproducible path by path, whatever their size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, TextIO
 
 import numpy as np
@@ -80,6 +80,22 @@ class ForwardEnsemble:
     @property
     def n_steps(self) -> int:
         return self.x.shape[1] - 1
+
+    def nodes(self, blk: slice) -> "ForwardEnsemble":
+        """Nodes blk of every path, as views of the same buffers.
+
+        dw keeps the increments that leave those nodes, so it is one column
+        short when blk holds the terminal node.
+        """
+        return replace(
+            self,
+            times=self.times[blk],
+            x=self.x[:, blk],
+            x1=self.x1[:, blk],
+            x2=self.x2[:, blk],
+            controls=self.controls[:, blk],
+            dw=self.dw[:, blk],
+        )
 
 
 def x1_step_ode(x1, x, x2, lam: float, delta: float, h: float):

@@ -7,7 +7,10 @@ Three families of diagnostics:
   stored control maximizes G against a control grid, and (c) supplied
   adjoint trajectories match the value-derived ones of
   pmp.adjoint_from_value, p1 = V_x q, p2 = V_x1 q, k1 = (V_xx σ + V_x f_z) q,
-  k2 = (V_xx1 σ + V_x1 f_z) q.
+  k2 = (V_xx1 σ + V_x1 f_z) q.  All three walk the ensemble in node-row
+  blocks (core.node_blocks), so the check's temporaries stay the size of
+  one block whatever the ensemble size, and the reported maxima are the
+  same bits as over the whole ensemble.
 
 * compare_controls: paired Monte Carlo cost comparison of a base policy
   against perturbations, using common random numbers (identical per-path
@@ -27,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import sdde
-from .core import FeedbackPolicy, SimConfig, StructuredModel
+from .core import FeedbackPolicy, SimConfig, StructuredModel, node_blocks
 from .bsdde import RegressionBasis, cost_estimate
 from .hjb import ValueCandidate, args_from_candidate, generalized_hamiltonian
 from .pmp import Adjoints, adjoint_from_value
@@ -55,6 +58,19 @@ class RelationsReport:
         }
 
 
+_ADJOINTS = ("p1", "p2", "k1", "k2")
+
+
+def _block_adjoint_maxima(model, cand, ensemble, adjoint, blk: slice):
+    """Per-path max |supplied − value-derived| and max |value-derived| of
+    each adjoint over nodes blk, as two (4, n_paths) arrays."""
+    ref = adjoint_from_value(model, cand, ensemble.nodes(blk), adjoint.q[:, blk])
+    pairs = [(getattr(adjoint, name)[:, blk], getattr(ref, name)) for name in _ADJOINTS]
+    err = np.stack([np.max(np.abs(have - want), axis=1) for have, want in pairs])
+    top = np.stack([np.max(np.abs(want), axis=1) for _, want in pairs])
+    return err, top
+
+
 def _adjoint_mismatch(
     model: StructuredModel,
     cand: ValueCandidate,
@@ -64,17 +80,38 @@ def _adjoint_mismatch(
     """Largest relative mismatch of each supplied adjoint against the
     value-derived one, each path scaled by its own largest |reference|.
 
-    A function of its own so that the reference adjoints are freed before
-    relations_report allocates its Hamiltonian arrays.
+    The reference adjoints are built one node-row block at a time, and each
+    block is freed before the next one is built.
     """
-    ref = adjoint_from_value(model, cand, ensemble, adjoint.q)
-    mismatch = {}
-    for name in ("p1", "p2", "k1", "k2"):
-        want = getattr(ref, name)
-        err = np.max(np.abs(getattr(adjoint, name) - want), axis=1)
-        scale = np.maximum(np.max(np.abs(want), axis=1), 1e-300)
-        mismatch[name] = max(0.0, float(np.max(err / scale)))
-    return mismatch
+    shape = (len(_ADJOINTS), ensemble.n_paths)
+    err, top = np.full(shape, -np.inf), np.full(shape, -np.inf)
+    for blk in node_blocks(*ensemble.x.shape):
+        blk_err, blk_top = _block_adjoint_maxima(model, cand, ensemble, adjoint, blk)
+        err, top = np.maximum(err, blk_err), np.maximum(top, blk_top)
+    scale = np.maximum(top, 1e-300)
+    return {name: max(0.0, float(np.max(err[j] / scale[j]))) for j, name in enumerate(_ADJOINTS)}
+
+
+def _block_relations(model, cand, part: ForwardEnsemble, grid):
+    """max |V_t − G(u*)| over one node-row block, and max G(u_alt) − G(u*)
+    for each (coordinate, value) of the control grid."""
+    t, x, x1, x2 = part.times, part.x, part.x1, part.x2
+    u_star = np.moveaxis(part.controls, 2, 0)
+    args = args_from_candidate(cand, t, x, x1)
+
+    g_star = generalized_hamiltonian(model, t, x, x1, x2, u_star, args)
+    slope = np.max(np.abs(cand.v_s(t, x, x1) - g_star))
+
+    gaps = np.empty(len(grid))
+    u_alt = u_star.copy(order="K")  # node-major, like x
+    for j, (i, val) in enumerate(grid):
+        u_alt[i] = val
+        with np.errstate(all="ignore"):
+            g_alt = generalized_hamiltonian(model, t, x, x1, x2, u_alt, args)
+        g_alt = np.where(np.isfinite(g_alt), g_alt, -np.inf)
+        gaps[j] = np.max(g_alt - g_star)
+        u_alt[i] = u_star[i]
+    return slope, gaps
 
 
 def relations_report(
@@ -85,30 +122,25 @@ def relations_report(
     n_grid: int = 9,
     tol: float = 1e-4,
 ) -> RelationsReport:
-    """Consistency of the candidate value and adjoints along simulated paths."""
+    """Consistency of the candidate value and adjoints along simulated paths.
+
+    The grid optimality of the stored control is checked coordinate by
+    coordinate.  Each grid value keeps one NaN-propagating maximum over the
+    node-row blocks, and those maxima are folded in grid order.
+    """
     mismatch = _adjoint_mismatch(model, cand, ensemble, adjoint)
 
-    t = ensemble.times
-    x, x1, x2 = ensemble.x, ensemble.x1, ensemble.x2
-    u_star = np.moveaxis(ensemble.controls, 2, 0)
-    args = args_from_candidate(cand, t, x, x1)
-
-    g_star = generalized_hamiltonian(model, t, x, x1, x2, u_star, args)
-    v_t = cand.v_s(t, x, x1)
-    time_slope = float(np.max(np.abs(v_t - g_star)))
-
-    # Grid optimality of the stored control, coordinate by coordinate.
-    worst_gap = -np.inf
     box = model.control_set
-    u_alt = u_star.copy(order="K")  # node-major, like x
-    for i in range(box.n_controls):
-        for val in box.axis_grid(i, n_grid):
-            u_alt[i] = val
-            with np.errstate(all="ignore"):
-                g_alt = generalized_hamiltonian(model, t, x, x1, x2, u_alt, args)
-            g_alt = np.where(np.isfinite(g_alt), g_alt, -np.inf)
-            worst_gap = max(worst_gap, float(np.max(g_alt - g_star)))
-        u_alt[i] = u_star[i]
+    grid = [(i, val) for i in range(box.n_controls) for val in box.axis_grid(i, n_grid)]
+    time_slope = -np.inf
+    gaps = np.full(len(grid), -np.inf)
+    for blk in node_blocks(*ensemble.x.shape):
+        blk_slope, blk_gaps = _block_relations(model, cand, ensemble.nodes(blk), grid)
+        time_slope, gaps = np.maximum(time_slope, blk_slope), np.maximum(gaps, blk_gaps)
+    time_slope = float(time_slope)
+    worst_gap = -np.inf
+    for gap in gaps:  # a NaN gap never replaces the running maximum
+        worst_gap = max(worst_gap, float(gap))
 
     worst = max(time_slope, worst_gap, *mismatch.values())
     return RelationsReport(

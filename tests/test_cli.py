@@ -64,6 +64,13 @@ MALFORMED = {
     "string_x_probes": lambda c: c.update(checks={"x_probes": "grid"}),
     "string_n_grid": lambda c: c.update(checks={"n_grid": "sixteen"}),
     "initial_path_list": lambda c: c.update(initial_path=[1.0]),
+    "start_at_horizon": lambda c: c["model"]["params"].update(start_s=1.0),
+    "overflowing_n_steps": lambda c: c["sim"].update(n_steps=1e999),  # inf
+    "huge_integer_tolerance": lambda c: c.update(checks={"hjb_tolerance": 10**400}),
+    "fractional_n_paths": lambda c: c["sim"].update(n_paths=20.7),
+    "fractional_n_steps": lambda c: c["sim"].update(n_steps=16.9),
+    "fractional_seed": lambda c: c["sim"].update(master_seed=1.5),
+    "fractional_n_grid": lambda c: c.update(checks={"n_grid": 16.9}),
 }
 
 

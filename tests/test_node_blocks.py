@@ -1,0 +1,306 @@
+"""Node-row blocked ensemble checks against their whole-ensemble originals.
+
+relations_report (with its adjoint mismatch) and maximum_condition_check
+walk the ensemble in core.node_blocks.  The references below are the same
+checks written over whole (n_paths, n_nodes) arrays at once; every report
+must be the same bits at any block size.
+"""
+
+import dataclasses
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from delaylab import core, hjb, merton, pmp, sdde, verify
+from delaylab.hjb import CheckReport, args_from_candidate, generalized_hamiltonian
+
+P0 = dict(
+    r=0.03, mu0=0.08, sigma=0.2, beta=0.1, gamma=0.5,
+    lam=0.1, delta=1.0, horizon_T=1.0, mu2=0.01,
+)
+
+INITIAL = lambda tau: 1.0  # noqa: E731
+
+N_PATHS, N_STEPS = 12, 64
+# Block heights in nodes: one node, a height that does not divide the 65
+# nodes, and the whole ensemble in one block.
+ROWS = (1, 3, N_STEPS + 1)
+
+
+# ---------------------------------------------------------------------------
+# Whole-ensemble references
+# ---------------------------------------------------------------------------
+
+
+def reference_adjoint_mismatch(model, cand, ensemble, adjoint):
+    ref = pmp.adjoint_from_value(model, cand, ensemble, adjoint.q)
+    mismatch = {}
+    for name in ("p1", "p2", "k1", "k2"):
+        want = getattr(ref, name)
+        err = np.max(np.abs(getattr(adjoint, name) - want), axis=1)
+        scale = np.maximum(np.max(np.abs(want), axis=1), 1e-300)
+        mismatch[name] = max(0.0, float(np.max(err / scale)))
+    return mismatch
+
+
+def reference_relations_report(model, cand, ensemble, adjoint, n_grid=9, tol=1e-4):
+    mismatch = reference_adjoint_mismatch(model, cand, ensemble, adjoint)
+
+    t = ensemble.times
+    x, x1, x2 = ensemble.x, ensemble.x1, ensemble.x2
+    u_star = np.moveaxis(ensemble.controls, 2, 0)
+    args = args_from_candidate(cand, t, x, x1)
+
+    g_star = generalized_hamiltonian(model, t, x, x1, x2, u_star, args)
+    v_t = cand.v_s(t, x, x1)
+    time_slope = float(np.max(np.abs(v_t - g_star)))
+
+    worst_gap = -np.inf
+    box = model.control_set
+    u_alt = u_star.copy(order="K")
+    for i in range(box.n_controls):
+        for val in box.axis_grid(i, n_grid):
+            u_alt[i] = val
+            with np.errstate(all="ignore"):
+                g_alt = generalized_hamiltonian(model, t, x, x1, x2, u_alt, args)
+            g_alt = np.where(np.isfinite(g_alt), g_alt, -np.inf)
+            worst_gap = max(worst_gap, float(np.max(g_alt - g_star)))
+        u_alt[i] = u_star[i]
+
+    worst = max(time_slope, worst_gap, *mismatch.values())
+    return verify.RelationsReport(
+        time_slope=time_slope,
+        grid_optimality=worst_gap,
+        adjoint_mismatch=mismatch,
+        tolerance=tol,
+        passed=worst < tol,
+    )
+
+
+def reference_maximum_condition_check(model, cand, ensemble, adjoint, n_grid=9, tol=1e-6):
+    t, x, x1, x2 = ensemble.times, ensemble.x, ensemble.x1, ensemble.x2
+    u_star, y, z = pmp._value_slots(model, cand, ensemble)
+    grad = pmp.hamiltonian_control_gradient(
+        model, t, x, x1, x2, y, z, u_star, adjoint.p1, adjoint.p2, adjoint.q, adjoint.k1
+    )
+    max_grad = np.max(np.abs(grad), axis=(0, 2))
+
+    worst_vi = np.full(ensemble.n_paths, -np.inf)
+    box = model.control_set
+    for i in range(u_star.shape[0]):
+        for u_alt in box.axis_grid(i, n_grid):
+            worst_vi = np.maximum(worst_vi, np.max(grad[i] * (u_star[i] - u_alt), axis=1))
+
+    worst = np.maximum(max_grad, worst_vi)
+    j = int(np.argmax(worst))
+    return CheckReport(
+        check="maximum_condition",
+        probes=x.shape[1],
+        max_residual=float(worst[j]),
+        tolerance=tol,
+        passed=bool(worst[j] < tol),
+        extra={"max_abs_h_u": float(max_grad[j]), "max_variational": float(worst_vi[j])},
+    )
+
+
+# ---------------------------------------------------------------------------
+# Set-up
+# ---------------------------------------------------------------------------
+
+
+def as_text(report) -> str:
+    """The report as report.json writes it; NaN and inf compare as text."""
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
+def set_rows(monkeypatch, rows, n_paths):
+    monkeypatch.setattr(core, "NODE_BLOCK", rows * n_paths)
+
+
+@pytest.fixture(scope="module")
+def merton_setup():
+    p = merton.resolve_constraints(**P0)
+    qsol = merton.solve_q(p)
+    model = merton.build_model(p)
+    cand = merton.value_function(p, qsol)
+    # Scaled controls leave H_u and grid-optimality residuals to report.
+    policy = verify.scaled_policy(merton.build_policy(p, qsol), [1.3, 0.9], "detuned")
+    cfg = core.SimConfig(n_steps=N_STEPS, n_paths=N_PATHS, master_seed=17)
+    ens = sdde.simulate_forward(model, policy, INITIAL, cfg)
+    q = merton.exact_q_factor(p, ens.times)
+    adj = pmp.adjoint_from_value(model, cand, ens, q)
+    # Offsets of fixed size give every path its own relative mismatch.
+    adj = dataclasses.replace(
+        adj, p1=adj.p1 + 1e-3, p2=adj.p2 - 2e-4, k1=adj.k1 + 3e-3, k2=adj.k2 + 1e-5
+    )
+    return model, cand, ens, adj
+
+
+def with_nan_node(ens, path=2, node=40):
+    """The ensemble with a NaN wealth at one node, where V and G are NaN."""
+    x = ens.x.T.copy().T  # node-major, like the simulated buffer
+    x[path, node] = np.nan
+    return dataclasses.replace(ens, x=x)
+
+
+# ---------------------------------------------------------------------------
+# Tests
+# ---------------------------------------------------------------------------
+
+
+class TestNodeBlocks:
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_blocks_cover_nodes_in_order(self, monkeypatch, rows):
+        set_rows(monkeypatch, rows, N_PATHS)
+        blocks = list(core.node_blocks(N_PATHS, N_STEPS + 1))
+        nodes = np.concatenate([np.arange(N_STEPS + 1)[blk] for blk in blocks])
+        assert np.array_equal(nodes, np.arange(N_STEPS + 1))
+        assert {blk.stop - blk.start for blk in blocks[:-1]} <= {rows}
+        assert 1 <= blocks[-1].stop - blocks[-1].start <= rows
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_block_of_node_major_array_is_contiguous(self, monkeypatch, rows):
+        set_rows(monkeypatch, rows, N_PATHS)
+        x = np.zeros((N_STEPS + 1, N_PATHS)).T
+        for blk in core.node_blocks(N_PATHS, N_STEPS + 1):
+            assert x[:, blk].T.flags.c_contiguous
+
+    def test_paths_wider_than_a_block_walk_one_node_at_a_time(self):
+        blocks = list(core.node_blocks(2 * core.NODE_BLOCK, 5))
+        assert blocks == [slice(k, k + 1) for k in range(5)]
+
+
+class TestSameBitsAsWholeEnsemble:
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_relations_report(self, merton_setup, monkeypatch, rows):
+        model, cand, ens, adj = merton_setup
+        set_rows(monkeypatch, rows, N_PATHS)
+        blocked = verify.relations_report(model, cand, ens, adj)
+        whole = reference_relations_report(model, cand, ens, adj)
+        assert as_text(blocked) == as_text(whole)
+        assert blocked.grid_optimality > 0.0  # the detuned controls leave a gap
+        assert min(blocked.adjoint_mismatch.values()) > 0.0
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_maximum_condition_check(self, merton_setup, monkeypatch, rows):
+        model, cand, ens, adj = merton_setup
+        set_rows(monkeypatch, rows, N_PATHS)
+        blocked = pmp.maximum_condition_check(model, cand, ens, adj)
+        whole = reference_maximum_condition_check(model, cand, ens, adj)
+        assert as_text(blocked) == as_text(whole)
+        assert blocked.max_residual > 1e-3
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_non_finite_g_star_in_one_block(self, merton_setup, monkeypatch, rows):
+        # G is NaN at one node of one path, so in one block only.  Every grid
+        # value's gap is then NaN over the whole ensemble, and folding those
+        # NaNs from −inf in grid order leaves −inf; a fold over the block
+        # maxima would report the finite gap of the other blocks instead.
+        model, cand, ens, adj = merton_setup
+        ens = with_nan_node(ens)
+        set_rows(monkeypatch, rows, N_PATHS)
+        with np.errstate(all="ignore"):
+            blocked = verify.relations_report(model, cand, ens, adj)
+            whole = reference_relations_report(model, cand, ens, adj)
+            blocked_max = pmp.maximum_condition_check(model, cand, ens, adj)
+            whole_max = reference_maximum_condition_check(model, cand, ens, adj)
+        assert as_text(blocked) == as_text(whole)
+        assert np.isnan(blocked.time_slope)
+        assert blocked.grid_optimality == -np.inf
+        assert not blocked.passed
+        assert as_text(blocked_max) == as_text(whole_max)
+
+
+def _linear_tie():
+    """An ensemble whose worst paths tie across a block boundary.
+
+    H = p1·u exactly (every other adjoint is zero) at u* = 0 on the box
+    [−0.5, 2], so the central difference returns p1 exactly for a power of
+    two.  Path 1 has p1 = 4 at node 40: |H_u| = 4 and a variational gap of
+    4·0.5 = 2.  Path 3 has p1 = −2 at node 1: |H_u| = 2 and a gap of 2·2 = 4.
+    Both residuals are exactly 4, and the report must be path 1's, the
+    first path, although its worst node is in a later block.
+    """
+    params = core.ModelParams(lam=0.0, delta=0.0, horizon_T=1.0)
+    zeros = lambda t, x, x1, *rest: np.zeros_like(x)  # noqa: E731
+    ones = lambda t, x, x1, u: np.ones_like(x)  # noqa: E731
+    model = core.StructuredModel(
+        params=params,
+        b1=lambda t, x, x1, u: u[0],
+        b2=zeros,
+        sigma=ones,
+        f1=zeros,
+        f2=zeros,
+        phi=lambda x, x1: x,
+        control_set=core.ControlBox(lower=[-0.5], upper=[2.0]),
+    )
+    cand = hjb.ValueCandidate(v=zeros, v_s=zeros, v_x=zeros, v_xx=zeros, v_x1=zeros)
+    n_nodes = N_STEPS + 1
+    node_major = lambda fill: np.full((n_nodes, N_PATHS), fill).T  # noqa: E731
+    ens = sdde.ForwardEnsemble(
+        times=np.linspace(0.0, 1.0, n_nodes),
+        x=node_major(1.0),
+        x1=node_major(1.0),
+        x2=node_major(1.0),
+        controls=np.zeros((n_nodes, 1, N_PATHS)).transpose(2, 0, 1),
+        dw=np.zeros((N_STEPS, N_PATHS)).T,
+        initial=np.ones(1),
+        config=core.SimConfig(n_steps=N_STEPS, n_paths=N_PATHS, master_seed=0),
+    )
+    p1 = node_major(0.0)
+    p1[1, 40] = 4.0
+    p1[3, 1] = -2.0
+    zero = node_major(0.0)
+    adj = pmp.Adjoints(
+        times=ens.times, p1=p1, p2=zero, p3=zero, q=zero, k1=zero, k2=zero
+    )
+    return model, cand, ens, adj
+
+
+class TestWorstPathTie:
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_first_path_wins_across_blocks(self, monkeypatch, rows):
+        model, cand, ens, adj = _linear_tie()
+        set_rows(monkeypatch, rows, N_PATHS)
+        blocked = pmp.maximum_condition_check(model, cand, ens, adj)
+        whole = reference_maximum_condition_check(model, cand, ens, adj)
+        assert as_text(blocked) == as_text(whole)
+        assert blocked.max_residual == 4.0
+        assert blocked.extra == {"max_abs_h_u": 4.0, "max_variational": 2.0}
+
+
+class TestPeakMemory:
+    """A blocked check allocates a few blocks, not copies of the ensemble."""
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        p = merton.resolve_constraints(**P0)
+        qsol = merton.solve_q(p)
+        model = merton.build_model(p)
+        cand = merton.value_function(p, qsol)
+        cfg = core.SimConfig(n_steps=256, n_paths=2000, master_seed=3)
+        ens = sdde.simulate_forward(model, merton.build_policy(p, qsol), INITIAL, cfg)
+        q = merton.exact_q_factor(p, ens.times)
+        return model, cand, ens, q, p, qsol
+
+    def _peak(self, fun, *args):
+        tracemalloc.start()
+        try:
+            fun(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_relations_report(self, large):
+        model, cand, ens, q, p, qsol = large
+        adj = merton.closed_form_adjoints(p, qsol, ens, q)
+        peak = self._peak(verify.relations_report, model, cand, ens, adj)
+        assert peak < 2 * ens.x.nbytes
+
+    def test_maximum_condition_check(self, large):
+        model, cand, ens, q, _, _ = large
+        adj = pmp.adjoint_from_value(model, cand, ens, q)
+        peak = self._peak(pmp.maximum_condition_check, model, cand, ens, adj)
+        assert peak < 2 * ens.x.nbytes
