@@ -32,12 +32,12 @@ RIDGE = 1e-10
 
 @dataclass
 class RegressionBasis:
-    """Feature map (x, x1) -> n_features columns used for projections.
+    """Feature map (x, x1) -> n_features rows used for projections.
 
-    fill(x, x1, out) writes the features of the samples x, x1 into the
-    columns of out, a C-order (n_samples, n_features) buffer, overwriting
-    every column.  solve_backward allocates that buffer once and reuses it
-    at every node.
+    fill(x, x1, out) writes feature j of the samples x, x1 into the
+    contiguous row out[j] of a C-order (n_features, n_samples) buffer,
+    overwriting every row.  solve_backward allocates that buffer once and
+    reuses it at every node.
     """
 
     n_features: int
@@ -53,32 +53,32 @@ def _power(v: Array, p: int) -> Array:
 def polynomial_basis(degree: int = 2) -> RegressionBasis:
     """All monomials x^i x1^j with i + j <= degree, constant included.
 
-    Each monomial is written straight into its column: a zero power is left
+    Each monomial is written straight into its row: a zero power is left
     out of the product, which is exact, since x**0 is 1.0.
     """
     powers = [(i, total - i) for total in range(degree + 1) for i in range(total + 1)]
 
     def fill(x: Array, x1: Array, out: Array) -> None:
-        for col, (i, j) in enumerate(powers):
+        for row, (i, j) in enumerate(powers):
             if i and j:
-                np.multiply(_power(x, i), _power(x1, j), out=out[:, col])
+                np.multiply(_power(x, i), _power(x1, j), out=out[row])
             elif i or j:
-                out[:, col] = _power(x, i) if i else _power(x1, j)
+                out[row] = _power(x, i) if i else _power(x1, j)
             else:
-                out[:, col] = 1.0
+                out[row] = 1.0
 
     return RegressionBasis(n_features=len(powers), fill=fill, description=f"poly(deg={degree})")
 
 
 def augmented_basis(base: RegressionBasis, extra: Callable[[Array, Array], Array], tag: str) -> RegressionBasis:
-    """Append one extra feature column, written after the base columns."""
-    col = base.n_features
+    """Append one extra feature row, written after the base rows."""
+    row = base.n_features
 
     def fill(x: Array, x1: Array, out: Array) -> None:
-        base.fill(x, x1, out[:, :col])
-        out[:, col] = extra(x, x1)
+        base.fill(x, x1, out[:row])
+        out[row] = extra(x, x1)
 
-    return RegressionBasis(n_features=col + 1, fill=fill, description=f"{base.description}+{tag}")
+    return RegressionBasis(n_features=row + 1, fill=fill, description=f"{base.description}+{tag}")
 
 
 @dataclass
@@ -103,24 +103,25 @@ class BackwardSolution:
 
 
 def _gram(features: Array, ridge: float) -> Array:
-    """Ridge-damped normal matrix FᵀF/n + ridge·I, shared by the Z and Y fits."""
-    n, n_features = features.shape
+    """Ridge-damped normal matrix F·Fᵀ/n + ridge·I of the (n_features, n)
+    feature rows F, shared by the Z and Y fits."""
+    n_features, n = features.shape
     with np.errstate(all="ignore"):
-        return features.T @ features / n + ridge * np.eye(n_features)
+        return features @ features.T / n + ridge * np.eye(n_features)
 
 
 def _project(features: Array, gram: Array, target: Array):
-    """Least-squares prediction of target given features and their _gram.
+    """Least-squares prediction of target given feature rows and their _gram.
 
     Falls back to the ensemble mean (constant basis) if the normal equations
     cannot be solved or produce non-finite predictions.
     """
-    n = features.shape[0]
+    n = features.shape[1]
     with np.errstate(all="ignore"):
-        rhs = features.T @ target / n
+        rhs = features @ target / n
         try:
             beta = np.linalg.solve(gram, rhs)
-            pred = features @ beta
+            pred = beta @ features
         except np.linalg.LinAlgError:
             return np.full_like(target, target.mean()), True
     if not np.all(np.isfinite(pred)):
@@ -138,8 +139,8 @@ def solve_backward(
 
     The sweep reads node k of every path as one row of the node-major
     ensemble and fills y and z row by row.  Each node writes its features
-    into one buffer reused by every node and forms their Gram matrix once
-    for both the Z and the Y fit.
+    as contiguous rows of one (n_features, n_paths) buffer reused by every
+    node, and forms their Gram matrix once for both the Z and the Y fit.
     """
     t = ensemble.times
     h = float(t[1] - t[0])
@@ -151,7 +152,7 @@ def solve_backward(
     z = np.zeros((n_steps + 1, n_paths))
     y[-1] = model.phi(x[-1], x1[-1])
     degraded: list = []
-    feats = np.empty((n_paths, basis.n_features))
+    feats = np.empty((basis.n_features, n_paths))
 
     for k in range(n_steps - 1, 0, -1):
         basis.fill(x[k], x1[k], feats)

@@ -74,11 +74,14 @@ def _require_keys(section, allowed: set, required: set, where: str) -> None:
         raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
 
 
-def _count(value, where: str) -> int:
-    """An integer config value: a JSON integer or an integral float (1e3)."""
+def _count(value, where: str, minimum: int | None = None) -> int:
+    """An integer config value: a JSON integer or an integral float (1e3),
+    and at least minimum when one is given."""
     integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     if isinstance(value, bool) or not integral:
         raise ConfigError(f"{where} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{where} must be >= {minimum}, got {value!r}")
     return int(value)
 
 
@@ -378,7 +381,7 @@ def build_run(cfg: dict, seed_flag: int | None, out_flag: str | None) -> Run:
             xs=np.asarray(checks.get("x_probes", np.linspace(0.5, 5.0, 9)), float),
             x1s=np.asarray(checks.get("x1_probes", np.linspace(0.25, 5.0, 9)), float),
             x2s=[float(v) for v in checks.get("x2_probes", [-10.0, -5.0, 0.0, 5.0, 10.0])],
-            n_grid=_count(checks.get("n_grid", 16), "checks.n_grid"),
+            n_grid=_count(checks.get("n_grid", 16), "checks.n_grid", minimum=1),
             tols={key: float(checks[key]) for key in _TOLERANCES if key in checks},
             out_dir=Path(out_flag or output.get("directory", "out")),
         )

@@ -328,9 +328,16 @@ class FeedbackPolicy:
     label: str = "policy"
 
     def at(self, t: float, x, x1) -> Array:
+        """The controls at (t, x, x1) as a float (n_controls, *x.shape) array.
+
+        Callers only read the result, so a float array that evaluate returns
+        in that shape is passed on without a copy.
+        """
         x = np.asarray(x, float)
         u = np.asarray(self.evaluate(t, x, np.asarray(x1, float)), float)
         target = (self.n_controls,) + x.shape
+        if u.shape == target:
+            return u
         return np.broadcast_to(u, target).astype(float)
 
 
@@ -393,26 +400,41 @@ def write_long_csv(
     '%.17g' % v, the same text as format(float(v), '.17g'), so the file
     round-trips every float64.  A column one node short (the Brownian
     increments) is blank at the terminal node.
+
+    A cell that holds the same bits on every path at its node (t always,
+    x2 over the pre-history window, p3 = 0, the per-node q) is formatted
+    once and written into the per-path template as text; only the other
+    cells are formatted per path.
     """
     n_nodes = times.size
     n_paths = columns[0].shape[0]
     stream.write(",".join(["path", "t", *names]) + "\n")
-    cells = ["%d", "%.17g"]
-    row = ",".join(cells + ["%.17g"] * len(columns)) + "\n"
-    # '%.0s' consumes the terminal node's unused slot and prints nothing.
-    last = ",".join(
-        cells + ["%.17g" if c.shape[1] == n_nodes else "%.0s" for c in columns]
-    ) + "\n"
-    per_path = row * (n_nodes - 1) + last
+    # The cells of node k's row are path, t and one per column: each holds
+    # its shared text, or None where it is formatted per path.
+    text = [[None, "%.17g" % t] for t in times.tolist()]
+    for col in columns:
+        col = np.asarray(col, np.float64)
+        bits = col.view(np.uint64)
+        shared = np.all(bits == bits[:1], axis=0).tolist()
+        for k, row in enumerate(text):
+            if k >= col.shape[1]:
+                row.append("")
+            else:
+                row.append("%.17g" % col[0, k] if shared[k] else None)
+    per_path = "".join(
+        ",".join(["%d", *("%.17g" if c is None else c for c in row[1:])]) + "\n"
+        for row in text
+    )
+    per_path_slots = np.array([c is None for row in text for c in row])
     paths_per_block = max(1, CSV_BLOCK_ROWS // n_nodes)
     for start in range(0, n_paths, paths_per_block):
         stop = min(start + paths_per_block, n_paths)
         table = np.zeros((stop - start, n_nodes, 2 + len(columns)))
         table[:, :, 0] = np.arange(start, stop)[:, np.newaxis]
-        table[:, :, 1] = times
         for j, col in enumerate(columns):
             table[:, : col.shape[1], 2 + j] = col[start:stop]
-        stream.write(per_path * (stop - start) % tuple(table.ravel().tolist()))
+        values = table.reshape(stop - start, -1)[:, per_path_slots]
+        stream.write(per_path * (stop - start) % tuple(values.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -270,13 +270,21 @@ def value_function(p: MertonParams, qsol: QSolution | None = None) -> ValueCandi
 
 def optimal_u(t, x, x1, p: MertonParams):
     """Portfolio fraction u* = (μ0 − r)(x + θx1)/((1 − γ)σ²x)."""
-    m = _memory_wealth(p, x, x1)
-    return (p.mu0 - p.r) * m / ((1.0 - p.gamma) * p.sigma**2 * np.asarray(x, float))
+    return _u_of_wealth(_memory_wealth(p, x, x1), x, p)
 
 
 def optimal_c(t, x, x1, p: MertonParams, qsol: QSolution):
     """Consumption rate c* = ((x + θx1)/x) Q(t)^{1/(γ−1)}."""
-    m = _memory_wealth(p, x, x1)
+    return _c_of_wealth(t, _memory_wealth(p, x, x1), x, p, qsol)
+
+
+def _u_of_wealth(m, x, p: MertonParams):
+    """u* from the memory-adjusted wealth m = x + θx1."""
+    return (p.mu0 - p.r) * m / ((1.0 - p.gamma) * p.sigma**2 * np.asarray(x, float))
+
+
+def _c_of_wealth(t, m, x, p: MertonParams, qsol: QSolution):
+    """c* from the memory-adjusted wealth m = x + θx1."""
     return (m / np.asarray(x, float)) * qsol(t) ** (1.0 / (p.gamma - 1.0))
 
 
@@ -357,15 +365,16 @@ def build_policy(
         x = np.asarray(x, float)
         x1 = np.asarray(x1, float)
         bound = np.abs(x + p.mu2 * x1) / np.maximum(np.abs(x), 1e-300)
-        u = np.clip(optimal_u(t, x, x1, p), -lam1 * bound, lam1 * bound)
-        c = np.clip(optimal_c(t, x, x1, p, qsol), 0.0, lam2 * bound)
+        m = _memory_wealth(p, x, x1)
+        u = np.clip(_u_of_wealth(m, x, p), -lam1 * bound, lam1 * bound)
+        c = np.clip(_c_of_wealth(t, m, x, p, qsol), 0.0, lam2 * bound)
         return np.stack([np.broadcast_to(u, x.shape), np.broadcast_to(c, x.shape)])
 
     return FeedbackPolicy(evaluate=evaluate, n_controls=2, label="merton_optimal")
 
 
 def build_basis(p: MertonParams, degree: int = 2) -> RegressionBasis:
-    """Polynomial basis augmented with the memory-adjusted power feature."""
+    """Polynomial basis with the memory-adjusted power feature as its last row."""
     g, th = p.gamma, p.theta
 
     def feature(x, x1):
@@ -389,7 +398,7 @@ def closed_form_adjoints(
     m = _memory_wealth(p, x, x1)
     g = p.gamma
     qv = qsol(t)
-    ustar = optimal_u(t, x, x1, p)
+    ustar = _u_of_wealth(m, x, p)
     p1 = -qv * m ** (g - 1.0) * q
     k1 = (1.0 - g) * p.sigma * ustar * x * qv * m ** (g - 2.0) * q
     return Adjoints(

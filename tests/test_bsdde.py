@@ -86,6 +86,26 @@ class TestMertonBenchmark:
         combined = math.hypot(small.stderr, big.stderr)
         assert abs(small.y_at_s - big.y_at_s) <= 3 * combined + 1e-6
 
+    def test_cost_is_pathwise_accumulation(self, merton_setup):
+        # The Merton generator ignores z, so the reported cost is the driver
+        # accumulated along each path, the same bits whatever the regression
+        # fits: the accumulation below passes z = NaN.
+        p, model, policy, _ = merton_setup
+        cfg = core.SimConfig(n_steps=32, n_paths=300, master_seed=5)
+        ens = sdde.simulate_forward(model, policy, INITIAL, cfg)
+        est = bsdde.cost_estimate(model, ens, merton.build_basis(p))
+
+        t, h = ens.times, float(ens.times[1] - ens.times[0])
+        x, x1, x2 = ens.x.T, ens.x1.T, ens.x2.T
+        u = ens.controls.transpose(1, 2, 0)
+        no_z = np.full(ens.n_paths, np.nan)
+        y_hat = model.phi(x[-1], x1[-1])
+        for k in range(ens.n_steps - 1, -1, -1):
+            y_hat = y_hat + h * model.generator(float(t[k]), x[k], x1[k], x2[k], y_hat, no_z, u[k])
+        assert np.array_equal(est.samples, -y_hat)
+        assert est.value == float((-y_hat).mean())
+        assert est.stderr == float(y_hat.std(ddof=1) / math.sqrt(ens.n_paths))
+
 
 class TestDeterminism:
     def test_identical_cost_bit_for_bit(self):
@@ -102,35 +122,36 @@ class TestDeterminism:
 
 
 def stacked_features(degree, p=None):
-    """Column-stacked reference of polynomial_basis, and of merton.build_basis
-    when p is given."""
+    """Row-stacked reference of polynomial_basis, and of merton.build_basis
+    when p is given: one (n_features, n_samples) array."""
 
     def features(x, x1):
-        cols = [x**i * x1 ** (total - i) for total in range(degree + 1) for i in range(total + 1)]
+        rows = [x**i * x1 ** (total - i) for total in range(degree + 1) for i in range(total + 1)]
         if p is not None:
             m = x + p.theta * x1
-            cols.append(np.where(m > 0.0, np.abs(m) ** p.gamma, 0.0))
-        return np.column_stack(cols)
+            rows.append(np.where(m > 0.0, np.abs(m) ** p.gamma, 0.0))
+        return np.stack(rows)
 
     return features
 
 
 def filled(basis, x, x1):
-    out = np.full((x.size, basis.n_features), np.nan)  # every column must be written
+    out = np.full((basis.n_features, x.size), np.nan)  # every row must be written
     basis.fill(x, x1, out)
     return out
 
 
 def reference_backward(model, ensemble, features, ridge=bsdde.RIDGE):
-    """solve_backward with freshly stacked features and one normal matrix per fit."""
+    """solve_backward with freshly stacked feature rows and one normal matrix
+    per fit."""
 
     def project(f, target):
-        n = f.shape[0]
+        n = f.shape[1]
         with np.errstate(all="ignore"):
-            a = f.T @ f / n + ridge * np.eye(f.shape[1])
-            rhs = f.T @ target / n
+            a = f @ f.T / n + ridge * np.eye(f.shape[0])
+            rhs = f @ target / n
             try:
-                pred = f @ np.linalg.solve(a, rhs)
+                pred = np.linalg.solve(a, rhs) @ f
             except np.linalg.LinAlgError:
                 return np.full_like(target, target.mean()), True
         if not np.all(np.isfinite(pred)):
@@ -204,10 +225,10 @@ class TestDegradation:
         ens = sdde.simulate_forward(model, POLICY, INITIAL, cfg)
 
         def bad_features(x, x1, out):
-            out[:, 0] = 1.0
-            out[:, 1] = x
+            out[0] = 1.0
+            out[1] = x
             with np.errstate(all="ignore"):
-                out[:, 2] = 1.0 / (x - x)
+                out[2] = 1.0 / (x - x)
 
         basis = bsdde.RegressionBasis(n_features=3, fill=bad_features, description="broken")
         sol = bsdde.solve_backward(model, ens, basis)
@@ -222,10 +243,10 @@ class TestDegradation:
         ens = sdde.simulate_forward(model, POLICY, INITIAL, cfg)
 
         def dup_features(x, x1, out):
-            out[:, 0] = 1.0
-            out[:, 1] = x
-            out[:, 2] = x
-            out[:, 3] = x1
+            out[0] = 1.0
+            out[1] = x
+            out[2] = x
+            out[3] = x1
 
         basis = bsdde.RegressionBasis(n_features=4, fill=dup_features, description="dup")
         sol = bsdde.solve_backward(model, ens, basis)

@@ -71,6 +71,8 @@ MALFORMED = {
     "fractional_n_steps": lambda c: c["sim"].update(n_steps=16.9),
     "fractional_seed": lambda c: c["sim"].update(master_seed=1.5),
     "fractional_n_grid": lambda c: c.update(checks={"n_grid": 16.9}),
+    "zero_n_grid": lambda c: c.update(checks={"n_grid": 0}),
+    "negative_n_grid": lambda c: c.update(checks={"n_grid": -1}),
 }
 
 

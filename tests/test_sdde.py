@@ -379,6 +379,29 @@ class TestCsvExport:
         sdde.write_forward_csv(node, got)
         assert got.getvalue() == want.getvalue()
 
+    def test_cells_shared_by_every_path_match_per_value_format(self, monkeypatch):
+        # x2, u and dw hold the same bits on every path at some nodes: signed
+        # zero, NaN, inf and a subnormal.  Next to them are nodes where 0.0
+        # and -0.0 differ, or where one path alone differs in its last bit.
+        monkeypatch.setattr(core, "CSV_BLOCK_ROWS", 9)
+        ens = _awkward_ensemble(n_paths=5, n_steps=3, n_u=2)
+        x2 = np.tile([-0.0, np.nan, np.inf, 5e-324], (5, 1))
+        u = np.tile([0.0, 1.0 / 3.0, -np.inf, 0.0], (5, 1))
+        u[2, 0] = -0.0
+        u[4, 1] = np.nextafter(1.0 / 3.0, 1.0)
+        dw = np.tile([0.0, np.nan, 2.5], (5, 1))
+        controls = np.stack([u, ens.controls[:, :, 1]], axis=2)
+        ens = dataclasses.replace(ens, x2=np.asfortranarray(x2), controls=controls, dw=dw)
+        out = io.StringIO()
+        sdde.write_forward_csv(ens, out)
+        want = _reference_csv(
+            ["x", "x1", "x2", "u", "c", "dw"],
+            ens.times,
+            [ens.x, ens.x1, x2, u, controls[:, :, 1], dw],
+        )
+        assert out.getvalue() == want
+        assert out.getvalue().splitlines()[9].split(",")[5] == "-0"  # path 2, node 0
+
     def test_backward_and_adjoint_bytes_match_per_value_format(self):
         ens = _awkward_ensemble(n_paths=3, n_steps=2, n_u=1)
         sol = bsdde.BackwardSolution(
