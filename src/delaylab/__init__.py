@@ -4,7 +4,6 @@ from .core import (
     ConfigError,
     ConstraintViolationError,
     ControlBox,
-    DelayBuffer,
     DelayLabError,
     DomainError,
     FeedbackPolicy,
@@ -15,7 +14,7 @@ from .core import (
     StructuredModel,
     constant_policy,
     derive_path_seed,
-    x1_of_buffer,
+    initial_segment,
 )
 from .sdde import (
     ForwardEnsemble,
@@ -37,6 +36,7 @@ from .hjb import (
     compatibility_pde_check,
     generalized_hamiltonian,
     hjb_residual,
+    value_slots,
     x2_independence_check,
 )
 from .pmp import (

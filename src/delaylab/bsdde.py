@@ -102,12 +102,12 @@ class BackwardSolution:
     degraded_steps: list = field(default_factory=list)
 
 
-def _gram(features: Array, ridge: float) -> Array:
-    """Ridge-damped normal matrix F·Fᵀ/n + ridge·I of the (n_features, n)
+def _gram(features: Array) -> Array:
+    """Ridge-damped normal matrix F·Fᵀ/n + RIDGE·I of the (n_features, n)
     feature rows F, shared by the Z and Y fits."""
     n_features, n = features.shape
     with np.errstate(all="ignore"):
-        return features @ features.T / n + ridge * np.eye(n_features)
+        return features @ features.T / n + RIDGE * np.eye(n_features)
 
 
 def _project(features: Array, gram: Array, target: Array):
@@ -133,7 +133,6 @@ def solve_backward(
     model: StructuredModel,
     ensemble: ForwardEnsemble,
     basis: RegressionBasis,
-    ridge: float = RIDGE,
 ) -> BackwardSolution:
     """Backward regression sweep along a simulated ensemble.
 
@@ -156,7 +155,7 @@ def solve_backward(
 
     for k in range(n_steps - 1, 0, -1):
         basis.fill(x[k], x1[k], feats)
-        gram = _gram(feats, ridge)
+        gram = _gram(feats)
         y_next = y[k + 1]
 
         z_pred, bad_z = _project(feats, gram, y_next * dw[k] / h)

@@ -39,7 +39,6 @@ from .core import (
     ConfigError,
     ConstraintViolationError,
     ControlBox,
-    DelayBuffer,
     DomainError,
     FeedbackPolicy,
     InvalidStateError,
@@ -47,7 +46,7 @@ from .core import (
     SimConfig,
     SimulationDivergedError,
     StructuredModel,
-    x1_of_buffer,
+    initial_segment,
 )
 
 EXIT_OK = 0
@@ -277,7 +276,7 @@ def build_sim_config(cfg: dict, seed_flag: int | None) -> SimConfig:
     section = cfg["sim"]
     _require_keys(
         section,
-        allowed={"n_steps", "n_paths", "master_seed", "x1_method"},
+        allowed={"n_steps", "n_paths", "master_seed"},
         required={"n_steps", "n_paths"},
         where="sim",
     )
@@ -298,7 +297,6 @@ def build_sim_config(cfg: dict, seed_flag: int | None) -> SimConfig:
         n_steps=_count(section["n_steps"], "sim.n_steps"),
         n_paths=_count(section["n_paths"], "sim.n_paths"),
         master_seed=seed,
-        x1_method=section.get("x1_method", "ode_recursion"),
     )
 
 
@@ -439,9 +437,8 @@ def cmd_solve_merton(run: Run):
     ok = rel_err < 1e-7
 
     h = run.sim.step_size(run.model.params)
-    buf = DelayBuffer.from_initial_path(run.initial, params.delta, h)
-    x0 = float(buf.samples[-1])
-    x1_0 = x1_of_buffer(buf, params.lam)
+    samples, x1_0 = initial_segment(run.initial, params.delta, params.lam, h)
+    x0 = float(samples[-1])
     payload = {
         "theta": params.theta,
         "mu1": params.mu1,
@@ -461,7 +458,7 @@ def cmd_solve_merton(run: Run):
 def cmd_check_hjb(run: Run):
     reports = [
         hjb.hjb_residual_check(
-            run.model, run.cand, run.ss, run.xs, run.x1s, x2=0.0, maximizer=run.policy,
+            run.model, run.cand, run.ss, run.xs, run.x1s, maximizer=run.policy,
             n_grid=run.n_grid, **run.tol("hjb_tolerance"),
         ),
         hjb.x2_independence_check(
@@ -504,13 +501,11 @@ def cmd_check_pmp(run: Run):
         t = ensemble.times[k]
         x, x1 = float(ensemble.x[0, k]), float(ensemble.x1[0, k])
         u = ensemble.controls[0, k]
-        y = -float(cand.v(t, x, x1))
-        sg = np.asarray(model.sigma(t, x, x1, u))
-        z = float(sg.ravel()[0]) * -float(cand.v_x(t, x, x1))
+        y, z = hjb.value_slots(model, cand, t, x, x1, u)
         probes.append(
             {
-                "x": x, "x1": x1, "x2": float(ensemble.x2[0, k]), "y": y, "z": z,
-                "u": u,
+                "x": x, "x1": x1, "x2": float(ensemble.x2[0, k]),
+                "y": float(y), "z": float(z), "u": u,
                 "p1": float(adj.p1[0, k]), "p2": float(adj.p2[0, k]),
                 "q": float(adj.q[0, k]), "k1": float(adj.k1[0, k]),
             }

@@ -8,9 +8,9 @@ coordinates at each time t:
     x2 = X(t − δ)                     pointwise delayed state
 
 This module holds the containers shared by the simulation, verification,
-and closed-form layers: delay parameters, the sliding sample buffer that
-realizes (x1, x2) on a uniform grid, structured model coefficients, feedback
-policies, and the simulation configuration.  It also owns the splitmix64
+and closed-form layers: delay parameters, the sampled initial segment with
+its moving average x1(s), structured model coefficients, feedback policies,
+and the simulation configuration.  It also owns the splitmix64
 counter hash behind the per-path seeds and Brownian increments, so that
 every path is reproducible in isolation, the long-format CSV writer
 shared by the forward, backward and adjoint artifacts, and the node-row
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -68,6 +68,16 @@ class SimulationDivergedError(DelayLabError):
         self.n_bad = n_bad
 
 
+def nan_max(*values: float) -> float:
+    """max(values), or NaN when any value is NaN.
+
+    Python's max keeps its first argument against a NaN, so a fold of check
+    residuals would report the worst finite one when a residual could not be
+    evaluated.  On finite values this is max itself, bit for bit.
+    """
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
+
+
 # ---------------------------------------------------------------------------
 # Delay parameters
 # ---------------------------------------------------------------------------
@@ -112,50 +122,8 @@ class ModelParams:
 
 
 # ---------------------------------------------------------------------------
-# Delay buffer
+# Initial segment
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class DelayBuffer:
-    """Window of state samples covering [t − δ, t] on a uniform grid.
-
-    samples[0] is the oldest value X(t − δ) and samples[-1] is X(t);
-    from_initial_path fills it with exactly round(δ/h) + 1 samples.
-    """
-
-    step_h: float
-    samples: Array
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
-        if self.step_h <= 0.0:
-            raise InvalidStateError(f"step_h must be > 0, got {self.step_h}")
-        if self.samples.ndim != 1 or self.samples.size < 1:
-            raise InvalidStateError("samples must be a non-empty 1-d array")
-
-    @classmethod
-    def from_initial_path(
-        cls,
-        path: Callable[[float], float],
-        delta: float,
-        step_h: float,
-    ) -> "DelayBuffer":
-        """Sample an initial segment φ(τ), τ ∈ [−δ, 0], onto the grid.
-
-        The step must divide δ exactly (up to rounding noise); otherwise the
-        pointwise delay X(t − δ) would fall between grid nodes.
-        """
-        n = lag_steps(delta, step_h)
-        tau = -delta + step_h * np.arange(n + 1)
-        tau[-1] = 0.0
-        values = np.array([float(path(float(t))) for t in tau])
-        return cls(step_h=step_h, samples=values)
-
-    @property
-    def delta(self) -> float:
-        """Delay length spanned by the buffer."""
-        return self.step_h * (self.samples.size - 1)
 
 
 def lag_steps(delta: float, step_h: float) -> int:
@@ -170,17 +138,24 @@ def lag_steps(delta: float, step_h: float) -> int:
     return n
 
 
-def x1_of_buffer(buffer: DelayBuffer, lam: float) -> float:
-    """Trapezoidal approximation of ∫_{-δ}^{0} e^{λτ} X(t+τ) dτ.
+def initial_segment(
+    path: Callable[[float], float], delta: float, lam: float, step_h: float
+) -> tuple[Array, float]:
+    """The initial segment φ(τ), τ ∈ [−δ, 0], sampled onto the grid, and x1(s).
 
-    A zero delay collapses the integral to 0 exactly.
+    Returns the round(δ/h) + 1 samples, oldest first (samples[0] = φ(−δ) is
+    the first x2, samples[-1] = φ(0) the first x), and the trapezoidal
+    approximation of x1(s) = ∫_{-δ}^{0} e^{λτ} φ(τ) dτ over them.  The step
+    must divide δ exactly (up to rounding noise); otherwise the pointwise
+    delay X(t − δ) would fall between grid nodes.  A zero delay leaves one
+    sample, whose trapezoid is an empty sum: x1(s) is 0 exactly.
     """
-    n = buffer.samples.size
-    if n == 1:
-        return 0.0
-    delta = buffer.delta
-    tau = np.linspace(-delta, 0.0, n)
-    return float(_trapezoid(np.exp(lam * tau) * buffer.samples, dx=buffer.step_h))
+    n = lag_steps(delta, step_h)
+    tau = -delta + step_h * np.arange(n + 1)
+    tau[-1] = 0.0
+    samples = np.array([float(path(float(t))) for t in tau])
+    weights = np.exp(lam * np.linspace(-step_h * n, 0.0, n + 1))
+    return samples, float(_trapezoid(weights * samples, dx=step_h))
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +237,10 @@ class ControlBox:
         return np.linspace(self.lower[i], self.upper[i], n)
 
 
+# Relative step of the central differences that stand in for f_y and f_z.
+GENERATOR_FD_STEP = 1e-6
+
+
 @dataclass
 class StructuredModel:
     """Controlled dynamics with coefficients affine in the pointwise delay.
@@ -278,7 +257,8 @@ class StructuredModel:
 
     Optional f_y / f_z are analytic partial derivatives of the full generator
     in the (y, z) slots with signature (t, x, x1, x2, y, z, u); when absent
-    they are approximated by central differences.
+    they are approximated by central differences of relative step
+    GENERATOR_FD_STEP.
     """
 
     params: ModelParams
@@ -295,21 +275,25 @@ class StructuredModel:
     def drift(self, t, x, x1, x2, u):
         return self.b1(t, x, x1, u) + self.b2(t, x, x1, u) * x2
 
+    def x1_drift(self, x, x1, x2):
+        """Drift x − λx1 − e^{-λδ}x2 of the moving average X1."""
+        return x - self.params.lam * x1 - self.params.e_minus * x2
+
     def generator(self, t, x, x1, x2, y, z, u):
         return self.f1(t, x, x1, y, z, u) + self.f2(t, x, x1, y, z, u) * x2
 
-    def f_y_value(self, t, x, x1, x2, y, z, u, step: float = 1e-6):
+    def f_y_value(self, t, x, x1, x2, y, z, u):
         if self.f_y is not None:
             return self.f_y(t, x, x1, x2, y, z, u)
-        e = step * (1.0 + np.abs(y))
+        e = GENERATOR_FD_STEP * (1.0 + np.abs(y))
         up = self.generator(t, x, x1, x2, y + e, z, u)
         dn = self.generator(t, x, x1, x2, y - e, z, u)
         return (up - dn) / (2.0 * e)
 
-    def f_z_value(self, t, x, x1, x2, y, z, u, step: float = 1e-6):
+    def f_z_value(self, t, x, x1, x2, y, z, u):
         if self.f_z is not None:
             return self.f_z(t, x, x1, x2, y, z, u)
-        e = step * (1.0 + np.abs(z))
+        e = GENERATOR_FD_STEP * (1.0 + np.abs(z))
         up = self.generator(t, x, x1, x2, y, z + e, u)
         dn = self.generator(t, x, x1, x2, y, z - e, u)
         return (up - dn) / (2.0 * e)
@@ -364,15 +348,12 @@ class SimConfig:
     n_steps: int
     n_paths: int
     master_seed: int
-    x1_method: Literal["ode_recursion", "quadrature"] = "ode_recursion"
 
     def __post_init__(self):
         if self.n_steps < 1:
             raise ConfigError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.n_paths < 1:
             raise ConfigError(f"n_paths must be >= 1, got {self.n_paths}")
-        if self.x1_method not in ("ode_recursion", "quadrature"):
-            raise ConfigError(f"unknown x1_method {self.x1_method!r}")
 
     def step_size(self, params: ModelParams) -> float:
         return (params.horizon_T - params.start_s) / self.n_steps

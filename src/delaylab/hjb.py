@@ -29,17 +29,24 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Array, FeedbackPolicy, StructuredModel
+from .core import Array, FeedbackPolicy, StructuredModel, nan_max
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section step ratio
+
+# maximize_hamiltonian refines each control coordinate REFINE_SWEEPS times,
+# by REFINE_ITERS golden-section steps each.
+REFINE_ITERS = 60
+REFINE_SWEEPS = 2
+
+# Relative step of the central differences in compatibility_pde_check.
+COMPAT_REL_STEP = 1e-5
 
 
 @dataclass
 class ValueCandidate:
     """Candidate value function with analytic partial derivatives.
 
-    All callables take (s, x, x1) and broadcast over arrays.  v_xx1 is
-    optional; when absent it is recovered by central differencing v_x1 in x.
+    All callables take (s, x, x1) and broadcast over arrays.
     """
 
     v: Callable
@@ -47,13 +54,15 @@ class ValueCandidate:
     v_x: Callable
     v_xx: Callable
     v_x1: Callable
-    v_xx1: Callable | None = None
+    v_xx1: Callable
 
-    def v_xx1_value(self, s, x, x1, step: float = 1e-5):
-        if self.v_xx1 is not None:
-            return self.v_xx1(s, x, x1)
-        e = step * (1.0 + np.abs(x))
-        return (self.v_x1(s, x + e, x1) - self.v_x1(s, x - e, x1)) / (2.0 * e)
+
+def value_slots(model: StructuredModel, cand: ValueCandidate, s, x, x1, u):
+    """The backward slots y = −V and z = −σ·V_x that the candidate value
+    assigns to the state (s, x, x1) under the controls u."""
+    y = -cand.v(s, x, x1)
+    z = -model.sigma(s, x, x1, u) * cand.v_x(s, x, x1)
+    return y, z
 
 
 @dataclass(frozen=True)
@@ -80,26 +89,25 @@ def generalized_hamiltonian(
     model: StructuredModel, s, x, x1, x2, u, args: GArgs
 ):
     """G = b·p + ½σ²R + (x − λx1 − e^{-λδ}x2)·q + f(s, x, x1, k, σp, u)."""
-    params = model.params
     b = model.drift(s, x, x1, x2, u)
     sg = model.sigma(s, x, x1, u)
     f = model.generator(s, x, x1, x2, args.k, sg * args.p, u)
     return (
         b * args.p
         + 0.5 * sg**2 * args.R
-        + (x - params.lam * x1 - params.e_minus * x2) * args.q
+        + model.x1_drift(x, x1, x2) * args.q
         + f
     )
 
 
-def _golden_refine(fun, lo: Array, hi: Array, iters: int):
+def _golden_refine(fun, lo: Array, hi: Array):
     """Vectorized golden-section maximization of a unimodal coordinate slice."""
     a = np.array(lo, float, copy=True)
     b = np.array(hi, float, copy=True)
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(iters):
+    for _ in range(REFINE_ITERS):
         # Keeping [a, d] makes the old c the new d; keeping [c, b] makes the
         # old d the new c.  Only the other interior point is new, and it is
         # chosen per probe so one call evaluates it across the probe axis.
@@ -124,16 +132,14 @@ def maximize_hamiltonian(
     args: GArgs,
     maximizer: FeedbackPolicy | None = None,
     n_grid: int = 64,
-    refine: bool = True,
-    refine_iters: int = 60,
-    sweeps: int = 2,
 ):
     """Supremum of G over the control box at probe states.
 
     Evaluates G on a tensor grid of the box (optionally joined by a supplied
     candidate maximizer), then refines each control coordinate around the
-    best node by golden-section search.  Returns (g_max, u_star) with u_star
-    of shape (n_controls,) + shape(x).
+    best node by golden-section search, in REFINE_SWEEPS sweeps over the
+    coordinates.  Returns (g_max, u_star) with u_star of shape
+    (n_controls,) + shape(x).
 
     Non-finite G values (e.g. utility singularities at a zero-consumption
     grid node) are treated as -inf and never selected.
@@ -182,26 +188,25 @@ def maximize_hamiltonian(
         g_best = np.where(take, g_cand, g_best)
         u_best = np.where(take, u_cand, u_best)
 
-    if refine:
-        spacing = np.array(
-            [axes[i][1] - axes[i][0] if n_grid > 1 else 0.0 for i in range(n_u)]
-        )
-        for _ in range(sweeps):
-            for i in range(n_u):
-                if spacing[i] == 0.0:
-                    continue
-                lo = np.clip(u_best[i] - spacing[i], box.lower[i], box.upper[i])
-                hi = np.clip(u_best[i] + spacing[i], box.lower[i], box.upper[i])
+    spacing = np.array(
+        [axes[i][1] - axes[i][0] if n_grid > 1 else 0.0 for i in range(n_u)]
+    )
+    for _ in range(REFINE_SWEEPS):
+        for i in range(n_u):
+            if spacing[i] == 0.0:
+                continue
+            lo = np.clip(u_best[i] - spacing[i], box.lower[i], box.upper[i])
+            hi = np.clip(u_best[i] + spacing[i], box.lower[i], box.upper[i])
 
-                def slice_fun(ui, i=i):
-                    u_try = u_best.copy()
-                    u_try[i] = ui
-                    return eval_at(u_try)
+            def slice_fun(ui, i=i):
+                u_try = u_best.copy()
+                u_try[i] = ui
+                return eval_at(u_try)
 
-                ui_ref, g_ref = _golden_refine(slice_fun, lo, hi, refine_iters)
-                improve = g_ref > g_best
-                u_best[i] = np.where(improve, ui_ref, u_best[i])
-                g_best = np.where(improve, g_ref, g_best)
+            ui_ref, g_ref = _golden_refine(slice_fun, lo, hi)
+            improve = g_ref > g_best
+            u_best[i] = np.where(improve, ui_ref, u_best[i])
+            g_best = np.where(improve, g_ref, g_best)
 
     return g_best, u_best
 
@@ -215,7 +220,6 @@ def hjb_residual(
     x2,
     maximizer: FeedbackPolicy | None = None,
     n_grid: int = 64,
-    refine: bool = True,
 ):
     """Residual −V_s + sup_u G at probe states; also returns the argmax.
 
@@ -223,7 +227,7 @@ def hjb_residual(
     """
     args = args_from_candidate(cand, s, x, x1)
     g_max, u_star = maximize_hamiltonian(
-        model, s, x, x1, x2, args, maximizer=maximizer, n_grid=n_grid, refine=refine
+        model, s, x, x1, x2, args, maximizer=maximizer, n_grid=n_grid
     )
     residual = -cand.v_s(s, np.asarray(x, float), np.asarray(x1, float)) + g_max
     return residual, u_star
@@ -257,20 +261,23 @@ def hjb_residual_check(
     s_values: Sequence[float],
     x_values: Array,
     x1_values: Array,
-    x2: float = 0.0,
     maximizer: FeedbackPolicy | None = None,
     n_grid: int = 32,
     tol: float = 1e-6,
 ) -> CheckReport:
-    """Max |−V_s + sup_u G| over a tensor probe grid at fixed x2."""
+    """Max |−V_s + sup_u G| over a tensor probe grid at x2 = 0.
+
+    A residual that cannot be evaluated (NaN) makes the maximum NaN, and
+    the check fails.
+    """
     xg, x1g = np.meshgrid(np.asarray(x_values), np.asarray(x1_values), indexing="ij")
     worst = 0.0
     n = 0
     for s in s_values:
         res, _ = hjb_residual(
-            model, cand, float(s), xg, x1g, x2, maximizer=maximizer, n_grid=n_grid
+            model, cand, float(s), xg, x1g, 0.0, maximizer=maximizer, n_grid=n_grid
         )
-        worst = max(worst, float(np.max(np.abs(res))))
+        worst = nan_max(worst, float(np.max(np.abs(res))))
         n += xg.size
     return CheckReport(
         check="hjb_residual",
@@ -296,7 +303,7 @@ def x2_independence_check(
 
     The reduced equation must hold for every pointwise-delay value, so the
     residual surface must be flat in x2; a spread above tolerance flags a
-    broken structural constraint.
+    broken structural constraint.  A NaN spread makes the check fail.
     """
     xg, x1g = np.meshgrid(np.asarray(x_values), np.asarray(x1_values), indexing="ij")
     # Every x2 value along one leading axis, so one residual call per s.
@@ -308,7 +315,7 @@ def x2_independence_check(
             model, cand, float(s), xg, x1g, x2g, maximizer=maximizer, n_grid=n_grid
         )
         spread = res.max(axis=0) - res.min(axis=0)
-        worst = max(worst, float(spread.max()))
+        worst = nan_max(worst, float(spread.max()))
         n += xg.size
     return CheckReport(
         check="x2_independence",
@@ -326,14 +333,14 @@ def compatibility_pde_check(
     x_values: Array,
     x1_values: Array,
     policy: FeedbackPolicy,
-    rel_step: float = 1e-5,
     tol: float = 1e-6,
 ) -> CheckReport:
     """First-order compatibility system at probe points.
 
     The feedback control and the value-consistent slots y = −V,
     z = −σ·V_x are substituted into every coefficient before the (x, x1)
-    partials are taken, so the derivatives see the composed fields.
+    partials are taken, so the derivatives see the composed fields.  A
+    residual that cannot be evaluated (NaN) makes the check fail.
     """
     params = model.params
     ep = params.e_plus
@@ -349,8 +356,7 @@ def compatibility_pde_check(
             if name == "sigma":
                 return model.sigma(s, x, x1, u)
             if name == "f1":
-                y = -cand.v(s, x, x1)
-                z = -model.sigma(s, x, x1, u) * cand.v_x(s, x, x1)
+                y, z = value_slots(model, cand, s, x, x1, u)
                 return model.f1(s, x, x1, y, z, u)
             if name == "phi":
                 return model.phi(x, x1)
@@ -359,15 +365,14 @@ def compatibility_pde_check(
         return fun
 
     u0 = policy.at(s, xg, x1g)
-    y0 = -cand.v(s, xg, x1g)
-    z0 = -model.sigma(s, xg, x1g, u0) * cand.v_x(s, xg, x1g)
+    y0, z0 = value_slots(model, cand, s, xg, x1g, u0)
     b2_val = model.b2(s, xg, x1g, u0)
     f2_val = model.f2(s, xg, x1g, y0, z0, u0)
 
     residuals = {}
     worst = 0.0
-    hx = rel_step * (1.0 + np.abs(xg))
-    h1 = rel_step * (1.0 + np.abs(x1g))
+    hx = COMPAT_REL_STEP * (1.0 + np.abs(xg))
+    h1 = COMPAT_REL_STEP * (1.0 + np.abs(x1g))
     for name in ("bhat", "sigma", "f1", "phi"):
         fun = composed(name)
         df_dx = (fun(xg + hx, x1g) - fun(xg - hx, x1g)) / (2.0 * hx)
@@ -375,7 +380,7 @@ def compatibility_pde_check(
         res = df_dx1 + ep * (f2_val - b2_val * df_dx)
         res = np.broadcast_to(res, xg.shape)
         residuals[name] = res
-        worst = max(worst, float(np.max(np.abs(res))))
+        worst = nan_max(worst, float(np.max(np.abs(res))))
 
     return CheckReport(
         check="compatibility_pde",

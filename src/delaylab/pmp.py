@@ -36,9 +36,18 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .core import Array, StructuredModel, node_blocks, write_long_csv
-from .hjb import CheckReport, ValueCandidate
+from .core import Array, StructuredModel, nan_max, node_blocks, write_long_csv
+from .hjb import CheckReport, ValueCandidate, value_slots
 from .sdde import ForwardEnsemble
+
+# Relative steps of the central differences of H: in the controls for
+# hamiltonian_control_gradient, in every variable for convexity_spot_check.
+GRADIENT_REL_STEP = 1e-6
+HESSIAN_REL_STEP = 3e-4
+
+# convexity_spot_check passes when every Hessian eigenvalue is above
+# −CONVEXITY_TOL_FACTOR·(1 + |λ_max|).
+CONVEXITY_TOL_FACTOR = 1e-6
 
 
 @dataclass
@@ -62,13 +71,12 @@ class Adjoints:
 
 def hamiltonian(model: StructuredModel, t, x, x1, x2, y, z, u, p1, p2, q, k1):
     """H = p1 b + p2 (x − λx1 − e^{-λδ}x2) + k1 σ − q f."""
-    params = model.params
     b = model.drift(t, x, x1, x2, u)
     sg = model.sigma(t, x, x1, u)
     f = model.generator(t, x, x1, x2, y, z, u)
     return (
         p1 * b
-        + p2 * (x - params.lam * x1 - params.e_minus * x2)
+        + p2 * model.x1_drift(x, x1, x2)
         + k1 * sg
         - q * f
     )
@@ -113,8 +121,7 @@ def _value_slots(model: StructuredModel, cand: ValueCandidate, ensemble: Forward
     slots y = −V, z = −σV_x along the ensemble."""
     t, x, x1 = ensemble.times, ensemble.x, ensemble.x1
     u = np.moveaxis(ensemble.controls, 2, 0)
-    y = -cand.v(t, x, x1)
-    z = -model.sigma(t, x, x1, u) * cand.v_x(t, x, x1)
+    y, z = value_slots(model, cand, t, x, x1, u)
     return u, np.broadcast_to(y, x.shape), np.broadcast_to(z, x.shape)
 
 
@@ -137,7 +144,7 @@ def adjoint_from_value(
     p1 = vx * q
     p2 = vx1 * q
     k1 = (cand.v_xx(t, x, x1) * sg + vx * fz) * q
-    k2 = (cand.v_xx1_value(t, x, x1) * sg + vx1 * fz) * q
+    k2 = (cand.v_xx1(t, x, x1) * sg + vx1 * fz) * q
     return Adjoints(
         times=t,
         p1=np.broadcast_to(p1, x.shape),
@@ -207,7 +214,6 @@ def hamiltonian_control_gradient(
     p2,
     q,
     k1,
-    rel_step: float = 1e-6,
 ) -> Array:
     """Central-difference gradient of H in each control coordinate.
 
@@ -217,7 +223,7 @@ def hamiltonian_control_gradient(
     grads = np.empty_like(u, dtype=float)
     shifted = u.copy(order="K")
     for i in range(u.shape[0]):
-        e = rel_step * (1.0 + np.abs(u[i]))
+        e = GRADIENT_REL_STEP * (1.0 + np.abs(u[i]))
         shifted[i] = u[i] + e
         hu = hamiltonian(model, t, x, x1, x2, y, z, shifted, p1, p2, q, k1)
         shifted[i] = u[i] - e
@@ -282,15 +288,15 @@ def convexity_spot_check(
     model: StructuredModel,
     t: float,
     probes: Sequence[dict],
-    rel_step: float = 3e-4,
-    tol_factor: float = 1e-6,
 ) -> CheckReport:
     """Numerical Hessian probe of H in (x, x1, x2, y, z, u).
 
     Each probe supplies state/backward/control values together with the
     adjoint values (p1, p2, q, k1) at which H is frozen.  This is a sampling
     heuristic: it can only refute convexity, and only at the chosen probes.
-    Passes when every Hessian eigenvalue is above −tol_factor·(1 + |λ_max|).
+    Passes when every Hessian eigenvalue is above
+    −CONVEXITY_TOL_FACTOR·(1 + |λ_max|).  A probe whose Hessian is not
+    finite (e.g. a NaN adjoint) has NaN eigenvalues and fails the check.
     """
     worst_ratio = -np.inf
     min_eigs = []
@@ -312,7 +318,7 @@ def convexity_spot_check(
                 )
             )
 
-        steps = rel_step * (1.0 + np.abs(base))
+        steps = HESSIAN_REL_STEP * (1.0 + np.abs(base))
         hess = np.empty((n_var, n_var))
         f0 = h_of(base)
         for i in range(n_var):
@@ -329,10 +335,13 @@ def convexity_spot_check(
                     + h_of(base - ei - ej)
                 ) / (4.0 * steps[i] * steps[j])
                 hess[i, j] = hess[j, i] = mixed
-        eigs = np.linalg.eigvalsh(hess)
+        if np.all(np.isfinite(hess)):
+            eigs = np.linalg.eigvalsh(hess)
+        else:
+            eigs = np.full(n_var, np.nan)
         min_eigs.append(float(eigs[0]))
-        allowed = tol_factor * (1.0 + abs(float(eigs[-1])))
-        worst_ratio = max(worst_ratio, float(-eigs[0] - allowed))
+        allowed = CONVEXITY_TOL_FACTOR * (1.0 + abs(float(eigs[-1])))
+        worst_ratio = nan_max(worst_ratio, float(-eigs[0] - allowed))
 
     return CheckReport(
         check="convexity_spot",

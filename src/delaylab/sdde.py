@@ -8,11 +8,11 @@ with coefficients evaluated at (t, X(t), X1(t), u(t)) and the moving average
 
     X1(t) = ∫_{-δ}^{0} e^{λτ} X(t+τ) dτ
 
-advanced either by its exact pathwise differential identity
+advanced by its exact pathwise differential identity
 
-    dX1 = [X(t) − e^{-λδ} X(t−δ) − λ X1(t)] dt
+    dX1 = [X(t) − e^{-λδ} X(t−δ) − λ X1(t)] dt.
 
-or by re-quadrature of the sliding window at every node.  The Brownian
+The Brownian
 increments come from a counter-based generator: path i, step k is a fixed
 function of (master_seed, i, k), read from a splitmix64 stream keyed per
 path and turned into normals by Box–Muller.  Ensembles are therefore
@@ -30,16 +30,15 @@ import numpy as np
 from .core import (
     Array,
     ConfigError,
-    DelayBuffer,
     FeedbackPolicy,
     SimConfig,
     SimulationDivergedError,
     SPLITMIX64_GAMMA,
     StructuredModel,
     derive_path_seed,
+    initial_segment,
     splitmix64_mix,
     write_long_csv,
-    x1_of_buffer,
 )
 
 DIVERGENCE_BOUND = 1e12
@@ -169,28 +168,18 @@ def simulate_forward(
             f"increments have shape {dw.shape}, expected ({n_paths}, {n_steps})"
         )
 
-    buffer = DelayBuffer.from_initial_path(initial_path, params.delta, h)
-    initial = buffer.samples.copy()
+    x1 = np.empty((n_steps + 1, n_paths))
+    initial, x1[0] = initial_segment(initial_path, params.delta, params.lam, h)
 
     # xfull[j] holds X(s - δ + j h) over the paths; row lag + k is node t_k.
     xfull = np.empty((lag + n_steps + 1, n_paths))
     xfull[: lag + 1] = initial[:, np.newaxis]
 
     times = params.start_s + h * np.arange(n_steps + 1)
-    x1 = np.empty((n_steps + 1, n_paths))
-    x1[0] = x1_of_buffer(buffer, params.lam)
     controls = np.empty((n_steps + 1, n_u, n_paths))
     if dw is None:
         dw = brownian_increments(config.master_seed, n_paths, n_steps, h)
     dw_rows = dw.T
-
-    if config.x1_method == "quadrature" and lag > 0:
-        tau = np.linspace(-params.delta, 0.0, lag + 1)
-        quad_w = np.exp(params.lam * tau) * h
-        quad_w[0] *= 0.5
-        quad_w[-1] *= 0.5
-    else:
-        quad_w = None
 
     for k in range(n_steps):
         t = float(times[k])
@@ -209,9 +198,7 @@ def simulate_forward(
             raise SimulationDivergedError(step=k + 1, n_bad=int(bad.sum()))
         xfull[lag + k + 1] = xn
 
-        if quad_w is not None:
-            x1[k + 1] = quad_w @ xfull[k + 1 : k + lag + 2]
-        elif lag == 0:
+        if lag == 0:
             x1[k + 1] = 0.0
         else:
             x1[k + 1] = x1_step_ode(x1k, x, x2, params.lam, params.delta, h)
@@ -274,7 +261,6 @@ def delayed_ito_check(
     evaluated at the left node.  The summed defect should be centered at 0
     with spread shrinking like sqrt(h).
     """
-    params = model.params
     t = ensemble.times
     h = float(t[1] - t[0])
     x, x1, x2 = ensemble.x, ensemble.x1, ensemble.x2
@@ -290,7 +276,7 @@ def delayed_ito_check(
         g.g_t(tL, xL, x1L)
         + b * g.g_x(tL, xL, x1L)
         + 0.5 * sg**2 * g.g_xx(tL, xL, x1L)
-        + (xL - params.lam * x1L - params.e_minus * x2L) * g.g_x1(tL, xL, x1L)
+        + model.x1_drift(xL, x1L, x2L) * g.g_x1(tL, xL, x1L)
     )
     dg = g.g(t[1:], x[:, 1:], x1[:, 1:]) - g.g(tL, xL, x1L)
     defect = dg - drift * h - g.g_x(tL, xL, x1L) * sg * ensemble.dw

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import sdde
-from .core import FeedbackPolicy, SimConfig, StructuredModel, node_blocks
+from .core import FeedbackPolicy, SimConfig, StructuredModel, nan_max, node_blocks
 from .bsdde import RegressionBasis, cost_estimate
 from .hjb import ValueCandidate, args_from_candidate, generalized_hamiltonian
 from .pmp import Adjoints, adjoint_from_value
@@ -79,6 +79,7 @@ def _adjoint_mismatch(
 ) -> dict:
     """Largest relative mismatch of each supplied adjoint against the
     value-derived one, each path scaled by its own largest |reference|.
+    A mismatch that cannot be evaluated (NaN) is reported as NaN.
 
     The reference adjoints are built one node-row block at a time, and each
     block is freed before the next one is built.
@@ -89,7 +90,7 @@ def _adjoint_mismatch(
         blk_err, blk_top = _block_adjoint_maxima(model, cand, ensemble, adjoint, blk)
         err, top = np.maximum(err, blk_err), np.maximum(top, blk_top)
     scale = np.maximum(top, 1e-300)
-    return {name: max(0.0, float(np.max(err[j] / scale[j]))) for j, name in enumerate(_ADJOINTS)}
+    return {name: nan_max(0.0, float(np.max(err[j] / scale[j]))) for j, name in enumerate(_ADJOINTS)}
 
 
 def _block_relations(model, cand, part: ForwardEnsemble, grid):
@@ -140,7 +141,7 @@ def relations_report(
         blk_slope, blk_gaps = _block_relations(model, cand, ensemble.nodes(blk), grid)
         time_slope, gaps = np.maximum(time_slope, blk_slope), np.maximum(gaps, blk_gaps)
     time_slope = float(time_slope)
-    worst_gap = math.nan if np.isnan(gaps).any() else max([-math.inf, *gaps.tolist()])
+    worst_gap = nan_max(-math.inf, *gaps.tolist())
 
     numbers = [time_slope, worst_gap, *mismatch.values()]
     return RelationsReport(

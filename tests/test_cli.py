@@ -73,6 +73,7 @@ MALFORMED = {
     "fractional_n_grid": lambda c: c.update(checks={"n_grid": 16.9}),
     "zero_n_grid": lambda c: c.update(checks={"n_grid": 0}),
     "negative_n_grid": lambda c: c.update(checks={"n_grid": -1}),
+    "removed_x1_method": lambda c: c["sim"].update(x1_method="quadrature"),
 }
 
 

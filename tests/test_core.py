@@ -1,4 +1,4 @@
-"""Delay buffer, parameter validation, and seed derivation."""
+"""Initial segment, parameter validation, and seed derivation."""
 
 import math
 
@@ -28,46 +28,47 @@ class TestModelParams:
 
 
 class TestDelayBuffer:
+    """The delay window [−δ, 0] sampled from the initial segment, and its
+    moving average x1(s), as core.initial_segment returns them."""
+
     def test_constant_path_moving_average(self):
         # Oracle: int_{-d}^{0} e^{l tau} c dtau = c (1 - e^{-l d}) / l.
         lam, delta, c = 0.1, 1.0, 2.0
-        buf = core.DelayBuffer.from_initial_path(lambda tau: c, delta, delta / 512)
+        _, x1 = core.initial_segment(lambda tau: c, delta, lam, delta / 512)
         exact = c * (1.0 - math.exp(-lam * delta)) / lam
-        assert core.x1_of_buffer(buf, lam) == pytest.approx(exact, abs=1e-6)
+        assert x1 == pytest.approx(exact, abs=1e-6)
 
     def test_linear_path_moving_average(self):
         # Oracle: int e^{l tau} (a + b tau) dtau evaluated in closed form.
         lam, delta, a, b = 0.3, 0.5, 1.0, -2.0
         el = math.exp(-lam * delta)
         exact = a * (1.0 - el) / lam + b * ((el - 1.0) / lam**2 + delta * el / lam)
-        buf = core.DelayBuffer.from_initial_path(
-            lambda tau: a + b * tau, delta, delta / 1024
-        )
-        assert core.x1_of_buffer(buf, lam) == pytest.approx(exact, abs=1e-6)
+        _, x1 = core.initial_segment(lambda tau: a + b * tau, delta, lam, delta / 1024)
+        assert x1 == pytest.approx(exact, abs=1e-6)
 
     def test_quadrature_error_second_order(self):
         lam, delta = 0.4, 1.0
         exact = (1.0 - math.exp(-lam * delta)) / lam
 
         def err(n):
-            buf = core.DelayBuffer.from_initial_path(lambda tau: 1.0, delta, delta / n)
-            return abs(core.x1_of_buffer(buf, lam) - exact)
+            _, x1 = core.initial_segment(lambda tau: 1.0, delta, lam, delta / n)
+            return abs(x1 - exact)
 
         assert err(64) / err(128) == pytest.approx(4.0, rel=0.05)
 
     def test_x2_is_oldest_sample(self):
-        buf = core.DelayBuffer.from_initial_path(lambda tau: tau, 1.0, 0.25)
-        assert buf.samples[0] == pytest.approx(-1.0)
+        samples, _ = core.initial_segment(lambda tau: tau, 1.0, 0.1, 0.25)
+        assert samples[0] == pytest.approx(-1.0)
 
     def test_zero_delay_degenerates(self):
-        buf = core.DelayBuffer.from_initial_path(lambda tau: 3.0, 0.0, 0.1)
-        assert buf.samples.size == 1
-        assert core.x1_of_buffer(buf, 0.5) == 0.0
-        assert buf.samples[0] == pytest.approx(3.0)
+        samples, x1 = core.initial_segment(lambda tau: 3.0, 0.0, 0.5, 0.1)
+        assert samples.size == 1
+        assert x1 == 0.0
+        assert samples[0] == pytest.approx(3.0)
 
     def test_misaligned_step_rejected(self):
         with pytest.raises(core.ConfigError):
-            core.DelayBuffer.from_initial_path(lambda tau: 1.0, 1.0, 0.3)
+            core.initial_segment(lambda tau: 1.0, 1.0, 0.1, 0.3)
 
 
 class TestPathSeeds:
@@ -107,8 +108,6 @@ class TestSimConfig:
             core.SimConfig(n_steps=0, n_paths=1, master_seed=0)
         with pytest.raises(core.ConfigError):
             core.SimConfig(n_steps=1, n_paths=0, master_seed=0)
-        with pytest.raises(core.ConfigError):
-            core.SimConfig(n_steps=1, n_paths=1, master_seed=0, x1_method="other")
 
     def test_grid_alignment(self):
         params = core.ModelParams(lam=0.1, delta=1.0, horizon_T=1.0)

@@ -1,5 +1,7 @@
 """Generalized Hamiltonian, reduced-equation residuals, compatibility system."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,14 @@ P0 = dict(
 XS = np.linspace(0.5, 5.0, 9)
 X1S = np.linspace(0.25, 5.0, 9)
 SS = [0.1, 0.3, 0.5, 0.7, 0.9]
+
+
+def with_nan_v_s(cand):
+    """The candidate with V_s NaN at the last x probe only."""
+    v_s = cand.v_s
+    return dataclasses.replace(
+        cand, v_s=lambda s, x, x1: np.where(x == XS[-1], np.nan, v_s(s, x, x1))
+    )
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +103,16 @@ class TestResidual:
         assert not report.passed
         assert report.max_residual > 1e-3
 
+    def test_nan_at_one_probe_fails(self, merton_setup):
+        # The other probes' residuals are below tol; the NaN one must not
+        # be folded away.
+        report = hjb.hjb_residual_check(
+            merton_setup["model"], with_nan_v_s(merton_setup["cand"]), SS, XS, X1S,
+            maximizer=merton_setup["policy"], n_grid=16, tol=1e-6,
+        )
+        assert np.isnan(report.max_residual)
+        assert not report.passed
+
 
 class TestX2Independence:
     def test_constrained_model_flat_in_x2(self, merton_setup):
@@ -113,6 +133,14 @@ class TestX2Independence:
         )
         assert not report.passed
         assert report.max_residual > 1e-3
+
+    def test_nan_at_one_probe_fails(self, merton_setup):
+        report = hjb.x2_independence_check(
+            merton_setup["model"], with_nan_v_s(merton_setup["cand"]), SS, XS, X1S,
+            [-10.0, 0.0, 10.0], maximizer=merton_setup["policy"], n_grid=16, tol=1e-8,
+        )
+        assert np.isnan(report.max_residual)
+        assert not report.passed
 
 
 class TestCompatibilitySystem:
@@ -144,6 +172,21 @@ class TestCompatibilitySystem:
         )
         assert not report.passed
         assert report.extra["per_equation"]["phi"] > 1e-3
+
+    def test_nan_payoff_at_one_probe_fails(self, merton_setup):
+        # φ is NaN at the last x probe, 5.0, and at the shifted points of
+        # its central differences; phi is the last equation checked.
+        model = merton_setup["model"]
+        phi = model.phi
+        broken = dataclasses.replace(
+            model, phi=lambda x, x1: np.where(x > 4.9, np.nan, phi(x, x1))
+        )
+        report = hjb.compatibility_pde_check(
+            broken, merton_setup["cand"], 0.3, XS, X1S, merton_setup["policy"], tol=1e-6,
+        )
+        assert np.isnan(report.extra["per_equation"]["phi"])
+        assert np.isnan(report.max_residual)
+        assert not report.passed
 
 
 def check_value_partials(cand, probes, rel_step=1e-6):

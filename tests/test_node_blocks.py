@@ -41,7 +41,8 @@ def reference_adjoint_mismatch(model, cand, ensemble, adjoint):
         want = getattr(ref, name)
         err = np.max(np.abs(getattr(adjoint, name) - want), axis=1)
         scale = np.maximum(np.max(np.abs(want), axis=1), 1e-300)
-        mismatch[name] = max(0.0, float(np.max(err / scale)))
+        worst = float(np.max(err / scale))
+        mismatch[name] = worst if np.isnan(worst) else max(0.0, worst)
     return mismatch
 
 
@@ -210,6 +211,7 @@ class TestSameBitsAsWholeEnsemble:
         assert as_text(blocked) == as_text(whole)
         assert np.isnan(blocked.time_slope)
         assert np.isnan(blocked.grid_optimality)
+        assert all(np.isnan(v) for v in blocked.adjoint_mismatch.values())
         assert not blocked.passed
         assert as_text(blocked_max) == as_text(whole_max)
 
@@ -237,7 +239,9 @@ def _linear_tie():
         phi=lambda x, x1: x,
         control_set=core.ControlBox(lower=[-0.5], upper=[2.0]),
     )
-    cand = hjb.ValueCandidate(v=zeros, v_s=zeros, v_x=zeros, v_xx=zeros, v_x1=zeros)
+    cand = hjb.ValueCandidate(
+        v=zeros, v_s=zeros, v_x=zeros, v_xx=zeros, v_x1=zeros, v_xx1=zeros
+    )
     n_nodes = N_STEPS + 1
     node_major = lambda fill: np.full((n_nodes, N_PATHS), fill).T  # noqa: E731
     ens = sdde.ForwardEnsemble(

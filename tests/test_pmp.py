@@ -277,6 +277,15 @@ class TestConvexityProbe:
         report = pmp.convexity_spot_check(model, 0.2, [self._probe(q=1.0)])
         assert not report.passed
 
+    def test_nan_adjoint_fails_the_probe(self):
+        model = _linear_model()
+        report = pmp.convexity_spot_check(
+            model, 0.2, [self._probe(), self._probe(p1=np.nan)]
+        )
+        assert np.isnan(report.max_residual)
+        assert np.isnan(report.extra["min_eigenvalues"][1])
+        assert not report.passed
+
     def test_merton_convex_near_optimum(self):
         p = merton.resolve_constraints(**P0)
         qsol = merton.solve_q(p)

@@ -43,19 +43,22 @@ class TestEulerAccuracy:
 
     def test_x1_methods_agree_to_first_order(self):
         model = linear_delay_model(sig=0.4)
+        lam, delta = model.params.lam, model.params.delta
 
         def gap(n):
-            """Each path's largest gap between the two X1 methods."""
-            cfgs = [
-                core.SimConfig(n_steps=n, n_paths=256, master_seed=9, x1_method=m)
-                for m in ("ode_recursion", "quadrature")
-            ]
-            runs = [
-                sdde.simulate_forward(model, POLICY, lambda tau: 1.0 + tau, c)
-                for c in cfgs
-            ]
-            assert np.array_equal(runs[0].x, runs[1].x)  # same state either way
-            return np.max(np.abs(runs[0].x1 - runs[1].x1), axis=1)
+            """Each path's largest gap between the X1 recursion and the
+            trapezoid rule over the window [t − δ, t] of each node."""
+            cfg = core.SimConfig(n_steps=n, n_paths=256, master_seed=9)
+            ens = sdde.simulate_forward(model, POLICY, lambda tau: 1.0 + tau, cfg)
+            h = cfg.step_size(model.params)
+            lag = ens.initial.size - 1
+            weights = np.exp(lam * np.linspace(-delta, 0.0, lag + 1)) * h
+            weights[[0, -1]] *= 0.5
+            history = np.concatenate(
+                [np.broadcast_to(ens.initial, (ens.n_paths, lag + 1)), ens.x[:, 1:]], axis=1
+            )
+            windows = np.lib.stride_tricks.sliding_window_view(history, lag + 1, axis=1)
+            return np.max(np.abs(ens.x1 - windows @ weights), axis=1)
 
         coarse, fine = gap(64), gap(128)
         assert fine.max() < 0.02
@@ -296,9 +299,7 @@ class TestDelayedChainRule:
         # g = x1 with the recursion update satisfies its own differential
         # identity exactly.
         model = linear_delay_model(sig=0.7)
-        cfg = core.SimConfig(
-            n_steps=32, n_paths=16, master_seed=4, x1_method="ode_recursion"
-        )
+        cfg = core.SimConfig(n_steps=32, n_paths=16, master_seed=4)
         ens = sdde.simulate_forward(model, POLICY, lambda tau: 1.0, cfg)
         g = sdde.SmoothTestFunction(
             g=lambda t, x, x1: x1,

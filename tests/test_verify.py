@@ -1,5 +1,7 @@
 """Value/adjoint relations, paired policy comparison, cost-vs-value check."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,19 @@ class TestRelations:
         assert not report.passed
         # V_t equals the maximized Hamiltonian, not the one at halved u.
         assert report.time_slope > 1e-3
+
+    def test_nan_adjoint_value_fails(self, setup):
+        cfg = core.SimConfig(n_steps=32, n_paths=20, master_seed=5)
+        ens = sdde.simulate_forward(setup["model"], setup["policy"], INITIAL, cfg)
+        adj = self._adjoints(setup, ens)
+        p1 = adj.p1.copy()
+        p1[3, 10] = np.nan
+        report = verify.relations_report(
+            setup["model"], setup["cand"], ens, dataclasses.replace(adj, p1=p1), tol=1e-4
+        )
+        assert np.isnan(report.adjoint_mismatch["p1"])
+        assert report.adjoint_mismatch["p2"] < 1e-4
+        assert not report.passed
 
     def test_report_serializes(self, setup):
         cfg = core.SimConfig(n_steps=32, n_paths=4, master_seed=5)
