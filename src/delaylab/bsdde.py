@@ -6,14 +6,27 @@ Along a simulated forward ensemble the pair (Y, Z) of
 
 is approximated backward in time.  At each node the conditional expectations
 are replaced by linear regression of the next-node quantities on basis
-functions of (X, X1):
+functions of (X, X1) (Gobet, Lemor & Warin 2005):
 
-    Z_k = proj[ Y_{k+1} ΔW_k / h ]
+    Z_k = proj[ (Y_{k+1} - proj[Y_{k+1}]) ΔW_k / h ]
     Y_k = proj[ Y_{k+1} + h f(t_k, X_k, X1_k, X2_k, Y_{k+1}, Z_k, u_k) ]
 
-The recursive cost of a policy is J = -Y(s); at the initial node the target
-is averaged directly (all paths share the initial state), which also gives
-the per-path samples used for common-random-number policy comparisons.
+Centring Y_{k+1} leaves the conditional mean of the Z target unchanged,
+since proj[Y_{k+1}] is known at t_k, and removes its Var(Y_{k+1})/h
+variance.  Z is cross-fitted: its coefficients on one half of the paths are
+fitted on the other half, so Z_k never sees the increment ΔW_k it
+multiplies.
+
+The recursive cost of a policy is J = -Y(s).  Its per-path samples follow
+the equation itself along each path, with Z as a martingale control variate
+(Bender & Steiner 2012):
+
+    y_N = φ(X_N, X1_N),   y_k = y_{k+1} + h f(t_k, ..., y_{k+1}, Z_k, u_k) - Z_k ΔW_k
+
+down to the initial node, where each half's Z_0 is the mean of the other
+half's centred target (all paths share the initial state).  The term
+Z_k ΔW_k has mean zero and cancels most of each path's noise; the samples
+also serve the common-random-number policy comparisons.
 """
 
 from __future__ import annotations
@@ -88,10 +101,12 @@ class BackwardSolution:
     y and z are seen as (n_paths, n_steps + 1) arrays, stored node-major as
     the transposes of C-order (n_nodes, n_paths) buffers.  y[:, k] for
     0 < k < n_steps holds the regressed conditional-expectation estimates;
-    y[:, 0] holds the per-path pathwise cost accumulations (regression-free,
+    y[:, 0] holds the per-path cost samples: the driver minus the control
+    variate Z·ΔW, accumulated along each path (regression-free but for Z,
     so their spread is an honest Monte Carlo error).  y_at_s is their mean
-    and stderr its standard error.  z[:, -1] is not defined by the scheme
-    and is stored as 0.
+    and stderr its standard error.  z is the cross-fitted centred Z; z[:, 0]
+    holds the two halves' means and z[:, -1], which the scheme does not
+    define, is stored as 0.
     """
 
     times: Array
@@ -102,31 +117,76 @@ class BackwardSolution:
     degraded_steps: list = field(default_factory=list)
 
 
-def _gram(features: Array) -> Array:
-    """Ridge-damped normal matrix F·Fᵀ/n + RIDGE·I of the (n_features, n)
-    feature rows F, shared by the Z and Y fits."""
-    n_features, n = features.shape
-    with np.errstate(all="ignore"):
-        return features @ features.T / n + RIDGE * np.eye(n_features)
+def _products(features: Array, out: Array) -> None:
+    """Write the (n_features, n_features) products F·Fᵀ of the feature rows
+    F into out.
 
-
-def _project(features: Array, gram: Array, target: Array):
-    """Least-squares prediction of target given feature rows and their _gram.
-
-    Falls back to the ensemble mean (constant basis) if the normal equations
-    cannot be solved or produce non-finite predictions.
+    Row i of the upper triangle is one matrix-vector product of the rows
+    F[i:] with F[i]; for a handful of long rows this beats BLAS's symmetric
+    rank-k update at every ensemble size.
     """
-    n = features.shape[1]
-    with np.errstate(all="ignore"):
-        rhs = features @ target / n
+    for i in range(features.shape[0]):
+        out[i, i:] = features[i:] @ features[i]
+        out[i:, i] = out[i, i:]
+
+
+def _project(features: Array, inverse: Array | None, target: Array, apply_to: Array | None = None):
+    """Least-squares fit of target on feature rows, given the inverse of
+    their normal matrix, evaluated at the feature rows apply_to (by default
+    the fitted rows themselves).
+
+    Falls back to the target's mean (constant basis) if the normal matrix
+    is singular (inverse None) or the predictions are non-finite.
+    """
+    at = features if apply_to is None else apply_to
+    if inverse is not None:
+        pred = (inverse @ (features @ target / features.shape[1])) @ at
+        if np.isfinite(pred).all():
+            return pred, False
+    return np.full(at.shape[1], target.mean()), True
+
+
+class _Halves:
+    """The first and second half of an ensemble's paths: the two folds of
+    the Z fit, each fitted on the other half's paths."""
+
+    def __init__(self, n_paths: int, n_features: int):
+        mid = n_paths // 2
+        self.slices = (slice(0, mid), slice(mid, n_paths))
+        # (fitted on, applied to); a single path has no other half.
+        self.folds = ((0, 1), (1, 0)) if n_paths > 1 else ()
+        # An empty half (a single path) divides by 1; its matrix is unused.
+        self._sizes = np.array([max(mid, 1), n_paths - mid, n_paths], float)[:, None, None]
+        self._ridge = RIDGE * np.eye(n_features)
+        self._grams = np.empty((3, n_features, n_features))
+
+    def inverse_grams(self, features: Array) -> tuple:
+        """Inverse ridge-damped normal matrices (F·Fᵀ/n + RIDGE·I)⁻¹ of the
+        first half, the second half and all paths; three Nones if one is
+        singular.  The halves' products sum to all paths' products, so the
+        three cost one pass of products over F."""
+        grams = self._grams
+        for half, out in zip(self.slices, grams):
+            _products(features[:, half], out)
+        np.add(grams[0], grams[1], out=grams[2])
+        grams /= self._sizes
+        grams += self._ridge
         try:
-            beta = np.linalg.solve(gram, rhs)
-            pred = beta @ features
+            return tuple(np.linalg.inv(grams))
         except np.linalg.LinAlgError:
-            return np.full_like(target, target.mean()), True
-    if not np.all(np.isfinite(pred)):
-        return np.full_like(target, target.mean()), True
-    return pred, False
+            return (None, None, None)
+
+    def fit_z(self, features: Array, inverses: tuple, target: Array, out: Array) -> bool:
+        """Z of each half, fitted to the target on the other half, written
+        into out; returns whether a fit fell back to the mean."""
+        bad = False
+        for fit, apply in self.folds:
+            rows, other = self.slices[fit], self.slices[apply]
+            out[other], bad_z = _project(
+                features[:, rows], inverses[fit], target[rows], features[:, other]
+            )
+            bad = bad or bad_z
+        return bad
 
 
 def solve_backward(
@@ -139,7 +199,10 @@ def solve_backward(
     The sweep reads node k of every path as one row of the node-major
     ensemble and fills y and z row by row.  Each node writes its features
     as contiguous rows of one (n_features, n_paths) buffer reused by every
-    node, and forms their Gram matrix once for both the Z and the Y fit.
+    node.  The two halves of the paths are the two folds of the Z fit, and
+    the sum of their feature products is the Y fit's Gram matrix.  The
+    generator is evaluated once per node, on the regressed and the pathwise
+    y stacked as one (2, n_paths) array.
     """
     t = ensemble.times
     h = float(t[1] - t[0])
@@ -152,39 +215,43 @@ def solve_backward(
     y[-1] = model.phi(x[-1], x1[-1])
     degraded: list = []
     feats = np.empty((basis.n_features, n_paths))
+    halves = _Halves(n_paths, basis.n_features)
+    # Row 0: the regressed Y_{k+1}; row 1: the pathwise cost accumulation.
+    y_both = np.empty((2, n_paths))
+    y_both[1] = y[-1]
 
     for k in range(n_steps - 1, 0, -1):
         basis.fill(x[k], x1[k], feats)
-        gram = _gram(feats)
         y_next = y[k + 1]
-
-        z_pred, bad_z = _project(feats, gram, y_next * dw[k] / h)
-        z[k] = z_pred
-        target = y_next + h * model.generator(
-            float(t[k]), x[k], x1[k], x2[k], y_next, z_pred, u_all[k]
+        with np.errstate(all="ignore"):
+            inverses = halves.inverse_grams(feats)
+            # The centred target has the conditional mean of Y_{k+1}·ΔW_k/h,
+            # since proj Y_{k+1} is known at t_k, without its Var(Y_{k+1})/h.
+            centre, bad_c = _project(feats, inverses[2], y_next)
+            bad_z = halves.fit_z(feats, inverses, (y_next - centre) * dw[k] / h, z[k])
+        y_both[0] = y_next
+        f = np.broadcast_to(
+            model.generator(float(t[k]), x[k], x1[k], x2[k], y_both, z[k], u_all[k]),
+            y_both.shape,
         )
-        y_pred, bad_y = _project(feats, gram, target)
-        y[k] = y_pred
-        if bad_z or bad_y:
+        with np.errstate(all="ignore"):
+            y[k], bad_y = _project(feats, inverses[2], y_next + h * f[0])
+        y_both[1] = y_both[1] + h * f[1] - z[k] * dw[k]
+        if bad_c or bad_z or bad_y:
             degraded.append(k)
 
-    # Z at the initial node (shared state, so the projection is an average).
-    z[0] = float((y[1] * dw[0] / h).mean())
+    # The initial node: every path shares the state, so the projection of
+    # each half's centred target is its mean.
+    target = (y[1] - y[1].mean()) * dw[0] / h
+    for fit, apply in halves.folds:
+        z[0, halves.slices[apply]] = float(target[halves.slices[fit]].mean())
+    y_path = y_both[1]
+    y[0] = y_path + h * model.generator(
+        float(t[0]), x[0], x1[0], x2[0], y_path, z[0], u_all[0]
+    ) - z[0] * dw[0]
 
-    # Pathwise accumulation for the cost estimate.  Intermediate regression
-    # would smooth the per-path samples and correlate them through the shared
-    # fit, making the reported standard error far too small; accumulating the
-    # driver along each path keeps the samples honest while the regressed
-    # y[k] still provide the conditional-expectation functions.
-    y_hat = y[-1].copy()
-    for k in range(n_steps - 1, -1, -1):
-        y_hat = y_hat + h * model.generator(
-            float(t[k]), x[k], x1[k], x2[k], y_hat, z[k], u_all[k]
-        )
-    y[0] = y_hat
-
-    y_at_s = float(y_hat.mean())
-    stderr = float(y_hat.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
+    y_at_s = float(y[0].mean())
+    stderr = float(y[0].std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
     return BackwardSolution(
         times=t, y=y.T, z=z.T, y_at_s=y_at_s, stderr=stderr, degraded_steps=degraded
     )

@@ -327,7 +327,8 @@ class Run:
 
     params, qsol and cand (the closed-form value function) are None for a
     generic model.  ss, xs, x1s and x2s are the probe points of the HJB
-    checks; tols holds only the tolerances the config sets.
+    checks, and n_grid is the control grid of their Hamiltonian
+    maximization; tols holds only the tolerances the config sets.
     """
 
     model: StructuredModel
@@ -352,7 +353,12 @@ class Run:
 
 
 def build_run(cfg: dict, seed_flag: int | None, out_flag: str | None) -> Run:
-    """Parse every section of the config; a malformed value is a ConfigError."""
+    """Parse every section of the config; a malformed value is a ConfigError.
+
+    checks.n_grid reaches only check-hjb.  The grid checks of check-pmp and
+    check-relations keep their own 9-point grid: the default of 16 would
+    nearly double their Hamiltonian evaluations.
+    """
     try:
         model, policy, params, qsol = build_model_and_policy(cfg)
         checks = cfg.get("checks", {})

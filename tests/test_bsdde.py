@@ -87,24 +87,77 @@ class TestMertonBenchmark:
         assert abs(small.y_at_s - big.y_at_s) <= 3 * combined + 1e-6
 
     def test_cost_is_pathwise_accumulation(self, merton_setup):
-        # The Merton generator ignores z, so the reported cost is the driver
-        # accumulated along each path, the same bits whatever the regression
-        # fits: the accumulation below passes z = NaN.
+        # The reported cost samples are the driver minus the control variate
+        # Z·ΔW, accumulated along each path with the solution's own centred Z
+        # down to node 0; the regressed y enter only through that Z.
         p, model, policy, _ = merton_setup
         cfg = core.SimConfig(n_steps=32, n_paths=300, master_seed=5)
         ens = sdde.simulate_forward(model, policy, INITIAL, cfg)
         est = bsdde.cost_estimate(model, ens, merton.build_basis(p))
 
         t, h = ens.times, float(ens.times[1] - ens.times[0])
-        x, x1, x2 = ens.x.T, ens.x1.T, ens.x2.T
-        u = ens.controls.transpose(1, 2, 0)
-        no_z = np.full(ens.n_paths, np.nan)
+        x, x1, x2, dw = ens.x.T, ens.x1.T, ens.x2.T, ens.dw.T
+        u, z = ens.controls.transpose(1, 2, 0), est.solution.z.T
         y_hat = model.phi(x[-1], x1[-1])
         for k in range(ens.n_steps - 1, -1, -1):
-            y_hat = y_hat + h * model.generator(float(t[k]), x[k], x1[k], x2[k], y_hat, no_z, u[k])
+            f = model.generator(float(t[k]), x[k], x1[k], x2[k], y_hat, z[k], u[k])
+            y_hat = y_hat + h * f - z[k] * dw[k]
         assert np.array_equal(est.samples, -y_hat)
         assert est.value == float((-y_hat).mean())
         assert est.stderr == float(y_hat.std(ddof=1) / math.sqrt(ens.n_paths))
+
+    def test_control_variate_keeps_mean_and_cuts_stderr(self, merton_setup):
+        # The same ensemble without the control variate: the driver alone,
+        # accumulated along each path.  Both estimate the same cost, and the
+        # control variate's standard error is at least ten times smaller.
+        p, model, policy, _ = merton_setup
+        cfg = core.SimConfig(n_steps=64, n_paths=4000, master_seed=1)
+        ens = sdde.simulate_forward(model, policy, INITIAL, cfg)
+        est = bsdde.cost_estimate(model, ens, merton.build_basis(p))
+
+        t, h = ens.times, float(ens.times[1] - ens.times[0])
+        x, x1, x2 = ens.x.T, ens.x1.T, ens.x2.T
+        u, z = ens.controls.transpose(1, 2, 0), est.solution.z.T
+        y_hat = model.phi(x[-1], x1[-1])
+        for k in range(ens.n_steps - 1, -1, -1):
+            y_hat = y_hat + h * model.generator(float(t[k]), x[k], x1[k], x2[k], y_hat, z[k], u[k])
+        plain = float((-y_hat).mean())
+        plain_stderr = float(y_hat.std(ddof=1) / math.sqrt(ens.n_paths))
+        assert abs(est.value - plain) <= 3 * math.hypot(est.stderr, plain_stderr)
+        assert est.stderr * 10 <= plain_stderr
+
+    def test_stderr_matches_spread_across_seeds(self, merton_setup):
+        # An honest error bar: over seeds 1-20 the spread of J - V is within
+        # a factor 1.5 of the mean reported standard error, either way.
+        p, model, policy, cand = merton_setup
+        basis = merton.build_basis(p)
+        errors, stderrs = [], []
+        for seed in range(1, 21):
+            cfg = core.SimConfig(n_steps=64, n_paths=4000, master_seed=seed)
+            ens = sdde.simulate_forward(model, policy, INITIAL, cfg)
+            est = bsdde.cost_estimate(model, ens, basis)
+            errors.append(est.value - float(cand.v(0.0, ens.x[0, 0], ens.x1[0, 0])))
+            stderrs.append(est.stderr)
+        spread, mean_stderr = float(np.std(errors, ddof=1)), float(np.mean(stderrs))
+        assert mean_stderr / 1.5 <= spread <= 1.5 * mean_stderr
+
+
+class TestGeneratorShapes:
+    def test_y_independent_generator_gives_per_path_samples(self):
+        # f = 0.5 x returns one row, shape (n_paths,), whatever the y it is
+        # given: every path must still accumulate its own driver.
+        model = make_model(f1=lambda t, x, x1, y, z, u: 0.5 * np.asarray(x, float))
+        cfg = core.SimConfig(n_steps=16, n_paths=200, master_seed=11)
+        ens = sdde.simulate_forward(model, POLICY, INITIAL, cfg)
+        sol = bsdde.solve_backward(model, ens, bsdde.polynomial_basis(2))
+
+        h = float(ens.times[1] - ens.times[0])
+        x, dw, z = ens.x.T, ens.dw.T, sol.z.T
+        y_hat = model.phi(x[-1], ens.x1[:, -1])
+        for k in range(ens.n_steps - 1, -1, -1):
+            y_hat = y_hat + h * (0.5 * x[k]) - z[k] * dw[k]
+        assert np.array_equal(sol.y[:, 0], y_hat)
+        assert np.unique(sol.y[:, 0]).size == ens.n_paths
 
 
 class TestDeterminism:
@@ -142,42 +195,57 @@ def filled(basis, x, x1):
 
 
 def reference_backward(model, ensemble, features, ridge=bsdde.RIDGE):
-    """solve_backward with freshly stacked feature rows and one normal matrix
-    per fit."""
+    """solve_backward with freshly stacked feature rows, one inverse normal
+    matrix per fold, and the pathwise cost accumulated in a second sweep."""
 
-    def project(f, target):
-        n = f.shape[1]
+    def products(f):
+        out = np.empty((f.shape[0], f.shape[0]))
+        for i in range(f.shape[0]):
+            out[i, i:] = f[i:] @ f[i]
+            out[i:, i] = out[i, i:]
+        return out
+
+    def inverse(prod, n):
+        return np.linalg.inv(prod / n + ridge * np.eye(prod.shape[0]))
+
+    def project(f, inv, target, at=None):
+        at = f if at is None else at
         with np.errstate(all="ignore"):
-            a = f @ f.T / n + ridge * np.eye(f.shape[0])
-            rhs = f @ target / n
-            try:
-                pred = np.linalg.solve(a, rhs) @ f
-            except np.linalg.LinAlgError:
-                return np.full_like(target, target.mean()), True
+            pred = (inv @ (f @ target / f.shape[1])) @ at
         if not np.all(np.isfinite(pred)):
-            return np.full_like(target, target.mean()), True
+            return np.full(at.shape[1], target.mean()), True
         return pred, False
 
     t = ensemble.times
     h = float(t[1] - t[0])
     x, x1, x2, dw = ensemble.x.T, ensemble.x1.T, ensemble.x2.T, ensemble.dw.T
     u = ensemble.controls.transpose(1, 2, 0)
-    n_steps = ensemble.n_steps
-    y = np.empty((n_steps + 1, ensemble.n_paths))
+    n_steps, n_paths = ensemble.n_steps, ensemble.n_paths
+    first, second = slice(0, n_paths // 2), slice(n_paths // 2, n_paths)
+    y = np.empty((n_steps + 1, n_paths))
     z = np.zeros_like(y)
     y[-1] = model.phi(x[-1], x1[-1])
     degraded = []
     for k in range(n_steps - 1, 0, -1):
         f = features(x[k], x1[k])
-        z[k], bad_z = project(f, y[k + 1] * dw[k] / h)
+        p_first, p_second = products(f[:, first]), products(f[:, second])
+        centre, bad = project(f, inverse(p_first + p_second, n_paths), y[k + 1])
+        target = (y[k + 1] - centre) * dw[k] / h
+        # Z of each half of the paths, fitted on the other half.
+        for fit, out, prod in ((first, second, p_first), (second, first, p_second)):
+            n_fit = fit.stop - fit.start
+            z[k, out], bad_z = project(f[:, fit], inverse(prod, n_fit), target[fit], f[:, out])
+            bad = bad or bad_z
         target = y[k + 1] + h * model.generator(float(t[k]), x[k], x1[k], x2[k], y[k + 1], z[k], u[k])
-        y[k], bad_y = project(f, target)
-        if bad_z or bad_y:
+        y[k], bad_y = project(f, inverse(p_first + p_second, n_paths), target)
+        if bad or bad_y:
             degraded.append(k)
-    z[0] = float((y[1] * dw[0] / h).mean())
+    target = (y[1] - y[1].mean()) * dw[0] / h
+    z[0, second], z[0, first] = target[first].mean(), target[second].mean()
     y_hat = y[-1].copy()
     for k in range(n_steps - 1, -1, -1):
-        y_hat = y_hat + h * model.generator(float(t[k]), x[k], x1[k], x2[k], y_hat, z[k], u[k])
+        f = model.generator(float(t[k]), x[k], x1[k], x2[k], y_hat, z[k], u[k])
+        y_hat = y_hat + h * f - z[k] * dw[k]
     y[0] = y_hat
     stderr = float(y_hat.std(ddof=1) / math.sqrt(y_hat.size))
     return y.T, z.T, float(y_hat.mean()), stderr, degraded

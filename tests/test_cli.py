@@ -202,6 +202,22 @@ class TestMertonChecks:
         assert code == 0
         assert (tmp_path / "out" / "adjoint.csv").exists()
 
+    @pytest.mark.parametrize("n_grid", [1, 4])
+    @pytest.mark.parametrize("command", ["check-relations", "check-pmp"])
+    def test_n_grid_reaches_only_check_hjb(self, tmp_path, command, n_grid):
+        # checks.n_grid is the HJB maximization grid; the grid checks of the
+        # ensemble subcommands keep their own, so their reports do not move.
+        # check-pmp's variational term is linear in u, so only a grid
+        # without both box ends (n_grid = 1) would move its report.
+        cfg = json.loads(json.dumps(MERTON_CFG))
+        cfg["sim"]["n_paths"] = 8
+        assert run(command, write_cfg(tmp_path, cfg, "absent.json"), tmp_path / "absent") == 0
+        cfg["checks"] = {"n_grid": n_grid}
+        assert run(command, write_cfg(tmp_path, cfg, "four.json"), tmp_path / "four") == 0
+        assert (tmp_path / "four" / "report.json").read_bytes() == (
+            tmp_path / "absent" / "report.json"
+        ).read_bytes()
+
     def test_generic_model_rejected_for_merton_command(self, tmp_path):
         assert run("check-hjb", write_cfg(tmp_path, GENERIC_CFG), tmp_path / "out") == 2
 
