@@ -12,20 +12,17 @@ from .core import (
     SimConfig,
     SimulationDivergedError,
     StructuredModel,
-    constant_policy,
     derive_path_seed,
     initial_segment,
 )
 from .sdde import (
     ForwardEnsemble,
-    delayed_ito_check,
     simulate_forward,
     x1_step_ode,
 )
 from .bsdde import (
     BackwardSolution,
     RegressionBasis,
-    cost_estimate,
     polynomial_basis,
     solve_backward,
 )

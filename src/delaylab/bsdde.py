@@ -32,7 +32,7 @@ also serve the common-random-number policy comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -55,7 +55,6 @@ class RegressionBasis:
 
     n_features: int
     fill: Callable[[Array, Array, Array], None]
-    description: str = "basis"
 
 
 def _power(v: Array, p: int) -> Array:
@@ -80,18 +79,7 @@ def polynomial_basis(degree: int = 2) -> RegressionBasis:
             else:
                 out[row] = 1.0
 
-    return RegressionBasis(n_features=len(powers), fill=fill, description=f"poly(deg={degree})")
-
-
-def augmented_basis(base: RegressionBasis, extra: Callable[[Array, Array], Array], tag: str) -> RegressionBasis:
-    """Append one extra feature row, written after the base rows."""
-    row = base.n_features
-
-    def fill(x: Array, x1: Array, out: Array) -> None:
-        base.fill(x, x1, out[:row])
-        out[row] = extra(x, x1)
-
-    return RegressionBasis(n_features=row + 1, fill=fill, description=f"{base.description}+{tag}")
+    return RegressionBasis(n_features=len(powers), fill=fill)
 
 
 @dataclass
@@ -103,18 +91,18 @@ class BackwardSolution:
     0 < k < n_steps holds the regressed conditional-expectation estimates;
     y[:, 0] holds the per-path cost samples: the driver minus the control
     variate Z·ΔW, accumulated along each path (regression-free but for Z,
-    so their spread is an honest Monte Carlo error).  y_at_s is their mean
-    and stderr its standard error.  z is the cross-fitted centred Z; z[:, 0]
-    holds the two halves' means and z[:, -1], which the scheme does not
-    define, is stored as 0.
+    so their spread is an honest Monte Carlo error).  cost is the recursive
+    cost J = −Y(s), the mean of their negatives, and stderr its standard
+    error.  z is the cross-fitted centred Z; z[:, 0] holds the two halves'
+    means and z[:, -1], which the scheme does not define, is stored as 0.
     """
 
     times: Array
     y: Array
     z: Array
-    y_at_s: float
+    cost: float
     stderr: float
-    degraded_steps: list = field(default_factory=list)
+    degraded_steps: list
 
 
 def _products(features: Array, out: Array) -> None:
@@ -250,36 +238,10 @@ def solve_backward(
         float(t[0]), x[0], x1[0], x2[0], y_path, z[0], u_all[0]
     ) - z[0] * dw[0]
 
-    y_at_s = float(y[0].mean())
+    cost = float((-y[0]).mean())
     stderr = float(y[0].std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
     return BackwardSolution(
-        times=t, y=y.T, z=z.T, y_at_s=y_at_s, stderr=stderr, degraded_steps=degraded
-    )
-
-
-@dataclass
-class CostEstimate:
-    """Monte Carlo estimate of the recursive cost J = -Y(s)."""
-
-    value: float
-    stderr: float
-    samples: Array  # per-path cost samples -Y0_i
-    solution: BackwardSolution
-    ensemble: ForwardEnsemble
-
-
-def cost_estimate(
-    model: StructuredModel, ensemble: ForwardEnsemble, basis: RegressionBasis
-) -> CostEstimate:
-    """Recursive cost J = -Y(s) of an already simulated ensemble."""
-    sol = solve_backward(model, ensemble, basis)
-    samples = -sol.y[:, 0]
-    return CostEstimate(
-        value=float(samples.mean()),
-        stderr=sol.stderr,
-        samples=samples,
-        solution=sol,
-        ensemble=ensemble,
+        times=t, y=y.T, z=z.T, cost=cost, stderr=stderr, degraded_steps=degraded
     )
 
 

@@ -419,17 +419,16 @@ def cmd_simulate(run: Run):
         sdde.write_forward_csv(ensemble, fh)
     with open(run.out_dir / "backward.csv", "w") as fh:
         bsdde.write_backward_csv(sol, fh)
-    cost_samples = -sol.y[:, 0]
     payload = {
         "n_paths": ensemble.n_paths,
         "n_steps": ensemble.n_steps,
         "master_seed": run.sim.master_seed,
-        "cost": float(cost_samples.mean()),
+        "cost": sol.cost,
         "cost_stderr": sol.stderr,
         "degraded_regression_steps": sol.degraded_steps,
         "artifacts": ["forward.csv", "backward.csv"],
     }
-    return payload, [f"simulate: J = {cost_samples.mean():.6g} +- {sol.stderr:.2g}"]
+    return payload, [f"simulate: J = {sol.cost:.6g} +- {sol.stderr:.2g}"]
 
 
 def cmd_solve_merton(run: Run):

@@ -20,7 +20,7 @@ blocks over which the ensemble checks walk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO
 
 import numpy as np
@@ -237,10 +237,6 @@ class ControlBox:
         return np.linspace(self.lower[i], self.upper[i], n)
 
 
-# Relative step of the central differences that stand in for f_y and f_z.
-GENERATOR_FD_STEP = 1e-6
-
-
 @dataclass
 class StructuredModel:
     """Controlled dynamics with coefficients affine in the pointwise delay.
@@ -256,9 +252,9 @@ class StructuredModel:
     leading axis indexes control coordinates.
 
     Optional f_y / f_z are analytic partial derivatives of the full generator
-    in the (y, z) slots with signature (t, x, x1, x2, y, z, u); when absent
-    they are approximated by central differences of relative step
-    GENERATOR_FD_STEP.
+    in the (y, z) slots with signature (t, x, x1, x2, y, z, u).  Only the
+    maximum-principle layer (pmp) reads them, and a model must supply both
+    to reach it.
     """
 
     params: ModelParams
@@ -281,22 +277,6 @@ class StructuredModel:
 
     def generator(self, t, x, x1, x2, y, z, u):
         return self.f1(t, x, x1, y, z, u) + self.f2(t, x, x1, y, z, u) * x2
-
-    def f_y_value(self, t, x, x1, x2, y, z, u):
-        if self.f_y is not None:
-            return self.f_y(t, x, x1, x2, y, z, u)
-        e = GENERATOR_FD_STEP * (1.0 + np.abs(y))
-        up = self.generator(t, x, x1, x2, y + e, z, u)
-        dn = self.generator(t, x, x1, x2, y - e, z, u)
-        return (up - dn) / (2.0 * e)
-
-    def f_z_value(self, t, x, x1, x2, y, z, u):
-        if self.f_z is not None:
-            return self.f_z(t, x, x1, x2, y, z, u)
-        e = GENERATOR_FD_STEP * (1.0 + np.abs(z))
-        up = self.generator(t, x, x1, x2, y, z + e, u)
-        dn = self.generator(t, x, x1, x2, y, z - e, u)
-        return (up - dn) / (2.0 * e)
 
 
 @dataclass
@@ -323,17 +303,6 @@ class FeedbackPolicy:
         if u.shape == target:
             return u
         return np.broadcast_to(u, target).astype(float)
-
-
-def constant_policy(values: Sequence[float], label: str = "constant") -> FeedbackPolicy:
-    """Policy that returns the same control vector at every state."""
-    vec = np.atleast_1d(np.asarray(values, float))
-
-    def evaluate(t, x, x1):
-        x = np.asarray(x, float)
-        return vec.reshape((vec.size,) + (1,) * x.ndim) * np.ones_like(x)
-
-    return FeedbackPolicy(evaluate=evaluate, n_controls=vec.size, label=label)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -52,7 +51,7 @@ from .core import (
     ModelParams,
     StructuredModel,
 )
-from .bsdde import RegressionBasis, augmented_basis, polynomial_basis
+from .bsdde import RegressionBasis, polynomial_basis
 from .hjb import ValueCandidate
 from .pmp import Adjoints
 from .sdde import ForwardEnsemble
@@ -376,12 +375,15 @@ def build_policy(
 def build_basis(p: MertonParams, degree: int = 2) -> RegressionBasis:
     """Polynomial basis with the memory-adjusted power feature as its last row."""
     g, th = p.gamma, p.theta
+    base = polynomial_basis(degree)
+    row = base.n_features
 
-    def feature(x, x1):
+    def fill(x, x1, out):
+        base.fill(x, x1, out[:row])
         m = x + th * x1
-        return np.where(m > 0.0, np.abs(m) ** g, 0.0)
+        out[row] = np.where(m > 0.0, np.abs(m) ** g, 0.0)
 
-    return augmented_basis(polynomial_basis(degree), feature, tag="memory_power")
+    return RegressionBasis(n_features=row + 1, fill=fill)
 
 
 def closed_form_adjoints(

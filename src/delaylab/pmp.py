@@ -11,6 +11,9 @@ with a triple of first-order adjoints (p1, p2, p3), their martingale parts
 
     dq(t) = q(t) [f_y dt + f_z dW(t)],   q(s) = 1.
 
+f_y and f_z are the model's analytic partials of the generator
+(StructuredModel.f_y and f_z); a model without them cannot enter this layer.
+
 When a smooth candidate value V is available, the adjoints are recovered
 directly from it:
 
@@ -49,6 +52,11 @@ HESSIAN_REL_STEP = 3e-4
 # −CONVEXITY_TOL_FACTOR·(1 + |λ_max|).
 CONVEXITY_TOL_FACTOR = 1e-6
 
+# Points per control coordinate of the grids against which
+# maximum_condition_check and verify.relations_report test the stored
+# control.
+CONTROL_GRID_POINTS = 9
+
 
 @dataclass
 class Adjoints:
@@ -82,36 +90,27 @@ def hamiltonian(model: StructuredModel, t, x, x1, x2, y, z, u, p1, p2, q, k1):
     )
 
 
-def simulate_q(
-    model: StructuredModel,
-    ensemble: ForwardEnsemble,
-    y: Array | None = None,
-    z: Array | None = None,
-) -> Array:
+def simulate_q(model: StructuredModel, ensemble: ForwardEnsemble) -> Array:
     """Forward solution of dq = q(f_y dt + f_z dW), q(s) = 1, per path.
 
     Uses multiplicative exponential stepping, which is exact when f_y and
     f_z are constants (the recursive-utility case) and first-order accurate
-    otherwise.  The optional (y, z) arrays supply the generator's own slots;
-    they default to zero, which is exact whenever f is affine in (y, z).
+    otherwise.  The partials are taken at y = z = 0, which is exact whenever
+    f is affine in (y, z).
     """
     t = ensemble.times
     h = float(t[1] - t[0])
     n_paths, n_steps = ensemble.n_paths, ensemble.n_steps
-    if y is None:
-        y = np.zeros_like(ensemble.x)
-    if z is None:
-        z = np.zeros_like(ensemble.x)
     x, x1, x2, dw = ensemble.x.T, ensemble.x1.T, ensemble.x2.T, ensemble.dw.T
     u_all = ensemble.controls.transpose(1, 2, 0)  # (n_nodes, n_u, n_paths)
-    y, z = y.T, z.T
+    zero = np.zeros(n_paths)
 
     # Node-major, so that step k writes one contiguous row.
     log_q = np.zeros((n_steps + 1, n_paths))
     for k in range(n_steps):
         tk = float(t[k])
-        fy = model.f_y_value(tk, x[k], x1[k], x2[k], y[k], z[k], u_all[k])
-        fz = model.f_z_value(tk, x[k], x1[k], x2[k], y[k], z[k], u_all[k])
+        fy = model.f_y(tk, x[k], x1[k], x2[k], zero, zero, u_all[k])
+        fz = model.f_z(tk, x[k], x1[k], x2[k], zero, zero, u_all[k])
         log_q[k + 1] = log_q[k] + (fy - 0.5 * fz**2) * h + fz * dw[k]
     return np.exp(log_q).T
 
@@ -140,7 +139,7 @@ def adjoint_from_value(
     sg = model.sigma(t, x, x1, u)
     vx = cand.v_x(t, x, x1)
     vx1 = cand.v_x1(t, x, x1)
-    fz = model.f_z_value(t, x, x1, ensemble.x2, y, z, u)
+    fz = model.f_z(t, x, x1, ensemble.x2, y, z, u)
     p1 = vx * q
     p2 = vx1 * q
     k1 = (cand.v_xx(t, x, x1) * sg + vx * fz) * q
@@ -233,7 +232,7 @@ def hamiltonian_control_gradient(
     return grads
 
 
-def _block_maximum_condition(model, cand, ensemble, adjoint, blk: slice, n_grid: int):
+def _block_maximum_condition(model, cand, ensemble, adjoint, blk: slice):
     """Per-path max |H_u| and max variational gap over nodes blk."""
     part = ensemble.nodes(blk)
     u_star, y, z = _value_slots(model, cand, part)
@@ -246,7 +245,7 @@ def _block_maximum_condition(model, cand, ensemble, adjoint, blk: slice, n_grid:
     worst_vi = np.full(part.n_paths, -np.inf)
     box = model.control_set
     for i in range(u_star.shape[0]):
-        for u_alt in box.axis_grid(i, n_grid):
+        for u_alt in box.axis_grid(i, CONTROL_GRID_POINTS):
             worst_vi = np.maximum(worst_vi, np.max(grad[i] * (u_star[i] - u_alt), axis=1))
     return max_grad, worst_vi
 
@@ -256,20 +255,20 @@ def maximum_condition_check(
     cand: ValueCandidate,
     ensemble: ForwardEnsemble,
     adjoint: Adjoints,
-    n_grid: int = 9,
     tol: float = 1e-6,
 ) -> CheckReport:
     """First-order optimality of the stored controls along each path.
 
     Checks |H_u| at the stored control (interior stationarity) and the
-    variational inequality H_u(u*)·(u* − u) ≤ tol over a control grid.
+    variational inequality H_u(u*)·(u* − u) ≤ tol over a grid of
+    CONTROL_GRID_POINTS values per control coordinate.
     The report is that of the worst path.  H_u is taken one node-row block
     at a time, and each block's per-path maxima are folded into (n_paths,)
     arrays.
     """
     max_grad, worst_vi = np.full(ensemble.n_paths, -np.inf), np.full(ensemble.n_paths, -np.inf)
     for blk in node_blocks(*ensemble.x.shape):
-        blk_grad, blk_vi = _block_maximum_condition(model, cand, ensemble, adjoint, blk, n_grid)
+        blk_grad, blk_vi = _block_maximum_condition(model, cand, ensemble, adjoint, blk)
         max_grad, worst_vi = np.maximum(max_grad, blk_grad), np.maximum(worst_vi, blk_vi)
 
     worst = np.maximum(max_grad, worst_vi)

@@ -31,10 +31,13 @@ import numpy as np
 
 from . import sdde
 from .core import FeedbackPolicy, SimConfig, StructuredModel, nan_max, node_blocks
-from .bsdde import RegressionBasis, cost_estimate
+from .bsdde import RegressionBasis, solve_backward
 from .hjb import ValueCandidate, args_from_candidate, generalized_hamiltonian
-from .pmp import Adjoints, adjoint_from_value
+from .pmp import CONTROL_GRID_POINTS, Adjoints, adjoint_from_value
 from .sdde import ForwardEnsemble
+
+# Discretization allowance of closed_form_cost_check, per unit of step size.
+COST_BIAS_ALLOWANCE = 0.5
 
 
 @dataclass
@@ -120,21 +123,23 @@ def relations_report(
     cand: ValueCandidate,
     ensemble: ForwardEnsemble,
     adjoint: Adjoints,
-    n_grid: int = 9,
     tol: float = 1e-4,
 ) -> RelationsReport:
     """Consistency of the candidate value and adjoints along simulated paths.
 
     The grid optimality of the stored control is checked coordinate by
-    coordinate.  Each grid value keeps one NaN-propagating maximum over the
-    node-row blocks, and those maxima are folded in grid order; a NaN gap
-    (G(u*) could not be evaluated) makes grid_optimality NaN.  The check
-    passes only when every reported number is below tol, so never on NaN.
+    coordinate, over pmp.CONTROL_GRID_POINTS values of each.  Each grid
+    value keeps one NaN-propagating maximum over the node-row blocks, and
+    those maxima are folded in grid order; a NaN gap (G(u*) could not be
+    evaluated) makes grid_optimality NaN.  The check passes only when every
+    reported number is below tol, so never on NaN.
     """
     mismatch = _adjoint_mismatch(model, cand, ensemble, adjoint)
 
     box = model.control_set
-    grid = [(i, val) for i in range(box.n_controls) for val in box.axis_grid(i, n_grid)]
+    grid = [
+        (i, val) for i in range(box.n_controls) for val in box.axis_grid(i, CONTROL_GRID_POINTS)
+    ]
     time_slope = -np.inf
     gaps = np.full(len(grid), -np.inf)
     for blk in node_blocks(*ensemble.x.shape):
@@ -219,12 +224,12 @@ def compare_controls(
     dw = sdde.brownian_increments(config.master_seed, config.n_paths, config.n_steps, h)
 
     def cost(policy):
-        # Only the per-path samples outlive the call: each estimate holds a
-        # whole forward ensemble and backward solution, so it is released
-        # before the next policy is simulated.
+        # Only the per-path cost samples outlive the call: the forward
+        # ensemble and the backward solution are released before the next
+        # policy is simulated.
         ensemble = sdde.simulate_forward(model, policy, initial_path, config, dw)
-        est = cost_estimate(model, ensemble, basis)
-        return est.value, est.stderr, est.samples
+        sol = solve_backward(model, ensemble, basis)
+        return sol.cost, sol.stderr, -sol.y[:, 0]
 
     base_value, base_stderr, base_samples = cost(base)
     comparisons = []
@@ -290,24 +295,23 @@ def closed_form_cost_check(
     cand: ValueCandidate,
     ensemble: ForwardEnsemble,
     basis: RegressionBasis,
-    bias_allowance: float = 0.5,
 ) -> CostCheck:
     """Recursive cost of an optimally controlled ensemble against V(s, x, x1).
 
     The value is the cost at the optimum, J(u*) = V.  The tolerance combines
     the Monte Carlo error (3 standard errors) with a discretization
-    allowance proportional to the step size.
+    allowance of COST_BIAS_ALLOWANCE times the step size.
     """
-    est = cost_estimate(model, ensemble, basis)
+    sol = solve_backward(model, ensemble, basis)
     h = ensemble.config.step_size(model.params)
     x0 = ensemble.x[0, 0]
     x1_0 = ensemble.x1[0, 0]
     reference = float(cand.v(model.params.start_s, x0, x1_0))
-    tolerance = 3.0 * est.stderr + bias_allowance * h
+    tolerance = 3.0 * sol.stderr + COST_BIAS_ALLOWANCE * h
     return CostCheck(
-        cost=est.value,
-        stderr=est.stderr,
+        cost=sol.cost,
+        stderr=sol.stderr,
         reference=reference,
         tolerance=tolerance,
-        passed=abs(est.value - reference) <= tolerance,
+        passed=abs(sol.cost - reference) <= tolerance,
     )

@@ -1,0 +1,91 @@
+"""Test-only helpers: a constant feedback policy and the pathwise check of
+the delayed chain rule (Itô's formula for g(t, X, X1)).
+
+Nothing in the package calls these; the unit tests and the acceptance
+criteria do.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable, Sequence
+
+import numpy as np
+
+from delaylab.core import Array, FeedbackPolicy, StructuredModel
+from delaylab.sdde import ForwardEnsemble
+
+
+def constant_policy(values: Sequence[float], label: str = "constant") -> FeedbackPolicy:
+    """Policy that returns the same control vector at every state."""
+    vec = np.atleast_1d(np.asarray(values, float))
+
+    def evaluate(t, x, x1):
+        x = np.asarray(x, float)
+        return vec.reshape((vec.size,) + (1,) * x.ndim) * np.ones_like(x)
+
+    return FeedbackPolicy(evaluate=evaluate, n_controls=vec.size, label=label)
+
+
+@dataclass
+class SmoothTestFunction:
+    """Test function g(t, x, x1) with the partials entering the chain rule."""
+
+    g: Callable
+    g_t: Callable
+    g_x: Callable
+    g_xx: Callable
+    g_x1: Callable
+
+
+@dataclass
+class ItoCheckReport:
+    """Ensemble statistics of the accumulated chain-rule defect."""
+
+    mean: float
+    stderr: float
+    residuals: Array
+
+
+def delayed_ito_check(
+    g: SmoothTestFunction,
+    ensemble: ForwardEnsemble,
+    model: StructuredModel,
+) -> ItoCheckReport:
+    """Accumulated defect of the delayed chain rule along simulated paths.
+
+    Per step the increment of g(t, X, X1) is compared with
+
+        [g_t + b g_x + ½ σ² g_xx + (X − λX1 − e^{-λδ}X2) g_x1] h + g_x σ ΔW
+
+    evaluated at the left node.  The summed defect should be centered at 0
+    with spread shrinking like sqrt(h).
+    """
+    t = ensemble.times
+    h = float(t[1] - t[0])
+    x, x1, x2 = ensemble.x, ensemble.x1, ensemble.x2
+    u = np.moveaxis(ensemble.controls, 2, 0)  # (n_u, n_paths, n_steps + 1)
+
+    tL = t[:-1]
+    xL, x1L, x2L = x[:, :-1], x1[:, :-1], x2[:, :-1]
+    uL = u[:, :, :-1]
+
+    b = model.drift(tL, xL, x1L, x2L, uL)
+    sg = model.sigma(tL, xL, x1L, uL)
+    drift = (
+        g.g_t(tL, xL, x1L)
+        + b * g.g_x(tL, xL, x1L)
+        + 0.5 * sg**2 * g.g_xx(tL, xL, x1L)
+        + model.x1_drift(xL, x1L, x2L) * g.g_x1(tL, xL, x1L)
+    )
+    dg = g.g(t[1:], x[:, 1:], x1[:, 1:]) - g.g(tL, xL, x1L)
+    defect = dg - drift * h - g.g_x(tL, xL, x1L) * sg * ensemble.dw
+
+    # Each path's defects are summed over a path-major copy, so that the
+    # pairwise summation adds them in the same order whatever the layout.
+    residuals = np.ascontiguousarray(defect).sum(axis=1)
+    mean = float(residuals.mean())
+    n = residuals.size
+    stderr = float(residuals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return ItoCheckReport(mean=mean, stderr=stderr, residuals=residuals)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from delaylab import bsdde, cli, core, hjb, merton, pmp, sdde, verify
+from helpers import SmoothTestFunction, constant_policy, delayed_ito_check
 
 P0 = dict(
     r=0.03, mu0=0.08, sigma=0.2, beta=0.1, gamma=0.5,
@@ -236,19 +237,19 @@ def test_criterion_9_delayed_chain_rule_defect():
         phi=lambda x, x1: np.asarray(x, float),
         control_set=core.ControlBox(lower=[0.0], upper=[1.0]),
     )
-    g = sdde.SmoothTestFunction(
+    g = SmoothTestFunction(
         g=lambda t, x, x1: x**2,
         g_t=lambda t, x, x1: 0.0 * x,
         g_x=lambda t, x, x1: 2.0 * x,
         g_xx=lambda t, x, x1: 2.0 + 0.0 * x,
         g_x1=lambda t, x, x1: 0.0 * x,
     )
-    policy = core.constant_policy([0.0])
+    policy = constant_policy([0.0])
 
     def run(n_steps):
         cfg = core.SimConfig(n_steps=n_steps, n_paths=256, master_seed=12)
         ens = sdde.simulate_forward(model, policy, INITIAL, cfg)
-        return sdde.delayed_ito_check(g, ens, model)
+        return delayed_ito_check(g, ens, model)
 
     coarse, fine = run(64), run(128)
     ok = (

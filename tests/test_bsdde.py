@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from delaylab import bsdde, core, merton, pmp, sdde, verify
+from helpers import constant_policy
 
 INITIAL = lambda tau: 1.0  # noqa: E731
 
@@ -26,7 +27,7 @@ def make_model(drift=0.0, sig=0.3, f1=None, phi=None, lam=0.1, delta=0.5):
     )
 
 
-POLICY = core.constant_policy([0.0])
+POLICY = constant_policy([0.0])
 
 
 class TestLinearOracles:
@@ -36,7 +37,7 @@ class TestLinearOracles:
         cfg = core.SimConfig(n_steps=32, n_paths=4000, master_seed=21)
         ens = sdde.simulate_forward(model, POLICY, INITIAL, cfg)
         sol = bsdde.solve_backward(model, ens, bsdde.polynomial_basis(2))
-        assert sol.y_at_s == pytest.approx(1.0, abs=3 * sol.stderr + 1e-6)
+        assert sol.cost == pytest.approx(-1.0, abs=3 * sol.stderr + 1e-6)
 
     def test_discounting_driver(self):
         # f = -beta y, phi = K: Y(s) = K e^{-beta (T - s)}.
@@ -48,7 +49,7 @@ class TestLinearOracles:
         cfg = core.SimConfig(n_steps=256, n_paths=64, master_seed=3)
         ens = sdde.simulate_forward(model, POLICY, INITIAL, cfg)
         sol = bsdde.solve_backward(model, ens, bsdde.polynomial_basis(2))
-        assert sol.y_at_s == pytest.approx(K * math.exp(-beta), rel=2e-3)
+        assert sol.cost == pytest.approx(-K * math.exp(-beta), rel=2e-3)
 
     def test_terminal_condition_exact(self):
         model = make_model()
@@ -72,9 +73,9 @@ class TestMertonBenchmark:
         p, model, policy, cand = merton_setup
         cfg = core.SimConfig(n_steps=64, n_paths=4000, master_seed=1)
         ens = sdde.simulate_forward(model, policy, INITIAL, cfg)
-        est = bsdde.cost_estimate(model, ens, merton.build_basis(p))
-        v = float(cand.v(0.0, est.ensemble.x[0, 0], est.ensemble.x1[0, 0]))
-        assert est.value == pytest.approx(v, abs=3 * est.stderr + 0.5 / 64)
+        sol = bsdde.solve_backward(model, ens, merton.build_basis(p))
+        v = float(cand.v(0.0, ens.x[0, 0], ens.x1[0, 0]))
+        assert sol.cost == pytest.approx(v, abs=3 * sol.stderr + 0.5 / 64)
 
     def test_basis_enrichment_stable(self, merton_setup):
         # Adding higher-order features shifts the estimate within noise.
@@ -84,7 +85,7 @@ class TestMertonBenchmark:
         small = bsdde.solve_backward(model, ens, merton.build_basis(p, degree=2))
         big = bsdde.solve_backward(model, ens, merton.build_basis(p, degree=3))
         combined = math.hypot(small.stderr, big.stderr)
-        assert abs(small.y_at_s - big.y_at_s) <= 3 * combined + 1e-6
+        assert abs(small.cost - big.cost) <= 3 * combined + 1e-6
 
     def test_cost_is_pathwise_accumulation(self, merton_setup):
         # The reported cost samples are the driver minus the control variate
@@ -93,18 +94,18 @@ class TestMertonBenchmark:
         p, model, policy, _ = merton_setup
         cfg = core.SimConfig(n_steps=32, n_paths=300, master_seed=5)
         ens = sdde.simulate_forward(model, policy, INITIAL, cfg)
-        est = bsdde.cost_estimate(model, ens, merton.build_basis(p))
+        sol = bsdde.solve_backward(model, ens, merton.build_basis(p))
 
         t, h = ens.times, float(ens.times[1] - ens.times[0])
         x, x1, x2, dw = ens.x.T, ens.x1.T, ens.x2.T, ens.dw.T
-        u, z = ens.controls.transpose(1, 2, 0), est.solution.z.T
+        u, z = ens.controls.transpose(1, 2, 0), sol.z.T
         y_hat = model.phi(x[-1], x1[-1])
         for k in range(ens.n_steps - 1, -1, -1):
             f = model.generator(float(t[k]), x[k], x1[k], x2[k], y_hat, z[k], u[k])
             y_hat = y_hat + h * f - z[k] * dw[k]
-        assert np.array_equal(est.samples, -y_hat)
-        assert est.value == float((-y_hat).mean())
-        assert est.stderr == float(y_hat.std(ddof=1) / math.sqrt(ens.n_paths))
+        assert np.array_equal(sol.y[:, 0], y_hat)
+        assert sol.cost == float((-y_hat).mean())
+        assert sol.stderr == float(y_hat.std(ddof=1) / math.sqrt(ens.n_paths))
 
     def test_control_variate_keeps_mean_and_cuts_stderr(self, merton_setup):
         # The same ensemble without the control variate: the driver alone,
@@ -113,18 +114,18 @@ class TestMertonBenchmark:
         p, model, policy, _ = merton_setup
         cfg = core.SimConfig(n_steps=64, n_paths=4000, master_seed=1)
         ens = sdde.simulate_forward(model, policy, INITIAL, cfg)
-        est = bsdde.cost_estimate(model, ens, merton.build_basis(p))
+        sol = bsdde.solve_backward(model, ens, merton.build_basis(p))
 
         t, h = ens.times, float(ens.times[1] - ens.times[0])
         x, x1, x2 = ens.x.T, ens.x1.T, ens.x2.T
-        u, z = ens.controls.transpose(1, 2, 0), est.solution.z.T
+        u, z = ens.controls.transpose(1, 2, 0), sol.z.T
         y_hat = model.phi(x[-1], x1[-1])
         for k in range(ens.n_steps - 1, -1, -1):
             y_hat = y_hat + h * model.generator(float(t[k]), x[k], x1[k], x2[k], y_hat, z[k], u[k])
         plain = float((-y_hat).mean())
         plain_stderr = float(y_hat.std(ddof=1) / math.sqrt(ens.n_paths))
-        assert abs(est.value - plain) <= 3 * math.hypot(est.stderr, plain_stderr)
-        assert est.stderr * 10 <= plain_stderr
+        assert abs(sol.cost - plain) <= 3 * math.hypot(sol.stderr, plain_stderr)
+        assert sol.stderr * 10 <= plain_stderr
 
     def test_stderr_matches_spread_across_seeds(self, merton_setup):
         # An honest error bar: over seeds 1-20 the spread of J - V is within
@@ -135,9 +136,9 @@ class TestMertonBenchmark:
         for seed in range(1, 21):
             cfg = core.SimConfig(n_steps=64, n_paths=4000, master_seed=seed)
             ens = sdde.simulate_forward(model, policy, INITIAL, cfg)
-            est = bsdde.cost_estimate(model, ens, basis)
-            errors.append(est.value - float(cand.v(0.0, ens.x[0, 0], ens.x1[0, 0])))
-            stderrs.append(est.stderr)
+            sol = bsdde.solve_backward(model, ens, basis)
+            errors.append(sol.cost - float(cand.v(0.0, ens.x[0, 0], ens.x1[0, 0])))
+            stderrs.append(sol.stderr)
         spread, mean_stderr = float(np.std(errors, ddof=1)), float(np.mean(stderrs))
         assert mean_stderr / 1.5 <= spread <= 1.5 * mean_stderr
 
@@ -164,14 +165,14 @@ class TestDeterminism:
     def test_identical_cost_bit_for_bit(self):
         model = make_model(sig=0.4)
         cfg = core.SimConfig(n_steps=32, n_paths=500, master_seed=17)
-        a = bsdde.cost_estimate(
+        a = bsdde.solve_backward(
             model, sdde.simulate_forward(model, POLICY, INITIAL, cfg), bsdde.polynomial_basis(2)
         )
-        b = bsdde.cost_estimate(
+        b = bsdde.solve_backward(
             model, sdde.simulate_forward(model, POLICY, INITIAL, cfg), bsdde.polynomial_basis(2)
         )
-        assert a.value == b.value
-        assert np.array_equal(a.samples, b.samples)
+        assert a.cost == b.cost
+        assert np.array_equal(a.y[:, 0], b.y[:, 0])
 
 
 def stacked_features(degree, p=None):
@@ -248,7 +249,7 @@ def reference_backward(model, ensemble, features, ridge=bsdde.RIDGE):
         y_hat = y_hat + h * f - z[k] * dw[k]
     y[0] = y_hat
     stderr = float(y_hat.std(ddof=1) / math.sqrt(y_hat.size))
-    return y.T, z.T, float(y_hat.mean()), stderr, degraded
+    return y.T, z.T, float((-y_hat).mean()), stderr, degraded
 
 
 class TestFeatureBuffer:
@@ -281,9 +282,9 @@ class TestFeatureBuffer:
         cfg = core.SimConfig(n_steps=32, n_paths=300, master_seed=4)
         ens = sdde.simulate_forward(model, policy, INITIAL, cfg)
         sol = bsdde.solve_backward(model, ens, merton.build_basis(p))
-        y, z, y_at_s, stderr, degraded = reference_backward(model, ens, stacked_features(2, p))
+        y, z, cost, stderr, degraded = reference_backward(model, ens, stacked_features(2, p))
         assert np.array_equal(sol.y, y) and np.array_equal(sol.z, z)
-        assert (sol.y_at_s, sol.stderr, sol.degraded_steps) == (y_at_s, stderr, degraded)
+        assert (sol.cost, sol.stderr, sol.degraded_steps) == (cost, stderr, degraded)
 
 
 class TestDegradation:
@@ -298,7 +299,7 @@ class TestDegradation:
             with np.errstate(all="ignore"):
                 out[2] = 1.0 / (x - x)
 
-        basis = bsdde.RegressionBasis(n_features=3, fill=bad_features, description="broken")
+        basis = bsdde.RegressionBasis(n_features=3, fill=bad_features)
         sol = bsdde.solve_backward(model, ens, basis)
         assert sol.degraded_steps  # flagged
         assert np.all(np.isfinite(sol.y))
@@ -316,7 +317,7 @@ class TestDegradation:
             out[2] = x
             out[3] = x1
 
-        basis = bsdde.RegressionBasis(n_features=4, fill=dup_features, description="dup")
+        basis = bsdde.RegressionBasis(n_features=4, fill=dup_features)
         sol = bsdde.solve_backward(model, ens, basis)
         assert np.all(np.isfinite(sol.y))
 
@@ -348,9 +349,9 @@ class TestNodeMajorLayout:
         basis = merton.build_basis(p)
         a, b = bsdde.solve_backward(model, ens, basis), bsdde.solve_backward(model, path, basis)
         assert np.array_equal(a.y, b.y) and np.array_equal(a.z, b.z)
-        assert (a.y_at_s, a.stderr, a.degraded_steps) == (b.y_at_s, b.stderr, b.degraded_steps)
+        assert (a.cost, a.stderr, a.degraded_steps) == (b.cost, b.stderr, b.degraded_steps)
 
-        qa, qb = pmp.simulate_q(model, ens, a.y, a.z), pmp.simulate_q(model, path, b.y, b.z)
+        qa, qb = pmp.simulate_q(model, ens), pmp.simulate_q(model, path)
         assert np.array_equal(qa, qb)
 
         q = merton.exact_q_factor(p, ens.times)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from delaylab import core, merton, pmp, sdde, verify
+from helpers import constant_policy
 
 P0 = dict(
     r=0.03, mu0=0.08, sigma=0.2, beta=0.1, gamma=0.5,
@@ -44,6 +45,7 @@ class TestQFactor:
         a, zeta = -0.3, 0.4
         params = core.ModelParams(lam=0.0, delta=0.0, horizon_T=1.0)
         zero = lambda t, x, x1, y, z, u: np.zeros_like(np.asarray(x, float))  # noqa: E731
+        ones = lambda x: np.ones_like(np.asarray(x, float))  # noqa: E731
         model = core.StructuredModel(
             params=params,
             b1=lambda t, x, x1, u: np.zeros_like(np.asarray(x, float)),
@@ -53,9 +55,11 @@ class TestQFactor:
             f2=zero,
             phi=lambda x, x1: np.asarray(x, float),
             control_set=core.ControlBox(lower=[0.0], upper=[1.0]),
+            f_y=lambda t, x, x1, x2, y, z, u: a * ones(x),
+            f_z=lambda t, x, x1, x2, y, z, u: zeta * ones(x),
         )
         cfg = core.SimConfig(n_steps=64, n_paths=8, master_seed=2)
-        ens = sdde.simulate_forward(model, core.constant_policy([0.0]), INITIAL, cfg)
+        ens = sdde.simulate_forward(model, constant_policy([0.0]), INITIAL, cfg)
         q_sim = pmp.simulate_q(model, ens)
         w = np.concatenate(
             [np.zeros((ens.n_paths, 1)), np.cumsum(ens.dw, axis=1)], axis=1

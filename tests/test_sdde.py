@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from delaylab import bsdde, core, pmp, sdde
+from helpers import SmoothTestFunction, constant_policy, delayed_ito_check
 
 
 def linear_delay_model(lam=0.1, delta=0.5, T=1.0, a=-0.2, b2=0.3, sig=0.0):
@@ -26,7 +27,7 @@ def linear_delay_model(lam=0.1, delta=0.5, T=1.0, a=-0.2, b2=0.3, sig=0.0):
     )
 
 
-POLICY = core.constant_policy([0.0])
+POLICY = constant_policy([0.0])
 
 
 class TestEulerAccuracy:
@@ -245,7 +246,7 @@ class TestNodeMajorLayout:
     def test_node_rows_are_contiguous(self):
         model = linear_delay_model(sig=0.3)
         cfg = core.SimConfig(n_steps=16, n_paths=40, master_seed=2)
-        ens = sdde.simulate_forward(model, core.constant_policy([0.2, 0.5]), lambda tau: 1.0, cfg)
+        ens = sdde.simulate_forward(model, constant_policy([0.2, 0.5]), lambda tau: 1.0, cfg)
         assert ens.x.shape == ens.x1.shape == ens.x2.shape == (40, 17)
         assert ens.controls.shape == (40, 17, 2)
         assert ens.dw.shape == (40, 16)
@@ -255,7 +256,7 @@ class TestNodeMajorLayout:
 
     def test_chain_rule_defect_independent_of_layout(self):
         model = linear_delay_model(sig=1.0, a=0.0, b2=0.05)
-        g = sdde.SmoothTestFunction(
+        g = SmoothTestFunction(
             g=lambda t, x, x1: x**2 + x1,
             g_t=lambda t, x, x1: 0.0 * x,
             g_x=lambda t, x, x1: 2.0 * x,
@@ -264,8 +265,8 @@ class TestNodeMajorLayout:
         )
         cfg = core.SimConfig(n_steps=200, n_paths=300, master_seed=5)
         ens = sdde.simulate_forward(model, POLICY, lambda tau: 1.0, cfg)
-        node = sdde.delayed_ito_check(g, ens, model)
-        path = sdde.delayed_ito_check(g, path_major(ens), model)
+        node = delayed_ito_check(g, ens, model)
+        path = delayed_ito_check(g, path_major(ens), model)
         assert np.array_equal(node.residuals, path.residuals)
         assert (node.mean, node.stderr) == (path.mean, path.stderr)
 
@@ -285,14 +286,14 @@ class TestDelayedChainRule:
         model = linear_delay_model(sig=0.7)
         cfg = core.SimConfig(n_steps=32, n_paths=16, master_seed=4)
         ens = sdde.simulate_forward(model, POLICY, lambda tau: 1.0, cfg)
-        g = sdde.SmoothTestFunction(
+        g = SmoothTestFunction(
             g=lambda t, x, x1: x,
             g_t=lambda t, x, x1: 0.0 * x,
             g_x=lambda t, x, x1: 1.0 + 0.0 * x,
             g_xx=lambda t, x, x1: 0.0 * x,
             g_x1=lambda t, x, x1: 0.0 * x,
         )
-        report = sdde.delayed_ito_check(g, ens, model)
+        report = delayed_ito_check(g, ens, model)
         assert np.max(np.abs(report.residuals)) < 1e-12
 
     def test_moving_average_exact_under_recursion(self):
@@ -301,19 +302,19 @@ class TestDelayedChainRule:
         model = linear_delay_model(sig=0.7)
         cfg = core.SimConfig(n_steps=32, n_paths=16, master_seed=4)
         ens = sdde.simulate_forward(model, POLICY, lambda tau: 1.0, cfg)
-        g = sdde.SmoothTestFunction(
+        g = SmoothTestFunction(
             g=lambda t, x, x1: x1,
             g_t=lambda t, x, x1: 0.0 * x,
             g_x=lambda t, x, x1: 0.0 * x,
             g_xx=lambda t, x, x1: 0.0 * x,
             g_x1=lambda t, x, x1: 1.0 + 0.0 * x,
         )
-        report = sdde.delayed_ito_check(g, ens, model)
+        report = delayed_ito_check(g, ens, model)
         assert np.max(np.abs(report.residuals)) < 1e-12
 
     def test_square_function_statistical(self):
         model = linear_delay_model(sig=1.0, a=0.0, b2=0.05)
-        g = sdde.SmoothTestFunction(
+        g = SmoothTestFunction(
             g=lambda t, x, x1: x**2,
             g_t=lambda t, x, x1: 0.0 * x,
             g_x=lambda t, x, x1: 2.0 * x,
@@ -324,7 +325,7 @@ class TestDelayedChainRule:
         def run(n_steps):
             cfg = core.SimConfig(n_steps=n_steps, n_paths=256, master_seed=12)
             ens = sdde.simulate_forward(model, POLICY, lambda tau: 1.0, cfg)
-            return sdde.delayed_ito_check(g, ens, model)
+            return delayed_ito_check(g, ens, model)
 
         coarse, fine = run(64), run(128)
         assert abs(coarse.mean) <= 3.0 * coarse.stderr
@@ -406,7 +407,7 @@ class TestCsvExport:
     def test_backward_and_adjoint_bytes_match_per_value_format(self):
         ens = _awkward_ensemble(n_paths=3, n_steps=2, n_u=1)
         sol = bsdde.BackwardSolution(
-            times=ens.times, y=ens.x, z=ens.x1, y_at_s=0.0, stderr=0.0
+            times=ens.times, y=ens.x, z=ens.x1, cost=0.0, stderr=0.0, degraded_steps=[]
         )
         out = io.StringIO()
         bsdde.write_backward_csv(sol, out)

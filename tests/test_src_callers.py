@@ -1,0 +1,38 @@
+"""Every module-level function and class of the package has a caller in src/.
+
+A name counts as used when some module of the package other than
+__init__ refers to it beyond its own definition: as a bare name, as an
+attribute (module.name) or in an annotation; an import alone is not a use.
+Re-exports from __init__ do not count, and neither do the tests: code that
+only tests call belongs in tests/helpers.py.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import delaylab
+
+PACKAGE = Path(delaylab.__file__).parent
+
+
+def test_every_module_level_name_has_a_caller():
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    references = Counter()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                references[node.attr] += 1
+    unused = [
+        f"{module}:{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not references[node.name]
+    ]
+    assert not unused, f"no caller in src/: {unused}"

@@ -129,13 +129,13 @@ class TestSharedIncrements:
 
         # Reference: every policy simulated with its own draw of the increments.
         base, *others = (
-            bsdde.cost_estimate(model, sdde.simulate_forward(model, pol, INITIAL, cfg), basis)
+            bsdde.solve_backward(model, sdde.simulate_forward(model, pol, INITIAL, cfg), basis)
             for pol in [setup["policy"], *perturbations]
         )
-        assert (report.base_cost, report.base_stderr) == (base.value, base.stderr)
-        for comp, est in zip(report.comparisons, others):
-            diff = est.samples - base.samples
-            assert (comp.cost, comp.cost_stderr) == (est.value, est.stderr)
+        assert (report.base_cost, report.base_stderr) == (base.cost, base.stderr)
+        for comp, sol in zip(report.comparisons, others):
+            diff = base.y[:, 0] - sol.y[:, 0]  # the cost samples are −y[:, 0]
+            assert (comp.cost, comp.cost_stderr) == (sol.cost, sol.stderr)
             assert comp.paired_diff_mean == float(diff.mean())
             assert comp.paired_diff_stderr == float(diff.std(ddof=1) / np.sqrt(diff.size))
 
