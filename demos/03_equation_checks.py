@@ -34,11 +34,9 @@ def run(tag, **overrides):
     policy = merton.build_policy(p, qsol)
     cand = merton.value_function(p, qsol)
 
-    res = hjb.hjb_residual_check(model, cand, ss, xs, x1s, maximizer=policy, tol=1e-6)
-    flat = hjb.x2_independence_check(
-        model, cand, ss, xs, x1s, x2s, maximizer=policy, tol=1e-8
-    )
-    compat = hjb.compatibility_pde_check(model, cand, 0.3, xs, x1s, policy, tol=1e-6)
+    res = hjb.hjb_residual_check(model, cand, ss, xs, x1s, maximizer=policy)
+    flat = hjb.x2_independence_check(model, cand, ss, xs, x1s, x2s, maximizer=policy)
+    compat = hjb.compatibility_pde_check(model, cand, 0.3, xs, x1s, policy)
     print(f"\n{tag}")
     print(f"  equation residual   {res.max_residual:10.3e}  "
           f"{'PASS' if res.passed else 'FAIL'}")

@@ -73,14 +73,11 @@ def _require_keys(section, allowed: set, required: set, where: str) -> None:
         raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
 
 
-def _count(value, where: str, minimum: int | None = None) -> int:
-    """An integer config value: a JSON integer or an integral float (1e3),
-    and at least minimum when one is given."""
+def _count(value, where: str) -> int:
+    """An integer config value: a JSON integer or an integral float (1e3)."""
     integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     if isinstance(value, bool) or not integral:
         raise ConfigError(f"{where} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{where} must be >= {minimum}, got {value!r}")
     return int(value)
 
 
@@ -95,7 +92,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     _require_keys(
         cfg,
-        allowed={"model", "sim", "initial_path", "checks", "output"},
+        allowed={"model", "sim", "initial_path", "output"},
         required={"model", "sim"},
         where="config root",
     )
@@ -111,7 +108,7 @@ _MERTON_PARAM_KEYS = {
 def build_merton(section: dict):
     _require_keys(
         section,
-        allowed={"kind", "params", "overrides", "bounds"},
+        allowed={"kind", "params", "overrides"},
         required={"kind", "params"},
         where="model",
     )
@@ -124,13 +121,6 @@ def build_merton(section: dict):
     )
     overrides = section.get("overrides", {})
     _require_keys(overrides, allowed={"mu1", "theta"}, required=set(), where="model.overrides")
-    bounds = section.get("bounds", {})
-    _require_keys(
-        bounds,
-        allowed={"lam1", "lam2", "u_bound", "c_bound"},
-        required=set(),
-        where="model.bounds",
-    )
     try:
         params = merton.resolve_constraints(
             r=float(raw["r"]),
@@ -148,19 +138,8 @@ def build_merton(section: dict):
         )
     except ConstraintViolationError as exc:
         raise ConfigError(str(exc)) from exc
-    model = merton.build_model(
-        params,
-        u_bound=float(bounds.get("u_bound", 10.0)),
-        c_bound=float(bounds.get("c_bound", 10.0)),
-    )
     qsol = merton.solve_q(params)
-    policy = merton.build_policy(
-        params,
-        qsol,
-        lam1=float(bounds.get("lam1", 10.0)),
-        lam2=float(bounds.get("lam2", 10.0)),
-    )
-    return model, policy, params, qsol
+    return merton.build_model(params), merton.build_policy(params, qsol), params, qsol
 
 
 _COEFF_VARS = {
@@ -314,21 +293,12 @@ def build_initial_path(cfg: dict):
     raise ConfigError("initial_path.kind must be 'constant' or 'expr'")
 
 
-# Check tolerances the config may set; an unset one keeps the library default.
-_TOLERANCES = (
-    "hjb_tolerance", "x2_tolerance", "compat_tolerance",
-    "p3_tolerance", "max_condition_tolerance", "relations_tolerance",
-)
-
-
 @dataclass(frozen=True)
 class Run:
     """One subcommand's inputs, parsed and validated from the whole config.
 
     params, qsol and cand (the closed-form value function) are None for a
-    generic model.  ss, xs, x1s and x2s are the probe points of the HJB
-    checks, and n_grid is the control grid of their Hamiltonian
-    maximization; tols holds only the tolerances the config sets.
+    generic model.
     """
 
     model: StructuredModel
@@ -339,37 +309,13 @@ class Run:
     basis: bsdde.RegressionBasis
     sim: SimConfig
     initial: Callable[[float], float]
-    ss: list
-    xs: np.ndarray
-    x1s: np.ndarray
-    x2s: list
-    n_grid: int
-    tols: dict
     out_dir: Path
-
-    def tol(self, key: str) -> dict:
-        """Keyword arguments that pass the configured tolerance ``key``, if any."""
-        return {"tol": self.tols[key]} if key in self.tols else {}
 
 
 def build_run(cfg: dict, seed_flag: int | None, out_flag: str | None) -> Run:
-    """Parse every section of the config; a malformed value is a ConfigError.
-
-    checks.n_grid reaches only check-hjb.  The grid checks of check-pmp and
-    check-relations keep their own 9-point grid: the default of 16 would
-    nearly double their Hamiltonian evaluations.
-    """
+    """Parse every section of the config; a malformed value is a ConfigError."""
     try:
         model, policy, params, qsol = build_model_and_policy(cfg)
-        checks = cfg.get("checks", {})
-        _require_keys(
-            checks,
-            allowed={*_TOLERANCES, "x_probes", "x1_probes", "s_probes", "x2_probes", "n_grid"},
-            required=set(),
-            where="checks",
-        )
-        start_s, span = model.params.start_s, model.params.horizon_T - model.params.start_s
-        default_s = (start_s + span * np.array([0.1, 0.3, 0.5, 0.7, 0.9])).tolist()
         output = cfg.get("output", {})
         _require_keys(output, allowed={"directory"}, required=set(), where="output")
         return Run(
@@ -381,12 +327,6 @@ def build_run(cfg: dict, seed_flag: int | None, out_flag: str | None) -> Run:
             basis=merton.build_basis(params) if params is not None else bsdde.polynomial_basis(2),
             sim=build_sim_config(cfg, seed_flag),
             initial=build_initial_path(cfg),
-            ss=[float(v) for v in checks.get("s_probes", default_s)],
-            xs=np.asarray(checks.get("x_probes", np.linspace(0.5, 5.0, 9)), float),
-            x1s=np.asarray(checks.get("x1_probes", np.linspace(0.25, 5.0, 9)), float),
-            x2s=[float(v) for v in checks.get("x2_probes", [-10.0, -5.0, 0.0, 5.0, 10.0])],
-            n_grid=_count(checks.get("n_grid", 16), "checks.n_grid", minimum=1),
-            tols={key: float(checks[key]) for key in _TOLERANCES if key in checks},
             out_dir=Path(out_flag or output.get("directory", "out")),
         )
     except (TypeError, ValueError, OverflowError, InvalidStateError) as exc:
@@ -461,19 +401,15 @@ def cmd_solve_merton(run: Run):
 
 
 def cmd_check_hjb(run: Run):
+    model, cand, policy = run.model, run.cand, run.policy
+    start_s, span = model.params.start_s, model.params.horizon_T - model.params.start_s
+    ss = (start_s + span * np.array([0.1, 0.3, 0.5, 0.7, 0.9])).tolist()
+    xs, x1s = np.linspace(0.5, 5.0, 9), np.linspace(0.25, 5.0, 9)
+    x2s = [-10.0, -5.0, 0.0, 5.0, 10.0]
     reports = [
-        hjb.hjb_residual_check(
-            run.model, run.cand, run.ss, run.xs, run.x1s, maximizer=run.policy,
-            n_grid=run.n_grid, **run.tol("hjb_tolerance"),
-        ),
-        hjb.x2_independence_check(
-            run.model, run.cand, run.ss, run.xs, run.x1s, run.x2s, maximizer=run.policy,
-            n_grid=run.n_grid, **run.tol("x2_tolerance"),
-        ),
-        hjb.compatibility_pde_check(
-            run.model, run.cand, run.ss[0], run.xs, run.x1s, run.policy,
-            **run.tol("compat_tolerance"),
-        ),
+        hjb.hjb_residual_check(model, cand, ss, xs, x1s, maximizer=policy),
+        hjb.x2_independence_check(model, cand, ss, xs, x1s, x2s, maximizer=policy),
+        hjb.compatibility_pde_check(model, cand, ss[0], xs, x1s, policy),
     ]
     payload = {
         "checks": [r.to_dict() for r in reports],
@@ -495,10 +431,8 @@ def cmd_check_pmp(run: Run):
     q_err = float(np.max(np.abs(q_sim - q[np.newaxis, :])))
 
     adj = pmp.adjoint_from_value(model, cand, ensemble, q)
-    p3_worst = pmp.check_p3_zero(model, cand, ensemble, adj, **run.tol("p3_tolerance"))
-    max_worst = pmp.maximum_condition_check(
-        model, cand, ensemble, adj, **run.tol("max_condition_tolerance")
-    )
+    p3_worst = pmp.check_p3_zero(model, cand, ensemble, adj)
+    max_worst = pmp.maximum_condition_check(model, cand, ensemble, adj)
 
     mid = ensemble.n_steps // 2
     probes = []
@@ -541,9 +475,7 @@ def cmd_check_relations(run: Run):
     ensemble = sdde.simulate_forward(run.model, run.policy, run.initial, run.sim)
     q = merton.exact_q_factor(run.params, ensemble.times)
     adj = merton.closed_form_adjoints(run.params, run.qsol, ensemble, q)
-    rel = verify.relations_report(
-        run.model, run.cand, ensemble, adj, **run.tol("relations_tolerance")
-    )
+    rel = verify.relations_report(run.model, run.cand, ensemble, adj)
     cost = verify.closed_form_cost_check(run.model, run.cand, ensemble, run.basis)
 
     payload = {

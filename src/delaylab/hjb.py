@@ -38,8 +38,17 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section step ratio
 REFINE_ITERS = 60
 REFINE_SWEEPS = 2
 
+# Points per control coordinate of maximize_hamiltonian's tensor grid.
+HAMILTONIAN_GRID_POINTS = 16
+
 # Relative step of the central differences in compatibility_pde_check.
 COMPAT_REL_STEP = 1e-5
+
+# Pass thresholds of hjb_residual_check, x2_independence_check and
+# compatibility_pde_check.
+HJB_RESIDUAL_TOL = 1e-6
+X2_SPREAD_TOL = 1e-8
+COMPAT_TOL = 1e-6
 
 
 @dataclass
@@ -131,15 +140,14 @@ def maximize_hamiltonian(
     x2,
     args: GArgs,
     maximizer: FeedbackPolicy | None = None,
-    n_grid: int = 64,
 ):
     """Supremum of G over the control box at probe states.
 
-    Evaluates G on a tensor grid of the box (optionally joined by a supplied
-    candidate maximizer), then refines each control coordinate around the
-    best node by golden-section search, in REFINE_SWEEPS sweeps over the
-    coordinates.  Returns (g_max, u_star) with u_star of shape
-    (n_controls,) + shape(x).
+    Evaluates G on a tensor grid of HAMILTONIAN_GRID_POINTS nodes per control
+    coordinate (optionally joined by a supplied candidate maximizer), then
+    refines each control coordinate around the best node by golden-section
+    search, in REFINE_SWEEPS sweeps over the coordinates.  Returns
+    (g_max, u_star) with u_star of shape (n_controls,) + shape(x).
 
     Non-finite G values (e.g. utility singularities at a zero-consumption
     grid node) are treated as -inf and never selected.
@@ -151,7 +159,7 @@ def maximize_hamiltonian(
     n_u = box.n_controls
     shape = np.broadcast_shapes(x.shape, x1.shape, x2.shape)
 
-    axes = [box.axis_grid(i, n_grid) for i in range(n_u)]
+    axes = [box.axis_grid(i, HAMILTONIAN_GRID_POINTS) for i in range(n_u)]
     mesh = np.meshgrid(*axes, indexing="ij")
     u_flat = np.stack([m.ravel() for m in mesh])  # (n_u, n_combo)
     n_combo = u_flat.shape[1]
@@ -188,15 +196,11 @@ def maximize_hamiltonian(
         g_best = np.where(take, g_cand, g_best)
         u_best = np.where(take, u_cand, u_best)
 
-    spacing = np.array(
-        [axes[i][1] - axes[i][0] if n_grid > 1 else 0.0 for i in range(n_u)]
-    )
     for _ in range(REFINE_SWEEPS):
         for i in range(n_u):
-            if spacing[i] == 0.0:
-                continue
-            lo = np.clip(u_best[i] - spacing[i], box.lower[i], box.upper[i])
-            hi = np.clip(u_best[i] + spacing[i], box.lower[i], box.upper[i])
+            spacing = axes[i][1] - axes[i][0]
+            lo = np.clip(u_best[i] - spacing, box.lower[i], box.upper[i])
+            hi = np.clip(u_best[i] + spacing, box.lower[i], box.upper[i])
 
             def slice_fun(ui, i=i):
                 u_try = u_best.copy()
@@ -219,16 +223,13 @@ def hjb_residual(
     x1,
     x2,
     maximizer: FeedbackPolicy | None = None,
-    n_grid: int = 64,
 ):
     """Residual −V_s + sup_u G at probe states; also returns the argmax.
 
     Accepts scalars or arrays of probe states (broadcast together).
     """
     args = args_from_candidate(cand, s, x, x1)
-    g_max, u_star = maximize_hamiltonian(
-        model, s, x, x1, x2, args, maximizer=maximizer, n_grid=n_grid
-    )
+    g_max, u_star = maximize_hamiltonian(model, s, x, x1, x2, args, maximizer=maximizer)
     residual = -cand.v_s(s, np.asarray(x, float), np.asarray(x1, float)) + g_max
     return residual, u_star
 
@@ -255,6 +256,17 @@ class CheckReport:
         }
 
 
+def _residual_sweep(model, cand, s_values, x_values, x1_values, x2, maximizer, reduce):
+    """Worst reduce(residual) over s_values on the (x, x1) tensor probe grid,
+    NaN-propagating, and the number of (s, x, x1) probes."""
+    xg, x1g = np.meshgrid(np.asarray(x_values), np.asarray(x1_values), indexing="ij")
+    worst = 0.0
+    for s in s_values:
+        res, _ = hjb_residual(model, cand, float(s), xg, x1g, x2, maximizer=maximizer)
+        worst = nan_max(worst, reduce(res))
+    return worst, len(s_values) * xg.size
+
+
 def hjb_residual_check(
     model: StructuredModel,
     cand: ValueCandidate,
@@ -262,29 +274,22 @@ def hjb_residual_check(
     x_values: Array,
     x1_values: Array,
     maximizer: FeedbackPolicy | None = None,
-    n_grid: int = 32,
-    tol: float = 1e-6,
 ) -> CheckReport:
     """Max |−V_s + sup_u G| over a tensor probe grid at x2 = 0.
 
-    A residual that cannot be evaluated (NaN) makes the maximum NaN, and
-    the check fails.
+    Passes below HJB_RESIDUAL_TOL.  A residual that cannot be evaluated
+    (NaN) makes the maximum NaN, and the check fails.
     """
-    xg, x1g = np.meshgrid(np.asarray(x_values), np.asarray(x1_values), indexing="ij")
-    worst = 0.0
-    n = 0
-    for s in s_values:
-        res, _ = hjb_residual(
-            model, cand, float(s), xg, x1g, 0.0, maximizer=maximizer, n_grid=n_grid
-        )
-        worst = nan_max(worst, float(np.max(np.abs(res))))
-        n += xg.size
+    worst, n = _residual_sweep(
+        model, cand, s_values, x_values, x1_values, 0.0, maximizer,
+        lambda res: float(np.max(np.abs(res))),
+    )
     return CheckReport(
         check="hjb_residual",
         probes=n,
         max_residual=worst,
-        tolerance=tol,
-        passed=worst < tol,
+        tolerance=HJB_RESIDUAL_TOL,
+        passed=worst < HJB_RESIDUAL_TOL,
     )
 
 
@@ -296,33 +301,25 @@ def x2_independence_check(
     x1_values: Array,
     x2_values: Sequence[float],
     maximizer: FeedbackPolicy | None = None,
-    n_grid: int = 16,
-    tol: float = 1e-8,
 ) -> CheckReport:
     """Spread of the residual across x2 values at each probe.
 
     The reduced equation must hold for every pointwise-delay value, so the
-    residual surface must be flat in x2; a spread above tolerance flags a
-    broken structural constraint.  A NaN spread makes the check fail.
+    residual surface must be flat in x2; a spread of X2_SPREAD_TOL or more
+    flags a broken structural constraint.  A NaN spread makes the check fail.
     """
-    xg, x1g = np.meshgrid(np.asarray(x_values), np.asarray(x1_values), indexing="ij")
     # Every x2 value along one leading axis, so one residual call per s.
-    x2g = np.asarray(x2_values, float).reshape((-1, 1, 1))
-    worst = 0.0
-    n = 0
-    for s in s_values:
-        res, _ = hjb_residual(
-            model, cand, float(s), xg, x1g, x2g, maximizer=maximizer, n_grid=n_grid
-        )
-        spread = res.max(axis=0) - res.min(axis=0)
-        worst = nan_max(worst, float(spread.max()))
-        n += xg.size
+    worst, n = _residual_sweep(
+        model, cand, s_values, x_values, x1_values,
+        np.asarray(x2_values, float).reshape((-1, 1, 1)), maximizer,
+        lambda res: float((res.max(axis=0) - res.min(axis=0)).max()),
+    )
     return CheckReport(
         check="x2_independence",
         probes=n,
         max_residual=worst,
-        tolerance=tol,
-        passed=worst < tol,
+        tolerance=X2_SPREAD_TOL,
+        passed=worst < X2_SPREAD_TOL,
     )
 
 
@@ -333,9 +330,9 @@ def compatibility_pde_check(
     x_values: Array,
     x1_values: Array,
     policy: FeedbackPolicy,
-    tol: float = 1e-6,
 ) -> CheckReport:
-    """First-order compatibility system at probe points.
+    """First-order compatibility system at probe points, passing below
+    COMPAT_TOL.
 
     The feedback control and the value-consistent slots y = −V,
     z = −σ·V_x are substituted into every coefficient before the (x, x1)
@@ -386,8 +383,8 @@ def compatibility_pde_check(
         check="compatibility_pde",
         probes=xg.size,
         max_residual=worst,
-        tolerance=tol,
-        passed=worst < tol,
+        tolerance=COMPAT_TOL,
+        passed=worst < COMPAT_TOL,
         extra={
             "per_equation": {
                 name: float(np.max(np.abs(r))) for name, r in residuals.items()

@@ -56,6 +56,14 @@ from .hjb import ValueCandidate
 from .pmp import Adjoints
 from .sdde import ForwardEnsemble
 
+# Control box of build_model: u ∈ [−U_BOUND, U_BOUND], c ∈ [0, C_BOUND].
+U_BOUND = 10.0
+C_BOUND = 10.0
+
+# Admissible-cone factors Λ1 (position) and Λ2 (consumption) of build_policy.
+LAM1 = 10.0
+LAM2 = 10.0
+
 
 @dataclass(frozen=True)
 class MertonParams:
@@ -287,11 +295,7 @@ def _c_of_wealth(t, m, x, p: MertonParams, qsol: QSolution):
     return (m / np.asarray(x, float)) * qsol(t) ** (1.0 / (p.gamma - 1.0))
 
 
-def build_model(
-    p: MertonParams,
-    u_bound: float = 10.0,
-    c_bound: float = 10.0,
-) -> StructuredModel:
+def build_model(p: MertonParams) -> StructuredModel:
     """Structured coefficients of the wealth problem.
 
     Control vector is (u, c): portfolio fraction and consumption rate.
@@ -339,19 +343,14 @@ def build_model(
         f2=f2,
         phi=phi,
         control_set=ControlBox(
-            lower=np.array([-u_bound, 0.0]), upper=np.array([u_bound, c_bound])
+            lower=np.array([-U_BOUND, 0.0]), upper=np.array([U_BOUND, C_BOUND])
         ),
         f_y=f_y,
         f_z=f_z,
     )
 
 
-def build_policy(
-    p: MertonParams,
-    qsol: QSolution | None = None,
-    lam1: float = 10.0,
-    lam2: float = 10.0,
-) -> FeedbackPolicy:
+def build_policy(p: MertonParams, qsol: QSolution | None = None) -> FeedbackPolicy:
     """Closed-form optimal feedback policy, clamped to the admissible cone.
 
     Admissibility bounds the position and consumption flows by the
@@ -365,8 +364,8 @@ def build_policy(
         x1 = np.asarray(x1, float)
         bound = np.abs(x + p.mu2 * x1) / np.maximum(np.abs(x), 1e-300)
         m = _memory_wealth(p, x, x1)
-        u = np.clip(_u_of_wealth(m, x, p), -lam1 * bound, lam1 * bound)
-        c = np.clip(_c_of_wealth(t, m, x, p, qsol), 0.0, lam2 * bound)
+        u = np.clip(_u_of_wealth(m, x, p), -LAM1 * bound, LAM1 * bound)
+        c = np.clip(_c_of_wealth(t, m, x, p, qsol), 0.0, LAM2 * bound)
         return np.stack([np.broadcast_to(u, x.shape), np.broadcast_to(c, x.shape)])
 
     return FeedbackPolicy(evaluate=evaluate, n_controls=2, label="merton_optimal")

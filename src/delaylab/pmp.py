@@ -57,6 +57,10 @@ CONVEXITY_TOL_FACTOR = 1e-6
 # control.
 CONTROL_GRID_POINTS = 9
 
+# Pass thresholds of check_p3_zero and maximum_condition_check.
+P3_TOL = 1e-10
+MAXIMUM_CONDITION_TOL = 1e-6
+
 
 @dataclass
 class Adjoints:
@@ -160,14 +164,14 @@ def check_p3_zero(
     cand: ValueCandidate,
     ensemble: ForwardEnsemble,
     adjoint: Adjoints,
-    tol: float = 1e-10,
 ) -> CheckReport:
     """Pointwise and integrated checks that the x2-adjoint vanishes.
 
     Pointwise: b2·p1 − e^{-λδ}·p2 − q·f2 = 0 along each path (this is the
     drift of p3 up to sign).  Integrated: back-integration of that drift
     from p3(T) = 0 must stay at zero.  Residuals are taken relative to each
-    path's largest |p1|, and the report is that of the worst path.
+    path's largest |p1|, and the report is that of the worst path; the
+    check passes below P3_TOL.
     """
     params = model.params
     t, x, x1 = ensemble.times, ensemble.x, ensemble.x1
@@ -191,8 +195,8 @@ def check_p3_zero(
         check="p3_zero",
         probes=x.shape[1],
         max_residual=float(worst[i]),
-        tolerance=tol,
-        passed=bool(worst[i] < tol),
+        tolerance=P3_TOL,
+        passed=bool(worst[i] < P3_TOL),
         extra={
             "max_drift": float(max_drift[i]),
             "max_backintegrated": float(max_p3[i]),
@@ -255,13 +259,13 @@ def maximum_condition_check(
     cand: ValueCandidate,
     ensemble: ForwardEnsemble,
     adjoint: Adjoints,
-    tol: float = 1e-6,
 ) -> CheckReport:
     """First-order optimality of the stored controls along each path.
 
     Checks |H_u| at the stored control (interior stationarity) and the
-    variational inequality H_u(u*)·(u* − u) ≤ tol over a grid of
-    CONTROL_GRID_POINTS values per control coordinate.
+    variational inequality H_u(u*)·(u* − u) over a grid of
+    CONTROL_GRID_POINTS values per control coordinate; both must stay below
+    MAXIMUM_CONDITION_TOL.
     The report is that of the worst path.  H_u is taken one node-row block
     at a time, and each block's per-path maxima are folded into (n_paths,)
     arrays.
@@ -277,8 +281,8 @@ def maximum_condition_check(
         check="maximum_condition",
         probes=ensemble.x.shape[1],
         max_residual=float(worst[j]),
-        tolerance=tol,
-        passed=bool(worst[j] < tol),
+        tolerance=MAXIMUM_CONDITION_TOL,
+        passed=bool(worst[j] < MAXIMUM_CONDITION_TOL),
         extra={"max_abs_h_u": float(max_grad[j]), "max_variational": float(worst_vi[j])},
     )
 

@@ -197,11 +197,7 @@ def simulate_forward(
         if np.any(bad):
             raise SimulationDivergedError(step=k + 1, n_bad=int(bad.sum()))
         xfull[lag + k + 1] = xn
-
-        if lag == 0:
-            x1[k + 1] = 0.0
-        else:
-            x1[k + 1] = x1_step_ode(x1k, x, x2, params.lam, params.delta, h)
+        x1[k + 1] = x1_step_ode(x1k, x, x2, params.lam, params.delta, h)
 
     controls[-1] = policy.at(float(times[-1]), xfull[lag + n_steps], x1[-1])
 

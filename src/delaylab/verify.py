@@ -7,10 +7,10 @@ Three families of diagnostics:
   stored control maximizes G against a control grid, and (c) supplied
   adjoint trajectories match the value-derived ones of
   pmp.adjoint_from_value, p1 = V_x q, p2 = V_x1 q, k1 = (V_xx σ + V_x f_z) q,
-  k2 = (V_xx1 σ + V_x1 f_z) q.  All three walk the ensemble in node-row
-  blocks (core.node_blocks), so the check's temporaries stay the size of
-  one block whatever the ensemble size, and the reported maxima are the
-  same bits as over the whole ensemble.
+  k2 = (V_xx1 σ + V_x1 f_z) q.  All three share one walk over the
+  ensemble in node-row blocks (core.node_blocks), so the check's
+  temporaries stay the size of one block whatever the ensemble size, and
+  the reported maxima are the same bits as over the whole ensemble.
 
 * compare_controls: paired Monte Carlo cost comparison of a base policy
   against perturbations, using common random numbers (identical per-path
@@ -39,6 +39,9 @@ from .sdde import ForwardEnsemble
 # Discretization allowance of closed_form_cost_check, per unit of step size.
 COST_BIAS_ALLOWANCE = 0.5
 
+# Pass threshold of relations_report.
+RELATIONS_TOL = 1e-4
+
 
 @dataclass
 class RelationsReport:
@@ -64,36 +67,15 @@ class RelationsReport:
 _ADJOINTS = ("p1", "p2", "k1", "k2")
 
 
-def _block_adjoint_maxima(model, cand, ensemble, adjoint, blk: slice):
+def _block_adjoint_maxima(model, cand, part: ForwardEnsemble, adjoint, blk: slice):
     """Per-path max |supplied − value-derived| and max |value-derived| of
-    each adjoint over nodes blk, as two (4, n_paths) arrays."""
-    ref = adjoint_from_value(model, cand, ensemble.nodes(blk), adjoint.q[:, blk])
+    each adjoint over nodes blk (part holds those nodes), as two
+    (4, n_paths) arrays."""
+    ref = adjoint_from_value(model, cand, part, adjoint.q[:, blk])
     pairs = [(getattr(adjoint, name)[:, blk], getattr(ref, name)) for name in _ADJOINTS]
     err = np.stack([np.max(np.abs(have - want), axis=1) for have, want in pairs])
     top = np.stack([np.max(np.abs(want), axis=1) for _, want in pairs])
     return err, top
-
-
-def _adjoint_mismatch(
-    model: StructuredModel,
-    cand: ValueCandidate,
-    ensemble: ForwardEnsemble,
-    adjoint: Adjoints,
-) -> dict:
-    """Largest relative mismatch of each supplied adjoint against the
-    value-derived one, each path scaled by its own largest |reference|.
-    A mismatch that cannot be evaluated (NaN) is reported as NaN.
-
-    The reference adjoints are built one node-row block at a time, and each
-    block is freed before the next one is built.
-    """
-    shape = (len(_ADJOINTS), ensemble.n_paths)
-    err, top = np.full(shape, -np.inf), np.full(shape, -np.inf)
-    for blk in node_blocks(*ensemble.x.shape):
-        blk_err, blk_top = _block_adjoint_maxima(model, cand, ensemble, adjoint, blk)
-        err, top = np.maximum(err, blk_err), np.maximum(top, blk_top)
-    scale = np.maximum(top, 1e-300)
-    return {name: nan_max(0.0, float(np.max(err[j] / scale[j]))) for j, name in enumerate(_ADJOINTS)}
 
 
 def _block_relations(model, cand, part: ForwardEnsemble, grid):
@@ -123,7 +105,6 @@ def relations_report(
     cand: ValueCandidate,
     ensemble: ForwardEnsemble,
     adjoint: Adjoints,
-    tol: float = 1e-4,
 ) -> RelationsReport:
     """Consistency of the candidate value and adjoints along simulated paths.
 
@@ -131,20 +112,29 @@ def relations_report(
     coordinate, over pmp.CONTROL_GRID_POINTS values of each.  Each grid
     value keeps one NaN-propagating maximum over the node-row blocks, and
     those maxima are folded in grid order; a NaN gap (G(u*) could not be
-    evaluated) makes grid_optimality NaN.  The check passes only when every
-    reported number is below tol, so never on NaN.
+    evaluated) makes grid_optimality NaN.  Each adjoint's mismatch is
+    relative, each path scaled by its own largest |reference|; one that
+    cannot be evaluated is NaN.  The check passes only when every reported
+    number is below RELATIONS_TOL, so never on NaN.
     """
-    mismatch = _adjoint_mismatch(model, cand, ensemble, adjoint)
-
     box = model.control_set
     grid = [
         (i, val) for i in range(box.n_controls) for val in box.axis_grid(i, CONTROL_GRID_POINTS)
     ]
+    shape = (len(_ADJOINTS), ensemble.n_paths)
+    err, top = np.full(shape, -np.inf), np.full(shape, -np.inf)
     time_slope = -np.inf
     gaps = np.full(len(grid), -np.inf)
     for blk in node_blocks(*ensemble.x.shape):
-        blk_slope, blk_gaps = _block_relations(model, cand, ensemble.nodes(blk), grid)
+        part = ensemble.nodes(blk)
+        blk_err, blk_top = _block_adjoint_maxima(model, cand, part, adjoint, blk)
+        err, top = np.maximum(err, blk_err), np.maximum(top, blk_top)
+        blk_slope, blk_gaps = _block_relations(model, cand, part, grid)
         time_slope, gaps = np.maximum(time_slope, blk_slope), np.maximum(gaps, blk_gaps)
+    scale = np.maximum(top, 1e-300)
+    mismatch = {
+        name: nan_max(0.0, float(np.max(err[j] / scale[j]))) for j, name in enumerate(_ADJOINTS)
+    }
     time_slope = float(time_slope)
     worst_gap = nan_max(-math.inf, *gaps.tolist())
 
@@ -153,8 +143,8 @@ def relations_report(
         time_slope=time_slope,
         grid_optimality=worst_gap,
         adjoint_mismatch=mismatch,
-        tolerance=tol,
-        passed=all(v < tol for v in numbers),
+        tolerance=RELATIONS_TOL,
+        passed=all(v < RELATIONS_TOL for v in numbers),
     )
 
 

@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from delaylab import bsdde, cli, core, hjb, merton, pmp, sdde, verify
+from delaylab import cli, core, hjb, merton, pmp, sdde, verify
 from helpers import SmoothTestFunction, constant_policy, delayed_ito_check
 
 P0 = dict(
@@ -70,27 +70,20 @@ class CriteriaRunner:
 
     def hjb_checks(self):
         c = self.ctx
-        res = hjb.hjb_residual_check(
-            c["model"], c["cand"], SS, XS, X1S, maximizer=c["policy"],
-            n_grid=16, tol=1e-6,
-        )
+        res = hjb.hjb_residual_check(c["model"], c["cand"], SS, XS, X1S, maximizer=c["policy"])
         flat = hjb.x2_independence_check(
-            c["model"], c["cand"], SS, XS, X1S, X2S, maximizer=c["policy"],
-            n_grid=16, tol=1e-8,
+            c["model"], c["cand"], SS, XS, X1S, X2S, maximizer=c["policy"]
         )
         return res, flat
 
     def compatibility(self):
         c = self.ctx
-        good = hjb.compatibility_pde_check(
-            c["model"], c["cand"], 0.3, XS, X1S, c["policy"], tol=1e-6
-        )
+        good = hjb.compatibility_pde_check(c["model"], c["cand"], 0.3, XS, X1S, c["policy"])
         broken = build(
             mu2=self.ctx["params"].mu2, mu1=self.ctx["params"].mu1 + 0.01
         )
         bad = hjb.compatibility_pde_check(
-            broken["model"], broken["cand"], 0.3, XS, X1S, broken["policy"],
-            tol=1e-6,
+            broken["model"], broken["cand"], 0.3, XS, X1S, broken["policy"]
         )
         return good, bad
 
@@ -101,8 +94,8 @@ class CriteriaRunner:
         q_exact = merton.exact_q_factor(c["params"], ens.times)
         q_err = float(np.max(np.abs(pmp.simulate_q(c["model"], ens) - q_exact)))
         adj = pmp.adjoint_from_value(c["model"], c["cand"], ens, q_exact)
-        rep3 = pmp.check_p3_zero(c["model"], c["cand"], ens, adj, tol=1e-10)
-        repm = pmp.maximum_condition_check(c["model"], c["cand"], ens, adj, tol=1e-6)
+        rep3 = pmp.check_p3_zero(c["model"], c["cand"], ens, adj)
+        repm = pmp.maximum_condition_check(c["model"], c["cand"], ens, adj)
         ok = rep3.passed and repm.passed and q_err < 1e-10
         return q_err, rep3.max_residual, repm.max_residual, bool(ok)
 
@@ -112,7 +105,7 @@ class CriteriaRunner:
         ens = sdde.simulate_forward(c["model"], c["policy"], INITIAL, cfg)
         q = merton.exact_q_factor(c["params"], ens.times)
         adj = merton.closed_form_adjoints(c["params"], c["qsol"], ens, q)
-        return verify.relations_report(c["model"], c["cand"], ens, adj, tol=1e-4)
+        return verify.relations_report(c["model"], c["cand"], ens, adj)
 
     def cost_check(self, n_paths=10_000, n_steps=128, seed=1):
         c = self.ctx

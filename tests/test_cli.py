@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from delaylab import cli
+from delaylab import cli, hjb, pmp, verify
 
 MERTON_CFG = {
     "model": {
@@ -54,26 +54,29 @@ COMMANDS = (
 # Each edit makes MERTON_CFG malformed in one section; every subcommand
 # validates the whole config, so each must exit 2 before any numerical work.
 MALFORMED = {
-    "unknown_checks_key": lambda c: c.update(checks={"hjb_tolerence": 1e-6}),
     "unknown_sim_key": lambda c: c["sim"].update(n_step=32),
     "unknown_initial_path_key": lambda c: c["initial_path"].update(valu=1.0),
     "missing_seed": lambda c: c["sim"].pop("master_seed"),
     "string_initial_value": lambda c: c["initial_path"].update(value="one"),
+    "initial_path_list": lambda c: c.update(initial_path=[1.0]),
+    "start_at_horizon": lambda c: c["model"]["params"].update(start_s=1.0),
+    "overflowing_n_steps": lambda c: c["sim"].update(n_steps=1e999),  # inf
+    "huge_integer_rate": lambda c: c["model"]["params"].update(r=10**400),
+    "fractional_n_paths": lambda c: c["sim"].update(n_paths=20.7),
+    "fractional_n_steps": lambda c: c["sim"].update(n_steps=16.9),
+    "fractional_seed": lambda c: c["sim"].update(master_seed=1.5),
+    "removed_x1_method": lambda c: c["sim"].update(x1_method="quadrature"),
+    # The removed checks section and model.bounds, as configs of earlier
+    # versions set them: whatever their values, both are unknown keys.
+    "unknown_checks_key": lambda c: c.update(checks={"hjb_tolerence": 1e-6}),
     "string_u_bound": lambda c: c["model"].update(bounds={"u_bound": "ten"}),
     "string_hjb_tolerance": lambda c: c.update(checks={"hjb_tolerance": "tight"}),
     "string_x_probes": lambda c: c.update(checks={"x_probes": "grid"}),
     "string_n_grid": lambda c: c.update(checks={"n_grid": "sixteen"}),
-    "initial_path_list": lambda c: c.update(initial_path=[1.0]),
-    "start_at_horizon": lambda c: c["model"]["params"].update(start_s=1.0),
-    "overflowing_n_steps": lambda c: c["sim"].update(n_steps=1e999),  # inf
     "huge_integer_tolerance": lambda c: c.update(checks={"hjb_tolerance": 10**400}),
-    "fractional_n_paths": lambda c: c["sim"].update(n_paths=20.7),
-    "fractional_n_steps": lambda c: c["sim"].update(n_steps=16.9),
-    "fractional_seed": lambda c: c["sim"].update(master_seed=1.5),
     "fractional_n_grid": lambda c: c.update(checks={"n_grid": 16.9}),
     "zero_n_grid": lambda c: c.update(checks={"n_grid": 0}),
     "negative_n_grid": lambda c: c.update(checks={"n_grid": -1}),
-    "removed_x1_method": lambda c: c["sim"].update(x1_method="quadrature"),
 }
 
 
@@ -197,13 +200,26 @@ class TestMertonChecks:
         assert run("check-hjb", write_cfg(tmp_path, MERTON_CFG), tmp_path / "out") == 0
 
     def test_check_hjb_tolerances(self, tmp_path):
-        cfg = json.loads(json.dumps(MERTON_CFG))
-        cfg["checks"] = {"hjb_tolerance": 1e-3}
-        assert run("check-hjb", write_cfg(tmp_path, cfg), tmp_path / "out") == 0
+        assert run("check-hjb", write_cfg(tmp_path, MERTON_CFG), tmp_path / "out") == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        tolerance = {c["check"]: c["tolerance"] for c in report["checks"]}
-        assert tolerance["hjb_residual"] == 1e-3
-        assert tolerance["x2_independence"] == 1e-8  # the library default
+        assert {c["check"]: c["tolerance"] for c in report["checks"]} == {
+            "hjb_residual": hjb.HJB_RESIDUAL_TOL,
+            "x2_independence": hjb.X2_SPREAD_TOL,
+            "compatibility_pde": hjb.COMPAT_TOL,
+        }
+
+    def test_ensemble_check_tolerances(self, tmp_path):
+        cfg = json.loads(json.dumps(MERTON_CFG))
+        cfg["sim"]["n_paths"] = 8
+        cfg_path = write_cfg(tmp_path, cfg)
+        assert run("check-pmp", cfg_path, tmp_path / "pmp") == 0
+        assert run("check-relations", cfg_path, tmp_path / "relations") == 0
+        pmp_report = json.loads((tmp_path / "pmp" / "report.json").read_text())
+        relations = json.loads((tmp_path / "relations" / "report.json").read_text())
+        tolerance = {c["check"]: c["tolerance"] for c in pmp_report["checks"]}
+        assert tolerance["p3_zero"] == pmp.P3_TOL
+        assert tolerance["maximum_condition"] == pmp.MAXIMUM_CONDITION_TOL
+        assert relations["relations"]["tolerance"] == verify.RELATIONS_TOL
 
     def test_check_pmp_passes(self, tmp_path):
         cfg = json.loads(json.dumps(MERTON_CFG))
@@ -211,22 +227,6 @@ class TestMertonChecks:
         code = run("check-pmp", write_cfg(tmp_path, cfg), tmp_path / "out")
         assert code == 0
         assert (tmp_path / "out" / "adjoint.csv").exists()
-
-    @pytest.mark.parametrize("n_grid", [1, 4])
-    @pytest.mark.parametrize("command", ["check-relations", "check-pmp"])
-    def test_n_grid_reaches_only_check_hjb(self, tmp_path, command, n_grid):
-        # checks.n_grid is the HJB maximization grid; the grid checks of the
-        # ensemble subcommands keep their own, so their reports do not move.
-        # check-pmp's variational term is linear in u, so only a grid
-        # without both box ends (n_grid = 1) would move its report.
-        cfg = json.loads(json.dumps(MERTON_CFG))
-        cfg["sim"]["n_paths"] = 8
-        assert run(command, write_cfg(tmp_path, cfg, "absent.json"), tmp_path / "absent") == 0
-        cfg["checks"] = {"n_grid": n_grid}
-        assert run(command, write_cfg(tmp_path, cfg, "four.json"), tmp_path / "four") == 0
-        assert (tmp_path / "four" / "report.json").read_bytes() == (
-            tmp_path / "absent" / "report.json"
-        ).read_bytes()
 
     def test_generic_model_rejected_for_merton_command(self, tmp_path):
         assert run("check-hjb", write_cfg(tmp_path, GENERIC_CFG), tmp_path / "out") == 2

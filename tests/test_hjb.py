@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from delaylab import core, hjb, merton
+from delaylab import hjb, merton
 
 P0 = dict(
     r=0.03, mu0=0.08, sigma=0.2, beta=0.1, gamma=0.5,
@@ -62,7 +62,7 @@ class TestGeneralizedHamiltonian:
         p, qsol = merton_setup["params"], merton_setup["qsol"]
         model, cand = merton_setup["model"], merton_setup["cand"]
         s, x, x1 = 0.3, 1.2, 0.8
-        _, u_star = hjb.hjb_residual(model, cand, s, x, x1, 0.0, n_grid=64)
+        _, u_star = hjb.hjb_residual(model, cand, s, x, x1, 0.0)
         assert float(u_star[0]) == pytest.approx(
             float(merton.optimal_u(s, x, x1, p)), abs=1e-4
         )
@@ -75,7 +75,7 @@ class TestResidual:
     def test_closed_form_solves_reduced_equation(self, merton_setup):
         report = hjb.hjb_residual_check(
             merton_setup["model"], merton_setup["cand"], SS, XS, X1S,
-            maximizer=merton_setup["policy"], n_grid=16, tol=1e-6,
+            maximizer=merton_setup["policy"],
         )
         assert report.passed, report.max_residual
 
@@ -87,10 +87,7 @@ class TestResidual:
 
     def test_residual_without_maximizer_hint(self, merton_setup):
         # The grid + refinement alone must find the supremum.
-        res, _ = hjb.hjb_residual(
-            merton_setup["model"], merton_setup["cand"], 0.5, 1.0, 0.9, 2.0,
-            n_grid=64,
-        )
+        res, _ = hjb.hjb_residual(merton_setup["model"], merton_setup["cand"], 0.5, 1.0, 0.9, 2.0)
         assert abs(float(res)) < 1e-6
 
     def test_broken_mu1_fails(self):
@@ -98,7 +95,7 @@ class TestResidual:
         p_bad = merton.resolve_constraints(**P0, mu1=p_ok.mu1 + 0.01)
         report = hjb.hjb_residual_check(
             merton.build_model(p_bad), merton.value_function(p_bad), [0.3], XS, X1S,
-            maximizer=merton.build_policy(p_bad), n_grid=16, tol=1e-6,
+            maximizer=merton.build_policy(p_bad),
         )
         assert not report.passed
         assert report.max_residual > 1e-3
@@ -108,7 +105,7 @@ class TestResidual:
         # be folded away.
         report = hjb.hjb_residual_check(
             merton_setup["model"], with_nan_v_s(merton_setup["cand"]), SS, XS, X1S,
-            maximizer=merton_setup["policy"], n_grid=16, tol=1e-6,
+            maximizer=merton_setup["policy"],
         )
         assert np.isnan(report.max_residual)
         assert not report.passed
@@ -119,7 +116,7 @@ class TestX2Independence:
         report = hjb.x2_independence_check(
             merton_setup["model"], merton_setup["cand"], SS, XS, X1S,
             [-10.0, -5.0, 0.0, 5.0, 10.0],
-            maximizer=merton_setup["policy"], n_grid=16, tol=1e-8,
+            maximizer=merton_setup["policy"],
         )
         assert report.passed, report.max_residual
 
@@ -129,7 +126,7 @@ class TestX2Independence:
         report = hjb.x2_independence_check(
             merton.build_model(p_bad), merton.value_function(p_bad),
             [0.3], XS, X1S, [-10.0, 0.0, 10.0],
-            maximizer=merton.build_policy(p_bad), n_grid=16, tol=1e-8,
+            maximizer=merton.build_policy(p_bad),
         )
         assert not report.passed
         assert report.max_residual > 1e-3
@@ -137,7 +134,7 @@ class TestX2Independence:
     def test_nan_at_one_probe_fails(self, merton_setup):
         report = hjb.x2_independence_check(
             merton_setup["model"], with_nan_v_s(merton_setup["cand"]), SS, XS, X1S,
-            [-10.0, 0.0, 10.0], maximizer=merton_setup["policy"], n_grid=16, tol=1e-8,
+            [-10.0, 0.0, 10.0], maximizer=merton_setup["policy"],
         )
         assert np.isnan(report.max_residual)
         assert not report.passed
@@ -147,7 +144,7 @@ class TestCompatibilitySystem:
     def test_constrained_model_satisfies_all_four(self, merton_setup):
         report = hjb.compatibility_pde_check(
             merton_setup["model"], merton_setup["cand"], 0.3, XS, X1S,
-            merton_setup["policy"], tol=1e-6,
+            merton_setup["policy"],
         )
         assert report.passed, report.extra
 
@@ -156,7 +153,7 @@ class TestCompatibilitySystem:
         p_bad = merton.resolve_constraints(**P0, mu1=p_ok.mu1 + 0.01)
         report = hjb.compatibility_pde_check(
             merton.build_model(p_bad), merton.value_function(p_bad), 0.3, XS, X1S,
-            merton.build_policy(p_bad), tol=1e-6,
+            merton.build_policy(p_bad),
         )
         assert not report.passed
         # The drift equation picks up exactly the constraint violation.
@@ -168,7 +165,7 @@ class TestCompatibilitySystem:
         p_bad = merton.resolve_constraints(**P0, theta=p_ok.theta + 0.01)
         report = hjb.compatibility_pde_check(
             merton.build_model(p_bad), merton.value_function(p_bad), 0.3, XS, X1S,
-            merton.build_policy(p_bad), tol=1e-6,
+            merton.build_policy(p_bad),
         )
         assert not report.passed
         assert report.extra["per_equation"]["phi"] > 1e-3
@@ -182,7 +179,7 @@ class TestCompatibilitySystem:
             model, phi=lambda x, x1: np.where(x > 4.9, np.nan, phi(x, x1))
         )
         report = hjb.compatibility_pde_check(
-            broken, merton_setup["cand"], 0.3, XS, X1S, merton_setup["policy"], tol=1e-6,
+            broken, merton_setup["cand"], 0.3, XS, X1S, merton_setup["policy"],
         )
         assert np.isnan(report.extra["per_equation"]["phi"])
         assert np.isnan(report.max_residual)

@@ -75,6 +75,16 @@ class TestEulerAccuracy:
         stepped = sdde.x1_step_ode(x1_star, c, c, lam, delta, h)
         assert stepped == pytest.approx(x1_star, abs=1e-15)
 
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 3.0])
+    def test_x1_stays_positive_zero_without_delay(self, lam):
+        # At δ = 0 the window is empty and X2 = X, so the recursion
+        # increment X − X − λ·0 keeps X1 at +0.0 bit for bit.
+        model = linear_delay_model(lam=lam, delta=0.0, sig=0.4)
+        cfg = core.SimConfig(n_steps=64, n_paths=500, master_seed=3)
+        ens = sdde.simulate_forward(model, POLICY, lambda tau: 1.0, cfg)
+        assert np.all(ens.x1 == 0.0)
+        assert not np.any(np.signbit(ens.x1))
+
 
 class TestReproducibility:
     def test_bitwise_identical_reruns(self):

@@ -38,7 +38,7 @@ class TestRelations:
         cfg = core.SimConfig(n_steps=128, n_paths=64, master_seed=5)
         ens = sdde.simulate_forward(setup["model"], setup["policy"], INITIAL, cfg)
         report = verify.relations_report(
-            setup["model"], setup["cand"], ens, self._adjoints(setup, ens), tol=1e-4
+            setup["model"], setup["cand"], ens, self._adjoints(setup, ens)
         )
         assert report.passed, report.to_dict()
 
@@ -47,7 +47,7 @@ class TestRelations:
         cfg = core.SimConfig(n_steps=64, n_paths=8, master_seed=5)
         ens = sdde.simulate_forward(setup["model"], policy, INITIAL, cfg)
         report = verify.relations_report(
-            setup["model"], setup["cand"], ens, self._adjoints(setup, ens), tol=1e-4
+            setup["model"], setup["cand"], ens, self._adjoints(setup, ens)
         )
         assert not report.passed
         # V_t equals the maximized Hamiltonian, not the one at halved u.
@@ -60,7 +60,7 @@ class TestRelations:
         p1 = adj.p1.copy()
         p1[3, 10] = np.nan
         report = verify.relations_report(
-            setup["model"], setup["cand"], ens, dataclasses.replace(adj, p1=p1), tol=1e-4
+            setup["model"], setup["cand"], ens, dataclasses.replace(adj, p1=p1)
         )
         assert np.isnan(report.adjoint_mismatch["p1"])
         assert report.adjoint_mismatch["p2"] < 1e-4
