@@ -18,9 +18,8 @@ params = merton.resolve_constraints(
     r=0.03, mu0=0.08, sigma=0.2, beta=0.1, gamma=0.5,
     lam=0.1, delta=1.0, horizon_T=1.0, mu2=0.01,
 )
-qsol = merton.solve_q(params)
 model = merton.build_model(params)
-policy = merton.build_policy(params, qsol)
+policy = merton.build_policy(params)
 
 config = core.SimConfig(n_steps=128, n_paths=500, master_seed=7)
 ensemble = sdde.simulate_forward(model, policy, lambda tau: 1.0, config)

@@ -18,12 +18,11 @@ params = merton.resolve_constraints(
     r=0.03, mu0=0.08, sigma=0.2, beta=0.1, gamma=0.5,
     lam=0.1, delta=1.0, horizon_T=1.0, mu2=0.01,
 )
-qsol = merton.solve_q(params)
 
 print("derived constants")
 print(f"  theta = {params.theta:.16g}")
 print(f"  mu1   = {params.mu1:.16g}")
-print(f"  Delta = {qsol.delta_coeff:.16g}")
+print(f"  Delta = {params.delta_coeff:.16g}")
 
 times, oracle = merton.q_ode_oracle(params, n_steps=10_000)
 closed = merton.q_closed_form(times, params)
@@ -33,10 +32,10 @@ print(f"closed form vs RK4 oracle: max rel err {rel:.2e}")
 
 print("\noptimal controls at x = 1 for several moving averages x1")
 print(f"{'x1':>6} {'u*':>10} {'c*':>10} {'V(0,1,x1)':>12}")
-cand = merton.value_function(params, qsol)
+cand = merton.value_function(params)
 for x1 in (0.5, 1.0, 2.0, 4.0):
     u = float(merton.optimal_u(0.0, 1.0, x1, params))
-    c = float(merton.optimal_c(0.0, 1.0, x1, params, qsol))
+    c = float(merton.optimal_c(0.0, 1.0, x1, params))
     v = float(cand.v(0.0, 1.0, x1))
     print(f"{x1:6.2f} {u:10.4f} {c:10.4f} {v:12.6f}")
 

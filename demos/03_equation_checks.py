@@ -29,10 +29,9 @@ x2s = [-10.0, -5.0, 0.0, 5.0, 10.0]
 
 def run(tag, **overrides):
     p = merton.resolve_constraints(**P0, **overrides)
-    qsol = merton.solve_q(p)
     model = merton.build_model(p)
-    policy = merton.build_policy(p, qsol)
-    cand = merton.value_function(p, qsol)
+    policy = merton.build_policy(p)
+    cand = merton.value_function(p)
 
     res = hjb.hjb_residual_check(model, cand, ss, xs, x1s, maximizer=policy)
     flat = hjb.x2_independence_check(model, cand, ss, xs, x1s, x2s, maximizer=policy)

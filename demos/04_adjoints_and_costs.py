@@ -7,18 +7,15 @@ regression Monte Carlo cost of the optimal policy (and scaled variants)
 against the closed-form value at the initial state.
 """
 
-import numpy as np
-
 from delaylab import core, merton, pmp, sdde, verify
 
 params = merton.resolve_constraints(
     r=0.03, mu0=0.08, sigma=0.2, beta=0.1, gamma=0.5,
     lam=0.1, delta=1.0, horizon_T=1.0, mu2=0.01,
 )
-qsol = merton.solve_q(params)
 model = merton.build_model(params)
-policy = merton.build_policy(params, qsol)
-cand = merton.value_function(params, qsol)
+policy = merton.build_policy(params)
+cand = merton.value_function(params)
 basis = merton.build_basis(params)
 initial = lambda tau: 1.0  # noqa: E731
 

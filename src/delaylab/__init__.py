@@ -2,12 +2,10 @@
 
 from .core import (
     ConfigError,
-    ConstraintViolationError,
     ControlBox,
     DelayLabError,
     DomainError,
     FeedbackPolicy,
-    InvalidStateError,
     ModelParams,
     SimConfig,
     SimulationDivergedError,
@@ -47,16 +45,14 @@ from .pmp import (
 )
 from .merton import (
     MertonParams,
-    QSolution,
     build_model,
     build_policy,
-    delta_coefficient,
     optimal_c,
     optimal_u,
     q_closed_form,
+    q_derivative,
     q_ode_oracle,
     resolve_constraints,
-    solve_q,
     value_function,
 )
 from .verify import (

@@ -37,11 +37,9 @@ from . import bsdde, hjb, merton, pmp, sdde, verify
 from ._expr import compile_expression
 from .core import (
     ConfigError,
-    ConstraintViolationError,
     ControlBox,
     DomainError,
     FeedbackPolicy,
-    InvalidStateError,
     ModelParams,
     SimConfig,
     SimulationDivergedError,
@@ -121,25 +119,26 @@ def build_merton(section: dict):
     )
     overrides = section.get("overrides", {})
     _require_keys(overrides, allowed={"mu1", "theta"}, required=set(), where="model.overrides")
-    try:
-        params = merton.resolve_constraints(
-            r=float(raw["r"]),
-            mu0=float(raw["mu0"]),
-            sigma=float(raw["sigma"]),
-            beta=float(raw["beta"]),
-            gamma=float(raw["gamma"]),
-            lam=float(raw["lambda"]),
-            delta=float(raw["delta"]),
-            horizon_T=float(raw["horizon_T"]),
-            mu2=float(raw["mu2"]),
-            start_s=float(raw.get("start_s", 0.0)),
-            mu1=(float(overrides["mu1"]) if "mu1" in overrides else None),
-            theta=(float(overrides["theta"]) if "theta" in overrides else None),
-        )
-    except ConstraintViolationError as exc:
-        raise ConfigError(str(exc)) from exc
-    qsol = merton.solve_q(params)
-    return merton.build_model(params), merton.build_policy(params, qsol), params, qsol
+    params = merton.resolve_constraints(
+        r=float(raw["r"]),
+        mu0=float(raw["mu0"]),
+        sigma=float(raw["sigma"]),
+        beta=float(raw["beta"]),
+        gamma=float(raw["gamma"]),
+        lam=float(raw["lambda"]),
+        delta=float(raw["delta"]),
+        horizon_T=float(raw["horizon_T"]),
+        mu2=float(raw["mu2"]),
+        start_s=float(raw.get("start_s", 0.0)),
+        mu1=(float(overrides["mu1"]) if "mu1" in overrides else None),
+        theta=(float(overrides["theta"]) if "theta" in overrides else None),
+    )
+    return (
+        merton.build_model(params),
+        merton.build_policy(params),
+        params,
+        merton.value_function(params),
+    )
 
 
 _COEFF_VARS = {
@@ -297,14 +296,13 @@ def build_initial_path(cfg: dict):
 class Run:
     """One subcommand's inputs, parsed and validated from the whole config.
 
-    params, qsol and cand (the closed-form value function) are None for a
-    generic model.
+    params and cand (the closed-form value function) are None for a generic
+    model.
     """
 
     model: StructuredModel
     policy: FeedbackPolicy
     params: merton.MertonParams | None
-    qsol: merton.QSolution | None
     cand: hjb.ValueCandidate | None
     basis: bsdde.RegressionBasis
     sim: SimConfig
@@ -315,21 +313,20 @@ class Run:
 def build_run(cfg: dict, seed_flag: int | None, out_flag: str | None) -> Run:
     """Parse every section of the config; a malformed value is a ConfigError."""
     try:
-        model, policy, params, qsol = build_model_and_policy(cfg)
+        model, policy, params, cand = build_model_and_policy(cfg)
         output = cfg.get("output", {})
         _require_keys(output, allowed={"directory"}, required=set(), where="output")
         return Run(
             model=model,
             policy=policy,
             params=params,
-            qsol=qsol,
-            cand=merton.value_function(params, qsol) if params is not None else None,
+            cand=cand,
             basis=merton.build_basis(params) if params is not None else bsdde.polynomial_basis(2),
             sim=build_sim_config(cfg, seed_flag),
             initial=build_initial_path(cfg),
             out_dir=Path(out_flag or output.get("directory", "out")),
         )
-    except (TypeError, ValueError, OverflowError, InvalidStateError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
 
 
@@ -372,11 +369,10 @@ def cmd_simulate(run: Run):
 
 
 def cmd_solve_merton(run: Run):
-    params, qsol = run.params, run.qsol
+    params = run.params
     times = np.linspace(params.start_s, params.horizon_T, 11)
-    q_vals = qsol(times)
-    _, oracle = merton.q_ode_oracle(params, qsol.delta_coeff, n_steps=10_000)
-    oracle_times = np.linspace(params.start_s, params.horizon_T, 10_001)
+    q_vals = merton.q_closed_form(times, params)
+    oracle_times, oracle = merton.q_ode_oracle(params, n_steps=10_000)
     q_interp = np.interp(times, oracle_times, oracle)
     rel_err = float(np.max(np.abs(q_vals - q_interp) / np.abs(q_interp)))
     ok = rel_err < 1e-7
@@ -387,12 +383,12 @@ def cmd_solve_merton(run: Run):
     payload = {
         "theta": params.theta,
         "mu1": params.mu1,
-        "delta_coefficient": qsol.delta_coeff,
-        "q_at_start": float(qsol(params.start_s)),
+        "delta_coefficient": params.delta_coeff,
+        "q_at_start": float(merton.q_closed_form(params.start_s, params)),
         "q_oracle_max_rel_err": rel_err,
         "value_at_start": float(run.cand.v(params.start_s, x0, x1_0)),
         "u_star_at_start": float(merton.optimal_u(params.start_s, x0, x1_0, params)),
-        "c_star_at_start": float(merton.optimal_c(params.start_s, x0, x1_0, params, qsol)),
+        "c_star_at_start": float(merton.optimal_c(params.start_s, x0, x1_0, params)),
         "pass": ok,
     }
     line = (f"solve-merton: Q(s) = {payload['q_at_start']:.8g}, "
@@ -474,7 +470,7 @@ def cmd_check_pmp(run: Run):
 def cmd_check_relations(run: Run):
     ensemble = sdde.simulate_forward(run.model, run.policy, run.initial, run.sim)
     q = merton.exact_q_factor(run.params, ensemble.times)
-    adj = merton.closed_form_adjoints(run.params, run.qsol, ensemble, q)
+    adj = merton.closed_form_adjoints(run.params, ensemble, q)
     rel = verify.relations_report(run.model, run.cand, ensemble, adj)
     cost = verify.closed_form_cost_check(run.model, run.cand, ensemble, run.basis)
 

@@ -35,16 +35,8 @@ class DelayLabError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidStateError(DelayLabError):
-    """A container is in a state that violates its own invariants."""
-
-
 class DomainError(DelayLabError):
     """An evaluation was requested outside the mathematical domain."""
-
-
-class ConstraintViolationError(DelayLabError):
-    """Model parameters violate a structural constraint."""
 
 
 class ConfigError(DelayLabError):
@@ -102,11 +94,11 @@ class ModelParams:
 
     def __post_init__(self):
         if self.lam < 0.0:
-            raise InvalidStateError(f"lam must be >= 0, got {self.lam}")
+            raise ConfigError(f"lam must be >= 0, got {self.lam}")
         if self.delta < 0.0:
-            raise InvalidStateError(f"delta must be >= 0, got {self.delta}")
+            raise ConfigError(f"delta must be >= 0, got {self.delta}")
         if not self.start_s < self.horizon_T:
-            raise InvalidStateError(
+            raise ConfigError(
                 f"need start_s < horizon_T, got [{self.start_s}, {self.horizon_T}]"
             )
 
@@ -218,9 +210,9 @@ class ControlBox:
         object.__setattr__(self, "lower", np.atleast_1d(np.asarray(self.lower, float)))
         object.__setattr__(self, "upper", np.atleast_1d(np.asarray(self.upper, float)))
         if self.lower.shape != self.upper.shape:
-            raise InvalidStateError("lower/upper must have matching shapes")
+            raise ConfigError("lower/upper must have matching shapes")
         if np.any(self.lower > self.upper):
-            raise InvalidStateError("lower bound exceeds upper bound")
+            raise ConfigError("lower bound exceeds upper bound")
 
     @property
     def n_controls(self) -> int:

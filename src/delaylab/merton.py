@@ -24,6 +24,12 @@ whose solution is
 
     Q(s) = [ (1 − (1−γ)/Δ) e^{−Δ(T−s)/(1−γ)} + (1−γ)/Δ ]^{1−γ}.
 
+Δ is a scalar of the market parameters alone, so MertonParams carries it
+as a derived field beside θ and μ1, and every closed-form function takes
+the parameters alone.  resolve_constraints derives θ and μ1 and evaluates
+Q(s) once: Δ = 0, or a bracket that is not positive at s, raises
+DomainError there (exit code 3 on the command line).
+
 The optimal feedback controls are
 
     u*(s, x, x1) = (μ0 − r) m / ((1 − γ) σ² x)
@@ -38,13 +44,13 @@ and, with q(t) = e^{−β(t−s)}, the adjoints have the closed forms
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
     Array,
-    ConstraintViolationError,
+    ConfigError,
     ControlBox,
     DomainError,
     FeedbackPolicy,
@@ -71,6 +77,8 @@ class MertonParams:
 
     theta and mu1 are pinned by the structural constraints; construct
     instances through resolve_constraints so they cannot drift apart.
+    delta_coeff, the Δ of the Q equation, is derived from the other fields
+    on construction.
     """
 
     r: float
@@ -85,6 +93,17 @@ class MertonParams:
     mu1: float
     theta: float
     start_s: float = 0.0
+    delta_coeff: float = field(init=False)
+
+    def __post_init__(self):
+        # Δ = β + γ(μ0 − r)²/(2σ²(γ−1)) − γ(r + μ2 e^{λδ})
+        g = self.gamma
+        delta_coeff = (
+            self.beta
+            + g * (self.mu0 - self.r) ** 2 / (2.0 * self.sigma**2 * (g - 1.0))
+            - g * (self.r + self.mu2 * math.exp(self.lam * self.delta))
+        )
+        object.__setattr__(self, "delta_coeff", delta_coeff)
 
     @property
     def model_params(self) -> ModelParams:
@@ -113,12 +132,14 @@ def resolve_constraints(
     """Build parameters with θ and μ1 derived from the constraints.
 
     Explicit mu1/theta overrides are accepted (to study broken constraints)
-    but are not validated against the structural identities.
+    but are not validated against the structural identities.  Q(start_s) is
+    evaluated once, so a Δ or bracket outside the domain raises DomainError
+    here rather than at the first use of the closed form.
     """
     if sigma <= 0.0:
-        raise ConstraintViolationError(f"sigma must be > 0, got {sigma}")
+        raise ConfigError(f"sigma must be > 0, got {sigma}")
     if gamma >= 1.0 or gamma == 0.0:
-        raise ConstraintViolationError(
+        raise ConfigError(
             f"gamma must satisfy gamma < 1 and gamma != 0, got {gamma}"
         )
     theta_c = mu2 * math.exp(lam * delta)
@@ -126,7 +147,7 @@ def resolve_constraints(
         theta = theta_c
     if mu1 is None:
         mu1 = theta_c * (lam + r + theta_c)
-    return MertonParams(
+    p = MertonParams(
         r=r,
         mu0=mu0,
         sigma=sigma,
@@ -140,6 +161,8 @@ def resolve_constraints(
         theta=theta,
         start_s=start_s,
     )
+    q_closed_form(start_s, p)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -147,49 +170,45 @@ def resolve_constraints(
 # ---------------------------------------------------------------------------
 
 
-def delta_coefficient(p: MertonParams) -> float:
-    """Δ = β + γ(μ0 − r)²/(2σ²(γ−1)) − γ(r + μ2 e^{λδ})."""
-    return (
-        p.beta
-        + p.gamma * (p.mu0 - p.r) ** 2 / (2.0 * p.sigma**2 * (p.gamma - 1.0))
-        - p.gamma * (p.r + p.mu2 * math.exp(p.lam * p.delta))
-    )
-
-
-def q_closed_form(t, p: MertonParams, delta_coeff: float | None = None):
-    """Closed-form Q(t) solving Q' = (γ−1)Q^{γ/(γ−1)} + ΔQ, Q(T) = 1."""
-    if delta_coeff is None:
-        delta_coeff = delta_coefficient(p)
-    if delta_coeff == 0.0:
+def _q_bracket(t, p: MertonParams):
+    """The bracket (1 − k) e^{−Δ(T−t)/(1−γ)} + k of Q, k = (1−γ)/Δ, with its
+    exponential term (1 − k) e^{−Δ(T−t)/(1−γ)}."""
+    if p.delta_coeff == 0.0:
         raise DomainError("delta coefficient must be nonzero")
-    one_m_g = 1.0 - p.gamma
-    k = one_m_g / delta_coeff
-    bracket = (1.0 - k) * np.exp(
-        -delta_coeff * (p.horizon_T - np.asarray(t, float)) / one_m_g
-    ) + k
+    k = (1.0 - p.gamma) / p.delta_coeff
+    term = (1.0 - k) * np.exp(
+        -p.delta_coeff * (p.horizon_T - np.asarray(t, float)) / (1.0 - p.gamma)
+    )
+    return term + k, term
+
+
+def q_closed_form(t, p: MertonParams):
+    """Closed-form Q(t) solving Q' = (γ−1)Q^{γ/(γ−1)} + ΔQ, Q(T) = 1."""
+    bracket, _ = _q_bracket(t, p)
     if np.any(bracket <= 0.0):
         raise DomainError("closed-form bracket is not positive on the horizon")
-    return bracket**one_m_g
+    return bracket ** (1.0 - p.gamma)
 
 
-def q_ode_rhs(q, p: MertonParams, delta_coeff: float):
+def q_derivative(t, p: MertonParams):
+    """Analytic Q'(t) from the closed form (not from the ODE)."""
+    bracket, term = _q_bracket(t, p)
+    one_m_g = 1.0 - p.gamma
+    return one_m_g * bracket ** (-p.gamma) * (term * (p.delta_coeff / one_m_g))
+
+
+def q_ode_rhs(q, p: MertonParams):
     """Right-hand side (γ−1)Q^{γ/(γ−1)} + ΔQ of the Q equation."""
     expo = p.gamma / (p.gamma - 1.0)
-    return (p.gamma - 1.0) * np.power(q, expo) + delta_coeff * q
+    return (p.gamma - 1.0) * np.power(q, expo) + p.delta_coeff * q
 
 
-def q_ode_oracle(
-    p: MertonParams,
-    delta_coeff: float | None = None,
-    n_steps: int = 10_000,
-):
+def q_ode_oracle(p: MertonParams, n_steps: int = 10_000):
     """Backward Runge-Kutta 4 integration of the Q equation from Q(T) = 1.
 
     Returns (times, values) on a uniform grid from start_s to T.  Serves as
     the independent oracle against which the closed form is validated.
     """
-    if delta_coeff is None:
-        delta_coeff = delta_coefficient(p)
     times = np.linspace(p.start_s, p.horizon_T, n_steps + 1)
     h = (p.horizon_T - p.start_s) / n_steps
     values = np.empty(n_steps + 1)
@@ -197,42 +216,15 @@ def q_ode_oracle(
     q = 1.0
     for i in range(n_steps, 0, -1):
         # Step from times[i] to times[i-1], i.e. with step -h.
-        k1 = q_ode_rhs(q, p, delta_coeff)
-        k2 = q_ode_rhs(q - 0.5 * h * k1, p, delta_coeff)
-        k3 = q_ode_rhs(q - 0.5 * h * k2, p, delta_coeff)
-        k4 = q_ode_rhs(q - h * k3, p, delta_coeff)
+        k1 = q_ode_rhs(q, p)
+        k2 = q_ode_rhs(q - 0.5 * h * k1, p)
+        k3 = q_ode_rhs(q - 0.5 * h * k2, p)
+        k4 = q_ode_rhs(q - h * k3, p)
         q = q - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.isfinite(q) or q <= 0.0:
             raise DomainError(f"oracle integration left the domain at t={times[i-1]}")
         values[i - 1] = q
     return times, values
-
-
-@dataclass(frozen=True)
-class QSolution:
-    """Closed-form Q with its coefficient and analytic derivative."""
-
-    params: MertonParams
-    delta_coeff: float
-
-    def __call__(self, t):
-        return q_closed_form(t, self.params, self.delta_coeff)
-
-    def derivative(self, t):
-        """Analytic Q'(t) from the closed form (not from the ODE)."""
-        p = self.params
-        one_m_g = 1.0 - p.gamma
-        k = one_m_g / self.delta_coeff
-        expo = np.exp(-self.delta_coeff * (p.horizon_T - np.asarray(t, float)) / one_m_g)
-        bracket = (1.0 - k) * expo + k
-        d_bracket = (1.0 - k) * expo * (self.delta_coeff / one_m_g)
-        return one_m_g * bracket ** (-p.gamma) * d_bracket
-
-
-def solve_q(p: MertonParams) -> QSolution:
-    qsol = QSolution(params=p, delta_coeff=delta_coefficient(p))
-    qsol(p.start_s)  # fail fast if the bracket leaves the domain
-    return qsol
 
 
 # ---------------------------------------------------------------------------
@@ -247,30 +239,28 @@ def _memory_wealth(p: MertonParams, x, x1):
     return m
 
 
-def value_function(p: MertonParams, qsol: QSolution | None = None) -> ValueCandidate:
+def value_function(p: MertonParams) -> ValueCandidate:
     """Closed-form candidate V(s, x, x1) = −(1/γ) Q(s) (x + θx1)^γ."""
-    if qsol is None:
-        qsol = solve_q(p)
     g = p.gamma
     th = p.theta
 
     def v(s, x, x1):
-        return -(1.0 / g) * qsol(s) * _memory_wealth(p, x, x1) ** g
+        return -(1.0 / g) * q_closed_form(s, p) * _memory_wealth(p, x, x1) ** g
 
     def v_s(s, x, x1):
-        return -(1.0 / g) * qsol.derivative(s) * _memory_wealth(p, x, x1) ** g
+        return -(1.0 / g) * q_derivative(s, p) * _memory_wealth(p, x, x1) ** g
 
     def v_x(s, x, x1):
-        return -qsol(s) * _memory_wealth(p, x, x1) ** (g - 1.0)
+        return -q_closed_form(s, p) * _memory_wealth(p, x, x1) ** (g - 1.0)
 
     def v_xx(s, x, x1):
-        return -(g - 1.0) * qsol(s) * _memory_wealth(p, x, x1) ** (g - 2.0)
+        return -(g - 1.0) * q_closed_form(s, p) * _memory_wealth(p, x, x1) ** (g - 2.0)
 
     def v_x1(s, x, x1):
-        return -th * qsol(s) * _memory_wealth(p, x, x1) ** (g - 1.0)
+        return -th * q_closed_form(s, p) * _memory_wealth(p, x, x1) ** (g - 1.0)
 
     def v_xx1(s, x, x1):
-        return -th * (g - 1.0) * qsol(s) * _memory_wealth(p, x, x1) ** (g - 2.0)
+        return -th * (g - 1.0) * q_closed_form(s, p) * _memory_wealth(p, x, x1) ** (g - 2.0)
 
     return ValueCandidate(v=v, v_s=v_s, v_x=v_x, v_xx=v_xx, v_x1=v_x1, v_xx1=v_xx1)
 
@@ -280,9 +270,9 @@ def optimal_u(t, x, x1, p: MertonParams):
     return _u_of_wealth(_memory_wealth(p, x, x1), x, p)
 
 
-def optimal_c(t, x, x1, p: MertonParams, qsol: QSolution):
+def optimal_c(t, x, x1, p: MertonParams):
     """Consumption rate c* = ((x + θx1)/x) Q(t)^{1/(γ−1)}."""
-    return _c_of_wealth(t, _memory_wealth(p, x, x1), x, p, qsol)
+    return _c_of_wealth(t, _memory_wealth(p, x, x1), x, p)
 
 
 def _u_of_wealth(m, x, p: MertonParams):
@@ -290,9 +280,9 @@ def _u_of_wealth(m, x, p: MertonParams):
     return (p.mu0 - p.r) * m / ((1.0 - p.gamma) * p.sigma**2 * np.asarray(x, float))
 
 
-def _c_of_wealth(t, m, x, p: MertonParams, qsol: QSolution):
+def _c_of_wealth(t, m, x, p: MertonParams):
     """c* from the memory-adjusted wealth m = x + θx1."""
-    return (m / np.asarray(x, float)) * qsol(t) ** (1.0 / (p.gamma - 1.0))
+    return (m / np.asarray(x, float)) * q_closed_form(t, p) ** (1.0 / (p.gamma - 1.0))
 
 
 def build_model(p: MertonParams) -> StructuredModel:
@@ -305,6 +295,11 @@ def build_model(p: MertonParams) -> StructuredModel:
     """
     g = p.gamma
 
+    def utility(v):
+        """(1/γ) v^γ for v > 0; at v ≤ 0, −inf when γ < 0 and 0 otherwise."""
+        with np.errstate(all="ignore"):
+            return (1.0 / g) * np.where(v > 0.0, np.abs(v) ** g, np.inf if g < 0 else 0.0)
+
     def b1(t, x, x1, u):
         return ((p.mu0 - p.r) * u[0] - u[1] + p.r) * x + p.mu1 * x1
 
@@ -315,18 +310,13 @@ def build_model(p: MertonParams) -> StructuredModel:
         return p.sigma * u[0] * x
 
     def f1(t, x, x1, y, z, u):
-        cx = u[1] * x
-        with np.errstate(all="ignore"):
-            util = (1.0 / g) * np.where(cx > 0.0, np.abs(cx) ** g, np.inf if g < 0 else 0.0)
-        return -p.beta * y + util
+        return -p.beta * y + utility(u[1] * x)
 
     def f2(t, x, x1, y, z, u):
         return np.zeros_like(np.asarray(x, float))
 
     def phi(x, x1):
-        m = np.asarray(x, float) + p.theta * np.asarray(x1, float)
-        with np.errstate(all="ignore"):
-            return (1.0 / g) * np.where(m > 0.0, np.abs(m) ** g, np.inf if g < 0 else 0.0)
+        return utility(np.asarray(x, float) + p.theta * np.asarray(x1, float))
 
     def f_y(t, x, x1, x2, y, z, u):
         return -p.beta * np.ones_like(np.asarray(x, float))
@@ -350,14 +340,12 @@ def build_model(p: MertonParams) -> StructuredModel:
     )
 
 
-def build_policy(p: MertonParams, qsol: QSolution | None = None) -> FeedbackPolicy:
+def build_policy(p: MertonParams) -> FeedbackPolicy:
     """Closed-form optimal feedback policy, clamped to the admissible cone.
 
     Admissibility bounds the position and consumption flows by the
     memory-adjusted wealth: |uX| ≤ Λ1|X + μ2X1| and 0 ≤ cX ≤ Λ2|X + μ2X1|.
     """
-    if qsol is None:
-        qsol = solve_q(p)
 
     def evaluate(t, x, x1):
         x = np.asarray(x, float)
@@ -365,7 +353,7 @@ def build_policy(p: MertonParams, qsol: QSolution | None = None) -> FeedbackPoli
         bound = np.abs(x + p.mu2 * x1) / np.maximum(np.abs(x), 1e-300)
         m = _memory_wealth(p, x, x1)
         u = np.clip(_u_of_wealth(m, x, p), -LAM1 * bound, LAM1 * bound)
-        c = np.clip(_c_of_wealth(t, m, x, p, qsol), 0.0, LAM2 * bound)
+        c = np.clip(_c_of_wealth(t, m, x, p), 0.0, LAM2 * bound)
         return np.stack([np.broadcast_to(u, x.shape), np.broadcast_to(c, x.shape)])
 
     return FeedbackPolicy(evaluate=evaluate, n_controls=2, label="merton_optimal")
@@ -387,7 +375,6 @@ def build_basis(p: MertonParams, degree: int = 2) -> RegressionBasis:
 
 def closed_form_adjoints(
     p: MertonParams,
-    qsol: QSolution,
     ensemble: ForwardEnsemble,
     q: Array,
 ) -> Adjoints:
@@ -398,7 +385,7 @@ def closed_form_adjoints(
     t, x, x1 = ensemble.times, ensemble.x, ensemble.x1
     m = _memory_wealth(p, x, x1)
     g = p.gamma
-    qv = qsol(t)
+    qv = q_closed_form(t, p)
     ustar = _u_of_wealth(m, x, p)
     p1 = -qv * m ** (g - 1.0) * q
     k1 = (1.0 - g) * p.sigma * ustar * x * qv * m ** (g - 2.0) * q

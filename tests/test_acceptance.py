@@ -35,13 +35,11 @@ def announce(n, passed, detail):
 
 def build(mu2=0.01, **overrides):
     p = merton.resolve_constraints(**{**P0, "mu2": mu2}, **overrides)
-    qsol = merton.solve_q(p)
     return {
         "params": p,
-        "qsol": qsol,
         "model": merton.build_model(p),
-        "policy": merton.build_policy(p, qsol),
-        "cand": merton.value_function(p, qsol),
+        "policy": merton.build_policy(p),
+        "cand": merton.value_function(p),
         "basis": merton.build_basis(p),
     }
 
@@ -104,7 +102,7 @@ class CriteriaRunner:
         cfg = core.SimConfig(n_steps=128, n_paths=64, master_seed=5)
         ens = sdde.simulate_forward(c["model"], c["policy"], INITIAL, cfg)
         q = merton.exact_q_factor(c["params"], ens.times)
-        adj = merton.closed_form_adjoints(c["params"], c["qsol"], ens, q)
+        adj = merton.closed_form_adjoints(c["params"], ens, q)
         return verify.relations_report(c["model"], c["cand"], ens, adj)
 
     def cost_check(self, n_paths=10_000, n_steps=128, seed=1):

@@ -118,6 +118,16 @@ class TestExitCodes:
         cfg["sim"]["n_steps"] = 256
         assert run("simulate", write_cfg(tmp_path, cfg), tmp_path / "out") == 3
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_zero_delta_is_three(self, tmp_path, capsys, command):
+        # mu0 = r and mu2 = 0 leave Delta = beta - gamma r, which is 0 here:
+        # Q has no closed form, and every subcommand fails before its work.
+        cfg = json.loads(json.dumps(MERTON_CFG))
+        cfg["model"]["params"].update(mu0=0.04, r=0.04, mu2=0.0, beta=0.02, gamma=0.5)
+        assert run(command, write_cfg(tmp_path, cfg), tmp_path / "out") == 3
+        assert capsys.readouterr().err.startswith("numerical failure:")
+        assert not (tmp_path / "out" / "report.json").exists()
+
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     @pytest.mark.parametrize("command", COMMANDS)
     def test_malformed_config_is_two(self, tmp_path, monkeypatch, capsys, command, case):

@@ -15,15 +15,15 @@ class TestModelParams:
         assert p.e_plus == pytest.approx(math.exp(0.1))
 
     def test_negative_lam_rejected(self):
-        with pytest.raises(core.InvalidStateError):
+        with pytest.raises(core.ConfigError):
             core.ModelParams(lam=-0.1, delta=1.0, horizon_T=1.0)
 
     def test_negative_delta_rejected(self):
-        with pytest.raises(core.InvalidStateError):
+        with pytest.raises(core.ConfigError):
             core.ModelParams(lam=0.1, delta=-1.0, horizon_T=1.0)
 
     def test_bad_time_window_rejected(self):
-        with pytest.raises(core.InvalidStateError):
+        with pytest.raises(core.ConfigError):
             core.ModelParams(lam=0.1, delta=1.0, horizon_T=0.0, start_s=0.5)
 
 
@@ -98,7 +98,7 @@ class TestControlBox:
         assert np.all(clamped[1] == [1.0, 2.0])
 
     def test_bad_bounds_rejected(self):
-        with pytest.raises(core.InvalidStateError):
+        with pytest.raises(core.ConfigError):
             core.ControlBox(lower=[1.0], upper=[0.0])
 
 

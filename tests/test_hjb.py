@@ -28,13 +28,11 @@ def with_nan_v_s(cand):
 @pytest.fixture(scope="module")
 def merton_setup():
     p = merton.resolve_constraints(**P0)
-    qsol = merton.solve_q(p)
     return {
         "params": p,
-        "qsol": qsol,
         "model": merton.build_model(p),
-        "policy": merton.build_policy(p, qsol),
-        "cand": merton.value_function(p, qsol),
+        "policy": merton.build_policy(p),
+        "cand": merton.value_function(p),
     }
 
 
@@ -59,7 +57,7 @@ class TestGeneralizedHamiltonian:
             assert g2 - g1 == pytest.approx(g1 - g0, rel=1e-12)
 
     def test_numeric_argmax_matches_formulas(self, merton_setup):
-        p, qsol = merton_setup["params"], merton_setup["qsol"]
+        p = merton_setup["params"]
         model, cand = merton_setup["model"], merton_setup["cand"]
         s, x, x1 = 0.3, 1.2, 0.8
         _, u_star = hjb.hjb_residual(model, cand, s, x, x1, 0.0)
@@ -67,7 +65,7 @@ class TestGeneralizedHamiltonian:
             float(merton.optimal_u(s, x, x1, p)), abs=1e-4
         )
         assert float(u_star[1]) == pytest.approx(
-            float(merton.optimal_c(s, x, x1, p, qsol)), abs=1e-4
+            float(merton.optimal_c(s, x, x1, p)), abs=1e-4
         )
 
 

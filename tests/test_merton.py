@@ -1,5 +1,6 @@
 """Closed-form benchmark: frozen constants, Q oracle, controls, reductions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,8 +14,16 @@ P0 = dict(
 )
 
 
+def with_delta_coeff(p, value):
+    """A copy of p whose derived Delta is replaced by value, to evaluate the
+    closed form at a Delta its parameters do not give."""
+    copy = dataclasses.replace(p)
+    object.__setattr__(copy, "delta_coeff", value)
+    return copy
+
+
 def delta_coefficient_misprinted(p):
-    """Mutant of merton.delta_coefficient with (mu1 - r)^2 for (mu0 - r)^2."""
+    """Mutant of the Delta of MertonParams with (mu1 - r)^2 for (mu0 - r)^2."""
     return (
         p.beta
         + p.gamma * (p.mu1 - p.r) ** 2 / (2.0 * p.sigma**2 * (p.gamma - 1.0))
@@ -25,7 +34,7 @@ def delta_coefficient_misprinted(p):
 def q_closed_form_flipped_exponent(t, p):
     """Mutant of merton.q_closed_form with e^{+Delta(T-t)/(1-gamma)}; it
     solves the time-reversed equation."""
-    delta_coeff = merton.delta_coefficient(p)
+    delta_coeff = p.delta_coeff
     one_m_g = 1.0 - p.gamma
     k = one_m_g / delta_coeff
     bracket = (1.0 - k) * np.exp(
@@ -51,17 +60,28 @@ class TestDerivedConstants:
         assert p0.mu1 == pytest.approx(0.0015588624693143591, rel=1e-14)
 
     def test_frozen_delta_coefficient(self, p0):
-        assert merton.delta_coefficient(p0) == pytest.approx(
+        assert p0.delta_coeff == pytest.approx(
             0.04822414540962176, rel=1e-14
         )
 
     def test_validation(self):
-        with pytest.raises(core.ConstraintViolationError):
+        with pytest.raises(core.ConfigError):
             merton.resolve_constraints(**{**P0, "sigma": 0.0})
-        with pytest.raises(core.ConstraintViolationError):
+        with pytest.raises(core.ConfigError):
             merton.resolve_constraints(**{**P0, "gamma": 1.0})
-        with pytest.raises(core.ConstraintViolationError):
+        with pytest.raises(core.ConfigError):
             merton.resolve_constraints(**{**P0, "gamma": 0.0})
+
+    def test_delta_follows_the_parameters(self, p0):
+        moved = dataclasses.replace(p0, beta=p0.beta + 0.25)
+        assert moved.delta_coeff == pytest.approx(p0.delta_coeff + 0.25, rel=1e-14)
+
+    def test_zero_delta_fails_fast(self):
+        # Delta = beta - gamma r = 0 when mu0 = r and mu2 = 0.
+        with pytest.raises(core.DomainError):
+            merton.resolve_constraints(
+                **{**P0, "mu0": 0.04, "r": 0.04, "mu2": 0.0, "beta": 0.02}
+            )
 
 
 class TestQFunction:
@@ -73,7 +93,7 @@ class TestQFunction:
     def test_unit_delta_coefficient_special_case(self, p0):
         # When Delta = 1 - gamma the bracket collapses and Q is identically 1.
         q = merton.q_closed_form(
-            np.linspace(0.0, 1.0, 11), p0, delta_coeff=1.0 - p0.gamma
+            np.linspace(0.0, 1.0, 11), with_delta_coeff(p0, 1.0 - p0.gamma)
         )
         assert np.max(np.abs(q - 1.0)) < 1e-14
 
@@ -86,10 +106,9 @@ class TestQFunction:
         assert rel < 1e-8
 
     def test_analytic_derivative_solves_ode(self, p0):
-        qsol = merton.solve_q(p0)
         t = np.linspace(0.0, 1.0, 1001)
-        residual = qsol.derivative(t) - merton.q_ode_rhs(
-            qsol(t), p0, qsol.delta_coeff
+        residual = merton.q_derivative(t, p0) - merton.q_ode_rhs(
+            merton.q_closed_form(t, p0), p0
         )
         assert np.max(np.abs(residual)) < 1e-9
 
@@ -100,7 +119,9 @@ class TestQFunction:
 
     def test_misprinted_delta_fails_oracle(self, p0):
         times, oracle = merton.q_ode_oracle(p0, n_steps=2_000)
-        wrong = merton.q_closed_form(times, p0, delta_coefficient_misprinted(p0))
+        wrong = merton.q_closed_form(
+            times, with_delta_coeff(p0, delta_coefficient_misprinted(p0))
+        )
         assert np.max(np.abs(wrong - oracle)) > 1e-3
 
     def test_initial_value_frozen(self, p0):
@@ -121,22 +142,20 @@ class TestControls:
         assert expected == pytest.approx(2.5276292729517, rel=1e-10)
 
     def test_c_formula_value(self, p0):
-        qsol = merton.solve_q(p0)
         x, x1 = 1.0, 1.0
         m = x + p0.theta * x1
-        expected = (m / x) * float(qsol(0.0)) ** (1.0 / (p0.gamma - 1.0))
-        assert float(merton.optimal_c(0.0, x, x1, p0, qsol)) == pytest.approx(expected)
+        expected = (m / x) * float(merton.q_closed_form(0.0, p0)) ** (1.0 / (p0.gamma - 1.0))
+        assert float(merton.optimal_c(0.0, x, x1, p0)) == pytest.approx(expected)
 
     def test_controls_maximize_hamiltonian(self, p0):
-        qsol = merton.solve_q(p0)
         model = merton.build_model(p0)
-        cand = merton.value_function(p0, qsol)
+        cand = merton.value_function(p0)
         s, x, x1 = 0.4, 1.5, 1.1
         args = hjb.args_from_candidate(cand, s, x, x1)
         u_star = np.array(
             [
                 float(merton.optimal_u(s, x, x1, p0)),
-                float(merton.optimal_c(s, x, x1, p0, qsol)),
+                float(merton.optimal_c(s, x, x1, p0)),
             ]
         )
         g_star = float(
@@ -173,7 +192,7 @@ class TestNoMemoryReduction:
             + p.gamma * (p.mu0 - p.r) ** 2 / (2.0 * p.sigma**2 * (p.gamma - 1.0))
             - p.gamma * p.r
         )
-        assert merton.delta_coefficient(p) == pytest.approx(expected)
+        assert p.delta_coeff == pytest.approx(expected)
 
     def test_mu2_zero_value_independent_of_x1(self):
         p = merton.resolve_constraints(**{**P0, "mu2": 0.0})

@@ -124,11 +124,10 @@ def set_rows(monkeypatch, rows, n_paths):
 @pytest.fixture(scope="module")
 def merton_setup():
     p = merton.resolve_constraints(**P0)
-    qsol = merton.solve_q(p)
     model = merton.build_model(p)
-    cand = merton.value_function(p, qsol)
+    cand = merton.value_function(p)
     # Scaled controls leave H_u and grid-optimality residuals to report.
-    policy = verify.scaled_policy(merton.build_policy(p, qsol), [1.3, 0.9], "detuned")
+    policy = verify.scaled_policy(merton.build_policy(p), [1.3, 0.9], "detuned")
     cfg = core.SimConfig(n_steps=N_STEPS, n_paths=N_PATHS, master_seed=17)
     ens = sdde.simulate_forward(model, policy, INITIAL, cfg)
     q = merton.exact_q_factor(p, ens.times)
@@ -282,13 +281,12 @@ class TestPeakMemory:
     @pytest.fixture(scope="class")
     def large(self):
         p = merton.resolve_constraints(**P0)
-        qsol = merton.solve_q(p)
         model = merton.build_model(p)
-        cand = merton.value_function(p, qsol)
+        cand = merton.value_function(p)
         cfg = core.SimConfig(n_steps=256, n_paths=2000, master_seed=3)
-        ens = sdde.simulate_forward(model, merton.build_policy(p, qsol), INITIAL, cfg)
+        ens = sdde.simulate_forward(model, merton.build_policy(p), INITIAL, cfg)
         q = merton.exact_q_factor(p, ens.times)
-        return model, cand, ens, q, p, qsol
+        return model, cand, ens, q, p
 
     def _peak(self, fun, *args):
         tracemalloc.start()
@@ -299,13 +297,13 @@ class TestPeakMemory:
             tracemalloc.stop()
 
     def test_relations_report(self, large):
-        model, cand, ens, q, p, qsol = large
-        adj = merton.closed_form_adjoints(p, qsol, ens, q)
+        model, cand, ens, q, p = large
+        adj = merton.closed_form_adjoints(p, ens, q)
         peak = self._peak(verify.relations_report, model, cand, ens, adj)
         assert peak < 2 * ens.x.nbytes
 
     def test_maximum_condition_check(self, large):
-        model, cand, ens, q, _, _ = large
+        model, cand, ens, q, _ = large
         adj = pmp.adjoint_from_value(model, cand, ens, q)
         peak = self._peak(pmp.maximum_condition_check, model, cand, ens, adj)
         assert peak < 2 * ens.x.nbytes

@@ -19,15 +19,14 @@ INITIAL = lambda tau: 1.0  # noqa: E731
 @pytest.fixture(scope="module")
 def merton_run():
     p = merton.resolve_constraints(**P0)
-    qsol = merton.solve_q(p)
     model = merton.build_model(p)
-    policy = merton.build_policy(p, qsol)
-    cand = merton.value_function(p, qsol)
+    policy = merton.build_policy(p)
+    cand = merton.value_function(p)
     cfg = core.SimConfig(n_steps=128, n_paths=16, master_seed=31)
     ensemble = sdde.simulate_forward(model, policy, INITIAL, cfg)
     q = merton.exact_q_factor(p, ensemble.times)
     return {
-        "params": p, "qsol": qsol, "model": model, "policy": policy,
+        "params": p, "model": model, "policy": policy,
         "cand": cand, "ensemble": ensemble, "q": q,
     }
 
@@ -73,12 +72,12 @@ class TestQFactor:
 
 class TestAdjointConstruction:
     def test_value_derived_matches_closed_form(self, merton_run):
-        p, qsol = merton_run["params"], merton_run["qsol"]
+        p = merton_run["params"]
         ens = merton_run["ensemble"]
         built = pmp.adjoint_from_value(
             merton_run["model"], merton_run["cand"], ens, merton_run["q"]
         )
-        explicit = merton.closed_form_adjoints(p, qsol, ens, merton_run["q"])
+        explicit = merton.closed_form_adjoints(p, ens, merton_run["q"])
         for name in ("p1", "p2", "p3", "k1", "k2"):
             a, b = getattr(built, name), getattr(explicit, name)
             assert a.shape == (ens.n_paths, ens.n_steps + 1), name
@@ -222,7 +221,6 @@ class TestAdjointDrift:
         # -dp1 = H_x dt - k1 dW along the optimal path, H_x by differencing.
         model, cand = merton_run["model"], merton_run["cand"]
         p = merton_run["params"]
-        qsol = merton_run["qsol"]
         policy = merton_run["policy"]
 
         def mean_residual(n_steps):
@@ -230,7 +228,7 @@ class TestAdjointDrift:
             ens = sdde.simulate_forward(model, policy, INITIAL, cfg)
             q = merton.exact_q_factor(p, ens.times)
             h = (p.horizon_T - p.start_s) / n_steps
-            adj = merton.closed_form_adjoints(p, qsol, ens, q)
+            adj = merton.closed_form_adjoints(p, ens, q)
             t, x, x1, x2 = ens.times, ens.x, ens.x1, ens.x2
             u = np.moveaxis(ens.controls, 2, 0)
             y = -cand.v(t, x, x1)
@@ -285,12 +283,11 @@ class TestConvexityProbe:
 
     def test_merton_convex_near_optimum(self):
         p = merton.resolve_constraints(**P0)
-        qsol = merton.solve_q(p)
         model = merton.build_model(p)
-        cand = merton.value_function(p, qsol)
+        cand = merton.value_function(p)
         s, x, x1 = 0.0, 1.0, 0.95
         u_star = float(merton.optimal_u(s, x, x1, p))
-        c_star = float(merton.optimal_c(s, x, x1, p, qsol))
+        c_star = float(merton.optimal_c(s, x, x1, p))
         q0 = 1.0
         vx = float(cand.v_x(s, x, x1))
         p1 = vx * q0
@@ -310,10 +307,9 @@ def _broken_theta_run(n_paths, seed, u_factor=1.0, initial=INITIAL):
     u_factor times the closed-form portfolio, with value-derived adjoints."""
     p_ok = merton.resolve_constraints(**P0)
     p_bad = merton.resolve_constraints(**P0, theta=p_ok.theta + 0.01)
-    qsol = merton.solve_q(p_bad)
     model = merton.build_model(p_bad)
-    policy = verify.scaled_policy(merton.build_policy(p_bad, qsol), [u_factor, 1.0], "u")
-    cand = merton.value_function(p_bad, qsol)
+    policy = verify.scaled_policy(merton.build_policy(p_bad), [u_factor, 1.0], "u")
+    cand = merton.value_function(p_bad)
     cfg = core.SimConfig(n_steps=64, n_paths=n_paths, master_seed=seed)
     ens = sdde.simulate_forward(model, policy, initial, cfg)
     q = merton.exact_q_factor(p_bad, ens.times)

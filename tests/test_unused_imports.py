@@ -1,4 +1,4 @@
-"""No module of src/delaylab or tests/ imports a name it never uses.
+"""No module of src/delaylab, tests/ or demos/ imports a name it never uses.
 
 A name bound by an import counts as used when the module refers to it as a
 bare name anywhere, including as the root of an attribute (np.asarray) or
@@ -13,6 +13,7 @@ import delaylab
 
 PACKAGE = Path(delaylab.__file__).parent
 TESTS = Path(__file__).parent
+DEMOS = TESTS.parent / "demos"
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -31,6 +32,6 @@ def unused_imports(path: Path) -> list[str]:
 
 def test_no_unused_imports():
     paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    paths += sorted(TESTS.glob("*.py"))
+    paths += sorted(TESTS.glob("*.py")) + sorted(DEMOS.glob("*.py"))
     unused = [entry for path in paths for entry in unused_imports(path)]
     assert not unused, f"imported but never used: {unused}"

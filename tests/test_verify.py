@@ -18,13 +18,11 @@ INITIAL = lambda tau: 1.0  # noqa: E731
 @pytest.fixture(scope="module")
 def setup():
     p = merton.resolve_constraints(**P0)
-    qsol = merton.solve_q(p)
     return {
         "params": p,
-        "qsol": qsol,
         "model": merton.build_model(p),
-        "policy": merton.build_policy(p, qsol),
-        "cand": merton.value_function(p, qsol),
+        "policy": merton.build_policy(p),
+        "cand": merton.value_function(p),
         "basis": merton.build_basis(p),
     }
 
