@@ -13,11 +13,7 @@ from .core import (
     derive_path_seed,
     initial_segment,
 )
-from .sdde import (
-    ForwardEnsemble,
-    simulate_forward,
-    x1_step_ode,
-)
+from .sdde import ForwardEnsemble, simulate_forward
 from .bsdde import (
     BackwardSolution,
     RegressionBasis,

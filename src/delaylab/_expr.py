@@ -41,71 +41,57 @@ def compile_expression(source: str, variables: tuple):
 
     Raises ConfigError for syntax errors, unknown names, or disallowed
     constructs.  The returned callable takes keyword arguments matching the
-    variable names and broadcasts over numpy arrays.
+    variable names and broadcasts over numpy arrays.  Numeric literals are
+    read as float64, so integer arithmetic can neither wrap nor fail.
     """
     try:
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise ConfigError(f"bad expression {source!r}: {exc.msg}") from exc
 
-    def check(node: ast.AST) -> None:
-        if isinstance(node, ast.Expression):
-            check(node.body)
-        elif isinstance(node, ast.BinOp):
+    def build(node: ast.AST):
+        """The closure env -> value of node, once node is checked against the grammar."""
+        if isinstance(node, ast.BinOp):
             if type(node.op) not in _BINOPS:
                 raise ConfigError(f"operator not allowed in {source!r}")
-            check(node.left)
-            check(node.right)
-        elif isinstance(node, ast.UnaryOp):
+            op, left, right = _BINOPS[type(node.op)], build(node.left), build(node.right)
+            return lambda env: op(left(env), right(env))
+        if isinstance(node, ast.UnaryOp):
             if type(node.op) not in _UNARYOPS:
                 raise ConfigError(f"operator not allowed in {source!r}")
-            check(node.operand)
-        elif isinstance(node, ast.Call):
+            op, operand = _UNARYOPS[type(node.op)], build(node.operand)
+            return lambda env: op(operand(env))
+        if isinstance(node, ast.Call):
             if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
                 raise ConfigError(f"function not allowed in {source!r}")
             if node.keywords:
                 raise ConfigError(f"keyword arguments not allowed in {source!r}")
-            for arg in node.args:
-                check(arg)
-        elif isinstance(node, ast.Name):
+            fn, args = _FUNCTIONS[node.func.id], [build(a) for a in node.args]
+            return lambda env: fn(*[a(env) for a in args])
+        if isinstance(node, ast.Name):
             if node.id not in variables:
                 raise ConfigError(
                     f"unknown name {node.id!r} in {source!r}; "
                     f"allowed: {', '.join(variables)}"
                 )
-        elif isinstance(node, ast.Constant):
+            name = node.id
+            return lambda env: env[name]
+        if isinstance(node, ast.Constant):
             if not isinstance(node.value, (int, float)):
                 raise ConfigError(f"non-numeric literal in {source!r}")
-        else:
-            raise ConfigError(
-                f"construct {type(node).__name__} not allowed in {source!r}"
-            )
+            value = float(node.value)
+            return lambda env: value
+        raise ConfigError(
+            f"construct {type(node).__name__} not allowed in {source!r}"
+        )
 
-    check(tree)
-
-    def evaluate(node: ast.AST, env: dict):
-        if isinstance(node, ast.Expression):
-            return evaluate(node.body, env)
-        if isinstance(node, ast.BinOp):
-            return _BINOPS[type(node.op)](
-                evaluate(node.left, env), evaluate(node.right, env)
-            )
-        if isinstance(node, ast.UnaryOp):
-            return _UNARYOPS[type(node.op)](evaluate(node.operand, env))
-        if isinstance(node, ast.Call):
-            args = [evaluate(a, env) for a in node.args]
-            return _FUNCTIONS[node.func.id](*args)
-        if isinstance(node, ast.Name):
-            return env[node.id]
-        if isinstance(node, ast.Constant):
-            return node.value
-        raise AssertionError("unreachable after check()")
+    body = build(tree.body)
 
     def fun(**env):
         missing = set(variables) - set(env)
         if missing:
             raise ConfigError(f"missing variables {sorted(missing)} for {source!r}")
-        return evaluate(tree, env)
+        return body(env)
 
     fun.source = source
     return fun

@@ -97,6 +97,11 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _param_kwargs(raw: dict) -> dict:
+    """model.params (and model.overrides) as float keyword arguments; lambda is lam."""
+    return {("lam" if key == "lambda" else key): float(value) for key, value in raw.items()}
+
+
 _MERTON_PARAM_KEYS = {
     "r", "mu0", "sigma", "beta", "gamma", "lambda", "delta",
     "horizon_T", "mu2", "start_s",
@@ -119,20 +124,7 @@ def build_merton(section: dict):
     )
     overrides = section.get("overrides", {})
     _require_keys(overrides, allowed={"mu1", "theta"}, required=set(), where="model.overrides")
-    params = merton.resolve_constraints(
-        r=float(raw["r"]),
-        mu0=float(raw["mu0"]),
-        sigma=float(raw["sigma"]),
-        beta=float(raw["beta"]),
-        gamma=float(raw["gamma"]),
-        lam=float(raw["lambda"]),
-        delta=float(raw["delta"]),
-        horizon_T=float(raw["horizon_T"]),
-        mu2=float(raw["mu2"]),
-        start_s=float(raw.get("start_s", 0.0)),
-        mu1=(float(overrides["mu1"]) if "mu1" in overrides else None),
-        theta=(float(overrides["theta"]) if "theta" in overrides else None),
-    )
+    params = merton.resolve_constraints(**_param_kwargs({**raw, **overrides}))
     return (
         merton.build_model(params),
         merton.build_policy(params),
@@ -165,15 +157,10 @@ def build_generic(section: dict):
         required={"lambda", "delta", "horizon_T"},
         where="model.params",
     )
-    params = ModelParams(
-        lam=float(raw["lambda"]),
-        delta=float(raw["delta"]),
-        horizon_T=float(raw["horizon_T"]),
-        start_s=float(raw.get("start_s", 0.0)),
-    )
+    params = ModelParams(**_param_kwargs(raw))
     box_raw = section["control_box"]
     _require_keys(box_raw, allowed={"lower", "upper"}, required={"lower", "upper"}, where="model.control_box")
-    box = ControlBox(lower=np.asarray(box_raw["lower"], float), upper=np.asarray(box_raw["upper"], float))
+    box = ControlBox(lower=box_raw["lower"], upper=box_raw["upper"])
     n_u = box.n_controls
     if n_u > 2:
         raise ConfigError("generic models support at most two control coordinates")
@@ -185,42 +172,29 @@ def build_generic(section: dict):
         required=set(_COEFF_VARS),
         where="model.coefficients",
     )
-    compiled = {
-        name: compile_expression(str(coeffs_raw[name]), _COEFF_VARS[name])
-        for name in _COEFF_VARS
-    }
 
-    def control_env(u):
-        env = {"u": u[0]}
-        env["c"] = u[1] if n_u > 1 else np.zeros_like(np.asarray(u[0], float))
-        return env
+    def coefficient(name):
+        """The model's callable for coefficient name.
 
-    def make_state_coeff(name):
-        fun = compiled[name]
+        Its positional arguments bind the names of _COEFF_VARS[name] in
+        order; the control vector u binds u (u[0]) and c (u[1], or zeros
+        with one control).
+        """
+        names = _COEFF_VARS[name]
+        fun = compile_expression(str(coeffs_raw[name]), names)
 
-        def coeff(t, x, x1, u):
-            return np.asarray(fun(t=t, x=x, x1=x1, **control_env(u)), float)
-
-        return coeff
-
-    def make_gen_coeff(name):
-        fun = compiled[name]
-
-        def coeff(t, x, x1, y, z, u):
-            return np.asarray(fun(t=t, x=x, x1=x1, y=y, z=z, **control_env(u)), float)
+        def coeff(*args):
+            env = dict(zip(names, args))
+            if "u" in env:
+                u = env["u"]
+                env["u"] = u[0]
+                env["c"] = u[1] if n_u > 1 else np.zeros_like(np.asarray(u[0], float))
+            return np.asarray(fun(**env), float)
 
         return coeff
 
-    phi_fun = compiled["phi"]
     model = StructuredModel(
-        params=params,
-        b1=make_state_coeff("b1"),
-        b2=make_state_coeff("b2"),
-        sigma=make_state_coeff("sigma"),
-        f1=make_gen_coeff("f1"),
-        f2=make_gen_coeff("f2"),
-        phi=lambda x, x1: np.asarray(phi_fun(x=x, x1=x1), float),
-        control_set=box,
+        params=params, control_set=box, **{name: coefficient(name) for name in _COEFF_VARS}
     )
 
     pol_raw = section["policy"]
@@ -491,20 +465,15 @@ def cmd_check_relations(run: Run):
 
 def cmd_compare_controls(run: Run):
     policy = run.policy
-    if policy.n_controls == 2:
-        perturbations = [
-            verify.scaled_policy(policy, [0.75, 1.0], "u_scaled_0.75"),
-            verify.scaled_policy(policy, [1.25, 1.0], "u_scaled_1.25"),
-            verify.scaled_policy(policy, [1.0, 0.75], "c_scaled_0.75"),
-            verify.scaled_policy(policy, [1.0, 1.25], "c_scaled_1.25"),
-            verify.scaled_policy(policy, [0.0, 1.0], "u_zero"),
-        ]
-    else:
-        perturbations = [
-            verify.scaled_policy(policy, [0.75], "u_scaled_0.75"),
-            verify.scaled_policy(policy, [1.25], "u_scaled_1.25"),
-            verify.scaled_policy(policy, [0.0], "u_zero"),
-        ]
+    n_u = policy.n_controls
+    perturbations = [
+        verify.scaled_policy(
+            policy, [factor if j == i else 1.0 for j in range(n_u)], f"{name}_scaled_{factor}"
+        )
+        for i, name in enumerate("uc"[:n_u])
+        for factor in (0.75, 1.25)
+    ]
+    perturbations.append(verify.scaled_policy(policy, [0.0, 1.0][:n_u], "u_zero"))
     report = verify.compare_controls(
         run.model, policy, perturbations, run.initial, run.sim, run.basis
     )

@@ -209,6 +209,10 @@ class ControlBox:
     def __post_init__(self):
         object.__setattr__(self, "lower", np.atleast_1d(np.asarray(self.lower, float)))
         object.__setattr__(self, "upper", np.atleast_1d(np.asarray(self.upper, float)))
+        if self.lower.ndim != 1 or self.lower.size == 0:
+            raise ConfigError(
+                f"control box bounds must be non-empty flat lists, got shape {self.lower.shape}"
+            )
         if self.lower.shape != self.upper.shape:
             raise ConfigError("lower/upper must have matching shapes")
         if np.any(self.lower > self.upper):
@@ -264,8 +268,8 @@ class StructuredModel:
         return self.b1(t, x, x1, u) + self.b2(t, x, x1, u) * x2
 
     def x1_drift(self, x, x1, x2):
-        """Drift x − λx1 − e^{-λδ}x2 of the moving average X1."""
-        return x - self.params.lam * x1 - self.params.e_minus * x2
+        """Drift x − e^{-λδ}x2 − λx1 of the moving average X1."""
+        return x - self.params.e_minus * x2 - self.params.lam * x1
 
     def generator(self, t, x, x1, x2, y, z, u):
         return self.f1(t, x, x1, y, z, u) + self.f2(t, x, x1, y, z, u) * x2

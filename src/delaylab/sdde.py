@@ -97,11 +97,6 @@ class ForwardEnsemble:
         )
 
 
-def x1_step_ode(x1, x, x2, lam: float, delta: float, h: float):
-    """One Euler step of the moving-average identity dX1 = (X − e^{-λδ}X2 − λX1)dt."""
-    return x1 + h * (x - math.exp(-lam * delta) * x2 - lam * x1)
-
-
 def brownian_increments(master_seed: int, n_paths: int, n_steps: int, h: float) -> Array:
     """Brownian increments of variance h, shape (n_paths, n_steps).
 
@@ -197,7 +192,7 @@ def simulate_forward(
         if np.any(bad):
             raise SimulationDivergedError(step=k + 1, n_bad=int(bad.sum()))
         xfull[lag + k + 1] = xn
-        x1[k + 1] = x1_step_ode(x1k, x, x2, params.lam, params.delta, h)
+        x1[k + 1] = x1k + h * model.x1_drift(x, x1k, x2)
 
     controls[-1] = policy.at(float(times[-1]), xfull[lag + n_steps], x1[-1])
 

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from delaylab import cli, hjb, pmp, verify
@@ -34,6 +35,27 @@ GENERIC_CFG = {
         "policy": ["0.5"],
     },
     "sim": {"n_steps": 32, "n_paths": 20, "master_seed": 3},
+}
+
+# Two controls: b1 and f1 read c, the second coordinate.  With sigma = 0 and
+# b2 = 0 every Euler step is x + h·b1 exactly.
+GENERIC2_CFG = {
+    "model": {
+        "kind": "generic",
+        "params": {"lambda": 0.2, "delta": 0.25, "horizon_T": 1},
+        "coefficients": {
+            "b1": "x / 10 + 2 * u - 3 * c",
+            "b2": "0",
+            "sigma": "0",
+            "f1": "-y / 2 + c * x - u ** 2",
+            "f2": "c / 4",
+            "phi": "x + 2 * x1",
+        },
+        "control_box": {"lower": [0, 0], "upper": [1, 1]},
+        "policy": ["1 / 2", "x1 / 4"],
+    },
+    "sim": {"n_steps": 32, "n_paths": 20, "master_seed": 3},
+    "initial_path": {"kind": "expr", "expr": "1 + tau / 2"},
 }
 
 
@@ -173,6 +195,8 @@ class TestSeedHandling:
 DETERMINISM_CASES = [pytest.param(MERTON_CFG, c, 0, id=c) for c in COMMANDS] + [
     pytest.param(GENERIC_CFG, "simulate", 0, id="generic-simulate"),
     pytest.param(GENERIC_CFG, "compare-controls", 1, id="generic-compare-controls"),
+    pytest.param(GENERIC2_CFG, "simulate", 0, id="generic2-simulate"),
+    pytest.param(GENERIC2_CFG, "compare-controls", 1, id="generic2-compare-controls"),
 ]
 
 
@@ -258,3 +282,30 @@ class TestGenericModel:
         cfg = json.loads(json.dumps(GENERIC_CFG))
         cfg["model"]["policy"] = ["0.5", "0.1"]
         assert run("simulate", write_cfg(tmp_path, cfg), tmp_path / "out") == 2
+
+    def test_malformed_control_box_is_two(self, tmp_path, capsys):
+        # An empty box and a 2-D box, under both subcommands that take a
+        # generic model.
+        boxes = [([], [], []), ([[0.0, 0.0]], [[1.0, 1.0]], ["0.5", "0.5"])]
+        for i, (lower, upper, policy) in enumerate(boxes):
+            cfg = json.loads(json.dumps(GENERIC_CFG))
+            cfg["model"].update(control_box={"lower": lower, "upper": upper}, policy=policy)
+            cfg_path = write_cfg(tmp_path, cfg, f"box{i}.json")
+            for command in ("simulate", "compare-controls"):
+                out = tmp_path / f"{command}{i}"
+                assert run(command, cfg_path, out) == 2
+                assert capsys.readouterr().err.startswith("config error:")
+                assert not (out / "report.json").exists()
+
+    def test_two_controls_bind_u_and_c(self, tmp_path):
+        assert run("simulate", write_cfg(tmp_path, GENERIC2_CFG), tmp_path / "out") == 0
+        table = np.genfromtxt(tmp_path / "out" / "forward.csv", delimiter=",", names=True)
+        n_nodes = GENERIC2_CFG["sim"]["n_steps"] + 1
+        t, x, x1, u, c = (table[k].reshape(-1, n_nodes) for k in ("t", "x", "x1", "u", "c"))
+        # The control columns are the policy (1/2, x1/4) at each node ...
+        assert np.array_equal(u, np.full_like(x, 0.5))
+        assert np.array_equal(c, x1 / 4)
+        # ... and each step is driven by b1 with u and c bound to them.
+        h = t[:, 1:] - t[:, :-1]
+        b1 = x / 10 + 2 * u - 3 * c
+        np.testing.assert_allclose(x[:, 1:], x[:, :-1] + h * b1[:, :-1], rtol=1e-14, atol=0)

@@ -31,6 +31,14 @@ class TestAccepted:
         out = fun(x=np.array([1.0, 2.0]), x1=np.array([3.0, 4.0]))
         assert np.array_equal(out, [3.0, 8.0])
 
+    @pytest.mark.parametrize(
+        "source, value",
+        [("10**20", 1e20), ("2**63", 2.0**63), ("2**-1", 0.5)],
+    )
+    def test_integer_literals_are_floats(self, source, value):
+        # Integer arithmetic would wrap past 2**63 and reject negative powers.
+        assert compile_expression(source, ())() == value
+
     def test_scientific_literals(self):
         fun = compile_expression("1e-3 * t", ("t",))
         assert fun(t=1000.0) == pytest.approx(1.0)

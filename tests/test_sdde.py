@@ -68,11 +68,12 @@ class TestEulerAccuracy:
         assert coarse.mean() / fine.mean() == pytest.approx(2.0, rel=0.1)
 
     def test_x1_stationary_increment_vanishes(self):
-        # At the stationary moving average of a constant path the recursion
-        # increment is exactly zero.
+        # At the stationary moving average of a constant path the Euler
+        # step x1 + h·x1_drift leaves X1 where it is.
         lam, delta, h, c = 0.2, 1.0, 0.125, 3.0
+        model = linear_delay_model(lam=lam, delta=delta)
         x1_star = c * (1.0 - math.exp(-lam * delta)) / lam
-        stepped = sdde.x1_step_ode(x1_star, c, c, lam, delta, h)
+        stepped = x1_star + h * model.x1_drift(c, x1_star, c)
         assert stepped == pytest.approx(x1_star, abs=1e-15)
 
     @pytest.mark.parametrize("lam", [0.0, 0.1, 3.0])
