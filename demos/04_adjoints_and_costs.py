@@ -34,8 +34,8 @@ print("\ncost of the optimal policy vs the closed-form value")
 cost_cfg = core.SimConfig(n_steps=64, n_paths=4000, master_seed=1)
 cost_ensemble = sdde.simulate_forward(model, policy, initial, cost_cfg)
 check = verify.closed_form_cost_check(model, cand, cost_ensemble, basis)
-print(f"  J(u*) = {check.cost:.5f} +- {check.stderr:.5f}")
-print(f"  V     = {check.reference:.5f}   -> {'PASS' if check.passed else 'FAIL'}")
+print(f"  J(u*) = {check.extra['cost']:.5f} +- {check.extra['stderr']:.5f}")
+print(f"  V     = {check.extra['reference']:.5f}   -> {'PASS' if check.passed else 'FAIL'}")
 
 print("\npaired comparison against scaled policies (common random numbers)")
 perturbations = [
@@ -48,6 +48,6 @@ perturbations = [
 report = verify.compare_controls(
     model, policy, perturbations, initial, cost_cfg, basis
 )
-for comp in report.comparisons:
-    print(f"  {comp.label:<9} dJ = {comp.paired_diff_mean:+.5f} "
-          f"+- {comp.paired_diff_stderr:.5f}")
+for comp in report["comparisons"]:
+    print(f"  {comp['policy']:<9} dJ = {comp['paired_diff_mean']:+.5f} "
+          f"+- {comp['paired_diff_stderr']:.5f}")

@@ -52,9 +52,9 @@ from .merton import (
     value_function,
 )
 from .verify import (
-    ComparisonReport,
     closed_form_cost_check,
     compare_controls,
+    paired_cost_check,
     relations_report,
     scaled_policy,
 )

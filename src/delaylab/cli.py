@@ -13,6 +13,11 @@ All subcommands read one JSON config (--config), honor --seed/--out/--quiet
 and the DELAYLAB_SEED environment variable, and write a deterministic
 report.json (plus CSV artifacts where applicable) into the output directory.
 
+Each subcommand body returns its report values and its checks
+(hjb.CheckReport); main alone turns them into report.json (the command, the
+values, one object per check keyed by its name, and "pass"), stdout (a line
+of the scalar values, then one line per check) and the exit code.
+
 Every subcommand parses and validates the whole config before any numerical
 work, so each one needs a seed, and an unknown key or a malformed value in
 any section exits with code 2.
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections.abc import Callable
@@ -79,6 +85,13 @@ def _count(value, where: str) -> int:
     return int(value)
 
 
+def _real(value, where: str) -> float:
+    """A real config value: a finite JSON number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -97,9 +110,12 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _param_kwargs(raw: dict) -> dict:
-    """model.params (and model.overrides) as float keyword arguments; lambda is lam."""
-    return {("lam" if key == "lambda" else key): float(value) for key, value in raw.items()}
+def _param_kwargs(raw: dict, where: str) -> dict:
+    """model.params (or model.overrides) as float keyword arguments; lambda is lam."""
+    return {
+        ("lam" if key == "lambda" else key): _real(value, f"{where}.{key}")
+        for key, value in raw.items()
+    }
 
 
 _MERTON_PARAM_KEYS = {
@@ -124,7 +140,9 @@ def build_merton(section: dict):
     )
     overrides = section.get("overrides", {})
     _require_keys(overrides, allowed={"mu1", "theta"}, required=set(), where="model.overrides")
-    params = merton.resolve_constraints(**_param_kwargs({**raw, **overrides}))
+    params = merton.resolve_constraints(
+        **_param_kwargs(raw, "model.params"), **_param_kwargs(overrides, "model.overrides")
+    )
     return (
         merton.build_model(params),
         merton.build_policy(params),
@@ -157,7 +175,7 @@ def build_generic(section: dict):
         required={"lambda", "delta", "horizon_T"},
         where="model.params",
     )
-    params = ModelParams(**_param_kwargs(raw))
+    params = ModelParams(**_param_kwargs(raw, "model.params"))
     box_raw = section["control_box"]
     _require_keys(box_raw, allowed={"lower", "upper"}, required={"lower", "upper"}, where="model.control_box")
     box = ControlBox(lower=box_raw["lower"], upper=box_raw["upper"])
@@ -257,7 +275,7 @@ def build_initial_path(cfg: dict):
     _require_keys(section, allowed={"kind", "value", "expr"}, required=set(), where="initial_path")
     if section.get("kind") == "constant":
         _require_keys(section, allowed={"kind", "value"}, required={"kind", "value"}, where="initial_path")
-        value = float(section["value"])
+        value = _real(section["value"], "initial_path.value")
         return lambda tau: value
     if section.get("kind") == "expr":
         _require_keys(section, allowed={"kind", "expr"}, required={"kind", "expr"}, where="initial_path")
@@ -317,7 +335,7 @@ def write_report(out_dir: Path, payload: dict) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands: each body returns its report payload and its stdout lines
+# Subcommands: each body returns its report values and its checks
 # ---------------------------------------------------------------------------
 
 
@@ -330,7 +348,7 @@ def cmd_simulate(run: Run):
         sdde.write_forward_csv(ensemble, fh)
     with open(run.out_dir / "backward.csv", "w") as fh:
         bsdde.write_backward_csv(sol, fh)
-    payload = {
+    values = {
         "n_paths": ensemble.n_paths,
         "n_steps": ensemble.n_steps,
         "master_seed": run.sim.master_seed,
@@ -339,35 +357,24 @@ def cmd_simulate(run: Run):
         "degraded_regression_steps": sol.degraded_steps,
         "artifacts": ["forward.csv", "backward.csv"],
     }
-    return payload, [f"simulate: J = {sol.cost:.6g} +- {sol.stderr:.2g}"]
+    return values, []
 
 
 def cmd_solve_merton(run: Run):
     params = run.params
-    times = np.linspace(params.start_s, params.horizon_T, 11)
-    q_vals = merton.q_closed_form(times, params)
-    oracle_times, oracle = merton.q_ode_oracle(params, n_steps=10_000)
-    q_interp = np.interp(times, oracle_times, oracle)
-    rel_err = float(np.max(np.abs(q_vals - q_interp) / np.abs(q_interp)))
-    ok = rel_err < 1e-7
-
     h = run.sim.step_size(run.model.params)
     samples, x1_0 = initial_segment(run.initial, params.delta, params.lam, h)
     x0 = float(samples[-1])
-    payload = {
+    values = {
         "theta": params.theta,
         "mu1": params.mu1,
         "delta_coefficient": params.delta_coeff,
         "q_at_start": float(merton.q_closed_form(params.start_s, params)),
-        "q_oracle_max_rel_err": rel_err,
         "value_at_start": float(run.cand.v(params.start_s, x0, x1_0)),
         "u_star_at_start": float(merton.optimal_u(params.start_s, x0, x1_0, params)),
         "c_star_at_start": float(merton.optimal_c(params.start_s, x0, x1_0, params)),
-        "pass": ok,
     }
-    line = (f"solve-merton: Q(s) = {payload['q_at_start']:.8g}, "
-            f"oracle mismatch {rel_err:.2e} -> {'PASS' if ok else 'FAIL'}")
-    return payload, [line]
+    return values, [merton.q_oracle_check(params)]
 
 
 def cmd_check_hjb(run: Run):
@@ -376,29 +383,18 @@ def cmd_check_hjb(run: Run):
     ss = (start_s + span * np.array([0.1, 0.3, 0.5, 0.7, 0.9])).tolist()
     xs, x1s = np.linspace(0.5, 5.0, 9), np.linspace(0.25, 5.0, 9)
     x2s = [-10.0, -5.0, 0.0, 5.0, 10.0]
-    reports = [
+    return {}, [
         hjb.hjb_residual_check(model, cand, ss, xs, x1s, maximizer=policy),
         hjb.x2_independence_check(model, cand, ss, xs, x1s, x2s, maximizer=policy),
         hjb.compatibility_pde_check(model, cand, ss[0], xs, x1s, policy),
     ]
-    payload = {
-        "checks": [r.to_dict() for r in reports],
-        "pass": all(r.passed for r in reports),
-    }
-    lines = [
-        f"check-hjb/{r.check}: max residual {r.max_residual:.3e} "
-        f"(tol {r.tolerance:g}) -> {'PASS' if r.passed else 'FAIL'}"
-        for r in reports
-    ]
-    return payload, lines
 
 
 def cmd_check_pmp(run: Run):
     model, cand = run.model, run.cand
     ensemble = sdde.simulate_forward(model, run.policy, run.initial, run.sim)
     q = merton.exact_q_factor(run.params, ensemble.times)
-    q_sim = pmp.simulate_q(model, ensemble)
-    q_err = float(np.max(np.abs(q_sim - q[np.newaxis, :])))
+    q_factor = pmp.q_factor_check(model, ensemble, q)
 
     adj = pmp.adjoint_from_value(model, cand, ensemble, q)
     p3_worst = pmp.check_p3_zero(model, cand, ensemble, adj)
@@ -424,43 +420,17 @@ def cmd_check_pmp(run: Run):
     run.out_dir.mkdir(parents=True, exist_ok=True)
     with open(run.out_dir / "adjoint.csv", "w") as fh:
         pmp.write_adjoint_csv(adj, fh)
-
-    q_ok = q_err < 1e-10
-    payload = {
-        "q_factor_max_abs_err": q_err,
-        "q_factor_pass": q_ok,
-        "checks": [p3_worst.to_dict(), max_worst.to_dict(), convexity.to_dict()],
-        "artifacts": ["adjoint.csv"],
-        "pass": bool(q_ok and p3_worst.passed and max_worst.passed and convexity.passed),
-    }
-    lines = [f"check-pmp/q_factor: max err {q_err:.3e} -> {'PASS' if q_ok else 'FAIL'}"]
-    lines += [
-        f"check-pmp/{r.check}: residual {r.max_residual:.3e} -> {'PASS' if r.passed else 'FAIL'}"
-        for r in (p3_worst, max_worst, convexity)
-    ]
-    return payload, lines
+    return {"artifacts": ["adjoint.csv"]}, [q_factor, p3_worst, max_worst, convexity]
 
 
 def cmd_check_relations(run: Run):
     ensemble = sdde.simulate_forward(run.model, run.policy, run.initial, run.sim)
     q = merton.exact_q_factor(run.params, ensemble.times)
     adj = merton.closed_form_adjoints(run.params, ensemble, q)
-    rel = verify.relations_report(run.model, run.cand, ensemble, adj)
-    cost = verify.closed_form_cost_check(run.model, run.cand, ensemble, run.basis)
-
-    payload = {
-        "relations": rel.to_dict(),
-        "cost_check": cost.to_dict(),
-        "pass": bool(rel.passed and cost.passed),
-    }
-    lines = [
-        f"check-relations/relations: slope {rel.time_slope:.3e}, "
-        f"adjoints {max(rel.adjoint_mismatch.values()):.3e} "
-        f"-> {'PASS' if rel.passed else 'FAIL'}",
-        f"check-relations/cost: J = {cost.cost:.6g} vs V = {cost.reference:.6g} "
-        f"-> {'PASS' if cost.passed else 'FAIL'}",
+    return {}, [
+        verify.relations_report(run.model, run.cand, ensemble, adj),
+        verify.closed_form_cost_check(run.model, run.cand, ensemble, run.basis),
     ]
-    return payload, lines
 
 
 def cmd_compare_controls(run: Run):
@@ -474,16 +444,10 @@ def cmd_compare_controls(run: Run):
         for factor in (0.75, 1.25)
     ]
     perturbations.append(verify.scaled_policy(policy, [0.0, 1.0][:n_u], "u_zero"))
-    report = verify.compare_controls(
+    values = verify.compare_controls(
         run.model, policy, perturbations, run.initial, run.sim, run.basis
     )
-    lines = [f"compare-controls: base J = {report.base_cost:.6g}"]
-    lines += [
-        f"  {comp.label}: dJ = {comp.paired_diff_mean:+.4g} "
-        f"+- {comp.paired_diff_stderr:.2g} -> {'PASS' if comp.passed else 'FAIL'}"
-        for comp in report.comparisons
-    ]
-    return report.to_dict(), lines
+    return values, [verify.paired_cost_check(values["comparisons"])]
 
 
 # name -> (body, whether the subcommand needs a model of kind 'merton')
@@ -512,6 +476,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report_lines(command: str, values: dict, checks) -> list:
+    """A run's stdout: one line of its scalar values, when it has any, then
+    one line per check."""
+    scalars = [
+        f"{key} = {value:.6g}" if isinstance(value, float) else f"{key} = {value}"
+        for key, value in values.items()
+        if isinstance(value, (int, float, str))
+    ]
+    lines = [f"{command}: " + ", ".join(scalars)] if scalars else []
+    return lines + [
+        f"{command}/{c.check}: max residual {c.max_residual:.3e} "
+        f"(tol {c.tolerance:g}) -> {'PASS' if c.passed else 'FAIL'}"
+        for c in checks
+    ]
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     body, merton_only = _COMMANDS[args.command]
@@ -519,18 +499,26 @@ def main(argv=None) -> int:
         run = build_run(load_config(args.config), args.seed, args.out)
         if merton_only and run.params is None:
             raise ConfigError(f"{args.command} requires a model of kind 'merton'")
-        payload, lines = body(run)
+        values, checks = body(run)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SimulationDivergedError, DomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    write_report(run.out_dir, {"command": args.command, **payload})
+    passed = all(check.passed for check in checks)
+    write_report(
+        run.out_dir,
+        {
+            "command": args.command,
+            **values,
+            **{check.check: check.to_dict() for check in checks},
+            "pass": passed,
+        },
+    )
     if not args.quiet:
-        for line in lines:
-            print(line)
-    return EXIT_CHECK_FAILED if payload.get("pass") is False else EXIT_OK
+        print(*_report_lines(args.command, values, checks), sep="\n")
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

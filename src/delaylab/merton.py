@@ -58,7 +58,7 @@ from .core import (
     StructuredModel,
 )
 from .bsdde import RegressionBasis, polynomial_basis
-from .hjb import ValueCandidate
+from .hjb import CheckReport, ValueCandidate
 from .pmp import Adjoints
 from .sdde import ForwardEnsemble
 
@@ -69,6 +69,9 @@ C_BOUND = 10.0
 # Admissible-cone factors Λ1 (position) and Λ2 (consumption) of build_policy.
 LAM1 = 10.0
 LAM2 = 10.0
+
+# Pass threshold of q_oracle_check.
+Q_ORACLE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -225,6 +228,22 @@ def q_ode_oracle(p: MertonParams, n_steps: int = 10_000):
             raise DomainError(f"oracle integration left the domain at t={times[i-1]}")
         values[i - 1] = q
     return times, values
+
+
+def q_oracle_check(p: MertonParams) -> CheckReport:
+    """Max relative gap between the closed-form Q and q_ode_oracle at 11
+    points of [s, T], passing below Q_ORACLE_TOL."""
+    times = np.linspace(p.start_s, p.horizon_T, 11)
+    oracle_times, oracle = q_ode_oracle(p)
+    q_interp = np.interp(times, oracle_times, oracle)
+    worst = float(np.max(np.abs(q_closed_form(times, p) - q_interp) / np.abs(q_interp)))
+    return CheckReport(
+        check="q_oracle",
+        probes=times.size,
+        max_residual=worst,
+        tolerance=Q_ORACLE_TOL,
+        passed=worst < Q_ORACLE_TOL,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,8 @@ CONVEXITY_TOL_FACTOR = 1e-6
 # control.
 CONTROL_GRID_POINTS = 9
 
-# Pass thresholds of check_p3_zero and maximum_condition_check.
+# Pass thresholds of q_factor_check, check_p3_zero and maximum_condition_check.
+Q_FACTOR_TOL = 1e-10
 P3_TOL = 1e-10
 MAXIMUM_CONDITION_TOL = 1e-6
 
@@ -117,6 +118,19 @@ def simulate_q(model: StructuredModel, ensemble: ForwardEnsemble) -> Array:
         fz = model.f_z(tk, x[k], x1[k], x2[k], zero, zero, u_all[k])
         log_q[k + 1] = log_q[k] + (fy - 0.5 * fz**2) * h + fz * dw[k]
     return np.exp(log_q).T
+
+
+def q_factor_check(model: StructuredModel, ensemble: ForwardEnsemble, q: Array) -> CheckReport:
+    """Max |simulate_q − q| over every path and node, passing below
+    Q_FACTOR_TOL; the known factor q is (n_nodes,) or (n_paths, n_nodes)."""
+    worst = float(np.max(np.abs(simulate_q(model, ensemble) - q)))
+    return CheckReport(
+        check="q_factor",
+        probes=ensemble.x.shape[1],
+        max_residual=worst,
+        tolerance=Q_FACTOR_TOL,
+        passed=worst < Q_FACTOR_TOL,
+    )
 
 
 def _value_slots(model: StructuredModel, cand: ValueCandidate, ensemble: ForwardEnsemble):

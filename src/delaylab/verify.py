@@ -14,17 +14,19 @@ Three families of diagnostics:
 
 * compare_controls: paired Monte Carlo cost comparison of a base policy
   against perturbations, using common random numbers (identical per-path
-  seeds) so the cost differences are estimated path by path.
+  seeds) so the cost differences are estimated path by path; its numbers
+  are judged by paired_cost_check.
 
 * closed_form_cost_check: the regression Monte Carlo cost of an ensemble
   simulated under the optimal policy against the closed-form value
   V(s, x, x1) at the initial state.
+
+Every check returns an hjb.CheckReport, its named numbers in extra.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,7 +34,7 @@ import numpy as np
 from . import sdde
 from .core import FeedbackPolicy, SimConfig, StructuredModel, nan_max, node_blocks
 from .bsdde import RegressionBasis, solve_backward
-from .hjb import ValueCandidate, args_from_candidate, generalized_hamiltonian
+from .hjb import CheckReport, ValueCandidate, args_from_candidate, generalized_hamiltonian
 from .pmp import CONTROL_GRID_POINTS, Adjoints, adjoint_from_value
 from .sdde import ForwardEnsemble
 
@@ -41,27 +43,6 @@ COST_BIAS_ALLOWANCE = 0.5
 
 # Pass threshold of relations_report.
 RELATIONS_TOL = 1e-4
-
-
-@dataclass
-class RelationsReport:
-    """Maximum violations of the value/adjoint consistency relations."""
-
-    time_slope: float  # max |V_t − G(u*)|
-    grid_optimality: float  # max over grid of G(u_alt) − G(u*)
-    adjoint_mismatch: dict  # per-component max relative mismatch
-    tolerance: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "check": "relations",
-            "time_slope": self.time_slope,
-            "grid_optimality": self.grid_optimality,
-            "adjoint_mismatch": self.adjoint_mismatch,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
 
 
 _ADJOINTS = ("p1", "p2", "k1", "k2")
@@ -105,7 +86,7 @@ def relations_report(
     cand: ValueCandidate,
     ensemble: ForwardEnsemble,
     adjoint: Adjoints,
-) -> RelationsReport:
+) -> CheckReport:
     """Consistency of the candidate value and adjoints along simulated paths.
 
     The grid optimality of the stored control is checked coordinate by
@@ -114,8 +95,9 @@ def relations_report(
     those maxima are folded in grid order; a NaN gap (G(u*) could not be
     evaluated) makes grid_optimality NaN.  Each adjoint's mismatch is
     relative, each path scaled by its own largest |reference|; one that
-    cannot be evaluated is NaN.  The check passes only when every reported
-    number is below RELATIONS_TOL, so never on NaN.
+    cannot be evaluated is NaN.  max_residual is the NaN-propagating
+    maximum of these six numbers, and the check passes below
+    RELATIONS_TOL, so never on NaN.
     """
     box = model.control_set
     grid = [
@@ -138,61 +120,19 @@ def relations_report(
     time_slope = float(time_slope)
     worst_gap = nan_max(-math.inf, *gaps.tolist())
 
-    numbers = [time_slope, worst_gap, *mismatch.values()]
-    return RelationsReport(
-        time_slope=time_slope,
-        grid_optimality=worst_gap,
-        adjoint_mismatch=mismatch,
+    worst = nan_max(time_slope, worst_gap, *mismatch.values())
+    return CheckReport(
+        check="relations",
+        probes=ensemble.x.shape[1],
+        max_residual=worst,
         tolerance=RELATIONS_TOL,
-        passed=all(v < RELATIONS_TOL for v in numbers),
+        passed=worst < RELATIONS_TOL,
+        extra={
+            "time_slope": time_slope,
+            "grid_optimality": worst_gap,
+            "adjoint_mismatch": mismatch,
+        },
     )
-
-
-@dataclass
-class PolicyComparison:
-    """Paired cost difference of one perturbed policy against the base."""
-
-    label: str
-    cost: float
-    cost_stderr: float
-    paired_diff_mean: float
-    paired_diff_stderr: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "policy": self.label,
-            "cost": self.cost,
-            "cost_stderr": self.cost_stderr,
-            "paired_diff_mean": self.paired_diff_mean,
-            "paired_diff_stderr": self.paired_diff_stderr,
-            "pass": self.passed,
-        }
-
-
-@dataclass
-class ComparisonReport:
-    """Common-random-number cost comparison of a base policy vs perturbations.
-
-    Passes when every perturbation's paired mean cost increase is above
-    −3 standard errors of the paired difference.
-    """
-
-    base_label: str
-    base_cost: float
-    base_stderr: float
-    comparisons: list
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "check": "compare_controls",
-            "base_policy": self.base_label,
-            "base_cost": self.base_cost,
-            "base_stderr": self.base_stderr,
-            "comparisons": [c.to_dict() for c in self.comparisons],
-            "pass": self.passed,
-        }
 
 
 def compare_controls(
@@ -202,12 +142,13 @@ def compare_controls(
     initial_path: Callable[[float], float],
     config: SimConfig,
     basis: RegressionBasis,
-) -> ComparisonReport:
+) -> dict:
     """Paired Monte Carlo cost comparison under common random numbers.
 
     Every policy is simulated on the same Brownian increments, drawn once
     for the master seed; cost differences are then averaged pathwise, which
-    removes most of the common noise.
+    removes most of the common noise.  Returns base_policy, base_cost,
+    base_stderr and comparisons, one dict per perturbation.
     """
     h = config.step_size(model.params)
     config.validate_grid(model.params)  # a bad grid fails before the draw
@@ -227,24 +168,37 @@ def compare_controls(
     for policy in perturbations:
         value, value_stderr, samples = cost(policy)
         diff = samples - base_samples
-        mean = float(diff.mean())
-        stderr = float(diff.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         comparisons.append(
-            PolicyComparison(
-                label=policy.label,
-                cost=value,
-                cost_stderr=value_stderr,
-                paired_diff_mean=mean,
-                paired_diff_stderr=stderr,
-                passed=mean >= -3.0 * stderr,
-            )
+            {
+                "policy": policy.label,
+                "cost": value,
+                "cost_stderr": value_stderr,
+                "paired_diff_mean": float(diff.mean()),
+                "paired_diff_stderr": float(diff.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
+            }
         )
-    return ComparisonReport(
-        base_label=base.label,
-        base_cost=base_value,
-        base_stderr=base_stderr,
-        comparisons=comparisons,
-        passed=all(c.passed for c in comparisons),
+    return {
+        "base_policy": base.label,
+        "base_cost": base_value,
+        "base_stderr": base_stderr,
+        "comparisons": comparisons,
+    }
+
+
+def paired_cost_check(comparisons: Sequence[dict]) -> CheckReport:
+    """No perturbation of compare_controls costs less than the base policy
+    by more than 3 paired standard errors: the worst (NaN-propagating)
+    −paired_diff_mean − 3·paired_diff_stderr passes at or below 0."""
+    worst = nan_max(
+        -math.inf,
+        *(-c["paired_diff_mean"] - 3.0 * c["paired_diff_stderr"] for c in comparisons),
+    )
+    return CheckReport(
+        check="paired_cost",
+        probes=len(comparisons),
+        max_residual=worst,
+        tolerance=0.0,
+        passed=worst <= 0.0,
     )
 
 
@@ -259,38 +213,18 @@ def scaled_policy(policy: FeedbackPolicy, factors: Sequence[float], label: str) 
     return FeedbackPolicy(evaluate=evaluate, n_controls=policy.n_controls, label=label)
 
 
-@dataclass
-class CostCheck:
-    """Monte Carlo cost versus the closed-form value at the initial state."""
-
-    cost: float
-    stderr: float
-    reference: float
-    tolerance: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "check": "closed_form_cost",
-            "cost": self.cost,
-            "stderr": self.stderr,
-            "reference": self.reference,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
-
-
 def closed_form_cost_check(
     model: StructuredModel,
     cand: ValueCandidate,
     ensemble: ForwardEnsemble,
     basis: RegressionBasis,
-) -> CostCheck:
+) -> CheckReport:
     """Recursive cost of an optimally controlled ensemble against V(s, x, x1).
 
-    The value is the cost at the optimum, J(u*) = V.  The tolerance combines
-    the Monte Carlo error (3 standard errors) with a discretization
-    allowance of COST_BIAS_ALLOWANCE times the step size.
+    The value is the cost at the optimum, J(u*) = V, and the residual is
+    |J − V|.  The tolerance combines the Monte Carlo error (3 standard
+    errors) with a discretization allowance of COST_BIAS_ALLOWANCE times
+    the step size.
     """
     sol = solve_backward(model, ensemble, basis)
     h = ensemble.config.step_size(model.params)
@@ -298,10 +232,12 @@ def closed_form_cost_check(
     x1_0 = ensemble.x1[0, 0]
     reference = float(cand.v(model.params.start_s, x0, x1_0))
     tolerance = 3.0 * sol.stderr + COST_BIAS_ALLOWANCE * h
-    return CostCheck(
-        cost=sol.cost,
-        stderr=sol.stderr,
-        reference=reference,
+    residual = abs(sol.cost - reference)
+    return CheckReport(
+        check="cost_check",
+        probes=ensemble.n_paths,
+        max_residual=residual,
         tolerance=tolerance,
-        passed=abs(sol.cost - reference) <= tolerance,
+        passed=residual <= tolerance,
+        extra={"cost": sol.cost, "stderr": sol.stderr, "reference": reference},
     )

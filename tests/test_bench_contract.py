@@ -1,16 +1,22 @@
-"""The benchmark's traced functions and CLI entry points exist in the package.
+"""The benchmark's traced functions, CLI entry points and report keys exist.
 
 perfbench/spans.py wraps each "module.function" of its TRACED table with
-getattr on the delaylab module, and perfbench/run.py builds its set-up probe
-and its forward-peak measurement from the CLI's config builders; a renamed
-or deleted function would only surface as a failed benchmark run.  These
-tests read that table, call those builders the same way, and edit nothing
-under perfbench/.
+getattr on the delaylab module, perfbench/run.py builds its set-up probe
+and its forward-peak measurement from the CLI's config builders, and
+perfbench/checks.py reads a few key paths of each subcommand's report.json;
+a renamed or deleted function, or a moved key, would only surface as a
+failed benchmark run.  These tests read that table, call those builders the
+same way, run every subcommand on a small ensemble, and edit nothing under
+perfbench/.
 """
 
 import importlib
 import importlib.util
+import json
+import numbers
 from pathlib import Path
+
+import pytest
 
 from delaylab import cli
 from delaylab.core import SimConfig
@@ -46,3 +52,48 @@ def test_cli_builders_the_benchmark_calls():
     sim = cli.build_sim_config(cfg, 1)
     assert isinstance(sim, SimConfig) and sim.master_seed == 1
     assert callable(cli.build_initial_path(cfg))
+
+
+# The parts of each subcommand's report.json that the benchmark's output
+# checks read: a dict lists keys, a one-item list is a non-empty list whose
+# items all match that item, and a type is the type of the value.
+REAL = numbers.Real
+REPORT_KEYS = {
+    "simulate": {"cost": REAL, "cost_stderr": REAL, "degraded_regression_steps": list},
+    "solve-merton": {"q_at_start": REAL, "value_at_start": REAL},
+    "check-hjb": {},
+    "check-pmp": {},
+    "check-relations": {"cost_check": {"cost": REAL, "stderr": REAL, "reference": REAL}},
+    "compare-controls": {
+        "base_cost": REAL,
+        "base_stderr": REAL,
+        "comparisons": [{"policy": str, "paired_diff_mean": REAL, "paired_diff_stderr": REAL}],
+    },
+}
+
+
+def _assert_matches(value, spec, where):
+    if isinstance(spec, dict):
+        for key, inner in spec.items():
+            assert isinstance(value, dict) and key in value, f"{where}.{key}"
+            _assert_matches(value[key], inner, f"{where}.{key}")
+    elif isinstance(spec, list):
+        assert isinstance(value, list) and value, where
+        for item in value:
+            _assert_matches(item, spec[0], f"{where}[]")
+    else:
+        assert isinstance(value, spec) and not isinstance(value, bool), where
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_KEYS))
+def test_report_keys_the_benchmark_reads(tmp_path, command):
+    cfg = json.loads(DEMO.read_text())
+    cfg["sim"].update(n_paths=200, n_steps=16)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / command
+    code = cli.main([command, "--config", str(cfg_path), "--seed", "1", "--out", str(out), "--quiet"])
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["command"] == command and report["pass"] is True
+    _assert_matches(report, REPORT_KEYS[command], command)

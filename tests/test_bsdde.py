@@ -364,4 +364,4 @@ class TestNodeMajorLayout:
         rel_a = verify.relations_report(model, cand, ens, adj_a)
         rel_b = verify.relations_report(model, cand, path, adj_b)
         assert rel_a.to_dict() == rel_b.to_dict()
-        assert rel_a.grid_optimality > 0.0  # the stored control is off the optimum
+        assert rel_a.extra["grid_optimality"] > 0.0  # the stored control is off the optimum

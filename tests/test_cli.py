@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from delaylab import cli, hjb, pmp, verify
+from delaylab import cli, hjb, merton, pmp, verify
 
 MERTON_CFG = {
     "model": {
@@ -99,6 +99,10 @@ MALFORMED = {
     "fractional_n_grid": lambda c: c.update(checks={"n_grid": 16.9}),
     "zero_n_grid": lambda c: c.update(checks={"n_grid": 0}),
     "negative_n_grid": lambda c: c.update(checks={"n_grid": -1}),
+    # Real parameters must be finite JSON numbers, not booleans.
+    "bool_param": lambda c: c["model"]["params"].update(delta=True),
+    "nan_initial_value": lambda c: c["initial_path"].update(value=float("nan")),
+    "infinite_param": lambda c: c["model"]["params"].update(mu2=float("inf")),
 }
 
 
@@ -229,6 +233,7 @@ class TestMertonChecks:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["pass"] is True
         assert report["q_at_start"] == pytest.approx(1.3643116987970898, rel=1e-10)
+        assert report["q_oracle"]["tolerance"] == merton.Q_ORACLE_TOL
 
     def test_check_hjb_passes(self, tmp_path):
         assert run("check-hjb", write_cfg(tmp_path, MERTON_CFG), tmp_path / "out") == 0
@@ -236,7 +241,8 @@ class TestMertonChecks:
     def test_check_hjb_tolerances(self, tmp_path):
         assert run("check-hjb", write_cfg(tmp_path, MERTON_CFG), tmp_path / "out") == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert {c["check"]: c["tolerance"] for c in report["checks"]} == {
+        names = ("hjb_residual", "x2_independence", "compatibility_pde")
+        assert {name: report[name]["tolerance"] for name in names} == {
             "hjb_residual": hjb.HJB_RESIDUAL_TOL,
             "x2_independence": hjb.X2_SPREAD_TOL,
             "compatibility_pde": hjb.COMPAT_TOL,
@@ -250,9 +256,9 @@ class TestMertonChecks:
         assert run("check-relations", cfg_path, tmp_path / "relations") == 0
         pmp_report = json.loads((tmp_path / "pmp" / "report.json").read_text())
         relations = json.loads((tmp_path / "relations" / "report.json").read_text())
-        tolerance = {c["check"]: c["tolerance"] for c in pmp_report["checks"]}
-        assert tolerance["p3_zero"] == pmp.P3_TOL
-        assert tolerance["maximum_condition"] == pmp.MAXIMUM_CONDITION_TOL
+        assert pmp_report["q_factor"]["tolerance"] == pmp.Q_FACTOR_TOL
+        assert pmp_report["p3_zero"]["tolerance"] == pmp.P3_TOL
+        assert pmp_report["maximum_condition"]["tolerance"] == pmp.MAXIMUM_CONDITION_TOL
         assert relations["relations"]["tolerance"] == verify.RELATIONS_TOL
 
     def test_check_pmp_passes(self, tmp_path):
@@ -309,3 +315,37 @@ class TestGenericModel:
         h = t[:, 1:] - t[:, :-1]
         b1 = x / 10 + 2 * u - 3 * c
         np.testing.assert_allclose(x[:, 1:], x[:, :-1] + h * b1[:, :-1], rtol=1e-14, atol=0)
+
+
+class TestRunner:
+    def test_checks_decide_report_stdout_and_exit_code(self, tmp_path, monkeypatch, capsys):
+        def body(run):
+            return {"cost": 0.25, "artifacts": []}, [
+                hjb.CheckReport("first", 3, 1e-9, 1e-6, True),
+                hjb.CheckReport("second", 2, 0.5, 0.1, False, {"worst_node": 7}),
+            ]
+
+        monkeypatch.setitem(cli._COMMANDS, "simulate", (body, False))
+        cfg_path = write_cfg(tmp_path, MERTON_CFG)
+        code = cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "out")])
+        assert code == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report == {
+            "command": "simulate",
+            "cost": 0.25,
+            "artifacts": [],
+            "first": {
+                "check": "first", "probes": 3, "max_residual": 1e-9,
+                "tolerance": 1e-6, "pass": True,
+            },
+            "second": {
+                "check": "second", "probes": 2, "max_residual": 0.5,
+                "tolerance": 0.1, "pass": False, "worst_node": 7,
+            },
+            "pass": False,
+        }
+        assert capsys.readouterr().out.splitlines() == [
+            "simulate: cost = 0.25",
+            "simulate/first: max residual 1.000e-09 (tol 1e-06) -> PASS",
+            "simulate/second: max residual 5.000e-01 (tol 0.1) -> FAIL",
+        ]

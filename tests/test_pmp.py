@@ -202,11 +202,11 @@ class TestEnsembleReportIsWorstPath:
         given = dataclasses.replace(
             adj, p1=adj.p1 + 1e-3, p2=adj.p2 - 2e-4, k1=adj.k1 + 3e-3, k2=adj.k2 + 1e-5
         )
-        whole = verify.relations_report(model, cand, ens, given).adjoint_mismatch
+        whole = verify.relations_report(model, cand, ens, given).extra["adjoint_mismatch"]
         singles = [
             verify.relations_report(
                 model, cand, *self._one_path(ens, given, i)
-            ).adjoint_mismatch
+            ).extra["adjoint_mismatch"]
             for i in range(self.N_PATHS)
         ]
         for name in ("p1", "p2", "k1", "k2"):

@@ -49,7 +49,7 @@ class TestRelations:
         )
         assert not report.passed
         # V_t equals the maximized Hamiltonian, not the one at halved u.
-        assert report.time_slope > 1e-3
+        assert report.extra["time_slope"] > 1e-3
 
     def test_nan_adjoint_value_fails(self, setup):
         cfg = core.SimConfig(n_steps=32, n_paths=20, master_seed=5)
@@ -60,8 +60,8 @@ class TestRelations:
         report = verify.relations_report(
             setup["model"], setup["cand"], ens, dataclasses.replace(adj, p1=p1)
         )
-        assert np.isnan(report.adjoint_mismatch["p1"])
-        assert report.adjoint_mismatch["p2"] < 1e-4
+        assert np.isnan(report.extra["adjoint_mismatch"]["p1"])
+        assert report.extra["adjoint_mismatch"]["p2"] < 1e-4
         assert not report.passed
 
     def test_report_serializes(self, setup):
@@ -88,7 +88,8 @@ class TestCompareControls:
             setup["model"], setup["policy"], perturbations, INITIAL, cfg,
             setup["basis"],
         )
-        assert report.passed, report.to_dict()
+        check = verify.paired_cost_check(report["comparisons"])
+        assert check.passed, report
 
     def test_pairing_reduces_noise(self, setup):
         # The paired stderr must beat the unpaired combination of the two
@@ -99,9 +100,32 @@ class TestCompareControls:
         report = verify.compare_controls(
             setup["model"], setup["policy"], [alt], INITIAL, cfg, setup["basis"]
         )
-        comp = report.comparisons[0]
-        unpaired = float(np.hypot(report.base_stderr, comp.cost_stderr))
-        assert comp.paired_diff_stderr < 0.5 * unpaired
+        comp = report["comparisons"][0]
+        unpaired = float(np.hypot(report["base_stderr"], comp["cost_stderr"]))
+        assert comp["paired_diff_stderr"] < 0.5 * unpaired
+
+
+class TestPairedCostCheck:
+    # (paired_diff_mean, paired_diff_stderr): above, exactly at and below
+    # −3 standard errors, a zero stderr, and a NaN mean.
+    CASES = [(0.01, 0.1), (-3.0 * 0.1, 0.1), (-0.31, 0.1), (0.0, 0.0), (-1e-300, 0.0),
+             (np.nan, 0.1)]
+
+    @pytest.mark.parametrize("mean, stderr", CASES)
+    def test_passes_iff_mean_above_three_stderr(self, mean, stderr):
+        comp = {"policy": "p", "paired_diff_mean": mean, "paired_diff_stderr": stderr}
+        check = verify.paired_cost_check([comp])
+        assert check.passed == (mean >= -3.0 * stderr)
+        assert check.probes == 1
+
+    def test_worst_comparison_decides(self):
+        comps = [
+            {"policy": p, "paired_diff_mean": m, "paired_diff_stderr": 0.1}
+            for p, m in (("a", 0.5), ("b", -0.4), ("c", 0.0))
+        ]
+        check = verify.paired_cost_check(comps)
+        assert check.max_residual == 0.4 - 3.0 * 0.1
+        assert not check.passed
 
 
 class TestSharedIncrements:
@@ -130,12 +154,12 @@ class TestSharedIncrements:
             bsdde.solve_backward(model, sdde.simulate_forward(model, pol, INITIAL, cfg), basis)
             for pol in [setup["policy"], *perturbations]
         )
-        assert (report.base_cost, report.base_stderr) == (base.cost, base.stderr)
-        for comp, sol in zip(report.comparisons, others):
+        assert (report["base_cost"], report["base_stderr"]) == (base.cost, base.stderr)
+        for comp, sol in zip(report["comparisons"], others):
             diff = base.y[:, 0] - sol.y[:, 0]  # the cost samples are −y[:, 0]
-            assert (comp.cost, comp.cost_stderr) == (sol.cost, sol.stderr)
-            assert comp.paired_diff_mean == float(diff.mean())
-            assert comp.paired_diff_stderr == float(diff.std(ddof=1) / np.sqrt(diff.size))
+            assert (comp["cost"], comp["cost_stderr"]) == (sol.cost, sol.stderr)
+            assert comp["paired_diff_mean"] == float(diff.mean())
+            assert comp["paired_diff_stderr"] == float(diff.std(ddof=1) / np.sqrt(diff.size))
 
     def test_supplied_increments_match_own_draw(self, setup):
         cfg = core.SimConfig(n_steps=32, n_paths=200, master_seed=3)
@@ -170,7 +194,7 @@ class TestClosedFormCost:
             setup["model"], setup["cand"], ens, setup["basis"]
         )
         assert check.passed, check.to_dict()
-        assert check.stderr > 1e-4  # the error estimate must stay honest
+        assert check.extra["stderr"] > 1e-4  # the error estimate must stay honest
 
     def test_detuned_policy_fails_with_tight_budget(self, setup):
         # Halving the risky allocation moves the cost well outside the
