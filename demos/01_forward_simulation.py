@@ -33,10 +33,10 @@ for k in range(0, ensemble.n_steps + 1, 16):
         f" {ensemble.x1[:, k].mean():10.4f} {ensemble.x2[:, k].mean():10.4f}"
     )
 
-u = ensemble.controls
-print(f"\nrisky fraction u*: mean {u[:, :, 0].mean():.4f}, "
-      f"range [{u[:, :, 0].min():.4f}, {u[:, :, 0].max():.4f}]")
-print(f"consumption rate c*: mean {u[:, :, 1].mean():.4f}")
+u, c = ensemble.u
+print(f"\nrisky fraction u*: mean {u.mean():.4f}, "
+      f"range [{u.min():.4f}, {u.max():.4f}]")
+print(f"consumption rate c*: mean {c.mean():.4f}")
 
 rerun = sdde.simulate_forward(model, policy, lambda tau: 1.0, config)
 print(f"\nbitwise reproducible: {np.array_equal(ensemble.x, rerun.x)}")

@@ -192,11 +192,9 @@ def solve_backward(
     generator is evaluated once per node, on the regressed and the pathwise
     y stacked as one (2, n_paths) array.
     """
-    t = ensemble.times
-    h = float(t[1] - t[0])
+    t, h, u = ensemble.times, ensemble.h, ensemble.u
     n_paths, n_steps = ensemble.n_paths, ensemble.n_steps
     x, x1, x2, dw = ensemble.x.T, ensemble.x1.T, ensemble.x2.T, ensemble.dw.T
-    u_all = ensemble.controls.transpose(1, 2, 0)  # (n_nodes, n_u, n_paths)
 
     y = np.empty((n_steps + 1, n_paths))
     z = np.zeros((n_steps + 1, n_paths))
@@ -219,7 +217,7 @@ def solve_backward(
             bad_z = halves.fit_z(feats, inverses, (y_next - centre) * dw[k] / h, z[k])
         y_both[0] = y_next
         f = np.broadcast_to(
-            model.generator(float(t[k]), x[k], x1[k], x2[k], y_both, z[k], u_all[k]),
+            model.generator(float(t[k]), x[k], x1[k], x2[k], y_both, z[k], u[:, :, k]),
             y_both.shape,
         )
         with np.errstate(all="ignore"):
@@ -235,7 +233,7 @@ def solve_backward(
         z[0, halves.slices[apply]] = float(target[halves.slices[fit]].mean())
     y_path = y_both[1]
     y[0] = y_path + h * model.generator(
-        float(t[0]), x[0], x1[0], x2[0], y_path, z[0], u_all[0]
+        float(t[0]), x[0], x1[0], x2[0], y_path, z[0], u[:, :, 0]
     ) - z[0] * dw[0]
 
     cost = float((-y[0]).mean())

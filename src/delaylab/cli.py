@@ -92,6 +92,11 @@ def _real(value, where: str) -> float:
     return float(value)
 
 
+def _reals(value, where: str) -> list:
+    """A real config value or a list of them, as a list of floats."""
+    return [_real(v, where) for v in (value if isinstance(value, list) else [value])]
+
+
 def load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -178,7 +183,10 @@ def build_generic(section: dict):
     params = ModelParams(**_param_kwargs(raw, "model.params"))
     box_raw = section["control_box"]
     _require_keys(box_raw, allowed={"lower", "upper"}, required={"lower", "upper"}, where="model.control_box")
-    box = ControlBox(lower=box_raw["lower"], upper=box_raw["upper"])
+    box = ControlBox(
+        lower=_reals(box_raw["lower"], "model.control_box.lower"),
+        upper=_reals(box_raw["upper"], "model.control_box.upper"),
+    )
     n_u = box.n_controls
     if n_u > 2:
         raise ConfigError("generic models support at most two control coordinates")
@@ -289,7 +297,8 @@ class Run:
     """One subcommand's inputs, parsed and validated from the whole config.
 
     params and cand (the closed-form value function) are None for a generic
-    model.
+    model.  start holds (x(s), x1(s)) of the initial path sampled onto the
+    simulation grid.
     """
 
     model: StructuredModel
@@ -299,23 +308,32 @@ class Run:
     basis: bsdde.RegressionBasis
     sim: SimConfig
     initial: Callable[[float], float]
+    start: tuple[float, float]
     out_dir: Path
 
 
 def build_run(cfg: dict, seed_flag: int | None, out_flag: str | None) -> Run:
-    """Parse every section of the config; a malformed value is a ConfigError."""
+    """Parse every section of the config; a malformed value is a ConfigError,
+    and so is a step that does not divide δ or a non-finite initial sample."""
     try:
         model, policy, params, cand = build_model_and_policy(cfg)
         output = cfg.get("output", {})
         _require_keys(output, allowed={"directory"}, required=set(), where="output")
+        sim, initial = build_sim_config(cfg, seed_flag), build_initial_path(cfg)
+        delay = model.params
+        with np.errstate(all="ignore"):
+            samples, x1_0 = initial_segment(initial, delay.delta, delay.lam, sim.step_size(delay))
+        if not np.isfinite([*samples, x1_0]).all():
+            raise ConfigError("initial_path has a non-finite value on the simulation grid")
         return Run(
             model=model,
             policy=policy,
             params=params,
             cand=cand,
             basis=merton.build_basis(params) if params is not None else bsdde.polynomial_basis(2),
-            sim=build_sim_config(cfg, seed_flag),
-            initial=build_initial_path(cfg),
+            sim=sim,
+            initial=initial,
+            start=(float(samples[-1]), x1_0),
             out_dir=Path(out_flag or output.get("directory", "out")),
         )
     except (TypeError, ValueError, OverflowError) as exc:
@@ -362,9 +380,7 @@ def cmd_simulate(run: Run):
 
 def cmd_solve_merton(run: Run):
     params = run.params
-    h = run.sim.step_size(run.model.params)
-    samples, x1_0 = initial_segment(run.initial, params.delta, params.lam, h)
-    x0 = float(samples[-1])
+    x0, x1_0 = run.start
     values = {
         "theta": params.theta,
         "mu1": params.mu1,
@@ -394,33 +410,20 @@ def cmd_check_pmp(run: Run):
     model, cand = run.model, run.cand
     ensemble = sdde.simulate_forward(model, run.policy, run.initial, run.sim)
     q = merton.exact_q_factor(run.params, ensemble.times)
+    # q_factor_check's simulated q is freed before the adjoints are built.
     q_factor = pmp.q_factor_check(model, ensemble, q)
-
     adj = pmp.adjoint_from_value(model, cand, ensemble, q)
-    p3_worst = pmp.check_p3_zero(model, cand, ensemble, adj)
-    max_worst = pmp.maximum_condition_check(model, cand, ensemble, adj)
-
-    mid = ensemble.n_steps // 2
-    probes = []
-    for k in (0, mid):
-        t = ensemble.times[k]
-        x, x1 = float(ensemble.x[0, k]), float(ensemble.x1[0, k])
-        u = ensemble.controls[0, k]
-        y, z = hjb.value_slots(model, cand, t, x, x1, u)
-        probes.append(
-            {
-                "x": x, "x1": x1, "x2": float(ensemble.x2[0, k]),
-                "y": float(y), "z": float(z), "u": u,
-                "p1": float(adj.p1[0, k]), "p2": float(adj.p2[0, k]),
-                "q": float(adj.q[0, k]), "k1": float(adj.k1[0, k]),
-            }
-        )
-    convexity = pmp.convexity_spot_check(model, float(ensemble.times[0]), probes)
+    checks = [
+        q_factor,
+        pmp.check_p3_zero(model, cand, ensemble, adj),
+        pmp.maximum_condition_check(model, cand, ensemble, adj),
+        pmp.convexity_spot_check(model, cand, ensemble, adj),
+    ]
 
     run.out_dir.mkdir(parents=True, exist_ok=True)
     with open(run.out_dir / "adjoint.csv", "w") as fh:
         pmp.write_adjoint_csv(adj, fh)
-    return {"artifacts": ["adjoint.csv"]}, [q_factor, p3_worst, max_worst, convexity]
+    return {"artifacts": ["adjoint.csv"]}, checks
 
 
 def cmd_check_relations(run: Run):

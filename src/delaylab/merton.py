@@ -412,7 +412,7 @@ def closed_form_adjoints(
         times=t,
         p1=p1,
         p2=p.theta * p1,
-        p3=np.zeros_like(p1),
+        p3=np.broadcast_to(0.0, p1.shape),
         q=np.broadcast_to(np.asarray(q, float), p1.shape),
         k1=k1,
         k2=p.theta * k1,

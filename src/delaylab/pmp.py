@@ -26,16 +26,18 @@ b2·p1 − e^{-λδ}·p2 − q·f2 = 0 along each optimal path, which is checked
 directly and by back-integrating the p3 drift from its terminal value.
 
 The adjoints and the checks take whole ensembles as (n_paths, n_nodes)
-arrays; each check scales its residuals path by path and reports the
-worst path.  The maximum-condition check walks the ensemble in node-row
-blocks (core.node_blocks), so its temporaries stay the size of one block
-whatever the ensemble size.
+arrays and read the ensemble's controls u and step h as stored; each check
+scales its residuals path by path and reports the worst path.  The
+maximum-condition check walks the ensemble in node-row blocks
+(core.node_blocks), so its temporaries stay the size of one block whatever
+the ensemble size.  The convexity probe takes path 0 at nodes 0 and
+n_steps // 2 of the ensemble and the adjoints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -70,7 +72,8 @@ class Adjoints:
 
     They are computed element by element from the node-major ensemble, so
     they are stored node-major too: each field's transpose is C-order
-    (n_nodes, n_paths), or a broadcast view of a smaller array.
+    (n_nodes, n_paths), or a broadcast view of a smaller array.  p3 ≡ 0 is
+    stored as a broadcast 0.0, which holds no array of its own.
     """
 
     times: Array
@@ -103,19 +106,17 @@ def simulate_q(model: StructuredModel, ensemble: ForwardEnsemble) -> Array:
     otherwise.  The partials are taken at y = z = 0, which is exact whenever
     f is affine in (y, z).
     """
-    t = ensemble.times
-    h = float(t[1] - t[0])
+    t, h, u = ensemble.times, ensemble.h, ensemble.u
     n_paths, n_steps = ensemble.n_paths, ensemble.n_steps
     x, x1, x2, dw = ensemble.x.T, ensemble.x1.T, ensemble.x2.T, ensemble.dw.T
-    u_all = ensemble.controls.transpose(1, 2, 0)  # (n_nodes, n_u, n_paths)
     zero = np.zeros(n_paths)
 
     # Node-major, so that step k writes one contiguous row.
     log_q = np.zeros((n_steps + 1, n_paths))
     for k in range(n_steps):
         tk = float(t[k])
-        fy = model.f_y(tk, x[k], x1[k], x2[k], zero, zero, u_all[k])
-        fz = model.f_z(tk, x[k], x1[k], x2[k], zero, zero, u_all[k])
+        fy = model.f_y(tk, x[k], x1[k], x2[k], zero, zero, u[:, :, k])
+        fz = model.f_z(tk, x[k], x1[k], x2[k], zero, zero, u[:, :, k])
         log_q[k + 1] = log_q[k] + (fy - 0.5 * fz**2) * h + fz * dw[k]
     return np.exp(log_q).T
 
@@ -134,12 +135,11 @@ def q_factor_check(model: StructuredModel, ensemble: ForwardEnsemble, q: Array) 
 
 
 def _value_slots(model: StructuredModel, cand: ValueCandidate, ensemble: ForwardEnsemble):
-    """Controls (n_u, n_paths, n_nodes) and the value-consistent backward
-    slots y = −V, z = −σV_x along the ensemble."""
+    """The value-consistent backward slots y = −V, z = −σV_x along the
+    ensemble, as (n_paths, n_nodes) arrays."""
     t, x, x1 = ensemble.times, ensemble.x, ensemble.x1
-    u = np.moveaxis(ensemble.controls, 2, 0)
-    y, z = value_slots(model, cand, t, x, x1, u)
-    return u, np.broadcast_to(y, x.shape), np.broadcast_to(z, x.shape)
+    y, z = value_slots(model, cand, t, x, x1, ensemble.u)
+    return np.broadcast_to(y, x.shape), np.broadcast_to(z, x.shape)
 
 
 def adjoint_from_value(
@@ -152,8 +152,8 @@ def adjoint_from_value(
 
     q is the adjoint factor, per node (n_nodes,) or per path and node.
     """
-    t, x, x1 = ensemble.times, ensemble.x, ensemble.x1
-    u, y, z = _value_slots(model, cand, ensemble)
+    t, x, x1, u = ensemble.times, ensemble.x, ensemble.x1, ensemble.u
+    y, z = _value_slots(model, cand, ensemble)
     sg = model.sigma(t, x, x1, u)
     vx = cand.v_x(t, x, x1)
     vx1 = cand.v_x1(t, x, x1)
@@ -166,7 +166,7 @@ def adjoint_from_value(
         times=t,
         p1=np.broadcast_to(p1, x.shape),
         p2=np.broadcast_to(p2, x.shape),
-        p3=np.zeros_like(x),
+        p3=np.broadcast_to(0.0, x.shape),
         q=np.broadcast_to(np.asarray(q, float), x.shape),
         k1=np.broadcast_to(k1, x.shape),
         k2=np.broadcast_to(k2, x.shape),
@@ -188,17 +188,16 @@ def check_p3_zero(
     check passes below P3_TOL.
     """
     params = model.params
-    t, x, x1 = ensemble.times, ensemble.x, ensemble.x1
-    u, y, z = _value_slots(model, cand, ensemble)
+    t, x, x1, u = ensemble.times, ensemble.x, ensemble.x1, ensemble.u
+    y, z = _value_slots(model, cand, ensemble)
     b2 = np.broadcast_to(model.b2(t, x, x1, u), x.shape)
     f2 = np.broadcast_to(model.f2(t, x, x1, y, z, u), x.shape)
     drift = b2 * adjoint.p1 - params.e_minus * adjoint.p2 - adjoint.q * f2
 
     # p3[k] = p3[k+1] + h·drift[k] from p3[n] = 0, summed from the terminal
     # node backward as a cumulative sum written straight into p3 reversed.
-    h = float(t[1] - t[0])
     p3 = np.zeros_like(x)
-    np.cumsum(h * drift[:, -2::-1], axis=1, out=p3[:, -2::-1])
+    np.cumsum(ensemble.h * drift[:, -2::-1], axis=1, out=p3[:, -2::-1])
 
     max_drift = np.max(np.abs(drift), axis=1)
     max_p3 = np.max(np.abs(p3), axis=1)
@@ -253,7 +252,8 @@ def hamiltonian_control_gradient(
 def _block_maximum_condition(model, cand, ensemble, adjoint, blk: slice):
     """Per-path max |H_u| and max variational gap over nodes blk."""
     part = ensemble.nodes(blk)
-    u_star, y, z = _value_slots(model, cand, part)
+    u_star = part.u
+    y, z = _value_slots(model, cand, part)
     grad = hamiltonian_control_gradient(
         model, part.times, part.x, part.x1, part.x2, y, z, u_star,
         adjoint.p1[:, blk], adjoint.p2[:, blk], adjoint.q[:, blk], adjoint.k1[:, blk],
@@ -303,29 +303,31 @@ def maximum_condition_check(
 
 def convexity_spot_check(
     model: StructuredModel,
-    t: float,
-    probes: Sequence[dict],
+    cand: ValueCandidate,
+    ensemble: ForwardEnsemble,
+    adjoint: Adjoints,
 ) -> CheckReport:
     """Numerical Hessian probe of H in (x, x1, x2, y, z, u).
 
-    Each probe supplies state/backward/control values together with the
-    adjoint values (p1, p2, q, k1) at which H is frozen.  This is a sampling
-    heuristic: it can only refute convexity, and only at the chosen probes.
-    Passes when every Hessian eigenvalue is above
-    −CONVEXITY_TOL_FACTOR·(1 + |λ_max|).  A probe whose Hessian is not
-    finite (e.g. a NaN adjoint) has NaN eigenvalues and fails the check.
+    The probes are path 0 at nodes 0 and n_steps // 2.  Each takes the
+    state and controls of the ensemble and the adjoints (p1, p2, q, k1) at
+    its node, the value-consistent slots y = −V, z = −σV_x there, and its
+    own node time.  This is a sampling heuristic: it can only refute
+    convexity, and only at these probes.  Passes when every Hessian
+    eigenvalue is above −CONVEXITY_TOL_FACTOR·(1 + |λ_max|).  A probe whose
+    Hessian is not finite (e.g. a NaN adjoint) has NaN eigenvalues and fails
+    the check.
     """
     worst_ratio = -np.inf
     min_eigs = []
-    for probe in probes:
-        base = np.concatenate(
-            [
-                [probe["x"], probe["x1"], probe["x2"], probe["y"], probe["z"]],
-                np.atleast_1d(probe["u"]).astype(float),
-            ]
-        )
+    nodes = (0, ensemble.n_steps // 2)
+    for k in nodes:
+        t = float(ensemble.times[k])
+        x, x1, u = ensemble.x[0, k], ensemble.x1[0, k], ensemble.u[:, 0, k]
+        y, z = value_slots(model, cand, t, x, x1, u)
+        base = np.array([x, x1, ensemble.x2[0, k], y, z, *u], float)
         n_var = base.size
-        p1, p2, q, k1 = probe["p1"], probe["p2"], probe["q"], probe["k1"]
+        p1, p2, q, k1 = (getattr(adjoint, name)[0, k] for name in ("p1", "p2", "q", "k1"))
 
         def h_of(v):
             u = v[5:]
@@ -338,13 +340,10 @@ def convexity_spot_check(
         steps = HESSIAN_REL_STEP * (1.0 + np.abs(base))
         hess = np.empty((n_var, n_var))
         f0 = h_of(base)
-        for i in range(n_var):
-            ei = np.zeros(n_var)
-            ei[i] = steps[i]
+        shifts = np.diag(steps)  # row i moves variable i by its step
+        for i, ei in enumerate(shifts):
             hess[i, i] = (h_of(base + ei) - 2 * f0 + h_of(base - ei)) / steps[i] ** 2
-            for j in range(i + 1, n_var):
-                ej = np.zeros(n_var)
-                ej[j] = steps[j]
+            for j, ej in enumerate(shifts[i + 1 :], i + 1):
                 mixed = (
                     h_of(base + ei + ej)
                     - h_of(base + ei - ej)
@@ -362,7 +361,7 @@ def convexity_spot_check(
 
     return CheckReport(
         check="convexity_spot",
-        probes=len(probes),
+        probes=len(nodes),
         max_residual=worst_ratio,
         tolerance=0.0,
         passed=worst_ratio <= 0.0,

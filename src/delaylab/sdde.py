@@ -55,22 +55,23 @@ class ForwardEnsemble:
     """Simulated ensemble, seen as (n_paths, n_steps + 1) arrays.
 
     The arrays are stored node-major: x, x1, x2 and dw are the transposes
-    of C-order (n_nodes, n_paths) buffers, and controls is a view of a
-    C-order (n_nodes, n_controls, n_paths) buffer, so x.T[k],
-    controls.transpose(1, 2, 0)[k] and dw.T[k] are contiguous rows holding
-    node k of every path.  initial holds the sampled pre-history on
-    [s − δ, s] (oldest first), so the full trajectory including pre-history
-    can be reconstructed.
+    of C-order (n_nodes, n_paths) buffers.  u holds the controls as the
+    (n_controls, n_paths, n_nodes) view of a C-order (n_nodes, n_controls,
+    n_paths) buffer, the layout every coefficient takes: u[j] is control j
+    laid out like x.  So x.T[k], u[:, :, k] and dw.T[k] are contiguous rows
+    holding node k of every path.  h is the step the nodes are apart, and
+    initial holds the sampled pre-history on [s − δ, s] (oldest first), so
+    the full trajectory including pre-history can be reconstructed.
     """
 
     times: Array
     x: Array
     x1: Array
     x2: Array
-    controls: Array  # (n_paths, n_steps + 1, n_controls)
+    u: Array  # (n_controls, n_paths, n_steps + 1)
     dw: Array  # (n_paths, n_steps)
     initial: Array  # (lag + 1,)
-    config: SimConfig
+    h: float
 
     @property
     def n_paths(self) -> int:
@@ -92,7 +93,7 @@ class ForwardEnsemble:
             x=self.x[:, blk],
             x1=self.x1[:, blk],
             x2=self.x2[:, blk],
-            controls=self.controls[:, blk],
+            u=self.u[:, :, blk],
             dw=self.dw[:, blk],
         )
 
@@ -201,10 +202,10 @@ def simulate_forward(
         x=xfull[lag:].T,
         x1=x1.T,
         x2=xfull[: n_steps + 1].T,
-        controls=controls.transpose(2, 0, 1),
+        u=controls.transpose(1, 2, 0),
         dw=dw,
         initial=initial,
-        config=config,
+        h=h,
     )
 
 
@@ -219,12 +220,10 @@ def write_forward_csv(ensemble: ForwardEnsemble, stream: TextIO) -> None:
     The second control column appears only for two-control models; dw is
     blank at the terminal node.
     """
-    n_u = ensemble.controls.shape[2]
-    u_cols = ["u"] if n_u == 1 else ["u", "c"]
-    controls = [ensemble.controls[:, :, j] for j in range(n_u)]
+    u_cols = ["u"] if ensemble.u.shape[0] == 1 else ["u", "c"]
     write_long_csv(
         stream,
         ["x", "x1", "x2", *u_cols, "dw"],
         ensemble.times,
-        [ensemble.x, ensemble.x1, ensemble.x2, *controls, ensemble.dw],
+        [ensemble.x, ensemble.x1, ensemble.x2, *ensemble.u, ensemble.dw],
     )

@@ -62,8 +62,7 @@ def _block_adjoint_maxima(model, cand, part: ForwardEnsemble, adjoint, blk: slic
 def _block_relations(model, cand, part: ForwardEnsemble, grid):
     """max |V_t − G(u*)| over one node-row block, and max G(u_alt) − G(u*)
     for each (coordinate, value) of the control grid."""
-    t, x, x1, x2 = part.times, part.x, part.x1, part.x2
-    u_star = np.moveaxis(part.controls, 2, 0)
+    t, x, x1, x2, u_star = part.times, part.x, part.x1, part.x2, part.u
     args = args_from_candidate(cand, t, x, x1)
 
     g_star = generalized_hamiltonian(model, t, x, x1, x2, u_star, args)
@@ -227,11 +226,10 @@ def closed_form_cost_check(
     the step size.
     """
     sol = solve_backward(model, ensemble, basis)
-    h = ensemble.config.step_size(model.params)
     x0 = ensemble.x[0, 0]
     x1_0 = ensemble.x1[0, 0]
     reference = float(cand.v(model.params.start_s, x0, x1_0))
-    tolerance = 3.0 * sol.stderr + COST_BIAS_ALLOWANCE * h
+    tolerance = 3.0 * sol.stderr + COST_BIAS_ALLOWANCE * ensemble.h
     residual = abs(sol.cost - reference)
     return CheckReport(
         check="cost_check",

@@ -62,10 +62,8 @@ def delayed_ito_check(
     evaluated at the left node.  The summed defect should be centered at 0
     with spread shrinking like sqrt(h).
     """
-    t = ensemble.times
-    h = float(t[1] - t[0])
-    x, x1, x2 = ensemble.x, ensemble.x1, ensemble.x2
-    u = np.moveaxis(ensemble.controls, 2, 0)  # (n_u, n_paths, n_steps + 1)
+    t, h = ensemble.times, ensemble.h
+    x, x1, x2, u = ensemble.x, ensemble.x1, ensemble.x2, ensemble.u
 
     tL = t[:-1]
     xL, x1L, x2L = x[:, :-1], x1[:, :-1], x2[:, :-1]

@@ -96,12 +96,11 @@ class TestMertonBenchmark:
         ens = sdde.simulate_forward(model, policy, INITIAL, cfg)
         sol = bsdde.solve_backward(model, ens, merton.build_basis(p))
 
-        t, h = ens.times, float(ens.times[1] - ens.times[0])
-        x, x1, x2, dw = ens.x.T, ens.x1.T, ens.x2.T, ens.dw.T
-        u, z = ens.controls.transpose(1, 2, 0), sol.z.T
+        t, h, u = ens.times, ens.h, ens.u
+        x, x1, x2, dw, z = ens.x.T, ens.x1.T, ens.x2.T, ens.dw.T, sol.z.T
         y_hat = model.phi(x[-1], x1[-1])
         for k in range(ens.n_steps - 1, -1, -1):
-            f = model.generator(float(t[k]), x[k], x1[k], x2[k], y_hat, z[k], u[k])
+            f = model.generator(float(t[k]), x[k], x1[k], x2[k], y_hat, z[k], u[:, :, k])
             y_hat = y_hat + h * f - z[k] * dw[k]
         assert np.array_equal(sol.y[:, 0], y_hat)
         assert sol.cost == float((-y_hat).mean())
@@ -116,12 +115,13 @@ class TestMertonBenchmark:
         ens = sdde.simulate_forward(model, policy, INITIAL, cfg)
         sol = bsdde.solve_backward(model, ens, merton.build_basis(p))
 
-        t, h = ens.times, float(ens.times[1] - ens.times[0])
-        x, x1, x2 = ens.x.T, ens.x1.T, ens.x2.T
-        u, z = ens.controls.transpose(1, 2, 0), sol.z.T
+        t, h, u = ens.times, ens.h, ens.u
+        x, x1, x2, z = ens.x.T, ens.x1.T, ens.x2.T, sol.z.T
         y_hat = model.phi(x[-1], x1[-1])
         for k in range(ens.n_steps - 1, -1, -1):
-            y_hat = y_hat + h * model.generator(float(t[k]), x[k], x1[k], x2[k], y_hat, z[k], u[k])
+            y_hat = y_hat + h * model.generator(
+                float(t[k]), x[k], x1[k], x2[k], y_hat, z[k], u[:, :, k]
+            )
         plain = float((-y_hat).mean())
         plain_stderr = float(y_hat.std(ddof=1) / math.sqrt(ens.n_paths))
         assert abs(sol.cost - plain) <= 3 * math.hypot(sol.stderr, plain_stderr)
@@ -217,10 +217,8 @@ def reference_backward(model, ensemble, features, ridge=bsdde.RIDGE):
             return np.full(at.shape[1], target.mean()), True
         return pred, False
 
-    t = ensemble.times
-    h = float(t[1] - t[0])
+    t, h, u = ensemble.times, ensemble.h, ensemble.u
     x, x1, x2, dw = ensemble.x.T, ensemble.x1.T, ensemble.x2.T, ensemble.dw.T
-    u = ensemble.controls.transpose(1, 2, 0)
     n_steps, n_paths = ensemble.n_steps, ensemble.n_paths
     first, second = slice(0, n_paths // 2), slice(n_paths // 2, n_paths)
     y = np.empty((n_steps + 1, n_paths))
@@ -237,7 +235,8 @@ def reference_backward(model, ensemble, features, ridge=bsdde.RIDGE):
             n_fit = fit.stop - fit.start
             z[k, out], bad_z = project(f[:, fit], inverse(prod, n_fit), target[fit], f[:, out])
             bad = bad or bad_z
-        target = y[k + 1] + h * model.generator(float(t[k]), x[k], x1[k], x2[k], y[k + 1], z[k], u[k])
+        f_k = model.generator(float(t[k]), x[k], x1[k], x2[k], y[k + 1], z[k], u[:, :, k])
+        target = y[k + 1] + h * f_k
         y[k], bad_y = project(f, inverse(p_first + p_second, n_paths), target)
         if bad or bad_y:
             degraded.append(k)
@@ -245,7 +244,7 @@ def reference_backward(model, ensemble, features, ridge=bsdde.RIDGE):
     z[0, second], z[0, first] = target[first].mean(), target[second].mean()
     y_hat = y[-1].copy()
     for k in range(n_steps - 1, -1, -1):
-        f = model.generator(float(t[k]), x[k], x1[k], x2[k], y_hat, z[k], u[k])
+        f = model.generator(float(t[k]), x[k], x1[k], x2[k], y_hat, z[k], u[:, :, k])
         y_hat = y_hat + h * f - z[k] * dw[k]
     y[0] = y_hat
     stderr = float(y_hat.std(ddof=1) / math.sqrt(y_hat.size))
@@ -332,7 +331,7 @@ class TestNodeMajorLayout:
         ens = sdde.simulate_forward(model, policy, INITIAL, cfg)
         path = dataclasses.replace(
             ens,
-            **{f: np.ascontiguousarray(getattr(ens, f)) for f in ("x", "x1", "x2", "controls", "dw")},
+            **{f: np.ascontiguousarray(getattr(ens, f)) for f in ("x", "x1", "x2", "u", "dw")},
         )
         return p, model, cand, ens, path
 

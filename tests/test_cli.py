@@ -103,6 +103,12 @@ MALFORMED = {
     "bool_param": lambda c: c["model"]["params"].update(delta=True),
     "nan_initial_value": lambda c: c["initial_path"].update(value=float("nan")),
     "infinite_param": lambda c: c["model"]["params"].update(mu2=float("inf")),
+    # The initial path is sampled onto the grid while the config is parsed:
+    # the step 1/32 must divide delta, and every sample must be finite.
+    "delay_off_grid": lambda c: c["model"]["params"].update(delta=0.3),
+    "nan_initial_expr": lambda c: c.update(
+        initial_path={"kind": "expr", "expr": "log(0 - 1 - tau)"}
+    ),
 }
 
 
@@ -290,9 +296,10 @@ class TestGenericModel:
         assert run("simulate", write_cfg(tmp_path, cfg), tmp_path / "out") == 2
 
     def test_malformed_control_box_is_two(self, tmp_path, capsys):
-        # An empty box and a 2-D box, under both subcommands that take a
-        # generic model.
+        # An empty box, a 2-D box, and bounds that are NaN, a boolean or
+        # infinite, under both subcommands that take a generic model.
         boxes = [([], [], []), ([[0.0, 0.0]], [[1.0, 1.0]], ["0.5", "0.5"])]
+        boxes += [([0.0], [bad], ["0.5"]) for bad in (float("nan"), True, 1e999)]
         for i, (lower, upper, policy) in enumerate(boxes):
             cfg = json.loads(json.dumps(GENERIC_CFG))
             cfg["model"].update(control_box={"lower": lower, "upper": upper}, policy=policy)

@@ -50,8 +50,7 @@ def reference_relations_report(model, cand, ensemble, adjoint, n_grid=9, tol=1e-
     mismatch = reference_adjoint_mismatch(model, cand, ensemble, adjoint)
 
     t = ensemble.times
-    x, x1, x2 = ensemble.x, ensemble.x1, ensemble.x2
-    u_star = np.moveaxis(ensemble.controls, 2, 0)
+    x, x1, x2, u_star = ensemble.x, ensemble.x1, ensemble.x2, ensemble.u
     args = args_from_candidate(cand, t, x, x1)
 
     g_star = generalized_hamiltonian(model, t, x, x1, x2, u_star, args)
@@ -87,8 +86,8 @@ def reference_relations_report(model, cand, ensemble, adjoint, n_grid=9, tol=1e-
 
 
 def reference_maximum_condition_check(model, cand, ensemble, adjoint, n_grid=9, tol=1e-6):
-    t, x, x1, x2 = ensemble.times, ensemble.x, ensemble.x1, ensemble.x2
-    u_star, y, z = pmp._value_slots(model, cand, ensemble)
+    t, x, x1, x2, u_star = ensemble.times, ensemble.x, ensemble.x1, ensemble.x2, ensemble.u
+    y, z = pmp._value_slots(model, cand, ensemble)
     grad = pmp.hamiltonian_control_gradient(
         model, t, x, x1, x2, y, z, u_star, adjoint.p1, adjoint.p2, adjoint.q, adjoint.k1
     )
@@ -253,10 +252,10 @@ def _linear_tie():
         x=node_major(1.0),
         x1=node_major(1.0),
         x2=node_major(1.0),
-        controls=np.zeros((n_nodes, 1, N_PATHS)).transpose(2, 0, 1),
+        u=np.zeros((n_nodes, 1, N_PATHS)).transpose(1, 2, 0),
         dw=np.zeros((N_STEPS, N_PATHS)).T,
         initial=np.ones(1),
-        config=core.SimConfig(n_steps=N_STEPS, n_paths=N_PATHS, master_seed=0),
+        h=1.0 / N_STEPS,
     )
     p1 = node_major(0.0)
     p1[1, 40] = 4.0

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from delaylab import core, merton, pmp, sdde, verify
+from delaylab import core, hjb, merton, pmp, sdde, verify
 from helpers import constant_policy
 
 P0 = dict(
@@ -161,7 +161,8 @@ class TestEnsembleReportIsWorstPath:
         ens = dataclasses.replace(
             small,
             **{f: np.concatenate([getattr(small, f), getattr(large, f)])
-               for f in ("x", "x1", "x2", "controls", "dw")},
+               for f in ("x", "x1", "x2", "dw")},
+            u=np.concatenate([small.u, large.u], axis=1),
         )
         q = merton.exact_q_factor(merton.resolve_constraints(**P0), ens.times)
         adj = pmp.adjoint_from_value(model, cand, ens, q)
@@ -170,7 +171,7 @@ class TestEnsembleReportIsWorstPath:
     def _one_path(self, ens, adj, i):
         rows = slice(i, i + 1)
         one_ens = dataclasses.replace(
-            ens, **{f: getattr(ens, f)[rows] for f in ("x", "x1", "x2", "controls", "dw")}
+            ens, **{f: getattr(ens, f)[rows] for f in ("x", "x1", "x2", "dw")}, u=ens.u[:, rows]
         )
         one_adj = dataclasses.replace(
             adj, **{f: getattr(adj, f)[rows] for f in ("p1", "p2", "p3", "q", "k1", "k2")}
@@ -229,8 +230,7 @@ class TestAdjointDrift:
             q = merton.exact_q_factor(p, ens.times)
             h = (p.horizon_T - p.start_s) / n_steps
             adj = merton.closed_form_adjoints(p, ens, q)
-            t, x, x1, x2 = ens.times, ens.x, ens.x1, ens.x2
-            u = np.moveaxis(ens.controls, 2, 0)
+            t, x, x1, x2, u = ens.times, ens.x, ens.x1, ens.x2, ens.u
             y = -cand.v(t, x, x1)
             z = -model.sigma(t, x, x1, u) * cand.v_x(t, x, x1)
             e = 1e-6 * (1.0 + np.abs(x))
@@ -254,52 +254,65 @@ class TestAdjointDrift:
 
 
 class TestConvexityProbe:
-    def _probe(self, **kw):
-        base = dict(x=1.0, x1=0.9, x2=0.8, y=0.5, z=0.1, u=np.array([0.5]),
-                    p1=1.0, p2=0.2, q=1.0, k1=0.3)
-        base.update(kw)
-        return base
+    """The probes are path 0 at nodes 0 and n_steps // 2 of the records."""
+
+    def _records(self, model):
+        # y = −V = 0.5 and z = −σV_x = 0.1 under the linear model's σ = 0.5.
+        ens = _still_ensemble(x=1.0, x1=0.9, x2=0.8, u=[0.5])
+        return model, _constant_candidate(v=-0.5, v_x=-0.2), ens, _frozen_adjoints(ens)
 
     def test_linear_hamiltonian_passes(self):
-        model = _linear_model()
-        report = pmp.convexity_spot_check(model, 0.2, [self._probe()])
+        report = pmp.convexity_spot_check(*self._records(_linear_model()))
         assert report.passed
 
     def test_concave_generator_term_fails(self):
         # f1 = -x^2 with q > 0 contributes +q x^2 to -q f, i.e. H gains a
         # strictly concave x-term through the sign flip below.
         model = _linear_model(f1=lambda t, x, x1, y, z, u: np.asarray(x, float) ** 2)
-        report = pmp.convexity_spot_check(model, 0.2, [self._probe(q=1.0)])
+        report = pmp.convexity_spot_check(*self._records(model))
         assert not report.passed
 
     def test_nan_adjoint_fails_the_probe(self):
-        model = _linear_model()
-        report = pmp.convexity_spot_check(
-            model, 0.2, [self._probe(), self._probe(p1=np.nan)]
-        )
+        model, cand, ens, adj = self._records(_linear_model())
+        adj.p1[0, ens.n_steps // 2] = np.nan
+        report = pmp.convexity_spot_check(model, cand, ens, adj)
         assert np.isnan(report.max_residual)
         assert np.isnan(report.extra["min_eigenvalues"][1])
         assert not report.passed
 
     def test_merton_convex_near_optimum(self):
+        # The optimal controls at x = 1, x1 = 0.95 at every node, with the
+        # value-derived adjoints at q = 1.
         p = merton.resolve_constraints(**P0)
         model = merton.build_model(p)
         cand = merton.value_function(p)
-        s, x, x1 = 0.0, 1.0, 0.95
-        u_star = float(merton.optimal_u(s, x, x1, p))
-        c_star = float(merton.optimal_c(s, x, x1, p))
-        q0 = 1.0
-        vx = float(cand.v_x(s, x, x1))
-        p1 = vx * q0
-        k1 = float(cand.v_xx(s, x, x1)) * p.sigma * u_star * x * q0
-        probe = {
-            "x": x, "x1": x1, "x2": 0.9, "y": -float(cand.v(s, x, x1)),
-            "z": -p.sigma * u_star * x * vx,
-            "u": np.array([u_star, c_star]),
-            "p1": p1, "p2": p.theta * p1, "q": q0, "k1": k1,
-        }
-        report = pmp.convexity_spot_check(model, s, [probe])
+        ens = _still_ensemble(x=1.0, x1=0.95, x2=0.9, u=[0.0, 0.0], start=0.0)
+        x, x1 = ens.x[0], ens.x1[0]
+        ens.u[:, 0] = merton.optimal_u(ens.times, x, x1, p), merton.optimal_c(ens.times, x, x1, p)
+        adj = pmp.adjoint_from_value(model, cand, ens, np.ones(ens.times.size))
+        report = pmp.convexity_spot_check(model, cand, ens, adj)
         assert report.passed, report.extra
+
+    def test_each_probe_at_its_node_time(self):
+        # b1 = -t x^2 and p1 = 1 make -2t the one nonzero entry of the
+        # Hessian: each probe's least eigenvalue is -2 t_k at its node k.
+        model = _linear_model(b1=lambda t, x, x1, u: -t * np.asarray(x, float) ** 2)
+        cand = _constant_candidate(v=-0.5, v_x=-0.2)
+        ens = _still_ensemble(x=1.0, x1=0.9, x2=0.8, u=[0.5], start=0.2, n_steps=4, h=0.2)
+        report = pmp.convexity_spot_check(model, cand, ens, _frozen_adjoints(ens))
+        assert report.extra["min_eigenvalues"] == pytest.approx([-0.4, -1.2], rel=1e-6)
+
+
+class TestZeroP3:
+    def test_producers_store_a_zero_view(self, merton_run):
+        ens, q = merton_run["ensemble"], merton_run["q"]
+        for adj in (
+            pmp.adjoint_from_value(merton_run["model"], merton_run["cand"], ens, q),
+            merton.closed_form_adjoints(merton_run["params"], ens, q),
+        ):
+            assert adj.p3.shape == ens.x.shape
+            assert adj.p3.strides == (0, 0)  # one shared zero, no array
+            assert np.all(adj.p3 == 0.0)
 
 
 def _broken_theta_run(n_paths, seed, u_factor=1.0, initial=INITIAL):
@@ -316,16 +329,57 @@ def _broken_theta_run(n_paths, seed, u_factor=1.0, initial=INITIAL):
     return model, cand, ens, pmp.adjoint_from_value(model, cand, ens, q)
 
 
-def _linear_model(f1=None):
+def _linear_model(f1=None, b1=None):
     params = core.ModelParams(lam=0.1, delta=0.5, horizon_T=1.0)
     zero = lambda t, x, x1, y, z, u: np.zeros_like(np.asarray(x, float))  # noqa: E731
     return core.StructuredModel(
         params=params,
-        b1=lambda t, x, x1, u: 0.2 * x + 0.1 * x1 + 0.3 * u[0],
+        b1=b1 or (lambda t, x, x1, u: 0.2 * x + 0.1 * x1 + 0.3 * u[0]),
         b2=lambda t, x, x1, u: 0.4 * np.ones_like(np.asarray(x, float)),
         sigma=lambda t, x, x1, u: 0.5 * np.ones_like(np.asarray(x, float)) + 0.0 * u[0],
         f1=f1 or (lambda t, x, x1, y, z, u: 0.3 * y + 0.2 * z),
         f2=zero,
         phi=lambda x, x1: np.asarray(x, float),
         control_set=core.ControlBox(lower=[-1.0], upper=[1.0]),
+    )
+
+
+def _still_ensemble(x, x1, x2, u, start=0.2, n_steps=2, h=0.1):
+    """One path that holds the state (x, x1, x2) and the controls u at
+    every node start + h·k, k = 0, ..., n_steps."""
+    n_nodes = n_steps + 1
+    full = np.ones((1, n_nodes))
+    return sdde.ForwardEnsemble(
+        times=start + h * np.arange(n_nodes),
+        x=x * full,
+        x1=x1 * full,
+        x2=x2 * full,
+        u=np.asarray(u, float)[:, np.newaxis, np.newaxis] * full,
+        dw=np.zeros((1, n_steps)),
+        initial=np.array([x]),
+        h=h,
+    )
+
+
+def _constant_candidate(v, v_x):
+    """Candidate with V = v and V_x = v_x everywhere, its other partials 0."""
+
+    def const(c):
+        return lambda s, x, x1: np.full(np.shape(x), c, float)
+
+    return hjb.ValueCandidate(
+        v=const(v), v_s=const(0.0), v_x=const(v_x), v_xx=const(0.0), v_x1=const(0.0),
+        v_xx1=const(0.0),
+    )
+
+
+def _frozen_adjoints(ens, p1=1.0, p2=0.2, q=1.0, k1=0.3):
+    """Adjoints that hold (p1, p2, q, k1) at every node, p3 = k2 = 0."""
+
+    def full(c):
+        return np.full(ens.x.shape, c, float)
+
+    return pmp.Adjoints(
+        times=ens.times, p1=full(p1), p2=full(p2), p3=full(0.0), q=full(q), k1=full(k1),
+        k2=full(0.0),
     )

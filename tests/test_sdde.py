@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from delaylab import bsdde, core, pmp, sdde
+from delaylab import bsdde, core, hjb, pmp, sdde
 from helpers import SmoothTestFunction, constant_policy, delayed_ito_check
 
 
@@ -249,7 +249,7 @@ def path_major(ens):
     """Copy of an ensemble with every field stored path-major, C-order."""
     return dataclasses.replace(
         ens,
-        **{f: np.ascontiguousarray(getattr(ens, f)) for f in ("x", "x1", "x2", "controls", "dw")},
+        **{f: np.ascontiguousarray(getattr(ens, f)) for f in ("x", "x1", "x2", "u", "dw")},
     )
 
 
@@ -259,9 +259,9 @@ class TestNodeMajorLayout:
         cfg = core.SimConfig(n_steps=16, n_paths=40, master_seed=2)
         ens = sdde.simulate_forward(model, constant_policy([0.2, 0.5]), lambda tau: 1.0, cfg)
         assert ens.x.shape == ens.x1.shape == ens.x2.shape == (40, 17)
-        assert ens.controls.shape == (40, 17, 2)
+        assert ens.u.shape == (2, 40, 17)
         assert ens.dw.shape == (40, 16)
-        for rows in (ens.x.T, ens.x1.T, ens.x2.T, ens.dw.T, ens.controls.transpose(1, 2, 0)):
+        for rows in (ens.x.T, ens.x1.T, ens.x2.T, ens.dw.T, ens.u.transpose(2, 0, 1)):
             assert rows.flags.c_contiguous
         assert sdde.brownian_increments(2, 40, 16, 1 / 16).T.flags.c_contiguous
 
@@ -280,6 +280,58 @@ class TestNodeMajorLayout:
         path = delayed_ito_check(g, path_major(ens), model)
         assert np.array_equal(node.residuals, path.residuals)
         assert (node.mean, node.stderr) == (path.mean, path.stderr)
+
+
+def homogeneous_model(start_s, horizon_T):
+    """A model whose coefficients do not read t, with f_y, f_z and a p3
+    drift, on [start_s, horizon_T]; δ = 0.225 is 16 steps of 0.9/64."""
+    params = core.ModelParams(lam=0.1, delta=0.225, horizon_T=horizon_T, start_s=start_s)
+    ones = lambda x: np.ones_like(np.asarray(x, float))  # noqa: E731
+    return core.StructuredModel(
+        params=params,
+        b1=lambda t, x, x1, u: -0.2 * x + u[0],
+        b2=lambda t, x, x1, u: 0.3 * ones(x),
+        sigma=lambda t, x, x1, u: 0.4 * ones(x),
+        f1=lambda t, x, x1, y, z, u: -0.5 * y + 0.2 * z + x,
+        f2=lambda t, x, x1, y, z, u: 0.1 * ones(x),
+        phi=lambda x, x1: x + x1,
+        control_set=core.ControlBox(lower=[0.0], upper=[1.0]),
+        f_y=lambda t, x, x1, x2, y, z, u: -0.5 * ones(x),
+        f_z=lambda t, x, x1, x2, y, z, u: 0.2 * ones(x),
+    )
+
+
+class TestStepIsRecorded:
+    """The sweeps step by the ensemble's h.  On [0.1, 1] with N = 64, h is
+    0.9/64 but the node times are 0.014062500000000006 apart, so the same
+    paths on [0, 0.9] must give the same bits."""
+
+    def _run(self, start_s, horizon_T):
+        model = homogeneous_model(start_s, horizon_T)
+        cand = hjb.ValueCandidate(
+            v=lambda s, x, x1: -(x + x1),
+            v_s=lambda s, x, x1: np.zeros_like(x),
+            v_x=lambda s, x, x1: -np.ones_like(x),
+            v_xx=lambda s, x, x1: np.zeros_like(x),
+            v_x1=lambda s, x, x1: -np.ones_like(x),
+            v_xx1=lambda s, x, x1: np.zeros_like(x),
+        )
+        cfg = core.SimConfig(n_steps=64, n_paths=300, master_seed=5)
+        ens = sdde.simulate_forward(model, constant_policy([0.5]), lambda tau: 1.0, cfg)
+        sol = bsdde.solve_backward(model, ens, bsdde.polynomial_basis(2))
+        q = pmp.simulate_q(model, ens)
+        p3 = pmp.check_p3_zero(model, cand, ens, pmp.adjoint_from_value(model, cand, ens, q))
+        return ens, sol, q, p3
+
+    def test_sweeps_do_not_depend_on_where_the_grid_starts(self):
+        late, late_sol, late_q, late_p3 = self._run(0.1, 1.0)
+        early, early_sol, early_q, early_p3 = self._run(0.0, 0.9)
+        assert late.h == early.h == 0.9 / 64 != float(late.times[1] - late.times[0])
+        assert np.array_equal(late.x, early.x)
+        assert np.array_equal(late_sol.y, early_sol.y) and np.array_equal(late_sol.z, early_sol.z)
+        assert (late_sol.cost, late_sol.stderr) == (early_sol.cost, early_sol.stderr)
+        assert np.array_equal(late_q, early_q)
+        assert late_p3 == early_p3
 
 
 class TestDivergenceGuard:
@@ -368,11 +420,10 @@ class TestCsvExport:
         ens = _awkward_ensemble(n_paths=5, n_steps=3, n_u=n_u)
         out = io.StringIO()
         sdde.write_forward_csv(ens, out)
-        controls = [ens.controls[:, :, j] for j in range(n_u)]
         want = _reference_csv(
             ["x", "x1", "x2", *(["u"] if n_u == 1 else ["u", "c"]), "dw"],
             ens.times,
-            [ens.x, ens.x1, ens.x2, *controls, ens.dw],
+            [ens.x, ens.x1, ens.x2, *ens.u, ens.dw],
         )
         assert out.getvalue() == want
         assert out.getvalue().splitlines()[4].endswith(",")  # blank terminal dw
@@ -384,7 +435,7 @@ class TestCsvExport:
         node = dataclasses.replace(
             ens,
             **{f: np.asfortranarray(getattr(ens, f)) for f in ("x", "x1", "x2", "dw")},
-            controls=np.ascontiguousarray(ens.controls.transpose(1, 2, 0)).transpose(2, 0, 1),
+            u=np.ascontiguousarray(ens.u.transpose(2, 0, 1)).transpose(1, 2, 0),
         )
         assert node.x.flags.f_contiguous and not node.x.flags.c_contiguous
         want, got = io.StringIO(), io.StringIO()
@@ -403,14 +454,14 @@ class TestCsvExport:
         u[2, 0] = -0.0
         u[4, 1] = np.nextafter(1.0 / 3.0, 1.0)
         dw = np.tile([0.0, np.nan, 2.5], (5, 1))
-        controls = np.stack([u, ens.controls[:, :, 1]], axis=2)
-        ens = dataclasses.replace(ens, x2=np.asfortranarray(x2), controls=controls, dw=dw)
+        controls = np.stack([u, ens.u[1]])
+        ens = dataclasses.replace(ens, x2=np.asfortranarray(x2), u=controls, dw=dw)
         out = io.StringIO()
         sdde.write_forward_csv(ens, out)
         want = _reference_csv(
             ["x", "x1", "x2", "u", "c", "dw"],
             ens.times,
-            [ens.x, ens.x1, x2, u, controls[:, :, 1], dw],
+            [ens.x, ens.x1, x2, u, controls[1], dw],
         )
         assert out.getvalue() == want
         assert out.getvalue().splitlines()[9].split(",")[5] == "-0"  # path 2, node 0
@@ -424,7 +475,7 @@ class TestCsvExport:
         bsdde.write_backward_csv(sol, out)
         assert out.getvalue() == _reference_csv(["y", "z"], ens.times, [ens.x, ens.x1])
 
-        cols = [ens.x, ens.x1, ens.x2, ens.controls[:, :, 0], -ens.x, -ens.x1]
+        cols = [ens.x, ens.x1, ens.x2, ens.u[0], -ens.x, -ens.x1]
         names = ["p1", "p2", "p3", "q", "k1", "k2"]
         adj = pmp.Adjoints(ens.times, *cols)
         out = io.StringIO()
@@ -443,16 +494,15 @@ def _awkward_ensemble(n_paths, n_steps, n_u):
     def column(shift):
         return np.resize(np.roll(AWKWARD, shift), shape)
 
-    controls = np.stack([column(3 + j) for j in range(n_u)], axis=2)
     return sdde.ForwardEnsemble(
         times=np.resize(np.roll(AWKWARD, 1), n_steps + 1),
         x=column(0),
         x1=column(1),
         x2=column(2),
-        controls=controls,
+        u=np.stack([column(3 + j) for j in range(n_u)]),
         dw=column(5)[:, :n_steps],
         initial=np.zeros(1),
-        config=core.SimConfig(n_steps=n_steps, n_paths=n_paths, master_seed=0),
+        h=1.0 / n_steps,
     )
 
 
