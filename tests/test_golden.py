@@ -60,31 +60,30 @@ def run_case(case: str, work_dir: Path) -> dict:
     return {"exit_code": code, "report": json.loads(report.read_text()) if report.exists() else None}
 
 
-def leaves(tree, path=()):
-    """(path, value) of every leaf of a JSON tree, with the check object
-    (a dict that has a "check" key) each leaf sits in, or None."""
-
-    def walk(node, path, check):
-        if isinstance(node, dict):
-            check = node if "check" in node else check
-            for key in sorted(node):
-                yield from walk(node[key], path + (key,), check)
-        elif isinstance(node, list):
-            yield path + ("#len",), len(node), None
-            for i, item in enumerate(node):
-                yield from walk(item, path + (i,), check)
-        else:
-            yield path, node, check
-
-    yield from walk(tree, path, None)
+def leaves(node, path=(), check=None):
+    """(path, value, check) of every leaf of a JSON tree, where check is the
+    check object (a dict with a "check" key) the leaf sits in, or None.  A
+    list also yields its length, as the leaf "#len"."""
+    if isinstance(node, dict):
+        check = node if "check" in node else check
+        for key in sorted(node):
+            yield from leaves(node[key], path + (key,), check)
+    elif isinstance(node, list):
+        yield path + ("#len",), len(node), None
+        for i, item in enumerate(node):
+            yield from leaves(item, path + (i,), check)
+    else:
+        yield path, node, check
 
 
 def mismatches(case: str, want: dict, have: dict) -> list:
-    """Every leaf of have that is missing from want, or off its bound."""
+    """Every leaf that only one of the two reports has, or that is off its
+    bound."""
     rtol = DRAW_FREE_RTOL if CASES[case][1] in DRAW_FREE else MONTE_CARLO_RTOL
     want_leaves = {path: (value, check) for path, value, check in leaves(want)}
     have_leaves = {path: value for path, value, _ in leaves(have)}
-    bad = [f"{path}: missing" for path in sorted(set(want_leaves) ^ set(have_leaves), key=str)]
+    only_one = sorted(set(want_leaves) ^ set(have_leaves), key=str)
+    bad = [f"{path}: in one report only" for path in only_one]
     for path, (w, check) in want_leaves.items():
         if path not in have_leaves:
             continue
