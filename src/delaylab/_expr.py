@@ -1,9 +1,11 @@
 """Tiny arithmetic expression evaluator for config-supplied coefficients.
 
 Grammar: numeric literals, the names of the evaluation variables, the four
-arithmetic operators, unary minus, **, and the functions exp, log, sqrt,
-abs, pow, min, max.  Everything else is rejected at compile time.  Compiled
-expressions evaluate with numpy semantics so they broadcast over arrays.
+arithmetic operators, unary minus, **, and the functions exp, log, sqrt and
+abs of one argument and pow, min and max of two.  Everything else, a call
+with another number of arguments included, is rejected at compile time.
+Compiled expressions evaluate with numpy semantics so they broadcast over
+arrays.
 """
 
 from __future__ import annotations
@@ -15,14 +17,16 @@ import numpy as np
 
 from .core import ConfigError
 
-_FUNCTIONS: Mapping[str, Callable] = {
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-    "pow": np.power,
-    "min": np.minimum,
-    "max": np.maximum,
+# Each function with its number of arguments: a numpy ufunc reads one more
+# positional argument as out= and would write the result into a variable.
+_FUNCTIONS: Mapping[str, tuple[Callable, int]] = {
+    "exp": (np.exp, 1),
+    "log": (np.log, 1),
+    "sqrt": (np.sqrt, 1),
+    "abs": (np.abs, 1),
+    "pow": (np.power, 2),
+    "min": (np.minimum, 2),
+    "max": (np.maximum, 2),
 }
 
 _BINOPS = {
@@ -39,10 +43,11 @@ _UNARYOPS = {ast.USub: np.negative, ast.UAdd: lambda v: v}
 def compile_expression(source: str, variables: tuple):
     """Compile an expression string into a callable of the named variables.
 
-    Raises ConfigError for syntax errors, unknown names, or disallowed
-    constructs.  The returned callable takes keyword arguments matching the
-    variable names and broadcasts over numpy arrays.  Numeric literals are
-    read as float64, so integer arithmetic can neither wrap nor fail.
+    Raises ConfigError for syntax errors, unknown names, disallowed
+    constructs, or a function given the wrong number of arguments.  The
+    returned callable takes keyword arguments matching the variable names
+    and broadcasts over numpy arrays.  Numeric literals are read as float64,
+    so integer arithmetic can neither wrap nor fail.
     """
     try:
         tree = ast.parse(source, mode="eval")
@@ -66,7 +71,13 @@ def compile_expression(source: str, variables: tuple):
                 raise ConfigError(f"function not allowed in {source!r}")
             if node.keywords:
                 raise ConfigError(f"keyword arguments not allowed in {source!r}")
-            fn, args = _FUNCTIONS[node.func.id], [build(a) for a in node.args]
+            fn, arity = _FUNCTIONS[node.func.id]
+            if len(node.args) != arity:
+                raise ConfigError(
+                    f"{node.func.id} takes {arity} argument(s), got "
+                    f"{len(node.args)} in {source!r}"
+                )
+            args = [build(a) for a in node.args]
             return lambda env: fn(*[a(env) for a in args])
         if isinstance(node, ast.Name):
             if node.id not in variables:

@@ -13,8 +13,9 @@ its moving average x1(s), structured model coefficients, feedback policies,
 and the simulation configuration.  It also owns the splitmix64
 counter hash behind the per-path seeds and Brownian increments, so that
 every path is reproducible in isolation, the long-format CSV writer
-shared by the forward, backward and adjoint artifacts, and the node-row
-blocks over which the ensemble checks walk.
+shared by the forward, backward and adjoint artifacts (with the numpy
+kernel that writes its exact '%.17g' text a block at a time), and the
+node-row blocks over which the ensemble checks walk.
 """
 
 from __future__ import annotations
@@ -332,9 +333,170 @@ class SimConfig:
 # Long-format CSV artifacts
 # ---------------------------------------------------------------------------
 
-# Rows formatted per write in write_long_csv; bounds the block's table and
-# string next to the columns themselves.
-CSV_BLOCK_ROWS = 1 << 13
+# Rows formatted per write in write_long_csv; bounds the block's scratch
+# arrays next to the columns themselves.
+CSV_BLOCK_ROWS = 1 << 11
+
+# '%.17g' without a Python format per value.  A finite |v| in [1e-10, 1e14)
+# is m·2^e with an integer m < 2^53.  Its 17 significant digits are the
+# integer N = round(|v|·10^k) in [10^16, 10^17), where k = 16 − d and
+# d = floor(log10|v|), so k lies in [3, 26].  N is m·5^k·2^(e+k) rounded half
+# to even: m·5^k is an exact 128-bit product of 32-bit limbs, and the shift
+# s = −(e+k) lies in [1, 63].  N never rounds up to 10^17: that takes a |v|
+# less than 5e-18·10^(d+1) below 10^(d+1), and no float64 in the range is
+# that close below a power of ten (the CSV text tests check each one).  Each
+# value becomes a cell of ten 4-byte words, NUL where unused, which
+# _G17_WORDS holds:
+#
+#   0     the separator before the cell, the sign, integer digits 1-2 of 14
+#   1-3   integer digits 3-14 in groups of four, leading zeros blank
+#   4     the decimal point, blank when no fraction digit is left
+#   5-8   16 fraction digits in groups of four, trailing zeros blank
+#   9     the exponent e-05 ... e-10, when d < −4
+#
+# When −4 <= d <= −1, words 2-3 hold "0.", −d − 1 zeros and the first digit
+# instead, and words 5-8 the other 16 digits.  ±0 is a cell of its own; every
+# other value (NaN, ±inf, subnormals, |v| < 1e-10 or >= 1e14) is formatted by
+# Python into words 1-9.
+
+_U = np.uint64
+_G17_LO, _G17_HI = 1e-10, 1e14
+# Word-table offsets: four-digit groups plain, with leading zeros blank, the
+# same with 0 written as "0" (the last integer group), with trailing zeros
+# blank, and word 0 at 200·comma + 100·sign + digits 1-2.
+_LEAD, _LEAD1, _TRAIL, _HEAD = (_U(10_000 * i) for i in range(1, 5))
+
+
+def _g17_tables() -> tuple[Array, Array]:
+    """The word table, and per k the index offsets of words 2, 3, 4 and 9."""
+    group = np.arange(10_000, dtype=np.uint16)[:, np.newaxis]
+    tens = np.array([1000, 100, 10, 1], np.uint16)
+    plain = (group // tens % 10 + ord("0")).astype(np.uint8)
+    # digit i of four is a leading zero when group < 10^(3-i), a trailing
+    # one when group is a multiple of 10^(4-i)
+    lead = plain * (group >= tens)
+    lead1 = lead.copy()
+    lead1[0, 3] = ord("0")
+    trail = plain * (group % (10 * tens) > 0)
+    head = np.zeros((2, 2, 100, 4), np.uint8)
+    head[0, :, :, 0], head[1, :, :, 0] = ord("\n"), ord(",")
+    head[:, 1, :, 1] = ord("-")
+    head[:, :, :, 2:] = lead[:100, 2:]
+    # Word 4 is by_k[2] + (a fraction digit is left): "" or "." from base + 1,
+    # always blank from base.  Word 9 is blank from base.
+    literals = [b"", b"", b"."]
+    by_k = np.zeros((4, 27), np.uint64)
+    base = 4 * 10_000 + head.size // 4
+    by_k[2], by_k[3] = base + 1, base
+    for k in range(17, 27):
+        d = 16 - k
+        if d >= -4:
+            # "0." and the zeros right-aligned over words 2-3, then the
+            # first digit c at word 3 + c
+            text = (b"0." + b"0" * (-d - 1)).rjust(5, b"\0")
+            by_k[0, k] = base + len(literals) - int(_LEAD)
+            by_k[1, k] = base + len(literals) + 1 - int(_LEAD1)
+            by_k[2, k] = base
+            literals += [text[:4], *(text[4:] + bytes([ord("0") + c]) for c in range(10))]
+        else:
+            by_k[3, k] = base + len(literals)
+            literals.append(b"e-%02d" % -d)
+    words = np.concatenate(
+        [
+            np.ascontiguousarray(t).view(np.uint32).ravel()
+            for t in (plain, lead, lead1, trail, head)
+        ]
+        + [np.frombuffer(b"".join(t.ljust(4, b"\0") for t in literals), np.uint32)]
+    )
+    return words, by_k
+
+
+_G17_WORDS, _G17_BY_K = _g17_tables()
+# k from the biased binary exponent B of |v|: exact for the smallest |v| with
+# that exponent; a larger one at or above 10^(17 − k) takes k − 1
+_G17_K_OF_B = np.clip(
+    16 - np.floor((np.arange(2048) - 1023) * math.log10(2.0)), 3, 26
+).astype(np.uint64)
+_G17_POW10_ABOVE = np.array([float("1e%d" % (17 - k)) for k in range(27)])
+_POW5 = np.array([5**k for k in range(27)], dtype=np.uint64)
+_POW10 = np.array([10**k for k in range(17)], dtype=np.uint64)
+_E16, _E17 = _U(10**16), _U(10**17)
+
+
+def _scaled(bits: Array, k: Array) -> tuple[Array, Array]:
+    """floor(|v|·10^k) and its round half to even, for the bits of |v|."""
+    m = (bits & _U((1 << 52) - 1)) | _U(1 << 52)
+    s = (_U(1075) - k) - (bits >> _U(52))
+    p = _POW5.take(k.view(np.intp))
+    low = _U(0xFFFFFFFF)
+    ml, mh, pl, ph = m & low, m >> _U(32), p & low, p >> _U(32)
+    ll = ml * pl
+    mid = mh * pl + ml * ph
+    lo = ll + (mid << _U(32))
+    hi = mh * ph + (mid >> _U(32)) + (lo < ll)
+    left = _U(64) - s
+    q = (hi << left) | (lo >> s)
+    # The dropped bits, moved to the top of a word, exceed one half when
+    # the word is above 2^63; a tie rounds up only from an odd q.
+    return q, q + (((lo << left) | (q & _U(1))) > _U(1 << 63))
+
+
+def _g17_cells(values: Array, comma: Array) -> Array:
+    """The CSV cells of values as a (10, *values.shape) uint32 array.
+
+    Each cell is a separator, ',' where comma (broadcast against values) is
+    1 and a newline where it is 0, then '%.17g' % v, in the ten-word layout
+    above with NUL in every unused byte.
+    """
+    v = np.ascontiguousarray(values, np.float64)
+    a = np.abs(v)
+    fast = (a >= _G17_LO) & (a < _G17_HI)
+    other = ~fast & (v != 0.0)
+    np.copyto(a, 1.0, where=~fast)
+    bits = a.view(np.uint64)
+    k = _G17_K_OF_B.take((bits >> _U(52)).view(np.intp))
+    k -= a >= _G17_POW10_ABOVE.take(k.view(np.intp))
+    floor, n = _scaled(bits, k)
+    off = (floor < _E16) | (floor >= _E17)
+    if off.any():
+        k[off] = np.where(floor[off] < _E16, k[off] + _U(1), k[off] - _U(1))
+        n[off] = _scaled(bits[off], k[off])[1]
+    # the digits before the point (the first digit when d < 0) and the
+    # fraction as a 16-digit integer
+    point = np.minimum(k, _U(16))
+    scale = _POW10.take(point.view(np.intp))
+    whole = n // scale
+    frac = (n - whole * scale) * _POW10.take((_U(16) - point).view(np.intp))
+    whole *= v != 0.0
+    sign = v.view(np.uint64) >> _U(63)
+    sign[other] = 0
+    by_k = _G17_BY_K.take(k.view(np.intp), axis=1)
+    cells = np.empty((10,) + v.shape, np.uint32)
+
+    def put(word, index):
+        _G17_WORDS.take(index.view(np.intp), out=cells[word])
+
+    g = whole // _U(10**12)
+    put(0, _HEAD + _U(200) * comma + _U(100) * sign + g)
+    rest = whole - g * _U(10**12)
+    g = rest // _U(10**8)
+    rest -= g * _U(10**8)
+    put(1, g + _LEAD * (whole < _U(10**12)))
+    g = rest // _U(10**4)
+    rest -= g * _U(10**4)
+    put(2, g + _LEAD * (whole < _U(10**8)) + by_k[0])
+    put(3, rest + _LEAD1 * (whole < _U(10**4)) + by_k[1])
+    put(4, by_k[2] + (frac != _U(0)))
+    for word, p in ((5, 10**12), (6, 10**8), (7, 10**4)):
+        g = frac // _U(p)
+        frac -= g * _U(p)
+        put(word, g + _TRAIL * (frac == _U(0)))
+    put(8, frac + _TRAIL)
+    put(9, by_k[3])
+    if other.any():
+        text = np.array(["%.17g" % x for x in v[other].tolist()], dtype="S36")
+        cells[1:, other] = text.view(np.uint32).reshape(-1, 9).T
+    return cells
 
 
 def write_long_csv(
@@ -344,43 +506,33 @@ def write_long_csv(
 
     One row per path and node, path by path.  Every value is written as
     '%.17g' % v, the same text as format(float(v), '.17g'), so the file
-    round-trips every float64.  A column one node short (the Brownian
-    increments) is blank at the terminal node.
+    round-trips every float64 and has the same bytes on any numpy.  A column
+    one node short (the Brownian increments) is blank at the terminal node.
 
-    A cell that holds the same bits on every path at its node (t always,
-    x2 over the pre-history window, p3 = 0, the per-node q) is formatted
-    once and written into the per-path template as text; only the other
-    cells are formatted per path.
+    CSV_BLOCK_ROWS rows at a time, _g17_cells turns the block's values into
+    fixed-width cells with NUL holes, and bytes.translate drops the holes.
+    Each cell starts with the separator before it, so the header goes out
+    without its newline and the last row's newline follows the last block.
     """
     n_nodes = times.size
     n_paths = columns[0].shape[0]
-    stream.write(",".join(["path", "t", *names]) + "\n")
-    # The cells of node k's row are path, t and one per column: each holds
-    # its shared text, or None where it is formatted per path.
-    text = [[None, "%.17g" % t] for t in times.tolist()]
-    for col in columns:
-        col = np.asarray(col, np.float64)
-        bits = col.view(np.uint64)
-        shared = np.all(bits == bits[:1], axis=0).tolist()
-        for k, row in enumerate(text):
-            if k >= col.shape[1]:
-                row.append("")
-            else:
-                row.append("%.17g" % col[0, k] if shared[k] else None)
-    per_path = "".join(
-        ",".join(["%d", *("%.17g" if c is None else c for c in row[1:])]) + "\n"
-        for row in text
-    )
-    per_path_slots = np.array([c is None for row in text for c in row])
+    stream.write(",".join(["path", "t", *names]))
+    comma = np.ones(2 + len(columns), np.uint64)
+    comma[0] = 0
     paths_per_block = max(1, CSV_BLOCK_ROWS // n_nodes)
     for start in range(0, n_paths, paths_per_block):
         stop = min(start + paths_per_block, n_paths)
-        table = np.zeros((stop - start, n_nodes, 2 + len(columns)))
+        table = np.zeros((stop - start, n_nodes, comma.size))
         table[:, :, 0] = np.arange(start, stop)[:, np.newaxis]
+        table[:, :, 1] = times
         for j, col in enumerate(columns):
             table[:, : col.shape[1], 2 + j] = col[start:stop]
-        values = table.reshape(stop - start, -1)[:, per_path_slots]
-        stream.write(per_path * (stop - start) % tuple(values.ravel().tolist()))
+        cells = _g17_cells(table, comma)
+        for j, col in enumerate(columns):
+            cells[1:, :, col.shape[1] :, 2 + j] = 0  # blank: the separator alone
+        text = cells.transpose(1, 2, 3, 0).tobytes().translate(None, b"\0")
+        stream.write(text.decode("ascii"))
+    stream.write("\n")
 
 
 # ---------------------------------------------------------------------------

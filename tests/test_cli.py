@@ -290,6 +290,22 @@ class TestGenericModel:
         cfg["model"]["coefficients"]["b1"] = "__import__('os')"
         assert run("simulate", write_cfg(tmp_path, cfg), tmp_path / "out") == 2
 
+    @pytest.mark.parametrize(
+        "key, source",
+        [("policy", "0.5 + 0 * exp(x, x)"), ("b1", "min(x)"), ("f1", "max(y, y, y)")],
+    )
+    def test_function_argument_count_is_two(self, tmp_path, capsys, key, source):
+        # exp(x, x) once wrote into the state row (exit 3) and min(x) raised
+        # a TypeError (exit 1); both are config errors before any simulation.
+        cfg = json.loads(json.dumps(GENERIC_CFG))
+        if key == "policy":
+            cfg["model"]["policy"] = [source]
+        else:
+            cfg["model"]["coefficients"][key] = source
+        assert run("simulate", write_cfg(tmp_path, cfg), tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_policy_arity_checked(self, tmp_path):
         cfg = json.loads(json.dumps(GENERIC_CFG))
         cfg["model"]["policy"] = ["0.5", "0.1"]

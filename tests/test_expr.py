@@ -67,6 +67,15 @@ class TestRejected:
         with pytest.raises(core.ConfigError):
             compile_expression(source, ("x", "t"))
 
+    @pytest.mark.parametrize(
+        "source",
+        ["exp(x, x)", "log()", "sqrt(x, 2)", "abs(x, x)", "min(x)", "max(x, x, x)", "pow(x)"],
+    )
+    def test_wrong_argument_count(self, source):
+        # numpy would read a second argument of exp as out= and overwrite x.
+        with pytest.raises(core.ConfigError, match="argument"):
+            compile_expression(source, ("x", "t"))
+
     def test_missing_variable_at_call_time(self):
         fun = compile_expression("x + t", ("x", "t"))
         with pytest.raises(core.ConfigError):
