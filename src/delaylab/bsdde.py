@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -243,6 +243,7 @@ def solve_backward(
     )
 
 
-def write_backward_csv(sol: BackwardSolution, stream) -> None:
-    """Write the backward pair in long format: path,t,y,z."""
+def write_backward_csv(sol: BackwardSolution, stream: BinaryIO) -> None:
+    """Write the backward pair in long format, path,t,y,z, as ASCII bytes to a
+    binary stream."""
     write_long_csv(stream, ["y", "z"], sol.times, [sol.y, sol.z])

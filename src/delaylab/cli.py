@@ -362,9 +362,9 @@ def cmd_simulate(run: Run):
     sol = bsdde.solve_backward(run.model, ensemble, run.basis)
 
     run.out_dir.mkdir(parents=True, exist_ok=True)
-    with open(run.out_dir / "forward.csv", "w") as fh:
+    with open(run.out_dir / "forward.csv", "wb") as fh:
         sdde.write_forward_csv(ensemble, fh)
-    with open(run.out_dir / "backward.csv", "w") as fh:
+    with open(run.out_dir / "backward.csv", "wb") as fh:
         bsdde.write_backward_csv(sol, fh)
     values = {
         "n_paths": ensemble.n_paths,
@@ -421,7 +421,7 @@ def cmd_check_pmp(run: Run):
     ]
 
     run.out_dir.mkdir(parents=True, exist_ok=True)
-    with open(run.out_dir / "adjoint.csv", "w") as fh:
+    with open(run.out_dir / "adjoint.csv", "wb") as fh:
         pmp.write_adjoint_csv(adj, fh)
     return {"artifacts": ["adjoint.csv"]}, checks
 

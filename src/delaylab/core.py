@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, TextIO
+from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
@@ -320,6 +320,10 @@ class SimConfig:
             raise ConfigError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.n_paths < 1:
             raise ConfigError(f"n_paths must be >= 1, got {self.n_paths}")
+        # derive_path_seed reads the seed as a 64-bit word, so a seed outside
+        # [0, 2^64) would run as another seed while the report records it.
+        if not 0 <= self.master_seed < 1 << 64:
+            raise ConfigError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
 
     def step_size(self, params: ModelParams) -> float:
         return (params.horizon_T - params.start_s) / self.n_steps
@@ -500,14 +504,15 @@ def _g17_cells(values: Array, comma: Array) -> Array:
 
 
 def write_long_csv(
-    stream: TextIO, names: Sequence[str], times: Array, columns: Sequence[Array]
+    stream: BinaryIO, names: Sequence[str], times: Array, columns: Sequence[Array]
 ) -> None:
     """Write (n_paths, n_nodes) columns in long format: path,t,<names>.
 
-    One row per path and node, path by path.  Every value is written as
-    '%.17g' % v, the same text as format(float(v), '.17g'), so the file
-    round-trips every float64 and has the same bytes on any numpy.  A column
-    one node short (the Brownian increments) is blank at the terminal node.
+    One row per path and node, path by path, as ASCII bytes to a binary
+    stream.  Every value is written as '%.17g' % v, the same text as
+    format(float(v), '.17g'), so the file round-trips every float64 and has
+    the same bytes on any numpy.  A column one node short (the Brownian
+    increments) is blank at the terminal node.
 
     CSV_BLOCK_ROWS rows at a time, _g17_cells turns the block's values into
     fixed-width cells with NUL holes, and bytes.translate drops the holes.
@@ -516,7 +521,7 @@ def write_long_csv(
     """
     n_nodes = times.size
     n_paths = columns[0].shape[0]
-    stream.write(",".join(["path", "t", *names]))
+    stream.write(",".join(["path", "t", *names]).encode("ascii"))
     comma = np.ones(2 + len(columns), np.uint64)
     comma[0] = 0
     paths_per_block = max(1, CSV_BLOCK_ROWS // n_nodes)
@@ -530,9 +535,8 @@ def write_long_csv(
         cells = _g17_cells(table, comma)
         for j, col in enumerate(columns):
             cells[1:, :, col.shape[1] :, 2 + j] = 0  # blank: the separator alone
-        text = cells.transpose(1, 2, 3, 0).tobytes().translate(None, b"\0")
-        stream.write(text.decode("ascii"))
-    stream.write("\n")
+        stream.write(cells.transpose(1, 2, 3, 0).tobytes().translate(None, b"\0"))
+    stream.write(b"\n")
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,13 @@ b̂ = b1 + e^{λδ}(x − λx1)·b2, each of F ∈ {b̂, σ, f1, φ} must satisf
 
 after the feedback control and the value-consistent (y, z) slots are
 substituted into the coefficients.
+
+G is a function of the control at a fixed state: hamiltonian_at computes its
+control-free memory term once for a batch of states and returns u ↦ G, so a
+sweep over controls (a maximization, a grid of alternatives) pays only for
+the terms that depend on u.  The residual checks take every probe time s in
+one call: hjb_residual and maximize_hamiltonian accept an array of probe
+times on a leading axis of its own.
 """
 
 from __future__ import annotations
@@ -94,19 +101,52 @@ def args_from_candidate(cand: ValueCandidate, s, x, x1) -> GArgs:
     )
 
 
+def hamiltonian_at(model: StructuredModel, s, x, x1, x2, args: GArgs):
+    """The map u ↦ G(s, x, x1, x2, k, p, R, q, u) at fixed states.
+
+    The memory term (x − λx1 − e^{-λδ}x2)·q does not depend on u, so it is
+    computed once here; every call of the returned map adds it in the same
+    place as a direct evaluation of G, which keeps the same bits.
+    """
+    memory = model.x1_drift(x, x1, x2) * args.q
+
+    def g(u):
+        b = model.drift(s, x, x1, x2, u)
+        sg = model.sigma(s, x, x1, u)
+        f = model.generator(s, x, x1, x2, args.k, sg * args.p, u)
+        return b * args.p + 0.5 * sg**2 * args.R + memory + f
+
+    return g
+
+
 def generalized_hamiltonian(
     model: StructuredModel, s, x, x1, x2, u, args: GArgs
 ):
     """G = b·p + ½σ²R + (x − λx1 − e^{-λδ}x2)·q + f(s, x, x1, k, σp, u)."""
-    b = model.drift(s, x, x1, x2, u)
-    sg = model.sigma(s, x, x1, u)
-    f = model.generator(s, x, x1, x2, args.k, sg * args.p, u)
-    return (
-        b * args.p
-        + 0.5 * sg**2 * args.R
-        + model.x1_drift(x, x1, x2) * args.q
-        + f
-    )
+    return hamiltonian_at(model, s, x, x1, x2, args)(u)
+
+
+def _at_each_time(fun, s, axis: int = 0):
+    """fun(s) for a probe time s.
+
+    An array s holds probe times on its first axis, shape (n_s, 1, ..., 1).
+    fun then runs once per time, given it as a float as in a scalar call, and
+    the results are stacked on axis and shaped to broadcast against s.  A
+    candidate or a policy may compute in s alone, and numpy rounds such a
+    term differently for a float than for an array (Q(s) ** −γ goes through
+    scalar math, not the ufunc), so one call per time keeps a batched sweep
+    the same bits as a sweep of scalar calls.
+    """
+    if np.ndim(s) == 0:
+        return fun(s)
+    out = np.stack([fun(si) for si in np.ravel(s).tolist()], axis=axis)
+    lead, probe = out.shape[:axis], out.shape[axis + 1 :]
+    pad = np.ndim(s) - 1 - len(probe)
+    if np.size(s) != np.shape(s)[0] or pad < 0:
+        raise ValueError(
+            f"probe times of shape {np.shape(s)} must lie on a first axis of their own"
+        )
+    return out.reshape(lead + (np.size(s),) + (1,) * pad + probe)
 
 
 def _golden_refine(fun, lo: Array, hi: Array):
@@ -134,7 +174,7 @@ def _golden_refine(fun, lo: Array, hi: Array):
 
 def maximize_hamiltonian(
     model: StructuredModel,
-    s: float,
+    s,
     x,
     x1,
     x2,
@@ -146,8 +186,12 @@ def maximize_hamiltonian(
     Evaluates G on a tensor grid of HAMILTONIAN_GRID_POINTS nodes per control
     coordinate (optionally joined by a supplied candidate maximizer), then
     refines each control coordinate around the best node by golden-section
-    search, in REFINE_SWEEPS sweeps over the coordinates.  Returns
-    (g_max, u_star) with u_star of shape (n_controls,) + shape(x).
+    search, in REFINE_SWEEPS sweeps over the coordinates.  s is a probe time,
+    or an array of probe times on a leading axis of its own, shape
+    (n_s, 1, ..., 1) with a unit axis per probe axis; args then carry that
+    axis too.  shape is the broadcast of s and the probes, and the result is
+    (g_max, u_star) with g_max of that shape and u_star of shape
+    (n_controls,) + shape.
 
     Non-finite G values (e.g. utility singularities at a zero-consumption
     grid node) are treated as -inf and never selected.
@@ -157,7 +201,8 @@ def maximize_hamiltonian(
     x2 = np.asarray(x2, float)
     box = model.control_set
     n_u = box.n_controls
-    shape = np.broadcast_shapes(x.shape, x1.shape, x2.shape)
+    probes = np.broadcast_shapes(x.shape, x1.shape, x2.shape)
+    shape = np.broadcast_shapes(np.shape(s), probes)
 
     axes = [box.axis_grid(i, HAMILTONIAN_GRID_POINTS) for i in range(n_u)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -171,11 +216,13 @@ def maximize_hamiltonian(
         )
 
     xb, x1b, x2b = col(x), col(x1), col(x2)
+    sb = col(s) if np.ndim(s) else s  # an array of times gains the combo axis
     ub = u_flat.reshape((n_u,) + (1,) * len(shape) + (n_combo,))
     argsb = GArgs(k=col(args.k), p=col(args.p), R=col(args.R), q=col(args.q))
 
     with np.errstate(all="ignore"):
-        g = generalized_hamiltonian(model, s, xb, x1b, x2b, ub, argsb)
+        g = generalized_hamiltonian(model, sb, xb, x1b, x2b, ub, argsb)
+        g_of_u = hamiltonian_at(model, s, x, x1, x2, args)
     g = np.where(np.isfinite(g), g, -np.inf)
     g = np.broadcast_to(g, shape + (n_combo,))
     best_idx = np.argmax(g, axis=-1)
@@ -184,12 +231,18 @@ def maximize_hamiltonian(
 
     def eval_at(u_mat):
         with np.errstate(all="ignore"):
-            val = generalized_hamiltonian(model, s, x, x1, x2, u_mat, args)
+            val = g_of_u(u_mat)
         val = np.where(np.isfinite(val), val, -np.inf)
         return np.broadcast_to(val, shape)
 
     if maximizer is not None:
-        u_cand = maximizer.at(s, np.broadcast_to(x, shape), np.broadcast_to(x1, shape))
+        u_cand = _at_each_time(
+            lambda si: maximizer.at(
+                si, np.broadcast_to(x, probes), np.broadcast_to(x1, probes)
+            ),
+            s,
+            axis=1,
+        )
         u_cand = model.control_set.clamp(u_cand)
         g_cand = eval_at(u_cand)
         take = g_cand > g_best
@@ -215,10 +268,16 @@ def maximize_hamiltonian(
     return g_best, u_best
 
 
+def _candidate_slots(cand: ValueCandidate, s, x, x1):
+    """The slots k, p, R, q of args_from_candidate and V_s, stacked."""
+    a = args_from_candidate(cand, s, x, x1)
+    return np.stack(np.broadcast_arrays(a.k, a.p, a.R, a.q, cand.v_s(s, x, x1)))
+
+
 def hjb_residual(
     model: StructuredModel,
     cand: ValueCandidate,
-    s: float,
+    s,
     x,
     x1,
     x2,
@@ -226,12 +285,18 @@ def hjb_residual(
 ):
     """Residual −V_s + sup_u G at probe states; also returns the argmax.
 
-    Accepts scalars or arrays of probe states (broadcast together).
+    Accepts scalars or arrays of probe states (broadcast together).  s may be
+    an array of probe times on a leading axis of its own, as in
+    maximize_hamiltonian; the residual then gains that axis, and its slice at
+    each time has the bits of a call at that time alone.
     """
-    args = args_from_candidate(cand, s, x, x1)
-    g_max, u_star = maximize_hamiltonian(model, s, x, x1, x2, args, maximizer=maximizer)
-    residual = -cand.v_s(s, np.asarray(x, float), np.asarray(x1, float)) + g_max
-    return residual, u_star
+    x = np.asarray(x, float)
+    x1 = np.asarray(x1, float)
+    k, p, R, q, v_s = _at_each_time(lambda si: _candidate_slots(cand, si, x, x1), s, axis=1)
+    g_max, u_star = maximize_hamiltonian(
+        model, s, x, x1, x2, GArgs(k=k, p=p, R=R, q=q), maximizer=maximizer
+    )
+    return -v_s + g_max, u_star
 
 
 @dataclass
@@ -258,13 +323,20 @@ class CheckReport:
 
 def _residual_sweep(model, cand, s_values, x_values, x1_values, x2, maximizer, reduce):
     """Worst reduce(residual) over s_values on the (x, x1) tensor probe grid,
-    NaN-propagating, and the number of (s, x, x1) probes."""
+    NaN-propagating, and the number of (s, x, x1) probes.
+
+    One hjb_residual call takes every s value on a leading axis; the
+    per-time reductions are then folded in s order, as a loop over s would.
+    """
     xg, x1g = np.meshgrid(np.asarray(x_values), np.asarray(x1_values), indexing="ij")
+    probe_ndim = len(np.broadcast_shapes(xg.shape, np.shape(x2)))
+    s = np.asarray(s_values, float).reshape((-1,) + (1,) * probe_ndim)
     worst = 0.0
-    for s in s_values:
-        res, _ = hjb_residual(model, cand, float(s), xg, x1g, x2, maximizer=maximizer)
-        worst = nan_max(worst, reduce(res))
-    return worst, len(s_values) * xg.size
+    if s.size:
+        res, _ = hjb_residual(model, cand, s, xg, x1g, x2, maximizer=maximizer)
+        for res_at_s in res:
+            worst = nan_max(worst, reduce(res_at_s))
+    return worst, s.size * xg.size
 
 
 def hjb_residual_check(
@@ -308,7 +380,7 @@ def x2_independence_check(
     residual surface must be flat in x2; a spread of X2_SPREAD_TOL or more
     flags a broken structural constraint.  A NaN spread makes the check fail.
     """
-    # Every x2 value along one leading axis, so one residual call per s.
+    # Every x2 value along one axis, behind the probe times' leading axis.
     worst, n = _residual_sweep(
         model, cand, s_values, x_values, x1_values,
         np.asarray(x2_values, float).reshape((-1, 1, 1)), maximizer,

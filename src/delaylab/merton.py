@@ -322,8 +322,10 @@ def build_model(p: MertonParams) -> StructuredModel:
     def b1(t, x, x1, u):
         return ((p.mu0 - p.r) * u[0] - u[1] + p.r) * x + p.mu1 * x1
 
+    # The constant coefficients are read-only broadcasts: no caller writes
+    # into them, and none allocates an array per call.
     def b2(t, x, x1, u):
-        return p.mu2 * np.ones_like(np.asarray(x, float))
+        return np.broadcast_to(p.mu2, np.shape(x))
 
     def sigma(t, x, x1, u):
         return p.sigma * u[0] * x
@@ -332,16 +334,16 @@ def build_model(p: MertonParams) -> StructuredModel:
         return -p.beta * y + utility(u[1] * x)
 
     def f2(t, x, x1, y, z, u):
-        return np.zeros_like(np.asarray(x, float))
+        return np.broadcast_to(0.0, np.shape(x))
 
     def phi(x, x1):
         return utility(np.asarray(x, float) + p.theta * np.asarray(x1, float))
 
     def f_y(t, x, x1, x2, y, z, u):
-        return -p.beta * np.ones_like(np.asarray(x, float))
+        return np.broadcast_to(-p.beta, np.shape(x))
 
     def f_z(t, x, x1, x2, y, z, u):
-        return np.zeros_like(np.asarray(x, float))
+        return np.broadcast_to(0.0, np.shape(x))
 
     return StructuredModel(
         params=p.model_params,

@@ -37,7 +37,7 @@ n_steps // 2 of the ensemble and the adjoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TextIO
+from typing import BinaryIO
 
 import numpy as np
 
@@ -369,7 +369,8 @@ def convexity_spot_check(
     )
 
 
-def write_adjoint_csv(adjoint: Adjoints, stream: TextIO) -> None:
-    """Write adjoint trajectories in long format: path,t,p1,p2,p3,q,k1,k2."""
+def write_adjoint_csv(adjoint: Adjoints, stream: BinaryIO) -> None:
+    """Write adjoint trajectories in long format, path,t,p1,p2,p3,q,k1,k2, as
+    ASCII bytes to a binary stream."""
     names = ["p1", "p2", "p3", "q", "k1", "k2"]
     write_long_csv(stream, names, adjoint.times, [getattr(adjoint, n) for n in names])

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, TextIO
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -214,8 +214,9 @@ def simulate_forward(
 # ---------------------------------------------------------------------------
 
 
-def write_forward_csv(ensemble: ForwardEnsemble, stream: TextIO) -> None:
-    """Write the ensemble in long format: path,t,x,x1,x2,u[,c],dw.
+def write_forward_csv(ensemble: ForwardEnsemble, stream: BinaryIO) -> None:
+    """Write the ensemble in long format, path,t,x,x1,x2,u[,c],dw, as ASCII
+    bytes to a binary stream.
 
     The second control column appears only for two-control models; dw is
     blank at the terminal node.

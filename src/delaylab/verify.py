@@ -10,7 +10,9 @@ Three families of diagnostics:
   k2 = (V_xx1 σ + V_x1 f_z) q.  All three share one walk over the
   ensemble in node-row blocks (core.node_blocks), so the check's
   temporaries stay the size of one block whatever the ensemble size, and
-  the reported maxima are the same bits as over the whole ensemble.
+  the reported maxima are the same bits as over the whole ensemble.  In
+  each block G is one map of the control (hjb.hamiltonian_at), so u* and
+  every grid value pay only for the terms that depend on the control.
 
 * compare_controls: paired Monte Carlo cost comparison of a base policy
   against perturbations, using common random numbers (identical per-path
@@ -34,7 +36,7 @@ import numpy as np
 from . import sdde
 from .core import FeedbackPolicy, SimConfig, StructuredModel, nan_max, node_blocks
 from .bsdde import RegressionBasis, solve_backward
-from .hjb import CheckReport, ValueCandidate, args_from_candidate, generalized_hamiltonian
+from .hjb import CheckReport, ValueCandidate, args_from_candidate, hamiltonian_at
 from .pmp import CONTROL_GRID_POINTS, Adjoints, adjoint_from_value
 from .sdde import ForwardEnsemble
 
@@ -59,25 +61,40 @@ def _block_adjoint_maxima(model, cand, part: ForwardEnsemble, adjoint, blk: slic
     return err, top
 
 
-def _block_relations(model, cand, part: ForwardEnsemble, grid):
+def _block_relations(model, cand, part: ForwardEnsemble, axes):
     """max |V_t − G(u*)| over one node-row block, and max G(u_alt) − G(u*)
-    for each (coordinate, value) of the control grid."""
+    for each (coordinate, value) of the control grid, coordinate by
+    coordinate along axes.
+
+    G is one map of the control at the block's states (hjb.hamiltonian_at).
+    A gap reads every non-finite G(u_alt) as −inf.  The masking changes only
+    +inf and NaN entries, and either makes the plain max of G(u_alt) − G(u*)
+    non-finite, so a finite plain max, taken in place, is the gap; only when
+    it is not is G(u_alt) evaluated again and masked.
+    """
     t, x, x1, x2, u_star = part.times, part.x, part.x1, part.x2, part.u
     args = args_from_candidate(cand, t, x, x1)
+    g_of_u = hamiltonian_at(model, t, x, x1, x2, args)
 
-    g_star = generalized_hamiltonian(model, t, x, x1, x2, u_star, args)
+    g_star = g_of_u(u_star)
     slope = np.max(np.abs(cand.v_s(t, x, x1) - g_star))
 
-    gaps = np.empty(len(grid))
+    gaps = []
     u_alt = u_star.copy(order="K")  # node-major, like x
-    for j, (i, val) in enumerate(grid):
-        u_alt[i] = val
-        with np.errstate(all="ignore"):
-            g_alt = generalized_hamiltonian(model, t, x, x1, x2, u_alt, args)
-        g_alt = np.where(np.isfinite(g_alt), g_alt, -np.inf)
-        gaps[j] = np.max(g_alt - g_star)
+    for i, values in enumerate(axes):
+        for val in values:
+            u_alt[i] = val
+            with np.errstate(all="ignore"):
+                diff = g_of_u(u_alt)  # the block's shape, like its memory term
+                diff -= g_star
+                gap = np.max(diff)
+                del diff  # the next G is computed without this one alive
+                if not np.isfinite(gap):
+                    g_alt = g_of_u(u_alt)
+                    gap = np.max(np.where(np.isfinite(g_alt), g_alt, -np.inf) - g_star)
+            gaps.append(gap)
         u_alt[i] = u_star[i]
-    return slope, gaps
+    return slope, np.array(gaps)
 
 
 def relations_report(
@@ -99,18 +116,16 @@ def relations_report(
     RELATIONS_TOL, so never on NaN.
     """
     box = model.control_set
-    grid = [
-        (i, val) for i in range(box.n_controls) for val in box.axis_grid(i, CONTROL_GRID_POINTS)
-    ]
+    axes = [box.axis_grid(i, CONTROL_GRID_POINTS) for i in range(box.n_controls)]
     shape = (len(_ADJOINTS), ensemble.n_paths)
     err, top = np.full(shape, -np.inf), np.full(shape, -np.inf)
     time_slope = -np.inf
-    gaps = np.full(len(grid), -np.inf)
+    gaps = np.full(sum(map(len, axes)), -np.inf)
     for blk in node_blocks(*ensemble.x.shape):
         part = ensemble.nodes(blk)
         blk_err, blk_top = _block_adjoint_maxima(model, cand, part, adjoint, blk)
         err, top = np.maximum(err, blk_err), np.maximum(top, blk_top)
-        blk_slope, blk_gaps = _block_relations(model, cand, part, grid)
+        blk_slope, blk_gaps = _block_relations(model, cand, part, axes)
         time_slope, gaps = np.maximum(time_slope, blk_slope), np.maximum(gaps, blk_gaps)
     scale = np.maximum(top, 1e-300)
     mismatch = {

@@ -197,6 +197,30 @@ class TestSeedHandling:
         monkeypatch.setenv(cli.SEED_ENV_VAR, "not-a-number")
         assert run("simulate", write_cfg(tmp_path, cfg), tmp_path / "out") == 2
 
+    # Seeds are 64-bit words: −1 and 2^64 would otherwise run as 2^64 − 1
+    # and 0.  Each source of the seed must reject them before any work.
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["minus_one", "two_to_64"])
+    @pytest.mark.parametrize("source", ["flag", "config", "env"])
+    def test_seed_outside_64_bits_is_two(self, tmp_path, monkeypatch, capsys, source, seed):
+        cfg = json.loads(json.dumps(MERTON_CFG))
+        del cfg["sim"]["master_seed"]
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        extra = []
+        if source == "flag":
+            extra = ["--seed", str(seed)]
+        elif source == "config":
+            cfg["sim"]["master_seed"] = seed
+        else:
+            monkeypatch.setenv(cli.SEED_ENV_VAR, str(seed))
+        assert run("simulate", write_cfg(tmp_path, cfg), tmp_path / "out", *extra) == 2
+        assert "master_seed must lie in [0, 2^64)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        cfg = json.loads(json.dumps(MERTON_CFG))
+        cfg["sim"]["master_seed"] = 2**64 - 1
+        assert run("simulate", write_cfg(tmp_path, cfg), tmp_path / "out") == 0
+
 
 # (config, command, exit code) of the reproducibility test: every subcommand
 # on the Merton model, and the two that accept a generic one.

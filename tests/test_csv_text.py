@@ -169,9 +169,9 @@ class TestLongCsv:
 
     def test_bytes_are_pinned(self):
         names, times, columns = self.table()
-        out = io.StringIO()
+        out = io.BytesIO()
         core.write_long_csv(out, names, times, columns)
-        text = out.getvalue()
+        text = out.getvalue().decode("ascii")
         assert text == _reference_csv(names, times, columns)
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == self.DIGEST
 
@@ -179,7 +179,7 @@ class TestLongCsv:
         # N = 64 steps and seven columns, as the forward artifact: the peak
         # is the same figure at P = 2 000 and P = 8 000.
         class Sink:
-            def write(self, text):
+            def write(self, data):
                 pass
 
         n_nodes = 65

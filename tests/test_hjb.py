@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from delaylab import hjb, merton
+from delaylab import cli, hjb, merton
+from delaylab.core import nan_max
 
 P0 = dict(
     r=0.03, mu0=0.08, sigma=0.2, beta=0.1, gamma=0.5,
@@ -136,6 +137,160 @@ class TestX2Independence:
         )
         assert np.isnan(report.max_residual)
         assert not report.passed
+
+
+class TestHamiltonianAt:
+    def test_same_bits_as_the_written_out_formula(self, merton_setup):
+        # The closure adds the memory term it computed once in the place a
+        # direct evaluation of G does: ((b·p + ½σ²R) + memory) + f.
+        model, cand = merton_setup["model"], merton_setup["cand"]
+        prm = model.params
+        s = 0.3
+        x, x1 = np.meshgrid(XS, X1S, indexing="ij")
+        x2 = np.array([-1.0, 0.5, 2.0]).reshape(-1, 1, 1)
+        args = hjb.args_from_candidate(cand, s, x, x1)
+        g_of_u = hjb.hamiltonian_at(model, s, x, x1, x2, args)
+        for u in ([0.5, 0.3], [2.0, 1.5], [-1.0, 0.0]):
+            u = np.reshape(u, (2, 1, 1, 1))
+            b = model.drift(s, x, x1, x2, u)
+            sg = model.sigma(s, x, x1, u)
+            f = model.generator(s, x, x1, x2, args.k, sg * args.p, u)
+            memory = (x - prm.e_minus * x2 - prm.lam * x1) * args.q
+            want = b * args.p + 0.5 * sg**2 * args.R + memory + f
+            assert np.array_equal(g_of_u(u), want)
+            assert np.array_equal(hjb.generalized_hamiltonian(model, s, x, x1, x2, u, args), want)
+
+
+# A generic model whose coefficients and policy read t, and a candidate whose
+# Q(s) = (1.5 − s)^0.7 goes through numpy's scalar power for a float s: a
+# batched sweep that handed the candidate an array of times would round some
+# of its numbers differently.
+GENERIC_T = {
+    "kind": "generic",
+    "params": {"lambda": 0.1, "delta": 0.5, "horizon_T": 1.0},
+    "coefficients": {
+        "b1": "0.05 * x + (0.04 * u - c) * x * exp(0 - t) + 0.01 * x1",
+        "b2": "0.02 * t",
+        "sigma": "0.2 * u * x * (1 + t)",
+        "f1": "-0.1 * y + sqrt(c * x) * (1 + t / 2)",
+        "f2": "0",
+        "phi": "sqrt(x + 0.5 * x1)",
+    },
+    "control_box": {"lower": [-2.0, 0.0], "upper": [2.0, 1.0]},
+    "policy": ["0.5 + 0.1 * t", "0.2 * x1 / x + t / 10"],
+}
+
+
+def generic_t_candidate():
+    def q(s):
+        return (1.5 - np.asarray(s, float)) ** 0.7
+
+    def dq(s):
+        return -0.7 * (1.5 - np.asarray(s, float)) ** -0.3
+
+    def m(x, x1):
+        return x + 0.5 * x1
+
+    return hjb.ValueCandidate(
+        v=lambda s, x, x1: -2.0 * q(s) * m(x, x1) ** 0.5,
+        v_s=lambda s, x, x1: -2.0 * dq(s) * m(x, x1) ** 0.5,
+        v_x=lambda s, x, x1: -q(s) * m(x, x1) ** -0.5,
+        v_xx=lambda s, x, x1: 0.5 * q(s) * m(x, x1) ** -1.5,
+        v_x1=lambda s, x, x1: -0.5 * q(s) * m(x, x1) ** -0.5,
+        v_xx1=lambda s, x, x1: 0.25 * q(s) * m(x, x1) ** -1.5,
+    )
+
+
+def with_nan_v_s_at(cand, s_nan):
+    """The candidate with V_s NaN at the last x probe, at time s_nan only."""
+    v_s = cand.v_s
+    return dataclasses.replace(
+        cand,
+        v_s=lambda s, x, x1: np.where((x == XS[-1]) & (s == s_nan), np.nan, v_s(s, x, x1)),
+    )
+
+
+X2S = [-10.0, 0.0, 10.0]
+
+
+def batch_case(name, merton_setup):
+    """(model, candidate, maximizer, probe times) of one batched-sweep case."""
+    model, cand, policy = merton_setup["model"], merton_setup["cand"], merton_setup["policy"]
+    if name == "merton":
+        return model, cand, policy, SS
+    if name == "merton_no_hint":
+        return model, cand, None, SS
+    if name == "merton_nan":
+        return model, with_nan_v_s_at(cand, SS[2]), policy, SS
+    generic, generic_policy = cli.build_generic(GENERIC_T)
+    times = [0.05, 0.35, 0.6, 0.95]
+    if name == "generic":
+        return generic, generic_t_candidate(), generic_policy, times
+    return generic, generic_t_candidate(), None, times  # generic_no_hint
+
+
+BATCH_CASES = ["merton", "merton_no_hint", "merton_nan", "generic", "generic_no_hint"]
+
+
+def per_time_sweep(model, cand, s_values, x2, maximizer, reduce):
+    """The residual sweep as a loop of scalar-time hjb_residual calls."""
+    xg, x1g = np.meshgrid(XS, X1S, indexing="ij")
+    worst = 0.0
+    for s in s_values:
+        res, _ = hjb.hjb_residual(model, cand, float(s), xg, x1g, x2, maximizer=maximizer)
+        worst = nan_max(worst, reduce(res))
+    return worst
+
+
+class TestBatchedProbeTimes:
+    """One hjb_residual call over every probe time gives the bits of a loop
+    of calls at one time each."""
+
+    @pytest.mark.parametrize("case", BATCH_CASES)
+    def test_hjb_residual_check_equals_per_time_loop(self, merton_setup, case):
+        model, cand, maximizer, times = batch_case(case, merton_setup)
+        report = hjb.hjb_residual_check(model, cand, times, XS, X1S, maximizer=maximizer)
+        want = per_time_sweep(
+            model, cand, times, 0.0, maximizer, lambda res: float(np.max(np.abs(res)))
+        )
+        assert report.max_residual.hex() == want.hex()
+        assert report.probes == len(times) * XS.size * X1S.size
+        assert np.isnan(want) == (case == "merton_nan")
+
+    @pytest.mark.parametrize("case", BATCH_CASES)
+    def test_x2_independence_check_equals_per_time_loop(self, merton_setup, case):
+        model, cand, maximizer, times = batch_case(case, merton_setup)
+        report = hjb.x2_independence_check(
+            model, cand, times, XS, X1S, X2S, maximizer=maximizer
+        )
+        want = per_time_sweep(
+            model, cand, times, np.reshape(X2S, (-1, 1, 1)), maximizer,
+            lambda res: float((res.max(axis=0) - res.min(axis=0)).max()),
+        )
+        assert report.max_residual.hex() == want.hex()
+        assert np.isnan(want) == (case == "merton_nan")
+
+    @pytest.mark.parametrize("case", BATCH_CASES)
+    def test_each_time_slice_equals_its_own_call(self, merton_setup, case):
+        model, cand, maximizer, times = batch_case(case, merton_setup)
+        xg, x1g = np.meshgrid(XS, X1S, indexing="ij")
+        x2 = np.reshape(X2S, (-1, 1, 1))
+        res, u_star = hjb.hjb_residual(
+            model, cand, np.reshape(times, (-1, 1, 1, 1)), xg, x1g, x2, maximizer=maximizer
+        )
+        assert res.shape == (len(times), len(X2S)) + xg.shape
+        assert u_star.shape == (2,) + res.shape
+        for i, s in enumerate(times):
+            want_res, want_u = hjb.hjb_residual(model, cand, s, xg, x1g, x2, maximizer=maximizer)
+            assert np.array_equal(res[i], want_res, equal_nan=True)
+            assert np.array_equal(u_star[:, i], want_u)
+
+    # Times on two axes, and times on the probes' own axis.
+    @pytest.mark.parametrize("shape", [(2, 2), (3,)])
+    def test_times_off_a_first_axis_of_their_own_are_rejected(self, merton_setup, shape):
+        model, cand = merton_setup["model"], merton_setup["cand"]
+        with pytest.raises(ValueError, match="first axis of their own"):
+            hjb.hjb_residual(model, cand, np.full(shape, 0.5), XS, X1S, 0.0)
 
 
 class TestCompatibilitySystem:

@@ -150,6 +150,23 @@ def with_nan_node(ens, path=2, node=40):
     return dataclasses.replace(ens, x=x)
 
 
+def with_non_finite_grid_values(model):
+    """The model with G(u_alt) +inf or NaN at some entries of two grid values.
+
+    The top consumption grid value makes f1 +inf where x > 1 and the bottom
+    portfolio grid value makes it NaN where x < 1.  The stored controls are
+    never at those bounds, so G(u*) stays finite.
+    """
+    f1 = model.f1
+
+    def odd_f1(t, x, x1, y, z, u):
+        top_c = np.where((u[1] == merton.C_BOUND) & (x > 1.0), np.inf, 0.0)
+        bottom_u = np.where((u[0] == -merton.U_BOUND) & (x < 1.0), np.nan, 0.0)
+        return f1(t, x, x1, y, z, u) + top_c + bottom_u
+
+    return dataclasses.replace(model, f1=odd_f1)
+
+
 # ---------------------------------------------------------------------------
 # Tests
 # ---------------------------------------------------------------------------
@@ -217,6 +234,32 @@ class TestSameBitsAsWholeEnsemble:
         assert all(np.isnan(v) for v in blocked.extra["adjoint_mismatch"].values())
         assert not blocked.passed
         assert as_text(blocked_max) == as_text(whole_max)
+
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_non_finite_g_alt_reads_as_minus_inf(self, merton_setup, monkeypatch, rows):
+        # The plain max of G(u_alt) − G(u*) is +inf or NaN at the two marked
+        # grid values, so each block whose nodes reach a marked entry takes
+        # the masked gap; the one-node block of node 0 (x = 1 on every path)
+        # takes the plain one.
+        model, cand, ens, adj = merton_setup
+        model = with_non_finite_grid_values(model)
+        set_rows(monkeypatch, rows, N_PATHS)
+        with np.errstate(all="ignore"):
+            blocked = verify.relations_report(model, cand, ens, adj)
+            whole = reference_relations_report(model, cand, ens, adj)
+        assert as_text(blocked) == as_text(whole)
+        assert np.isfinite(blocked.extra["grid_optimality"])
+
+        t, x, x1, x2, u = ens.times, ens.x, ens.x1, ens.x2, ens.u
+        args = args_from_candidate(cand, t, x, x1)
+        assert np.all(np.isfinite(generalized_hamiltonian(model, t, x, x1, x2, u, args)))
+        for i, bound, bad in ((1, merton.C_BOUND, np.isposinf), (0, -merton.U_BOUND, np.isnan)):
+            u_alt = u.copy()
+            u_alt[i] = bound
+            with np.errstate(all="ignore"):
+                g_alt = generalized_hamiltonian(model, t, x, x1, x2, u_alt, args)
+            assert bad(g_alt).any() and np.isfinite(g_alt).any()
 
 
 def _linear_tie():

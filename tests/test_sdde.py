@@ -401,11 +401,11 @@ class TestCsvExport:
         model = linear_delay_model(sig=0.3)
         cfg = core.SimConfig(n_steps=4, n_paths=2, master_seed=6)
         ens = sdde.simulate_forward(model, POLICY, lambda tau: 1.0, cfg)
-        out1, out2 = io.StringIO(), io.StringIO()
+        out1, out2 = io.BytesIO(), io.BytesIO()
         sdde.write_forward_csv(ens, out1)
         sdde.write_forward_csv(ens, out2)
-        text = out1.getvalue()
-        assert text == out2.getvalue()
+        text = out1.getvalue().decode("ascii")
+        assert out1.getvalue() == out2.getvalue()
         lines = text.splitlines()
         assert lines[0] == "path,t,x,x1,x2,u,dw"
         assert len(lines) == 1 + 2 * 5
@@ -418,15 +418,16 @@ class TestCsvExport:
         # Nine rows per block: two paths of four nodes, then a partial block.
         monkeypatch.setattr(core, "CSV_BLOCK_ROWS", 9)
         ens = _awkward_ensemble(n_paths=5, n_steps=3, n_u=n_u)
-        out = io.StringIO()
+        out = io.BytesIO()
         sdde.write_forward_csv(ens, out)
         want = _reference_csv(
             ["x", "x1", "x2", *(["u"] if n_u == 1 else ["u", "c"]), "dw"],
             ens.times,
             [ens.x, ens.x1, ens.x2, *ens.u, ens.dw],
         )
-        assert out.getvalue() == want
-        assert out.getvalue().splitlines()[4].endswith(",")  # blank terminal dw
+        text = out.getvalue().decode("ascii")
+        assert text == want
+        assert text.splitlines()[4].endswith(",")  # blank terminal dw
 
     @pytest.mark.parametrize("n_u", [1, 2])
     def test_node_major_columns_write_the_same_bytes(self, n_u, monkeypatch):
@@ -438,7 +439,7 @@ class TestCsvExport:
             u=np.ascontiguousarray(ens.u.transpose(2, 0, 1)).transpose(1, 2, 0),
         )
         assert node.x.flags.f_contiguous and not node.x.flags.c_contiguous
-        want, got = io.StringIO(), io.StringIO()
+        want, got = io.BytesIO(), io.BytesIO()
         sdde.write_forward_csv(ens, want)
         sdde.write_forward_csv(node, got)
         assert got.getvalue() == want.getvalue()
@@ -456,31 +457,33 @@ class TestCsvExport:
         dw = np.tile([0.0, np.nan, 2.5], (5, 1))
         controls = np.stack([u, ens.u[1]])
         ens = dataclasses.replace(ens, x2=np.asfortranarray(x2), u=controls, dw=dw)
-        out = io.StringIO()
+        out = io.BytesIO()
         sdde.write_forward_csv(ens, out)
         want = _reference_csv(
             ["x", "x1", "x2", "u", "c", "dw"],
             ens.times,
             [ens.x, ens.x1, x2, u, controls[1], dw],
         )
-        assert out.getvalue() == want
-        assert out.getvalue().splitlines()[9].split(",")[5] == "-0"  # path 2, node 0
+        text = out.getvalue().decode("ascii")
+        assert text == want
+        assert text.splitlines()[9].split(",")[5] == "-0"  # path 2, node 0
 
     def test_backward_and_adjoint_bytes_match_per_value_format(self):
         ens = _awkward_ensemble(n_paths=3, n_steps=2, n_u=1)
         sol = bsdde.BackwardSolution(
             times=ens.times, y=ens.x, z=ens.x1, cost=0.0, stderr=0.0, degraded_steps=[]
         )
-        out = io.StringIO()
+        out = io.BytesIO()
         bsdde.write_backward_csv(sol, out)
-        assert out.getvalue() == _reference_csv(["y", "z"], ens.times, [ens.x, ens.x1])
+        want = _reference_csv(["y", "z"], ens.times, [ens.x, ens.x1])
+        assert out.getvalue().decode("ascii") == want
 
         cols = [ens.x, ens.x1, ens.x2, ens.u[0], -ens.x, -ens.x1]
         names = ["p1", "p2", "p3", "q", "k1", "k2"]
         adj = pmp.Adjoints(ens.times, *cols)
-        out = io.StringIO()
+        out = io.BytesIO()
         pmp.write_adjoint_csv(adj, out)
-        assert out.getvalue() == _reference_csv(names, ens.times, cols)
+        assert out.getvalue().decode("ascii") == _reference_csv(names, ens.times, cols)
 
 
 AWKWARD = np.array([-0.0, 5e-324, 1e300, 1.0 / 3.0, -2.5e-7, 12345.678901234567])
