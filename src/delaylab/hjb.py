@@ -23,13 +23,17 @@ substituted into the coefficients.
 G is a function of the control at a fixed state: hamiltonian_at computes its
 control-free memory term once for a batch of states and returns u ↦ G, so a
 sweep over controls (a maximization, a grid of alternatives) pays only for
-the terms that depend on u.  The residual checks take every probe time s in
-one call: hjb_residual and maximize_hamiltonian accept an array of probe
-times on a leading axis of its own.
+the terms that depend on u.  maximize_hamiltonian works on plain arrays that
+broadcast together, and evaluates its tensor grid one node at a time, so its
+memory is that of a few probe arrays.  hjb_residual takes a sequence of
+probe times: it calls the candidate and the maximizer hint once per time, as
+a float, and stacks their results on one axis just before the probe axes, so
+the residual checks make one call for all their times.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -126,29 +130,6 @@ def generalized_hamiltonian(
     return hamiltonian_at(model, s, x, x1, x2, args)(u)
 
 
-def _at_each_time(fun, s, axis: int = 0):
-    """fun(s) for a probe time s.
-
-    An array s holds probe times on its first axis, shape (n_s, 1, ..., 1).
-    fun then runs once per time, given it as a float as in a scalar call, and
-    the results are stacked on axis and shaped to broadcast against s.  A
-    candidate or a policy may compute in s alone, and numpy rounds such a
-    term differently for a float than for an array (Q(s) ** −γ goes through
-    scalar math, not the ufunc), so one call per time keeps a batched sweep
-    the same bits as a sweep of scalar calls.
-    """
-    if np.ndim(s) == 0:
-        return fun(s)
-    out = np.stack([fun(si) for si in np.ravel(s).tolist()], axis=axis)
-    lead, probe = out.shape[:axis], out.shape[axis + 1 :]
-    pad = np.ndim(s) - 1 - len(probe)
-    if np.size(s) != np.shape(s)[0] or pad < 0:
-        raise ValueError(
-            f"probe times of shape {np.shape(s)} must lie on a first axis of their own"
-        )
-    return out.reshape(lead + (np.size(s),) + (1,) * pad + probe)
-
-
 def _golden_refine(fun, lo: Array, hi: Array):
     """Vectorized golden-section maximization of a unimodal coordinate slice."""
     a = np.array(lo, float, copy=True)
@@ -179,75 +160,54 @@ def maximize_hamiltonian(
     x1,
     x2,
     args: GArgs,
-    maximizer: FeedbackPolicy | None = None,
+    hint: Array | None = None,
 ):
     """Supremum of G over the control box at probe states.
 
-    Evaluates G on a tensor grid of HAMILTONIAN_GRID_POINTS nodes per control
-    coordinate (optionally joined by a supplied candidate maximizer), then
-    refines each control coordinate around the best node by golden-section
-    search, in REFINE_SWEEPS sweeps over the coordinates.  s is a probe time,
-    or an array of probe times on a leading axis of its own, shape
-    (n_s, 1, ..., 1) with a unit axis per probe axis; args then carry that
-    axis too.  shape is the broadcast of s and the probes, and the result is
-    (g_max, u_star) with g_max of that shape and u_star of shape
+    s, x, x1, x2 and the slots of args are arrays that broadcast together to
+    the probe shape.  G is evaluated on a tensor grid of
+    HAMILTONIAN_GRID_POINTS nodes per control coordinate, one node at a time,
+    and each probe keeps its first best node, as argmax would.  hint, an
+    array of n_controls controls that each broadcast to the probe shape, is
+    clamped into the box and taken where it does strictly better.  Each
+    control coordinate is then refined around the best by golden-section
+    search, in REFINE_SWEEPS sweeps over the coordinates.  Returns
+    (g_max, u_star) with g_max of the probe shape and u_star of shape
     (n_controls,) + shape.
 
     Non-finite G values (e.g. utility singularities at a zero-consumption
     grid node) are treated as -inf and never selected.
     """
-    x = np.asarray(x, float)
-    x1 = np.asarray(x1, float)
-    x2 = np.asarray(x2, float)
     box = model.control_set
     n_u = box.n_controls
-    probes = np.broadcast_shapes(x.shape, x1.shape, x2.shape)
-    shape = np.broadcast_shapes(np.shape(s), probes)
-
-    axes = [box.axis_grid(i, HAMILTONIAN_GRID_POINTS) for i in range(n_u)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    u_flat = np.stack([m.ravel() for m in mesh])  # (n_u, n_combo)
-    n_combo = u_flat.shape[1]
-
-    # Broadcast probes against the control grid: trailing combo axis.
-    def col(a):
-        return np.reshape(
-            np.broadcast_to(np.asarray(a, float), shape), shape + (1,)
-        )
-
-    xb, x1b, x2b = col(x), col(x1), col(x2)
-    sb = col(s) if np.ndim(s) else s  # an array of times gains the combo axis
-    ub = u_flat.reshape((n_u,) + (1,) * len(shape) + (n_combo,))
-    argsb = GArgs(k=col(args.k), p=col(args.p), R=col(args.R), q=col(args.q))
-
+    shape = np.broadcast_shapes(np.shape(s), np.shape(x), np.shape(x1), np.shape(x2))
     with np.errstate(all="ignore"):
-        g = generalized_hamiltonian(model, sb, xb, x1b, x2b, ub, argsb)
         g_of_u = hamiltonian_at(model, s, x, x1, x2, args)
-    g = np.where(np.isfinite(g), g, -np.inf)
-    g = np.broadcast_to(g, shape + (n_combo,))
-    best_idx = np.argmax(g, axis=-1)
-    g_best = np.take_along_axis(g, best_idx[..., None], axis=-1)[..., 0]
-    u_best = u_flat[:, best_idx.ravel()].reshape((n_u,) + shape).copy()
 
-    def eval_at(u_mat):
+    def eval_at(u_mat, g=g_of_u):
         with np.errstate(all="ignore"):
-            val = g_of_u(u_mat)
+            val = g(u_mat)
         val = np.where(np.isfinite(val), val, -np.inf)
         return np.broadcast_to(val, shape)
 
-    if maximizer is not None:
-        u_cand = _at_each_time(
-            lambda si: maximizer.at(
-                si, np.broadcast_to(x, probes), np.broadcast_to(x1, probes)
-            ),
-            s,
-            axis=1,
+    axes = [box.axis_grid(i, HAMILTONIAN_GRID_POINTS) for i in range(n_u)]
+    grid = (np.reshape(node, (n_u,) + (1,) * len(shape)) for node in itertools.product(*axes))
+    u_best = np.broadcast_to(next(grid), (n_u,) + shape).copy()
+    g_best = eval_at(u_best).copy()
+
+    def keep_better(u, g):
+        take = g > g_best
+        np.copyto(u_best, u, where=take)
+        np.copyto(g_best, g, where=take)
+
+    for u in grid:
+        keep_better(u, eval_at(u))
+    if hint is not None:
+        hint = np.stack([np.broadcast_to(h, shape) for h in box.clamp(hint)])
+        keep_better(
+            hint,
+            eval_at(hint, lambda u: generalized_hamiltonian(model, s, x, x1, x2, u, args)),
         )
-        u_cand = model.control_set.clamp(u_cand)
-        g_cand = eval_at(u_cand)
-        take = g_cand > g_best
-        g_best = np.where(take, g_cand, g_best)
-        u_best = np.where(take, u_cand, u_best)
 
     for _ in range(REFINE_SWEEPS):
         for i in range(n_u):
@@ -268,34 +228,39 @@ def maximize_hamiltonian(
     return g_best, u_best
 
 
-def _candidate_slots(cand: ValueCandidate, s, x, x1):
-    """The slots k, p, R, q of args_from_candidate and V_s, stacked."""
-    a = args_from_candidate(cand, s, x, x1)
-    return np.stack(np.broadcast_arrays(a.k, a.p, a.R, a.q, cand.v_s(s, x, x1)))
-
-
 def hjb_residual(
     model: StructuredModel,
     cand: ValueCandidate,
-    s,
+    times: Sequence[float],
     x,
     x1,
     x2,
     maximizer: FeedbackPolicy | None = None,
 ):
-    """Residual −V_s + sup_u G at probe states; also returns the argmax.
+    """Residual −V_s + sup_u G at probe times and states; also returns the argmax.
 
-    Accepts scalars or arrays of probe states (broadcast together).  s may be
-    an array of probe times on a leading axis of its own, as in
-    maximize_hamiltonian; the residual then gains that axis, and its slice at
-    each time has the bits of a call at that time alone.
+    x and x1 broadcast together to the probe shape.  The candidate's slots,
+    V_s and the maximizer's hint are computed at each time as a float, as in
+    a call at that time alone: numpy rounds a term such as Q(s) ** −γ
+    differently for a float s than for an array.  Their results are stacked
+    on one axis just before the probe axes, and x2 broadcasts against that
+    (len(times),) + probe shape, so it may put its values on a leading axis
+    of their own.  The residual has the broadcast shape, and u_star
+    (n_controls,) + that shape.
     """
-    x = np.asarray(x, float)
-    x1 = np.asarray(x1, float)
-    k, p, R, q, v_s = _at_each_time(lambda si: _candidate_slots(cand, si, x, x1), s, axis=1)
-    g_max, u_star = maximize_hamiltonian(
-        model, s, x, x1, x2, GArgs(k=k, p=p, R=R, q=q), maximizer=maximizer
-    )
+    x, x1 = np.broadcast_arrays(np.asarray(x, float), np.asarray(x1, float))
+    times = [float(si) for si in times]
+    per_time = [args_from_candidate(cand, si, x, x1) for si in times]
+    args = GArgs(**{
+        slot: np.stack([np.broadcast_to(getattr(a, slot), x.shape) for a in per_time])
+        for slot in ("k", "p", "R", "q")
+    })
+    v_s = np.stack([np.broadcast_to(cand.v_s(si, x, x1), x.shape) for si in times])
+    hint = None
+    if maximizer is not None:
+        hint = np.stack([maximizer.at(si, x, x1) for si in times], axis=1)
+    s = np.reshape(times, (-1,) + (1,) * x.ndim)
+    g_max, u_star = maximize_hamiltonian(model, s, x, x1, x2, args, hint)
     return -v_s + g_max, u_star
 
 
@@ -322,21 +287,13 @@ class CheckReport:
 
 
 def _residual_sweep(model, cand, s_values, x_values, x1_values, x2, maximizer, reduce):
-    """Worst reduce(residual) over s_values on the (x, x1) tensor probe grid,
-    NaN-propagating, and the number of (s, x, x1) probes.
-
-    One hjb_residual call takes every s value on a leading axis; the
-    per-time reductions are then folded in s order, as a loop over s would.
-    """
+    """reduce(residual) over s_values on the (x, x1) tensor probe grid, and
+    the number of (s, x, x1) probes.  The residual holds every s value on one
+    axis; max is exact, so one reduce over it is the fold of the per-time
+    reductions."""
     xg, x1g = np.meshgrid(np.asarray(x_values), np.asarray(x1_values), indexing="ij")
-    probe_ndim = len(np.broadcast_shapes(xg.shape, np.shape(x2)))
-    s = np.asarray(s_values, float).reshape((-1,) + (1,) * probe_ndim)
-    worst = 0.0
-    if s.size:
-        res, _ = hjb_residual(model, cand, s, xg, x1g, x2, maximizer=maximizer)
-        for res_at_s in res:
-            worst = nan_max(worst, reduce(res_at_s))
-    return worst, s.size * xg.size
+    res, _ = hjb_residual(model, cand, s_values, xg, x1g, x2, maximizer=maximizer)
+    return reduce(res), len(s_values) * xg.size
 
 
 def hjb_residual_check(
@@ -380,10 +337,10 @@ def x2_independence_check(
     residual surface must be flat in x2; a spread of X2_SPREAD_TOL or more
     flags a broken structural constraint.  A NaN spread makes the check fail.
     """
-    # Every x2 value along one axis, behind the probe times' leading axis.
+    # Every x2 value on a leading axis of its own, before the probe times'.
     worst, n = _residual_sweep(
         model, cand, s_values, x_values, x1_values,
-        np.asarray(x2_values, float).reshape((-1, 1, 1)), maximizer,
+        np.asarray(x2_values, float).reshape((-1, 1, 1, 1)), maximizer,
         lambda res: float((res.max(axis=0) - res.min(axis=0)).max()),
     )
     return CheckReport(

@@ -134,14 +134,6 @@ def q_factor_check(model: StructuredModel, ensemble: ForwardEnsemble, q: Array) 
     )
 
 
-def _value_slots(model: StructuredModel, cand: ValueCandidate, ensemble: ForwardEnsemble):
-    """The value-consistent backward slots y = −V, z = −σV_x along the
-    ensemble, as (n_paths, n_nodes) arrays."""
-    t, x, x1 = ensemble.times, ensemble.x, ensemble.x1
-    y, z = value_slots(model, cand, t, x, x1, ensemble.u)
-    return np.broadcast_to(y, x.shape), np.broadcast_to(z, x.shape)
-
-
 def adjoint_from_value(
     model: StructuredModel,
     cand: ValueCandidate,
@@ -153,7 +145,7 @@ def adjoint_from_value(
     q is the adjoint factor, per node (n_nodes,) or per path and node.
     """
     t, x, x1, u = ensemble.times, ensemble.x, ensemble.x1, ensemble.u
-    y, z = _value_slots(model, cand, ensemble)
+    y, z = value_slots(model, cand, t, x, x1, u)
     sg = model.sigma(t, x, x1, u)
     vx = cand.v_x(t, x, x1)
     vx1 = cand.v_x1(t, x, x1)
@@ -189,7 +181,7 @@ def check_p3_zero(
     """
     params = model.params
     t, x, x1, u = ensemble.times, ensemble.x, ensemble.x1, ensemble.u
-    y, z = _value_slots(model, cand, ensemble)
+    y, z = value_slots(model, cand, t, x, x1, u)
     b2 = np.broadcast_to(model.b2(t, x, x1, u), x.shape)
     f2 = np.broadcast_to(model.f2(t, x, x1, y, z, u), x.shape)
     drift = b2 * adjoint.p1 - params.e_minus * adjoint.p2 - adjoint.q * f2
@@ -253,7 +245,7 @@ def _block_maximum_condition(model, cand, ensemble, adjoint, blk: slice):
     """Per-path max |H_u| and max variational gap over nodes blk."""
     part = ensemble.nodes(blk)
     u_star = part.u
-    y, z = _value_slots(model, cand, part)
+    y, z = value_slots(model, cand, part.times, part.x, part.x1, u_star)
     grad = hamiltonian_control_gradient(
         model, part.times, part.x, part.x1, part.x2, y, z, u_star,
         adjoint.p1[:, blk], adjoint.p2[:, blk], adjoint.q[:, blk], adjoint.k1[:, blk],

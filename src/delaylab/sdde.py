@@ -59,9 +59,7 @@ class ForwardEnsemble:
     (n_controls, n_paths, n_nodes) view of a C-order (n_nodes, n_controls,
     n_paths) buffer, the layout every coefficient takes: u[j] is control j
     laid out like x.  So x.T[k], u[:, :, k] and dw.T[k] are contiguous rows
-    holding node k of every path.  h is the step the nodes are apart, and
-    initial holds the sampled pre-history on [s − δ, s] (oldest first), so
-    the full trajectory including pre-history can be reconstructed.
+    holding node k of every path.  h is the step the nodes are apart.
     """
 
     times: Array
@@ -70,7 +68,6 @@ class ForwardEnsemble:
     x2: Array
     u: Array  # (n_controls, n_paths, n_steps + 1)
     dw: Array  # (n_paths, n_steps)
-    initial: Array  # (lag + 1,)
     h: float
 
     @property
@@ -204,7 +201,6 @@ def simulate_forward(
         x2=xfull[: n_steps + 1].T,
         u=controls.transpose(1, 2, 0),
         dw=dw,
-        initial=initial,
         h=h,
     )
 

@@ -1,11 +1,12 @@
 """Generalized Hamiltonian, reduced-equation residuals, compatibility system."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from delaylab import cli, hjb, merton
+from delaylab import cli, core, hjb, merton
 from delaylab.core import nan_max
 
 P0 = dict(
@@ -61,11 +62,11 @@ class TestGeneralizedHamiltonian:
         p = merton_setup["params"]
         model, cand = merton_setup["model"], merton_setup["cand"]
         s, x, x1 = 0.3, 1.2, 0.8
-        _, u_star = hjb.hjb_residual(model, cand, s, x, x1, 0.0)
-        assert float(u_star[0]) == pytest.approx(
+        _, u_star = hjb.hjb_residual(model, cand, [s], x, x1, 0.0)
+        assert float(u_star[0, 0]) == pytest.approx(
             float(merton.optimal_u(s, x, x1, p)), abs=1e-4
         )
-        assert float(u_star[1]) == pytest.approx(
+        assert float(u_star[1, 0]) == pytest.approx(
             float(merton.optimal_c(s, x, x1, p)), abs=1e-4
         )
 
@@ -86,8 +87,8 @@ class TestResidual:
 
     def test_residual_without_maximizer_hint(self, merton_setup):
         # The grid + refinement alone must find the supremum.
-        res, _ = hjb.hjb_residual(merton_setup["model"], merton_setup["cand"], 0.5, 1.0, 0.9, 2.0)
-        assert abs(float(res)) < 1e-6
+        res, _ = hjb.hjb_residual(merton_setup["model"], merton_setup["cand"], [0.5], 1.0, 0.9, 2.0)
+        assert abs(float(res[0])) < 1e-6
 
     def test_broken_mu1_fails(self):
         p_ok = merton.resolve_constraints(**P0)
@@ -237,7 +238,7 @@ def per_time_sweep(model, cand, s_values, x2, maximizer, reduce):
     xg, x1g = np.meshgrid(XS, X1S, indexing="ij")
     worst = 0.0
     for s in s_values:
-        res, _ = hjb.hjb_residual(model, cand, float(s), xg, x1g, x2, maximizer=maximizer)
+        res, _ = hjb.hjb_residual(model, cand, [s], xg, x1g, x2, maximizer=maximizer)
         worst = nan_max(worst, reduce(res))
     return worst
 
@@ -264,7 +265,7 @@ class TestBatchedProbeTimes:
             model, cand, times, XS, X1S, X2S, maximizer=maximizer
         )
         want = per_time_sweep(
-            model, cand, times, np.reshape(X2S, (-1, 1, 1)), maximizer,
+            model, cand, times, np.reshape(X2S, (-1, 1, 1, 1)), maximizer,
             lambda res: float((res.max(axis=0) - res.min(axis=0)).max()),
         )
         assert report.max_residual.hex() == want.hex()
@@ -274,23 +275,66 @@ class TestBatchedProbeTimes:
     def test_each_time_slice_equals_its_own_call(self, merton_setup, case):
         model, cand, maximizer, times = batch_case(case, merton_setup)
         xg, x1g = np.meshgrid(XS, X1S, indexing="ij")
-        x2 = np.reshape(X2S, (-1, 1, 1))
-        res, u_star = hjb.hjb_residual(
-            model, cand, np.reshape(times, (-1, 1, 1, 1)), xg, x1g, x2, maximizer=maximizer
-        )
-        assert res.shape == (len(times), len(X2S)) + xg.shape
+        x2 = np.reshape(X2S, (-1, 1, 1, 1))
+        res, u_star = hjb.hjb_residual(model, cand, times, xg, x1g, x2, maximizer=maximizer)
+        assert res.shape == (len(X2S), len(times)) + xg.shape
         assert u_star.shape == (2,) + res.shape
         for i, s in enumerate(times):
-            want_res, want_u = hjb.hjb_residual(model, cand, s, xg, x1g, x2, maximizer=maximizer)
-            assert np.array_equal(res[i], want_res, equal_nan=True)
-            assert np.array_equal(u_star[:, i], want_u)
+            want_res, want_u = hjb.hjb_residual(model, cand, [s], xg, x1g, x2, maximizer=maximizer)
+            assert np.array_equal(res[:, i], want_res[:, 0], equal_nan=True)
+            assert np.array_equal(u_star[:, :, i], want_u[:, :, 0])
 
-    # Times on two axes, and times on the probes' own axis.
-    @pytest.mark.parametrize("shape", [(2, 2), (3,)])
-    def test_times_off_a_first_axis_of_their_own_are_rejected(self, merton_setup, shape):
+
+def constant_hint(u):
+    """A maximizer hint that proposes the controls u at every probe."""
+    return core.FeedbackPolicy(
+        lambda t, x, x1: np.stack([np.full(np.shape(x), ui) for ui in u]), n_controls=len(u)
+    )
+
+
+class TestMaximizerHint:
+    """A hint outside the control box is clamped into it before it is
+    compared with the grid."""
+
+    # A far corner, which clamps onto the box corner (10, 0), and a grid
+    # value of u with a negative consumption that, unclamped, raises the
+    # drift enough to beat every admissible control.
+    @pytest.mark.parametrize("hint", [(1e3, -5.0), (2.0, -1e3)], ids=["corner", "negative_c"])
+    def test_far_hint_is_clamped(self, merton_setup, hint):
         model, cand = merton_setup["model"], merton_setup["cand"]
-        with pytest.raises(ValueError, match="first axis of their own"):
-            hjb.hjb_residual(model, cand, np.full(shape, 0.5), XS, X1S, 0.0)
+        box = model.control_set
+        xg, x1g = np.meshgrid(XS, X1S, indexing="ij")
+        res, u_star = hjb.hjb_residual(
+            model, cand, SS, xg, x1g, 0.0, maximizer=constant_hint(hint)
+        )
+        want_res, want_u = hjb.hjb_residual(model, cand, SS, xg, x1g, 0.0)
+        lower, upper = box.lower[:, None, None, None], box.upper[:, None, None, None]
+        assert np.all((lower <= u_star) & (u_star <= upper))
+        # The clamped hint is a grid node, so it ties and the grid's first
+        # best node stays: the same bits as no hint at all.
+        clamped = np.clip(hint, box.lower, box.upper)
+        for i, ui in enumerate(clamped):
+            assert ui in box.axis_grid(i, hjb.HAMILTONIAN_GRID_POINTS)
+        assert np.array_equal(res, want_res)
+        assert np.array_equal(u_star, want_u)
+
+
+class TestPeakMemory:
+    """The x2 sweep holds a few probe arrays at a time, whatever the number
+    of control grid nodes."""
+
+    def test_x2_independence_check(self, merton_setup):
+        model, cand, policy = merton_setup["model"], merton_setup["cand"], merton_setup["policy"]
+        x2s = [-10.0, -5.0, 0.0, 5.0, 10.0]
+        probe_bytes = np.empty((len(SS), len(x2s), XS.size, X1S.size)).nbytes
+        tracemalloc.start()
+        try:
+            hjb.x2_independence_check(model, cand, SS, XS, X1S, x2s, maximizer=policy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # About 33 probe arrays here; a (probes x grid nodes) tensor is 256.
+        assert peak < 64 * probe_bytes
 
 
 class TestCompatibilitySystem:

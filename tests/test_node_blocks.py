@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from delaylab import core, hjb, merton, pmp, sdde, verify
-from delaylab.hjb import CheckReport, args_from_candidate, generalized_hamiltonian
+from delaylab.hjb import CheckReport, args_from_candidate, generalized_hamiltonian, value_slots
 
 P0 = dict(
     r=0.03, mu0=0.08, sigma=0.2, beta=0.1, gamma=0.5,
@@ -87,7 +87,7 @@ def reference_relations_report(model, cand, ensemble, adjoint, n_grid=9, tol=1e-
 
 def reference_maximum_condition_check(model, cand, ensemble, adjoint, n_grid=9, tol=1e-6):
     t, x, x1, x2, u_star = ensemble.times, ensemble.x, ensemble.x1, ensemble.x2, ensemble.u
-    y, z = pmp._value_slots(model, cand, ensemble)
+    y, z = value_slots(model, cand, t, x, x1, u_star)
     grad = pmp.hamiltonian_control_gradient(
         model, t, x, x1, x2, y, z, u_star, adjoint.p1, adjoint.p2, adjoint.q, adjoint.k1
     )
@@ -297,7 +297,6 @@ def _linear_tie():
         x2=node_major(1.0),
         u=np.zeros((n_nodes, 1, N_PATHS)).transpose(1, 2, 0),
         dw=np.zeros((N_STEPS, N_PATHS)).T,
-        initial=np.ones(1),
         h=1.0 / N_STEPS,
     )
     p1 = node_major(0.0)

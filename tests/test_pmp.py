@@ -356,7 +356,6 @@ def _still_ensemble(x, x1, x2, u, start=0.2, n_steps=2, h=0.1):
         x2=x2 * full,
         u=np.asarray(u, float)[:, np.newaxis, np.newaxis] * full,
         dw=np.zeros((1, n_steps)),
-        initial=np.array([x]),
         h=h,
     )
 

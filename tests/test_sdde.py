@@ -51,12 +51,12 @@ class TestEulerAccuracy:
             trapezoid rule over the window [t − δ, t] of each node."""
             cfg = core.SimConfig(n_steps=n, n_paths=256, master_seed=9)
             ens = sdde.simulate_forward(model, POLICY, lambda tau: 1.0 + tau, cfg)
-            h = cfg.step_size(model.params)
-            lag = ens.initial.size - 1
-            weights = np.exp(lam * np.linspace(-delta, 0.0, lag + 1)) * h
+            initial, _ = core.initial_segment(lambda tau: 1.0 + tau, delta, lam, ens.h)
+            lag = initial.size - 1
+            weights = np.exp(lam * np.linspace(-delta, 0.0, lag + 1)) * ens.h
             weights[[0, -1]] *= 0.5
             history = np.concatenate(
-                [np.broadcast_to(ens.initial, (ens.n_paths, lag + 1)), ens.x[:, 1:]], axis=1
+                [np.broadcast_to(initial, (ens.n_paths, lag + 1)), ens.x[:, 1:]], axis=1
             )
             windows = np.lib.stride_tricks.sliding_window_view(history, lag + 1, axis=1)
             return np.max(np.abs(ens.x1 - windows @ weights), axis=1)
@@ -504,7 +504,6 @@ def _awkward_ensemble(n_paths, n_steps, n_u):
         x2=column(2),
         u=np.stack([column(3 + j) for j in range(n_u)]),
         dw=column(5)[:, :n_steps],
-        initial=np.zeros(1),
         h=1.0 / n_steps,
     )
 

@@ -168,7 +168,7 @@ class TestSharedIncrements:
         own = sdde.simulate_forward(setup["model"], setup["policy"], INITIAL, cfg)
         given = sdde.simulate_forward(setup["model"], setup["policy"], INITIAL, cfg, dw)
         assert given.dw is dw
-        for name in ("x", "x1", "x2", "u", "dw", "initial", "h"):
+        for name in ("x", "x1", "x2", "u", "dw", "h"):
             assert np.array_equal(getattr(own, name), getattr(given, name))
 
     @pytest.mark.parametrize("shape", [(200, 31), (32, 200), (199, 32)])
