@@ -31,6 +31,7 @@ from .hjb import (
     x2_independence_check,
 )
 from .pmp import (
+    AdjointMap,
     Adjoints,
     adjoint_from_value,
     check_p3_zero,

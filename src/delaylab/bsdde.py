@@ -246,4 +246,5 @@ def solve_backward(
 def write_backward_csv(sol: BackwardSolution, stream: BinaryIO) -> None:
     """Write the backward pair in long format, path,t,y,z, as ASCII bytes to a
     binary stream."""
-    write_long_csv(stream, ["y", "z"], sol.times, [sol.y, sol.z])
+    n_paths = sol.y.shape[0]
+    write_long_csv(stream, ["y", "z"], sol.times, n_paths, lambda blk: [sol.y[blk], sol.z[blk]])

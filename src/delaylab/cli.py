@@ -409,29 +409,35 @@ def cmd_check_hjb(run: Run):
 def cmd_check_pmp(run: Run):
     model, cand = run.model, run.cand
     ensemble = sdde.simulate_forward(model, run.policy, run.initial, run.sim)
-    q = merton.exact_q_factor(run.params, ensemble.times)
-    # q_factor_check's simulated q is freed before the adjoints are built.
-    q_factor = pmp.q_factor_check(model, ensemble, q)
-    adj = pmp.adjoint_from_value(model, cand, ensemble, q)
+
+    def adjoint_of(part):
+        return pmp.adjoint_from_value(
+            model, cand, part, merton.exact_q_factor(run.params, part.times)
+        )
+
     checks = [
-        q_factor,
-        pmp.check_p3_zero(model, cand, ensemble, adj),
-        pmp.maximum_condition_check(model, cand, ensemble, adj),
-        pmp.convexity_spot_check(model, cand, ensemble, adj),
+        pmp.q_factor_check(model, ensemble, merton.exact_q_factor(run.params, ensemble.times)),
+        pmp.check_p3_zero(model, cand, ensemble, adjoint_of),
+        pmp.maximum_condition_check(model, cand, ensemble, adjoint_of),
+        pmp.convexity_spot_check(model, cand, ensemble, adjoint_of),
     ]
 
     run.out_dir.mkdir(parents=True, exist_ok=True)
     with open(run.out_dir / "adjoint.csv", "wb") as fh:
-        pmp.write_adjoint_csv(adj, fh)
+        pmp.write_adjoint_csv(ensemble, fh, adjoint_of)
     return {"artifacts": ["adjoint.csv"]}, checks
 
 
 def cmd_check_relations(run: Run):
     ensemble = sdde.simulate_forward(run.model, run.policy, run.initial, run.sim)
-    q = merton.exact_q_factor(run.params, ensemble.times)
-    adj = merton.closed_form_adjoints(run.params, ensemble, q)
+
+    def adjoint_of(part):
+        return merton.closed_form_adjoints(
+            run.params, part, merton.exact_q_factor(run.params, part.times)
+        )
+
     return {}, [
-        verify.relations_report(run.model, run.cand, ensemble, adj),
+        verify.relations_report(run.model, run.cand, ensemble, adjoint_of),
         verify.closed_form_cost_check(run.model, run.cand, ensemble, run.basis),
     ]
 

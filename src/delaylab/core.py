@@ -504,15 +504,21 @@ def _g17_cells(values: Array, comma: Array) -> Array:
 
 
 def write_long_csv(
-    stream: BinaryIO, names: Sequence[str], times: Array, columns: Sequence[Array]
+    stream: BinaryIO,
+    names: Sequence[str],
+    times: Array,
+    n_paths: int,
+    columns_of: Callable[[slice], Sequence[Array]],
 ) -> None:
-    """Write (n_paths, n_nodes) columns in long format: path,t,<names>.
+    """Write columns in long format, path,t,<names>: one row per path and
+    node, path by path, as ASCII bytes to a binary stream.
 
-    One row per path and node, path by path, as ASCII bytes to a binary
-    stream.  Every value is written as '%.17g' % v, the same text as
-    format(float(v), '.17g'), so the file round-trips every float64 and has
-    the same bytes on any numpy.  A column one node short (the Brownian
-    increments) is blank at the terminal node.
+    columns_of(paths) gives the columns of the paths in that slice, each a
+    (n, n_nodes) array, so a writer may compute them block by block.  Every
+    value is written as '%.17g' % v, the same text as format(float(v),
+    '.17g'), so the file round-trips every float64 and has the same bytes on
+    any numpy.  A column one node short (the Brownian increments) is blank
+    at the terminal node.
 
     CSV_BLOCK_ROWS rows at a time, _g17_cells turns the block's values into
     fixed-width cells with NUL holes, and bytes.translate drops the holes.
@@ -520,18 +526,18 @@ def write_long_csv(
     without its newline and the last row's newline follows the last block.
     """
     n_nodes = times.size
-    n_paths = columns[0].shape[0]
     stream.write(",".join(["path", "t", *names]).encode("ascii"))
-    comma = np.ones(2 + len(columns), np.uint64)
+    comma = np.ones(2 + len(names), np.uint64)
     comma[0] = 0
     paths_per_block = max(1, CSV_BLOCK_ROWS // n_nodes)
     for start in range(0, n_paths, paths_per_block):
         stop = min(start + paths_per_block, n_paths)
+        columns = columns_of(slice(start, stop))
         table = np.zeros((stop - start, n_nodes, comma.size))
         table[:, :, 0] = np.arange(start, stop)[:, np.newaxis]
         table[:, :, 1] = times
         for j, col in enumerate(columns):
-            table[:, : col.shape[1], 2 + j] = col[start:stop]
+            table[:, : col.shape[1], 2 + j] = col
         cells = _g17_cells(table, comma)
         for j, col in enumerate(columns):
             cells[1:, :, col.shape[1] :, 2 + j] = 0  # blank: the separator alone

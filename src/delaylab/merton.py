@@ -331,7 +331,9 @@ def build_model(p: MertonParams) -> StructuredModel:
         return p.sigma * u[0] * x
 
     def f1(t, x, x1, y, z, u):
-        return -p.beta * y + utility(u[1] * x)
+        # −βy + U(cx), the utility formed first so that its temporaries are
+        # freed before βy is; the sum is the same bits in either order.
+        return utility(u[1] * x) - p.beta * y
 
     def f2(t, x, x1, y, z, u):
         return np.broadcast_to(0.0, np.shape(x))

@@ -25,19 +25,24 @@ The p3 ≡ 0 reduction is equivalent to the pointwise identity
 b2·p1 − e^{-λδ}·p2 − q·f2 = 0 along each optimal path, which is checked both
 directly and by back-integrating the p3 drift from its terminal value.
 
-The adjoints and the checks take whole ensembles as (n_paths, n_nodes)
-arrays and read the ensemble's controls u and step h as stored; each check
-scales its residuals path by path and reports the worst path.  The
-maximum-condition check walks the ensemble in node-row blocks
-(core.node_blocks), so its temporaries stay the size of one block whatever
-the ensemble size.  The convexity probe takes path 0 at nodes 0 and
-n_steps // 2 of the ensemble and the adjoints.
+The adjoints are element by element in the ensemble, so the checks never
+hold them over the whole ensemble: they take a map adjoint_of(part) ->
+Adjoints and call it on each part of the ensemble they walk, a node-row
+block (ForwardEnsemble.nodes) or a block of paths (ForwardEnsemble.paths).
+check_p3_zero and the maximum-condition check walk node-row blocks
+(core.node_blocks), the p3 back-integration from the terminal block with
+its partial sum carried; write_adjoint_csv computes the adjoints for each
+path block of the CSV writer.  So their temporaries stay the size of one
+block whatever the ensemble size.  The checks read the ensemble's controls u
+and step h as stored; each scales its residuals path by path and reports
+the worst path.  The convexity probe takes path 0 at nodes 0 and
+n_steps // 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import BinaryIO
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -67,13 +72,14 @@ MAXIMUM_CONDITION_TOL = 1e-6
 
 @dataclass
 class Adjoints:
-    """Adjoint trajectories of an ensemble, seen as (n_paths, n_steps + 1)
-    arrays.
+    """Adjoint trajectories of an ensemble part, seen as (n_paths, n_nodes)
+    arrays of that part, at its node times.
 
-    They are computed element by element from the node-major ensemble, so
-    they are stored node-major too: each field's transpose is C-order
-    (n_nodes, n_paths), or a broadcast view of a smaller array.  p3 ≡ 0 is
-    stored as a broadcast 0.0, which holds no array of its own.
+    They are computed element by element from the part's state, in its
+    layout: a node-row block gives node-major fields, each the transpose of
+    a C-order (n_nodes, n_paths) array, or a broadcast view of a smaller
+    array.  p3 ≡ 0 is stored as a broadcast 0.0, which holds no array of its
+    own.
     """
 
     times: Array
@@ -85,17 +91,22 @@ class Adjoints:
     k2: Array
 
 
+# The adjoints of any part of an ensemble, e.g. adjoint_from_value at that
+# part with its adjoint factor q.
+AdjointMap = Callable[[ForwardEnsemble], Adjoints]
+
+
 def hamiltonian(model: StructuredModel, t, x, x1, x2, y, z, u, p1, p2, q, k1):
-    """H = p1 b + p2 (x − λx1 − e^{-λδ}x2) + k1 σ − q f."""
-    b = model.drift(t, x, x1, x2, u)
-    sg = model.sigma(t, x, x1, u)
-    f = model.generator(t, x, x1, x2, y, z, u)
-    return (
-        p1 * b
-        + p2 * model.x1_drift(x, x1, x2)
-        + k1 * sg
-        - q * f
-    )
+    """H = p1 b + p2 (x − λx1 − e^{-λδ}x2) + k1 σ − q f.
+
+    The terms are added in that order into one array, so that each
+    coefficient is freed before the next one is computed.
+    """
+    h = p1 * model.drift(t, x, x1, x2, u)
+    h += p2 * model.x1_drift(x, x1, x2)
+    h += k1 * model.sigma(t, x, x1, u)
+    h -= q * model.generator(t, x, x1, x2, y, z, u)
+    return h
 
 
 def simulate_q(model: StructuredModel, ensemble: ForwardEnsemble) -> Array:
@@ -145,15 +156,16 @@ def adjoint_from_value(
     q is the adjoint factor, per node (n_nodes,) or per path and node.
     """
     t, x, x1, u = ensemble.times, ensemble.x, ensemble.x1, ensemble.u
-    y, z = value_slots(model, cand, t, x, x1, u)
+    fz = model.f_z(t, x, x1, ensemble.x2, *value_slots(model, cand, t, x, x1, u), u)
     sg = model.sigma(t, x, x1, u)
-    vx = cand.v_x(t, x, x1)
-    vx1 = cand.v_x1(t, x, x1)
-    fz = model.f_z(t, x, x1, ensemble.x2, y, z, u)
-    p1 = vx * q
-    p2 = vx1 * q
-    k1 = (cand.v_xx(t, x, x1) * sg + vx * fz) * q
-    k2 = (cand.v_xx1(t, x, x1) * sg + vx1 * fz) * q
+
+    def adjoint_pair(v_y, v_xy):
+        """(p, k) = (V_y q, (V_xy σ + V_y f_z) q) for the state variable y."""
+        vy = v_y(t, x, x1)
+        return vy * q, (v_xy(t, x, x1) * sg + vy * fz) * q
+
+    p1, k1 = adjoint_pair(cand.v_x, cand.v_xx)
+    p2, k2 = adjoint_pair(cand.v_x1, cand.v_xx1)
     return Adjoints(
         times=t,
         p1=np.broadcast_to(p1, x.shape),
@@ -165,11 +177,31 @@ def adjoint_from_value(
     )
 
 
+def _block_p3(model, cand, part: ForwardEnsemble, adjoint: Adjoints, carry, terminal: bool):
+    """Per-path max |p3 drift|, max |p3| and max |p1| over one node-row
+    block, part, whose adjoints are adjoint, as a (3, n_paths) array, and
+    p3 at the block's first node.
+
+    carry is p3 at the node after the block; the terminal node has no step.
+    p3[k] = p3[k+1] + h·drift[k] is one cumulative sum from the block's last
+    node backward, with carry as its first element.
+    """
+    t, x, x1, u = part.times, part.x, part.x1, part.u
+    y, z = value_slots(model, cand, t, x, x1, u)
+    b2 = np.broadcast_to(model.b2(t, x, x1, u), x.shape)
+    f2 = np.broadcast_to(model.f2(t, x, x1, y, z, u), x.shape)
+    drift = b2 * adjoint.p1 - model.params.e_minus * adjoint.p2 - adjoint.q * f2
+    steps = drift[:, ::-1][:, int(terminal) :]
+    p3 = np.cumsum(np.concatenate([carry, part.h * steps], axis=1), axis=1)
+    maxima = np.stack([np.max(np.abs(v), axis=1) for v in (drift, p3, adjoint.p1)])
+    return maxima, p3[:, -1:].copy()
+
+
 def check_p3_zero(
     model: StructuredModel,
     cand: ValueCandidate,
     ensemble: ForwardEnsemble,
-    adjoint: Adjoints,
+    adjoint_of: AdjointMap,
 ) -> CheckReport:
     """Pointwise and integrated checks that the x2-adjoint vanishes.
 
@@ -178,27 +210,27 @@ def check_p3_zero(
     from p3(T) = 0 must stay at zero.  Residuals are taken relative to each
     path's largest |p1|, and the report is that of the worst path; the
     check passes below P3_TOL.
+
+    The node-row blocks are walked from the terminal end, and each carries
+    p3 at its first node to the block before it, so p3 is summed in the
+    same order, and to the same bits, as over the whole ensemble at once.
     """
-    params = model.params
-    t, x, x1, u = ensemble.times, ensemble.x, ensemble.x1, ensemble.u
-    y, z = value_slots(model, cand, t, x, x1, u)
-    b2 = np.broadcast_to(model.b2(t, x, x1, u), x.shape)
-    f2 = np.broadcast_to(model.f2(t, x, x1, y, z, u), x.shape)
-    drift = b2 * adjoint.p1 - params.e_minus * adjoint.p2 - adjoint.q * f2
+    n_paths, n_nodes = ensemble.x.shape
+    maxima = np.full((3, n_paths), -np.inf)
+    carry = np.zeros((n_paths, 1))  # p3 at the node after the block, p3(T) = 0 first
+    for blk in reversed(list(node_blocks(n_paths, n_nodes))):
+        part = ensemble.nodes(blk)
+        blk_maxima, carry = _block_p3(
+            model, cand, part, adjoint_of(part), carry, terminal=blk.stop == n_nodes
+        )
+        maxima = np.maximum(maxima, blk_maxima)
+    max_drift, max_p3, top = maxima
 
-    # p3[k] = p3[k+1] + h·drift[k] from p3[n] = 0, summed from the terminal
-    # node backward as a cumulative sum written straight into p3 reversed.
-    p3 = np.zeros_like(x)
-    np.cumsum(ensemble.h * drift[:, -2::-1], axis=1, out=p3[:, -2::-1])
-
-    max_drift = np.max(np.abs(drift), axis=1)
-    max_p3 = np.max(np.abs(p3), axis=1)
-    scale = np.maximum(np.max(np.abs(adjoint.p1), axis=1), 1e-300)
-    worst = np.maximum(max_drift, max_p3) / scale
+    worst = np.maximum(max_drift, max_p3) / np.maximum(top, 1e-300)
     i = int(np.argmax(worst))  # the worst path, the first one on ties
     return CheckReport(
         check="p3_zero",
-        probes=x.shape[1],
+        probes=n_nodes,
         max_residual=float(worst[i]),
         tolerance=P3_TOL,
         passed=bool(worst[i] < P3_TOL),
@@ -233,22 +265,22 @@ def hamiltonian_control_gradient(
     for i in range(u.shape[0]):
         e = GRADIENT_REL_STEP * (1.0 + np.abs(u[i]))
         shifted[i] = u[i] + e
-        hu = hamiltonian(model, t, x, x1, x2, y, z, shifted, p1, p2, q, k1)
+        grads[i] = hamiltonian(model, t, x, x1, x2, y, z, shifted, p1, p2, q, k1)
         shifted[i] = u[i] - e
-        hd = hamiltonian(model, t, x, x1, x2, y, z, shifted, p1, p2, q, k1)
+        grads[i] -= hamiltonian(model, t, x, x1, x2, y, z, shifted, p1, p2, q, k1)
         shifted[i] = u[i]
-        grads[i] = (hu - hd) / (2.0 * e)
+        grads[i] /= 2.0 * e  # (H(u + e) − H(u − e)) / 2e, built in place
     return grads
 
 
-def _block_maximum_condition(model, cand, ensemble, adjoint, blk: slice):
-    """Per-path max |H_u| and max variational gap over nodes blk."""
-    part = ensemble.nodes(blk)
+def _block_maximum_condition(model, cand, part: ForwardEnsemble, adjoint: Adjoints):
+    """Per-path max |H_u| and max variational gap over one node-row block,
+    part, whose adjoints are adjoint."""
     u_star = part.u
     y, z = value_slots(model, cand, part.times, part.x, part.x1, u_star)
     grad = hamiltonian_control_gradient(
         model, part.times, part.x, part.x1, part.x2, y, z, u_star,
-        adjoint.p1[:, blk], adjoint.p2[:, blk], adjoint.q[:, blk], adjoint.k1[:, blk],
+        adjoint.p1, adjoint.p2, adjoint.q, adjoint.k1,
     )
     max_grad = np.max(np.abs(grad), axis=(0, 2))
 
@@ -264,7 +296,7 @@ def maximum_condition_check(
     model: StructuredModel,
     cand: ValueCandidate,
     ensemble: ForwardEnsemble,
-    adjoint: Adjoints,
+    adjoint_of: AdjointMap,
 ) -> CheckReport:
     """First-order optimality of the stored controls along each path.
 
@@ -272,13 +304,14 @@ def maximum_condition_check(
     variational inequality H_u(u*)·(u* − u) over a grid of
     CONTROL_GRID_POINTS values per control coordinate; both must stay below
     MAXIMUM_CONDITION_TOL.
-    The report is that of the worst path.  H_u is taken one node-row block
-    at a time, and each block's per-path maxima are folded into (n_paths,)
-    arrays.
+    The report is that of the worst path.  The adjoints and H_u are taken
+    one node-row block at a time, and each block's per-path maxima are
+    folded into (n_paths,) arrays.
     """
     max_grad, worst_vi = np.full(ensemble.n_paths, -np.inf), np.full(ensemble.n_paths, -np.inf)
     for blk in node_blocks(*ensemble.x.shape):
-        blk_grad, blk_vi = _block_maximum_condition(model, cand, ensemble, adjoint, blk)
+        part = ensemble.nodes(blk)
+        blk_grad, blk_vi = _block_maximum_condition(model, cand, part, adjoint_of(part))
         max_grad, worst_vi = np.maximum(max_grad, blk_grad), np.maximum(worst_vi, blk_vi)
 
     worst = np.maximum(max_grad, worst_vi)
@@ -297,18 +330,18 @@ def convexity_spot_check(
     model: StructuredModel,
     cand: ValueCandidate,
     ensemble: ForwardEnsemble,
-    adjoint: Adjoints,
+    adjoint_of: AdjointMap,
 ) -> CheckReport:
     """Numerical Hessian probe of H in (x, x1, x2, y, z, u).
 
     The probes are path 0 at nodes 0 and n_steps // 2.  Each takes the
-    state and controls of the ensemble and the adjoints (p1, p2, q, k1) at
-    its node, the value-consistent slots y = −V, z = −σV_x there, and its
-    own node time.  This is a sampling heuristic: it can only refute
-    convexity, and only at these probes.  Passes when every Hessian
-    eigenvalue is above −CONVEXITY_TOL_FACTOR·(1 + |λ_max|).  A probe whose
-    Hessian is not finite (e.g. a NaN adjoint) has NaN eigenvalues and fails
-    the check.
+    state and controls of the ensemble at its node, the adjoints (p1, p2,
+    q, k1) of adjoint_of called on that one node, the value-consistent
+    slots y = −V, z = −σV_x there, and its own node time.  This is a
+    sampling heuristic: it can only refute convexity, and only at these
+    probes.  Passes when every Hessian eigenvalue is above
+    −CONVEXITY_TOL_FACTOR·(1 + |λ_max|).  A probe whose Hessian is not
+    finite (e.g. a NaN adjoint) has NaN eigenvalues and fails the check.
     """
     worst_ratio = -np.inf
     min_eigs = []
@@ -319,7 +352,8 @@ def convexity_spot_check(
         y, z = value_slots(model, cand, t, x, x1, u)
         base = np.array([x, x1, ensemble.x2[0, k], y, z, *u], float)
         n_var = base.size
-        p1, p2, q, k1 = (getattr(adjoint, name)[0, k] for name in ("p1", "p2", "q", "k1"))
+        adjoint = adjoint_of(ensemble.nodes(slice(k, k + 1)))
+        p1, p2, q, k1 = (getattr(adjoint, name)[0, 0] for name in ("p1", "p2", "q", "k1"))
 
         def h_of(v):
             u = v[5:]
@@ -361,8 +395,19 @@ def convexity_spot_check(
     )
 
 
-def write_adjoint_csv(adjoint: Adjoints, stream: BinaryIO) -> None:
-    """Write adjoint trajectories in long format, path,t,p1,p2,p3,q,k1,k2, as
-    ASCII bytes to a binary stream."""
+def write_adjoint_csv(
+    ensemble: ForwardEnsemble, stream: BinaryIO, adjoint_of: AdjointMap
+) -> None:
+    """Write the adjoint trajectories of the ensemble in long format,
+    path,t,p1,p2,p3,q,k1,k2, as ASCII bytes to a binary stream.
+
+    adjoint_of is called on each block of paths the CSV writer formats, so
+    no adjoint array spans the whole ensemble.
+    """
     names = ["p1", "p2", "p3", "q", "k1", "k2"]
-    write_long_csv(stream, names, adjoint.times, [getattr(adjoint, n) for n in names])
+
+    def columns_of(blk):
+        adjoint = adjoint_of(ensemble.paths(blk))
+        return [getattr(adjoint, name) for name in names]
+
+    write_long_csv(stream, names, ensemble.times, ensemble.n_paths, columns_of)

@@ -94,6 +94,12 @@ class ForwardEnsemble:
             dw=self.dw[:, blk],
         )
 
+    def paths(self, blk: slice) -> "ForwardEnsemble":
+        """Paths blk at every node, as views of the same buffers."""
+        return replace(
+            self, x=self.x[blk], x1=self.x1[blk], x2=self.x2[blk], u=self.u[:, blk], dw=self.dw[blk]
+        )
+
 
 def brownian_increments(master_seed: int, n_paths: int, n_steps: int, h: float) -> Array:
     """Brownian increments of variance h, shape (n_paths, n_steps).
@@ -218,9 +224,10 @@ def write_forward_csv(ensemble: ForwardEnsemble, stream: BinaryIO) -> None:
     blank at the terminal node.
     """
     u_cols = ["u"] if ensemble.u.shape[0] == 1 else ["u", "c"]
-    write_long_csv(
-        stream,
-        ["x", "x1", "x2", *u_cols, "dw"],
-        ensemble.times,
-        [ensemble.x, ensemble.x1, ensemble.x2, *ensemble.u, ensemble.dw],
-    )
+
+    def columns_of(blk):
+        part = ensemble.paths(blk)
+        return [part.x, part.x1, part.x2, *part.u, part.dw]
+
+    names = ["x", "x1", "x2", *u_cols, "dw"]
+    write_long_csv(stream, names, ensemble.times, ensemble.n_paths, columns_of)

@@ -4,15 +4,17 @@ Three families of diagnostics:
 
 * relations_report: along simulated paths, (a) the time derivative of the
   candidate value matches the maximized generalized Hamiltonian, (b) the
-  stored control maximizes G against a control grid, and (c) supplied
-  adjoint trajectories match the value-derived ones of
-  pmp.adjoint_from_value, p1 = V_x q, p2 = V_x1 q, k1 = (V_xx σ + V_x f_z) q,
-  k2 = (V_xx1 σ + V_x1 f_z) q.  All three share one walk over the
-  ensemble in node-row blocks (core.node_blocks), so the check's
-  temporaries stay the size of one block whatever the ensemble size, and
-  the reported maxima are the same bits as over the whole ensemble.  In
-  each block G is one map of the control (hjb.hamiltonian_at), so u* and
-  every grid value pay only for the terms that depend on the control.
+  stored control maximizes G against a control grid, and (c) the adjoints
+  of a supplied map (pmp.AdjointMap, e.g. the closed form) match the
+  value-derived ones of pmp.adjoint_from_value, p1 = V_x q, p2 = V_x1 q,
+  k1 = (V_xx σ + V_x f_z) q, k2 = (V_xx1 σ + V_x1 f_z) q, at the map's own
+  q.  All three share one walk over the ensemble in node-row blocks
+  (core.node_blocks), and both adjoints are computed one block at a time,
+  so the check's temporaries stay the size of one block whatever the
+  ensemble size, and the reported maxima are the same bits as over the
+  whole ensemble.  In each block G is one map of the control
+  (hjb.hamiltonian_at), so u* and every grid value pay only for the terms
+  that depend on the control.
 
 * compare_controls: paired Monte Carlo cost comparison of a base policy
   against perturbations, using common random numbers (identical per-path
@@ -37,7 +39,7 @@ from . import sdde
 from .core import FeedbackPolicy, SimConfig, StructuredModel, nan_max, node_blocks
 from .bsdde import RegressionBasis, solve_backward
 from .hjb import CheckReport, ValueCandidate, args_from_candidate, hamiltonian_at
-from .pmp import CONTROL_GRID_POINTS, Adjoints, adjoint_from_value
+from .pmp import CONTROL_GRID_POINTS, AdjointMap, Adjoints, adjoint_from_value
 from .sdde import ForwardEnsemble
 
 # Discretization allowance of closed_form_cost_check, per unit of step size.
@@ -50,12 +52,12 @@ RELATIONS_TOL = 1e-4
 _ADJOINTS = ("p1", "p2", "k1", "k2")
 
 
-def _block_adjoint_maxima(model, cand, part: ForwardEnsemble, adjoint, blk: slice):
+def _block_adjoint_maxima(model, cand, part: ForwardEnsemble, adjoint: Adjoints):
     """Per-path max |supplied − value-derived| and max |value-derived| of
-    each adjoint over nodes blk (part holds those nodes), as two
-    (4, n_paths) arrays."""
-    ref = adjoint_from_value(model, cand, part, adjoint.q[:, blk])
-    pairs = [(getattr(adjoint, name)[:, blk], getattr(ref, name)) for name in _ADJOINTS]
+    each adjoint over one node-row block, part, whose supplied adjoints are
+    adjoint, as two (4, n_paths) arrays."""
+    ref = adjoint_from_value(model, cand, part, adjoint.q)
+    pairs = [(getattr(adjoint, name), getattr(ref, name)) for name in _ADJOINTS]
     err = np.stack([np.max(np.abs(have - want), axis=1) for have, want in pairs])
     top = np.stack([np.max(np.abs(want), axis=1) for _, want in pairs])
     return err, top
@@ -101,7 +103,7 @@ def relations_report(
     model: StructuredModel,
     cand: ValueCandidate,
     ensemble: ForwardEnsemble,
-    adjoint: Adjoints,
+    adjoint_of: AdjointMap,
 ) -> CheckReport:
     """Consistency of the candidate value and adjoints along simulated paths.
 
@@ -109,7 +111,8 @@ def relations_report(
     coordinate, over pmp.CONTROL_GRID_POINTS values of each.  Each grid
     value keeps one NaN-propagating maximum over the node-row blocks, and
     those maxima are folded in grid order; a NaN gap (G(u*) could not be
-    evaluated) makes grid_optimality NaN.  Each adjoint's mismatch is
+    evaluated) makes grid_optimality NaN.  The supplied adjoints are
+    adjoint_of at each node-row block.  Each adjoint's mismatch is
     relative, each path scaled by its own largest |reference|; one that
     cannot be evaluated is NaN.  max_residual is the NaN-propagating
     maximum of these six numbers, and the check passes below
@@ -123,7 +126,7 @@ def relations_report(
     gaps = np.full(sum(map(len, axes)), -np.inf)
     for blk in node_blocks(*ensemble.x.shape):
         part = ensemble.nodes(blk)
-        blk_err, blk_top = _block_adjoint_maxima(model, cand, part, adjoint, blk)
+        blk_err, blk_top = _block_adjoint_maxima(model, cand, part, adjoint_of(part))
         err, top = np.maximum(err, blk_err), np.maximum(top, blk_top)
         blk_slope, blk_gaps = _block_relations(model, cand, part, axes)
         time_slope, gaps = np.maximum(time_slope, blk_slope), np.maximum(gaps, blk_gaps)

@@ -1,5 +1,6 @@
-"""Test-only helpers: a constant feedback policy and the pathwise check of
-the delayed chain rule (Itô's formula for g(t, X, X1)).
+"""Test-only helpers: a constant feedback policy, adjoint maps for the
+ensemble checks, and the pathwise check of the delayed chain rule (Itô's
+formula for g(t, X, X1)).
 
 Nothing in the package calls these; the unit tests and the acceptance
 criteria do.
@@ -8,13 +9,17 @@ criteria do.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
+from delaylab import merton, pmp
 from delaylab.core import Array, FeedbackPolicy, StructuredModel
+from delaylab.hjb import ValueCandidate
 from delaylab.sdde import ForwardEnsemble
+
+ADJOINT_FIELDS = ("p1", "p2", "p3", "q", "k1", "k2")
 
 
 def constant_policy(values: Sequence[float], label: str = "constant") -> FeedbackPolicy:
@@ -26,6 +31,41 @@ def constant_policy(values: Sequence[float], label: str = "constant") -> Feedbac
         return vec.reshape((vec.size,) + (1,) * x.ndim) * np.ones_like(x)
 
     return FeedbackPolicy(evaluate=evaluate, n_controls=vec.size, label=label)
+
+
+def value_adjoints(
+    model: StructuredModel, cand: ValueCandidate, params: merton.MertonParams
+) -> pmp.AdjointMap:
+    """The adjoint map of pmp.adjoint_from_value with the exact Merton q."""
+    return lambda part: pmp.adjoint_from_value(
+        model, cand, part, merton.exact_q_factor(params, part.times)
+    )
+
+
+def closed_form_adjoints(params: merton.MertonParams) -> pmp.AdjointMap:
+    """The adjoint map of merton.closed_form_adjoints with the exact q, as
+    check-relations builds it."""
+    return lambda part: merton.closed_form_adjoints(
+        params, part, merton.exact_q_factor(params, part.times)
+    )
+
+
+def node_map(adjoint: pmp.Adjoints) -> pmp.AdjointMap:
+    """The adjoint map of adjoints held as whole (n_paths, n_nodes) arrays.
+
+    It serves the ensemble checks, which call their map on node-row blocks
+    of every path: a block is found by its node times.
+    """
+
+    def adjoint_of(part: ForwardEnsemble) -> pmp.Adjoints:
+        start = int(np.searchsorted(adjoint.times, part.times[0]))
+        blk = slice(start, start + part.times.size)
+        assert np.array_equal(adjoint.times[blk], part.times)
+        assert part.n_paths == adjoint.p1.shape[0], "a block of every path"
+        fields = {name: getattr(adjoint, name)[:, blk] for name in ADJOINT_FIELDS}
+        return replace(adjoint, times=part.times, **fields)
+
+    return adjoint_of
 
 
 @dataclass

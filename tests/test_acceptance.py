@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 from delaylab import cli, core, hjb, merton, pmp, sdde, verify
-from helpers import SmoothTestFunction, constant_policy, delayed_ito_check
+from helpers import (
+    SmoothTestFunction,
+    closed_form_adjoints,
+    constant_policy,
+    delayed_ito_check,
+    value_adjoints,
+)
 
 P0 = dict(
     r=0.03, mu0=0.08, sigma=0.2, beta=0.1, gamma=0.5,
@@ -91,9 +97,9 @@ class CriteriaRunner:
         ens = sdde.simulate_forward(c["model"], c["policy"], INITIAL, cfg)
         q_exact = merton.exact_q_factor(c["params"], ens.times)
         repq = pmp.q_factor_check(c["model"], ens, q_exact)
-        adj = pmp.adjoint_from_value(c["model"], c["cand"], ens, q_exact)
-        rep3 = pmp.check_p3_zero(c["model"], c["cand"], ens, adj)
-        repm = pmp.maximum_condition_check(c["model"], c["cand"], ens, adj)
+        adjoint_of = value_adjoints(c["model"], c["cand"], c["params"])
+        rep3 = pmp.check_p3_zero(c["model"], c["cand"], ens, adjoint_of)
+        repm = pmp.maximum_condition_check(c["model"], c["cand"], ens, adjoint_of)
         ok = rep3.passed and repm.passed and repq.passed
         return repq.max_residual, rep3.max_residual, repm.max_residual, bool(ok)
 
@@ -101,9 +107,8 @@ class CriteriaRunner:
         c = self.ctx
         cfg = core.SimConfig(n_steps=128, n_paths=64, master_seed=5)
         ens = sdde.simulate_forward(c["model"], c["policy"], INITIAL, cfg)
-        q = merton.exact_q_factor(c["params"], ens.times)
-        adj = merton.closed_form_adjoints(c["params"], ens, q)
-        return verify.relations_report(c["model"], c["cand"], ens, adj)
+        adjoint_of = closed_form_adjoints(c["params"])
+        return verify.relations_report(c["model"], c["cand"], ens, adjoint_of)
 
     def cost_check(self, n_paths=10_000, n_steps=128, seed=1):
         c = self.ctx

@@ -170,7 +170,8 @@ class TestLongCsv:
     def test_bytes_are_pinned(self):
         names, times, columns = self.table()
         out = io.BytesIO()
-        core.write_long_csv(out, names, times, columns)
+        n_paths = columns[0].shape[0]
+        core.write_long_csv(out, names, times, n_paths, lambda blk: [c[blk] for c in columns])
         text = out.getvalue().decode("ascii")
         assert text == _reference_csv(names, times, columns)
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == self.DIGEST
@@ -191,7 +192,9 @@ class TestLongCsv:
             columns.append(rng.standard_normal((n_paths, n_nodes - 1)))
             tracemalloc.start()
             try:
-                core.write_long_csv(Sink(), list("abcde"), times, columns)
+                core.write_long_csv(
+                    Sink(), list("abcde"), times, n_paths, lambda blk: [c[blk] for c in columns]
+                )
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

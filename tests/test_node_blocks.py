@@ -1,12 +1,15 @@
 """Node-row blocked ensemble checks against their whole-ensemble originals.
 
-relations_report (with its adjoint mismatch) and maximum_condition_check
-walk the ensemble in core.node_blocks.  The references below are the same
-checks written over whole (n_paths, n_nodes) arrays at once; every report
-must be the same bits at any block size.
+relations_report (with its adjoint mismatch), check_p3_zero and
+maximum_condition_check walk the ensemble in core.node_blocks and take the
+adjoints as a map of the block; write_adjoint_csv calls that map per path
+block.  The references below are the same checks written over whole
+(n_paths, n_nodes) arrays at once, from the map called on the whole
+ensemble; every report and every byte must be the same at any block size.
 """
 
 import dataclasses
+import io
 import json
 import tracemalloc
 
@@ -15,6 +18,7 @@ import pytest
 
 from delaylab import core, hjb, merton, pmp, sdde, verify
 from delaylab.hjb import CheckReport, args_from_candidate, generalized_hamiltonian, value_slots
+from helpers import closed_form_adjoints, node_map, value_adjoints
 
 P0 = dict(
     r=0.03, mu0=0.08, sigma=0.2, beta=0.1, gamma=0.5,
@@ -85,6 +89,32 @@ def reference_relations_report(model, cand, ensemble, adjoint, n_grid=9, tol=1e-
     )
 
 
+def reference_check_p3_zero(model, cand, ensemble, adjoint, tol=1e-10):
+    t, x, x1, u = ensemble.times, ensemble.x, ensemble.x1, ensemble.u
+    y, z = value_slots(model, cand, t, x, x1, u)
+    b2 = np.broadcast_to(model.b2(t, x, x1, u), x.shape)
+    f2 = np.broadcast_to(model.f2(t, x, x1, y, z, u), x.shape)
+    drift = b2 * adjoint.p1 - model.params.e_minus * adjoint.p2 - adjoint.q * f2
+
+    # the reversed cumulative sum over whole arrays, p3 = 0 at the terminal node
+    p3 = np.zeros_like(x)
+    np.cumsum(ensemble.h * drift[:, -2::-1], axis=1, out=p3[:, -2::-1])
+
+    max_drift = np.max(np.abs(drift), axis=1)
+    max_p3 = np.max(np.abs(p3), axis=1)
+    scale = np.maximum(np.max(np.abs(adjoint.p1), axis=1), 1e-300)
+    worst = np.maximum(max_drift, max_p3) / scale
+    i = int(np.argmax(worst))
+    return CheckReport(
+        check="p3_zero",
+        probes=x.shape[1],
+        max_residual=float(worst[i]),
+        tolerance=tol,
+        passed=bool(worst[i] < tol),
+        extra={"max_drift": float(max_drift[i]), "max_backintegrated": float(max_p3[i])},
+    )
+
+
 def reference_maximum_condition_check(model, cand, ensemble, adjoint, n_grid=9, tol=1e-6):
     t, x, x1, x2, u_star = ensemble.times, ensemble.x, ensemble.x1, ensemble.x2, ensemble.u
     y, z = value_slots(model, cand, t, x, x1, u_star)
@@ -125,22 +155,30 @@ def set_rows(monkeypatch, rows, n_paths):
     monkeypatch.setattr(core, "NODE_BLOCK", rows * n_paths)
 
 
+def merton_model():
+    p = merton.resolve_constraints(**P0)
+    return p, merton.build_model(p), merton.value_function(p)
+
+
 @pytest.fixture(scope="module")
 def merton_setup():
-    p = merton.resolve_constraints(**P0)
-    model = merton.build_model(p)
-    cand = merton.value_function(p)
+    """A detuned Merton ensemble and a map of offset value-derived adjoints."""
+    p, model, cand = merton_model()
     # Scaled controls leave H_u and grid-optimality residuals to report.
     policy = verify.scaled_policy(merton.build_policy(p), [1.3, 0.9], "detuned")
     cfg = core.SimConfig(n_steps=N_STEPS, n_paths=N_PATHS, master_seed=17)
     ens = sdde.simulate_forward(model, policy, INITIAL, cfg)
-    q = merton.exact_q_factor(p, ens.times)
-    adj = pmp.adjoint_from_value(model, cand, ens, q)
-    # Offsets of fixed size give every path its own relative mismatch.
-    adj = dataclasses.replace(
-        adj, p1=adj.p1 + 1e-3, p2=adj.p2 - 2e-4, k1=adj.k1 + 3e-3, k2=adj.k2 + 1e-5
-    )
-    return model, cand, ens, adj
+    value_of = value_adjoints(model, cand, p)
+
+    def adjoint_of(part):
+        # Offsets of fixed size give every path its own relative mismatch,
+        # and a p3 drift that the back-integration carries across blocks.
+        adj = value_of(part)
+        return dataclasses.replace(
+            adj, p1=adj.p1 + 1e-3, p2=adj.p2 - 2e-4, k1=adj.k1 + 3e-3, k2=adj.k2 + 1e-5
+        )
+
+    return model, cand, ens, adjoint_of
 
 
 def with_nan_node(ens, path=2, node=40):
@@ -197,20 +235,32 @@ class TestNodeBlocks:
 class TestSameBitsAsWholeEnsemble:
     @pytest.mark.parametrize("rows", ROWS)
     def test_relations_report(self, merton_setup, monkeypatch, rows):
-        model, cand, ens, adj = merton_setup
+        model, cand, ens, adjoint_of = merton_setup
         set_rows(monkeypatch, rows, N_PATHS)
-        blocked = verify.relations_report(model, cand, ens, adj)
-        whole = reference_relations_report(model, cand, ens, adj)
+        blocked = verify.relations_report(model, cand, ens, adjoint_of)
+        whole = reference_relations_report(model, cand, ens, adjoint_of(ens))
         assert as_text(blocked) == as_text(whole)
         assert blocked.extra["grid_optimality"] > 0.0  # the detuned controls leave a gap
         assert min(blocked.extra["adjoint_mismatch"].values()) > 0.0
 
     @pytest.mark.parametrize("rows", ROWS)
-    def test_maximum_condition_check(self, merton_setup, monkeypatch, rows):
-        model, cand, ens, adj = merton_setup
+    def test_check_p3_zero(self, merton_setup, monkeypatch, rows):
+        # Blocks of 1 and 3 nodes split the carried p3 sum; 3 does not
+        # divide the 65 nodes, so the first block is the short one.
+        model, cand, ens, adjoint_of = merton_setup
         set_rows(monkeypatch, rows, N_PATHS)
-        blocked = pmp.maximum_condition_check(model, cand, ens, adj)
-        whole = reference_maximum_condition_check(model, cand, ens, adj)
+        blocked = pmp.check_p3_zero(model, cand, ens, adjoint_of)
+        whole = reference_check_p3_zero(model, cand, ens, adjoint_of(ens))
+        assert as_text(blocked) == as_text(whole)
+        assert blocked.extra["max_backintegrated"] > 0.0 and blocked.extra["max_drift"] > 0.0
+        assert not blocked.passed  # the offsets leave a p3 drift
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_maximum_condition_check(self, merton_setup, monkeypatch, rows):
+        model, cand, ens, adjoint_of = merton_setup
+        set_rows(monkeypatch, rows, N_PATHS)
+        blocked = pmp.maximum_condition_check(model, cand, ens, adjoint_of)
+        whole = reference_maximum_condition_check(model, cand, ens, adjoint_of(ens))
         assert as_text(blocked) == as_text(whole)
         assert blocked.max_residual > 1e-3
 
@@ -220,20 +270,27 @@ class TestSameBitsAsWholeEnsemble:
         # value's gap is then NaN over the whole ensemble, and the report
         # says NaN, not the −inf of a fold that skips NaN; a fold over the
         # block maxima would report the finite gap of the other blocks.
-        model, cand, ens, adj = merton_setup
+        model, cand, ens, adjoint_of = merton_setup
         ens = with_nan_node(ens)
         set_rows(monkeypatch, rows, N_PATHS)
         with np.errstate(all="ignore"):
-            blocked = verify.relations_report(model, cand, ens, adj)
+            adj = adjoint_of(ens)
+            blocked = verify.relations_report(model, cand, ens, adjoint_of)
             whole = reference_relations_report(model, cand, ens, adj)
-            blocked_max = pmp.maximum_condition_check(model, cand, ens, adj)
+            blocked_max = pmp.maximum_condition_check(model, cand, ens, adjoint_of)
             whole_max = reference_maximum_condition_check(model, cand, ens, adj)
+            # the NaN p1 makes p3 NaN from its node back to node 0, across
+            # the blocks through the carried sum
+            blocked_p3 = pmp.check_p3_zero(model, cand, ens, adjoint_of)
+            whole_p3 = reference_check_p3_zero(model, cand, ens, adj)
         assert as_text(blocked) == as_text(whole)
         assert np.isnan(blocked.extra["time_slope"])
         assert np.isnan(blocked.extra["grid_optimality"])
         assert all(np.isnan(v) for v in blocked.extra["adjoint_mismatch"].values())
         assert not blocked.passed
         assert as_text(blocked_max) == as_text(whole_max)
+        assert as_text(blocked_p3) == as_text(whole_p3)
+        assert np.isnan(blocked_p3.max_residual)
 
 
     @pytest.mark.parametrize("rows", ROWS)
@@ -242,12 +299,12 @@ class TestSameBitsAsWholeEnsemble:
         # grid values, so each block whose nodes reach a marked entry takes
         # the masked gap; the one-node block of node 0 (x = 1 on every path)
         # takes the plain one.
-        model, cand, ens, adj = merton_setup
+        model, cand, ens, adjoint_of = merton_setup
         model = with_non_finite_grid_values(model)
         set_rows(monkeypatch, rows, N_PATHS)
         with np.errstate(all="ignore"):
-            blocked = verify.relations_report(model, cand, ens, adj)
-            whole = reference_relations_report(model, cand, ens, adj)
+            blocked = verify.relations_report(model, cand, ens, adjoint_of)
+            whole = reference_relations_report(model, cand, ens, adjoint_of(ens))
         assert as_text(blocked) == as_text(whole)
         assert np.isfinite(blocked.extra["grid_optimality"])
 
@@ -314,25 +371,52 @@ class TestWorstPathTie:
     def test_first_path_wins_across_blocks(self, monkeypatch, rows):
         model, cand, ens, adj = _linear_tie()
         set_rows(monkeypatch, rows, N_PATHS)
-        blocked = pmp.maximum_condition_check(model, cand, ens, adj)
+        blocked = pmp.maximum_condition_check(model, cand, ens, node_map(adj))
         whole = reference_maximum_condition_check(model, cand, ens, adj)
         assert as_text(blocked) == as_text(whole)
         assert blocked.max_residual == 4.0
         assert blocked.extra == {"max_abs_h_u": 4.0, "max_variational": 2.0}
 
 
+class TestAdjointCsv:
+    NAMES = ["p1", "p2", "p3", "q", "k1", "k2"]
+
+    @pytest.mark.parametrize("paths_per_block", [1, 5])  # 5 does not divide the 12 paths
+    def test_path_blocks_match_whole_arrays(self, merton_setup, monkeypatch, paths_per_block):
+        _, _, ens, _ = merton_setup
+        p, model, cand = merton_model()
+        adjoint_of = value_adjoints(model, cand, p)
+        whole = adjoint_of(ens)
+        want = io.BytesIO()
+        core.write_long_csv(
+            want, self.NAMES, ens.times, ens.n_paths,
+            lambda blk: [getattr(whole, name)[blk] for name in self.NAMES],
+        )
+        assert core.CSV_BLOCK_ROWS >= N_PATHS * (N_STEPS + 1)  # the reference is one block
+
+        monkeypatch.setattr(core, "CSV_BLOCK_ROWS", paths_per_block * (N_STEPS + 1))
+        calls = []
+
+        def counted(part):
+            calls.append(part.n_paths)
+            return adjoint_of(part)
+
+        got = io.BytesIO()
+        pmp.write_adjoint_csv(ens, got, counted)
+        assert got.getvalue() == want.getvalue()
+        assert max(calls) == paths_per_block and sum(calls) == N_PATHS
+
+
 class TestPeakMemory:
-    """A blocked check allocates a few blocks, not copies of the ensemble."""
+    """A blocked check, building its adjoints included, allocates a few
+    blocks, not copies of the ensemble."""
 
     @pytest.fixture(scope="class")
     def large(self):
-        p = merton.resolve_constraints(**P0)
-        model = merton.build_model(p)
-        cand = merton.value_function(p)
+        p, model, cand = merton_model()
         cfg = core.SimConfig(n_steps=256, n_paths=2000, master_seed=3)
         ens = sdde.simulate_forward(model, merton.build_policy(p), INITIAL, cfg)
-        q = merton.exact_q_factor(p, ens.times)
-        return model, cand, ens, q, p
+        return model, cand, ens, p
 
     def _peak(self, fun, *args):
         tracemalloc.start()
@@ -343,13 +427,28 @@ class TestPeakMemory:
             tracemalloc.stop()
 
     def test_relations_report(self, large):
-        model, cand, ens, q, p = large
-        adj = merton.closed_form_adjoints(p, ens, q)
-        peak = self._peak(verify.relations_report, model, cand, ens, adj)
+        model, cand, ens, p = large
+        peak = self._peak(verify.relations_report, model, cand, ens, closed_form_adjoints(p))
         assert peak < 2 * ens.x.nbytes
 
     def test_maximum_condition_check(self, large):
-        model, cand, ens, q, _ = large
-        adj = pmp.adjoint_from_value(model, cand, ens, q)
-        peak = self._peak(pmp.maximum_condition_check, model, cand, ens, adj)
+        model, cand, ens, p = large
+        adjoint_of = value_adjoints(model, cand, p)
+        peak = self._peak(pmp.maximum_condition_check, model, cand, ens, adjoint_of)
+        assert peak < 2 * ens.x.nbytes
+
+    def test_check_p3_zero(self, large):
+        model, cand, ens, p = large
+        peak = self._peak(pmp.check_p3_zero, model, cand, ens, value_adjoints(model, cand, p))
+        assert peak < 2 * ens.x.nbytes
+
+    def test_write_adjoint_csv(self, large):
+        # A sink that keeps nothing: a BytesIO's growing buffer would count
+        # the file itself as the writer's memory.
+        class Sink:
+            def write(self, data):
+                pass
+
+        model, cand, ens, p = large
+        peak = self._peak(pmp.write_adjoint_csv, ens, Sink(), value_adjoints(model, cand, p))
         assert peak < 2 * ens.x.nbytes

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from delaylab import bsdde, core, hjb, pmp, sdde
-from helpers import SmoothTestFunction, constant_policy, delayed_ito_check
+from helpers import SmoothTestFunction, constant_policy, delayed_ito_check, node_map
 
 
 def linear_delay_model(lam=0.1, delta=0.5, T=1.0, a=-0.2, b2=0.3, sig=0.0):
@@ -320,7 +320,8 @@ class TestStepIsRecorded:
         ens = sdde.simulate_forward(model, constant_policy([0.5]), lambda tau: 1.0, cfg)
         sol = bsdde.solve_backward(model, ens, bsdde.polynomial_basis(2))
         q = pmp.simulate_q(model, ens)
-        p3 = pmp.check_p3_zero(model, cand, ens, pmp.adjoint_from_value(model, cand, ens, q))
+        adj = pmp.adjoint_from_value(model, cand, ens, q)
+        p3 = pmp.check_p3_zero(model, cand, ens, node_map(adj))
         return ens, sol, q, p3
 
     def test_sweeps_do_not_depend_on_where_the_grid_starts(self):
@@ -480,9 +481,12 @@ class TestCsvExport:
 
         cols = [ens.x, ens.x1, ens.x2, ens.u[0], -ens.x, -ens.x1]
         names = ["p1", "p2", "p3", "q", "k1", "k2"]
-        adj = pmp.Adjoints(ens.times, *cols)
+
+        def adjoint_of(part):
+            return pmp.Adjoints(part.times, part.x, part.x1, part.x2, part.u[0], -part.x, -part.x1)
+
         out = io.BytesIO()
-        pmp.write_adjoint_csv(adj, out)
+        pmp.write_adjoint_csv(ens, out, adjoint_of)
         assert out.getvalue().decode("ascii") == _reference_csv(names, ens.times, cols)
 
 

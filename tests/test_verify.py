@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from delaylab import bsdde, core, merton, pmp, sdde, verify
+from helpers import node_map
 
 P0 = dict(
     r=0.03, mu0=0.08, sigma=0.2, beta=0.1, gamma=0.5,
@@ -36,7 +37,7 @@ class TestRelations:
         cfg = core.SimConfig(n_steps=128, n_paths=64, master_seed=5)
         ens = sdde.simulate_forward(setup["model"], setup["policy"], INITIAL, cfg)
         report = verify.relations_report(
-            setup["model"], setup["cand"], ens, self._adjoints(setup, ens)
+            setup["model"], setup["cand"], ens, node_map(self._adjoints(setup, ens))
         )
         assert report.passed, report.to_dict()
 
@@ -45,7 +46,7 @@ class TestRelations:
         cfg = core.SimConfig(n_steps=64, n_paths=8, master_seed=5)
         ens = sdde.simulate_forward(setup["model"], policy, INITIAL, cfg)
         report = verify.relations_report(
-            setup["model"], setup["cand"], ens, self._adjoints(setup, ens)
+            setup["model"], setup["cand"], ens, node_map(self._adjoints(setup, ens))
         )
         assert not report.passed
         # V_t equals the maximized Hamiltonian, not the one at halved u.
@@ -58,7 +59,7 @@ class TestRelations:
         p1 = adj.p1.copy()
         p1[3, 10] = np.nan
         report = verify.relations_report(
-            setup["model"], setup["cand"], ens, dataclasses.replace(adj, p1=p1)
+            setup["model"], setup["cand"], ens, node_map(dataclasses.replace(adj, p1=p1))
         )
         assert np.isnan(report.extra["adjoint_mismatch"]["p1"])
         assert report.extra["adjoint_mismatch"]["p2"] < 1e-4
@@ -68,7 +69,7 @@ class TestRelations:
         cfg = core.SimConfig(n_steps=32, n_paths=4, master_seed=5)
         ens = sdde.simulate_forward(setup["model"], setup["policy"], INITIAL, cfg)
         d = verify.relations_report(
-            setup["model"], setup["cand"], ens, self._adjoints(setup, ens)
+            setup["model"], setup["cand"], ens, node_map(self._adjoints(setup, ens))
         ).to_dict()
         assert d["check"] == "relations"
         assert set(d["adjoint_mismatch"]) == {"p1", "p2", "k1", "k2"}
