@@ -514,7 +514,8 @@ def write_long_csv(
     node, path by path, as ASCII bytes to a binary stream.
 
     columns_of(paths) gives the columns of the paths in that slice, each a
-    (n, n_nodes) array, so a writer may compute them block by block.  Every
+    (n, n_nodes) array, so a writer may compute them block by block; it is
+    asked for about NODE_BLOCK values of each column at a time.  Every
     value is written as '%.17g' % v, the same text as format(float(v),
     '.17g'), so the file round-trips every float64 and has the same bytes on
     any numpy.  A column one node short (the Brownian increments) is blank
@@ -530,18 +531,22 @@ def write_long_csv(
     comma = np.ones(2 + len(names), np.uint64)
     comma[0] = 0
     paths_per_block = max(1, CSV_BLOCK_ROWS // n_nodes)
-    for start in range(0, n_paths, paths_per_block):
-        stop = min(start + paths_per_block, n_paths)
-        columns = columns_of(slice(start, stop))
-        table = np.zeros((stop - start, n_nodes, comma.size))
-        table[:, :, 0] = np.arange(start, stop)[:, np.newaxis]
-        table[:, :, 1] = times
-        for j, col in enumerate(columns):
-            table[:, : col.shape[1], 2 + j] = col
-        cells = _g17_cells(table, comma)
-        for j, col in enumerate(columns):
-            cells[1:, :, col.shape[1] :, 2 + j] = 0  # blank: the separator alone
-        stream.write(cells.transpose(1, 2, 3, 0).tobytes().translate(None, b"\0"))
+    # a whole number of blocks per call of columns_of
+    paths_per_call = paths_per_block * max(1, NODE_BLOCK // (paths_per_block * n_nodes))
+    for first in range(0, n_paths, paths_per_call):
+        last = min(first + paths_per_call, n_paths)
+        columns = columns_of(slice(first, last))
+        for start in range(first, last, paths_per_block):
+            stop = min(start + paths_per_block, last)
+            table = np.zeros((stop - start, n_nodes, comma.size))
+            table[:, :, 0] = np.arange(start, stop)[:, np.newaxis]
+            table[:, :, 1] = times
+            for j, col in enumerate(columns):
+                table[:, : col.shape[1], 2 + j] = col[start - first : stop - first]
+            cells = _g17_cells(table, comma)
+            for j, col in enumerate(columns):
+                cells[1:, :, col.shape[1] :, 2 + j] = 0  # blank: the separator alone
+            stream.write(cells.transpose(1, 2, 3, 0).tobytes().translate(None, b"\0"))
     stream.write(b"\n")
 
 

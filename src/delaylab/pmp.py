@@ -32,7 +32,7 @@ block (ForwardEnsemble.nodes) or a block of paths (ForwardEnsemble.paths).
 check_p3_zero and the maximum-condition check walk node-row blocks
 (core.node_blocks), the p3 back-integration from the terminal block with
 its partial sum carried; write_adjoint_csv computes the adjoints for each
-path block of the CSV writer.  So their temporaries stay the size of one
+block of paths the CSV writer asks for.  So their temporaries stay the size of one
 block whatever the ensemble size.  The checks read the ensemble's controls u
 and step h as stored; each scales its residuals path by path and reports
 the worst path.  The convexity probe takes path 0 at nodes 0 and
@@ -401,8 +401,9 @@ def write_adjoint_csv(
     """Write the adjoint trajectories of the ensemble in long format,
     path,t,p1,p2,p3,q,k1,k2, as ASCII bytes to a binary stream.
 
-    adjoint_of is called on each block of paths the CSV writer formats, so
-    no adjoint array spans the whole ensemble.
+    adjoint_of is called on each block of paths the CSV writer asks for,
+    about core.NODE_BLOCK values, so no adjoint array spans the whole
+    ensemble.
     """
     names = ["p1", "p2", "p3", "q", "k1", "k2"]
 

@@ -381,8 +381,14 @@ class TestWorstPathTie:
 class TestAdjointCsv:
     NAMES = ["p1", "p2", "p3", "q", "k1", "k2"]
 
-    @pytest.mark.parametrize("paths_per_block", [1, 5])  # 5 does not divide the 12 paths
-    def test_path_blocks_match_whole_arrays(self, merton_setup, monkeypatch, paths_per_block):
+    # CSV blocks of one path and of 5, which does not divide the 12 paths;
+    # the adjoint map is called on one CSV block, or on two at a time.
+    @pytest.mark.parametrize(
+        "paths_per_block, blocks_per_call", [(1, 1), (5, 1), (5, 2)]
+    )
+    def test_path_blocks_match_whole_arrays(
+        self, merton_setup, monkeypatch, paths_per_block, blocks_per_call
+    ):
         _, _, ens, _ = merton_setup
         p, model, cand = merton_model()
         adjoint_of = value_adjoints(model, cand, p)
@@ -395,6 +401,7 @@ class TestAdjointCsv:
         assert core.CSV_BLOCK_ROWS >= N_PATHS * (N_STEPS + 1)  # the reference is one block
 
         monkeypatch.setattr(core, "CSV_BLOCK_ROWS", paths_per_block * (N_STEPS + 1))
+        monkeypatch.setattr(core, "NODE_BLOCK", blocks_per_call * core.CSV_BLOCK_ROWS)
         calls = []
 
         def counted(part):
@@ -404,7 +411,10 @@ class TestAdjointCsv:
         got = io.BytesIO()
         pmp.write_adjoint_csv(ens, got, counted)
         assert got.getvalue() == want.getvalue()
-        assert max(calls) == paths_per_block and sum(calls) == N_PATHS
+        per_call = paths_per_block * blocks_per_call
+        assert calls == [per_call] * (N_PATHS // per_call) + [N_PATHS % per_call] * (
+            N_PATHS % per_call > 0
+        )
 
 
 class TestPeakMemory:
