@@ -412,9 +412,7 @@ class TestAdjointCsv:
         pmp.write_adjoint_csv(ens, got, counted)
         assert got.getvalue() == want.getvalue()
         per_call = paths_per_block * blocks_per_call
-        assert calls == [per_call] * (N_PATHS // per_call) + [N_PATHS % per_call] * (
-            N_PATHS % per_call > 0
-        )
+        assert calls == [min(per_call, N_PATHS - s) for s in range(0, N_PATHS, per_call)]
 
 
 class TestPeakMemory:
