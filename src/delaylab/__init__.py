@@ -16,7 +16,9 @@ from .core import (
 from .sdde import ForwardEnsemble, simulate_forward
 from .bsdde import (
     BackwardSolution,
+    CostSamples,
     RegressionBasis,
+    cost_samples,
     polynomial_basis,
     solve_backward,
 )

@@ -27,6 +27,13 @@ down to the initial node, where each half's Z_0 is the mean of the other
 half's centred target (all paths share the initial state).  The term
 Z_k ΔW_k has mean zero and cancels most of each path's noise; the samples
 also serve the common-random-number policy comparisons.
+
+Node k reads only Y_{k+1} and writes Y_k and Z_k, so the one sweep fills
+whatever row buffers it is given.  solve_backward gives it one row per node
+and keeps y and z over the whole ensemble, for backward.csv.  cost_samples
+gives it a ring of two y rows and one z row and keeps only the cost, its
+standard error and the per-path samples, for callers that read nothing
+else; both give the same bits.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ class RegressionBasis:
 
     fill(x, x1, out) writes feature j of the samples x, x1 into the
     contiguous row out[j] of a C-order (n_features, n_samples) buffer,
-    overwriting every row.  solve_backward allocates that buffer once and
+    overwriting every row.  The backward sweep allocates that buffer once and
     reuses it at every node.
     """
 
@@ -84,7 +91,9 @@ def polynomial_basis(degree: int = 2) -> RegressionBasis:
 
 @dataclass
 class BackwardSolution:
-    """Regression solution of the backward equation on an ensemble.
+    """Regression solution of the backward equation on an ensemble, with y
+    and z at every node (solve_backward; cost_samples keeps only the cost
+    and its samples).
 
     y and z are seen as (n_paths, n_steps + 1) arrays, stored node-major as
     the transposes of C-order (n_nodes, n_paths) buffers.  y[:, k] for
@@ -177,70 +186,122 @@ class _Halves:
         return bad
 
 
-def solve_backward(
+@dataclass
+class CostSamples:
+    """The recursive cost of a policy from a backward sweep: cost J = −Y(s)
+    and its standard error, the per-path samples y at the initial node
+    (n_paths,), and the steps whose fit fell back to the mean."""
+
+    cost: float
+    stderr: float
+    samples: Array
+    degraded_steps: list
+
+
+def _sweep(
     model: StructuredModel,
     ensemble: ForwardEnsemble,
     basis: RegressionBasis,
-) -> BackwardSolution:
+    y: Array,
+    z: Array,
+) -> CostSamples:
     """Backward regression sweep along a simulated ensemble.
 
+    y and z are C-order buffers of n_paths columns that the sweep fills:
+    node k lives in row k % len(y) of y and row k % len(z) of z.  With one
+    row per node they keep the whole solution; with two y rows and one z
+    row they form a ring, enough for node k, which reads only Y_{k+1} and
+    writes Y_k and Z_k.  Either way every row gets the same values by the
+    same operations.  z must start at 0: a single path has no Z fit.
+
     The sweep reads node k of every path as one row of the node-major
-    ensemble and fills y and z row by row.  Each node writes its features
-    as contiguous rows of one (n_features, n_paths) buffer reused by every
-    node.  The two halves of the paths are the two folds of the Z fit, and
-    the sum of their feature products is the Y fit's Gram matrix.  The
-    generator is evaluated once per node, on the regressed and the pathwise
-    y stacked as one (2, n_paths) array.
+    ensemble.  Each node writes its features as contiguous rows of one
+    (n_features, n_paths) buffer reused by every node.  The two halves of
+    the paths are the two folds of the Z fit, and the sum of their feature
+    products is the Y fit's Gram matrix.  The generator is evaluated once
+    per node, on the regressed and the pathwise y stacked as one
+    (2, n_paths) array.
     """
     t, h, u = ensemble.times, ensemble.h, ensemble.u
     n_paths, n_steps = ensemble.n_paths, ensemble.n_steps
     x, x1, x2, dw = ensemble.x.T, ensemble.x1.T, ensemble.x2.T, ensemble.dw.T
 
-    y = np.empty((n_steps + 1, n_paths))
-    z = np.zeros((n_steps + 1, n_paths))
-    y[-1] = model.phi(x[-1], x1[-1])
+    def y_at(k):
+        return y[k % len(y)]
+
+    def z_at(k):
+        return z[k % len(z)]
+
+    y_at(n_steps)[:] = model.phi(x[-1], x1[-1])
     degraded: list = []
     feats = np.empty((basis.n_features, n_paths))
     halves = _Halves(n_paths, basis.n_features)
     # Row 0: the regressed Y_{k+1}; row 1: the pathwise cost accumulation.
     y_both = np.empty((2, n_paths))
-    y_both[1] = y[-1]
+    y_both[1] = y_at(n_steps)
 
     for k in range(n_steps - 1, 0, -1):
         basis.fill(x[k], x1[k], feats)
-        y_next = y[k + 1]
+        y_next, z_k = y_at(k + 1), z_at(k)
         with np.errstate(all="ignore"):
             inverses = halves.inverse_grams(feats)
             # The centred target has the conditional mean of Y_{k+1}·ΔW_k/h,
             # since proj Y_{k+1} is known at t_k, without its Var(Y_{k+1})/h.
             centre, bad_c = _project(feats, inverses[2], y_next)
-            bad_z = halves.fit_z(feats, inverses, (y_next - centre) * dw[k] / h, z[k])
+            bad_z = halves.fit_z(feats, inverses, (y_next - centre) * dw[k] / h, z_k)
         y_both[0] = y_next
         f = np.broadcast_to(
-            model.generator(float(t[k]), x[k], x1[k], x2[k], y_both, z[k], u[:, :, k]),
+            model.generator(float(t[k]), x[k], x1[k], x2[k], y_both, z_k, u[:, :, k]),
             y_both.shape,
         )
         with np.errstate(all="ignore"):
-            y[k], bad_y = _project(feats, inverses[2], y_next + h * f[0])
-        y_both[1] = y_both[1] + h * f[1] - z[k] * dw[k]
+            y_at(k)[:], bad_y = _project(feats, inverses[2], y_next + h * f[0])
+        y_both[1] = y_both[1] + h * f[1] - z_k * dw[k]
         if bad_c or bad_z or bad_y:
             degraded.append(k)
 
     # The initial node: every path shares the state, so the projection of
     # each half's centred target is its mean.
-    target = (y[1] - y[1].mean()) * dw[0] / h
+    y_1, z_0 = y_at(1), z_at(0)
+    target = (y_1 - y_1.mean()) * dw[0] / h
     for fit, apply in halves.folds:
-        z[0, halves.slices[apply]] = float(target[halves.slices[fit]].mean())
+        z_0[halves.slices[apply]] = float(target[halves.slices[fit]].mean())
     y_path = y_both[1]
-    y[0] = y_path + h * model.generator(
-        float(t[0]), x[0], x1[0], x2[0], y_path, z[0], u[:, :, 0]
-    ) - z[0] * dw[0]
+    y_0 = y_at(0)
+    y_0[:] = y_path + h * model.generator(
+        float(t[0]), x[0], x1[0], x2[0], y_path, z_0, u[:, :, 0]
+    ) - z_0 * dw[0]
 
-    cost = float((-y[0]).mean())
-    stderr = float(y[0].std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
+    cost = float((-y_0).mean())
+    stderr = float(y_0.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
+    return CostSamples(cost=cost, stderr=stderr, samples=y_0, degraded_steps=degraded)
+
+
+def solve_backward(
+    model: StructuredModel,
+    ensemble: ForwardEnsemble,
+    basis: RegressionBasis,
+) -> BackwardSolution:
+    """The backward sweep with whole y and z, one row per node."""
+    shape = (ensemble.n_steps + 1, ensemble.n_paths)
+    y, z = np.empty(shape), np.zeros(shape)
+    run = _sweep(model, ensemble, basis, y, z)
     return BackwardSolution(
-        times=t, y=y.T, z=z.T, cost=cost, stderr=stderr, degraded_steps=degraded
+        times=ensemble.times, y=y.T, z=z.T, cost=run.cost, stderr=run.stderr,
+        degraded_steps=run.degraded_steps,
     )
+
+
+def cost_samples(
+    model: StructuredModel,
+    ensemble: ForwardEnsemble,
+    basis: RegressionBasis,
+) -> CostSamples:
+    """The backward sweep on a ring of two y rows and one z row: the cost,
+    its standard error and per-path samples of solve_backward, bit for bit,
+    without y and z over the whole ensemble."""
+    n_paths = ensemble.n_paths
+    return _sweep(model, ensemble, basis, np.empty((2, n_paths)), np.zeros((1, n_paths)))
 
 
 def write_backward_csv(sol: BackwardSolution, stream: BinaryIO) -> None:

@@ -32,17 +32,19 @@ block (ForwardEnsemble.nodes) or a block of paths (ForwardEnsemble.paths).
 check_p3_zero and the maximum-condition check walk node-row blocks
 (core.node_blocks), the p3 back-integration from the terminal block with
 its partial sum carried; write_adjoint_csv computes the adjoints for each
-block of paths the CSV writer asks for.  So their temporaries stay the size of one
-block whatever the ensemble size.  The checks read the ensemble's controls u
-and step h as stored; each scales its residuals path by path and reports
-the worst path.  The convexity probe takes path 0 at nodes 0 and
+block of paths the CSV writer asks for.  simulate_q likewise gives q one
+node-row block at a time, carrying one row of log q forward, and
+q_factor_check folds its maximum over those blocks.  So their temporaries
+stay the size of one block whatever the ensemble size.  The checks read
+the ensemble's controls u and step h as stored; each scales its residuals
+path by path and reports the worst path.  The convexity probe takes path 0 at nodes 0 and
 n_steps // 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import BinaryIO, Callable
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -109,33 +111,49 @@ def hamiltonian(model: StructuredModel, t, x, x1, x2, y, z, u, p1, p2, q, k1):
     return h
 
 
-def simulate_q(model: StructuredModel, ensemble: ForwardEnsemble) -> Array:
+def simulate_q(
+    model: StructuredModel, ensemble: ForwardEnsemble
+) -> Iterator[tuple[slice, Array]]:
     """Forward solution of dq = q(f_y dt + f_z dW), q(s) = 1, per path.
 
     Uses multiplicative exponential stepping, which is exact when f_y and
     f_z are constants (the recursive-utility case) and first-order accurate
     otherwise.  The partials are taken at y = z = 0, which is exact whenever
     f is affine in (y, z).
+
+    Yields (blk, q[:, blk]) for each node-row block blk of core.node_blocks
+    in turn, q node-major like the ensemble.  Only one row of log q is
+    carried from block to block, so q is never held over the whole ensemble.
     """
     t, h, u = ensemble.times, ensemble.h, ensemble.u
-    n_paths, n_steps = ensemble.n_paths, ensemble.n_steps
+    n_paths = ensemble.n_paths
     x, x1, x2, dw = ensemble.x.T, ensemble.x1.T, ensemble.x2.T, ensemble.dw.T
     zero = np.zeros(n_paths)
 
-    # Node-major, so that step k writes one contiguous row.
-    log_q = np.zeros((n_steps + 1, n_paths))
-    for k in range(n_steps):
-        tk = float(t[k])
-        fy = model.f_y(tk, x[k], x1[k], x2[k], zero, zero, u[:, :, k])
-        fz = model.f_z(tk, x[k], x1[k], x2[k], zero, zero, u[:, :, k])
-        log_q[k + 1] = log_q[k] + (fy - 0.5 * fz**2) * h + fz * dw[k]
-    return np.exp(log_q).T
+    log_q = np.zeros(n_paths)
+    for blk in node_blocks(n_paths, ensemble.n_steps + 1):
+        rows = np.empty((blk.stop - blk.start, n_paths))
+        for row, k in zip(rows, range(blk.start, blk.stop)):
+            if k:  # the step from node k - 1
+                s, ts = k - 1, float(t[k - 1])
+                fy = model.f_y(ts, x[s], x1[s], x2[s], zero, zero, u[:, :, s])
+                fz = model.f_z(ts, x[s], x1[s], x2[s], zero, zero, u[:, :, s])
+                log_q = log_q + (fy - 0.5 * fz**2) * h + fz * dw[s]
+            row[:] = log_q
+        yield blk, np.exp(rows, out=rows).T
 
 
 def q_factor_check(model: StructuredModel, ensemble: ForwardEnsemble, q: Array) -> CheckReport:
     """Max |simulate_q − q| over every path and node, passing below
-    Q_FACTOR_TOL; the known factor q is (n_nodes,) or (n_paths, n_nodes)."""
-    worst = float(np.max(np.abs(simulate_q(model, ensemble) - q)))
+    Q_FACTOR_TOL; the known factor q is (n_nodes,) or (n_paths, n_nodes).
+
+    The maximum is folded over simulate_q's node-row blocks, NaN
+    propagating, so it is the same number as over the whole ensemble.
+    """
+    worst = -np.inf
+    for blk, q_sim in simulate_q(model, ensemble):
+        worst = np.maximum(worst, np.max(np.abs(q_sim - q[..., blk])))
+    worst = float(worst)
     return CheckReport(
         check="q_factor",
         probes=ensemble.x.shape[1],

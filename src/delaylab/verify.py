@@ -25,6 +25,11 @@ Three families of diagnostics:
   simulated under the optimal policy against the closed-form value
   V(s, x, x1) at the initial state.
 
+compare_controls and closed_form_cost_check read only the cost, its
+standard error and the per-path samples of the backward sweep, so they run
+it through bsdde.cost_samples, which keeps two y rows and one z row in
+place of y and z over the whole ensemble.
+
 Every check returns an hjb.CheckReport, its named numbers in extra.
 """
 
@@ -37,7 +42,7 @@ import numpy as np
 
 from . import sdde
 from .core import FeedbackPolicy, SimConfig, StructuredModel, nan_max, node_blocks
-from .bsdde import RegressionBasis, solve_backward
+from .bsdde import RegressionBasis, cost_samples
 from .hjb import CheckReport, ValueCandidate, args_from_candidate, hamiltonian_at
 from .pmp import CONTROL_GRID_POINTS, AdjointMap, Adjoints, adjoint_from_value
 from .sdde import ForwardEnsemble
@@ -173,11 +178,12 @@ def compare_controls(
 
     def cost(policy):
         # Only the per-path cost samples outlive the call: the forward
-        # ensemble and the backward solution are released before the next
-        # policy is simulated.
+        # ensemble is released before the next policy is simulated, and the
+        # backward sweep keeps two y rows and one z row, never y and z over
+        # the whole ensemble.
         ensemble = sdde.simulate_forward(model, policy, initial_path, config, dw)
-        sol = solve_backward(model, ensemble, basis)
-        return sol.cost, sol.stderr, -sol.y[:, 0]
+        run = cost_samples(model, ensemble, basis)
+        return run.cost, run.stderr, -run.samples
 
     base_value, base_stderr, base_samples = cost(base)
     comparisons = []
@@ -243,17 +249,17 @@ def closed_form_cost_check(
     errors) with a discretization allowance of COST_BIAS_ALLOWANCE times
     the step size.
     """
-    sol = solve_backward(model, ensemble, basis)
+    run = cost_samples(model, ensemble, basis)
     x0 = ensemble.x[0, 0]
     x1_0 = ensemble.x1[0, 0]
     reference = float(cand.v(model.params.start_s, x0, x1_0))
-    tolerance = 3.0 * sol.stderr + COST_BIAS_ALLOWANCE * ensemble.h
-    residual = abs(sol.cost - reference)
+    tolerance = 3.0 * run.stderr + COST_BIAS_ALLOWANCE * ensemble.h
+    residual = abs(run.cost - reference)
     return CheckReport(
         check="cost_check",
         probes=ensemble.n_paths,
         max_residual=residual,
         tolerance=tolerance,
         passed=residual <= tolerance,
-        extra={"cost": sol.cost, "stderr": sol.stderr, "reference": reference},
+        extra={"cost": run.cost, "stderr": run.stderr, "reference": reference},
     )

@@ -1,6 +1,6 @@
 """Test-only helpers: a constant feedback policy, adjoint maps for the
-ensemble checks, and the pathwise check of the delayed chain rule (Itô's
-formula for g(t, X, X1)).
+ensemble checks, pmp.simulate_q's blocks as one array, and the pathwise
+check of the delayed chain rule (Itô's formula for g(t, X, X1)).
 
 Nothing in the package calls these; the unit tests and the acceptance
 criteria do.
@@ -66,6 +66,12 @@ def node_map(adjoint: pmp.Adjoints) -> pmp.AdjointMap:
         return replace(adjoint, times=part.times, **fields)
 
     return adjoint_of
+
+
+def simulated_q(model: StructuredModel, ensemble: ForwardEnsemble) -> Array:
+    """pmp.simulate_q's node-row blocks joined into one (n_paths, n_nodes)
+    array."""
+    return np.concatenate([q for _, q in pmp.simulate_q(model, ensemble)], axis=1)
 
 
 @dataclass

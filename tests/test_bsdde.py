@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from delaylab import bsdde, core, merton, pmp, sdde, verify
-from helpers import constant_policy, value_adjoints
+from helpers import constant_policy, simulated_q, value_adjoints
 
 INITIAL = lambda tau: 1.0  # noqa: E731
 
@@ -321,6 +321,54 @@ class TestDegradation:
         assert np.all(np.isfinite(sol.y))
 
 
+class TestCostSamples:
+    """cost_samples runs the backward sweep on a ring of two y rows and one
+    z row; its numbers are solve_backward's, bit for bit."""
+
+    @staticmethod
+    def assert_same(model, ens, basis):
+        sol = bsdde.solve_backward(model, ens, basis)
+        run = bsdde.cost_samples(model, ens, basis)
+        assert np.array_equal(run.cost, sol.cost) and np.array_equal(run.stderr, sol.stderr)
+        assert np.array_equal(run.samples, sol.y[:, 0])
+        assert run.degraded_steps == sol.degraded_steps
+        return run
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 16])
+    @pytest.mark.parametrize("n_paths", [1, 2, 7, 300])
+    def test_matches_solve_backward(self, n_paths, n_steps):
+        # A generator in y and z, so the ring's Z row feeds every step; a
+        # delay of T fits every grid, one step included.
+        f1 = lambda t, x, x1, y, z, u: -0.3 * y + 0.4 * z * x  # noqa: E731
+        model = make_model(sig=0.4, f1=f1, delta=1.0)
+        cfg = core.SimConfig(n_steps=n_steps, n_paths=n_paths, master_seed=12)
+        ens = sdde.simulate_forward(model, POLICY, INITIAL, cfg)
+        run = self.assert_same(model, ens, bsdde.polynomial_basis(2))
+        assert run.samples.shape == (n_paths,)
+        assert (run.stderr == 0.0) == (n_paths == 1)
+
+    def test_merton_matches_solve_backward(self, merton_setup):
+        p, model, policy, _ = merton_setup
+        policy = verify.scaled_policy(policy, [1.5, 1.0], "u")
+        cfg = core.SimConfig(n_steps=32, n_paths=300, master_seed=4)
+        ens = sdde.simulate_forward(model, policy, INITIAL, cfg)
+        self.assert_same(model, ens, merton.build_basis(p))
+
+    def test_degraded_steps_match(self):
+        model = make_model()
+        cfg = core.SimConfig(n_steps=8, n_paths=50, master_seed=9)
+        ens = sdde.simulate_forward(model, POLICY, INITIAL, cfg)
+
+        def bad_features(x, x1, out):
+            out[0] = 1.0
+            out[1] = x
+            with np.errstate(all="ignore"):
+                out[2] = 1.0 / (x - x)
+
+        basis = bsdde.RegressionBasis(n_features=3, fill=bad_features)
+        assert self.assert_same(model, ens, basis).degraded_steps
+
+
 class TestNodeMajorLayout:
     @pytest.fixture(scope="class")
     def run(self, merton_setup):
@@ -340,7 +388,7 @@ class TestNodeMajorLayout:
         sol = bsdde.solve_backward(model, ens, merton.build_basis(p))
         assert sol.y.shape == sol.z.shape == (300, 33)
         assert sol.y.T.flags.c_contiguous and sol.z.T.flags.c_contiguous
-        assert pmp.simulate_q(model, ens).T.flags.c_contiguous
+        assert all(q.T.flags.c_contiguous for _, q in pmp.simulate_q(model, ens))
 
     def test_results_independent_of_layout(self, run):
         p, model, cand, ens, path = run
@@ -350,7 +398,7 @@ class TestNodeMajorLayout:
         assert np.array_equal(a.y, b.y) and np.array_equal(a.z, b.z)
         assert (a.cost, a.stderr, a.degraded_steps) == (b.cost, b.stderr, b.degraded_steps)
 
-        qa, qb = pmp.simulate_q(model, ens), pmp.simulate_q(model, path)
+        qa, qb = simulated_q(model, ens), simulated_q(model, path)
         assert np.array_equal(qa, qb)
 
         q = merton.exact_q_factor(p, ens.times)

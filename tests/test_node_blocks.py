@@ -3,7 +3,8 @@
 relations_report (with its adjoint mismatch), check_p3_zero and
 maximum_condition_check walk the ensemble in core.node_blocks and take the
 adjoints as a map of the block; write_adjoint_csv calls that map per path
-block.  The references below are the same checks written over whole
+block.  simulate_q gives q one node-row block at a time, and q_factor_check
+folds its maximum over those blocks.  The references below are the same checks written over whole
 (n_paths, n_nodes) arrays at once, from the map called on the whole
 ensemble; every report and every byte must be the same at any block size.
 """
@@ -18,7 +19,7 @@ import pytest
 
 from delaylab import core, hjb, merton, pmp, sdde, verify
 from delaylab.hjb import CheckReport, args_from_candidate, generalized_hamiltonian, value_slots
-from helpers import closed_form_adjoints, node_map, value_adjoints
+from helpers import closed_form_adjoints, constant_policy, node_map, value_adjoints
 
 P0 = dict(
     r=0.03, mu0=0.08, sigma=0.2, beta=0.1, gamma=0.5,
@@ -141,6 +142,27 @@ def reference_maximum_condition_check(model, cand, ensemble, adjoint, n_grid=9, 
     )
 
 
+def reference_simulate_q(model, ensemble):
+    """simulate_q over whole arrays: every row of log q, then one exp."""
+    t, h, u = ensemble.times, ensemble.h, ensemble.u
+    x, x1, x2, dw = ensemble.x.T, ensemble.x1.T, ensemble.x2.T, ensemble.dw.T
+    zero = np.zeros(ensemble.n_paths)
+    log_q = np.zeros((ensemble.n_steps + 1, ensemble.n_paths))
+    for k in range(ensemble.n_steps):
+        fy = model.f_y(float(t[k]), x[k], x1[k], x2[k], zero, zero, u[:, :, k])
+        fz = model.f_z(float(t[k]), x[k], x1[k], x2[k], zero, zero, u[:, :, k])
+        log_q[k + 1] = log_q[k] + (fy - 0.5 * fz**2) * h + fz * dw[k]
+    return np.exp(log_q).T
+
+
+def reference_q_factor_check(model, ensemble, q, tol=1e-10):
+    worst = float(np.max(np.abs(reference_simulate_q(model, ensemble) - q)))
+    return CheckReport(
+        check="q_factor", probes=ensemble.x.shape[1], max_residual=worst,
+        tolerance=tol, passed=worst < tol,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Set-up
 # ---------------------------------------------------------------------------
@@ -179,6 +201,27 @@ def merton_setup():
         )
 
     return model, cand, ens, adjoint_of
+
+
+@pytest.fixture(scope="module")
+def stochastic_q_setup():
+    """A model whose q differs path by path: f = (x − 1.3)·y + 0.4·x1·z."""
+    params = core.ModelParams(lam=0.1, delta=0.5, horizon_T=1.0)
+    zero = lambda t, x, x1, y, z, u: np.zeros_like(x)  # noqa: E731
+    model = core.StructuredModel(
+        params=params,
+        b1=lambda t, x, x1, u: 0.1 * x,
+        b2=lambda t, x, x1, u: np.zeros_like(x),
+        sigma=lambda t, x, x1, u: 0.3 * x,
+        f1=lambda t, x, x1, y, z, u: (x - 1.3) * y + 0.4 * x1 * z,
+        f2=zero,
+        phi=lambda x, x1: x,
+        control_set=core.ControlBox(lower=[0.0], upper=[1.0]),
+        f_y=lambda t, x, x1, x2, y, z, u: x - 1.3,
+        f_z=lambda t, x, x1, x2, y, z, u: 0.4 * x1,
+    )
+    cfg = core.SimConfig(n_steps=N_STEPS, n_paths=N_PATHS, master_seed=23)
+    return model, sdde.simulate_forward(model, constant_policy([0.5]), INITIAL, cfg)
 
 
 def with_nan_node(ens, path=2, node=40):
@@ -319,6 +362,34 @@ class TestSameBitsAsWholeEnsemble:
             assert bad(g_alt).any() and np.isfinite(g_alt).any()
 
 
+class TestQFactorBlocks:
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_simulate_q(self, stochastic_q_setup, monkeypatch, rows):
+        model, ens = stochastic_q_setup
+        set_rows(monkeypatch, rows, N_PATHS)
+        blocks = list(pmp.simulate_q(model, ens))
+        assert [blk for blk, _ in blocks] == list(core.node_blocks(N_PATHS, N_STEPS + 1))
+        assert all(q.T.flags.c_contiguous for _, q in blocks)
+        q = np.concatenate([q for _, q in blocks], axis=1)
+        want = reference_simulate_q(model, ens)
+        assert np.array_equal(q, want)
+        assert np.unique(want[:, -1]).size == N_PATHS  # a q of every path's own
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_q_factor_check(self, stochastic_q_setup, monkeypatch, rows):
+        # A known q per node, one per path, and one with a NaN at node 40,
+        # which must reach the report from whichever block holds it.
+        model, ens = stochastic_q_setup
+        per_path = reference_simulate_q(model, ens) * (1.0 + 1e-9 * np.arange(N_PATHS))[:, None]
+        with_nan = per_path.copy()
+        with_nan[2, 40] = np.nan
+        set_rows(monkeypatch, rows, N_PATHS)
+        for q in (np.exp(-0.3 * ens.times), per_path, with_nan):
+            blocked = pmp.q_factor_check(model, ens, q)
+            assert as_text(blocked) == as_text(reference_q_factor_check(model, ens, q))
+        assert np.isnan(blocked.max_residual)
+
+
 def _linear_tie():
     """An ensemble whose worst paths tie across a block boundary.
 
@@ -417,7 +488,8 @@ class TestAdjointCsv:
 
 class TestPeakMemory:
     """A blocked check, building its adjoints included, allocates a few
-    blocks, not copies of the ensemble."""
+    blocks, not copies of the ensemble; a cost-only backward sweep
+    allocates a few rows."""
 
     @pytest.fixture(scope="class")
     def large(self):
@@ -460,3 +532,30 @@ class TestPeakMemory:
         model, cand, ens, p = large
         peak = self._peak(pmp.write_adjoint_csv, ens, Sink(), value_adjoints(model, cand, p))
         assert peak < 2 * ens.x.nbytes
+
+    def test_closed_form_cost_check(self, large):
+        # Two y rows, one z row and the features of one node.
+        model, cand, ens, p = large
+        peak = self._peak(verify.closed_form_cost_check, model, cand, ens, merton.build_basis(p))
+        assert peak < ens.x.nbytes / 4
+
+    def test_q_factor_check(self, large):
+        model, cand, ens, p = large
+        q = merton.exact_q_factor(p, ens.times)
+        peak = self._peak(pmp.q_factor_check, model, ens, q)
+        assert peak < 4 * 8 * core.NODE_BLOCK  # a few blocks of float64
+
+    def test_compare_controls(self, large):
+        # Beyond one forward simulation on given increments, compare_controls
+        # holds its increments, one ensemble array; its backward sweeps add
+        # a few rows.
+        model, cand, ens, p = large
+        cfg = core.SimConfig(n_steps=ens.n_steps, n_paths=ens.n_paths, master_seed=3)
+        policy = merton.build_policy(p)
+        dw = sdde.brownian_increments(cfg.master_seed, cfg.n_paths, cfg.n_steps, ens.h)
+        forward = self._peak(sdde.simulate_forward, model, policy, INITIAL, cfg, dw)
+        del dw
+        detuned = [verify.scaled_policy(policy, [1.1, 1.0], "detuned")]
+        basis = merton.build_basis(p)
+        peak = self._peak(verify.compare_controls, model, policy, detuned, INITIAL, cfg, basis)
+        assert peak < forward + 1.5 * ens.x.nbytes

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from delaylab import core, hjb, merton, pmp, sdde, verify
-from helpers import constant_policy, node_map
+from helpers import constant_policy, node_map, simulated_q
 
 P0 = dict(
     r=0.03, mu0=0.08, sigma=0.2, beta=0.1, gamma=0.5,
@@ -34,7 +34,7 @@ def merton_run():
 class TestQFactor:
     def test_recursive_utility_factor_exponential(self, merton_run):
         # Constant f_y = -beta, f_z = 0: q(t) = e^{-beta t} to rounding.
-        q_sim = pmp.simulate_q(merton_run["model"], merton_run["ensemble"])
+        q_sim = simulated_q(merton_run["model"], merton_run["ensemble"])
         q_ref = merton_run["q"]
         assert np.max(np.abs(q_sim - q_ref[np.newaxis, :])) < 1e-12
 
@@ -58,7 +58,7 @@ class TestQFactor:
         )
         cfg = core.SimConfig(n_steps=64, n_paths=8, master_seed=2)
         ens = sdde.simulate_forward(model, constant_policy([0.0]), INITIAL, cfg)
-        q_sim = pmp.simulate_q(model, ens)
+        q_sim = simulated_q(model, ens)
         w = np.concatenate(
             [np.zeros((ens.n_paths, 1)), np.cumsum(ens.dw, axis=1)], axis=1
         )
@@ -66,7 +66,7 @@ class TestQFactor:
         assert np.max(np.abs(q_sim - q_ref)) < 1e-12
 
     def test_starts_at_one(self, merton_run):
-        q_sim = pmp.simulate_q(merton_run["model"], merton_run["ensemble"])
+        q_sim = simulated_q(merton_run["model"], merton_run["ensemble"])
         assert np.all(q_sim[:, 0] == 1.0)
 
 

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from delaylab import bsdde, core, hjb, pmp, sdde
-from helpers import SmoothTestFunction, constant_policy, delayed_ito_check, node_map
+from helpers import (
+    SmoothTestFunction, constant_policy, delayed_ito_check, node_map, simulated_q,
+)
 
 
 def linear_delay_model(lam=0.1, delta=0.5, T=1.0, a=-0.2, b2=0.3, sig=0.0):
@@ -319,7 +321,7 @@ class TestStepIsRecorded:
         cfg = core.SimConfig(n_steps=64, n_paths=300, master_seed=5)
         ens = sdde.simulate_forward(model, constant_policy([0.5]), lambda tau: 1.0, cfg)
         sol = bsdde.solve_backward(model, ens, bsdde.polynomial_basis(2))
-        q = pmp.simulate_q(model, ens)
+        q = simulated_q(model, ens)
         adj = pmp.adjoint_from_value(model, cand, ens, q)
         p3 = pmp.check_p3_zero(model, cand, ens, node_map(adj))
         return ens, sol, q, p3
