@@ -276,18 +276,22 @@ def hamiltonian_control_gradient(
     """Central-difference gradient of H in each control coordinate.
 
     The gradient and the one shifted copy of the controls keep the memory
-    layout of u.
+    layout of u.  The step e is computed again at each use, the same bits
+    each time, so that no array of it is alive while H is evaluated.
     """
+
+    def step(ui):
+        return GRADIENT_REL_STEP * (1.0 + np.abs(ui))
+
     grads = np.empty_like(u, dtype=float)
     shifted = u.copy(order="K")
     for i in range(u.shape[0]):
-        e = GRADIENT_REL_STEP * (1.0 + np.abs(u[i]))
-        shifted[i] = u[i] + e
+        shifted[i] = u[i] + step(u[i])
         grads[i] = hamiltonian(model, t, x, x1, x2, y, z, shifted, p1, p2, q, k1)
-        shifted[i] = u[i] - e
+        shifted[i] = u[i] - step(u[i])
         grads[i] -= hamiltonian(model, t, x, x1, x2, y, z, shifted, p1, p2, q, k1)
         shifted[i] = u[i]
-        grads[i] /= 2.0 * e  # (H(u + e) − H(u − e)) / 2e, built in place
+        grads[i] /= 2.0 * step(u[i])  # (H(u + e) − H(u − e)) / 2e, built in place
     return grads
 
 

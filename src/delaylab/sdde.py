@@ -60,6 +60,11 @@ class ForwardEnsemble:
     n_paths) buffer, the layout every coefficient takes: u[j] is control j
     laid out like x.  So x.T[k], u[:, :, k] and dw.T[k] are contiguous rows
     holding node k of every path.  h is the step the nodes are apart.
+
+    x2 = X(t − δ) shares its rows with x when δ < T − s (for δ = 0, x2 is
+    x).  When δ ≥ T − s it reads the initial segment φ at every node, the
+    same on every path, and is the sampled φ broadcast over the paths, with
+    path stride 0: no path stores a copy of the prehistory.
     """
 
     times: Array
@@ -82,14 +87,22 @@ class ForwardEnsemble:
         """Nodes blk of every path, as views of the same buffers.
 
         dw keeps the increments that leave those nodes, so it is one column
-        short when blk holds the terminal node.
+        short when blk holds the terminal node.  A broadcast x2 is the
+        exception: its block is copied into the layout of x, since numpy
+        gives a product of two broadcasts over the paths a C-order result,
+        and a check that adds it to node-major arrays runs slower.
         """
+        x, x2 = self.x[:, blk], self.x2[:, blk]
+        if x2.strides[0] == 0:
+            copy = np.empty_like(x)
+            copy[...] = x2
+            x2 = copy
         return replace(
             self,
             times=self.times[blk],
-            x=self.x[:, blk],
+            x=x,
             x1=self.x1[:, blk],
-            x2=self.x2[:, blk],
+            x2=x2,
             u=self.u[:, :, blk],
             dw=self.dw[:, blk],
         )
@@ -170,9 +183,19 @@ def simulate_forward(
     x1 = np.empty((n_steps + 1, n_paths))
     initial, x1[0] = initial_segment(initial_path, params.delta, params.lam, h)
 
-    # xfull[j] holds X(s - δ + j h) over the paths; row lag + k is node t_k.
-    xfull = np.empty((lag + n_steps + 1, n_paths))
-    xfull[: lag + 1] = initial[:, np.newaxis]
+    # x_rows[k] and x2_rows[k] hold X(t_k) and X(t_k − δ) over the paths.
+    if lag >= n_steps:
+        # δ ≥ T − s: X(t − δ) is φ at every node, the same on every path, so
+        # x2 is the sampled segment broadcast over the paths.
+        x_rows = np.empty((n_steps + 1, n_paths))
+        x_rows[0] = initial[lag]
+        x2_rows = np.broadcast_to(initial[: n_steps + 1, np.newaxis], x_rows.shape)
+    else:
+        # xfull[j] holds X(s − δ + j h) over the paths, the prehistory first;
+        # x and x2 are two windows of its rows.
+        xfull = np.empty((lag + n_steps + 1, n_paths))
+        xfull[: lag + 1] = initial[:, np.newaxis]
+        x_rows, x2_rows = xfull[lag:], xfull[: n_steps + 1]
 
     times = params.start_s + h * np.arange(n_steps + 1)
     controls = np.empty((n_steps + 1, n_u, n_paths))
@@ -182,8 +205,8 @@ def simulate_forward(
 
     for k in range(n_steps):
         t = float(times[k])
-        x = xfull[lag + k]
-        x2 = xfull[k]
+        x = x_rows[k]
+        x2 = x2_rows[k]
         x1k = x1[k]
         u = policy.at(t, x, x1k)
         controls[k] = u
@@ -192,19 +215,19 @@ def simulate_forward(
         sg = model.sigma(t, x, x1k, u)
         xn = x + b * h + sg * dw_rows[k]
 
-        bad = ~np.isfinite(xn) | (np.abs(xn) > DIVERGENCE_BOUND)
-        if np.any(bad):
-            raise SimulationDivergedError(step=k + 1, n_bad=int(bad.sum()))
-        xfull[lag + k + 1] = xn
+        in_range = np.abs(xn) <= DIVERGENCE_BOUND  # False on NaN as well
+        if not in_range.all():
+            raise SimulationDivergedError(step=k + 1, n_bad=int(np.count_nonzero(~in_range)))
+        x_rows[k + 1] = xn
         x1[k + 1] = x1k + h * model.x1_drift(x, x1k, x2)
 
-    controls[-1] = policy.at(float(times[-1]), xfull[lag + n_steps], x1[-1])
+    controls[-1] = policy.at(float(times[-1]), x_rows[n_steps], x1[-1])
 
     return ForwardEnsemble(
         times=times,
-        x=xfull[lag:].T,
+        x=x_rows.T,
         x1=x1.T,
-        x2=xfull[: n_steps + 1].T,
+        x2=x2_rows.T,
         u=controls.transpose(1, 2, 0),
         dw=dw,
         h=h,

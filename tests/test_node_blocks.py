@@ -545,6 +545,15 @@ class TestPeakMemory:
         peak = self._peak(pmp.q_factor_check, model, ens, q)
         assert peak < 4 * 8 * core.NODE_BLOCK  # a few blocks of float64
 
+    def test_simulate_forward(self, large):
+        # At δ = T every x2 is φ: on given increments the sweep holds x, x1
+        # and the controls, and a few rows, but no per-path prehistory.
+        model, cand, ens, p = large
+        cfg = core.SimConfig(n_steps=ens.n_steps, n_paths=ens.n_paths, master_seed=3)
+        dw = sdde.brownian_increments(cfg.master_seed, cfg.n_paths, cfg.n_steps, ens.h)
+        peak = self._peak(sdde.simulate_forward, model, merton.build_policy(p), INITIAL, cfg, dw)
+        assert peak < (2.5 + ens.u.shape[0]) * ens.x.nbytes
+
     def test_compare_controls(self, large):
         # Beyond one forward simulation on given increments, compare_controls
         # holds its increments, one ensemble array; its backward sweeps add

@@ -284,6 +284,66 @@ class TestNodeMajorLayout:
         assert (node.mean, node.stderr) == (path.mean, path.stderr)
 
 
+def reference_forward(model, policy, initial_path, cfg):
+    """simulate_forward with the prehistory stored per path: one
+    (lag + n_steps + 1, n_paths) buffer of X, whose first lag + 1 rows are
+    the sampled initial segment, with x2 its first n_steps + 1 rows."""
+    params = model.params
+    h, lag = cfg.step_size(params), cfg.validate_grid(params)
+    n, n_paths = cfg.n_steps, cfg.n_paths
+    x1 = np.empty((n + 1, n_paths))
+    initial, x1[0] = core.initial_segment(initial_path, params.delta, params.lam, h)
+    xfull = np.empty((lag + n + 1, n_paths))
+    xfull[: lag + 1] = initial[:, np.newaxis]
+    times = params.start_s + h * np.arange(n + 1)
+    controls = np.empty((n + 1, policy.n_controls, n_paths))
+    dw = sdde.brownian_increments(cfg.master_seed, n_paths, n, h)
+    for k in range(n):
+        t, x, x2, x1k = float(times[k]), xfull[lag + k], xfull[k], x1[k]
+        controls[k] = u = policy.at(t, x, x1k)
+        b = model.drift(t, x, x1k, x2, u)
+        xfull[lag + k + 1] = x + b * h + model.sigma(t, x, x1k, u) * dw.T[k]
+        x1[k + 1] = x1k + h * model.x1_drift(x, x1k, x2)
+    controls[-1] = policy.at(float(times[-1]), xfull[-1], x1[-1])
+    return dict(
+        x=xfull[lag:].T, x1=x1.T, x2=xfull[: n + 1].T, u=controls.transpose(1, 2, 0), dw=dw
+    )
+
+
+class TestPrehistory:
+    """x2 shares rows with x while the delay reaches back into the
+    simulated path (lag < n_steps); otherwise every node reads φ, and x2 is
+    the sampled segment broadcast over the paths.  Either way the ensemble
+    has the bits of one stored with its whole prehistory."""
+
+    # δ over 16 steps of 1/16: lag 0, 8, 16 and 24.
+    @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0, 1.5])
+    def test_same_bits_as_stored_prehistory(self, delta):
+        model = linear_delay_model(delta=delta, a=0.1, b2=-0.4, sig=0.3)
+        policy = core.FeedbackPolicy(
+            evaluate=lambda t, x, x1: np.stack([0.1 * x + t, x1 - 0.5 * x]), n_controls=2
+        )
+        initial = lambda tau: 1.0 + tau + 0.2 * tau * tau  # noqa: E731
+        cfg = core.SimConfig(n_steps=16, n_paths=40, master_seed=9)
+        ens = sdde.simulate_forward(model, policy, initial, cfg)
+        want = reference_forward(model, policy, initial, cfg)
+        for name, value in want.items():
+            assert np.array_equal(getattr(ens, name), value), name
+        lag = round(delta * cfg.n_steps)
+        assert (ens.x2.strides[0] == 0) == (lag >= cfg.n_steps)
+        if lag == 0:
+            assert np.shares_memory(ens.x2, ens.x)
+
+    def test_node_blocks_lay_out_x2_like_x(self):
+        model = linear_delay_model(delta=1.0, sig=0.3)
+        cfg = core.SimConfig(n_steps=16, n_paths=40, master_seed=2)
+        ens = sdde.simulate_forward(model, POLICY, lambda tau: 1.0 - tau, cfg)
+        part = ens.nodes(slice(3, 8))
+        assert part.x2.T.flags.c_contiguous
+        assert np.array_equal(part.x2, ens.x2[:, 3:8])
+        assert ens.paths(slice(5, 9)).x2.strides[0] == 0
+
+
 def homogeneous_model(start_s, horizon_T):
     """A model whose coefficients do not read t, with f_y, f_z and a p3
     drift, on [start_s, horizon_T]; δ = 0.225 is 16 steps of 0.9/64."""
@@ -344,6 +404,28 @@ class TestDivergenceGuard:
         with pytest.raises(core.SimulationDivergedError) as exc_info:
             sdde.simulate_forward(model, POLICY, lambda tau: 1.0, cfg)
         assert 1 <= exc_info.value.step <= 16
+
+    # X(t_{k+1}) = X(t_k) + dw[k] from X(s) = 1: the given increments place
+    # each bad state at a known step and path.
+    @pytest.mark.parametrize(
+        "value, k, paths",
+        [
+            (np.nan, 3, [0, 4]),
+            (np.inf, 0, [2]),
+            (-2.0 * sdde.DIVERGENCE_BOUND, 5, [1, 2, 3]),
+        ],
+        ids=["nan", "inf", "bound"],
+    )
+    def test_reports_exact_step_and_paths(self, value, k, paths):
+        model = linear_delay_model(a=0.0, b2=0.0, sig=1.0)
+        cfg = core.SimConfig(n_steps=8, n_paths=6, master_seed=0)
+        dw = np.zeros((cfg.n_paths, cfg.n_steps))
+        dw[paths, k] = value
+        # |X| equal to the bound is still finite and in range.
+        dw[5, 1] = sdde.DIVERGENCE_BOUND - 1.0
+        with pytest.raises(core.SimulationDivergedError) as exc_info:
+            sdde.simulate_forward(model, POLICY, lambda tau: 1.0, cfg, dw)
+        assert (exc_info.value.step, exc_info.value.n_bad) == (k + 1, len(paths))
 
 
 class TestDelayedChainRule:
