@@ -20,7 +20,8 @@ of the scalar values, then one line per check) and the exit code.
 
 Every subcommand parses and validates the whole config before any numerical
 work, so each one needs a seed, and an unknown key or a malformed value in
-any section exits with code 2.
+any section, or an output directory that cannot be written, exits with
+code 2.
 
 Exit codes: 0 success, 1 a check failed, 2 configuration error,
 3 numerical divergence or domain failure.
@@ -292,6 +293,19 @@ def build_initial_path(cfg: dict):
     raise ConfigError("initial_path.kind must be 'constant' or 'expr'")
 
 
+def _output_directory(path) -> Path:
+    """path as the run's output directory, which is created only when the
+    run writes to it.  The nearest part of the path that exists must be a
+    writable directory, or this is a ConfigError."""
+    out = Path(path)
+    existing = next(p for p in (out, *out.parents) if os.path.lexists(p))
+    if not existing.is_dir():
+        raise ConfigError(f"output directory {out}: {existing} is not a directory")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise ConfigError(f"output directory {out}: {existing} is not writable")
+    return out
+
+
 @dataclass(frozen=True)
 class Run:
     """One subcommand's inputs, parsed and validated from the whole config.
@@ -314,7 +328,8 @@ class Run:
 
 def build_run(cfg: dict, seed_flag: int | None, out_flag: str | None) -> Run:
     """Parse every section of the config; a malformed value is a ConfigError,
-    and so is a step that does not divide δ or a non-finite initial sample."""
+    and so are a step that does not divide δ, a non-finite initial sample
+    and an output directory that cannot be written."""
     try:
         model, policy, params, cand = build_model_and_policy(cfg)
         output = cfg.get("output", {})
@@ -334,7 +349,7 @@ def build_run(cfg: dict, seed_flag: int | None, out_flag: str | None) -> Run:
             sim=sim,
             initial=initial,
             start=(float(samples[-1]), x1_0),
-            out_dir=Path(out_flag or output.get("directory", "out")),
+            out_dir=_output_directory(out_flag or output.get("directory", "out")),
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
@@ -398,10 +413,13 @@ def cmd_check_hjb(run: Run):
     start_s, span = model.params.start_s, model.params.horizon_T - model.params.start_s
     ss = (start_s + span * np.array([0.1, 0.3, 0.5, 0.7, 0.9])).tolist()
     xs, x1s = np.linspace(0.5, 5.0, 9), np.linspace(0.25, 5.0, 9)
-    x2s = [-10.0, -5.0, 0.0, 5.0, 10.0]
+    # One sweep with the x2 values on a leading axis; res[0] is x2 = 0.
+    x2s = np.reshape([0.0, -10.0, -5.0, 5.0, 10.0], (-1, 1, 1, 1))
+    xg, x1g = np.meshgrid(xs, x1s, indexing="ij")
+    res, _ = hjb.hjb_residual(model, cand, ss, xg, x1g, x2s, maximizer=policy)
     return {}, [
-        hjb.hjb_residual_check(model, cand, ss, xs, x1s, maximizer=policy),
-        hjb.x2_independence_check(model, cand, ss, xs, x1s, x2s, maximizer=policy),
+        hjb.hjb_residual_check(res[0]),
+        hjb.x2_independence_check(res),
         hjb.compatibility_pde_check(model, cand, ss[0], xs, x1s, policy),
     ]
 

@@ -27,8 +27,11 @@ the terms that depend on u.  maximize_hamiltonian works on plain arrays that
 broadcast together, and evaluates its tensor grid one node at a time, so its
 memory is that of a few probe arrays.  hjb_residual takes a sequence of
 probe times: it calls the candidate and the maximizer hint once per time, as
-a float, and stacks their results on one axis just before the probe axes, so
-the residual checks make one call for all their times.
+a float, and stacks their results on one axis just before the probe axes;
+x2 may put its values on a leading axis of their own.  check-hjb makes one
+such sweep over all its times and x2 values, and the two residual checks are
+reductions of that one residual: hjb_residual_check of its x2 = 0 slice,
+x2_independence_check of its spread over x2.
 """
 
 from __future__ import annotations
@@ -286,66 +289,35 @@ class CheckReport:
         }
 
 
-def _residual_sweep(model, cand, s_values, x_values, x1_values, x2, maximizer, reduce):
-    """reduce(residual) over s_values on the (x, x1) tensor probe grid, and
-    the number of (s, x, x1) probes.  The residual holds every s value on one
-    axis; max is exact, so one reduce over it is the fold of the per-time
-    reductions."""
-    xg, x1g = np.meshgrid(np.asarray(x_values), np.asarray(x1_values), indexing="ij")
-    res, _ = hjb_residual(model, cand, s_values, xg, x1g, x2, maximizer=maximizer)
-    return reduce(res), len(s_values) * xg.size
+def hjb_residual_check(residual: Array) -> CheckReport:
+    """Max |−V_s + sup_u G| over the probes of an hjb_residual sweep.
 
-
-def hjb_residual_check(
-    model: StructuredModel,
-    cand: ValueCandidate,
-    s_values: Sequence[float],
-    x_values: Array,
-    x1_values: Array,
-    maximizer: FeedbackPolicy | None = None,
-) -> CheckReport:
-    """Max |−V_s + sup_u G| over a tensor probe grid at x2 = 0.
-
-    Passes below HJB_RESIDUAL_TOL.  A residual that cannot be evaluated
-    (NaN) makes the maximum NaN, and the check fails.
+    check-hjb passes its sweep's x2 = 0 slice.  Passes below
+    HJB_RESIDUAL_TOL.  A residual that cannot be evaluated (NaN) makes the
+    maximum NaN, and the check fails.
     """
-    worst, n = _residual_sweep(
-        model, cand, s_values, x_values, x1_values, 0.0, maximizer,
-        lambda res: float(np.max(np.abs(res))),
-    )
+    worst = float(np.max(np.abs(residual)))
     return CheckReport(
         check="hjb_residual",
-        probes=n,
+        probes=residual.size,
         max_residual=worst,
         tolerance=HJB_RESIDUAL_TOL,
         passed=worst < HJB_RESIDUAL_TOL,
     )
 
 
-def x2_independence_check(
-    model: StructuredModel,
-    cand: ValueCandidate,
-    s_values: Sequence[float],
-    x_values: Array,
-    x1_values: Array,
-    x2_values: Sequence[float],
-    maximizer: FeedbackPolicy | None = None,
-) -> CheckReport:
+def x2_independence_check(residual: Array) -> CheckReport:
     """Spread of the residual across x2 values at each probe.
 
-    The reduced equation must hold for every pointwise-delay value, so the
-    residual surface must be flat in x2; a spread of X2_SPREAD_TOL or more
-    flags a broken structural constraint.  A NaN spread makes the check fail.
+    residual holds the x2 values on its leading axis.  The reduced equation
+    must hold for every pointwise-delay value, so the residual surface must
+    be flat in x2; a spread of X2_SPREAD_TOL or more flags a broken
+    structural constraint.  A NaN spread makes the check fail.
     """
-    # Every x2 value on a leading axis of its own, before the probe times'.
-    worst, n = _residual_sweep(
-        model, cand, s_values, x_values, x1_values,
-        np.asarray(x2_values, float).reshape((-1, 1, 1, 1)), maximizer,
-        lambda res: float((res.max(axis=0) - res.min(axis=0)).max()),
-    )
+    worst = float((residual.max(axis=0) - residual.min(axis=0)).max())
     return CheckReport(
         check="x2_independence",
-        probes=n,
+        probes=residual[0].size,
         max_residual=worst,
         tolerance=X2_SPREAD_TOL,
         passed=worst < X2_SPREAD_TOL,
@@ -372,41 +344,33 @@ def compatibility_pde_check(
     ep = params.e_plus
     xg, x1g = np.meshgrid(np.asarray(x_values), np.asarray(x1_values), indexing="ij")
 
-    def composed(name: str):
-        def fun(x, x1):
-            u = policy.at(s, x, x1)
-            if name == "bhat":
-                return model.b1(s, x, x1, u) + ep * (x - params.lam * x1) * model.b2(
-                    s, x, x1, u
-                )
-            if name == "sigma":
-                return model.sigma(s, x, x1, u)
-            if name == "f1":
-                y, z = value_slots(model, cand, s, x, x1, u)
-                return model.f1(s, x, x1, y, z, u)
-            if name == "phi":
-                return model.phi(x, x1)
-            raise ValueError(name)
+    # The composed fields F(x, x1, u) of the four equations; each is taken
+    # at the feedback control of its own (x, x1).
+    composed = {
+        "bhat": lambda x, x1, u: model.b1(s, x, x1, u)
+        + ep * (x - params.lam * x1) * model.b2(s, x, x1, u),
+        "sigma": lambda x, x1, u: model.sigma(s, x, x1, u),
+        "f1": lambda x, x1, u: model.f1(s, x, x1, *value_slots(model, cand, s, x, x1, u), u),
+        "phi": lambda x, x1, u: model.phi(x, x1),
+    }
 
-        return fun
+    def at(field, x, x1):
+        return field(x, x1, policy.at(s, x, x1))
 
     u0 = policy.at(s, xg, x1g)
     y0, z0 = value_slots(model, cand, s, xg, x1g, u0)
     b2_val = model.b2(s, xg, x1g, u0)
     f2_val = model.f2(s, xg, x1g, y0, z0, u0)
 
-    residuals = {}
-    worst = 0.0
+    per_equation = {}
     hx = COMPAT_REL_STEP * (1.0 + np.abs(xg))
     h1 = COMPAT_REL_STEP * (1.0 + np.abs(x1g))
-    for name in ("bhat", "sigma", "f1", "phi"):
-        fun = composed(name)
-        df_dx = (fun(xg + hx, x1g) - fun(xg - hx, x1g)) / (2.0 * hx)
-        df_dx1 = (fun(xg, x1g + h1) - fun(xg, x1g - h1)) / (2.0 * h1)
+    for name, field in composed.items():
+        df_dx = (at(field, xg + hx, x1g) - at(field, xg - hx, x1g)) / (2.0 * hx)
+        df_dx1 = (at(field, xg, x1g + h1) - at(field, xg, x1g - h1)) / (2.0 * h1)
         res = df_dx1 + ep * (f2_val - b2_val * df_dx)
-        res = np.broadcast_to(res, xg.shape)
-        residuals[name] = res
-        worst = nan_max(worst, float(np.max(np.abs(res))))
+        per_equation[name] = float(np.max(np.abs(res)))
+    worst = nan_max(0.0, *per_equation.values())
 
     return CheckReport(
         check="compatibility_pde",
@@ -414,9 +378,5 @@ def compatibility_pde_check(
         max_residual=worst,
         tolerance=COMPAT_TOL,
         passed=worst < COMPAT_TOL,
-        extra={
-            "per_equation": {
-                name: float(np.max(np.abs(r))) for name, r in residuals.items()
-            }
-        },
+        extra={"per_equation": per_equation},
     )

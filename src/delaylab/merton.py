@@ -259,29 +259,26 @@ def _memory_wealth(p: MertonParams, x, x1):
 
 
 def value_function(p: MertonParams) -> ValueCandidate:
-    """Closed-form candidate V(s, x, x1) = −(1/γ) Q(s) (x + θx1)^γ."""
+    """Closed-form candidate V(s, x, x1) = −(1/γ) Q(s) (x + θx1)^γ.
+
+    V and each partial is coef · Q(s) · m^e, with m = x + θx1 and Q the closed
+    form or its derivative.  Q(s) is evaluated before m, so q_closed_form's
+    DomainError comes before _memory_wealth's.
+    """
     g = p.gamma
     th = p.theta
 
-    def v(s, x, x1):
-        return -(1.0 / g) * q_closed_form(s, p) * _memory_wealth(p, x, x1) ** g
+    def term(coef, q, e):
+        return lambda s, x, x1: coef * q(s, p) * _memory_wealth(p, x, x1) ** e
 
-    def v_s(s, x, x1):
-        return -(1.0 / g) * q_derivative(s, p) * _memory_wealth(p, x, x1) ** g
-
-    def v_x(s, x, x1):
-        return -q_closed_form(s, p) * _memory_wealth(p, x, x1) ** (g - 1.0)
-
-    def v_xx(s, x, x1):
-        return -(g - 1.0) * q_closed_form(s, p) * _memory_wealth(p, x, x1) ** (g - 2.0)
-
-    def v_x1(s, x, x1):
-        return -th * q_closed_form(s, p) * _memory_wealth(p, x, x1) ** (g - 1.0)
-
-    def v_xx1(s, x, x1):
-        return -th * (g - 1.0) * q_closed_form(s, p) * _memory_wealth(p, x, x1) ** (g - 2.0)
-
-    return ValueCandidate(v=v, v_s=v_s, v_x=v_x, v_xx=v_xx, v_x1=v_x1, v_xx1=v_xx1)
+    return ValueCandidate(
+        v=term(-(1.0 / g), q_closed_form, g),
+        v_s=term(-(1.0 / g), q_derivative, g),
+        v_x=term(-1.0, q_closed_form, g - 1.0),
+        v_xx=term(-(g - 1.0), q_closed_form, g - 2.0),
+        v_x1=term(-th, q_closed_form, g - 1.0),
+        v_xx1=term(-th * (g - 1.0), q_closed_form, g - 2.0),
+    )
 
 
 def optimal_u(t, x, x1, p: MertonParams):

@@ -1,6 +1,7 @@
 """Test-only helpers: a constant feedback policy, adjoint maps for the
-ensemble checks, pmp.simulate_q's blocks as one array, and the pathwise
-check of the delayed chain rule (Itô's formula for g(t, X, X1)).
+ensemble checks, pmp.simulate_q's blocks as one array, the pathwise
+check of the delayed chain rule (Itô's formula for g(t, X, X1)), and the
+delayed linear-quadratic regulator, an exact family besides Merton's.
 
 Nothing in the package calls these; the unit tests and the acceptance
 criteria do.
@@ -15,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from delaylab import merton, pmp
-from delaylab.core import Array, FeedbackPolicy, StructuredModel
+from delaylab.core import Array, ControlBox, FeedbackPolicy, ModelParams, StructuredModel
 from delaylab.hjb import ValueCandidate
 from delaylab.sdde import ForwardEnsemble
 
@@ -133,3 +134,95 @@ def delayed_ito_check(
     n = residuals.size
     stderr = float(residuals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return ItoCheckReport(mean=mean, stderr=stderr, residuals=residuals)
+
+
+@dataclass(frozen=True)
+class LQParams:
+    """The delayed linear-quadratic regulator on [0, T].
+
+    With Z = x + θx1 its coefficients are b1 = −θx + θλx1 + u,
+    b2 = θe^{−λδ}, σ constant, f1 = −βy − ½u², f2 = 0 and φ = −½gZ².  The
+    delay terms cancel in Z, so dZ = u dt + σ dW, in the Euler scheme too, and
+    every function of Z solves the compatibility system.
+    """
+
+    lam: float = 0.5
+    delta: float = 0.25
+    horizon_T: float = 1.0
+    theta: float = 0.4
+    beta: float = 0.3
+    g: float = 2.0
+    sigma: float = 0.5
+    u_bound: float = 50.0
+
+    def z(self, x, x1):
+        return np.asarray(x, float) + self.theta * np.asarray(x1, float)
+
+    def riccati(self, s):
+        """P(s), with 1/P(s) = −1/β + C·e^{−βs}, C = (1/g + 1/β)e^{βT}; it
+        solves P' = βP + P², P(T) = g."""
+        return 1.0 / (-1.0 / self.beta + self._c() * np.exp(-self.beta * np.asarray(s, float)))
+
+    def offset(self, s):
+        """c(s) = σ²e^{βs}·log(g/P(s)) / (2βC), which solves c' = βc − ½σ²P,
+        c(T) = 0."""
+        s = np.asarray(s, float)
+        return (
+            self.sigma**2 * np.exp(self.beta * s) * np.log(self.g / self.riccati(s))
+            / (2.0 * self.beta * self._c())
+        )
+
+    def _c(self):
+        return (1.0 / self.g + 1.0 / self.beta) * math.exp(self.beta * self.horizon_T)
+
+
+def lq_model(p: LQParams) -> StructuredModel:
+    def const(value):
+        return lambda t, x, *rest: np.broadcast_to(value, np.shape(x))
+
+    return StructuredModel(
+        params=ModelParams(lam=p.lam, delta=p.delta, horizon_T=p.horizon_T),
+        b1=lambda t, x, x1, u: -p.theta * x + p.theta * p.lam * x1 + u[0],
+        b2=const(p.theta * math.exp(-p.lam * p.delta)),
+        sigma=const(p.sigma),
+        f1=lambda t, x, x1, y, z, u: -p.beta * y - 0.5 * u[0] ** 2,
+        f2=const(0.0),
+        phi=lambda x, x1: -0.5 * p.g * p.z(x, x1) ** 2,
+        control_set=ControlBox(lower=[-p.u_bound], upper=[p.u_bound]),
+        f_y=const(-p.beta),
+        f_z=const(0.0),
+    )
+
+
+def lq_candidate(p: LQParams) -> ValueCandidate:
+    """V = ½P(s)Z² + c(s), with V_s from the Riccati equation and c' = βc − ½σ²P."""
+    P = p.riccati
+
+    def v_s(s, x, x1):
+        ps = P(s)
+        return 0.5 * (p.beta * ps + ps**2) * p.z(x, x1) ** 2 + (
+            p.beta * p.offset(s) - 0.5 * p.sigma**2 * ps
+        )
+
+    return ValueCandidate(
+        v=lambda s, x, x1: 0.5 * P(s) * p.z(x, x1) ** 2 + p.offset(s),
+        v_s=v_s,
+        v_x=lambda s, x, x1: P(s) * p.z(x, x1),
+        v_xx=lambda s, x, x1: P(s),
+        v_x1=lambda s, x, x1: p.theta * P(s) * p.z(x, x1),
+        v_xx1=lambda s, x, x1: p.theta * P(s),
+    )
+
+
+def lq_policy(p: LQParams) -> FeedbackPolicy:
+    """u* = −P(t)Z."""
+    return FeedbackPolicy(
+        evaluate=lambda t, x, x1: (-p.riccati(t) * p.z(x, x1))[np.newaxis],
+        n_controls=1,
+        label="lq_optimal",
+    )
+
+
+def lq_q_factor(p: LQParams, times) -> Array:
+    """q(t) = e^{−βt}: f_y = −β and f_z = 0."""
+    return np.exp(-p.beta * np.asarray(times, float))

@@ -31,7 +31,8 @@ INITIAL = lambda tau: 1.0  # noqa: E731
 XS = np.linspace(0.5, 5.0, 9)
 X1S = np.linspace(0.25, 5.0, 9)
 SS = [0.1, 0.3, 0.5, 0.7, 0.9]
-X2S = [-10.0, -5.0, 0.0, 5.0, 10.0]
+# x2 = 0 first: the residual check reads that slice of the one sweep.
+X2S = [0.0, -10.0, -5.0, 5.0, 10.0]
 
 
 def announce(n, passed, detail):
@@ -74,11 +75,12 @@ class CriteriaRunner:
 
     def hjb_checks(self):
         c = self.ctx
-        res = hjb.hjb_residual_check(c["model"], c["cand"], SS, XS, X1S, maximizer=c["policy"])
-        flat = hjb.x2_independence_check(
-            c["model"], c["cand"], SS, XS, X1S, X2S, maximizer=c["policy"]
+        xg, x1g = np.meshgrid(XS, X1S, indexing="ij")
+        residual, _ = hjb.hjb_residual(
+            c["model"], c["cand"], SS, xg, x1g, np.reshape(X2S, (-1, 1, 1, 1)),
+            maximizer=c["policy"],
         )
-        return res, flat
+        return hjb.hjb_residual_check(residual[0]), hjb.x2_independence_check(residual)
 
     def compatibility(self):
         c = self.ctx

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from delaylab import cli, hjb, merton, pmp, verify
+from delaylab import cli, hjb, merton, pmp, sdde, verify
 
 MERTON_CFG = {
     "model": {
@@ -169,6 +169,53 @@ class TestExitCodes:
         assert run(command, write_cfg(tmp_path, cfg), tmp_path / "out") == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "out" / "report.json").exists()
+
+
+class TestOutputDirectory:
+    """An output directory that cannot be written is a config error: the
+    run exits 2 before any simulation and creates nothing."""
+
+    @staticmethod
+    def main_without_simulation(monkeypatch, argv):
+        calls = []
+        monkeypatch.setattr(sdde, "simulate_forward", lambda *a, **k: calls.append(a))
+        code = cli.main(argv)
+        assert calls == []
+        return code
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_below_a_regular_file_is_two(self, tmp_path, monkeypatch, capsys, command, source):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = json.loads(json.dumps(MERTON_CFG))
+        argv = [command, "--quiet"]
+        if source == "flag":
+            argv += ["--out", str(blocker / "sub")]
+        else:
+            cfg["output"] = {"directory": str(blocker / "sub")}
+        argv += ["--config", write_cfg(tmp_path, cfg)]
+        assert self.main_without_simulation(monkeypatch, argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output directory") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert blocker.read_text() == ""
+
+    def test_a_regular_file_is_two(self, tmp_path, monkeypatch, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = ["simulate", "--config", write_cfg(tmp_path, MERTON_CFG), "--out", str(blocker)]
+        assert self.main_without_simulation(monkeypatch, argv) == 2
+        assert "is not a directory" in capsys.readouterr().err
+
+    def test_an_unwritable_directory_is_two(self, tmp_path, monkeypatch, capsys):
+        # os.access stands in for permissions, which do not bind every user.
+        cfg_path = write_cfg(tmp_path, MERTON_CFG)
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        argv = ["simulate", "--config", cfg_path, "--out", str(tmp_path / "out" / "sub")]
+        assert self.main_without_simulation(monkeypatch, argv) == 2
+        assert "is not writable" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSeedHandling:

@@ -19,6 +19,16 @@ X1S = np.linspace(0.25, 5.0, 9)
 SS = [0.1, 0.3, 0.5, 0.7, 0.9]
 
 
+def sweep(model, cand, times, x2s, maximizer=None):
+    """check-hjb's one residual sweep on the (XS, X1S) grid, with the x2
+    values on a leading axis of their own."""
+    xg, x1g = np.meshgrid(XS, X1S, indexing="ij")
+    res, _ = hjb.hjb_residual(
+        model, cand, times, xg, x1g, np.reshape(x2s, (-1, 1, 1, 1)), maximizer=maximizer
+    )
+    return res
+
+
 def with_nan_v_s(cand):
     """The candidate with V_s NaN at the last x probe only."""
     v_s = cand.v_s
@@ -73,10 +83,10 @@ class TestGeneralizedHamiltonian:
 
 class TestResidual:
     def test_closed_form_solves_reduced_equation(self, merton_setup):
-        report = hjb.hjb_residual_check(
-            merton_setup["model"], merton_setup["cand"], SS, XS, X1S,
+        report = hjb.hjb_residual_check(sweep(
+            merton_setup["model"], merton_setup["cand"], SS, [0.0],
             maximizer=merton_setup["policy"],
-        )
+        )[0])
         assert report.passed, report.max_residual
 
     def test_terminal_slice_matches_negated_payoff(self, merton_setup):
@@ -93,49 +103,49 @@ class TestResidual:
     def test_broken_mu1_fails(self):
         p_ok = merton.resolve_constraints(**P0)
         p_bad = merton.resolve_constraints(**P0, mu1=p_ok.mu1 + 0.01)
-        report = hjb.hjb_residual_check(
-            merton.build_model(p_bad), merton.value_function(p_bad), [0.3], XS, X1S,
+        report = hjb.hjb_residual_check(sweep(
+            merton.build_model(p_bad), merton.value_function(p_bad), [0.3], [0.0],
             maximizer=merton.build_policy(p_bad),
-        )
+        )[0])
         assert not report.passed
         assert report.max_residual > 1e-3
 
     def test_nan_at_one_probe_fails(self, merton_setup):
         # The other probes' residuals are below tol; the NaN one must not
         # be folded away.
-        report = hjb.hjb_residual_check(
-            merton_setup["model"], with_nan_v_s(merton_setup["cand"]), SS, XS, X1S,
+        report = hjb.hjb_residual_check(sweep(
+            merton_setup["model"], with_nan_v_s(merton_setup["cand"]), SS, [0.0],
             maximizer=merton_setup["policy"],
-        )
+        )[0])
         assert np.isnan(report.max_residual)
         assert not report.passed
 
 
 class TestX2Independence:
     def test_constrained_model_flat_in_x2(self, merton_setup):
-        report = hjb.x2_independence_check(
-            merton_setup["model"], merton_setup["cand"], SS, XS, X1S,
+        report = hjb.x2_independence_check(sweep(
+            merton_setup["model"], merton_setup["cand"], SS,
             [-10.0, -5.0, 0.0, 5.0, 10.0],
             maximizer=merton_setup["policy"],
-        )
+        ))
         assert report.passed, report.max_residual
 
     def test_broken_theta_fails(self):
         p_ok = merton.resolve_constraints(**P0)
         p_bad = merton.resolve_constraints(**P0, theta=p_ok.theta + 0.01)
-        report = hjb.x2_independence_check(
+        report = hjb.x2_independence_check(sweep(
             merton.build_model(p_bad), merton.value_function(p_bad),
-            [0.3], XS, X1S, [-10.0, 0.0, 10.0],
+            [0.3], [-10.0, 0.0, 10.0],
             maximizer=merton.build_policy(p_bad),
-        )
+        ))
         assert not report.passed
         assert report.max_residual > 1e-3
 
     def test_nan_at_one_probe_fails(self, merton_setup):
-        report = hjb.x2_independence_check(
-            merton_setup["model"], with_nan_v_s(merton_setup["cand"]), SS, XS, X1S,
+        report = hjb.x2_independence_check(sweep(
+            merton_setup["model"], with_nan_v_s(merton_setup["cand"]), SS,
             [-10.0, 0.0, 10.0], maximizer=merton_setup["policy"],
-        )
+        ))
         assert np.isnan(report.max_residual)
         assert not report.passed
 
@@ -244,13 +254,17 @@ def per_time_sweep(model, cand, s_values, x2, maximizer, reduce):
 
 
 class TestBatchedProbeTimes:
-    """One hjb_residual call over every probe time gives the bits of a loop
-    of calls at one time each."""
+    """One hjb_residual call over every probe time and x2 value gives the
+    bits of a loop of calls at one time each."""
 
     @pytest.mark.parametrize("case", BATCH_CASES)
     def test_hjb_residual_check_equals_per_time_loop(self, merton_setup, case):
+        # check-hjb reads its residual check off the x2 = 0 slice of the
+        # sweep over every x2 value.
         model, cand, maximizer, times = batch_case(case, merton_setup)
-        report = hjb.hjb_residual_check(model, cand, times, XS, X1S, maximizer=maximizer)
+        report = hjb.hjb_residual_check(
+            sweep(model, cand, times, [0.0, -10.0, -5.0, 5.0, 10.0], maximizer=maximizer)[0]
+        )
         want = per_time_sweep(
             model, cand, times, 0.0, maximizer, lambda res: float(np.max(np.abs(res)))
         )
@@ -261,9 +275,7 @@ class TestBatchedProbeTimes:
     @pytest.mark.parametrize("case", BATCH_CASES)
     def test_x2_independence_check_equals_per_time_loop(self, merton_setup, case):
         model, cand, maximizer, times = batch_case(case, merton_setup)
-        report = hjb.x2_independence_check(
-            model, cand, times, XS, X1S, X2S, maximizer=maximizer
-        )
+        report = hjb.x2_independence_check(sweep(model, cand, times, X2S, maximizer=maximizer))
         want = per_time_sweep(
             model, cand, times, np.reshape(X2S, (-1, 1, 1, 1)), maximizer,
             lambda res: float((res.max(axis=0) - res.min(axis=0)).max()),
@@ -320,16 +332,18 @@ class TestMaximizerHint:
 
 
 class TestPeakMemory:
-    """The x2 sweep holds a few probe arrays at a time, whatever the number
-    of control grid nodes."""
+    """check-hjb's one residual sweep holds a few probe arrays at a time,
+    whatever the number of control grid nodes."""
 
     def test_x2_independence_check(self, merton_setup):
         model, cand, policy = merton_setup["model"], merton_setup["cand"], merton_setup["policy"]
-        x2s = [-10.0, -5.0, 0.0, 5.0, 10.0]
+        x2s = [0.0, -10.0, -5.0, 5.0, 10.0]
         probe_bytes = np.empty((len(SS), len(x2s), XS.size, X1S.size)).nbytes
         tracemalloc.start()
         try:
-            hjb.x2_independence_check(model, cand, SS, XS, X1S, x2s, maximizer=policy)
+            res = sweep(model, cand, SS, x2s, maximizer=policy)
+            hjb.hjb_residual_check(res[0])
+            hjb.x2_independence_check(res)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -202,6 +202,33 @@ class TestNoMemoryReduction:
         assert float(v_a) == pytest.approx(float(v_b), rel=1e-14)
 
 
+class TestValueFunction:
+    def test_same_bits_as_the_written_out_formulas(self, p0):
+        g, th = p0.gamma, p0.theta
+        cand = merton.value_function(p0)
+        x, x1 = np.meshgrid(np.linspace(0.5, 5.0, 7), np.linspace(0.25, 5.0, 6), indexing="ij")
+        for s in (0.3, np.linspace(0.0, 1.0, 7)[:, None]):
+            q, dq = merton.q_closed_form(s, p0), merton.q_derivative(s, p0)
+            m = x + th * x1
+            want = {
+                "v": -(1.0 / g) * q * m**g,
+                "v_s": -(1.0 / g) * dq * m**g,
+                "v_x": -q * m ** (g - 1.0),
+                "v_xx": -(g - 1.0) * q * m ** (g - 2.0),
+                "v_x1": -th * q * m ** (g - 1.0),
+                "v_xx1": -th * (g - 1.0) * q * m ** (g - 2.0),
+            }
+            for name, value in want.items():
+                assert np.array_equal(getattr(cand, name)(s, x, x1), value), name
+
+    def test_time_outside_the_horizon_raises_before_a_bad_state(self, p0):
+        # Past T the bracket of Q turns negative; m = x + θx1 is negative too.
+        cand = merton.value_function(p0)
+        for fun in (cand.v, cand.v_x, cand.v_xx, cand.v_x1, cand.v_xx1):
+            with pytest.raises(core.DomainError, match="bracket"):
+                fun(100.0, -1.0, 0.0)
+
+
 class TestDomain:
     def test_nonpositive_memory_wealth_rejected(self, p0):
         cand = merton.value_function(p0)
