@@ -215,16 +215,18 @@ def _sweep(
     same operations.  z must start at 0: a single path has no Z fit.
 
     The sweep reads node k of every path as one row of the node-major
-    ensemble.  Each node writes its features as contiguous rows of one
-    (n_features, n_paths) buffer reused by every node.  The two halves of
-    the paths are the two folds of the Z fit, and the sum of their feature
-    products is the Y fit's Gram matrix.  The generator is evaluated once
-    per node, on the regressed and the pathwise y stacked as one
-    (2, n_paths) array.
+    ensemble; X1 comes from ForwardEnsemble.x1_by_node, which rebuilds the
+    nodes from each mark to the next into one reused buffer.  Each node
+    writes its features as contiguous rows of one (n_features, n_paths)
+    buffer reused by every node.  The two halves of the paths are the two
+    folds of the Z fit, and the sum of their feature products is the Y
+    fit's Gram matrix.  The generator is evaluated once per node, on the
+    regressed and the pathwise y stacked as one (2, n_paths) array.
     """
     t, h, u = ensemble.times, ensemble.h, ensemble.u
     n_paths, n_steps = ensemble.n_paths, ensemble.n_steps
-    x, x1, x2, dw = ensemble.x.T, ensemble.x1.T, ensemble.x2.T, ensemble.dw.T
+    x, x2, dw = ensemble.x.T, ensemble.x2.T, ensemble.dw.T
+    x1 = ensemble.x1_by_node(reverse=True)  # rows of X1, node n_steps first
 
     def y_at(k):
         return y[k % len(y)]
@@ -232,7 +234,7 @@ def _sweep(
     def z_at(k):
         return z[k % len(z)]
 
-    y_at(n_steps)[:] = model.phi(x[-1], x1[-1])
+    y_at(n_steps)[:] = model.phi(x[-1], next(x1))
     degraded: list = []
     feats = np.empty((basis.n_features, n_paths))
     halves = _Halves(n_paths, basis.n_features)
@@ -241,7 +243,8 @@ def _sweep(
     y_both[1] = y_at(n_steps)
 
     for k in range(n_steps - 1, 0, -1):
-        basis.fill(x[k], x1[k], feats)
+        x1_k = next(x1)
+        basis.fill(x[k], x1_k, feats)
         y_next, z_k = y_at(k + 1), z_at(k)
         with np.errstate(all="ignore"):
             inverses = halves.inverse_grams(feats)
@@ -251,7 +254,7 @@ def _sweep(
             bad_z = halves.fit_z(feats, inverses, (y_next - centre) * dw[k] / h, z_k)
         y_both[0] = y_next
         f = np.broadcast_to(
-            model.generator(float(t[k]), x[k], x1[k], x2[k], y_both, z_k, u[:, :, k]),
+            model.generator(float(t[k]), x[k], x1_k, x2[k], y_both, z_k, u[:, :, k]),
             y_both.shape,
         )
         with np.errstate(all="ignore"):
@@ -269,7 +272,7 @@ def _sweep(
     y_path = y_both[1]
     y_0 = y_at(0)
     y_0[:] = y_path + h * model.generator(
-        float(t[0]), x[0], x1[0], x2[0], y_path, z_0, u[:, :, 0]
+        float(t[0]), x[0], next(x1), x2[0], y_path, z_0, u[:, :, 0]
     ) - z_0 * dw[0]
 
     cost = float((-y_0).mean())

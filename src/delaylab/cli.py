@@ -34,7 +34,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -293,16 +293,20 @@ def build_initial_path(cfg: dict):
     raise ConfigError("initial_path.kind must be 'constant' or 'expr'")
 
 
-def _output_directory(path) -> Path:
+def _output_directory(path, files: Sequence[str]) -> Path:
     """path as the run's output directory, which is created only when the
     run writes to it.  The nearest part of the path that exists must be a
-    writable directory, or this is a ConfigError."""
+    writable directory, and none of the files the run writes there may be
+    a directory, or this is a ConfigError."""
     out = Path(path)
     existing = next(p for p in (out, *out.parents) if os.path.lexists(p))
     if not existing.is_dir():
         raise ConfigError(f"output directory {out}: {existing} is not a directory")
     if not os.access(existing, os.W_OK | os.X_OK):
         raise ConfigError(f"output directory {out}: {existing} is not writable")
+    for name in files:
+        if (out / name).is_dir():
+            raise ConfigError(f"output directory {out}: {out / name} is a directory")
     return out
 
 
@@ -326,10 +330,10 @@ class Run:
     out_dir: Path
 
 
-def build_run(cfg: dict, seed_flag: int | None, out_flag: str | None) -> Run:
+def build_run(cfg: dict, seed_flag: int | None, out_flag: str | None, files: Sequence[str]) -> Run:
     """Parse every section of the config; a malformed value is a ConfigError,
     and so are a step that does not divide δ, a non-finite initial sample
-    and an output directory that cannot be written."""
+    and an output directory in which the files cannot be written."""
     try:
         model, policy, params, cand = build_model_and_policy(cfg)
         output = cfg.get("output", {})
@@ -349,7 +353,7 @@ def build_run(cfg: dict, seed_flag: int | None, out_flag: str | None) -> Run:
             sim=sim,
             initial=initial,
             start=(float(samples[-1]), x1_0),
-            out_dir=_output_directory(out_flag or output.get("directory", "out")),
+            out_dir=_output_directory(out_flag or output.get("directory", "out"), files),
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
@@ -487,6 +491,9 @@ _COMMANDS = {
     "compare-controls": (cmd_compare_controls, False),
 }
 
+# name -> the files the subcommand writes besides report.json
+_ARTIFACTS = {"simulate": ("forward.csv", "backward.csv"), "check-pmp": ("adjoint.csv",)}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -523,7 +530,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     body, merton_only = _COMMANDS[args.command]
     try:
-        run = build_run(load_config(args.config), args.seed, args.out)
+        files = ("report.json", *_ARTIFACTS.get(args.command, ()))
+        run = build_run(load_config(args.config), args.seed, args.out, files)
         if merton_only and run.params is None:
             raise ConfigError(f"{args.command} requires a model of kind 'merton'")
         values, checks = body(run)

@@ -113,15 +113,17 @@ def hamiltonian_at(model: StructuredModel, s, x, x1, x2, args: GArgs):
 
     The memory term (x − λx1 − e^{-λδ}x2)·q does not depend on u, so it is
     computed once here; every call of the returned map adds it in the same
-    place as a direct evaluation of G, which keeps the same bits.
+    place as a direct evaluation of G, which keeps the same bits.  The map
+    keeps k, p and R but not q, which only the memory term reads.
     """
     memory = model.x1_drift(x, x1, x2) * args.q
+    k, p, R = args.k, args.p, args.R
 
     def g(u):
         b = model.drift(s, x, x1, x2, u)
         sg = model.sigma(s, x, x1, u)
-        f = model.generator(s, x, x1, x2, args.k, sg * args.p, u)
-        return b * args.p + 0.5 * sg**2 * args.R + memory + f
+        f = model.generator(s, x, x1, x2, k, sg * p, u)
+        return b * p + 0.5 * sg**2 * R + memory + f
 
     return g
 

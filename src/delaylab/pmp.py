@@ -33,17 +33,18 @@ check_p3_zero and the maximum-condition check walk node-row blocks
 (core.node_blocks), the p3 back-integration from the terminal block with
 its partial sum carried; write_adjoint_csv computes the adjoints for each
 block of paths the CSV writer asks for.  simulate_q likewise gives q one
-node-row block at a time, carrying one row of log q forward, and
-q_factor_check folds its maximum over those blocks.  So their temporaries
-stay the size of one block whatever the ensemble size.  The checks read
-the ensemble's controls u and step h as stored; each scales its residuals
-path by path and reports the worst path.  The convexity probe takes path 0 at nodes 0 and
-n_steps // 2.
+node-row block at a time, carrying one row of log q and one of X1
+forward, and q_factor_check folds its maximum over those blocks.  So
+their temporaries stay the size of one block whatever the ensemble size.
+The checks read the ensemble's controls u and step h as stored; each
+scales its residuals path by path and reports the worst path.  The
+convexity probe takes path 0 at nodes 0 and n_steps // 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
@@ -97,6 +98,10 @@ class Adjoints:
 # part with its adjoint factor q.
 AdjointMap = Callable[[ForwardEnsemble], Adjoints]
 
+# The adjoints H reads, (p1, p2, q, k1); taken from a map's result, they
+# let k2 be freed before H is evaluated.
+_H_ADJOINTS = attrgetter("p1", "p2", "q", "k1")
+
 
 def hamiltonian(model: StructuredModel, t, x, x1, x2, y, z, u, p1, p2, q, k1):
     """H = p1 b + p2 (x − λx1 − e^{-λδ}x2) + k1 σ − q f.
@@ -122,12 +127,14 @@ def simulate_q(
     f is affine in (y, z).
 
     Yields (blk, q[:, blk]) for each node-row block blk of core.node_blocks
-    in turn, q node-major like the ensemble.  Only one row of log q is
-    carried from block to block, so q is never held over the whole ensemble.
+    in turn, q node-major like the ensemble.  Only one row of log q and one
+    of X1 (ForwardEnsemble.x1_by_node) are carried from node to node, so
+    neither q nor X1 is held over the whole ensemble.
     """
     t, h, u = ensemble.times, ensemble.h, ensemble.u
     n_paths = ensemble.n_paths
-    x, x1, x2, dw = ensemble.x.T, ensemble.x1.T, ensemble.x2.T, ensemble.dw.T
+    x, x2, dw = ensemble.x.T, ensemble.x2.T, ensemble.dw.T
+    x1 = ensemble.x1_by_node()
     zero = np.zeros(n_paths)
 
     log_q = np.zeros(n_paths)
@@ -135,9 +142,9 @@ def simulate_q(
         rows = np.empty((blk.stop - blk.start, n_paths))
         for row, k in zip(rows, range(blk.start, blk.stop)):
             if k:  # the step from node k - 1
-                s, ts = k - 1, float(t[k - 1])
-                fy = model.f_y(ts, x[s], x1[s], x2[s], zero, zero, u[:, :, s])
-                fz = model.f_z(ts, x[s], x1[s], x2[s], zero, zero, u[:, :, s])
+                s, ts, x1_s = k - 1, float(t[k - 1]), next(x1)
+                fy = model.f_y(ts, x[s], x1_s, x2[s], zero, zero, u[:, :, s])
+                fz = model.f_z(ts, x[s], x1_s, x2[s], zero, zero, u[:, :, s])
                 log_q = log_q + (fy - 0.5 * fz**2) * h + fz * dw[s]
             row[:] = log_q
         yield blk, np.exp(rows, out=rows).T
@@ -295,14 +302,14 @@ def hamiltonian_control_gradient(
     return grads
 
 
-def _block_maximum_condition(model, cand, part: ForwardEnsemble, adjoint: Adjoints):
+def _block_maximum_condition(model, cand, part: ForwardEnsemble, adjoint_of: AdjointMap):
     """Per-path max |H_u| and max variational gap over one node-row block,
-    part, whose adjoints are adjoint."""
+    part, at the adjoints of adjoint_of."""
     u_star = part.u
+    p1, p2, q, k1 = _H_ADJOINTS(adjoint_of(part))
     y, z = value_slots(model, cand, part.times, part.x, part.x1, u_star)
     grad = hamiltonian_control_gradient(
-        model, part.times, part.x, part.x1, part.x2, y, z, u_star,
-        adjoint.p1, adjoint.p2, adjoint.q, adjoint.k1,
+        model, part.times, part.x, part.x1, part.x2, y, z, u_star, p1, p2, q, k1
     )
     max_grad = np.max(np.abs(grad), axis=(0, 2))
 
@@ -332,8 +339,7 @@ def maximum_condition_check(
     """
     max_grad, worst_vi = np.full(ensemble.n_paths, -np.inf), np.full(ensemble.n_paths, -np.inf)
     for blk in node_blocks(*ensemble.x.shape):
-        part = ensemble.nodes(blk)
-        blk_grad, blk_vi = _block_maximum_condition(model, cand, part, adjoint_of(part))
+        blk_grad, blk_vi = _block_maximum_condition(model, cand, ensemble.nodes(blk), adjoint_of)
         max_grad, worst_vi = np.maximum(max_grad, blk_grad), np.maximum(worst_vi, blk_vi)
 
     worst = np.maximum(max_grad, worst_vi)
@@ -370,12 +376,12 @@ def convexity_spot_check(
     nodes = (0, ensemble.n_steps // 2)
     for k in nodes:
         t = float(ensemble.times[k])
-        x, x1, u = ensemble.x[0, k], ensemble.x1[0, k], ensemble.u[:, 0, k]
+        node = ensemble.nodes(slice(k, k + 1))
+        x, x1, u = node.x[0, 0], node.x1[0, 0], node.u[:, 0, 0]
         y, z = value_slots(model, cand, t, x, x1, u)
-        base = np.array([x, x1, ensemble.x2[0, k], y, z, *u], float)
+        base = np.array([x, x1, node.x2[0, 0], y, z, *u], float)
         n_var = base.size
-        adjoint = adjoint_of(ensemble.nodes(slice(k, k + 1)))
-        p1, p2, q, k1 = (getattr(adjoint, name)[0, 0] for name in ("p1", "p2", "q", "k1"))
+        p1, p2, q, k1 = (a[0, 0] for a in _H_ADJOINTS(adjoint_of(node)))
 
         def h_of(v):
             u = v[5:]

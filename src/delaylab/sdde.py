@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import BinaryIO, Callable
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .core import (
     StructuredModel,
     derive_path_seed,
     initial_segment,
+    node_blocks,
     splitmix64_mix,
     write_long_csv,
 )
@@ -54,26 +55,38 @@ _ULP53 = 2.0**-53  # a 53-bit integer times this is a uniform in [0, 1)
 class ForwardEnsemble:
     """Simulated ensemble, seen as (n_paths, n_steps + 1) arrays.
 
-    The arrays are stored node-major: x, x1, x2 and dw are the transposes
-    of C-order (n_nodes, n_paths) buffers.  u holds the controls as the
-    (n_controls, n_paths, n_nodes) view of a C-order (n_nodes, n_controls,
-    n_paths) buffer, the layout every coefficient takes: u[j] is control j
-    laid out like x.  So x.T[k], u[:, :, k] and dw.T[k] are contiguous rows
-    holding node k of every path.  h is the step the nodes are apart.
+    The arrays are stored node-major: x, x2 and dw are the transposes of
+    C-order (n_nodes, n_paths) buffers, and x1 of a (n_marks, n_paths) one.
+    u holds the controls as the (n_controls, n_paths, n_nodes) view of a
+    C-order (n_nodes, n_controls, n_paths) buffer, the layout every
+    coefficient takes: u[j] is control j laid out like x.  So x.T[k],
+    u[:, :, k] and dw.T[k] are contiguous rows holding node k of every
+    path.  h is the step the nodes are apart.
 
     x2 = X(t − δ) shares its rows with x when δ < T − s (for δ = 0, x2 is
     x).  When δ ≥ T − s it reads the initial segment φ at every node, the
     same on every path, and is the sampled φ broadcast over the paths, with
     path stride 0: no path stores a copy of the prehistory.
+
+    x1 holds X1 only at its marks, nodes 0, mark_every, 2·mark_every, …:
+    column m is node m·mark_every.  The nodes between are rebuilt from the
+    mark before them by the forward sweep's own step, x1 + h·x1_drift(x, x1,
+    x2) of model, which takes only +, − and ×, so every slice gets the same
+    bits as the sweep.  nodes and paths give parts with x1 at every node,
+    and x1_rows and x1_by_node give its rows.  An ensemble built by hand,
+    with x1 at every node, keeps the default mark_every = 1 and needs no
+    model.
     """
 
     times: Array
     x: Array
-    x1: Array
+    x1: Array  # (n_paths, n_marks): the marks
     x2: Array
     u: Array  # (n_controls, n_paths, n_steps + 1)
     dw: Array  # (n_paths, n_steps)
     h: float
+    model: StructuredModel | None = None
+    mark_every: int = 1
 
     @property
     def n_paths(self) -> int:
@@ -83,14 +96,68 @@ class ForwardEnsemble:
     def n_steps(self) -> int:
         return self.x.shape[1] - 1
 
-    def nodes(self, blk: slice) -> "ForwardEnsemble":
-        """Nodes blk of every path, as views of the same buffers.
+    def x1_rows(self, nodes: slice, paths: slice = slice(None), out: Array | None = None) -> Array:
+        """X1 at nodes of paths, as rows: node-major, a (n_nodes, n_paths)
+        view of the marks or a C-order rebuilt array.
 
-        dw keeps the increments that leave those nodes, so it is one column
-        short when blk holds the terminal node.  A broadcast x2 is the
-        exception: its block is copied into the layout of x, since numpy
-        gives a product of two broadcasts over the paths a C-order result,
-        and a check that adds it to node-major arrays runs slower.
+        The rebuild starts at the mark at or before nodes.start and advances
+        every span between two marks at once, one step per row of a span.
+        out, when given, takes the rebuilt rows from that mark on, so it
+        needs a row per node up to nodes.stop; it is not used when every
+        node is a mark.
+        """
+        if self.mark_every == 1:
+            return self.x1.T[nodes, paths]
+        every = self.mark_every
+        start, stop, _ = nodes.indices(self.n_steps + 1)
+        base = start - start % every
+        x, x2 = self.x.T[base:stop, paths], self.x2.T[base:stop, paths]
+        rows = np.empty(x.shape) if out is None else out[: stop - base]
+        marks = rows[::every]
+        marks[...] = self.x1.T[base // every : base // every + len(marks), paths]
+        for j in range(1, min(every, stop - base)):
+            n = len(rows[j::every])
+            rows[j::every] = _x1_step(
+                self.model, self.h, x[j - 1 :: every][:n], rows[j - 1 :: every][:n],
+                x2[j - 1 :: every][:n],
+            )
+        return rows[start - base :]
+
+    def x1_by_node(self, reverse: bool = False) -> Iterator[Array]:
+        """X1 at nodes 0, 1, …, n_steps in turn (n_steps first when
+        reverse), one row over the paths each.
+
+        Forward, one row is carried from node to node by the sweep's step.
+        In reverse, the nodes from each mark to the next are rebuilt into
+        one buffer reused by every span, so a row is valid until the next
+        one is asked for.
+        """
+        every, n_nodes = self.mark_every, self.n_steps + 1
+        marks = self.x1.T
+        if not reverse:
+            row = marks[0]
+            yield row
+            for k in range(1, n_nodes):
+                m, r = divmod(k, every)
+                row = marks[m] if r == 0 else _x1_step(
+                    self.model, self.h, self.x.T[k - 1], row, self.x2.T[k - 1]
+                )
+                yield row
+            return
+        buf = np.empty((min(every, n_nodes), self.n_paths)) if every > 1 else None
+        for first in reversed(range(0, n_nodes, every)):
+            yield from self.x1_rows(slice(first, first + every), out=buf)[::-1]
+
+    def nodes(self, blk: slice) -> "ForwardEnsemble":
+        """Nodes blk of every path, with x1 at every node.
+
+        x, x2, u and dw are views of the same buffers, and so is x1 when
+        every node is a mark; otherwise x1 is rebuilt (x1_rows).  dw keeps
+        the increments that leave those nodes, so it is one column short
+        when blk holds the terminal node.  A broadcast x2 is the exception:
+        its block is copied into the layout of x, since numpy gives a
+        product of two broadcasts over the paths a C-order result, and a
+        check that adds it to node-major arrays runs slower.
         """
         x, x2 = self.x[:, blk], self.x2[:, blk]
         if x2.strides[0] == 0:
@@ -101,17 +168,32 @@ class ForwardEnsemble:
             self,
             times=self.times[blk],
             x=x,
-            x1=self.x1[:, blk],
+            x1=self.x1_rows(blk).T,
             x2=x2,
             u=self.u[:, :, blk],
             dw=self.dw[:, blk],
+            mark_every=1,
         )
 
     def paths(self, blk: slice) -> "ForwardEnsemble":
-        """Paths blk at every node, as views of the same buffers."""
+        """Paths blk at every node, with x1 at every node; the other fields
+        are views of the same buffers, and so is x1 when every node is a
+        mark."""
         return replace(
-            self, x=self.x[blk], x1=self.x1[blk], x2=self.x2[blk], u=self.u[:, blk], dw=self.dw[blk]
+            self,
+            x=self.x[blk],
+            x1=self.x1_rows(slice(None), blk).T,
+            x2=self.x2[blk],
+            u=self.u[:, blk],
+            dw=self.dw[blk],
+            mark_every=1,
         )
+
+
+def _x1_step(model: StructuredModel, h: float, x, x1, x2):
+    """X1 one step on from x1: the forward sweep's step, which rebuilds the
+    nodes between marks to the same bits."""
+    return x1 + h * model.x1_drift(x, x1, x2)
 
 
 def brownian_increments(master_seed: int, n_paths: int, n_steps: int, h: float) -> Array:
@@ -169,6 +251,11 @@ def simulate_forward(
     best stored node-major like the result of brownian_increments.  It is
     used as is in place of the draw for config.master_seed and becomes the
     ensemble's dw, so that runs under several policies can share one draw.
+
+    X1 is kept only at the first node of each core.node_blocks block, its
+    marks (ForwardEnsemble): the sweep carries one row of it from node to
+    node, and beside x, the controls and dw the ensemble holds one row of
+    X1 per block.
     """
     params = model.params
     h = config.step_size(params)
@@ -180,8 +267,9 @@ def simulate_forward(
             f"increments have shape {dw.shape}, expected ({n_paths}, {n_steps})"
         )
 
-    x1 = np.empty((n_steps + 1, n_paths))
-    initial, x1[0] = initial_segment(initial_path, params.delta, params.lam, h)
+    every = next(node_blocks(n_paths, n_steps + 1)).stop  # nodes per block
+    marks = np.empty((-(-(n_steps + 1) // every), n_paths))
+    initial, marks[0] = initial_segment(initial_path, params.delta, params.lam, h)
 
     # x_rows[k] and x2_rows[k] hold X(t_k) and X(t_k − δ) over the paths.
     if lag >= n_steps:
@@ -203,11 +291,11 @@ def simulate_forward(
         dw = brownian_increments(config.master_seed, n_paths, n_steps, h)
     dw_rows = dw.T
 
+    x1k = marks[0]
     for k in range(n_steps):
         t = float(times[k])
         x = x_rows[k]
         x2 = x2_rows[k]
-        x1k = x1[k]
         u = policy.at(t, x, x1k)
         controls[k] = u
 
@@ -219,18 +307,22 @@ def simulate_forward(
         if not in_range.all():
             raise SimulationDivergedError(step=k + 1, n_bad=int(np.count_nonzero(~in_range)))
         x_rows[k + 1] = xn
-        x1[k + 1] = x1k + h * model.x1_drift(x, x1k, x2)
+        x1k = _x1_step(model, h, x, x1k, x2)
+        if (k + 1) % every == 0:
+            marks[(k + 1) // every] = x1k
 
-    controls[-1] = policy.at(float(times[-1]), x_rows[n_steps], x1[-1])
+    controls[-1] = policy.at(float(times[-1]), x_rows[n_steps], x1k)
 
     return ForwardEnsemble(
         times=times,
         x=x_rows.T,
-        x1=x1.T,
+        x1=marks.T,
         x2=x2_rows.T,
         u=controls.transpose(1, 2, 0),
         dw=dw,
         h=h,
+        model=model,
+        mark_every=every,
     )
 
 

@@ -80,8 +80,9 @@ def _block_relations(model, cand, part: ForwardEnsemble, axes):
     it is not is G(u_alt) evaluated again and masked.
     """
     t, x, x1, x2, u_star = part.times, part.x, part.x1, part.x2, part.u
-    args = args_from_candidate(cand, t, x, x1)
-    g_of_u = hamiltonian_at(model, t, x, x1, x2, args)
+    # The slots are not kept here, so hamiltonian_at frees q once it has
+    # taken the memory term.
+    g_of_u = hamiltonian_at(model, t, x, x1, x2, args_from_candidate(cand, t, x, x1))
 
     g_star = g_of_u(u_star)
     slope = np.max(np.abs(cand.v_s(t, x, x1) - g_star))
@@ -251,7 +252,7 @@ def closed_form_cost_check(
     """
     run = cost_samples(model, ensemble, basis)
     x0 = ensemble.x[0, 0]
-    x1_0 = ensemble.x1[0, 0]
+    x1_0 = ensemble.x1[0, 0]  # mark 0 is node 0
     reference = float(cand.v(model.params.start_s, x0, x1_0))
     tolerance = 3.0 * run.stderr + COST_BIAS_ALLOWANCE * ensemble.h
     residual = abs(run.cost - reference)

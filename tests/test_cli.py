@@ -208,6 +208,22 @@ class TestOutputDirectory:
         assert self.main_without_simulation(monkeypatch, argv) == 2
         assert "is not a directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, name",
+        [(command, "report.json") for command in COMMANDS]
+        + [("simulate", "forward.csv"), ("simulate", "backward.csv"), ("check-pmp", "adjoint.csv")],
+    )
+    def test_an_output_file_that_is_a_directory_is_two(
+        self, tmp_path, monkeypatch, capsys, command, name
+    ):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        argv = [command, "--config", write_cfg(tmp_path, MERTON_CFG), "--out", str(out)]
+        assert self.main_without_simulation(monkeypatch, argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: output directory {out}: {out / name} is a directory\n"
+        assert sorted(p.name for p in out.iterdir()) == [name]
+
     def test_an_unwritable_directory_is_two(self, tmp_path, monkeypatch, capsys):
         # os.access stands in for permissions, which do not bind every user.
         cfg_path = write_cfg(tmp_path, MERTON_CFG)

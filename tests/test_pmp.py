@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from delaylab import core, hjb, merton, pmp, sdde, verify
-from helpers import constant_policy, node_map, simulated_q
+from helpers import constant_policy, every_node, node_map, simulated_q
 
 P0 = dict(
     r=0.03, mu0=0.08, sigma=0.2, beta=0.1, gamma=0.5,
@@ -73,7 +73,7 @@ class TestQFactor:
 class TestAdjointConstruction:
     def test_value_derived_matches_closed_form(self, merton_run):
         p = merton_run["params"]
-        ens = merton_run["ensemble"]
+        ens = every_node(merton_run["ensemble"])
         built = pmp.adjoint_from_value(
             merton_run["model"], merton_run["cand"], ens, merton_run["q"]
         )
@@ -88,9 +88,9 @@ class TestAdjointConstruction:
         p = merton_run["params"]
         ens = merton_run["ensemble"]
         adj = pmp.adjoint_from_value(
-            merton_run["model"], merton_run["cand"], ens, merton_run["q"]
+            merton_run["model"], merton_run["cand"], every_node(ens), merton_run["q"]
         )
-        m_T = ens.x[:, -1] + p.theta * ens.x1[:, -1]
+        m_T = ens.x[:, -1] + p.theta * every_node(ens).x1[:, -1]
         phi_x = m_T ** (p.gamma - 1.0)
         assert adj.p1[:, -1] == pytest.approx(-phi_x * merton_run["q"][-1], rel=1e-12)
         assert adj.p2[:, -1] == pytest.approx(p.theta * adj.p1[:, -1], rel=1e-12)
@@ -99,7 +99,7 @@ class TestAdjointConstruction:
     def test_p2_proportional_to_p1(self, merton_run):
         p = merton_run["params"]
         adj = pmp.adjoint_from_value(
-            merton_run["model"], merton_run["cand"], merton_run["ensemble"],
+            merton_run["model"], merton_run["cand"], every_node(merton_run["ensemble"]),
             merton_run["q"],
         )
         assert np.max(np.abs(adj.p2 - p.theta * adj.p1)) < 1e-12
@@ -109,7 +109,7 @@ class TestP3Reduction:
     def test_constrained_model_p3_vanishes(self, merton_run):
         ens = merton_run["ensemble"]
         adj = pmp.adjoint_from_value(
-            merton_run["model"], merton_run["cand"], ens, merton_run["q"]
+            merton_run["model"], merton_run["cand"], every_node(ens), merton_run["q"]
         )
         report = pmp.check_p3_zero(merton_run["model"], merton_run["cand"], ens, node_map(adj))
         assert report.passed, report.extra
@@ -125,7 +125,7 @@ class TestMaximumCondition:
     def test_optimal_controls_stationary(self, merton_run):
         ens = merton_run["ensemble"]
         adj = pmp.adjoint_from_value(
-            merton_run["model"], merton_run["cand"], ens, merton_run["q"]
+            merton_run["model"], merton_run["cand"], every_node(ens), merton_run["q"]
         )
         report = pmp.maximum_condition_check(
             merton_run["model"], merton_run["cand"], ens, node_map(adj)
@@ -138,7 +138,7 @@ class TestMaximumCondition:
         cfg = core.SimConfig(n_steps=64, n_paths=2, master_seed=13)
         ens = sdde.simulate_forward(merton_run["model"], policy, INITIAL, cfg)
         q = merton.exact_q_factor(merton_run["params"], ens.times)
-        adj = pmp.adjoint_from_value(merton_run["model"], merton_run["cand"], ens, q)
+        adj = pmp.adjoint_from_value(merton_run["model"], merton_run["cand"], every_node(ens), q)
         report = pmp.maximum_condition_check(
             merton_run["model"], merton_run["cand"], ens, node_map(adj)
         )
@@ -169,7 +169,7 @@ class TestEnsembleReportIsWorstPath:
             u=np.concatenate([small.u, large.u], axis=1),
         )
         q = merton.exact_q_factor(merton.resolve_constraints(**P0), ens.times)
-        adj = pmp.adjoint_from_value(model, cand, ens, q)
+        adj = pmp.adjoint_from_value(model, cand, every_node(ens), q)
         return model, cand, ens, adj
 
     def _one_path(self, ens, adj, i):
@@ -230,7 +230,7 @@ class TestAdjointDrift:
 
         def mean_residual(n_steps):
             cfg = core.SimConfig(n_steps=n_steps, n_paths=64, master_seed=19)
-            ens = sdde.simulate_forward(model, policy, INITIAL, cfg)
+            ens = every_node(sdde.simulate_forward(model, policy, INITIAL, cfg))
             q = merton.exact_q_factor(p, ens.times)
             h = (p.horizon_T - p.start_s) / n_steps
             adj = merton.closed_form_adjoints(p, ens, q)
@@ -310,7 +310,7 @@ class TestConvexityProbe:
 
 class TestZeroP3:
     def test_producers_store_a_zero_view(self, merton_run):
-        ens, q = merton_run["ensemble"], merton_run["q"]
+        ens, q = every_node(merton_run["ensemble"]), merton_run["q"]
         for adj in (
             pmp.adjoint_from_value(merton_run["model"], merton_run["cand"], ens, q),
             merton.closed_form_adjoints(merton_run["params"], ens, q),
@@ -331,7 +331,7 @@ def _broken_theta_run(n_paths, seed, u_factor=1.0, initial=INITIAL):
     cfg = core.SimConfig(n_steps=64, n_paths=n_paths, master_seed=seed)
     ens = sdde.simulate_forward(model, policy, initial, cfg)
     q = merton.exact_q_factor(p_bad, ens.times)
-    return model, cand, ens, pmp.adjoint_from_value(model, cand, ens, q)
+    return model, cand, ens, pmp.adjoint_from_value(model, cand, every_node(ens), q)
 
 
 def _linear_model(f1=None, b1=None):

@@ -10,7 +10,7 @@ import pytest
 
 from delaylab import bsdde, core, hjb, pmp, sdde
 from helpers import (
-    SmoothTestFunction, constant_policy, delayed_ito_check, node_map, simulated_q,
+    SmoothTestFunction, constant_policy, delayed_ito_check, every_node, node_map, simulated_q,
 )
 
 
@@ -61,7 +61,7 @@ class TestEulerAccuracy:
                 [np.broadcast_to(initial, (ens.n_paths, lag + 1)), ens.x[:, 1:]], axis=1
             )
             windows = np.lib.stride_tricks.sliding_window_view(history, lag + 1, axis=1)
-            return np.max(np.abs(ens.x1 - windows @ weights), axis=1)
+            return np.max(np.abs(every_node(ens).x1 - windows @ weights), axis=1)
 
         coarse, fine = gap(64), gap(128)
         assert fine.max() < 0.02
@@ -84,9 +84,9 @@ class TestEulerAccuracy:
         # increment X − X − λ·0 keeps X1 at +0.0 bit for bit.
         model = linear_delay_model(lam=lam, delta=0.0, sig=0.4)
         cfg = core.SimConfig(n_steps=64, n_paths=500, master_seed=3)
-        ens = sdde.simulate_forward(model, POLICY, lambda tau: 1.0, cfg)
-        assert np.all(ens.x1 == 0.0)
-        assert not np.any(np.signbit(ens.x1))
+        x1 = every_node(sdde.simulate_forward(model, POLICY, lambda tau: 1.0, cfg)).x1
+        assert np.all(x1 == 0.0)
+        assert not np.any(np.signbit(x1))
 
 
 class TestReproducibility:
@@ -260,11 +260,13 @@ class TestNodeMajorLayout:
         model = linear_delay_model(sig=0.3)
         cfg = core.SimConfig(n_steps=16, n_paths=40, master_seed=2)
         ens = sdde.simulate_forward(model, constant_policy([0.2, 0.5]), lambda tau: 1.0, cfg)
-        assert ens.x.shape == ens.x1.shape == ens.x2.shape == (40, 17)
+        assert ens.x.shape == ens.x2.shape == every_node(ens).x1.shape == (40, 17)
+        assert ens.x1.shape == (40, 1)  # one node block, so one mark
         assert ens.u.shape == (2, 40, 17)
         assert ens.dw.shape == (40, 16)
         for rows in (ens.x.T, ens.x1.T, ens.x2.T, ens.dw.T, ens.u.transpose(2, 0, 1)):
             assert rows.flags.c_contiguous
+        assert every_node(ens).x1.T.flags.c_contiguous
         assert sdde.brownian_increments(2, 40, 16, 1 / 16).T.flags.c_contiguous
 
     def test_chain_rule_defect_independent_of_layout(self):
@@ -310,6 +312,16 @@ def reference_forward(model, policy, initial_path, cfg):
     )
 
 
+def delayed_case(delta):
+    """A model, a two-control policy reading x1 and a curved initial
+    segment, at delay δ."""
+    model = linear_delay_model(delta=delta, a=0.1, b2=-0.4, sig=0.3)
+    policy = core.FeedbackPolicy(
+        evaluate=lambda t, x, x1: np.stack([0.1 * x + t, x1 - 0.5 * x]), n_controls=2
+    )
+    return model, policy, lambda tau: 1.0 + tau + 0.2 * tau * tau
+
+
 class TestPrehistory:
     """x2 shares rows with x while the delay reaches back into the
     simulated path (lag < n_steps); otherwise every node reads φ, and x2 is
@@ -319,15 +331,13 @@ class TestPrehistory:
     # δ over 16 steps of 1/16: lag 0, 8, 16 and 24.
     @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0, 1.5])
     def test_same_bits_as_stored_prehistory(self, delta):
-        model = linear_delay_model(delta=delta, a=0.1, b2=-0.4, sig=0.3)
-        policy = core.FeedbackPolicy(
-            evaluate=lambda t, x, x1: np.stack([0.1 * x + t, x1 - 0.5 * x]), n_controls=2
-        )
-        initial = lambda tau: 1.0 + tau + 0.2 * tau * tau  # noqa: E731
+        model, policy, initial = delayed_case(delta)
         cfg = core.SimConfig(n_steps=16, n_paths=40, master_seed=9)
         ens = sdde.simulate_forward(model, policy, initial, cfg)
         want = reference_forward(model, policy, initial, cfg)
         for name, value in want.items():
+            if name == "x1":  # kept at its marks, one per node block
+                value = value[:, :: ens.mark_every]
             assert np.array_equal(getattr(ens, name), value), name
         lag = round(delta * cfg.n_steps)
         assert (ens.x2.strides[0] == 0) == (lag >= cfg.n_steps)
@@ -342,6 +352,55 @@ class TestPrehistory:
         assert part.x2.T.flags.c_contiguous
         assert np.array_equal(part.x2, ens.x2[:, 3:8])
         assert ens.paths(slice(5, 9)).x2.strides[0] == 0
+
+
+class TestX1Marks:
+    """x1 is kept at the first node of each node block, its marks; nodes,
+    paths and x1_by_node rebuild the nodes between to the bits of the
+    sweep that stores every row (reference_forward).  Marks every 1, 3 or
+    65 nodes (one mark for the 17 nodes), at lags 0, 8, 16 and 24 of 16
+    steps, so x2 shares rows with x or is a broadcast of φ."""
+
+    N_PATHS = 40
+    CFG = core.SimConfig(n_steps=16, n_paths=N_PATHS, master_seed=9)
+
+    def _run(self, monkeypatch, rows, delta):
+        model, policy, initial = delayed_case(delta)
+        monkeypatch.setattr(core, "NODE_BLOCK", rows * self.N_PATHS)
+        ens = sdde.simulate_forward(model, policy, initial, self.CFG)
+        assert ens.mark_every == min(rows, 17)
+        assert ens.x1.shape == (self.N_PATHS, -(-17 // ens.mark_every))
+        return ens, reference_forward(model, policy, initial, self.CFG)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("rows", [1, 3, 65])
+    def test_nodes_and_paths_match_every_row(self, monkeypatch, rows, delta):
+        ens, want = self._run(monkeypatch, rows, delta)
+        x1 = want["x1"]
+        for first in range(17):
+            for stop in range(first + 1, 18):
+                part = ens.nodes(slice(first, stop))
+                assert np.array_equal(part.x1, x1[:, first:stop]), (first, stop)
+                assert part.x1.T.flags.c_contiguous
+        for blk in (slice(None), slice(5, 9), slice(39, 40)):
+            assert np.array_equal(ens.paths(blk).x1, x1[blk])
+        assert np.array_equal(np.stack(list(ens.x1_by_node()), axis=1), x1)
+        backward = [row.copy() for row in ens.x1_by_node(reverse=True)]  # rows are reused
+        assert np.array_equal(np.stack(backward[::-1], axis=1), x1)
+
+    @pytest.mark.parametrize("delta", [0.5, 1.5])
+    def test_forward_csv_matches_every_row(self, monkeypatch, delta):
+        # Marks every 3 nodes; the writer asks for 5 paths at a time.
+        ens, want = self._run(monkeypatch, 3, delta)
+        monkeypatch.setattr(core, "CSV_BLOCK_ROWS", 5 * 17)
+        got, ref = io.BytesIO(), io.BytesIO()
+        sdde.write_forward_csv(ens, got)
+        core.write_long_csv(
+            ref, ["x", "x1", "x2", "u", "c", "dw"], ens.times, self.N_PATHS,
+            lambda blk: [want["x"][blk], want["x1"][blk], want["x2"][blk],
+                         *want["u"][:, blk], want["dw"][blk]],
+        )
+        assert got.getvalue() == ref.getvalue()
 
 
 def homogeneous_model(start_s, horizon_T):
@@ -382,7 +441,7 @@ class TestStepIsRecorded:
         ens = sdde.simulate_forward(model, constant_policy([0.5]), lambda tau: 1.0, cfg)
         sol = bsdde.solve_backward(model, ens, bsdde.polynomial_basis(2))
         q = simulated_q(model, ens)
-        adj = pmp.adjoint_from_value(model, cand, ens, q)
+        adj = pmp.adjoint_from_value(model, cand, every_node(ens), q)
         p3 = pmp.check_p3_zero(model, cand, ens, node_map(adj))
         return ens, sol, q, p3
 
