@@ -375,15 +375,19 @@ def write_report(out_dir: Path, payload: dict) -> Path:
 # Subcommands: each body returns its report values and its checks
 # ---------------------------------------------------------------------------
 
+# name -> the files the subcommand writes besides report.json
+_ARTIFACTS = {"simulate": ("forward.csv", "backward.csv"), "check-pmp": ("adjoint.csv",)}
+
 
 def cmd_simulate(run: Run):
     ensemble = sdde.simulate_forward(run.model, run.policy, run.initial, run.sim)
     sol = bsdde.solve_backward(run.model, ensemble, run.basis)
 
+    forward_csv, backward_csv = _ARTIFACTS["simulate"]
     run.out_dir.mkdir(parents=True, exist_ok=True)
-    with open(run.out_dir / "forward.csv", "wb") as fh:
+    with open(run.out_dir / forward_csv, "wb") as fh:
         sdde.write_forward_csv(ensemble, fh)
-    with open(run.out_dir / "backward.csv", "wb") as fh:
+    with open(run.out_dir / backward_csv, "wb") as fh:
         bsdde.write_backward_csv(sol, fh)
     values = {
         "n_paths": ensemble.n_paths,
@@ -392,7 +396,7 @@ def cmd_simulate(run: Run):
         "cost": sol.cost,
         "cost_stderr": sol.stderr,
         "degraded_regression_steps": sol.degraded_steps,
-        "artifacts": ["forward.csv", "backward.csv"],
+        "artifacts": list(_ARTIFACTS["simulate"]),
     }
     return values, []
 
@@ -444,10 +448,11 @@ def cmd_check_pmp(run: Run):
         pmp.convexity_spot_check(model, cand, ensemble, adjoint_of),
     ]
 
+    (adjoint_csv,) = _ARTIFACTS["check-pmp"]
     run.out_dir.mkdir(parents=True, exist_ok=True)
-    with open(run.out_dir / "adjoint.csv", "wb") as fh:
+    with open(run.out_dir / adjoint_csv, "wb") as fh:
         pmp.write_adjoint_csv(ensemble, fh, adjoint_of)
-    return {"artifacts": ["adjoint.csv"]}, checks
+    return {"artifacts": [adjoint_csv]}, checks
 
 
 def cmd_check_relations(run: Run):
@@ -490,9 +495,6 @@ _COMMANDS = {
     "check-relations": (cmd_check_relations, True),
     "compare-controls": (cmd_compare_controls, False),
 }
-
-# name -> the files the subcommand writes besides report.json
-_ARTIFACTS = {"simulate": ("forward.csv", "backward.csv"), "check-pmp": ("adjoint.csv",)}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -401,6 +401,8 @@ def closed_form_adjoints(
     """Adjoint trajectories from the explicit formulas over the ensemble.
 
     q is the adjoint factor, per node (n_nodes,) or per path and node.
+    ensemble.x1 is read at every node, so a simulated ensemble rebuilds it
+    whole; the checks pass node or path blocks (ForwardEnsemble.nodes).
     """
     t, x, x1 = ensemble.times, ensemble.x, ensemble.x1
     m = _memory_wealth(p, x, x1)

@@ -179,6 +179,8 @@ def adjoint_from_value(
     """Adjoints recovered from a candidate value function over the ensemble.
 
     q is the adjoint factor, per node (n_nodes,) or per path and node.
+    ensemble.x1 is read at every node, so a simulated ensemble rebuilds it
+    whole; the checks pass node or path blocks (ForwardEnsemble.nodes).
     """
     t, x, x1, u = ensemble.times, ensemble.x, ensemble.x1, ensemble.u
     fz = model.f_z(t, x, x1, ensemble.x2, *value_slots(model, cand, t, x, x1, u), u)

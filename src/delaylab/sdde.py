@@ -56,31 +56,33 @@ class ForwardEnsemble:
     """Simulated ensemble, seen as (n_paths, n_steps + 1) arrays.
 
     The arrays are stored node-major: x, x2 and dw are the transposes of
-    C-order (n_nodes, n_paths) buffers, and x1 of a (n_marks, n_paths) one.
-    u holds the controls as the (n_controls, n_paths, n_nodes) view of a
-    C-order (n_nodes, n_controls, n_paths) buffer, the layout every
-    coefficient takes: u[j] is control j laid out like x.  So x.T[k],
-    u[:, :, k] and dw.T[k] are contiguous rows holding node k of every
-    path.  h is the step the nodes are apart.
+    C-order (n_nodes, n_paths) buffers, and x1_marks of a (n_marks,
+    n_paths) one.  u holds the controls as the (n_controls, n_paths,
+    n_nodes) view of a C-order (n_nodes, n_controls, n_paths) buffer, the
+    layout every coefficient takes: u[j] is control j laid out like x.  So
+    x.T[k], u[:, :, k] and dw.T[k] are contiguous rows holding node k of
+    every path.  h is the step the nodes are apart.
 
     x2 = X(t − δ) shares its rows with x when δ < T − s (for δ = 0, x2 is
     x).  When δ ≥ T − s it reads the initial segment φ at every node, the
     same on every path, and is the sampled φ broadcast over the paths, with
     path stride 0: no path stores a copy of the prehistory.
 
-    x1 holds X1 only at its marks, nodes 0, mark_every, 2·mark_every, …:
-    column m is node m·mark_every.  The nodes between are rebuilt from the
-    mark before them by the forward sweep's own step, x1 + h·x1_drift(x, x1,
-    x2) of model, which takes only +, − and ×, so every slice gets the same
-    bits as the sweep.  nodes and paths give parts with x1 at every node,
-    and x1_rows and x1_by_node give its rows.  An ensemble built by hand,
-    with x1 at every node, keeps the default mark_every = 1 and needs no
+    x1_marks holds X1 only at its marks, nodes 0, mark_every,
+    2·mark_every, …: column m is node m·mark_every.  The nodes between are
+    rebuilt from the mark before them by the forward sweep's own step,
+    x1 + h·x1_drift(x, x1, x2) of model, which takes only +, − and ×, so
+    every slice gets the same bits as the sweep.  x1 is X1 at every node,
+    rebuilt whole unless every node is a mark; nodes and paths give parts
+    with x1 at every node, and x1_rows and x1_by_node give its rows, which
+    is how the package reads it.  An ensemble built by hand passes X1 at
+    every node as x1_marks, keeps the default mark_every = 1 and needs no
     model.
     """
 
     times: Array
     x: Array
-    x1: Array  # (n_paths, n_marks): the marks
+    x1_marks: Array  # (n_paths, n_marks)
     x2: Array
     u: Array  # (n_controls, n_paths, n_steps + 1)
     dw: Array  # (n_paths, n_steps)
@@ -96,6 +98,13 @@ class ForwardEnsemble:
     def n_steps(self) -> int:
         return self.x.shape[1] - 1
 
+    @property
+    def x1(self) -> Array:
+        """X1 at every node, (n_paths, n_steps + 1): x1_marks itself when
+        every node is a mark, otherwise a whole-ensemble array rebuilt by
+        x1_rows on each read."""
+        return self.x1_rows(slice(None)).T
+
     def x1_rows(self, nodes: slice, paths: slice = slice(None), out: Array | None = None) -> Array:
         """X1 at nodes of paths, as rows: node-major, a (n_nodes, n_paths)
         view of the marks or a C-order rebuilt array.
@@ -107,14 +116,14 @@ class ForwardEnsemble:
         node is a mark.
         """
         if self.mark_every == 1:
-            return self.x1.T[nodes, paths]
+            return self.x1_marks.T[nodes, paths]
         every = self.mark_every
         start, stop, _ = nodes.indices(self.n_steps + 1)
         base = start - start % every
         x, x2 = self.x.T[base:stop, paths], self.x2.T[base:stop, paths]
         rows = np.empty(x.shape) if out is None else out[: stop - base]
         marks = rows[::every]
-        marks[...] = self.x1.T[base // every : base // every + len(marks), paths]
+        marks[...] = self.x1_marks.T[base // every : base // every + len(marks), paths]
         for j in range(1, min(every, stop - base)):
             n = len(rows[j::every])
             rows[j::every] = _x1_step(
@@ -130,10 +139,13 @@ class ForwardEnsemble:
         Forward, one row is carried from node to node by the sweep's step.
         In reverse, the nodes from each mark to the next are rebuilt into
         one buffer reused by every span, so a row is valid until the next
-        one is asked for.
+        one is asked for.  The forward walk does not share that buffer: a
+        block-sized buffer takes pmp.simulate_q, which walks forward in
+        node blocks, from 3.0 to 4.0 blocks of peak memory, where one
+        carried row costs a row.
         """
         every, n_nodes = self.mark_every, self.n_steps + 1
-        marks = self.x1.T
+        marks = self.x1_marks.T
         if not reverse:
             row = marks[0]
             yield row
@@ -168,7 +180,7 @@ class ForwardEnsemble:
             self,
             times=self.times[blk],
             x=x,
-            x1=self.x1_rows(blk).T,
+            x1_marks=self.x1_rows(blk).T,
             x2=x2,
             u=self.u[:, :, blk],
             dw=self.dw[:, blk],
@@ -182,7 +194,7 @@ class ForwardEnsemble:
         return replace(
             self,
             x=self.x[blk],
-            x1=self.x1_rows(slice(None), blk).T,
+            x1_marks=self.x1_rows(slice(None), blk).T,
             x2=self.x2[blk],
             u=self.u[:, blk],
             dw=self.dw[blk],
@@ -316,7 +328,7 @@ def simulate_forward(
     return ForwardEnsemble(
         times=times,
         x=x_rows.T,
-        x1=marks.T,
+        x1_marks=marks.T,
         x2=x2_rows.T,
         u=controls.transpose(1, 2, 0),
         dw=dw,

@@ -252,7 +252,7 @@ def closed_form_cost_check(
     """
     run = cost_samples(model, ensemble, basis)
     x0 = ensemble.x[0, 0]
-    x1_0 = ensemble.x1[0, 0]  # mark 0 is node 0
+    x1_0 = ensemble.x1_marks[0, 0]  # mark 0 is node 0
     reference = float(cand.v(model.params.start_s, x0, x1_0))
     tolerance = 3.0 * run.stderr + COST_BIAS_ALLOWANCE * ensemble.h
     residual = abs(run.cost - reference)

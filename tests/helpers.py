@@ -23,13 +23,6 @@ from delaylab.sdde import ForwardEnsemble
 ADJOINT_FIELDS = ("p1", "p2", "p3", "q", "k1", "k2")
 
 
-def every_node(ensemble: ForwardEnsemble) -> ForwardEnsemble:
-    """The ensemble with X1 at every node, for references written over
-    whole (n_paths, n_nodes) arrays: a simulated ensemble keeps X1 only at
-    its marks."""
-    return ensemble.nodes(slice(None))
-
-
 def constant_policy(values: Sequence[float], label: str = "constant") -> FeedbackPolicy:
     """Policy that returns the same control vector at every state."""
     vec = np.atleast_1d(np.asarray(values, float))
@@ -116,7 +109,6 @@ def delayed_ito_check(
     evaluated at the left node.  The summed defect should be centered at 0
     with spread shrinking like sqrt(h).
     """
-    ensemble = every_node(ensemble)
     t, h = ensemble.times, ensemble.h
     x, x1, x2, u = ensemble.x, ensemble.x1, ensemble.x2, ensemble.u
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from delaylab import bsdde, core, merton, pmp, sdde, verify
-from helpers import constant_policy, every_node, simulated_q, value_adjoints
+from helpers import constant_policy, simulated_q, value_adjoints
 
 INITIAL = lambda tau: 1.0  # noqa: E731
 
@@ -56,7 +56,7 @@ class TestLinearOracles:
         cfg = core.SimConfig(n_steps=16, n_paths=32, master_seed=8)
         ens = sdde.simulate_forward(model, POLICY, INITIAL, cfg)
         sol = bsdde.solve_backward(model, ens, bsdde.polynomial_basis(2))
-        assert np.array_equal(sol.y[:, -1], model.phi(ens.x[:, -1], every_node(ens).x1[:, -1]))
+        assert np.array_equal(sol.y[:, -1], model.phi(ens.x[:, -1], ens.x1[:, -1]))
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +97,7 @@ class TestMertonBenchmark:
         sol = bsdde.solve_backward(model, ens, merton.build_basis(p))
 
         t, h, u = ens.times, ens.h, ens.u
-        x, x1, x2, dw, z = ens.x.T, every_node(ens).x1.T, ens.x2.T, ens.dw.T, sol.z.T
+        x, x1, x2, dw, z = ens.x.T, ens.x1.T, ens.x2.T, ens.dw.T, sol.z.T
         y_hat = model.phi(x[-1], x1[-1])
         for k in range(ens.n_steps - 1, -1, -1):
             f = model.generator(float(t[k]), x[k], x1[k], x2[k], y_hat, z[k], u[:, :, k])
@@ -116,7 +116,7 @@ class TestMertonBenchmark:
         sol = bsdde.solve_backward(model, ens, merton.build_basis(p))
 
         t, h, u = ens.times, ens.h, ens.u
-        x, x1, x2, z = ens.x.T, every_node(ens).x1.T, ens.x2.T, sol.z.T
+        x, x1, x2, z = ens.x.T, ens.x1.T, ens.x2.T, sol.z.T
         y_hat = model.phi(x[-1], x1[-1])
         for k in range(ens.n_steps - 1, -1, -1):
             y_hat = y_hat + h * model.generator(
@@ -154,7 +154,7 @@ class TestGeneratorShapes:
 
         h = float(ens.times[1] - ens.times[0])
         x, dw, z = ens.x.T, ens.dw.T, sol.z.T
-        y_hat = model.phi(x[-1], every_node(ens).x1[:, -1])
+        y_hat = model.phi(x[-1], ens.x1[:, -1])
         for k in range(ens.n_steps - 1, -1, -1):
             y_hat = y_hat + h * (0.5 * x[k]) - z[k] * dw[k]
         assert np.array_equal(sol.y[:, 0], y_hat)
@@ -218,7 +218,7 @@ def reference_backward(model, ensemble, features, ridge=bsdde.RIDGE):
         return pred, False
 
     t, h, u = ensemble.times, ensemble.h, ensemble.u
-    x, x1, x2, dw = ensemble.x.T, every_node(ensemble).x1.T, ensemble.x2.T, ensemble.dw.T
+    x, x1, x2, dw = ensemble.x.T, ensemble.x1.T, ensemble.x2.T, ensemble.dw.T
     n_steps, n_paths = ensemble.n_steps, ensemble.n_paths
     first, second = slice(0, n_paths // 2), slice(n_paths // 2, n_paths)
     y = np.empty((n_steps + 1, n_paths))
@@ -379,7 +379,7 @@ class TestNodeMajorLayout:
         ens = sdde.simulate_forward(model, policy, INITIAL, cfg)
         path = dataclasses.replace(
             ens,
-            **{f: np.ascontiguousarray(getattr(ens, f)) for f in ("x", "x1", "x2", "u", "dw")},
+            **{f: np.ascontiguousarray(getattr(ens, f)) for f in ("x", "x1_marks", "x2", "u", "dw")},
         )
         return p, model, cand, ens, path
 
@@ -402,8 +402,8 @@ class TestNodeMajorLayout:
         assert np.array_equal(qa, qb)
 
         q = merton.exact_q_factor(p, ens.times)
-        adj_a = pmp.adjoint_from_value(model, cand, every_node(ens), q)
-        adj_b = pmp.adjoint_from_value(model, cand, every_node(path), q)
+        adj_a = pmp.adjoint_from_value(model, cand, ens, q)
+        adj_b = pmp.adjoint_from_value(model, cand, path, q)
         for name in ("p1", "p2", "p3", "q", "k1", "k2"):
             assert np.array_equal(getattr(adj_a, name), getattr(adj_b, name))
         adjoint_of = value_adjoints(model, cand, p)  # each block's adjoints in its layout

@@ -19,7 +19,7 @@ import pytest
 
 from delaylab import core, hjb, merton, pmp, sdde, verify
 from delaylab.hjb import CheckReport, args_from_candidate, generalized_hamiltonian, value_slots
-from helpers import closed_form_adjoints, constant_policy, every_node, node_map, value_adjoints
+from helpers import closed_form_adjoints, constant_policy, node_map, value_adjoints
 
 P0 = dict(
     r=0.03, mu0=0.08, sigma=0.2, beta=0.1, gamma=0.5,
@@ -40,7 +40,6 @@ ROWS = (1, 3, N_STEPS + 1)
 
 
 def reference_adjoint_mismatch(model, cand, ensemble, adjoint):
-    ensemble = every_node(ensemble)
     ref = pmp.adjoint_from_value(model, cand, ensemble, adjoint.q)
     mismatch = {}
     for name in ("p1", "p2", "k1", "k2"):
@@ -53,7 +52,6 @@ def reference_adjoint_mismatch(model, cand, ensemble, adjoint):
 
 
 def reference_relations_report(model, cand, ensemble, adjoint, n_grid=9, tol=1e-4):
-    ensemble = every_node(ensemble)
     mismatch = reference_adjoint_mismatch(model, cand, ensemble, adjoint)
 
     t = ensemble.times
@@ -93,7 +91,6 @@ def reference_relations_report(model, cand, ensemble, adjoint, n_grid=9, tol=1e-
 
 
 def reference_check_p3_zero(model, cand, ensemble, adjoint, tol=1e-10):
-    ensemble = every_node(ensemble)
     t, x, x1, u = ensemble.times, ensemble.x, ensemble.x1, ensemble.u
     y, z = value_slots(model, cand, t, x, x1, u)
     b2 = np.broadcast_to(model.b2(t, x, x1, u), x.shape)
@@ -120,7 +117,6 @@ def reference_check_p3_zero(model, cand, ensemble, adjoint, tol=1e-10):
 
 
 def reference_maximum_condition_check(model, cand, ensemble, adjoint, n_grid=9, tol=1e-6):
-    ensemble = every_node(ensemble)
     t, x, x1, x2, u_star = ensemble.times, ensemble.x, ensemble.x1, ensemble.x2, ensemble.u
     y, z = value_slots(model, cand, t, x, x1, u_star)
     grad = pmp.hamiltonian_control_gradient(
@@ -148,7 +144,6 @@ def reference_maximum_condition_check(model, cand, ensemble, adjoint, n_grid=9, 
 
 def reference_simulate_q(model, ensemble):
     """simulate_q over whole arrays: every row of log q, then one exp."""
-    ensemble = every_node(ensemble)
     t, h, u = ensemble.times, ensemble.h, ensemble.u
     x, x1, x2, dw = ensemble.x.T, ensemble.x1.T, ensemble.x2.T, ensemble.dw.T
     zero = np.zeros(ensemble.n_paths)
@@ -286,7 +281,7 @@ class TestSameBitsAsWholeEnsemble:
         model, cand, ens, adjoint_of = merton_setup
         set_rows(monkeypatch, rows, N_PATHS)
         blocked = verify.relations_report(model, cand, ens, adjoint_of)
-        whole = reference_relations_report(model, cand, ens, adjoint_of(every_node(ens)))
+        whole = reference_relations_report(model, cand, ens, adjoint_of(ens))
         assert as_text(blocked) == as_text(whole)
         assert blocked.extra["grid_optimality"] > 0.0  # the detuned controls leave a gap
         assert min(blocked.extra["adjoint_mismatch"].values()) > 0.0
@@ -298,7 +293,7 @@ class TestSameBitsAsWholeEnsemble:
         model, cand, ens, adjoint_of = merton_setup
         set_rows(monkeypatch, rows, N_PATHS)
         blocked = pmp.check_p3_zero(model, cand, ens, adjoint_of)
-        whole = reference_check_p3_zero(model, cand, ens, adjoint_of(every_node(ens)))
+        whole = reference_check_p3_zero(model, cand, ens, adjoint_of(ens))
         assert as_text(blocked) == as_text(whole)
         assert blocked.extra["max_backintegrated"] > 0.0 and blocked.extra["max_drift"] > 0.0
         assert not blocked.passed  # the offsets leave a p3 drift
@@ -308,7 +303,7 @@ class TestSameBitsAsWholeEnsemble:
         model, cand, ens, adjoint_of = merton_setup
         set_rows(monkeypatch, rows, N_PATHS)
         blocked = pmp.maximum_condition_check(model, cand, ens, adjoint_of)
-        whole = reference_maximum_condition_check(model, cand, ens, adjoint_of(every_node(ens)))
+        whole = reference_maximum_condition_check(model, cand, ens, adjoint_of(ens))
         assert as_text(blocked) == as_text(whole)
         assert blocked.max_residual > 1e-3
 
@@ -322,7 +317,7 @@ class TestSameBitsAsWholeEnsemble:
         ens = with_nan_node(ens)
         set_rows(monkeypatch, rows, N_PATHS)
         with np.errstate(all="ignore"):
-            adj = adjoint_of(every_node(ens))
+            adj = adjoint_of(ens)
             blocked = verify.relations_report(model, cand, ens, adjoint_of)
             whole = reference_relations_report(model, cand, ens, adj)
             blocked_max = pmp.maximum_condition_check(model, cand, ens, adjoint_of)
@@ -352,12 +347,11 @@ class TestSameBitsAsWholeEnsemble:
         set_rows(monkeypatch, rows, N_PATHS)
         with np.errstate(all="ignore"):
             blocked = verify.relations_report(model, cand, ens, adjoint_of)
-            whole = reference_relations_report(model, cand, ens, adjoint_of(every_node(ens)))
+            whole = reference_relations_report(model, cand, ens, adjoint_of(ens))
         assert as_text(blocked) == as_text(whole)
         assert np.isfinite(blocked.extra["grid_optimality"])
 
-        full = every_node(ens)
-        t, x, x1, x2, u = full.times, full.x, full.x1, full.x2, full.u
+        t, x, x1, x2, u = ens.times, ens.x, ens.x1, ens.x2, ens.u
         args = args_from_candidate(cand, t, x, x1)
         assert np.all(np.isfinite(generalized_hamiltonian(model, t, x, x1, x2, u, args)))
         for i, bound, bad in ((1, merton.C_BOUND, np.isposinf), (0, -merton.U_BOUND, np.isnan)):
@@ -427,7 +421,7 @@ def _linear_tie():
     ens = sdde.ForwardEnsemble(
         times=np.linspace(0.0, 1.0, n_nodes),
         x=node_major(1.0),
-        x1=node_major(1.0),
+        x1_marks=node_major(1.0),
         x2=node_major(1.0),
         u=np.zeros((n_nodes, 1, N_PATHS)).transpose(1, 2, 0),
         dw=np.zeros((N_STEPS, N_PATHS)).T,
@@ -469,7 +463,7 @@ class TestAdjointCsv:
         _, _, ens, _ = merton_setup
         p, model, cand = merton_model()
         adjoint_of = value_adjoints(model, cand, p)
-        whole = adjoint_of(every_node(ens))
+        whole = adjoint_of(ens)
         want = io.BytesIO()
         core.write_long_csv(
             want, self.NAMES, ens.times, ens.n_paths,

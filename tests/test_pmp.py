@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from delaylab import core, hjb, merton, pmp, sdde, verify
-from helpers import constant_policy, every_node, node_map, simulated_q
+from helpers import ADJOINT_FIELDS, constant_policy, node_map, simulated_q
 
 P0 = dict(
     r=0.03, mu0=0.08, sigma=0.2, beta=0.1, gamma=0.5,
@@ -71,9 +71,30 @@ class TestQFactor:
 
 
 class TestAdjointConstruction:
+    def test_simulated_ensemble_gives_every_node(self, merton_run):
+        # The ensemble keeps X1 at one mark (its 129 nodes fit in one node
+        # block); the whole-ensemble producers read X1 at every node, the
+        # bits of the sweep's recursion stored row by row.
+        p, model, cand = merton_run["params"], merton_run["model"], merton_run["cand"]
+        ens, q = merton_run["ensemble"], merton_run["q"]
+        assert ens.x1_marks.shape == (ens.n_paths, 1)
+        x1 = np.empty(ens.x.shape)
+        x1[:, 0] = ens.x1_marks[:, 0]
+        for k in range(ens.n_steps):
+            x1[:, k + 1] = x1[:, k] + ens.h * model.x1_drift(ens.x[:, k], x1[:, k], ens.x2[:, k])
+        every_row = dataclasses.replace(ens, x1_marks=x1, mark_every=1)
+        assert np.array_equal(ens.x1, x1)
+        for produce in (
+            lambda e: pmp.adjoint_from_value(model, cand, e, q),
+            lambda e: merton.closed_form_adjoints(p, e, q),
+        ):
+            got, want = produce(ens), produce(every_row)
+            for name in ADJOINT_FIELDS:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
     def test_value_derived_matches_closed_form(self, merton_run):
         p = merton_run["params"]
-        ens = every_node(merton_run["ensemble"])
+        ens = merton_run["ensemble"]
         built = pmp.adjoint_from_value(
             merton_run["model"], merton_run["cand"], ens, merton_run["q"]
         )
@@ -88,9 +109,9 @@ class TestAdjointConstruction:
         p = merton_run["params"]
         ens = merton_run["ensemble"]
         adj = pmp.adjoint_from_value(
-            merton_run["model"], merton_run["cand"], every_node(ens), merton_run["q"]
+            merton_run["model"], merton_run["cand"], ens, merton_run["q"]
         )
-        m_T = ens.x[:, -1] + p.theta * every_node(ens).x1[:, -1]
+        m_T = ens.x[:, -1] + p.theta * ens.x1[:, -1]
         phi_x = m_T ** (p.gamma - 1.0)
         assert adj.p1[:, -1] == pytest.approx(-phi_x * merton_run["q"][-1], rel=1e-12)
         assert adj.p2[:, -1] == pytest.approx(p.theta * adj.p1[:, -1], rel=1e-12)
@@ -99,7 +120,7 @@ class TestAdjointConstruction:
     def test_p2_proportional_to_p1(self, merton_run):
         p = merton_run["params"]
         adj = pmp.adjoint_from_value(
-            merton_run["model"], merton_run["cand"], every_node(merton_run["ensemble"]),
+            merton_run["model"], merton_run["cand"], merton_run["ensemble"],
             merton_run["q"],
         )
         assert np.max(np.abs(adj.p2 - p.theta * adj.p1)) < 1e-12
@@ -109,7 +130,7 @@ class TestP3Reduction:
     def test_constrained_model_p3_vanishes(self, merton_run):
         ens = merton_run["ensemble"]
         adj = pmp.adjoint_from_value(
-            merton_run["model"], merton_run["cand"], every_node(ens), merton_run["q"]
+            merton_run["model"], merton_run["cand"], ens, merton_run["q"]
         )
         report = pmp.check_p3_zero(merton_run["model"], merton_run["cand"], ens, node_map(adj))
         assert report.passed, report.extra
@@ -125,7 +146,7 @@ class TestMaximumCondition:
     def test_optimal_controls_stationary(self, merton_run):
         ens = merton_run["ensemble"]
         adj = pmp.adjoint_from_value(
-            merton_run["model"], merton_run["cand"], every_node(ens), merton_run["q"]
+            merton_run["model"], merton_run["cand"], ens, merton_run["q"]
         )
         report = pmp.maximum_condition_check(
             merton_run["model"], merton_run["cand"], ens, node_map(adj)
@@ -138,7 +159,7 @@ class TestMaximumCondition:
         cfg = core.SimConfig(n_steps=64, n_paths=2, master_seed=13)
         ens = sdde.simulate_forward(merton_run["model"], policy, INITIAL, cfg)
         q = merton.exact_q_factor(merton_run["params"], ens.times)
-        adj = pmp.adjoint_from_value(merton_run["model"], merton_run["cand"], every_node(ens), q)
+        adj = pmp.adjoint_from_value(merton_run["model"], merton_run["cand"], ens, q)
         report = pmp.maximum_condition_check(
             merton_run["model"], merton_run["cand"], ens, node_map(adj)
         )
@@ -165,17 +186,17 @@ class TestEnsembleReportIsWorstPath:
         ens = dataclasses.replace(
             small,
             **{f: np.concatenate([getattr(small, f), getattr(large, f)])
-               for f in ("x", "x1", "x2", "dw")},
+               for f in ("x", "x1_marks", "x2", "dw")},
             u=np.concatenate([small.u, large.u], axis=1),
         )
         q = merton.exact_q_factor(merton.resolve_constraints(**P0), ens.times)
-        adj = pmp.adjoint_from_value(model, cand, every_node(ens), q)
+        adj = pmp.adjoint_from_value(model, cand, ens, q)
         return model, cand, ens, adj
 
     def _one_path(self, ens, adj, i):
         rows = slice(i, i + 1)
         one_ens = dataclasses.replace(
-            ens, **{f: getattr(ens, f)[rows] for f in ("x", "x1", "x2", "dw")}, u=ens.u[:, rows]
+            ens, **{f: getattr(ens, f)[rows] for f in ("x", "x1_marks", "x2", "dw")}, u=ens.u[:, rows]
         )
         one_adj = dataclasses.replace(
             adj, **{f: getattr(adj, f)[rows] for f in ("p1", "p2", "p3", "q", "k1", "k2")}
@@ -230,7 +251,7 @@ class TestAdjointDrift:
 
         def mean_residual(n_steps):
             cfg = core.SimConfig(n_steps=n_steps, n_paths=64, master_seed=19)
-            ens = every_node(sdde.simulate_forward(model, policy, INITIAL, cfg))
+            ens = sdde.simulate_forward(model, policy, INITIAL, cfg)
             q = merton.exact_q_factor(p, ens.times)
             h = (p.horizon_T - p.start_s) / n_steps
             adj = merton.closed_form_adjoints(p, ens, q)
@@ -310,7 +331,7 @@ class TestConvexityProbe:
 
 class TestZeroP3:
     def test_producers_store_a_zero_view(self, merton_run):
-        ens, q = every_node(merton_run["ensemble"]), merton_run["q"]
+        ens, q = merton_run["ensemble"], merton_run["q"]
         for adj in (
             pmp.adjoint_from_value(merton_run["model"], merton_run["cand"], ens, q),
             merton.closed_form_adjoints(merton_run["params"], ens, q),
@@ -331,7 +352,7 @@ def _broken_theta_run(n_paths, seed, u_factor=1.0, initial=INITIAL):
     cfg = core.SimConfig(n_steps=64, n_paths=n_paths, master_seed=seed)
     ens = sdde.simulate_forward(model, policy, initial, cfg)
     q = merton.exact_q_factor(p_bad, ens.times)
-    return model, cand, ens, pmp.adjoint_from_value(model, cand, every_node(ens), q)
+    return model, cand, ens, pmp.adjoint_from_value(model, cand, ens, q)
 
 
 def _linear_model(f1=None, b1=None):
@@ -357,7 +378,7 @@ def _still_ensemble(x, x1, x2, u, start=0.2, n_steps=2, h=0.1):
     return sdde.ForwardEnsemble(
         times=start + h * np.arange(n_nodes),
         x=x * full,
-        x1=x1 * full,
+        x1_marks=x1 * full,
         x2=x2 * full,
         u=np.asarray(u, float)[:, np.newaxis, np.newaxis] * full,
         dw=np.zeros((1, n_steps)),

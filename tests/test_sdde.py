@@ -10,7 +10,7 @@ import pytest
 
 from delaylab import bsdde, core, hjb, pmp, sdde
 from helpers import (
-    SmoothTestFunction, constant_policy, delayed_ito_check, every_node, node_map, simulated_q,
+    SmoothTestFunction, constant_policy, delayed_ito_check, node_map, simulated_q,
 )
 
 
@@ -61,7 +61,7 @@ class TestEulerAccuracy:
                 [np.broadcast_to(initial, (ens.n_paths, lag + 1)), ens.x[:, 1:]], axis=1
             )
             windows = np.lib.stride_tricks.sliding_window_view(history, lag + 1, axis=1)
-            return np.max(np.abs(every_node(ens).x1 - windows @ weights), axis=1)
+            return np.max(np.abs(ens.x1 - windows @ weights), axis=1)
 
         coarse, fine = gap(64), gap(128)
         assert fine.max() < 0.02
@@ -84,9 +84,9 @@ class TestEulerAccuracy:
         # increment X − X − λ·0 keeps X1 at +0.0 bit for bit.
         model = linear_delay_model(lam=lam, delta=0.0, sig=0.4)
         cfg = core.SimConfig(n_steps=64, n_paths=500, master_seed=3)
-        x1 = every_node(sdde.simulate_forward(model, POLICY, lambda tau: 1.0, cfg)).x1
-        assert np.all(x1 == 0.0)
-        assert not np.any(np.signbit(x1))
+        ens = sdde.simulate_forward(model, POLICY, lambda tau: 1.0, cfg)
+        assert np.all(ens.x1 == 0.0)
+        assert not np.any(np.signbit(ens.x1))
 
 
 class TestReproducibility:
@@ -251,7 +251,7 @@ def path_major(ens):
     """Copy of an ensemble with every field stored path-major, C-order."""
     return dataclasses.replace(
         ens,
-        **{f: np.ascontiguousarray(getattr(ens, f)) for f in ("x", "x1", "x2", "u", "dw")},
+        **{f: np.ascontiguousarray(getattr(ens, f)) for f in ("x", "x1_marks", "x2", "u", "dw")},
     )
 
 
@@ -260,13 +260,13 @@ class TestNodeMajorLayout:
         model = linear_delay_model(sig=0.3)
         cfg = core.SimConfig(n_steps=16, n_paths=40, master_seed=2)
         ens = sdde.simulate_forward(model, constant_policy([0.2, 0.5]), lambda tau: 1.0, cfg)
-        assert ens.x.shape == ens.x2.shape == every_node(ens).x1.shape == (40, 17)
-        assert ens.x1.shape == (40, 1)  # one node block, so one mark
+        assert ens.x.shape == ens.x1.shape == ens.x2.shape == (40, 17)
+        assert ens.x1_marks.shape == (40, 1)  # one node block, so one mark
         assert ens.u.shape == (2, 40, 17)
         assert ens.dw.shape == (40, 16)
-        for rows in (ens.x.T, ens.x1.T, ens.x2.T, ens.dw.T, ens.u.transpose(2, 0, 1)):
+        for rows in (ens.x.T, ens.x1.T, ens.x1_marks.T, ens.x2.T, ens.dw.T):
             assert rows.flags.c_contiguous
-        assert every_node(ens).x1.T.flags.c_contiguous
+        assert ens.u.transpose(2, 0, 1).flags.c_contiguous
         assert sdde.brownian_increments(2, 40, 16, 1 / 16).T.flags.c_contiguous
 
     def test_chain_rule_defect_independent_of_layout(self):
@@ -336,9 +336,8 @@ class TestPrehistory:
         ens = sdde.simulate_forward(model, policy, initial, cfg)
         want = reference_forward(model, policy, initial, cfg)
         for name, value in want.items():
-            if name == "x1":  # kept at its marks, one per node block
-                value = value[:, :: ens.mark_every]
             assert np.array_equal(getattr(ens, name), value), name
+        assert np.array_equal(ens.x1_marks, want["x1"][:, :: ens.mark_every])
         lag = round(delta * cfg.n_steps)
         assert (ens.x2.strides[0] == 0) == (lag >= cfg.n_steps)
         if lag == 0:
@@ -355,8 +354,8 @@ class TestPrehistory:
 
 
 class TestX1Marks:
-    """x1 is kept at the first node of each node block, its marks; nodes,
-    paths and x1_by_node rebuild the nodes between to the bits of the
+    """X1 is kept at the first node of each node block, its marks; x1,
+    nodes, paths and x1_by_node rebuild the nodes between to the bits of the
     sweep that stores every row (reference_forward).  Marks every 1, 3 or
     65 nodes (one mark for the 17 nodes), at lags 0, 8, 16 and 24 of 16
     steps, so x2 shares rows with x or is a broadcast of φ."""
@@ -369,7 +368,7 @@ class TestX1Marks:
         monkeypatch.setattr(core, "NODE_BLOCK", rows * self.N_PATHS)
         ens = sdde.simulate_forward(model, policy, initial, self.CFG)
         assert ens.mark_every == min(rows, 17)
-        assert ens.x1.shape == (self.N_PATHS, -(-17 // ens.mark_every))
+        assert ens.x1_marks.shape == (self.N_PATHS, -(-17 // ens.mark_every))
         return ens, reference_forward(model, policy, initial, self.CFG)
 
     @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0, 1.5])
@@ -377,6 +376,7 @@ class TestX1Marks:
     def test_nodes_and_paths_match_every_row(self, monkeypatch, rows, delta):
         ens, want = self._run(monkeypatch, rows, delta)
         x1 = want["x1"]
+        assert np.array_equal(ens.x1, x1)
         for first in range(17):
             for stop in range(first + 1, 18):
                 part = ens.nodes(slice(first, stop))
@@ -441,7 +441,7 @@ class TestStepIsRecorded:
         ens = sdde.simulate_forward(model, constant_policy([0.5]), lambda tau: 1.0, cfg)
         sol = bsdde.solve_backward(model, ens, bsdde.polynomial_basis(2))
         q = simulated_q(model, ens)
-        adj = pmp.adjoint_from_value(model, cand, every_node(ens), q)
+        adj = pmp.adjoint_from_value(model, cand, ens, q)
         p3 = pmp.check_p3_zero(model, cand, ens, node_map(adj))
         return ens, sol, q, p3
 
@@ -579,7 +579,7 @@ class TestCsvExport:
         ens = _awkward_ensemble(n_paths=5, n_steps=3, n_u=n_u)
         node = dataclasses.replace(
             ens,
-            **{f: np.asfortranarray(getattr(ens, f)) for f in ("x", "x1", "x2", "dw")},
+            **{f: np.asfortranarray(getattr(ens, f)) for f in ("x", "x1_marks", "x2", "dw")},
             u=np.ascontiguousarray(ens.u.transpose(2, 0, 1)).transpose(1, 2, 0),
         )
         assert node.x.flags.f_contiguous and not node.x.flags.c_contiguous
@@ -647,7 +647,7 @@ def _awkward_ensemble(n_paths, n_steps, n_u):
     return sdde.ForwardEnsemble(
         times=np.resize(np.roll(AWKWARD, 1), n_steps + 1),
         x=column(0),
-        x1=column(1),
+        x1_marks=column(1),
         x2=column(2),
         u=np.stack([column(3 + j) for j in range(n_u)]),
         dw=column(5)[:, :n_steps],

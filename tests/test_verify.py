@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from delaylab import bsdde, core, merton, pmp, sdde, verify
-from helpers import every_node, node_map
+from helpers import node_map
 
 P0 = dict(
     r=0.03, mu0=0.08, sigma=0.2, beta=0.1, gamma=0.5,
@@ -31,7 +31,7 @@ def setup():
 class TestRelations:
     def _adjoints(self, setup, ensemble):
         q = merton.exact_q_factor(setup["params"], ensemble.times)
-        return pmp.adjoint_from_value(setup["model"], setup["cand"], every_node(ensemble), q)
+        return pmp.adjoint_from_value(setup["model"], setup["cand"], ensemble, q)
 
     def test_optimal_policy_passes(self, setup):
         cfg = core.SimConfig(n_steps=128, n_paths=64, master_seed=5)
