@@ -15,7 +15,9 @@ Centring Y_{k+1} leaves the conditional mean of the Z target unchanged,
 since proj[Y_{k+1}] is known at t_k, and removes its Var(Y_{k+1})/h
 variance.  Z is cross-fitted: its coefficients on one half of the paths are
 fitted on the other half, so Z_k never sees the increment ΔW_k it
-multiplies.
+multiplies.  The halves are split at an even path, so that no antithetic
+pair of sdde.brownian_increments straddles them: a partner's increment is
+the path's own, up to sign.
 
 The recursive cost of a policy is J = -Y(s).  Its per-path samples follow
 the equation itself along each path, with Z as a martingale control variate
@@ -26,7 +28,9 @@ the equation itself along each path, with Z as a martingale control variate
 down to the initial node, where each half's Z_0 is the mean of the other
 half's centred target (all paths share the initial state).  The term
 Z_k ΔW_k has mean zero and cancels most of each path's noise; the samples
-also serve the common-random-number policy comparisons.
+also serve the common-random-number policy comparisons.  Their standard
+error is taken over the antithetic pairs (sdde.pair_stderr), each pair's
+mean one sample.
 
 Node k reads only Y_{k+1} and writes Y_k and Z_k, so the one sweep fills
 whatever row buffers it is given.  solve_backward gives it one row per node
@@ -38,14 +42,13 @@ else; both give the same bits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import BinaryIO, Callable
 
 import numpy as np
 
 from .core import Array, StructuredModel, write_long_csv
-from .sdde import ForwardEnsemble
+from .sdde import ForwardEnsemble, pair_stderr
 
 RIDGE = 1e-10
 
@@ -102,8 +105,9 @@ class BackwardSolution:
     variate Z·ΔW, accumulated along each path (regression-free but for Z,
     so their spread is an honest Monte Carlo error).  cost is the recursive
     cost J = −Y(s), the mean of their negatives, and stderr its standard
-    error.  z is the cross-fitted centred Z; z[:, 0] holds the two halves'
-    means and z[:, -1], which the scheme does not define, is stored as 0.
+    error over the antithetic pairs (sdde.pair_stderr).  z is the
+    cross-fitted centred Z; z[:, 0] holds the two halves' means and
+    z[:, -1], which the scheme does not define, is stored as 0.
     """
 
     times: Array
@@ -145,14 +149,19 @@ def _project(features: Array, inverse: Array | None, target: Array, apply_to: Ar
 
 class _Halves:
     """The first and second half of an ensemble's paths: the two folds of
-    the Z fit, each fitted on the other half's paths."""
+    the Z fit, each fitted on the other half's paths.
+
+    The halves hold whole antithetic pairs: the first takes the first
+    ⌊m/2⌋ of the m = ⌈P/2⌉ pairs, the second the rest, an odd last path
+    included.  One or two paths make one group, so no fold.
+    """
 
     def __init__(self, n_paths: int, n_features: int):
-        mid = n_paths // 2
+        mid = 2 * ((n_paths + 1) // 4)
         self.slices = (slice(0, mid), slice(mid, n_paths))
-        # (fitted on, applied to); a single path has no other half.
-        self.folds = ((0, 1), (1, 0)) if n_paths > 1 else ()
-        # An empty half (a single path) divides by 1; its matrix is unused.
+        # (fitted on, applied to); a single group has no other half.
+        self.folds = ((0, 1), (1, 0)) if mid > 0 else ()
+        # An empty first half (one group) divides by 1; its matrix is unused.
         self._sizes = np.array([max(mid, 1), n_paths - mid, n_paths], float)[:, None, None]
         self._ridge = RIDGE * np.eye(n_features)
         self._grams = np.empty((3, n_features, n_features))
@@ -189,8 +198,9 @@ class _Halves:
 @dataclass
 class CostSamples:
     """The recursive cost of a policy from a backward sweep: cost J = −Y(s)
-    and its standard error, the per-path samples y at the initial node
-    (n_paths,), and the steps whose fit fell back to the mean."""
+    and its standard error over the antithetic pairs (sdde.pair_stderr),
+    the per-path samples y at the initial node (n_paths,), and the steps
+    whose fit fell back to the mean."""
 
     cost: float
     stderr: float
@@ -212,7 +222,7 @@ def _sweep(
     row per node they keep the whole solution; with two y rows and one z
     row they form a ring, enough for node k, which reads only Y_{k+1} and
     writes Y_k and Z_k.  Either way every row gets the same values by the
-    same operations.  z must start at 0: a single path has no Z fit.
+    same operations.  z must start at 0: one or two paths have no Z fit.
 
     The sweep reads node k of every path as one row of the node-major
     ensemble; X1 comes from ForwardEnsemble.x1_by_node, which rebuilds the
@@ -276,8 +286,7 @@ def _sweep(
     ) - z_0 * dw[0]
 
     cost = float((-y_0).mean())
-    stderr = float(y_0.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return CostSamples(cost=cost, stderr=stderr, samples=y_0, degraded_steps=degraded)
+    return CostSamples(cost=cost, stderr=pair_stderr(y_0), samples=y_0, degraded_steps=degraded)
 
 
 def solve_backward(

@@ -13,10 +13,12 @@ advanced by its exact pathwise differential identity
     dX1 = [X(t) − e^{-λδ} X(t−δ) − λ X1(t)] dt.
 
 The Brownian
-increments come from a counter-based generator: path i, step k is a fixed
-function of (master_seed, i, k), read from a splitmix64 stream keyed per
-path and turned into normals by Box–Muller.  Ensembles are therefore
-reproducible path by path, whatever their size.
+increments come from a counter-based generator in antithetic pairs: paths
+2i and 2i+1 read the splitmix64 stream keyed by pair i, turned into normals
+by Box–Muller, the second negated, and an odd last path stays plain.  Path
+i, step k is therefore a fixed function of (master_seed, i, k), and
+ensembles are reproducible path by path, whatever their size.  A mean over
+the paths takes its standard error over the pairs (pair_stderr).
 """
 
 from __future__ import annotations
@@ -209,28 +211,61 @@ def _x1_step(model: StructuredModel, h: float, x, x1, x2):
 
 
 def brownian_increments(master_seed: int, n_paths: int, n_steps: int, h: float) -> Array:
-    """Brownian increments of variance h, shape (n_paths, n_steps).
+    """Brownian increments of variance h, shape (n_paths, n_steps), in
+    antithetic pairs.
 
-    Path i reads the splitmix64 stream keyed by derive_path_seed(master_seed, i):
-    its word j is splitmix64_mix(key_i + γ·(j+1)), so every increment is a
-    pure function of (master_seed, i, step) and no path depends on how many
-    others are drawn with it.  Steps 2m and 2m+1 are the Box–Muller pair of
-    words 2m and 2m+1: from their top 53 bits u1 ∈ (0, 1] and u2 ∈ [0, 1),
-    they are r cos 2πu2 and r sin 2πu2 with r = sqrt(−2h ln u1).  An odd last
-    step keeps the cosine alone.  The result is stored node-major: it is the
-    transpose of a C-order (n_steps, n_paths) buffer, into which blocks of
-    about INCREMENT_BLOCK increments are written straight, which bounds the
-    scratch arrays.
+    Paths 2i and 2i+1 are a pair: path 2i reads the splitmix64 stream keyed
+    by derive_path_seed(master_seed, i), and path 2i+1 is its exact
+    negation (Glasserman 2003, §4.2).  An odd last path has no partner and
+    stays plain.  Word j of stream i is splitmix64_mix(key_i + γ·(j+1)), so
+    every increment is a pure function of (master_seed, path, step) and no
+    path depends on how many others are drawn with it.  Steps 2m and 2m+1
+    are the Box–Muller pair of words 2m and 2m+1: from their top 53 bits
+    u1 ∈ (0, 1] and u2 ∈ [0, 1), they are r cos 2πu2 and r sin 2πu2 with
+    r = sqrt(−2h ln u1).  An odd last step keeps the cosine alone.  The
+    result is stored node-major: it is the transpose of a C-order (n_steps,
+    n_paths) buffer, into which blocks of about INCREMENT_BLOCK drawn
+    increments are written straight, which bounds the scratch arrays.
+
+    A pair moves together, so the standard error of a mean over paths is
+    taken over the pairs (pair_stderr).
     """
     dw = np.empty((n_steps, n_paths))
     n_words = 2 * ((n_steps + 1) // 2)
     counters = SPLITMIX64_GAMMA * np.arange(1, n_words + 1, dtype=np.uint64)
-    cols = max(1, INCREMENT_BLOCK // max(n_steps, 1))
-    for start in range(0, n_paths, cols):
-        stop = min(start + cols, n_paths)
+    n_streams = (n_paths + 1) // 2
+    cols = max(1, INCREMENT_BLOCK // max(n_steps, 1))  # streams per block
+    for start in range(0, n_streams, cols):
+        stop = min(start + cols, n_streams)
         keys = derive_path_seed(master_seed, np.arange(start, stop))
-        _box_muller(dw[:, start:stop], keys, counters, h)
+        drawn = dw[:, 2 * start : 2 * stop : 2]
+        _box_muller(drawn, keys, counters, h)
+        negated = dw[:, 2 * start + 1 : 2 * stop : 2]  # one short for an odd last path
+        np.negative(drawn[:, : negated.shape[1]], out=negated)
     return dw.T
+
+
+def pair_stderr(samples: Array) -> float:
+    """Standard error of the mean of per-path samples drawn on
+    brownian_increments' antithetic pairs, each pair one cluster.
+
+    Over the m groups (the pairs, and an odd last path as a group of one)
+    with sums G_j of n_j samples around the mean J̄ of all P,
+
+        se² = m/(m−1) · Σ_j (G_j − n_j·J̄)² / P²,
+
+    which for even P is std(pair means, ddof=1)/√m.  The per-path formula
+    would ignore the negative correlation within a pair and overstate the
+    error.  Fewer than two groups (P ≤ 2) give 0.0.
+    """
+    n = samples.shape[0]
+    m = (n + 1) // 2
+    if m < 2:
+        return 0.0
+    dev = samples - samples.mean()
+    sums = dev[: n - n % 2].reshape(-1, 2).sum(axis=1)
+    squares = float(sums @ sums) + (float(dev[-1]) ** 2 if n % 2 else 0.0)
+    return math.sqrt(m / (m - 1) * squares) / n
 
 
 def _box_muller(out: Array, keys: Array, counters: Array, h: float) -> None:

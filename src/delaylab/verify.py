@@ -170,8 +170,10 @@ def compare_controls(
 
     Every policy is simulated on the same Brownian increments, drawn once
     for the master seed; cost differences are then averaged pathwise, which
-    removes most of the common noise.  Returns base_policy, base_cost,
-    base_stderr and comparisons, one dict per perturbation.
+    removes most of the common noise, and their standard error is taken
+    over the increments' antithetic pairs (sdde.pair_stderr).  Returns
+    base_policy, base_cost, base_stderr and comparisons, one dict per
+    perturbation.
     """
     h = config.step_size(model.params)
     config.validate_grid(model.params)  # a bad grid fails before the draw
@@ -188,7 +190,6 @@ def compare_controls(
 
     base_value, base_stderr, base_samples = cost(base)
     comparisons = []
-    n = base_samples.size
     for policy in perturbations:
         value, value_stderr, samples = cost(policy)
         diff = samples - base_samples
@@ -198,7 +199,7 @@ def compare_controls(
                 "cost": value,
                 "cost_stderr": value_stderr,
                 "paired_diff_mean": float(diff.mean()),
-                "paired_diff_stderr": float(diff.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
+                "paired_diff_stderr": sdde.pair_stderr(diff),
             }
         )
     return {

@@ -18,7 +18,7 @@ import numpy as np
 from delaylab import merton, pmp
 from delaylab.core import Array, ControlBox, FeedbackPolicy, ModelParams, StructuredModel
 from delaylab.hjb import ValueCandidate
-from delaylab.sdde import ForwardEnsemble
+from delaylab.sdde import ForwardEnsemble, pair_stderr
 
 ADJOINT_FIELDS = ("p1", "p2", "p3", "q", "k1", "k2")
 
@@ -88,7 +88,8 @@ class SmoothTestFunction:
 
 @dataclass
 class ItoCheckReport:
-    """Ensemble statistics of the accumulated chain-rule defect."""
+    """Ensemble statistics of the accumulated chain-rule defect: its mean
+    and standard error over the antithetic pairs (sdde.pair_stderr)."""
 
     mean: float
     stderr: float
@@ -130,10 +131,9 @@ def delayed_ito_check(
     # Each path's defects are summed over a path-major copy, so that the
     # pairwise summation adds them in the same order whatever the layout.
     residuals = np.ascontiguousarray(defect).sum(axis=1)
-    mean = float(residuals.mean())
-    n = residuals.size
-    stderr = float(residuals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return ItoCheckReport(mean=mean, stderr=stderr, residuals=residuals)
+    return ItoCheckReport(
+        mean=float(residuals.mean()), stderr=pair_stderr(residuals), residuals=residuals
+    )
 
 
 @dataclass(frozen=True)
@@ -221,6 +221,27 @@ def lq_policy(p: LQParams) -> FeedbackPolicy:
         n_controls=1,
         label="lq_optimal",
     )
+
+
+def lq_scheme_cost(p: LQParams, z0: float, n_steps: int) -> float:
+    """J_h, the expectation of the Euler scheme's own cost samples under
+    u* = −P(t)Z from Z(0) = z0 on n_steps steps over [0, T].
+
+    The scheme is exact in Z: Z_{k+1} = (1 − hP_k)Z_k + σΔW_k, so
+    m_k = E[Z_k²] follows m_{k+1} = (1 − hP_k)²m_k + σ²h.  The pathwise
+    samples y_k = (1 − hβ)y_{k+1} − ½hP_k²Z_k² − Z̃_kΔW_k, y_N = −½gZ_N²,
+    are linear in Z_k², and Z̃_k, fitted on paths that do not hold this one's
+    increments, is independent of ΔW_k, so
+
+        J_h = −E[y_0] = ½ Σ_k (1 − hβ)^k hP_k²m_k + ½g(1 − hβ)^N m_N.
+    """
+    h = p.horizon_T / n_steps
+    m, cost = z0**2, 0.0
+    for k in range(n_steps):
+        pk = float(p.riccati(k * h))
+        cost += 0.5 * (1.0 - h * p.beta) ** k * h * pk**2 * m
+        m = (1.0 - h * pk) ** 2 * m + p.sigma**2 * h
+    return cost + 0.5 * p.g * (1.0 - h * p.beta) ** n_steps * m
 
 
 def lq_q_factor(p: LQParams, times) -> Array:

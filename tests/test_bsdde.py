@@ -104,12 +104,15 @@ class TestMertonBenchmark:
             y_hat = y_hat + h * f - z[k] * dw[k]
         assert np.array_equal(sol.y[:, 0], y_hat)
         assert sol.cost == float((-y_hat).mean())
-        assert sol.stderr == float(y_hat.std(ddof=1) / math.sqrt(ens.n_paths))
+        assert sol.stderr == sdde.pair_stderr(y_hat)
 
     def test_control_variate_keeps_mean_and_cuts_stderr(self, merton_setup):
         # The same ensemble without the control variate: the driver alone,
-        # accumulated along each path.  Both estimate the same cost, and the
-        # control variate's standard error is at least ten times smaller.
+        # accumulated along each path.  Both estimate the same cost.  The
+        # pairs and the control variate both remove the noise odd in ΔW, so
+        # the reported error is at least ten times below the driver alone on
+        # independent paths, whose error the per-path spread gives (15.6 at
+        # seed 1); on the pairs the driver alone is 3.4 times above it.
         p, model, policy, _ = merton_setup
         cfg = core.SimConfig(n_steps=64, n_paths=4000, master_seed=1)
         ens = sdde.simulate_forward(model, policy, INITIAL, cfg)
@@ -123,9 +126,11 @@ class TestMertonBenchmark:
                 float(t[k]), x[k], x1[k], x2[k], y_hat, z[k], u[:, :, k]
             )
         plain = float((-y_hat).mean())
-        plain_stderr = float(y_hat.std(ddof=1) / math.sqrt(ens.n_paths))
+        plain_stderr = sdde.pair_stderr(y_hat)
         assert abs(sol.cost - plain) <= 3 * math.hypot(sol.stderr, plain_stderr)
-        assert sol.stderr * 10 <= plain_stderr
+        independent_stderr = float(y_hat.std(ddof=1) / math.sqrt(ens.n_paths))
+        assert sol.stderr * 10 <= independent_stderr
+        assert sol.stderr < plain_stderr < independent_stderr
 
     def test_stderr_matches_spread_across_seeds(self, merton_setup):
         # An honest error bar: over seeds 1-20 the spread of J - V is within
@@ -197,7 +202,8 @@ def filled(basis, x, x1):
 
 def reference_backward(model, ensemble, features, ridge=bsdde.RIDGE):
     """solve_backward with freshly stacked feature rows, one inverse normal
-    matrix per fold, and the pathwise cost accumulated in a second sweep."""
+    matrix per fold, and the pathwise cost accumulated in a second sweep.
+    The folds are the first ⌊m/2⌋ of the m antithetic pairs and the rest."""
 
     def products(f):
         out = np.empty((f.shape[0], f.shape[0]))
@@ -220,7 +226,8 @@ def reference_backward(model, ensemble, features, ridge=bsdde.RIDGE):
     t, h, u = ensemble.times, ensemble.h, ensemble.u
     x, x1, x2, dw = ensemble.x.T, ensemble.x1.T, ensemble.x2.T, ensemble.dw.T
     n_steps, n_paths = ensemble.n_steps, ensemble.n_paths
-    first, second = slice(0, n_paths // 2), slice(n_paths // 2, n_paths)
+    mid = 2 * (math.ceil(n_paths / 2) // 2)
+    first, second = slice(0, mid), slice(mid, n_paths)
     y = np.empty((n_steps + 1, n_paths))
     z = np.zeros_like(y)
     y[-1] = model.phi(x[-1], x1[-1])
@@ -247,8 +254,7 @@ def reference_backward(model, ensemble, features, ridge=bsdde.RIDGE):
         f = model.generator(float(t[k]), x[k], x1[k], x2[k], y_hat, z[k], u[:, :, k])
         y_hat = y_hat + h * f - z[k] * dw[k]
     y[0] = y_hat
-    stderr = float(y_hat.std(ddof=1) / math.sqrt(y_hat.size))
-    return y.T, z.T, float((-y_hat).mean()), stderr, degraded
+    return y.T, z.T, float((-y_hat).mean()), sdde.pair_stderr(y_hat), degraded
 
 
 class TestFeatureBuffer:
@@ -321,6 +327,22 @@ class TestDegradation:
         assert np.all(np.isfinite(sol.y))
 
 
+class TestHalves:
+    @pytest.mark.parametrize("n_paths", [3, 7, 8, 50, 300, 4000])
+    def test_no_pair_straddles_the_folds(self, n_paths):
+        # Paths 2i and 2i+1 share their increments up to sign, so a Z fitted
+        # on one of them would see the other's increment.
+        first, second = bsdde._Halves(n_paths, 3).slices
+        assert first.start == 0 and first.stop == second.start and second.stop == n_paths
+        assert first.stop % 2 == 0
+        groups = first.stop // 2, math.ceil((second.stop - second.start) / 2)
+        assert min(groups) > 0 and abs(groups[1] - groups[0]) <= 1
+
+    @pytest.mark.parametrize("n_paths", [1, 2])
+    def test_one_group_has_no_fold(self, n_paths):
+        assert bsdde._Halves(n_paths, 3).folds == ()
+
+
 class TestCostSamples:
     """cost_samples runs the backward sweep on a ring of two y rows and one
     z row; its numbers are solve_backward's, bit for bit."""
@@ -345,7 +367,7 @@ class TestCostSamples:
         ens = sdde.simulate_forward(model, POLICY, INITIAL, cfg)
         run = self.assert_same(model, ens, bsdde.polynomial_basis(2))
         assert run.samples.shape == (n_paths,)
-        assert (run.stderr == 0.0) == (n_paths == 1)
+        assert (run.stderr == 0.0) == (n_paths <= 2)  # one pair is one sample
 
     def test_merton_matches_solve_backward(self, merton_setup):
         p, model, policy, _ = merton_setup

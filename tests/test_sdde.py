@@ -137,15 +137,17 @@ def _splitmix64_word(seed: int, j: int) -> int:
 
 
 def reference_increments(master_seed, paths, n_steps, h):
-    """Path by path, step by step reference of sdde.brownian_increments."""
+    """Path by path, step by step reference of sdde.brownian_increments:
+    path i reads stream i // 2, negated for odd i."""
     rows = []
     for i in paths:
-        key = _splitmix64_word(master_seed, i)
+        key = _splitmix64_word(master_seed, i // 2)
+        sign = -1.0 if i % 2 else 1.0
         row = []
         for m in range(0, n_steps, 2):
             u1 = ((_splitmix64_word(key, m) >> 11) + 1) * 2.0**-53
             u2 = (_splitmix64_word(key, m + 1) >> 11) * 2.0**-53
-            r = math.sqrt(-2.0 * h * math.log(u1))
+            r = sign * math.sqrt(-2.0 * h * math.log(u1))
             row += [r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)]
         rows.append(row[:n_steps])
     return np.array(rows)
@@ -187,11 +189,14 @@ class TestBrownianIncrements:
             ["0x57e1faba65107204", "0xf4abd143feb24055", "0x7c816738c12903b2", "0x113e5dec6f8fd8a8"],
             ["0xfc991bca1a1aa1ae", "0x4f0482a72b57ee7d", "0x81ba563d55228ab4", "0xaf53d69c4ec853d9"],
         ]
-        # log/cos/sin may differ by an ulp between numpy builds.
+        # Paths 0 and 2 read the streams of keys 0 and 1, paths 1 and 3
+        # their negations.  log/cos/sin may differ by an ulp between numpy
+        # builds.
+        stream = [[0.7030724812817499, -0.2006891639780259, 0.5473765662274253],
+                  [-0.029467297492133202, 0.07629282789613831, -0.23195727536855024]]
         np.testing.assert_allclose(
-            sdde.brownian_increments(42, 2, 3, 0.25),
-            [[0.7030724812817499, -0.2006891639780259, 0.5473765662274253],
-             [-0.029467297492133202, 0.07629282789613831, -0.23195727536855024]],
+            sdde.brownian_increments(42, 4, 3, 0.25),
+            [stream[0], [-v for v in stream[0]], stream[1], [-v for v in stream[1]]],
             rtol=1e-14,
         )
 
@@ -200,15 +205,35 @@ class TestBrownianIncrements:
         np.testing.assert_allclose(dw, reference_increments(2024, range(5), 7, 0.01), rtol=1e-14)
 
     def test_paths_unchanged_across_block_boundary(self):
-        rows = sdde.INCREMENT_BLOCK // 64
-        small = sdde.brownian_increments(3, rows + 3, 64, 1 / 64)
-        large = sdde.brownian_increments(3, 2 * rows + 5, 64, 1 / 64)
-        assert np.array_equal(small, large[: rows + 3])
+        # A block draws INCREMENT_BLOCK // n_steps streams, twice as many
+        # paths; small ends on an odd path, whose partner large holds.
+        paths = 2 * (sdde.INCREMENT_BLOCK // 64)
+        small = sdde.brownian_increments(3, paths + 3, 64, 1 / 64)
+        large = sdde.brownian_increments(3, 2 * paths + 5, 64, 1 / 64)
+        assert np.array_equal(small, large[: paths + 3])
         np.testing.assert_allclose(
-            small[rows - 1 : rows + 1],
-            reference_increments(3, range(rows - 1, rows + 1), 64, 1 / 64),
+            small[paths - 2 : paths + 2],
+            reference_increments(3, range(paths - 2, paths + 2), 64, 1 / 64),
             rtol=1e-14,
         )
+
+    @pytest.mark.parametrize("n_paths", [2, 7, 8])
+    def test_odd_path_negates_its_partner(self, n_paths):
+        dw = sdde.brownian_increments(5, n_paths, 9, 0.1)
+        pairs = n_paths // 2
+        assert np.array_equal(dw[1 : 2 * pairs : 2], -dw[0 : 2 * pairs : 2])
+        assert np.all(dw != 0.0)
+
+    @pytest.mark.parametrize("n_paths", [1, 7])
+    def test_odd_last_path_is_plain(self, n_paths):
+        # The unpaired last path is the same path of a draw one path larger,
+        # where it has a partner, and is not the negation of the one before.
+        odd = sdde.brownian_increments(5, n_paths, 9, 0.1)
+        even = sdde.brownian_increments(5, n_paths + 1, 9, 0.1)
+        assert np.array_equal(odd, even[:n_paths])
+        assert np.array_equal(even[n_paths], -odd[-1])
+        if n_paths > 1:
+            assert not np.array_equal(odd[-1], -odd[-2])
 
     def test_zero_word_stays_finite(self):
         # Choose the master seed so that path 0 is keyed at -γ, whose first
@@ -245,6 +270,39 @@ class TestBrownianIncrements:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * dw.nbytes
+
+
+class TestPairStderr:
+    """sdde.pair_stderr: the standard error of a mean over the antithetic
+    pairs, each pair (and an odd last path) one cluster."""
+
+    def test_even_count_is_spread_of_pair_means(self):
+        samples = np.random.default_rng(3).normal(size=40)
+        pair_means = samples.reshape(20, 2).mean(axis=1)
+        want = float(pair_means.std(ddof=1) / math.sqrt(20))
+        assert sdde.pair_stderr(samples) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [3, 5, 41])
+    def test_odd_count_is_cluster_formula(self, n):
+        samples = np.random.default_rng(n).normal(size=n)
+        groups = [samples[j : j + 2] for j in range(0, n, 2)]  # the last one single
+        m, mean = len(groups), samples.mean()
+        squares = sum((g.sum() - g.size * mean) ** 2 for g in groups)
+        want = math.sqrt(m / (m - 1) * squares) / n
+        assert sdde.pair_stderr(samples) == pytest.approx(want, rel=1e-13)
+
+    def test_odd_part_cancels_within_pairs(self):
+        # g(ΔW) = ΔW + 0.1·ΔW²: the odd part cancels within a pair, so the
+        # pair means see only the even part's variance, 0.02 of 1.02.
+        dw = sdde.brownian_increments(4, 2000, 1, 1.0)[:, 0]
+        samples = dw + 0.1 * dw**2
+        per_path = float(samples.std(ddof=1) / math.sqrt(samples.size))
+        assert sdde.pair_stderr(samples) < 0.3 * per_path
+        assert sdde.pair_stderr(dw) < 1e-12 * per_path  # every pair mean is 0
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fewer_than_two_groups_read_zero(self, n):
+        assert sdde.pair_stderr(np.arange(1.0, n + 1.0)) == 0.0
 
 
 def path_major(ens):

@@ -160,7 +160,7 @@ class TestSharedIncrements:
             diff = base.y[:, 0] - sol.y[:, 0]  # the cost samples are −y[:, 0]
             assert (comp["cost"], comp["cost_stderr"]) == (sol.cost, sol.stderr)
             assert comp["paired_diff_mean"] == float(diff.mean())
-            assert comp["paired_diff_stderr"] == float(diff.std(ddof=1) / np.sqrt(diff.size))
+            assert comp["paired_diff_stderr"] == sdde.pair_stderr(diff)
 
     def test_supplied_increments_match_own_draw(self, setup):
         cfg = core.SimConfig(n_steps=32, n_paths=200, master_seed=3)
