@@ -26,12 +26,13 @@ ensemble = sdde.simulate_forward(model, policy, lambda tau: 1.0, config)
 
 print(f"ensemble: {ensemble.n_paths} paths, {ensemble.n_steps} steps")
 print(f"{'t':>6} {'mean X':>10} {'std X':>10} {'mean X1':>10} {'mean X2':>10}")
-for k in range(0, ensemble.n_steps + 1, 16):
-    t = ensemble.times[k]
-    x1 = ensemble.nodes(slice(k, k + 1)).x1[:, 0]  # X1 is kept once per node block
+# Every 16th node; X1 is kept once per node block and rebuilt by part.
+shown = ensemble.part(nodes=slice(None, None, 16))
+for k, t in enumerate(shown.times):
+    x = shown.x[:, k]
     print(
-        f"{t:6.3f} {ensemble.x[:, k].mean():10.4f} {ensemble.x[:, k].std():10.4f}"
-        f" {x1.mean():10.4f} {ensemble.x2[:, k].mean():10.4f}"
+        f"{t:6.3f} {x.mean():10.4f} {x.std():10.4f}"
+        f" {shown.x1[:, k].mean():10.4f} {shown.x2[:, k].mean():10.4f}"
     )
 
 u, c = ensemble.u

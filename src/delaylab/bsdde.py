@@ -37,7 +37,9 @@ whatever row buffers it is given.  solve_backward gives it one row per node
 and keeps y and z over the whole ensemble, for backward.csv.  cost_samples
 gives it a ring of two y rows and one z row and keeps only the cost, its
 standard error and the per-path samples, for callers that read nothing
-else; both give the same bits.
+else; both give the same bits.  The sweep reads X1 block by block from the
+terminal end (ForwardEnsemble.blocks), so X1 is never rebuilt over the
+whole ensemble.
 """
 
 from __future__ import annotations
@@ -225,8 +227,9 @@ def _sweep(
     same operations.  z must start at 0: one or two paths have no Z fit.
 
     The sweep reads node k of every path as one row of the node-major
-    ensemble; X1 comes from ForwardEnsemble.x1_by_node, which rebuilds the
-    nodes from each mark to the next into one reused buffer.  Each node
+    ensemble.  It takes X1 from the parts of ForwardEnsemble.blocks,
+    walked from the terminal block, whose x1 is rebuilt into one reused
+    buffer, and reads each part's rows last node first.  Each node
     writes its features as contiguous rows of one (n_features, n_paths)
     buffer reused by every node.  The two halves of the paths are the two
     folds of the Z fit, and the sum of their feature products is the Y
@@ -236,7 +239,8 @@ def _sweep(
     t, h, u = ensemble.times, ensemble.h, ensemble.u
     n_paths, n_steps = ensemble.n_paths, ensemble.n_steps
     x, x2, dw = ensemble.x.T, ensemble.x2.T, ensemble.dw.T
-    x1 = ensemble.x1_by_node(reverse=True)  # rows of X1, node n_steps first
+    # Rows of X1, node n_steps first; a row is valid until the next block.
+    x1 = (row for _, part in ensemble.blocks(reverse=True) for row in part.x1.T[::-1])
 
     def y_at(k):
         return y[k % len(y)]

@@ -402,7 +402,7 @@ def closed_form_adjoints(
 
     q is the adjoint factor, per node (n_nodes,) or per path and node.
     ensemble.x1 is read at every node, so a simulated ensemble rebuilds it
-    whole; the checks pass node or path blocks (ForwardEnsemble.nodes).
+    whole; the checks pass parts of it (ForwardEnsemble.part and blocks).
     """
     t, x, x1 = ensemble.times, ensemble.x, ensemble.x1
     m = _memory_wealth(p, x, x1)

@@ -27,15 +27,14 @@ directly and by back-integrating the p3 drift from its terminal value.
 
 The adjoints are element by element in the ensemble, so the checks never
 hold them over the whole ensemble: they take a map adjoint_of(part) ->
-Adjoints and call it on each part of the ensemble they walk, a node-row
-block (ForwardEnsemble.nodes) or a block of paths (ForwardEnsemble.paths).
-check_p3_zero and the maximum-condition check walk node-row blocks
-(core.node_blocks), the p3 back-integration from the terminal block with
-its partial sum carried; write_adjoint_csv computes the adjoints for each
-block of paths the CSV writer asks for.  simulate_q likewise gives q one
-node-row block at a time, carrying one row of log q and one of X1
-forward, and q_factor_check folds its maximum over those blocks.  So
-their temporaries stay the size of one block whatever the ensemble size.
+Adjoints and call it on each part of the ensemble they walk
+(ForwardEnsemble.part).  check_p3_zero and the maximum-condition check walk
+the node-row blocks of ForwardEnsemble.blocks, the p3 back-integration from
+the terminal block with its partial sum carried; write_adjoint_csv computes
+the adjoints for each block of paths the CSV writer asks for.  simulate_q
+likewise gives q one node-row block at a time, carrying one row of log q
+forward, and q_factor_check folds its maximum over those blocks.  So their
+temporaries stay the size of one block whatever the ensemble size.
 The checks read the ensemble's controls u and step h as stored; each
 scales its residuals path by path and reports the worst path.  The
 convexity probe takes path 0 at nodes 0 and n_steps // 2.
@@ -49,7 +48,7 @@ from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
-from .core import Array, StructuredModel, nan_max, node_blocks, write_long_csv
+from .core import Array, StructuredModel, nan_max, write_long_csv
 from .hjb import CheckReport, ValueCandidate, value_slots
 from .sdde import ForwardEnsemble
 
@@ -126,27 +125,23 @@ def simulate_q(
     otherwise.  The partials are taken at y = z = 0, which is exact whenever
     f is affine in (y, z).
 
-    Yields (blk, q[:, blk]) for each node-row block blk of core.node_blocks
-    in turn, q node-major like the ensemble.  Only one row of log q and one
-    of X1 (ForwardEnsemble.x1_by_node) are carried from node to node, so
-    neither q nor X1 is held over the whole ensemble.
+    Yields (blk, q[:, blk]) for each node-row block blk of
+    ForwardEnsemble.blocks in turn, q node-major like the ensemble and a
+    new array each time.  Only one row of log q is carried from block to
+    block, so neither q nor X1 is held over the whole ensemble.
     """
-    t, h, u = ensemble.times, ensemble.h, ensemble.u
-    n_paths = ensemble.n_paths
-    x, x2, dw = ensemble.x.T, ensemble.x2.T, ensemble.dw.T
-    x1 = ensemble.x1_by_node()
-    zero = np.zeros(n_paths)
-
-    log_q = np.zeros(n_paths)
-    for blk in node_blocks(n_paths, ensemble.n_steps + 1):
-        rows = np.empty((blk.stop - blk.start, n_paths))
-        for row, k in zip(rows, range(blk.start, blk.stop)):
-            if k:  # the step from node k - 1
-                s, ts, x1_s = k - 1, float(t[k - 1]), next(x1)
-                fy = model.f_y(ts, x[s], x1_s, x2[s], zero, zero, u[:, :, s])
-                fz = model.f_z(ts, x[s], x1_s, x2[s], zero, zero, u[:, :, s])
-                log_q = log_q + (fy - 0.5 * fz**2) * h + fz * dw[s]
+    h, zero = ensemble.h, np.zeros(ensemble.n_paths)
+    log_q = np.zeros(ensemble.n_paths)
+    for blk, part in ensemble.blocks():
+        x, x1, x2, dw = part.x.T, part.x1.T, part.x2.T, part.dw.T
+        rows = np.empty(x.shape)
+        for k, row in enumerate(rows):
             row[:] = log_q
+            if k < len(dw):  # the step to the next node
+                t, u = float(part.times[k]), part.u[:, :, k]
+                fy = model.f_y(t, x[k], x1[k], x2[k], zero, zero, u)
+                fz = model.f_z(t, x[k], x1[k], x2[k], zero, zero, u)
+                log_q = log_q + (fy - 0.5 * fz**2) * h + fz * dw[k]
         yield blk, np.exp(rows, out=rows).T
 
 
@@ -155,11 +150,13 @@ def q_factor_check(model: StructuredModel, ensemble: ForwardEnsemble, q: Array) 
     Q_FACTOR_TOL; the known factor q is (n_nodes,) or (n_paths, n_nodes).
 
     The maximum is folded over simulate_q's node-row blocks, NaN
-    propagating, so it is the same number as over the whole ensemble.
+    propagating, so it is the same number as over the whole ensemble.  Each
+    block's difference is taken in place in the block simulate_q yields.
     """
     worst = -np.inf
     for blk, q_sim in simulate_q(model, ensemble):
-        worst = np.maximum(worst, np.max(np.abs(q_sim - q[..., blk])))
+        q_sim -= q[..., blk]
+        worst = np.maximum(worst, np.max(np.abs(q_sim, out=q_sim)))
     worst = float(worst)
     return CheckReport(
         check="q_factor",
@@ -180,7 +177,7 @@ def adjoint_from_value(
 
     q is the adjoint factor, per node (n_nodes,) or per path and node.
     ensemble.x1 is read at every node, so a simulated ensemble rebuilds it
-    whole; the checks pass node or path blocks (ForwardEnsemble.nodes).
+    whole; the checks pass parts of it (ForwardEnsemble.part and blocks).
     """
     t, x, x1, u = ensemble.times, ensemble.x, ensemble.x1, ensemble.u
     fz = model.f_z(t, x, x1, ensemble.x2, *value_slots(model, cand, t, x, x1, u), u)
@@ -245,8 +242,7 @@ def check_p3_zero(
     n_paths, n_nodes = ensemble.x.shape
     maxima = np.full((3, n_paths), -np.inf)
     carry = np.zeros((n_paths, 1))  # p3 at the node after the block, p3(T) = 0 first
-    for blk in reversed(list(node_blocks(n_paths, n_nodes))):
-        part = ensemble.nodes(blk)
+    for blk, part in ensemble.blocks(reverse=True):
         blk_maxima, carry = _block_p3(
             model, cand, part, adjoint_of(part), carry, terminal=blk.stop == n_nodes
         )
@@ -306,13 +302,17 @@ def hamiltonian_control_gradient(
 
 def _block_maximum_condition(model, cand, part: ForwardEnsemble, adjoint_of: AdjointMap):
     """Per-path max |H_u| and max variational gap over one node-row block,
-    part, at the adjoints of adjoint_of."""
-    u_star = part.u
+    part, at the adjoints of adjoint_of.
+
+    A broadcast x2 is copied into the layout of x (a view when it already
+    has it): numpy gives a product of two broadcasts over the paths a
+    C-order result, and H, which adds it to node-major arrays, runs slower.
+    """
+    t, x, x1, u_star = part.times, part.x, part.x1, part.u
     p1, p2, q, k1 = _H_ADJOINTS(adjoint_of(part))
-    y, z = value_slots(model, cand, part.times, part.x, part.x1, u_star)
-    grad = hamiltonian_control_gradient(
-        model, part.times, part.x, part.x1, part.x2, y, z, u_star, p1, p2, q, k1
-    )
+    y, z = value_slots(model, cand, t, x, x1, u_star)
+    x2 = np.ascontiguousarray(part.x2.T).T
+    grad = hamiltonian_control_gradient(model, t, x, x1, x2, y, z, u_star, p1, p2, q, k1)
     max_grad = np.max(np.abs(grad), axis=(0, 2))
 
     worst_vi = np.full(part.n_paths, -np.inf)
@@ -340,8 +340,8 @@ def maximum_condition_check(
     folded into (n_paths,) arrays.
     """
     max_grad, worst_vi = np.full(ensemble.n_paths, -np.inf), np.full(ensemble.n_paths, -np.inf)
-    for blk in node_blocks(*ensemble.x.shape):
-        blk_grad, blk_vi = _block_maximum_condition(model, cand, ensemble.nodes(blk), adjoint_of)
+    for _, part in ensemble.blocks():
+        blk_grad, blk_vi = _block_maximum_condition(model, cand, part, adjoint_of)
         max_grad, worst_vi = np.maximum(max_grad, blk_grad), np.maximum(worst_vi, blk_vi)
 
     worst = np.maximum(max_grad, worst_vi)
@@ -378,7 +378,7 @@ def convexity_spot_check(
     nodes = (0, ensemble.n_steps // 2)
     for k in nodes:
         t = float(ensemble.times[k])
-        node = ensemble.nodes(slice(k, k + 1))
+        node = ensemble.part(nodes=slice(k, k + 1))
         x, x1, u = node.x[0, 0], node.x1[0, 0], node.u[:, 0, 0]
         y, z = value_slots(model, cand, t, x, x1, u)
         base = np.array([x, x1, node.x2[0, 0], y, z, *u], float)
@@ -438,7 +438,7 @@ def write_adjoint_csv(
     names = ["p1", "p2", "p3", "q", "k1", "k2"]
 
     def columns_of(blk):
-        adjoint = adjoint_of(ensemble.paths(blk))
+        adjoint = adjoint_of(ensemble.part(paths=blk))
         return [getattr(adjoint, name) for name in names]
 
     write_long_csv(stream, names, ensemble.times, ensemble.n_paths, columns_of)

@@ -68,18 +68,19 @@ class ForwardEnsemble:
     x2 = X(t − δ) shares its rows with x when δ < T − s (for δ = 0, x2 is
     x).  When δ ≥ T − s it reads the initial segment φ at every node, the
     same on every path, and is the sampled φ broadcast over the paths, with
-    path stride 0: no path stores a copy of the prehistory.
+    path stride 0: no path stores a copy of the prehistory, and neither do
+    its parts.
 
     x1_marks holds X1 only at its marks, nodes 0, mark_every,
     2·mark_every, …: column m is node m·mark_every.  The nodes between are
     rebuilt from the mark before them by the forward sweep's own step,
     x1 + h·x1_drift(x, x1, x2) of model, which takes only +, − and ×, so
-    every slice gets the same bits as the sweep.  x1 is X1 at every node,
-    rebuilt whole unless every node is a mark; nodes and paths give parts
-    with x1 at every node, and x1_rows and x1_by_node give its rows, which
-    is how the package reads it.  An ensemble built by hand passes X1 at
-    every node as x1_marks, keeps the default mark_every = 1 and needs no
-    model.
+    every slice gets the same bits as the sweep.  The package reads X1
+    three ways: x1 rebuilds it at every node, part gives any slice of nodes
+    and paths with x1 at every node, and blocks walks the node blocks,
+    forward or in reverse, rebuilding each block's x1 into one reused
+    buffer.  An ensemble built by hand passes X1 at every node as
+    x1_marks, keeps the default mark_every = 1 and needs no model.
     """
 
     times: Array
@@ -103,105 +104,76 @@ class ForwardEnsemble:
     @property
     def x1(self) -> Array:
         """X1 at every node, (n_paths, n_steps + 1): x1_marks itself when
-        every node is a mark, otherwise a whole-ensemble array rebuilt by
-        x1_rows on each read."""
-        return self.x1_rows(slice(None)).T
+        every node is a mark, otherwise a whole-ensemble array rebuilt on
+        each read."""
+        return self._x1_rows(slice(None)).T
 
-    def x1_rows(self, nodes: slice, paths: slice = slice(None), out: Array | None = None) -> Array:
+    def part(self, nodes: slice = slice(None), paths: slice = slice(None)) -> "ForwardEnsemble":
+        """Nodes nodes of paths paths, with x1 at every node.
+
+        x, x2, u and dw are views of the same buffers, and so is x1 when
+        every node is a mark; otherwise x1 is rebuilt.  dw keeps the
+        increments that leave those nodes, so it is one column short when
+        nodes holds the terminal node.  A negative node step raises
+        ValueError.
+        """
+        return self._part(nodes, paths, self._x1_rows(nodes, paths))
+
+    def blocks(self, reverse: bool = False) -> Iterator[tuple[slice, "ForwardEnsemble"]]:
+        """(blk, part(blk)) for each block blk of core.node_blocks in turn,
+        the terminal block first when reverse.
+
+        Each part's x1 is rebuilt into one buffer reused by every block, as
+        wide as the widest span from a block's mark to its stop, so a part
+        is valid until the next one is asked for.
+        """
+        every = self.mark_every
+        blks = list(node_blocks(self.n_paths, self.n_steps + 1))
+        width = max(blk.stop - blk.start + blk.start % every for blk in blks)
+        buf = np.empty((width, self.n_paths)) if every > 1 else None
+        for blk in reversed(blks) if reverse else blks:
+            yield blk, self._part(blk, slice(None), self._x1_rows(blk, out=buf))
+
+    def _part(self, nodes: slice, paths: slice, x1_rows: Array) -> "ForwardEnsemble":
+        return replace(
+            self,
+            times=self.times[nodes],
+            x=self.x[paths, nodes],
+            x1_marks=x1_rows.T,
+            x2=self.x2[paths, nodes],
+            u=self.u[:, paths, nodes],
+            dw=self.dw[paths, nodes],
+            mark_every=1,
+        )
+
+    def _x1_rows(self, nodes: slice, paths: slice = slice(None), out: Array | None = None) -> Array:
         """X1 at nodes of paths, as rows: node-major, a (n_nodes, n_paths)
         view of the marks or a C-order rebuilt array.
 
-        The rebuild starts at the mark at or before nodes.start and advances
-        every span between two marks at once, one step per row of a span.
-        out, when given, takes the rebuilt rows from that mark on, so it
-        needs a row per node up to nodes.stop; it is not used when every
-        node is a mark.
+        The rebuild starts at the mark at or before the first node and
+        advances every span between two marks at once, one step per row of
+        a span.  out, when given, takes the rebuilt rows from that mark on,
+        so it needs a row per node up to nodes.stop; it is not used when
+        every node is a mark.
         """
+        start, stop, step = nodes.indices(self.n_steps + 1)
+        if step < 0:
+            raise ValueError(f"node slice {nodes} runs backward")
         if self.mark_every == 1:
             return self.x1_marks.T[nodes, paths]
         every = self.mark_every
-        start, stop, _ = nodes.indices(self.n_steps + 1)
         base = start - start % every
         x, x2 = self.x.T[base:stop, paths], self.x2.T[base:stop, paths]
-        rows = np.empty(x.shape) if out is None else out[: stop - base]
+        rows = np.empty(x.shape) if out is None else out[: len(x)]
         marks = rows[::every]
         marks[...] = self.x1_marks.T[base // every : base // every + len(marks), paths]
-        for j in range(1, min(every, stop - base)):
+        for j in range(1, min(every, len(x))):
             n = len(rows[j::every])
             rows[j::every] = _x1_step(
                 self.model, self.h, x[j - 1 :: every][:n], rows[j - 1 :: every][:n],
                 x2[j - 1 :: every][:n],
             )
-        return rows[start - base :]
-
-    def x1_by_node(self, reverse: bool = False) -> Iterator[Array]:
-        """X1 at nodes 0, 1, …, n_steps in turn (n_steps first when
-        reverse), one row over the paths each.
-
-        Forward, one row is carried from node to node by the sweep's step.
-        In reverse, the nodes from each mark to the next are rebuilt into
-        one buffer reused by every span, so a row is valid until the next
-        one is asked for.  The forward walk does not share that buffer: a
-        block-sized buffer takes pmp.simulate_q, which walks forward in
-        node blocks, from 3.0 to 4.0 blocks of peak memory, where one
-        carried row costs a row.
-        """
-        every, n_nodes = self.mark_every, self.n_steps + 1
-        marks = self.x1_marks.T
-        if not reverse:
-            row = marks[0]
-            yield row
-            for k in range(1, n_nodes):
-                m, r = divmod(k, every)
-                row = marks[m] if r == 0 else _x1_step(
-                    self.model, self.h, self.x.T[k - 1], row, self.x2.T[k - 1]
-                )
-                yield row
-            return
-        buf = np.empty((min(every, n_nodes), self.n_paths)) if every > 1 else None
-        for first in reversed(range(0, n_nodes, every)):
-            yield from self.x1_rows(slice(first, first + every), out=buf)[::-1]
-
-    def nodes(self, blk: slice) -> "ForwardEnsemble":
-        """Nodes blk of every path, with x1 at every node.
-
-        x, x2, u and dw are views of the same buffers, and so is x1 when
-        every node is a mark; otherwise x1 is rebuilt (x1_rows).  dw keeps
-        the increments that leave those nodes, so it is one column short
-        when blk holds the terminal node.  A broadcast x2 is the exception:
-        its block is copied into the layout of x, since numpy gives a
-        product of two broadcasts over the paths a C-order result, and a
-        check that adds it to node-major arrays runs slower.
-        """
-        x, x2 = self.x[:, blk], self.x2[:, blk]
-        if x2.strides[0] == 0:
-            copy = np.empty_like(x)
-            copy[...] = x2
-            x2 = copy
-        return replace(
-            self,
-            times=self.times[blk],
-            x=x,
-            x1_marks=self.x1_rows(blk).T,
-            x2=x2,
-            u=self.u[:, :, blk],
-            dw=self.dw[:, blk],
-            mark_every=1,
-        )
-
-    def paths(self, blk: slice) -> "ForwardEnsemble":
-        """Paths blk at every node, with x1 at every node; the other fields
-        are views of the same buffers, and so is x1 when every node is a
-        mark."""
-        return replace(
-            self,
-            x=self.x[blk],
-            x1_marks=self.x1_rows(slice(None), blk).T,
-            x2=self.x2[blk],
-            u=self.u[:, blk],
-            dw=self.dw[blk],
-            mark_every=1,
-        )
+        return rows[start - base :: step]
 
 
 def _x1_step(model: StructuredModel, h: float, x, x1, x2):
@@ -388,7 +360,7 @@ def write_forward_csv(ensemble: ForwardEnsemble, stream: BinaryIO) -> None:
     u_cols = ["u"] if ensemble.u.shape[0] == 1 else ["u", "c"]
 
     def columns_of(blk):
-        part = ensemble.paths(blk)
+        part = ensemble.part(paths=blk)
         return [part.x, part.x1, part.x2, *part.u, part.dw]
 
     names = ["x", "x1", "x2", *u_cols, "dw"]

@@ -9,8 +9,8 @@ Three families of diagnostics:
   value-derived ones of pmp.adjoint_from_value, p1 = V_x q, p2 = V_x1 q,
   k1 = (V_xx σ + V_x f_z) q, k2 = (V_xx1 σ + V_x1 f_z) q, at the map's own
   q.  All three share one walk over the ensemble in node-row blocks
-  (core.node_blocks), and both adjoints are computed one block at a time,
-  so the check's temporaries stay the size of one block whatever the
+  (ForwardEnsemble.blocks), and both adjoints are computed one block at a
+  time, so the check's temporaries stay the size of one block whatever the
   ensemble size, and the reported maxima are the same bits as over the
   whole ensemble.  In each block G is one map of the control
   (hjb.hamiltonian_at), so u* and every grid value pay only for the terms
@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import sdde
-from .core import FeedbackPolicy, SimConfig, StructuredModel, nan_max, node_blocks
+from .core import FeedbackPolicy, SimConfig, StructuredModel, nan_max
 from .bsdde import RegressionBasis, cost_samples
 from .hjb import CheckReport, ValueCandidate, args_from_candidate, hamiltonian_at
 from .pmp import CONTROL_GRID_POINTS, AdjointMap, Adjoints, adjoint_from_value
@@ -78,8 +78,13 @@ def _block_relations(model, cand, part: ForwardEnsemble, axes):
     +inf and NaN entries, and either makes the plain max of G(u_alt) − G(u*)
     non-finite, so a finite plain max, taken in place, is the gap; only when
     it is not is G(u_alt) evaluated again and masked.
+
+    A broadcast x2 is copied into the layout of x (a view when it already
+    has it): numpy gives a product of two broadcasts over the paths a
+    C-order result, and G, which adds it to node-major arrays, runs slower.
     """
-    t, x, x1, x2, u_star = part.times, part.x, part.x1, part.x2, part.u
+    t, x, x1, u_star = part.times, part.x, part.x1, part.u
+    x2 = np.ascontiguousarray(part.x2.T).T
     # The slots are not kept here, so hamiltonian_at frees q once it has
     # taken the memory term.
     g_of_u = hamiltonian_at(model, t, x, x1, x2, args_from_candidate(cand, t, x, x1))
@@ -130,8 +135,7 @@ def relations_report(
     err, top = np.full(shape, -np.inf), np.full(shape, -np.inf)
     time_slope = -np.inf
     gaps = np.full(sum(map(len, axes)), -np.inf)
-    for blk in node_blocks(*ensemble.x.shape):
-        part = ensemble.nodes(blk)
+    for _, part in ensemble.blocks():
         blk_err, blk_top = _block_adjoint_maxima(model, cand, part, adjoint_of(part))
         err, top = np.maximum(err, blk_err), np.maximum(top, blk_top)
         blk_slope, blk_gaps = _block_relations(model, cand, part, axes)

@@ -1,12 +1,14 @@
 """Node-row blocked ensemble checks against their whole-ensemble originals.
 
 relations_report (with its adjoint mismatch), check_p3_zero and
-maximum_condition_check walk the ensemble in core.node_blocks and take the
-adjoints as a map of the block; write_adjoint_csv calls that map per path
-block.  simulate_q gives q one node-row block at a time, and q_factor_check
-folds its maximum over those blocks.  The references below are the same checks written over whole
-(n_paths, n_nodes) arrays at once, from the map called on the whole
-ensemble; every report and every byte must be the same at any block size.
+maximum_condition_check walk the ensemble's node blocks
+(ForwardEnsemble.blocks, which yields the blocks of core.node_blocks) and
+take the adjoints as a map of the block; write_adjoint_csv calls that map
+per path block.  simulate_q gives q one node-row block at a time, and
+q_factor_check folds its maximum over those blocks.  The references below
+are the same checks written over whole (n_paths, n_nodes) arrays at once,
+from the map called on the whole ensemble; every report and every byte
+must be the same at any block size.
 """
 
 import dataclasses
@@ -518,9 +520,11 @@ class TestPeakMemory:
         assert peak < 2 * ens.x.nbytes
 
     def test_check_p3_zero(self, large):
+        # The p3 check reads x2 only where its layout does not matter, so no
+        # block of a broadcast x2 is copied.
         model, cand, ens, p = large
         peak = self._peak(pmp.check_p3_zero, model, cand, ens, value_adjoints(model, cand, p))
-        assert peak < 2 * ens.x.nbytes
+        assert peak < 1.4 * ens.x.nbytes
 
     def test_write_adjoint_csv(self, large):
         # A sink that keeps nothing: a BytesIO's growing buffer would count

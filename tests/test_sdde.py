@@ -401,22 +401,29 @@ class TestPrehistory:
         if lag == 0:
             assert np.shares_memory(ens.x2, ens.x)
 
-    def test_node_blocks_lay_out_x2_like_x(self):
-        model = linear_delay_model(delta=1.0, sig=0.3)
-        cfg = core.SimConfig(n_steps=16, n_paths=40, master_seed=2)
-        ens = sdde.simulate_forward(model, POLICY, lambda tau: 1.0 - tau, cfg)
-        part = ens.nodes(slice(3, 8))
-        assert part.x2.T.flags.c_contiguous
-        assert np.array_equal(part.x2, ens.x2[:, 3:8])
-        assert ens.paths(slice(5, 9)).x2.strides[0] == 0
+    def test_parts_share_memory_with_ensemble(self):
+        # A part copies none of x, x2, u and dw; a broadcast x2 keeps its
+        # path stride 0.  Lag 8 shares x2's rows with x, lag 16 broadcasts φ.
+        for delta in (0.5, 1.0):
+            model = linear_delay_model(delta=delta, sig=0.3)
+            cfg = core.SimConfig(n_steps=16, n_paths=40, master_seed=2)
+            ens = sdde.simulate_forward(model, POLICY, lambda tau: 1.0 - tau, cfg)
+            parts = [ens.part(nodes=slice(3, 8)), ens.part(paths=slice(5, 9))]
+            parts += [part for _, part in ens.blocks()]
+            for part in parts:
+                for name in ("x", "x2", "u", "dw"):
+                    assert np.shares_memory(getattr(part, name), getattr(ens, name)), name
+                assert (part.x2.strides[0] == 0) == (delta == 1.0)
+            assert np.array_equal(parts[0].x2, ens.x2[:, 3:8])
 
 
 class TestX1Marks:
     """X1 is kept at the first node of each node block, its marks; x1,
-    nodes, paths and x1_by_node rebuild the nodes between to the bits of the
-    sweep that stores every row (reference_forward).  Marks every 1, 3 or
-    65 nodes (one mark for the 17 nodes), at lags 0, 8, 16 and 24 of 16
-    steps, so x2 shares rows with x or is a broadcast of φ."""
+    part (on node slices with a step too) and blocks rebuild the nodes
+    between to the bits of the sweep that stores every row
+    (reference_forward).  Marks every 1, 3 or 65 nodes
+    (one mark for the 17 nodes), at lags 0, 8, 16 and 24 of 16 steps, so x2
+    shares rows with x or is a broadcast of φ."""
 
     N_PATHS = 40
     CFG = core.SimConfig(n_steps=16, n_paths=N_PATHS, master_seed=9)
@@ -437,14 +444,32 @@ class TestX1Marks:
         assert np.array_equal(ens.x1, x1)
         for first in range(17):
             for stop in range(first + 1, 18):
-                part = ens.nodes(slice(first, stop))
+                part = ens.part(nodes=slice(first, stop))
                 assert np.array_equal(part.x1, x1[:, first:stop]), (first, stop)
                 assert part.x1.T.flags.c_contiguous
+        for blk in (slice(0, 10, 2), slice(1, 17, 3), slice(2, None, 5), slice(16, None, 4)):
+            part = ens.part(nodes=blk)
+            assert np.array_equal(part.x1, x1[:, blk]), blk
+            assert np.array_equal(part.x, ens.x[:, blk]), blk
+        with pytest.raises(ValueError):
+            ens.part(nodes=slice(10, 0, -2))
         for blk in (slice(None), slice(5, 9), slice(39, 40)):
-            assert np.array_equal(ens.paths(blk).x1, x1[blk])
-        assert np.array_equal(np.stack(list(ens.x1_by_node()), axis=1), x1)
-        backward = [row.copy() for row in ens.x1_by_node(reverse=True)]  # rows are reused
-        assert np.array_equal(np.stack(backward[::-1], axis=1), x1)
+            assert np.array_equal(ens.part(paths=blk).x1, x1[blk])
+        # Blocks of the simulation's height, and blocks of 2 and 7 nodes,
+        # which start between marks and end past the next one.
+        for walk in (rows, 2, 7):
+            monkeypatch.setattr(core, "NODE_BLOCK", walk * self.N_PATHS)
+            blocks = list(core.node_blocks(self.N_PATHS, 17))
+            for reverse in (False, True):
+                # A part is valid until the next one: its x1 buffer is reused.
+                got = [(blk, part.x1.copy(), part) for blk, part in ens.blocks(reverse)]
+                assert [blk for blk, _, _ in got] == (blocks[::-1] if reverse else blocks)
+                for blk, part_x1, part in got:
+                    assert np.array_equal(part_x1, x1[:, blk]), (walk, reverse, blk)
+                    assert np.array_equal(part.times, ens.times[blk])
+                    for name in ("x", "x2", "dw"):
+                        assert np.array_equal(getattr(part, name), want[name][:, blk])
+                    assert np.array_equal(part.u, want["u"][:, :, blk])
 
     @pytest.mark.parametrize("delta", [0.5, 1.5])
     def test_forward_csv_matches_every_row(self, monkeypatch, delta):
