@@ -362,6 +362,12 @@ CSV_BLOCK_ROWS = 1 << 11
 # instead, and words 5-8 the other 16 digits.  ±0 is a cell of its own; every
 # other value (NaN, ±inf, subnormals, |v| < 1e-10 or >= 1e14) is formatted by
 # Python into words 1-9.
+#
+# write_long_csv runs this kernel once per file for t, once per columns_of
+# call for a column of path stride 0, and block by block for the others; a
+# path id is Python's text of the integer after a newline, in five words.  A
+# block of rows hands bytes.translate only the (column, word) planes that
+# some of its cells use: most cells leave four of the ten words NUL.
 
 _U = np.uint64
 _G17_LO, _G17_HI = 1e-10, 1e14
@@ -503,6 +509,29 @@ def _g17_cells(values: Array, comma: Array) -> Array:
     return cells
 
 
+def _column_cells(columns: Sequence[Array], shape: tuple[int, int]) -> tuple[Array, Array]:
+    """The cells of columns of at most shape (rows, nodes) values, each cell
+    after a comma and a column blank from its last node on, as a
+    (10, len(columns), rows, nodes) array, and whether some cell of column i
+    uses word w, as a (10, len(columns)) array."""
+    table = np.zeros((len(columns),) + shape)
+    for i, c in enumerate(columns):
+        table[i, :, : c.shape[1]] = c
+    cells = _g17_cells(table, _U(1))
+    for i, c in enumerate(columns):
+        cells[1:, i, :, c.shape[1] :] = 0  # blank: the separator alone
+    # a max over the contiguous last axis; over a middle axis it costs far more
+    return cells, cells.reshape(10, len(columns), shape[0] * shape[1]).max(axis=2) != 0
+
+
+def _shared_planes(row: Array, shape: tuple[int, int]) -> list[Array]:
+    """The cells of a row of values that every path shares, blank from node
+    row.size on, as one plane of shape (rows, nodes) for each word that
+    some cell uses."""
+    cells, used = _column_cells([row[np.newaxis]], (1, shape[1]))
+    return [np.broadcast_to(cells[w, 0, 0], shape) for w in np.flatnonzero(used[:, 0])]
+
+
 def write_long_csv(
     stream: BinaryIO,
     names: Sequence[str],
@@ -521,32 +550,50 @@ def write_long_csv(
     any numpy.  A column one node short (the Brownian increments) is blank
     at the terminal node.
 
-    CSV_BLOCK_ROWS rows at a time, _g17_cells turns the block's values into
-    fixed-width cells with NUL holes, and bytes.translate drops the holes.
-    Each cell starts with the separator before it, so the header goes out
-    without its newline and the last row's newline follows the last block.
+    _g17_cells turns values into fixed-width cells with NUL holes, and
+    bytes.translate drops the holes.  A cell that repeats is formatted once:
+    t, the same on every path, once per file; a column of path stride 0
+    once per columns_of call; each path id, the same at every node, once
+    per block of CSV_BLOCK_ROWS rows.  The other columns are formatted block
+    by block.  Each block stacks only the (column, word) planes that some of
+    its cells use, so translate reads no word that is NUL in every row of
+    the block.  Each cell starts with the separator before it, so the
+    header goes out without its newline and the last row's newline follows
+    the last block.
     """
     n_nodes = times.size
     stream.write(",".join(["path", "t", *names]).encode("ascii"))
-    comma = np.ones(2 + len(names), np.uint64)
-    comma[0] = 0
     paths_per_block = max(1, CSV_BLOCK_ROWS // n_nodes)
+    t_planes = _shared_planes(times, (paths_per_block, n_nodes))
     # a whole number of blocks per call of columns_of
     paths_per_call = paths_per_block * max(1, NODE_BLOCK // (paths_per_block * n_nodes))
     for first in range(0, n_paths, paths_per_call):
         last = min(first + paths_per_call, n_paths)
         columns = columns_of(slice(first, last))
+        # a column of path stride 0 holds one row for every path; None
+        # stands for a column of its own
+        layout = [
+            _shared_planes(c[0], (paths_per_block, n_nodes)) if c.strides[0] == 0 else None
+            for c in columns
+        ]
+        own = [c for c, planes in zip(columns, layout) if planes is None]
         for start in range(first, last, paths_per_block):
             stop = min(start + paths_per_block, last)
-            table = np.zeros((stop - start, n_nodes, comma.size))
-            table[:, :, 0] = np.arange(start, stop)[:, np.newaxis]
-            table[:, :, 1] = times
-            for j, col in enumerate(columns):
-                table[:, : col.shape[1], 2 + j] = col[start - first : stop - first]
-            cells = _g17_cells(table, comma)
-            for j, col in enumerate(columns):
-                cells[1:, :, col.shape[1] :, 2 + j] = 0  # blank: the separator alone
-            stream.write(cells.transpose(1, 2, 3, 0).tobytes().translate(None, b"\0"))
+            shape = (stop - start, n_nodes)
+            # each path id after a newline, in five words
+            ids = np.array([b"\n%d" % i for i in range(start, stop)], "S20").view(np.uint32)
+            ids = ids.reshape(shape[0], 5)
+            cells, used = _column_cells([c[start - first : stop - first] for c in own], shape)
+            planes = [
+                np.broadcast_to(ids[:, w, np.newaxis], shape)
+                for w in np.flatnonzero(ids.max(axis=0))
+            ]
+            own_planes = (
+                [cells[w, i] for w in np.flatnonzero(used[:, i])] for i in range(len(own))
+            )
+            for fixed in [t_planes, *layout]:
+                planes += next(own_planes) if fixed is None else [p[: shape[0]] for p in fixed]
+            stream.write(np.stack(planes, axis=2).tobytes().translate(None, b"\0"))
     stream.write(b"\n")
 
 

@@ -203,7 +203,7 @@ def q_derivative(t, p: MertonParams):
 def q_ode_rhs(q, p: MertonParams):
     """Right-hand side (γ−1)Q^{γ/(γ−1)} + ΔQ of the Q equation."""
     expo = p.gamma / (p.gamma - 1.0)
-    return (p.gamma - 1.0) * np.power(q, expo) + p.delta_coeff * q
+    return (p.gamma - 1.0) * q**expo + p.delta_coeff * q
 
 
 def q_ode_oracle(p: MertonParams, n_steps: int = 10_000):
@@ -218,13 +218,18 @@ def q_ode_oracle(p: MertonParams, n_steps: int = 10_000):
     values[-1] = 1.0
     q = 1.0
     for i in range(n_steps, 0, -1):
-        # Step from times[i] to times[i-1], i.e. with step -h.
-        k1 = q_ode_rhs(q, p)
-        k2 = q_ode_rhs(q - 0.5 * h * k1, p)
-        k3 = q_ode_rhs(q - 0.5 * h * k2, p)
-        k4 = q_ode_rhs(q - h * k3, p)
-        q = q - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.isfinite(q) or q <= 0.0:
+        # Step from times[i] to times[i-1], i.e. with step -h, on floats:
+        # ** raises at 0 and past the float range, and a negative stage
+        # value makes q complex.
+        try:
+            k1 = q_ode_rhs(q, p)
+            k2 = q_ode_rhs(q - 0.5 * h * k1, p)
+            k3 = q_ode_rhs(q - 0.5 * h * k2, p)
+            k4 = q_ode_rhs(q - h * k3, p)
+            q = q - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        except ArithmeticError:
+            q = math.nan
+        if not isinstance(q, float) or not math.isfinite(q) or q <= 0.0:
             raise DomainError(f"oracle integration left the domain at t={times[i-1]}")
         values[i - 1] = q
     return times, values

@@ -12,9 +12,10 @@ directory of its own, and prints
     <case> <file> <sha256>
 
 for report.json and every CSV the run wrote.  The cases are the six
-subcommands on demos/merton.json at seeds 1-3, and check-relations and
+subcommands on demos/merton.json at seeds 1-3, check-relations and
 compare-controls on that config at P = 2 000, N = 1 024 and at
-P = 40 000, N = 64.  Two checkouts write the same bytes when their digests
+P = 40 000, N = 64, and simulate and check-pmp on it with δ = 0.25, where
+x2 is a column of its own (δ < T − s).  Two checkouts write the same bytes when their digests
 do not differ: `diff` the two outputs.
 """
 
@@ -33,11 +34,15 @@ COMMANDS = (
     "simulate", "solve-merton", "check-hjb", "check-pmp", "check-relations", "compare-controls",
 )
 
-# (case prefix, subcommands, seeds, (n_paths, n_steps) or None for the demo as shipped)
+# (case prefix, subcommands, seeds, changes to the demo config by section:
+# "sim" or the model's "params"; none for the demo as shipped)
 CASES = (
-    ("demo", COMMANDS, (1, 2, 3), None),
-    ("P2000-N1024", ("check-relations", "compare-controls"), (1,), (2_000, 1_024)),
-    ("P40000-N64", ("check-relations", "compare-controls"), (1,), (40_000, 64)),
+    ("demo", COMMANDS, (1, 2, 3), {}),
+    ("P2000-N1024", ("check-relations", "compare-controls"), (1,),
+     {"sim": {"n_paths": 2_000, "n_steps": 1_024}}),
+    ("P40000-N64", ("check-relations", "compare-controls"), (1,),
+     {"sim": {"n_paths": 40_000, "n_steps": 64}}),
+    ("delta0.25", ("simulate", "check-pmp"), (1,), {"params": {"delta": 0.25}}),
 )
 
 
@@ -63,11 +68,13 @@ def digest_run(name: str, command: str, cfg_path: Path, seed: int, out: Path) ->
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for prefix, commands, seeds, size in CASES:
+        for prefix, commands, seeds, changes in CASES:
             cfg_path = DEMO
-            if size is not None:
+            if changes:
                 cfg = json.loads(DEMO.read_text())
-                cfg["sim"].update(n_paths=size[0], n_steps=size[1])
+                sections = {"sim": cfg["sim"], "params": cfg["model"]["params"]}
+                for section, values in changes.items():
+                    sections[section].update(values)
                 cfg_path = tmp / f"{prefix}.json"
                 cfg_path.write_text(json.dumps(cfg))
             for seed in seeds:

@@ -12,6 +12,7 @@ import tracemalloc
 from decimal import Decimal
 
 import numpy as np
+import pytest
 
 from delaylab import core
 from test_sdde import _reference_csv
@@ -175,6 +176,39 @@ class TestLongCsv:
         text = out.getvalue().decode("ascii")
         assert text == _reference_csv(names, times, columns)
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == self.DIGEST
+
+    @pytest.mark.parametrize(
+        "n_paths, n_nodes, block_rows, node_block",
+        [
+            # path ids 0 to 10 004, seven paths per block, 100 blocks per call
+            (10_005, 3, 21, 2_100),
+            # one path per block, a block shorter than a path, two per call
+            (6, 7, 5, 14),
+        ],
+    )
+    def test_shared_columns_match_per_value_format(
+        self, monkeypatch, n_paths, n_nodes, block_rows, node_block
+    ):
+        monkeypatch.setattr(core, "CSV_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(core, "NODE_BLOCK", node_block)
+        rng = np.random.default_rng(RNG_SEED)
+        times = np.linspace(0.0, 0.75, n_nodes)
+        row = rng.standard_normal(n_nodes)
+        own = 100.0 * rng.standard_normal((n_paths, n_nodes))
+        # the exponent word: one cell of the last block alone uses it
+        own[-1, 1] = -2.5e-7
+        assert np.flatnonzero(np.abs(own) < 1e-4).tolist() == [own.size - n_nodes + 1]
+        columns = [
+            own,
+            np.broadcast_to(row, (n_paths, n_nodes)),  # per node, path stride 0
+            np.broadcast_to(-1.0 / 3.0, (n_paths, n_nodes)),  # strides (0, 0)
+            np.broadcast_to(row[1:], (n_paths, n_nodes - 1)),  # shared, one node short
+        ]
+        assert [c.strides[0] for c in columns] == [8 * n_nodes, 0, 0, 0]
+        names = ["own", "node", "const", "short"]
+        out = io.BytesIO()
+        core.write_long_csv(out, names, times, n_paths, lambda blk: [c[blk] for c in columns])
+        assert out.getvalue().decode("ascii") == _reference_csv(names, times, columns)
 
     def test_scratch_is_one_block(self):
         # N = 64 steps and seven columns, as the forward artifact: the peak
