@@ -5,8 +5,10 @@ With the two structural constraints
     theta = mu2 e^{lam delta},   mu1 = theta (lam + r + theta)
 
 the value function collapses to V(s, x, x1) = -(1/gamma) Q(s) (x + theta x1)^gamma
-with Q solving a scalar Riccati-type ODE that also has a closed form.  This
-script prints the derived constants, validates the closed-form Q against a
+with Q solving a scalar Riccati-type ODE that also has a closed form.
+merton.MertonParams derives theta and mu1 from these constraints and
+validates the parameters, Q(s) included, when it is built.  This script
+prints the derived constants, validates the closed-form Q against a
 Runge-Kutta integration, and tabulates the optimal controls.
 """
 
@@ -14,7 +16,7 @@ import numpy as np
 
 from delaylab import merton
 
-params = merton.resolve_constraints(
+params = merton.MertonParams(
     r=0.03, mu0=0.08, sigma=0.2, beta=0.1, gamma=0.5,
     lam=0.1, delta=1.0, horizon_T=1.0, mu2=0.01,
 )
@@ -39,7 +41,7 @@ for x1 in (0.5, 1.0, 2.0, 4.0):
     v = float(cand.v(0.0, 1.0, x1))
     print(f"{x1:6.2f} {u:10.4f} {c:10.4f} {v:12.6f}")
 
-no_memory = merton.resolve_constraints(
+no_memory = merton.MertonParams(
     r=0.03, mu0=0.08, sigma=0.2, beta=0.1, gamma=0.5,
     lam=0.1, delta=1.0, horizon_T=1.0, mu2=0.0,
 )

@@ -9,7 +9,9 @@ Three diagnostics on the closed-form candidate value:
 * the four first-order compatibility equations tying the coefficients'
   x1-sensitivities to their x-sensitivities hold along the feedback controls.
 
-Breaking a structural constraint on purpose shows where each check bites.
+Breaking a structural constraint on purpose shows where each check bites:
+merton.MertonParams keeps an explicit mu1 or theta as given instead of
+deriving it from the constraints.
 """
 
 import numpy as np
@@ -29,7 +31,7 @@ xg, x1g = np.meshgrid(xs, x1s, indexing="ij")
 
 
 def run(tag, **overrides):
-    p = merton.resolve_constraints(**P0, **overrides)
+    p = merton.MertonParams(**P0, **overrides)
     model = merton.build_model(p)
     policy = merton.build_policy(p)
     cand = merton.value_function(p)
@@ -54,6 +56,6 @@ def run(tag, **overrides):
 
 run("constrained parameters (both structural identities hold)")
 
-p_ok = merton.resolve_constraints(**P0)
+p_ok = merton.MertonParams(**P0)
 run("mu1 perturbed by +0.01 (drift identity broken)", mu1=p_ok.mu1 + 0.01)
 run("theta perturbed by +0.01 (aggregation identity broken)", theta=p_ok.theta + 0.01)

@@ -10,7 +10,9 @@ value at the initial state.
 
 from delaylab import core, merton, pmp, sdde, verify
 
-params = merton.resolve_constraints(
+# MertonParams derives theta and mu1 from the structural constraints and
+# validates the parameters when it is built.
+params = merton.MertonParams(
     r=0.03, mu0=0.08, sigma=0.2, beta=0.1, gamma=0.5,
     lam=0.1, delta=1.0, horizon_T=1.0, mu2=0.01,
 )

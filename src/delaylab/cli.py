@@ -146,7 +146,7 @@ def build_merton(section: dict):
     )
     overrides = section.get("overrides", {})
     _require_keys(overrides, allowed={"mu1", "theta"}, required=set(), where="model.overrides")
-    params = merton.resolve_constraints(
+    params = merton.MertonParams(
         **_param_kwargs(raw, "model.params"), **_param_kwargs(overrides, "model.overrides")
     )
     return (

@@ -363,9 +363,9 @@ CSV_BLOCK_ROWS = 1 << 11
 # other value (NaN, ±inf, subnormals, |v| < 1e-10 or >= 1e14) is formatted by
 # Python into words 1-9.
 #
-# write_long_csv runs this kernel once per file for t, once per columns_of
-# call for a column of path stride 0, and block by block for the others; a
-# path id is Python's text of the integer after a newline, in five words.  A
+# write_long_csv runs this kernel once per columns_of call for a column of
+# path stride 0 (t among them), and block by block for the others; a path
+# id is Python's text of the integer after a newline, in five words.  A
 # block of rows hands bytes.translate only the (column, word) planes that
 # some of its cells use: most cells leave four of the ten words NUL.
 
@@ -373,7 +373,7 @@ _U = np.uint64
 _G17_LO, _G17_HI = 1e-10, 1e14
 # Word-table offsets: four-digit groups plain, with leading zeros blank, the
 # same with 0 written as "0" (the last integer group), with trailing zeros
-# blank, and word 0 at 200·comma + 100·sign + digits 1-2.
+# blank, and word 0 at 100·sign + digits 1-2.
 _LEAD, _LEAD1, _TRAIL, _HEAD = (_U(10_000 * i) for i in range(1, 5))
 
 
@@ -388,10 +388,10 @@ def _g17_tables() -> tuple[Array, Array]:
     lead1 = lead.copy()
     lead1[0, 3] = ord("0")
     trail = plain * (group % (10 * tens) > 0)
-    head = np.zeros((2, 2, 100, 4), np.uint8)
-    head[0, :, :, 0], head[1, :, :, 0] = ord("\n"), ord(",")
-    head[:, 1, :, 1] = ord("-")
-    head[:, :, :, 2:] = lead[:100, 2:]
+    head = np.zeros((2, 100, 4), np.uint8)
+    head[:, :, 0] = ord(",")
+    head[1, :, 1] = ord("-")
+    head[:, :, 2:] = lead[:100, 2:]
     # Word 4 is by_k[2] + (a fraction digit is left): "" or "." from base + 1,
     # always blank from base.  Word 9 is blank from base.
     literals = [b"", b"", b"."]
@@ -451,12 +451,11 @@ def _scaled(bits: Array, k: Array) -> tuple[Array, Array]:
     return q, q + (((lo << left) | (q & _U(1))) > _U(1 << 63))
 
 
-def _g17_cells(values: Array, comma: Array) -> Array:
+def _g17_cells(values: Array) -> Array:
     """The CSV cells of values as a (10, *values.shape) uint32 array.
 
-    Each cell is a separator, ',' where comma (broadcast against values) is
-    1 and a newline where it is 0, then '%.17g' % v, in the ten-word layout
-    above with NUL in every unused byte.
+    Each cell is a comma, then '%.17g' % v, in the ten-word layout above
+    with NUL in every unused byte.
     """
     v = np.ascontiguousarray(values, np.float64)
     a = np.abs(v)
@@ -487,7 +486,7 @@ def _g17_cells(values: Array, comma: Array) -> Array:
         _G17_WORDS.take(index.view(np.intp), out=cells[word])
 
     g = whole // _U(10**12)
-    put(0, _HEAD + _U(200) * comma + _U(100) * sign + g)
+    put(0, _HEAD + _U(100) * sign + g)
     rest = whole - g * _U(10**12)
     g = rest // _U(10**8)
     rest -= g * _U(10**8)
@@ -517,7 +516,7 @@ def _column_cells(columns: Sequence[Array], shape: tuple[int, int]) -> tuple[Arr
     table = np.zeros((len(columns),) + shape)
     for i, c in enumerate(columns):
         table[i, :, : c.shape[1]] = c
-    cells = _g17_cells(table, _U(1))
+    cells = _g17_cells(table)
     for i, c in enumerate(columns):
         cells[1:, i, :, c.shape[1] :] = 0  # blank: the separator alone
     # a max over the contiguous last axis; over a middle axis it costs far more
@@ -552,24 +551,23 @@ def write_long_csv(
 
     _g17_cells turns values into fixed-width cells with NUL holes, and
     bytes.translate drops the holes.  A cell that repeats is formatted once:
-    t, the same on every path, once per file; a column of path stride 0
-    once per columns_of call; each path id, the same at every node, once
-    per block of CSV_BLOCK_ROWS rows.  The other columns are formatted block
-    by block.  Each block stacks only the (column, word) planes that some of
-    its cells use, so translate reads no word that is NUL in every row of
-    the block.  Each cell starts with the separator before it, so the
-    header goes out without its newline and the last row's newline follows
-    the last block.
+    a column of path stride 0, t among them, once per columns_of call; each
+    path id, the same at every node, once per block of CSV_BLOCK_ROWS rows.
+    The other columns are formatted block by block.  Each block stacks only
+    the (column, word) planes that some of its cells use, so translate reads
+    no word that is NUL in every row of the block.  Each cell starts with
+    the separator before it, so the header goes out without its newline and
+    the last row's newline follows the last block.
     """
     n_nodes = times.size
     stream.write(",".join(["path", "t", *names]).encode("ascii"))
     paths_per_block = max(1, CSV_BLOCK_ROWS // n_nodes)
-    t_planes = _shared_planes(times, (paths_per_block, n_nodes))
     # a whole number of blocks per call of columns_of
     paths_per_call = paths_per_block * max(1, NODE_BLOCK // (paths_per_block * n_nodes))
     for first in range(0, n_paths, paths_per_call):
         last = min(first + paths_per_call, n_paths)
-        columns = columns_of(slice(first, last))
+        t = np.broadcast_to(times, (last - first, n_nodes))
+        columns = [t, *columns_of(slice(first, last))]
         # a column of path stride 0 holds one row for every path; None
         # stands for a column of its own
         layout = [
@@ -591,7 +589,7 @@ def write_long_csv(
             own_planes = (
                 [cells[w, i] for w in np.flatnonzero(used[:, i])] for i in range(len(own))
             )
-            for fixed in [t_planes, *layout]:
+            for fixed in layout:
                 planes += next(own_planes) if fixed is None else [p[: shape[0]] for p in fixed]
             stream.write(np.stack(planes, axis=2).tobytes().translate(None, b"\0"))
     stream.write(b"\n")

@@ -26,9 +26,10 @@ whose solution is
 
 Δ is a scalar of the market parameters alone, so MertonParams carries it
 as a derived field beside θ and μ1, and every closed-form function takes
-the parameters alone.  resolve_constraints derives θ and μ1 and evaluates
-Q(s) once: Δ = 0, or a bracket that is not positive at s, raises
-DomainError there (exit code 3 on the command line).
+the parameters alone.  MertonParams validates itself on every construction,
+dataclasses.replace included: it derives θ and μ1 when they are not given
+and evaluates Q(s) once, so Δ = 0, or a bracket that is not positive at s,
+raises DomainError there (exit code 3 on the command line).
 
 The optimal feedback controls are
 
@@ -78,10 +79,13 @@ Q_ORACLE_TOL = 1e-7
 class MertonParams:
     """Market, preference, and delay parameters with derived constants.
 
-    theta and mu1 are pinned by the structural constraints; construct
-    instances through resolve_constraints so they cannot drift apart.
-    delta_coeff, the Δ of the Q equation, is derived from the other fields
-    on construction.
+    Every construction validates, dataclasses.replace included: σ > 0 and
+    γ < 1, γ ≠ 0, else ConfigError.  theta and mu1 left as None are derived
+    from the structural constraints; explicit values are kept as given (to
+    study broken constraints), not checked against the identities.
+    delta_coeff, the Δ of the Q equation, is derived from the other fields,
+    and Q(start_s) is evaluated once, so a Δ or bracket outside the domain
+    raises DomainError here rather than at the first use of the closed form.
     """
 
     r: float
@@ -93,20 +97,30 @@ class MertonParams:
     delta: float
     horizon_T: float
     mu2: float
-    mu1: float
-    theta: float
     start_s: float = 0.0
+    mu1: float | None = None
+    theta: float | None = None
     delta_coeff: float = field(init=False)
 
     def __post_init__(self):
-        # Δ = β + γ(μ0 − r)²/(2σ²(γ−1)) − γ(r + μ2 e^{λδ})
+        if self.sigma <= 0.0:
+            raise ConfigError(f"sigma must be > 0, got {self.sigma}")
         g = self.gamma
+        if g >= 1.0 or g == 0.0:
+            raise ConfigError(f"gamma must satisfy gamma < 1 and gamma != 0, got {g}")
+        theta_c = self.mu2 * math.exp(self.lam * self.delta)
+        if self.theta is None:
+            object.__setattr__(self, "theta", theta_c)
+        if self.mu1 is None:
+            object.__setattr__(self, "mu1", theta_c * (self.lam + self.r + theta_c))
+        # Δ = β + γ(μ0 − r)²/(2σ²(γ−1)) − γ(r + μ2 e^{λδ})
         delta_coeff = (
             self.beta
             + g * (self.mu0 - self.r) ** 2 / (2.0 * self.sigma**2 * (g - 1.0))
-            - g * (self.r + self.mu2 * math.exp(self.lam * self.delta))
+            - g * (self.r + theta_c)
         )
         object.__setattr__(self, "delta_coeff", delta_coeff)
+        q_closed_form(self.start_s, self)
 
     @property
     def model_params(self) -> ModelParams:
@@ -116,56 +130,6 @@ class MertonParams:
             horizon_T=self.horizon_T,
             start_s=self.start_s,
         )
-
-
-def resolve_constraints(
-    r: float,
-    mu0: float,
-    sigma: float,
-    beta: float,
-    gamma: float,
-    lam: float,
-    delta: float,
-    horizon_T: float,
-    mu2: float,
-    start_s: float = 0.0,
-    mu1: float | None = None,
-    theta: float | None = None,
-) -> MertonParams:
-    """Build parameters with θ and μ1 derived from the constraints.
-
-    Explicit mu1/theta overrides are accepted (to study broken constraints)
-    but are not validated against the structural identities.  Q(start_s) is
-    evaluated once, so a Δ or bracket outside the domain raises DomainError
-    here rather than at the first use of the closed form.
-    """
-    if sigma <= 0.0:
-        raise ConfigError(f"sigma must be > 0, got {sigma}")
-    if gamma >= 1.0 or gamma == 0.0:
-        raise ConfigError(
-            f"gamma must satisfy gamma < 1 and gamma != 0, got {gamma}"
-        )
-    theta_c = mu2 * math.exp(lam * delta)
-    if theta is None:
-        theta = theta_c
-    if mu1 is None:
-        mu1 = theta_c * (lam + r + theta_c)
-    p = MertonParams(
-        r=r,
-        mu0=mu0,
-        sigma=sigma,
-        beta=beta,
-        gamma=gamma,
-        lam=lam,
-        delta=delta,
-        horizon_T=horizon_T,
-        mu2=mu2,
-        mu1=mu1,
-        theta=theta,
-        start_s=start_s,
-    )
-    q_closed_form(start_s, p)
-    return p
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ def announce(n, passed, detail):
 
 
 def build(mu2=0.01, **overrides):
-    p = merton.resolve_constraints(**{**P0, "mu2": mu2}, **overrides)
+    p = merton.MertonParams(**{**P0, "mu2": mu2}, **overrides)
     return {
         "params": p,
         "model": merton.build_model(p),
@@ -65,7 +65,7 @@ class CriteriaRunner:
     def q_benchmark(self):
         worst = 0.0
         for gamma in (0.5, -1.0):
-            p = merton.resolve_constraints(
+            p = merton.MertonParams(
                 **{**P0, "mu2": self.ctx["params"].mu2, "gamma": gamma}
             )
             times, oracle = merton.q_ode_oracle(p, n_steps=10_000)

@@ -61,7 +61,7 @@ class TestLinearOracles:
 
 @pytest.fixture(scope="module")
 def merton_setup():
-    p = merton.resolve_constraints(
+    p = merton.MertonParams(
         r=0.03, mu0=0.08, sigma=0.2, beta=0.1, gamma=0.5,
         lam=0.1, delta=1.0, horizon_T=1.0, mu2=0.01,
     )

@@ -23,7 +23,7 @@ RNG_SEED = 20261019
 def g17(values):
     """The text the kernel writes for each value."""
     v = np.asarray(values, np.float64).ravel()
-    cells = core._g17_cells(v, np.uint64(1))
+    cells = core._g17_cells(v)
     return [c.tobytes().translate(None, b"\0").decode("ascii")[1:] for c in cells.T]
 
 

@@ -39,7 +39,7 @@ def with_nan_v_s(cand):
 
 @pytest.fixture(scope="module")
 def merton_setup():
-    p = merton.resolve_constraints(**P0)
+    p = merton.MertonParams(**P0)
     return {
         "params": p,
         "model": merton.build_model(p),
@@ -101,8 +101,8 @@ class TestResidual:
         assert abs(float(res[0])) < 1e-6
 
     def test_broken_mu1_fails(self):
-        p_ok = merton.resolve_constraints(**P0)
-        p_bad = merton.resolve_constraints(**P0, mu1=p_ok.mu1 + 0.01)
+        p_ok = merton.MertonParams(**P0)
+        p_bad = merton.MertonParams(**P0, mu1=p_ok.mu1 + 0.01)
         report = hjb.hjb_residual_check(sweep(
             merton.build_model(p_bad), merton.value_function(p_bad), [0.3], [0.0],
             maximizer=merton.build_policy(p_bad),
@@ -131,8 +131,8 @@ class TestX2Independence:
         assert report.passed, report.max_residual
 
     def test_broken_theta_fails(self):
-        p_ok = merton.resolve_constraints(**P0)
-        p_bad = merton.resolve_constraints(**P0, theta=p_ok.theta + 0.01)
+        p_ok = merton.MertonParams(**P0)
+        p_bad = merton.MertonParams(**P0, theta=p_ok.theta + 0.01)
         report = hjb.x2_independence_check(sweep(
             merton.build_model(p_bad), merton.value_function(p_bad),
             [0.3], [-10.0, 0.0, 10.0],
@@ -360,8 +360,8 @@ class TestCompatibilitySystem:
         assert report.passed, report.extra
 
     def test_broken_mu1_shows_in_drift_equation(self):
-        p_ok = merton.resolve_constraints(**P0)
-        p_bad = merton.resolve_constraints(**P0, mu1=p_ok.mu1 + 0.01)
+        p_ok = merton.MertonParams(**P0)
+        p_bad = merton.MertonParams(**P0, mu1=p_ok.mu1 + 0.01)
         report = hjb.compatibility_pde_check(
             merton.build_model(p_bad), merton.value_function(p_bad), 0.3, XS, X1S,
             merton.build_policy(p_bad),
@@ -372,8 +372,8 @@ class TestCompatibilitySystem:
         assert report.extra["per_equation"]["sigma"] < 1e-6
 
     def test_broken_theta_shows_in_payoff_equation(self):
-        p_ok = merton.resolve_constraints(**P0)
-        p_bad = merton.resolve_constraints(**P0, theta=p_ok.theta + 0.01)
+        p_ok = merton.MertonParams(**P0)
+        p_bad = merton.MertonParams(**P0, theta=p_ok.theta + 0.01)
         report = hjb.compatibility_pde_check(
             merton.build_model(p_bad), merton.value_function(p_bad), 0.3, XS, X1S,
             merton.build_policy(p_bad),

@@ -47,7 +47,7 @@ def q_closed_form_flipped_exponent(t, p):
 
 @pytest.fixture(scope="module")
 def p0():
-    return merton.resolve_constraints(**P0)
+    return merton.MertonParams(**P0)
 
 
 class TestDerivedConstants:
@@ -66,20 +66,34 @@ class TestDerivedConstants:
 
     def test_validation(self):
         with pytest.raises(core.ConfigError):
-            merton.resolve_constraints(**{**P0, "sigma": 0.0})
+            merton.MertonParams(**{**P0, "sigma": 0.0})
         with pytest.raises(core.ConfigError):
-            merton.resolve_constraints(**{**P0, "gamma": 1.0})
+            merton.MertonParams(**{**P0, "gamma": 1.0})
         with pytest.raises(core.ConfigError):
-            merton.resolve_constraints(**{**P0, "gamma": 0.0})
+            merton.MertonParams(**{**P0, "gamma": 0.0})
 
     def test_delta_follows_the_parameters(self, p0):
         moved = dataclasses.replace(p0, beta=p0.beta + 0.25)
         assert moved.delta_coeff == pytest.approx(p0.delta_coeff + 0.25, rel=1e-14)
 
+    def test_replace_validates(self, p0):
+        # dataclasses.replace runs the same checks as a direct construction.
+        with pytest.raises(core.ConfigError):
+            dataclasses.replace(p0, gamma=0.0)
+        with pytest.raises(core.ConfigError):
+            dataclasses.replace(p0, sigma=0.0)
+
+    def test_replace_keeps_explicit_theta_and_mu1(self, p0):
+        broken = merton.MertonParams(**P0, theta=p0.theta + 0.01, mu1=p0.mu1 + 0.01)
+        assert (broken.theta, broken.mu1) == (p0.theta + 0.01, p0.mu1 + 0.01)
+        moved = dataclasses.replace(broken, beta=p0.beta + 0.25)
+        assert (moved.theta, moved.mu1) == (broken.theta, broken.mu1)
+        assert dataclasses.replace(p0, beta=p0.beta + 0.25).theta == p0.theta
+
     def test_zero_delta_fails_fast(self):
         # Delta = beta - gamma r = 0 when mu0 = r and mu2 = 0.
         with pytest.raises(core.DomainError):
-            merton.resolve_constraints(
+            merton.MertonParams(
                 **{**P0, "mu0": 0.04, "r": 0.04, "mu2": 0.0, "beta": 0.02}
             )
 
@@ -99,7 +113,7 @@ class TestQFunction:
 
     @pytest.mark.parametrize("gamma", [0.5, -1.0])
     def test_closed_form_matches_ode_oracle(self, gamma):
-        p = merton.resolve_constraints(**{**P0, "gamma": gamma})
+        p = merton.MertonParams(**{**P0, "gamma": gamma})
         times, oracle = merton.q_ode_oracle(p, n_steps=10_000)
         closed = merton.q_closed_form(times, p)
         rel = np.max(np.abs(closed - oracle) / np.abs(oracle))
@@ -179,7 +193,7 @@ class TestControls:
 
 class TestNoMemoryReduction:
     def test_mu2_zero_recovers_classical_solution(self):
-        p = merton.resolve_constraints(**{**P0, "mu2": 0.0})
+        p = merton.MertonParams(**{**P0, "mu2": 0.0})
         assert p.theta == 0.0
         assert p.mu1 == 0.0
         # u* loses all x1 dependence and equals the classical Merton ratio.
@@ -195,7 +209,7 @@ class TestNoMemoryReduction:
         assert p.delta_coeff == pytest.approx(expected)
 
     def test_mu2_zero_value_independent_of_x1(self):
-        p = merton.resolve_constraints(**{**P0, "mu2": 0.0})
+        p = merton.MertonParams(**{**P0, "mu2": 0.0})
         cand = merton.value_function(p)
         v_a = cand.v(0.3, 2.0, 0.5)
         v_b = cand.v(0.3, 2.0, 5.0)

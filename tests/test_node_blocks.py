@@ -180,7 +180,7 @@ def set_rows(monkeypatch, rows, n_paths):
 
 
 def merton_model():
-    p = merton.resolve_constraints(**P0)
+    p = merton.MertonParams(**P0)
     return p, merton.build_model(p), merton.value_function(p)
 
 

@@ -19,7 +19,7 @@ INITIAL = lambda tau: 1.0  # noqa: E731
 
 @pytest.fixture(scope="module")
 def merton_run():
-    p = merton.resolve_constraints(**P0)
+    p = merton.MertonParams(**P0)
     model = merton.build_model(p)
     policy = merton.build_policy(p)
     cand = merton.value_function(p)
@@ -190,7 +190,7 @@ class TestEnsembleReportIsWorstPath:
                for f in ("x", "x1_marks", "x2", "dw")},
             u=np.concatenate([small.u, large.u], axis=1),
         )
-        q = merton.exact_q_factor(merton.resolve_constraints(**P0), ens.times)
+        q = merton.exact_q_factor(merton.MertonParams(**P0), ens.times)
         adj = pmp.adjoint_from_value(model, cand, ens, q)
         return model, cand, ens, adj
 
@@ -324,7 +324,7 @@ class TestConvexityProbe:
     def test_merton_convex_near_optimum(self):
         # The optimal controls at x = 1, x1 = 0.95 at every node, with the
         # value-derived adjoints at q = 1.
-        p = merton.resolve_constraints(**P0)
+        p = merton.MertonParams(**P0)
         model = merton.build_model(p)
         cand = merton.value_function(p)
         ens = _still_ensemble(x=1.0, x1=0.95, x2=0.9, u=[0.0, 0.0], start=0.0)
@@ -359,8 +359,8 @@ class TestZeroP3:
 def _broken_theta_run(n_paths, seed, u_factor=1.0, initial=INITIAL):
     """Merton model with theta off its constraint by 0.01, simulated under
     u_factor times the closed-form portfolio, with value-derived adjoints."""
-    p_ok = merton.resolve_constraints(**P0)
-    p_bad = merton.resolve_constraints(**P0, theta=p_ok.theta + 0.01)
+    p_ok = merton.MertonParams(**P0)
+    p_bad = merton.MertonParams(**P0, theta=p_ok.theta + 0.01)
     model = merton.build_model(p_bad)
     policy = verify.scaled_policy(merton.build_policy(p_bad), [u_factor, 1.0], "u")
     cand = merton.value_function(p_bad)

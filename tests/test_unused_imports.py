@@ -2,8 +2,7 @@
 
 A name bound by an import counts as used when the module refers to it as a
 bare name anywhere, including as the root of an attribute (np.asarray) or
-in an annotation.  The package's __init__ is exempt, since its imports are
-the package's exports, and so are __future__ imports.
+in an annotation.  __future__ imports are exempt.
 """
 
 import ast
@@ -31,7 +30,6 @@ def unused_imports(path: Path) -> list[str]:
 
 
 def test_no_unused_imports():
-    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    paths += sorted(TESTS.glob("*.py")) + sorted(DEMOS.glob("*.py"))
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")) + sorted(DEMOS.glob("*.py"))
     unused = [entry for path in paths for entry in unused_imports(path)]
     assert not unused, f"imported but never used: {unused}"

@@ -18,7 +18,7 @@ INITIAL = lambda tau: 1.0  # noqa: E731
 
 @pytest.fixture(scope="module")
 def setup():
-    p = merton.resolve_constraints(**P0)
+    p = merton.MertonParams(**P0)
     return {
         "params": p,
         "model": merton.build_model(p),
