@@ -21,7 +21,8 @@ of the scalar values, then one line per check) and the exit code.
 Every subcommand parses and validates the whole config before any numerical
 work, so each one needs a seed, and an unknown key or a malformed value in
 any section, or an output directory that cannot be written, exits with
-code 2.
+code 2.  The config format is written once, as the section tables under
+"The config format" below.
 
 Exit codes: 0 success, 1 a check failed, 2 configuration error,
 3 numerical divergence or domain failure.
@@ -63,19 +64,14 @@ SEED_ENV_VAR = "DELAYLAB_SEED"
 
 
 # ---------------------------------------------------------------------------
-# Config loading
+# The config format
 # ---------------------------------------------------------------------------
-
-
-def _require_keys(section, allowed: set, required: set, where: str) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-    missing = required - set(section)
-    if missing:
-        raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
+#
+# Each section is a table from every key it accepts to the parser of that
+# key's value, with the keys it may leave out.  A parser takes the value and
+# its dotted name in the config.  model and initial_path are tagged by their
+# "kind": each kind has a table of its own.  The root's sections are parsed
+# by their builders below.  README's config reference lists the same keys.
 
 
 def _count(value, where: str) -> int:
@@ -98,7 +94,107 @@ def _reals(value, where: str) -> list:
     return [_real(v, where) for v in (value if isinstance(value, list) else [value])]
 
 
+def _text(value, where: str) -> str:
+    """Expression text: any JSON value as str() writes it, so 0 is "0"."""
+    return str(value)
+
+
+def _texts(value, where: str) -> list:
+    """A JSON list of expression texts."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list of expressions")
+    return [str(v) for v in value]
+
+
+def _path(value, where: str) -> str:
+    """A path: a JSON string."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
+    return value
+
+
+def _section(keys: dict, optional=frozenset()):
+    """The parser of a section whose keys are those of keys, each value
+    parsed by its key's parser; only the keys in optional may be left out.
+    A parsed section names lambda lam, as the records do."""
+
+    def parse(value, where: str) -> dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be a JSON object")
+        unknown = value.keys() - keys.keys()
+        if unknown:
+            raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+        missing = keys.keys() - optional - value.keys()
+        if missing:
+            raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
+        return {
+            ("lam" if key == "lambda" else key): keys[key](item, f"{where}.{key}")
+            for key, item in value.items()
+        }
+
+    return parse
+
+
+def _kind(section, kinds: dict, where: str) -> str:
+    """The kind that a tagged section names, one of those of kinds."""
+    kind = section.get("kind") if isinstance(section, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{where}.kind must be one of {sorted(kinds)}, got {kind!r}")
+    return kind
+
+
+# name -> the variables its expression binds, in the order of the
+# coefficient's positional arguments.
+_COEFF_VARS = {
+    **dict.fromkeys(("b1", "b2", "sigma"), ("t", "x", "x1", "u", "c")),
+    **dict.fromkeys(("f1", "f2"), ("t", "x", "x1", "y", "z", "u", "c")),
+    "phi": ("x", "x1"),
+}
+
+# model.params: the delay's keys, of both kinds, and the market's, of 'merton'.
+_DELAY_PARAMS = dict.fromkeys(("lambda", "delta", "horizon_T", "start_s"), _real)
+_MARKET_PARAMS = dict.fromkeys(("r", "mu0", "sigma", "beta", "gamma", "mu2"), _real)
+
+_MODEL = {
+    "merton": _section(
+        {
+            "kind": _text,
+            "params": _section({**_MARKET_PARAMS, **_DELAY_PARAMS}, optional={"start_s"}),
+            "overrides": _section({"mu1": _real, "theta": _real}, optional={"mu1", "theta"}),
+        },
+        optional={"overrides"},
+    ),
+    "generic": _section(
+        {
+            "kind": _text,
+            "params": _section(_DELAY_PARAMS, optional={"start_s"}),
+            "coefficients": _section(dict.fromkeys(_COEFF_VARS, _text)),
+            "control_box": _section({"lower": _reals, "upper": _reals}),
+            "policy": _texts,
+        }
+    ),
+}
+
+_SIM = _section(
+    dict.fromkeys(("n_steps", "n_paths", "master_seed"), _count), optional={"master_seed"}
+)
+
+_INITIAL_PATH = {
+    "constant": _section({"kind": _text, "value": _real}),
+    "expr": _section({"kind": _text, "expr": _text}),
+}
+
+_OUTPUT = _section({"directory": _path}, optional={"directory"})
+
+_ROOT = _section(
+    dict.fromkeys(("model", "sim", "initial_path", "output"), lambda value, where: value),
+    optional={"initial_path", "output"},
+)
+
+
 def load_config(path: str) -> dict:
+    """The JSON config at path, with its root's keys checked; each section
+    is parsed by its builder."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -107,98 +203,16 @@ def load_config(path: str) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    _require_keys(
-        cfg,
-        allowed={"model", "sim", "initial_path", "output"},
-        required={"model", "sim"},
-        where="config root",
-    )
-    return cfg
-
-
-def _param_kwargs(raw: dict, where: str) -> dict:
-    """model.params (or model.overrides) as float keyword arguments; lambda is lam."""
-    return {
-        ("lam" if key == "lambda" else key): _real(value, f"{where}.{key}")
-        for key, value in raw.items()
-    }
-
-
-_MERTON_PARAM_KEYS = {
-    "r", "mu0", "sigma", "beta", "gamma", "lambda", "delta",
-    "horizon_T", "mu2", "start_s",
-}
-
-
-def build_merton(section: dict):
-    _require_keys(
-        section,
-        allowed={"kind", "params", "overrides"},
-        required={"kind", "params"},
-        where="model",
-    )
-    raw = section["params"]
-    _require_keys(
-        raw,
-        allowed=_MERTON_PARAM_KEYS,
-        required=_MERTON_PARAM_KEYS - {"start_s"},
-        where="model.params",
-    )
-    overrides = section.get("overrides", {})
-    _require_keys(overrides, allowed={"mu1", "theta"}, required=set(), where="model.overrides")
-    params = merton.MertonParams(
-        **_param_kwargs(raw, "model.params"), **_param_kwargs(overrides, "model.overrides")
-    )
-    return (
-        merton.build_model(params),
-        merton.build_policy(params),
-        params,
-        merton.value_function(params),
-    )
-
-
-_COEFF_VARS = {
-    "b1": ("t", "x", "x1", "u", "c"),
-    "b2": ("t", "x", "x1", "u", "c"),
-    "sigma": ("t", "x", "x1", "u", "c"),
-    "f1": ("t", "x", "x1", "y", "z", "u", "c"),
-    "f2": ("t", "x", "x1", "y", "z", "u", "c"),
-    "phi": ("x", "x1"),
-}
+    return _ROOT(cfg, "config root")
 
 
 def build_generic(section: dict):
-    _require_keys(
-        section,
-        allowed={"kind", "params", "coefficients", "control_box", "policy"},
-        required={"kind", "params", "coefficients", "control_box", "policy"},
-        where="model",
-    )
-    raw = section["params"]
-    _require_keys(
-        raw,
-        allowed={"lambda", "delta", "horizon_T", "start_s"},
-        required={"lambda", "delta", "horizon_T"},
-        where="model.params",
-    )
-    params = ModelParams(**_param_kwargs(raw, "model.params"))
-    box_raw = section["control_box"]
-    _require_keys(box_raw, allowed={"lower", "upper"}, required={"lower", "upper"}, where="model.control_box")
-    box = ControlBox(
-        lower=_reals(box_raw["lower"], "model.control_box.lower"),
-        upper=_reals(box_raw["upper"], "model.control_box.upper"),
-    )
+    """The (model, policy) of a model section of kind 'generic'."""
+    section = _MODEL["generic"](section, "model")
+    params, box = ModelParams(**section["params"]), ControlBox(**section["control_box"])
     n_u = box.n_controls
     if n_u > 2:
         raise ConfigError("generic models support at most two control coordinates")
-
-    coeffs_raw = section["coefficients"]
-    _require_keys(
-        coeffs_raw,
-        allowed=set(_COEFF_VARS),
-        required=set(_COEFF_VARS),
-        where="model.coefficients",
-    )
 
     def coefficient(name):
         """The model's callable for coefficient name.
@@ -208,7 +222,7 @@ def build_generic(section: dict):
         with one control).
         """
         names = _COEFF_VARS[name]
-        fun = compile_expression(str(coeffs_raw[name]), names)
+        fun = compile_expression(section["coefficients"][name], names)
 
         def coeff(*args):
             env = dict(zip(names, args))
@@ -224,10 +238,9 @@ def build_generic(section: dict):
         params=params, control_set=box, **{name: coefficient(name) for name in _COEFF_VARS}
     )
 
-    pol_raw = section["policy"]
-    if not isinstance(pol_raw, list) or len(pol_raw) != n_u:
+    if len(section["policy"]) != n_u:
         raise ConfigError("model.policy must list one expression per control coordinate")
-    pol_funs = [compile_expression(str(e), ("t", "x", "x1")) for e in pol_raw]
+    pol_funs = [compile_expression(e, ("t", "x", "x1")) for e in section["policy"]]
 
     def evaluate(t, x, x1):
         x = np.asarray(x, float)
@@ -239,58 +252,45 @@ def build_generic(section: dict):
 
 
 def build_model_and_policy(cfg: dict):
+    """(model, policy, params, cand) of the model section: params and cand
+    (the closed-form value function) are None for a generic model."""
     section = cfg["model"]
-    if not isinstance(section, dict) or "kind" not in section:
-        raise ConfigError("model section must carry a 'kind'")
-    kind = section["kind"]
-    if kind == "merton":
-        return build_merton(section)
-    if kind == "generic":
-        model, policy = build_generic(section)
-        return model, policy, None, None
-    raise ConfigError(f"unknown model kind {kind!r}")
+    if _kind(section, _MODEL, "model") == "generic":
+        return (*build_generic(section), None, None)
+    section = _MODEL["merton"](section, "model")
+    params = merton.MertonParams(**section["params"], **section.get("overrides", {}))
+    model, policy = merton.build_model(params), merton.build_policy(params)
+    return model, policy, params, merton.value_function(params)
 
 
 def build_sim_config(cfg: dict, seed_flag: int | None) -> SimConfig:
-    section = cfg["sim"]
-    _require_keys(
-        section,
-        allowed={"n_steps", "n_paths", "master_seed"},
-        required={"n_steps", "n_paths"},
-        where="sim",
-    )
-    if seed_flag is not None:
-        seed = seed_flag
-    elif "master_seed" in section:
-        seed = _count(section["master_seed"], "sim.master_seed")
-    elif SEED_ENV_VAR in os.environ:
+    """The sim section.  The seed is seed_flag (--seed), which replaces
+    sim.master_seed before the section is parsed, else sim.master_seed,
+    else the DELAYLAB_SEED environment variable."""
+    section = cfg["sim"] if seed_flag is None else {**cfg["sim"], "master_seed": seed_flag}
+    sim = _SIM(section, "sim")
+    if "master_seed" not in sim:
+        if SEED_ENV_VAR not in os.environ:
+            raise ConfigError(
+                f"no seed given: set sim.master_seed, pass --seed, or export {SEED_ENV_VAR}"
+            )
         try:
-            seed = int(os.environ[SEED_ENV_VAR])
+            sim["master_seed"] = int(os.environ[SEED_ENV_VAR])
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer") from exc
-    else:
-        raise ConfigError(
-            f"no seed given: set sim.master_seed, pass --seed, or export {SEED_ENV_VAR}"
-        )
-    return SimConfig(
-        n_steps=_count(section["n_steps"], "sim.n_steps"),
-        n_paths=_count(section["n_paths"], "sim.n_paths"),
-        master_seed=seed,
-    )
+    return SimConfig(**sim)
 
 
 def build_initial_path(cfg: dict):
+    """φ(τ) of the initial_path section, the constant 1.0 when there is none."""
     section = cfg.get("initial_path", {"kind": "constant", "value": 1.0})
-    _require_keys(section, allowed={"kind", "value", "expr"}, required=set(), where="initial_path")
-    if section.get("kind") == "constant":
-        _require_keys(section, allowed={"kind", "value"}, required={"kind", "value"}, where="initial_path")
-        value = _real(section["value"], "initial_path.value")
+    kind = _kind(section, _INITIAL_PATH, "initial_path")
+    section = _INITIAL_PATH[kind](section, "initial_path")
+    if kind == "constant":
+        value = section["value"]
         return lambda tau: value
-    if section.get("kind") == "expr":
-        _require_keys(section, allowed={"kind", "expr"}, required={"kind", "expr"}, where="initial_path")
-        fun = compile_expression(str(section["expr"]), ("tau",))
-        return lambda tau: float(fun(tau=tau))
-    raise ConfigError("initial_path.kind must be 'constant' or 'expr'")
+    fun = compile_expression(section["expr"], ("tau",))
+    return lambda tau: float(fun(tau=tau))
 
 
 def _output_directory(path, files: Sequence[str]) -> Path:
@@ -336,8 +336,9 @@ def build_run(cfg: dict, seed_flag: int | None, out_flag: str | None, files: Seq
     and an output directory in which the files cannot be written."""
     try:
         model, policy, params, cand = build_model_and_policy(cfg)
+        # --out, like --seed, replaces its key before the section is parsed.
         output = cfg.get("output", {})
-        _require_keys(output, allowed={"directory"}, required=set(), where="output")
+        output = _OUTPUT({**output, "directory": out_flag} if out_flag else output, "output")
         sim, initial = build_sim_config(cfg, seed_flag), build_initial_path(cfg)
         delay = model.params
         with np.errstate(all="ignore"):
@@ -353,7 +354,7 @@ def build_run(cfg: dict, seed_flag: int | None, out_flag: str | None, files: Seq
             sim=sim,
             initial=initial,
             start=(float(samples[-1]), x1_0),
-            out_dir=_output_directory(out_flag or output.get("directory", "out"), files),
+            out_dir=_output_directory(output.get("directory", "out"), files),
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
@@ -508,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
         p.add_argument("--out", default=None, help="output directory (default from config)")
-        p.add_argument("--quiet", action="store_true", help="suppress progress output")
+        p.add_argument("--quiet", action="store_true", help="suppress the report lines on stdout")
     return parser
 
 

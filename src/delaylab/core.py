@@ -21,7 +21,7 @@ node-row blocks over which the ensemble checks walk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
@@ -76,6 +76,16 @@ def nan_max(*values: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def require_finite(record) -> None:
+    """ConfigError unless each number a dataclass record was built with is
+    finite (a field left as None is not checked): NaN fails no range check
+    written as a comparison, so the records check this first."""
+    for f in fields(record):
+        value = getattr(record, f.name) if f.init else None
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Delay and horizon parameters shared by every model.
@@ -86,6 +96,8 @@ class ModelParams:
     delta : delay length δ ≥ 0
     horizon_T : terminal time T
     start_s : initial time s, with s < T
+
+    All four must be finite, else ConfigError.
     """
 
     lam: float
@@ -94,6 +106,7 @@ class ModelParams:
     start_s: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.lam < 0.0:
             raise ConfigError(f"lam must be >= 0, got {self.lam}")
         if self.delta < 0.0:
@@ -216,6 +229,8 @@ class ControlBox:
             )
         if self.lower.shape != self.upper.shape:
             raise ConfigError("lower/upper must have matching shapes")
+        if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
+            raise ConfigError("control box bounds must be finite")
         if np.any(self.lower > self.upper):
             raise ConfigError("lower bound exceeds upper bound")
 

@@ -57,6 +57,7 @@ from .core import (
     FeedbackPolicy,
     ModelParams,
     StructuredModel,
+    require_finite,
 )
 from .bsdde import RegressionBasis, polynomial_basis
 from .hjb import CheckReport, ValueCandidate
@@ -79,10 +80,11 @@ Q_ORACLE_TOL = 1e-7
 class MertonParams:
     """Market, preference, and delay parameters with derived constants.
 
-    Every construction validates, dataclasses.replace included: σ > 0 and
-    γ < 1, γ ≠ 0, else ConfigError.  theta and mu1 left as None are derived
-    from the structural constraints; explicit values are kept as given (to
-    study broken constraints), not checked against the identities.
+    Every construction validates, dataclasses.replace included: every
+    number given is finite, σ > 0 and γ < 1, γ ≠ 0, else ConfigError.
+    theta and mu1 left as None are derived from the structural constraints;
+    explicit values are kept as given (to study broken constraints), not
+    checked against the identities.
     delta_coeff, the Δ of the Q equation, is derived from the other fields,
     and Q(start_s) is evaluated once, so a Δ or bracket outside the domain
     raises DomainError here rather than at the first use of the closed form.
@@ -103,6 +105,7 @@ class MertonParams:
     delta_coeff: float = field(init=False)
 
     def __post_init__(self):
+        require_finite(self)
         if self.sigma <= 0.0:
             raise ConfigError(f"sigma must be > 0, got {self.sigma}")
         g = self.gamma

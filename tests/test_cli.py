@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from delaylab import cli, hjb, merton, pmp, sdde, verify
+from delaylab import cli, core, hjb, merton, pmp, sdde, verify
 
 MERTON_CFG = {
     "model": {
@@ -169,6 +169,128 @@ class TestExitCodes:
         assert run(command, write_cfg(tmp_path, cfg), tmp_path / "out") == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "out" / "report.json").exists()
+
+
+# MERTON_CFG and GENERIC_CFG with every optional key set, between them
+# holding every section of the config language and both kinds of
+# initial_path.
+FULL_CFGS = {
+    "merton": json.loads(json.dumps(MERTON_CFG)),
+    "generic": json.loads(json.dumps(GENERIC_CFG)),
+}
+FULL_CFGS["merton"]["model"]["params"]["start_s"] = 0.0
+FULL_CFGS["merton"]["model"]["overrides"] = {"mu1": 0.0015, "theta": 0.011}
+FULL_CFGS["merton"]["output"] = {"directory": "out"}
+FULL_CFGS["generic"]["model"]["params"]["start_s"] = 0.0
+FULL_CFGS["generic"]["initial_path"] = {"kind": "expr", "expr": "1 + tau / 2"}
+
+# (config, path of the section from the root) for every section.
+SECTIONS = [
+    ("merton", ()),
+    ("merton", ("model",)),
+    ("merton", ("model", "params")),
+    ("merton", ("model", "overrides")),
+    ("merton", ("sim",)),
+    ("merton", ("initial_path",)),
+    ("merton", ("output",)),
+    ("generic", ("model",)),
+    ("generic", ("model", "params")),
+    ("generic", ("model", "coefficients")),
+    ("generic", ("model", "control_box")),
+    ("generic", ("initial_path",)),
+]
+OPTIONAL_KEYS = {
+    "initial_path", "output", "overrides", "start_s", "mu1", "theta", "master_seed", "directory",
+}
+
+
+def section_of(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
+def section_keys(optional):
+    """(config, section path, key) of every key, optional or required, of every section."""
+    return [
+        pytest.param(name, path, key, id=".".join((name, *path, key)))
+        for name, path in SECTIONS
+        for key in section_of(FULL_CFGS[name], path)
+        if (key in OPTIONAL_KEYS) == optional
+    ]
+
+
+class TestConfigSections:
+    """The config language section by section, parsed as main parses it
+    (load_config, then build_run) without running any subcommand."""
+
+    @pytest.fixture(autouse=True)
+    def in_tmp_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+
+    @staticmethod
+    def build(tmp_path, cfg):
+        return cli.build_run(cli.load_config(write_cfg(tmp_path, cfg)), None, None, ["report.json"])
+
+    @pytest.mark.parametrize("name", sorted(FULL_CFGS))
+    def test_full_config_builds(self, tmp_path, name):
+        run = self.build(tmp_path, FULL_CFGS[name])
+        assert str(run.out_dir) == "out"
+        assert (run.params is None) == (name == "generic")
+
+    @pytest.mark.parametrize(
+        "name, path", [pytest.param(n, p, id=".".join((n, *p))) for n, p in SECTIONS]
+    )
+    def test_unknown_key_is_config_error(self, tmp_path, name, path):
+        cfg = json.loads(json.dumps(FULL_CFGS[name]))
+        section_of(cfg, path)["bogus"] = 1.0
+        with pytest.raises(core.ConfigError, match="bogus"):
+            self.build(tmp_path, cfg)
+
+    @pytest.mark.parametrize("name, path, key", section_keys(optional=False))
+    def test_missing_required_key_is_config_error(self, tmp_path, name, path, key):
+        cfg = json.loads(json.dumps(FULL_CFGS[name]))
+        del section_of(cfg, path)[key]
+        with pytest.raises(core.ConfigError):
+            self.build(tmp_path, cfg)
+
+    @pytest.mark.parametrize("name, path, key", section_keys(optional=True))
+    def test_optional_key_may_be_left_out(self, tmp_path, monkeypatch, name, path, key):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "7")
+        cfg = json.loads(json.dumps(FULL_CFGS[name]))
+        del section_of(cfg, path)[key]
+        self.build(tmp_path, cfg)
+
+    @pytest.mark.parametrize("section", ["model", "initial_path"])
+    def test_unknown_kind_is_config_error(self, tmp_path, section):
+        cfg = json.loads(json.dumps(FULL_CFGS["merton"]))
+        cfg[section]["kind"] = "linear"
+        with pytest.raises(core.ConfigError):
+            self.build(tmp_path, cfg)
+
+    @pytest.mark.parametrize("directory", [5, None])
+    def test_output_directory_must_be_a_string(self, tmp_path, directory):
+        # Expressions take any JSON value as its text, but a path does not.
+        cfg = json.loads(json.dumps(FULL_CFGS["merton"]))
+        cfg["output"]["directory"] = directory
+        with pytest.raises(core.ConfigError):
+            self.build(tmp_path, cfg)
+
+    def test_flags_replace_their_keys_unread(self, tmp_path):
+        # --seed and --out replace sim.master_seed and output.directory
+        # before those sections are parsed, so the replaced values are not read.
+        cfg = json.loads(json.dumps(FULL_CFGS["merton"]))
+        cfg["sim"]["master_seed"] = 1.5
+        cfg["output"]["directory"] = 5
+        run = cli.build_run(cli.load_config(write_cfg(tmp_path, cfg)), 3, "flag", ["report.json"])
+        assert (run.sim.master_seed, str(run.out_dir)) == (3, "flag")
+
+    def test_coefficient_may_be_a_json_number(self, tmp_path):
+        cfg = json.loads(json.dumps(FULL_CFGS["generic"]))
+        cfg["model"]["coefficients"]["b2"] = 0
+        run = self.build(tmp_path, cfg)
+        assert run.model.b2(0.0, np.ones(3), np.ones(3), np.full((1, 3), 0.5)) == 0.0
 
 
 class TestOutputDirectory:

@@ -26,6 +26,14 @@ class TestModelParams:
         with pytest.raises(core.ConfigError):
             core.ModelParams(lam=0.1, delta=1.0, horizon_T=0.0, start_s=0.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["lam", "delta", "horizon_T", "start_s"])
+    def test_non_finite_field_rejected(self, name, value):
+        # NaN passes every range check written as a comparison.
+        fields = dict(lam=0.1, delta=1.0, horizon_T=1.0, start_s=0.0)
+        with pytest.raises(core.ConfigError, match=f"{name} must be finite"):
+            core.ModelParams(**{**fields, name: value})
+
 
 class TestDelayBuffer:
     """The delay window [−δ, 0] sampled from the initial segment, and its
@@ -100,6 +108,14 @@ class TestControlBox:
     def test_bad_bounds_rejected(self):
         with pytest.raises(core.ConfigError):
             core.ControlBox(lower=[1.0], upper=[0.0])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_non_finite_bound_rejected(self, side, value):
+        bounds = {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}
+        bounds[side][1] = value
+        with pytest.raises(core.ConfigError, match="must be finite"):
+            core.ControlBox(**bounds)
 
 
 class TestSimConfig:

@@ -72,6 +72,14 @@ class TestDerivedConstants:
         with pytest.raises(core.ConfigError):
             merton.MertonParams(**{**P0, "gamma": 0.0})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", [*P0, "start_s", "mu1", "theta"])
+    def test_non_finite_field_rejected(self, name, value):
+        # NaN passes every range check written as a comparison, and Delta
+        # and Q then read NaN; an explicit mu1 or theta is checked too.
+        with pytest.raises(core.ConfigError, match=f"{name} must be finite"):
+            merton.MertonParams(**{**P0, name: value})
+
     def test_delta_follows_the_parameters(self, p0):
         moved = dataclasses.replace(p0, beta=p0.beta + 0.25)
         assert moved.delta_coeff == pytest.approx(p0.delta_coeff + 0.25, rel=1e-14)
