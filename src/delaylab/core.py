@@ -154,9 +154,12 @@ def initial_segment(
     approximation of x1(s) = ∫_{-δ}^{0} e^{λτ} φ(τ) dτ over them.  The step
     must divide δ exactly (up to rounding noise); otherwise the pointwise
     delay X(t − δ) would fall between grid nodes.  A zero delay leaves one
-    sample, whose trapezoid is an empty sum: x1(s) is 0 exactly.
+    sample, whose trapezoid is an empty sum: x1(s) is 0 exactly.  A lag of
+    more samples than numpy can index is a ConfigError.
     """
     n = lag_steps(delta, step_h)
+    if n >= np.iinfo(np.intp).max:
+        raise ConfigError(f"a delay of {n} steps has more samples than numpy can index")
     tau = -delta + step_h * np.arange(n + 1)
     tau[-1] = 0.0
     samples = np.array([float(path(float(t))) for t in tau])
@@ -356,44 +359,44 @@ class SimConfig:
 # arrays next to the columns themselves.
 CSV_BLOCK_ROWS = 1 << 11
 
-# '%.17g' without a Python format per value.  A finite |v| in [1e-10, 1e14)
-# is m·2^e with an integer m < 2^53.  Its 17 significant digits are the
-# integer N = round(|v|·10^k) in [10^16, 10^17), where k = 16 − d and
-# d = floor(log10|v|), so k lies in [3, 26].  N is m·5^k·2^(e+k) rounded half
-# to even: m·5^k is an exact 128-bit product of 32-bit limbs, and the shift
-# s = −(e+k) lies in [1, 63].  N never rounds up to 10^17: that takes a |v|
-# less than 5e-18·10^(d+1) below 10^(d+1), and no float64 in the range is
-# that close below a power of ten (the CSV text tests check each one).  Each
-# value becomes a cell of ten 4-byte words, NUL where unused, which
+# '%.17g' without a Python format per value.  A finite |v| in [1e-4, 1e6) is
+# m·2^e with an integer m < 2^53.  Its 17 significant digits are the integer
+# N = round(|v|·10^k) in [10^16, 10^17), where k = 16 − d and
+# d = floor(log10|v|), so k lies in [11, 20].  N is m·5^k·2^(e+k) rounded
+# half to even: m·5^k is an exact 128-bit product of 32-bit limbs, and the
+# shift s = −(e+k) lies in [1, 63].  N never rounds up to 10^17: that takes
+# a |v| less than 5e-18·10^(d+1) below 10^(d+1), and no float64 in the range
+# is that close below a power of ten (the CSV text tests check each one).
+# Each value becomes a cell of seven 4-byte words, NUL where unused, which
 # _G17_WORDS holds:
 #
-#   0     the separator before the cell, the sign, integer digits 1-2 of 14
-#   1-3   integer digits 3-14 in groups of four, leading zeros blank
-#   4     the decimal point, blank when no fraction digit is left
-#   5-8   16 fraction digits in groups of four, trailing zeros blank
-#   9     the exponent e-05 ... e-10, when d < −4
+#   0     the separator before the cell, the sign, integer digits 1-2 of 6
+#   1     integer digits 3-6, leading zeros blank
+#   2     the decimal point, blank when no fraction digit is left
+#   3-6   16 fraction digits in groups of four, trailing zeros blank
 #
-# When −4 <= d <= −1, words 2-3 hold "0.", −d − 1 zeros and the first digit
-# instead, and words 5-8 the other 16 digits.  ±0 is a cell of its own; every
-# other value (NaN, ±inf, subnormals, |v| < 1e-10 or >= 1e14) is formatted by
-# Python into words 1-9.
+# When −4 <= d <= −1, word 0 ends in "0." instead, word 1 holds −d − 1 zeros
+# and the first digit, and words 3-6 the other 16 digits.  ±0 is a cell of
+# its own; every other value (NaN, ±inf, subnormals, |v| < 1e-4 or >= 1e6)
+# is formatted by Python into words 1-6, which hold the 24 bytes of the
+# longest, -2.2250738585072014e-308.
 #
 # write_long_csv runs this kernel once per columns_of call for a column of
 # path stride 0 (t among them), and block by block for the others; a path
 # id is Python's text of the integer after a newline, in five words.  A
 # block of rows hands bytes.translate only the (column, word) planes that
-# some of its cells use: most cells leave four of the ten words NUL.
+# some of its cells use.
 
 _U = np.uint64
-_G17_LO, _G17_HI = 1e-10, 1e14
-# Word-table offsets: four-digit groups plain, with leading zeros blank, the
-# same with 0 written as "0" (the last integer group), with trailing zeros
-# blank, and word 0 at 100·sign + digits 1-2.
-_LEAD, _LEAD1, _TRAIL, _HEAD = (_U(10_000 * i) for i in range(1, 5))
+_G17_LO, _G17_HI = 1e-4, 1e6
+# Word-table offsets: four-digit groups plain, with leading zeros blank but
+# 0 written as "0", with trailing zeros blank, and word 0 at
+# 200·(d < 0) + 100·sign + digits 1-2.
+_LEAD1, _TRAIL, _HEAD = (_U(10_000 * i) for i in range(1, 4))
 
 
 def _g17_tables() -> tuple[Array, Array]:
-    """The word table, and per k the index offsets of words 2, 3, 4 and 9."""
+    """The word table, and per k the index offsets of words 0, 1 and 2."""
     group = np.arange(10_000, dtype=np.uint16)[:, np.newaxis]
     tens = np.array([1000, 100, 10, 1], np.uint16)
     plain = (group // tens % 10 + ord("0")).astype(np.uint8)
@@ -403,33 +406,29 @@ def _g17_tables() -> tuple[Array, Array]:
     lead1 = lead.copy()
     lead1[0, 3] = ord("0")
     trail = plain * (group % (10 * tens) > 0)
-    head = np.zeros((2, 100, 4), np.uint8)
-    head[:, :, 0] = ord(",")
-    head[1, :, 1] = ord("-")
-    head[:, :, 2:] = lead[:100, 2:]
-    # Word 4 is by_k[2] + (a fraction digit is left): "" or "." from base + 1,
-    # always blank from base.  Word 9 is blank from base.
+    # [d < 0, sign, digits 1-2]: ",", "-" and the digits, or ",0." and ",-0."
+    head = np.zeros((2, 2, 100, 4), np.uint8)
+    head[:, :, :, 0] = ord(",")
+    head[:, 1, :, 1] = ord("-")
+    head[0, :, :, 2:] = lead[:100, 2:]
+    head[1, 0, :, 1:3] = np.frombuffer(b"0.", np.uint8)
+    head[1, 1, :, 2:] = np.frombuffer(b"0.", np.uint8)
+    # Word 2 is by_k[2] + (a fraction digit is left): "" or "." from
+    # base + 1, always blank from base.  When d < 0 word 1 is
+    # by_k[1] + _LEAD1 + the first digit c: the zeros, then c.
     literals = [b"", b"", b"."]
-    by_k = np.zeros((4, 27), np.uint64)
-    base = 4 * 10_000 + head.size // 4
-    by_k[2], by_k[3] = base + 1, base
-    for k in range(17, 27):
-        d = 16 - k
-        if d >= -4:
-            # "0." and the zeros right-aligned over words 2-3, then the
-            # first digit c at word 3 + c
-            text = (b"0." + b"0" * (-d - 1)).rjust(5, b"\0")
-            by_k[0, k] = base + len(literals) - int(_LEAD)
-            by_k[1, k] = base + len(literals) + 1 - int(_LEAD1)
-            by_k[2, k] = base
-            literals += [text[:4], *(text[4:] + bytes([ord("0") + c]) for c in range(10))]
-        else:
-            by_k[3, k] = base + len(literals)
-            literals.append(b"e-%02d" % -d)
+    by_k = np.zeros((3, 21), np.uint64)
+    base = 3 * 10_000 + head.size // 4
+    by_k[2] = base + 1
+    for k in range(17, 21):
+        by_k[0, k] = 200
+        by_k[1, k] = base + len(literals) - int(_LEAD1)
+        by_k[2, k] = base
+        literals += [b"0" * (k - 17) + bytes([ord("0") + c]) for c in range(10)]
     words = np.concatenate(
         [
             np.ascontiguousarray(t).view(np.uint32).ravel()
-            for t in (plain, lead, lead1, trail, head)
+            for t in (plain, lead1, trail, head)
         ]
         + [np.frombuffer(b"".join(t.ljust(4, b"\0") for t in literals), np.uint32)]
     )
@@ -440,16 +439,15 @@ _G17_WORDS, _G17_BY_K = _g17_tables()
 # k from the biased binary exponent B of |v|: exact for the smallest |v| with
 # that exponent; a larger one at or above 10^(17 − k) takes k − 1
 _G17_K_OF_B = np.clip(
-    16 - np.floor((np.arange(2048) - 1023) * math.log10(2.0)), 3, 26
+    16 - np.floor((np.arange(2048) - 1023) * math.log10(2.0)), 11, 20
 ).astype(np.uint64)
-_G17_POW10_ABOVE = np.array([float("1e%d" % (17 - k)) for k in range(27)])
-_POW5 = np.array([5**k for k in range(27)], dtype=np.uint64)
+_G17_POW10_ABOVE = np.array([float("1e%d" % (17 - k)) for k in range(21)])
+_POW5 = np.array([5**k for k in range(21)], dtype=np.uint64)
 _POW10 = np.array([10**k for k in range(17)], dtype=np.uint64)
-_E16, _E17 = _U(10**16), _U(10**17)
 
 
-def _scaled(bits: Array, k: Array) -> tuple[Array, Array]:
-    """floor(|v|·10^k) and its round half to even, for the bits of |v|."""
+def _scaled(bits: Array, k: Array) -> Array:
+    """|v|·10^k rounded half to even, for the bits of |v|."""
     m = (bits & _U((1 << 52) - 1)) | _U(1 << 52)
     s = (_U(1075) - k) - (bits >> _U(52))
     p = _POW5.take(k.view(np.intp))
@@ -463,13 +461,13 @@ def _scaled(bits: Array, k: Array) -> tuple[Array, Array]:
     q = (hi << left) | (lo >> s)
     # The dropped bits, moved to the top of a word, exceed one half when
     # the word is above 2^63; a tie rounds up only from an odd q.
-    return q, q + (((lo << left) | (q & _U(1))) > _U(1 << 63))
+    return q + (((lo << left) | (q & _U(1))) > _U(1 << 63))
 
 
 def _g17_cells(values: Array) -> Array:
-    """The CSV cells of values as a (10, *values.shape) uint32 array.
+    """The CSV cells of values as a (7, *values.shape) uint32 array.
 
-    Each cell is a comma, then '%.17g' % v, in the ten-word layout above
+    Each cell is a comma, then '%.17g' % v, in the seven-word layout above
     with NUL in every unused byte.
     """
     v = np.ascontiguousarray(values, np.float64)
@@ -478,13 +476,11 @@ def _g17_cells(values: Array) -> Array:
     other = ~fast & (v != 0.0)
     np.copyto(a, 1.0, where=~fast)
     bits = a.view(np.uint64)
+    # d is exact: every float64 power of ten from 1e-4 up is at or above
+    # the power itself, so |v|·10^k lies in [10^16, 10^17)
     k = _G17_K_OF_B.take((bits >> _U(52)).view(np.intp))
     k -= a >= _G17_POW10_ABOVE.take(k.view(np.intp))
-    floor, n = _scaled(bits, k)
-    off = (floor < _E16) | (floor >= _E17)
-    if off.any():
-        k[off] = np.where(floor[off] < _E16, k[off] + _U(1), k[off] - _U(1))
-        n[off] = _scaled(bits[off], k[off])[1]
+    n = _scaled(bits, k)
     # the digits before the point (the first digit when d < 0) and the
     # fraction as a 16-digit integer
     point = np.minimum(k, _U(16))
@@ -495,39 +491,31 @@ def _g17_cells(values: Array) -> Array:
     sign = v.view(np.uint64) >> _U(63)
     sign[other] = 0
     by_k = _G17_BY_K.take(k.view(np.intp), axis=1)
-    cells = np.empty((10,) + v.shape, np.uint32)
+    cells = np.empty((7,) + v.shape, np.uint32)
 
     def put(word, index):
         _G17_WORDS.take(index.view(np.intp), out=cells[word])
 
-    g = whole // _U(10**12)
-    put(0, _HEAD + _U(100) * sign + g)
-    rest = whole - g * _U(10**12)
-    g = rest // _U(10**8)
-    rest -= g * _U(10**8)
-    put(1, g + _LEAD * (whole < _U(10**12)))
-    g = rest // _U(10**4)
-    rest -= g * _U(10**4)
-    put(2, g + _LEAD * (whole < _U(10**8)) + by_k[0])
-    put(3, rest + _LEAD1 * (whole < _U(10**4)) + by_k[1])
-    put(4, by_k[2] + (frac != _U(0)))
-    for word, p in ((5, 10**12), (6, 10**8), (7, 10**4)):
+    g = whole // _U(10**4)
+    put(0, _HEAD + _U(100) * sign + g + by_k[0])
+    put(1, whole - g * _U(10**4) + _LEAD1 * (g == _U(0)) + by_k[1])
+    put(2, by_k[2] + (frac != _U(0)))
+    for word, p in ((3, 10**12), (4, 10**8), (5, 10**4)):
         g = frac // _U(p)
         frac -= g * _U(p)
         put(word, g + _TRAIL * (frac == _U(0)))
-    put(8, frac + _TRAIL)
-    put(9, by_k[3])
+    put(6, frac + _TRAIL)
     if other.any():
-        text = np.array(["%.17g" % x for x in v[other].tolist()], dtype="S36")
-        cells[1:, other] = text.view(np.uint32).reshape(-1, 9).T
+        text = np.array(["%.17g" % x for x in v[other].tolist()], dtype="S24")
+        cells[1:, other] = text.view(np.uint32).reshape(-1, 6).T
     return cells
 
 
 def _column_cells(columns: Sequence[Array], shape: tuple[int, int]) -> tuple[Array, Array]:
     """The cells of columns of at most shape (rows, nodes) values, each cell
     after a comma and a column blank from its last node on, as a
-    (10, len(columns), rows, nodes) array, and whether some cell of column i
-    uses word w, as a (10, len(columns)) array."""
+    (7, len(columns), rows, nodes) array, and whether some cell of column i
+    uses word w, as a (7, len(columns)) array."""
     table = np.zeros((len(columns),) + shape)
     for i, c in enumerate(columns):
         table[i, :, : c.shape[1]] = c
@@ -535,7 +523,7 @@ def _column_cells(columns: Sequence[Array], shape: tuple[int, int]) -> tuple[Arr
     for i, c in enumerate(columns):
         cells[1:, i, :, c.shape[1] :] = 0  # blank: the separator alone
     # a max over the contiguous last axis; over a middle axis it costs far more
-    return cells, cells.reshape(10, len(columns), shape[0] * shape[1]).max(axis=2) != 0
+    return cells, cells.reshape(len(cells), len(columns), shape[0] * shape[1]).max(axis=2) != 0
 
 
 def _shared_planes(row: Array, shape: tuple[int, int]) -> list[Array]:

@@ -106,6 +106,11 @@ MALFORMED = {
     # The initial path is sampled onto the grid while the config is parsed:
     # the step 1/32 must divide delta, and every sample must be finite.
     "delay_off_grid": lambda c: c["model"]["params"].update(delta=0.3),
+    # A lag of 2^63 steps, more samples than numpy can index: refused
+    # before the initial segment is sampled.
+    "lag_past_numpy_index": lambda c: (
+        c["model"]["params"].update(delta=0.5), c["sim"].update(n_steps=2**64)
+    ),
     "nan_initial_expr": lambda c: c.update(
         initial_path={"kind": "expr", "expr": "log(0 - 1 - tau)"}
     ),

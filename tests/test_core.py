@@ -78,6 +78,13 @@ class TestDelayBuffer:
         with pytest.raises(core.ConfigError):
             core.initial_segment(lambda tau: 1.0, 1.0, 0.1, 0.3)
 
+    def test_lag_numpy_cannot_index_rejected(self):
+        # δ = 0.5 over 2^64 steps of [0, 1] is a lag of 2^63 steps: its
+        # 2^63 + 1 samples exceed the largest numpy index, so the segment is
+        # refused before any array is made.
+        with pytest.raises(core.ConfigError, match="more samples than numpy can index"):
+            core.initial_segment(lambda tau: 1.0, 0.5, 0.1, 1.0 / 2**64)
+
 
 class TestPathSeeds:
     def test_deterministic(self):

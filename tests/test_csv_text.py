@@ -60,6 +60,26 @@ def in_range(bits):
     return ((bits & keep) | (exponent << np.uint64(52))).view(np.float64)
 
 
+def in_kernel(bits):
+    """The same patterns with the binary exponent moved into [2^-13, 2^18],
+    the binades inside [1e-4, 1e6), where the kernel writes every value."""
+    exponent = np.uint64(1010) + (bits >> np.uint64(52)) % np.uint64(32)
+    keep = np.uint64((1 << 63) | ((1 << 52) - 1))
+    return ((bits & keep) | (exponent << np.uint64(52))).view(np.float64)
+
+
+def by_kernel(values):
+    """Whether the kernel, not Python, wrote each nonzero value's cell: the
+    kernel's point is word 2 alone, or closes word 0 when |v| < 1, while
+    Python's text runs on from word 1.  (A text of at most four bytes, such
+    as 10.5, has the same words either way.)"""
+    v = np.asarray(values, np.float64).ravel()
+    words = core._g17_cells(v).T.copy().view(np.uint8).reshape(v.size, 7, 4)
+    point_alone = np.isin(words[:, 2, 0], [0, ord(".")]) & (words[:, 2, 1:] == 0).all(axis=1)
+    point_in_head = (words[:, 0] == ord(".")).any(axis=1)
+    return point_alone & (point_in_head == (np.abs(v) < 1))
+
+
 def is_tie(v):
     """v lies halfway between two 17-digit decimals."""
     digits = Decimal(v).as_tuple().digits
@@ -80,7 +100,9 @@ SPECIAL = [
 
 class TestAgainstPythonFormat:
     def test_zeros_and_values_python_writes(self):
-        assert_formats_like_python(SPECIAL)
+        # -2.2250738585072014e-308 and -1.7976931348623157e+308 are 24
+        # bytes, the longest text Python writes into a cell.
+        assert_formats_like_python(both_signs(SPECIAL))
         assert g17([0.0, -0.0]) == ["0", "-0"]
 
     def test_powers_of_ten_and_their_neighbours(self):
@@ -88,13 +110,18 @@ class TestAgainstPythonFormat:
         assert_formats_like_python(both_signs(neighbours(powers)))
 
     def test_edges_of_the_kernel_range(self):
-        edges = [1e-10, 1e14, np.nextafter(1e14, 0), 1e-4, 1e-5, 1.0, 0.1]
+        edges = [1e-4, 1e6, 1e-3, 1e5, 1.0, 0.1, 1e-10, 1e14]
         values = both_signs(neighbours(neighbours(edges)))
         assert_formats_like_python(values)
         # Both sides of both edges are in the set: the kernel writes one
         # side, Python the other.
         a = np.abs(values)
-        assert (a < 1e-10).any() and (a >= 1e14).any()
+        for edge in (1e-4, 1e6):
+            assert (a < edge).any() and (a >= edge).any() and (a == edge).any()
+        inside = (a >= 1e-4) & (a < 1e6)
+        assert (by_kernel(values) == inside).all()
+        assert by_kernel([1e-4, -1e-4, np.nextafter(1e6, 0)]).all()
+        assert not by_kernel([np.nextafter(1e-4, 0), 1e6, -1e6]).any()
 
     def test_round_half_to_even_ties(self):
         # B + c/2^p with c odd has exactly 18 significant digits when B has
@@ -102,16 +129,16 @@ class TestAgainstPythonFormat:
         # so does c/2^p when c·5^p has 18 digits.
         rng = np.random.default_rng(RNG_SEED)
         values = []
-        for p in range(4, 18):
-            whole = rng.integers(10 ** (17 - p), 10 ** (18 - p), 300)
-            odd = 2 * rng.integers(0, 2 ** (p - 1), 300) + 1
+        for p in range(12, 18):
+            whole = rng.integers(10 ** (17 - p), 10 ** (18 - p), 500)
+            odd = 2 * rng.integers(0, 2 ** (p - 1), 500) + 1
             values.append(whole + odd / 2.0**p)
         for p in range(18, 34):
             odd = 2 * rng.integers(0, 2**20, 3000) + 1
             values.append(odd / 2.0**p)
         values = np.concatenate(values)
-        ties = [v for v in values.tolist() if is_tie(v) and 1e-10 <= v < 1e14]
-        assert len(ties) > 2000
+        ties = [v for v in values.tolist() if is_tie(v) and 1e-4 <= v < 1e6]
+        assert len(ties) > 2000 and by_kernel(ties).all()
         # Half of the ties round down: half-up rounding would differ there.
         assert sum(tie_rounds_down(v) for v in ties) > len(ties) // 4
         assert_formats_like_python(both_signs(ties))
@@ -121,14 +148,15 @@ class TestAgainstPythonFormat:
         # a float64 within 5e-18 relative below it; the nearest below each
         # power in the kernel's range is farther, so none carries, and the
         # kernel has no carry step.
-        powers = [float(f"1e{j}") for j in range(-10, 15)]
+        powers = [float(f"1e{j}") for j in range(-3, 7)]
         below = np.array(powers)
         for _ in range(3):
             below = np.nextafter(below, 0)
+            assert by_kernel(below).all()
             assert_formats_like_python(both_signs(below))
         for p, b in zip(powers, np.nextafter(powers, 0).tolist()):
             assert not format(b, ".17g").startswith("1"), (p, b)
-        nines = [float(f"9.99999999999999999{c}e{j}") for j in range(-11, 14) for c in range(10)]
+        nines = [float(f"9.99999999999999999{c}e{j}") for j in range(-4, 6) for c in range(10)]
         assert_formats_like_python(both_signs(neighbours(nines)))
 
     def test_integers(self):
@@ -149,6 +177,8 @@ class TestAgainstPythonFormat:
         bits = splitmix_bits(100_000, stream=1)
         assert_formats_like_python(bits.view(np.float64))
         assert_formats_like_python(in_range(bits))
+        assert by_kernel(in_kernel(bits)).all()
+        assert_formats_like_python(in_kernel(bits))
 
 
 class TestLongCsv:
@@ -195,7 +225,8 @@ class TestLongCsv:
         times = np.linspace(0.0, 0.75, n_nodes)
         row = rng.standard_normal(n_nodes)
         own = 100.0 * rng.standard_normal((n_paths, n_nodes))
-        # the exponent word: one cell of the last block alone uses it
+        # below the kernel's range: one cell of the last block alone holds
+        # Python's text, in words 1-6
         own[-1, 1] = -2.5e-7
         assert np.flatnonzero(np.abs(own) < 1e-4).tolist() == [own.size - n_nodes + 1]
         columns = [
@@ -233,6 +264,6 @@ class TestLongCsv:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) <= 4096, peaks
-        # and about 230 bytes per cell of one block (CSV_BLOCK_ROWS rows of 7)
+        # and about 135 bytes per cell of one block (CSV_BLOCK_ROWS rows of 7)
         assert peaks[0] < 320 * 7 * core.CSV_BLOCK_ROWS, peaks
 
