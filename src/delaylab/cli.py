@@ -24,8 +24,9 @@ any section, or an output directory that cannot be written, exits with
 code 2.  The config format is written once, as the section tables under
 "The config format" below.
 
-Exit codes: 0 success, 1 a check failed, 2 configuration error,
-3 numerical divergence or domain failure.
+Exit codes: 0 success, 1 a check failed, 2 configuration error (an
+ensemble numpy cannot size or allocate included), 3 numerical divergence or
+domain failure.
 """
 
 from __future__ import annotations
@@ -332,8 +333,9 @@ class Run:
 
 def build_run(cfg: dict, seed_flag: int | None, out_flag: str | None, files: Sequence[str]) -> Run:
     """Parse every section of the config; a malformed value is a ConfigError,
-    and so are a step that does not divide δ, a non-finite initial sample
-    and an output directory in which the files cannot be written."""
+    and so are a step that does not divide δ, a non-finite initial sample,
+    an ensemble whose arrays have more bytes than numpy can allocate and an
+    output directory in which the files cannot be written."""
     try:
         model, policy, params, cand = build_model_and_policy(cfg)
         # --out, like --seed, replaces its key before the section is parsed.
@@ -345,6 +347,14 @@ def build_run(cfg: dict, seed_flag: int | None, out_flag: str | None, files: Seq
             samples, x1_0 = initial_segment(initial, delay.delta, delay.lam, sim.step_size(delay))
         if not np.isfinite([*samples, x1_0]).all():
             raise ConfigError("initial_path has a non-finite value on the simulation grid")
+        # The ensemble's largest float64 arrays: the controls, and x with
+        # its prehistory of lag = len(samples) − 1 steps.
+        rows = max((sim.n_steps + 1) * policy.n_controls, len(samples) + sim.n_steps)
+        if 8 * rows * sim.n_paths > np.iinfo(np.intp).max:
+            raise ConfigError(
+                f"an ensemble of {sim.n_paths} paths and {sim.n_steps} steps "
+                "has more bytes than numpy can allocate"
+            )
         return Run(
             model=model,
             policy=policy,
@@ -538,7 +548,7 @@ def main(argv=None) -> int:
         if merton_only and run.params is None:
             raise ConfigError(f"{args.command} requires a model of kind 'merton'")
         values, checks = body(run)
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:  # numpy's MemoryError names the array
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SimulationDivergedError, DomainError) as exc:

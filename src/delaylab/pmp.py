@@ -11,6 +11,11 @@ with a triple of first-order adjoints (p1, p2, p3), their martingale parts
 
     dq(t) = q(t) [f_y dt + f_z dW(t)],   q(s) = 1.
 
+H is a function of the control at fixed states and adjoints, as G is in
+hjb: hamiltonian_at computes its memory term p2·(x − λx1 − e^{-λδ}x2) once
+and returns u ↦ H, which the maximum condition differentiates and the
+convexity probe evaluates.
+
 f_y and f_z are the model's analytic partials of the generator
 (StructuredModel.f_y and f_z); a model without them cannot enter this layer.
 
@@ -102,17 +107,25 @@ AdjointMap = Callable[[ForwardEnsemble], Adjoints]
 _H_ADJOINTS = attrgetter("p1", "p2", "q", "k1")
 
 
-def hamiltonian(model: StructuredModel, t, x, x1, x2, y, z, u, p1, p2, q, k1):
-    """H = p1 b + p2 (x − λx1 − e^{-λδ}x2) + k1 σ − q f.
+def hamiltonian_at(model: StructuredModel, t, x, x1, x2, y, z, p1, p2, q, k1):
+    """The map u ↦ H = p1 b + p2 (x − λx1 − e^{-λδ}x2) + k1 σ − q f at
+    fixed states and adjoints.
 
-    The terms are added in that order into one array, so that each
-    coefficient is freed before the next one is computed.
+    The memory term p2 (x − λx1 − e^{-λδ}x2) does not depend on u, so it is
+    computed once here; the map keeps it but not p2.  Each call adds the
+    terms in that order into one array, so that each coefficient is freed
+    before the next one is computed.
     """
-    h = p1 * model.drift(t, x, x1, x2, u)
-    h += p2 * model.x1_drift(x, x1, x2)
-    h += k1 * model.sigma(t, x, x1, u)
-    h -= q * model.generator(t, x, x1, x2, y, z, u)
-    return h
+    memory = p2 * model.x1_drift(x, x1, x2)
+
+    def h_of_u(u):
+        h = p1 * model.drift(t, x, x1, x2, u)
+        h += memory
+        h += k1 * model.sigma(t, x, x1, u)
+        h -= q * model.generator(t, x, x1, x2, y, z, u)
+        return h
+
+    return h_of_u
 
 
 def simulate_q(
@@ -264,21 +277,9 @@ def check_p3_zero(
     )
 
 
-def hamiltonian_control_gradient(
-    model: StructuredModel,
-    t,
-    x,
-    x1,
-    x2,
-    y,
-    z,
-    u: Array,
-    p1,
-    p2,
-    q,
-    k1,
-) -> Array:
-    """Central-difference gradient of H in each control coordinate.
+def hamiltonian_control_gradient(h_of_u: Callable[[Array], Array], u: Array) -> Array:
+    """Central-difference gradient of the map h_of_u (hamiltonian_at) in
+    each control coordinate at u.
 
     The gradient and the one shifted copy of the controls keep the memory
     layout of u.  The step e is computed again at each use, the same bits
@@ -292,9 +293,9 @@ def hamiltonian_control_gradient(
     shifted = u.copy(order="K")
     for i in range(u.shape[0]):
         shifted[i] = u[i] + step(u[i])
-        grads[i] = hamiltonian(model, t, x, x1, x2, y, z, shifted, p1, p2, q, k1)
+        grads[i] = h_of_u(shifted)
         shifted[i] = u[i] - step(u[i])
-        grads[i] -= hamiltonian(model, t, x, x1, x2, y, z, shifted, p1, p2, q, k1)
+        grads[i] -= h_of_u(shifted)
         shifted[i] = u[i]
         grads[i] /= 2.0 * step(u[i])  # (H(u + e) − H(u − e)) / 2e, built in place
     return grads
@@ -309,10 +310,12 @@ def _block_maximum_condition(model, cand, part: ForwardEnsemble, adjoint_of: Adj
     C-order result, and H, which adds it to node-major arrays, runs slower.
     """
     t, x, x1, u_star = part.times, part.x, part.x1, part.u
-    p1, p2, q, k1 = _H_ADJOINTS(adjoint_of(part))
     y, z = value_slots(model, cand, t, x, x1, u_star)
     x2 = np.ascontiguousarray(part.x2.T).T
-    grad = hamiltonian_control_gradient(model, t, x, x1, x2, y, z, u_star, p1, p2, q, k1)
+    # p2 gets no name here, so the memory term the map keeps takes its place
+    # in memory rather than adding a block to the peak.
+    h_of_u = hamiltonian_at(model, t, x, x1, x2, y, z, *_H_ADJOINTS(adjoint_of(part)))
+    grad = hamiltonian_control_gradient(h_of_u, u_star)
     max_grad = np.max(np.abs(grad), axis=(0, 2))
 
     worst_vi = np.full(part.n_paths, -np.inf)
@@ -386,12 +389,7 @@ def convexity_spot_check(
         p1, p2, q, k1 = (a[0, 0] for a in _H_ADJOINTS(adjoint_of(node)))
 
         def h_of(v):
-            u = v[5:]
-            return float(
-                hamiltonian(
-                    model, t, v[0], v[1], v[2], v[3], v[4], u, p1, p2, q, k1
-                )
-            )
+            return float(hamiltonian_at(model, t, *v[:5], p1, p2, q, k1)(v[5:]))
 
         steps = HESSIAN_REL_STEP * (1.0 + np.abs(base))
         hess = np.empty((n_var, n_var))

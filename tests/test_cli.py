@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, config validation, reproducible artifacts."""
 
+import inspect
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +114,12 @@ MALFORMED = {
     "lag_past_numpy_index": lambda c: (
         c["model"]["params"].update(delta=0.5), c["sim"].update(n_steps=2**64)
     ),
+    # Ensembles whose controls alone have more bytes than numpy can
+    # allocate: refused before any array of their size is asked for.
+    "steps_past_numpy_size": lambda c: (
+        c["model"]["params"].update(delta=0.0), c["sim"].update(n_steps=2**62)
+    ),
+    "paths_past_numpy_size": lambda c: c["sim"].update(n_paths=2**62),
     "nan_initial_expr": lambda c: c.update(
         initial_path={"kind": "expr", "expr": "log(0 - 1 - tau)"}
     ),
@@ -172,6 +181,20 @@ class TestExitCodes:
         cfg = json.loads(json.dumps(MERTON_CFG))
         MALFORMED[case](cfg)
         assert run(command, write_cfg(tmp_path, cfg), tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "command", ("simulate", "check-pmp", "check-relations", "compare-controls")
+    )
+    def test_memory_error_is_two(self, tmp_path, monkeypatch, capsys, command):
+        # What numpy raises when an ensemble's array cannot be allocated,
+        # raised here without asking for one.
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 TiB")
+
+        monkeypatch.setattr(sdde, "simulate_forward", out_of_memory)
+        assert run(command, write_cfg(tmp_path, MERTON_CFG), tmp_path / "out") == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "out" / "report.json").exists()
 
@@ -296,6 +319,67 @@ class TestConfigSections:
         cfg["model"]["coefficients"]["b2"] = 0
         run = self.build(tmp_path, cfg)
         assert run.model.b2(0.0, np.ones(3), np.ones(3), np.full((1, 3), 0.5)) == 0.0
+
+
+def section_table(parse):
+    """(keys, optional) of a section parser that cli._section returned, or
+    None for the parser of a value."""
+    scope = inspect.getclosurevars(parse).nonlocals
+    return (scope["keys"], scope["optional"]) if "keys" in scope else None
+
+
+def cli_reference():
+    """(section, kind) -> {(key, required)} from cli's section tables, the
+    nested sections included; kind is None for a section without kinds."""
+    found = {}
+
+    def walk(name, kind, parse):
+        keys, optional = section_table(parse)
+        found[(name, kind)] = {(key, key not in optional) for key in keys}
+        for key, value in keys.items():
+            if section_table(value) is not None:
+                walk(f"{name}.{key}", kind, value)
+
+    walk("root", None, cli._ROOT)
+    walk("sim", None, cli._SIM)
+    walk("output", None, cli._OUTPUT)
+    for name, kinds in (("model", cli._MODEL), ("initial_path", cli._INITIAL_PATH)):
+        for kind, parse in kinds.items():
+            walk(name, kind, parse)
+    return found
+
+
+def readme_reference(kinds_of):
+    """(section, kind) -> {(key, required)} from README's config reference.
+
+    A row of a section of one kind names it; a row without a kind, or for
+    both kinds, holds for every kind with that section in kinds_of."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| Section | Key | Value | Required | Default |") + 2
+    found = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        section, keys, _, required, _ = (cell.strip() for cell in line.strip("|").split("|"))
+        name, _, kind = section.partition(", ")
+        name = name.strip("`")
+        named = [kind.strip("`")] if kind.startswith("`") else kinds_of.get(name, [None])
+        for k in named:
+            found.setdefault((name, k), set()).update(
+                (key, required == "yes") for key in re.findall(r"`([^`]+)`", keys)
+            )
+    return found
+
+
+class TestConfigReference:
+    def test_readme_table_matches_cli_tables(self):
+        # README's config reference is written by hand from cli's section
+        # tables: each section's keys, and which of them are required.
+        want = cli_reference()
+        kinds_of = {}
+        for name, kind in want:
+            kinds_of.setdefault(name, []).append(kind)
+        assert readme_reference(kinds_of) == want
 
 
 class TestOutputDirectory:

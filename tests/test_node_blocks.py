@@ -121,9 +121,10 @@ def reference_check_p3_zero(model, cand, ensemble, adjoint, tol=1e-10):
 def reference_maximum_condition_check(model, cand, ensemble, adjoint, n_grid=9, tol=1e-6):
     t, x, x1, x2, u_star = ensemble.times, ensemble.x, ensemble.x1, ensemble.x2, ensemble.u
     y, z = value_slots(model, cand, t, x, x1, u_star)
-    grad = pmp.hamiltonian_control_gradient(
-        model, t, x, x1, x2, y, z, u_star, adjoint.p1, adjoint.p2, adjoint.q, adjoint.k1
+    h_of_u = pmp.hamiltonian_at(
+        model, t, x, x1, x2, y, z, adjoint.p1, adjoint.p2, adjoint.q, adjoint.k1
     )
+    grad = pmp.hamiltonian_control_gradient(h_of_u, u_star)
     max_grad = np.max(np.abs(grad), axis=(0, 2))
 
     worst_vi = np.full(ensemble.n_paths, -np.inf)

@@ -143,6 +143,34 @@ class TestP3Reduction:
         assert report.max_residual > 1e-4
 
 
+class TestHamiltonianAt:
+    # δ = 1 ≥ T − s gives x2 as φ broadcast over the paths (path stride 0);
+    # δ = 0.25 gives x2 as a column of its own, node-major like x.
+    @pytest.mark.parametrize("delta", [1.0, 0.25])
+    def test_same_bits_as_the_written_out_formula(self, delta):
+        # The map adds the memory term it computed once in the place a
+        # direct evaluation of H does: ((p1·b + memory) + k1·σ) − q·f.
+        p = merton.MertonParams(**{**P0, "delta": delta})
+        model, cand = merton.build_model(p), merton.value_function(p)
+        prm = model.params
+        cfg = core.SimConfig(n_steps=128, n_paths=16, master_seed=31)
+        ens = sdde.simulate_forward(model, merton.build_policy(p), INITIAL, cfg)
+        _, part = next(ens.blocks())
+        t, x, x1, x2, u_star = part.times, part.x, part.x1, part.x2, part.u
+        assert x.T.flags.c_contiguous
+        assert (x2.strides[0] == 0) if delta == 1.0 else x2.T.flags.c_contiguous
+        adj = pmp.adjoint_from_value(model, cand, part, merton.exact_q_factor(p, t))
+        y, z = hjb.value_slots(model, cand, t, x, x1, u_star)
+        h_of_u = pmp.hamiltonian_at(model, t, x, x1, x2, y, z, adj.p1, adj.p2, adj.q, adj.k1)
+        for u in (u_star, u_star + np.reshape([0.1, -0.05], (2, 1, 1))):
+            b = model.drift(t, x, x1, x2, u)
+            sg = model.sigma(t, x, x1, u)
+            f = model.generator(t, x, x1, x2, y, z, u)
+            memory = adj.p2 * (x - prm.e_minus * x2 - prm.lam * x1)
+            want = adj.p1 * b + memory + adj.k1 * sg - adj.q * f
+            assert np.array_equal(h_of_u(u), want)
+
+
 class TestMaximumCondition:
     def test_optimal_controls_stationary(self, merton_run):
         ens = merton_run["ensemble"]
@@ -264,12 +292,9 @@ class TestAdjointDrift:
             y = -cand.v(t, x, x1)
             z = -model.sigma(t, x, x1, u) * cand.v_x(t, x, x1)
             e = 1e-6 * (1.0 + np.abs(x))
-            h_up = pmp.hamiltonian(
-                model, t, x + e, x1, x2, y, z, u, adj.p1, adj.p2, adj.q, adj.k1
-            )
-            h_dn = pmp.hamiltonian(
-                model, t, x - e, x1, x2, y, z, u, adj.p1, adj.p2, adj.q, adj.k1
-            )
+            adjoints = adj.p1, adj.p2, adj.q, adj.k1
+            h_up = pmp.hamiltonian_at(model, t, x + e, x1, x2, y, z, *adjoints)(u)
+            h_dn = pmp.hamiltonian_at(model, t, x - e, x1, x2, y, z, *adjoints)(u)
             h_x = (h_up - h_dn) / (2 * e)
             res = (
                 -(adj.p1[:, 1:] - adj.p1[:, :-1])
