@@ -112,18 +112,24 @@ def hamiltonian_at(model: StructuredModel, s, x, x1, x2, args: GArgs):
     """The map u ↦ G(s, x, x1, x2, k, p, R, q, u) at fixed states.
 
     The memory term (x − λx1 − e^{-λδ}x2)·q does not depend on u, so it is
-    computed once here; every call of the returned map adds it in the same
-    place as a direct evaluation of G, which keeps the same bits.  The map
-    keeps k, p and R but not q, which only the memory term reads.
+    computed once here.  Each call of the returned map adds ½σ²·R, the
+    memory term and f, in that order, into one array, b·p, so that each
+    term is freed before the next is computed and the sum keeps the bits of
+    b·p + ½σ²·R + memory + f.  The map keeps k, p and R but not q, which
+    only the memory term reads.
     """
     memory = model.x1_drift(x, x1, x2) * args.q
     k, p, R = args.k, args.p, args.R
 
     def g(u):
-        b = model.drift(s, x, x1, x2, u)
         sg = model.sigma(s, x, x1, u)
-        f = model.generator(s, x, x1, x2, k, sg * p, u)
-        return b * p + 0.5 * sg**2 * R + memory + f
+        g = model.drift(s, x, x1, x2, u) * p
+        g += 0.5 * sg**2 * R
+        g += memory
+        z = sg * p
+        del sg  # f is computed without σ alive
+        g += model.generator(s, x, x1, x2, k, z, u)
+        return g
 
     return g
 

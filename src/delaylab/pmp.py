@@ -33,10 +33,13 @@ directly and by back-integrating the p3 drift from its terminal value.
 The adjoints are element by element in the ensemble, so the checks never
 hold them over the whole ensemble: they take a map adjoint_of(part) ->
 Adjoints and call it on each part of the ensemble they walk
-(ForwardEnsemble.part).  check_p3_zero and the maximum-condition check walk
-the node-row blocks of ForwardEnsemble.blocks, the p3 back-integration from
-the terminal block with its partial sum carried; write_adjoint_csv computes
-the adjoints for each block of paths the CSV writer asks for.  simulate_q
+(ForwardEnsemble.part).  check_p3_zero walks the node-row blocks of
+ForwardEnsemble.blocks from the terminal block, with the partial sum of the
+p3 back-integration carried.  The maximum-condition check walks them
+through ForwardEnsemble.map_blocks, which runs each block's second half of
+nodes on a second thread when the process may use two CPUs; its per-path
+maxima are the same bits either way.  write_adjoint_csv computes the
+adjoints for each block of paths the CSV writer asks for.  simulate_q
 likewise gives q one node-row block at a time, carrying one row of log q
 forward, and q_factor_check folds its maximum over those blocks.  So their
 temporaries stay the size of one block whatever the ensemble size.
@@ -343,8 +346,9 @@ def maximum_condition_check(
     folded into (n_paths,) arrays.
     """
     max_grad, worst_vi = np.full(ensemble.n_paths, -np.inf), np.full(ensemble.n_paths, -np.inf)
-    for _, part in ensemble.blocks():
-        blk_grad, blk_vi = _block_maximum_condition(model, cand, part, adjoint_of)
+    for blk_grad, blk_vi in ensemble.map_blocks(
+        lambda part: _block_maximum_condition(model, cand, part, adjoint_of)
+    ):
         max_grad, worst_vi = np.maximum(max_grad, blk_grad), np.maximum(worst_vi, blk_vi)
 
     worst = np.maximum(max_grad, worst_vi)

@@ -9,10 +9,14 @@ Three families of diagnostics:
   value-derived ones of pmp.adjoint_from_value, p1 = V_x q, p2 = V_x1 q,
   k1 = (V_xx σ + V_x f_z) q, k2 = (V_xx1 σ + V_x1 f_z) q, at the map's own
   q.  All three share one walk over the ensemble in node-row blocks
-  (ForwardEnsemble.blocks), and both adjoints are computed one block at a
-  time, so the check's temporaries stay the size of one block whatever the
-  ensemble size, and the reported maxima are the same bits as over the
-  whole ensemble.  In each block G is one map of the control
+  (ForwardEnsemble.map_blocks), and both adjoints are computed one block
+  at a time, so the check's temporaries stay the size of one block
+  whatever the ensemble size, and the reported maxima are the same bits as
+  over the whole ensemble.  When the process may use two CPUs, each block's
+  second half of nodes runs on a second thread beside the first half; the
+  two halves hold one block's temporaries between them, and a maximum does
+  not depend on how the nodes are split, so the report is the same bits
+  either way.  In each block G is one map of the control
   (hjb.hamiltonian_at), so u* and every grid value pay only for the terms
   that depend on the control.
 
@@ -135,10 +139,15 @@ def relations_report(
     err, top = np.full(shape, -np.inf), np.full(shape, -np.inf)
     time_slope = -np.inf
     gaps = np.full(sum(map(len, axes)), -np.inf)
-    for _, part in ensemble.blocks():
-        blk_err, blk_top = _block_adjoint_maxima(model, cand, part, adjoint_of(part))
+
+    def block(part):
+        return (
+            *_block_adjoint_maxima(model, cand, part, adjoint_of(part)),
+            *_block_relations(model, cand, part, axes),
+        )
+
+    for blk_err, blk_top, blk_slope, blk_gaps in ensemble.map_blocks(block):
         err, top = np.maximum(err, blk_err), np.maximum(top, blk_top)
-        blk_slope, blk_gaps = _block_relations(model, cand, part, axes)
         time_slope, gaps = np.maximum(time_slope, blk_slope), np.maximum(gaps, blk_gaps)
     scale = np.maximum(top, 1e-300)
     mismatch = {

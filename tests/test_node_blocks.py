@@ -4,7 +4,10 @@ relations_report (with its adjoint mismatch), check_p3_zero and
 maximum_condition_check walk the ensemble's node blocks
 (ForwardEnsemble.blocks, which yields the blocks of core.node_blocks) and
 take the adjoints as a map of the block; write_adjoint_csv calls that map
-per path block.  simulate_q gives q one node-row block at a time, and
+per path block.  relations_report and maximum_condition_check walk the
+blocks through ForwardEnsemble.map_blocks, which runs each block's second
+half on a second thread when the process may use two CPUs, and their
+reports must be the same bits with that thread and without it.  simulate_q gives q one node-row block at a time, and
 q_factor_check folds its maximum over those blocks.  The references below
 are the same checks written over whole (n_paths, n_nodes) arrays at once,
 from the map called on the whole ensemble; every report and every byte
@@ -14,12 +17,18 @@ must be the same at any block size.
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from delaylab import core, hjb, merton, pmp, sdde, verify
+from delaylab import cli, core, hjb, merton, pmp, sdde, verify
 from delaylab.hjb import CheckReport, args_from_candidate, generalized_hamiltonian, value_slots
 from helpers import closed_form_adjoints, constant_policy, node_map, value_adjoints
 
@@ -31,9 +40,10 @@ P0 = dict(
 INITIAL = lambda tau: 1.0  # noqa: E731
 
 N_PATHS, N_STEPS = 12, 64
-# Block heights in nodes: one node, a height that does not divide the 65
-# nodes, and the whole ensemble in one block.
-ROWS = (1, 3, N_STEPS + 1)
+# Block heights in nodes: one node, an odd height that does not divide the
+# 65 nodes, an even one that leaves a last block of one node, and the whole
+# ensemble in one odd block.
+ROWS = (1, 3, 4, N_STEPS + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +190,26 @@ def set_rows(monkeypatch, rows, n_paths):
     monkeypatch.setattr(core, "NODE_BLOCK", rows * n_paths)
 
 
+def set_cpus(monkeypatch, n):
+    """Let the process see n usable CPUs, as map_blocks counts them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
+def with_and_without_second_thread(monkeypatch):
+    """Run the loop body with map_blocks' second thread off (one usable
+    CPU), then on (two)."""
+    for n in (1, 2):
+        set_cpus(monkeypatch, n)
+        yield n
+
+
+@pytest.fixture(params=[1, 2], ids=["one_cpu", "two_cpus"])
+def cpus(request, monkeypatch):
+    set_cpus(monkeypatch, request.param)
+    return request.param
+
+
 def merton_model():
     p = merton.MertonParams(**P0)
     return p, merton.build_model(p), merton.value_function(p)
@@ -283,9 +313,10 @@ class TestSameBitsAsWholeEnsemble:
     def test_relations_report(self, merton_setup, monkeypatch, rows):
         model, cand, ens, adjoint_of = merton_setup
         set_rows(monkeypatch, rows, N_PATHS)
-        blocked = verify.relations_report(model, cand, ens, adjoint_of)
         whole = reference_relations_report(model, cand, ens, adjoint_of(ens))
-        assert as_text(blocked) == as_text(whole)
+        for _ in with_and_without_second_thread(monkeypatch):
+            blocked = verify.relations_report(model, cand, ens, adjoint_of)
+            assert as_text(blocked) == as_text(whole)
         assert blocked.extra["grid_optimality"] > 0.0  # the detuned controls leave a gap
         assert min(blocked.extra["adjoint_mismatch"].values()) > 0.0
 
@@ -305,9 +336,10 @@ class TestSameBitsAsWholeEnsemble:
     def test_maximum_condition_check(self, merton_setup, monkeypatch, rows):
         model, cand, ens, adjoint_of = merton_setup
         set_rows(monkeypatch, rows, N_PATHS)
-        blocked = pmp.maximum_condition_check(model, cand, ens, adjoint_of)
         whole = reference_maximum_condition_check(model, cand, ens, adjoint_of(ens))
-        assert as_text(blocked) == as_text(whole)
+        for _ in with_and_without_second_thread(monkeypatch):
+            blocked = pmp.maximum_condition_check(model, cand, ens, adjoint_of)
+            assert as_text(blocked) == as_text(whole)
         assert blocked.max_residual > 1e-3
 
     @pytest.mark.parametrize("rows", ROWS)
@@ -321,20 +353,21 @@ class TestSameBitsAsWholeEnsemble:
         set_rows(monkeypatch, rows, N_PATHS)
         with np.errstate(all="ignore"):
             adj = adjoint_of(ens)
-            blocked = verify.relations_report(model, cand, ens, adjoint_of)
             whole = reference_relations_report(model, cand, ens, adj)
-            blocked_max = pmp.maximum_condition_check(model, cand, ens, adjoint_of)
             whole_max = reference_maximum_condition_check(model, cand, ens, adj)
+            for _ in with_and_without_second_thread(monkeypatch):
+                blocked = verify.relations_report(model, cand, ens, adjoint_of)
+                blocked_max = pmp.maximum_condition_check(model, cand, ens, adjoint_of)
+                assert as_text(blocked) == as_text(whole)
+                assert as_text(blocked_max) == as_text(whole_max)
             # the NaN p1 makes p3 NaN from its node back to node 0, across
             # the blocks through the carried sum
             blocked_p3 = pmp.check_p3_zero(model, cand, ens, adjoint_of)
             whole_p3 = reference_check_p3_zero(model, cand, ens, adj)
-        assert as_text(blocked) == as_text(whole)
         assert np.isnan(blocked.extra["time_slope"])
         assert np.isnan(blocked.extra["grid_optimality"])
         assert all(np.isnan(v) for v in blocked.extra["adjoint_mismatch"].values())
         assert not blocked.passed
-        assert as_text(blocked_max) == as_text(whole_max)
         assert as_text(blocked_p3) == as_text(whole_p3)
         assert np.isnan(blocked_p3.max_residual)
 
@@ -349,9 +382,10 @@ class TestSameBitsAsWholeEnsemble:
         model = with_non_finite_grid_values(model)
         set_rows(monkeypatch, rows, N_PATHS)
         with np.errstate(all="ignore"):
-            blocked = verify.relations_report(model, cand, ens, adjoint_of)
             whole = reference_relations_report(model, cand, ens, adjoint_of(ens))
-        assert as_text(blocked) == as_text(whole)
+            for _ in with_and_without_second_thread(monkeypatch):
+                blocked = verify.relations_report(model, cand, ens, adjoint_of)
+                assert as_text(blocked) == as_text(whole)
         assert np.isfinite(blocked.extra["grid_optimality"])
 
         t, x, x1, x2, u = ens.times, ens.x, ens.x1, ens.x2, ens.u
@@ -363,6 +397,103 @@ class TestSameBitsAsWholeEnsemble:
             with np.errstate(all="ignore"):
                 g_alt = generalized_hamiltonian(model, t, x, x1, x2, u_alt, args)
             assert bad(g_alt).any() and np.isfinite(g_alt).any()
+
+
+class TestMapBlocks:
+    """ForwardEnsemble.map_blocks: each block split at its middle node, the
+    second half on a second thread when two CPUs may be used, the results
+    in node order, and errors as a walk on one thread raises them."""
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_halves_in_node_order(self, merton_setup, monkeypatch, cpus, rows):
+        _, _, ens, _ = merton_setup
+        set_rows(monkeypatch, rows, N_PATHS)
+        caller = threading.get_ident()
+
+        def seen(part):  # x1 is copied: a part's x1 lives until the next block
+            return part.times, part.x1.copy(), threading.get_ident()
+
+        results = list(ens.map_blocks(seen))
+        assert np.array_equal(np.concatenate([t for t, _, _ in results]), ens.times)
+        assert np.array_equal(np.concatenate([x1 for _, x1, _ in results], axis=1), ens.x1)
+        want = []
+        for blk in core.node_blocks(N_PATHS, N_STEPS + 1):
+            split = cpus > 1 and blk.stop - blk.start > 1
+            want += [True, False] if split else [True]
+        assert [ident == caller for _, _, ident in results] == want
+
+    def test_caller_error_state_reaches_the_second_half(self, merton_setup, monkeypatch, cpus):
+        # One block of 65 nodes, split 32 + 33: only the second half holds
+        # node 40, where the division by zero is.
+        _, _, ens, _ = merton_setup
+        set_rows(monkeypatch, N_STEPS + 1, N_PATHS)
+
+        def inverse(part):
+            return 1.0 / (part.times - ens.times[40])
+
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            list(ens.map_blocks(inverse))
+        with np.errstate(divide="ignore"):
+            assert np.isinf(np.concatenate(list(ens.map_blocks(inverse)))).sum() == 1
+
+    def test_first_half_error_wins(self, merton_setup, monkeypatch, cpus):
+        # Both halves raise; the error is the first half's, as when the
+        # whole block fails on one thread, and no half is left running.
+        model, cand, ens, adjoint_of = merton_setup
+        set_rows(monkeypatch, N_STEPS + 1, N_PATHS)
+        finished = []
+
+        def failing(part):
+            if part.times[0] > 0.0:
+                time.sleep(0.2)  # the caller's half fails long before this one
+            finished.append(float(part.times[0]))
+            raise core.DomainError(f"no adjoints from t = {part.times[0]}")
+
+        before = threading.active_count()
+        with pytest.raises(core.DomainError, match=r"from t = 0\.0$"):
+            verify.relations_report(model, cand, ens, failing)
+        assert threading.active_count() == before
+        assert sorted(finished) == ([0.0, float(ens.times[32])] if cpus > 1 else [0.0])
+
+    def test_cli_exits_three_on_errors_in_both_halves(self, tmp_path, monkeypatch, capsys, cpus):
+        # Negative wealth at a node of each half of the one block: the
+        # closed form has no value there, a DomainError in both halves.
+        simulate = sdde.simulate_forward
+
+        def broke(*args, **kwargs):
+            ens = simulate(*args, **kwargs)
+            ens.x[0, [5, 20]] = -100.0
+            return ens
+
+        monkeypatch.setattr(sdde, "simulate_forward", broke)
+        params = {("lambda" if key == "lam" else key): value for key, value in P0.items()}
+        cfg = {
+            "model": {"kind": "merton", "params": params},
+            "sim": {"n_steps": 32, "n_paths": 50, "master_seed": 7},
+            "initial_path": {"kind": "constant", "value": 1.0},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        argv = ["check-relations", "--config", str(path), "--out", str(out), "--quiet"]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: memory-adjusted wealth")
+        assert not (out / "report.json").exists()
+
+    def test_import_starts_no_thread(self):
+        # The second thread is started by a walk; importing the command line
+        # starts none and loads no thread pool module.
+        code = (
+            "import sys, threading; import delaylab.cli; "
+            "print(threading.active_count(), 'concurrent.futures' in sys.modules)"
+        )
+        src = str(Path(sdde.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        )
+        assert proc.stdout.split() == ["1", "False"]
 
 
 class TestQFactorBlocks:
@@ -445,9 +576,10 @@ class TestWorstPathTie:
     def test_first_path_wins_across_blocks(self, monkeypatch, rows):
         model, cand, ens, adj = _linear_tie()
         set_rows(monkeypatch, rows, N_PATHS)
-        blocked = pmp.maximum_condition_check(model, cand, ens, node_map(adj))
         whole = reference_maximum_condition_check(model, cand, ens, adj)
-        assert as_text(blocked) == as_text(whole)
+        for _ in with_and_without_second_thread(monkeypatch):
+            blocked = pmp.maximum_condition_check(model, cand, ens, node_map(adj))
+            assert as_text(blocked) == as_text(whole)
         assert blocked.max_residual == 4.0
         assert blocked.extra == {"max_abs_h_u": 4.0, "max_variational": 2.0}
 
