@@ -7,8 +7,9 @@ take the adjoints as a map of the block; write_adjoint_csv calls that map
 per path block.  relations_report and maximum_condition_check walk the
 blocks through ForwardEnsemble.map_blocks, which runs each block's second
 half on a second thread when the process may use two CPUs, and their
-reports must be the same bits with that thread and without it.  simulate_q gives q one node-row block at a time, and
-q_factor_check folds its maximum over those blocks.  The references below
+reports must be the same bits with that thread and without it.
+simulate_q gives q one node-row block at a time, and q_factor_check folds
+its maximum over those blocks.  The references below
 are the same checks written over whole (n_paths, n_nodes) arrays at once,
 from the map called on the whole ensemble; every report and every byte
 must be the same at any block size.
