@@ -384,7 +384,6 @@ def closed_form_adjoints(
     p1 = -qv * m ** (g - 1.0) * q
     k1 = (1.0 - g) * p.sigma * ustar * x * qv * m ** (g - 2.0) * q
     return Adjoints(
-        times=t,
         p1=p1,
         p2=p.theta * p1,
         p3=np.broadcast_to(0.0, p1.shape),

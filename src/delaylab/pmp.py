@@ -35,10 +35,10 @@ hold them over the whole ensemble: they take a map adjoint_of(part) ->
 Adjoints and call it on each part of the ensemble they walk
 (ForwardEnsemble.part).  check_p3_zero walks the node-row blocks of
 ForwardEnsemble.blocks from the terminal block, with the partial sum of the
-p3 back-integration carried.  The maximum-condition check walks them
-through ForwardEnsemble.map_blocks, which runs each block's second half of
-nodes on a second thread when the process may use two CPUs; its per-path
-maxima are the same bits either way.  write_adjoint_csv computes the
+p3 back-integration carried.  The maximum-condition check folds its
+per-path maxima over them with ForwardEnsemble.max_over_blocks, which runs
+each block's second half of nodes on a second thread, to the same bits as
+over the whole ensemble.  write_adjoint_csv computes the
 adjoints for each block of paths the CSV writer asks for.  simulate_q
 likewise gives q one node-row block at a time, carrying one row of log q
 forward, and q_factor_check folds its maximum over those blocks.  So their
@@ -83,7 +83,7 @@ MAXIMUM_CONDITION_TOL = 1e-6
 @dataclass
 class Adjoints:
     """Adjoint trajectories of an ensemble part, seen as (n_paths, n_nodes)
-    arrays of that part, at its node times.
+    arrays of that part.
 
     They are computed element by element from the part's state, in its
     layout: a node-row block gives node-major fields, each the transpose of
@@ -92,7 +92,6 @@ class Adjoints:
     own.
     """
 
-    times: Array
     p1: Array
     p2: Array
     p3: Array
@@ -207,7 +206,6 @@ def adjoint_from_value(
     p1, k1 = adjoint_pair(cand.v_x, cand.v_xx)
     p2, k2 = adjoint_pair(cand.v_x1, cand.v_xx1)
     return Adjoints(
-        times=t,
         p1=np.broadcast_to(p1, x.shape),
         p2=np.broadcast_to(p2, x.shape),
         p3=np.broadcast_to(0.0, x.shape),
@@ -307,14 +305,9 @@ def hamiltonian_control_gradient(h_of_u: Callable[[Array], Array], u: Array) -> 
 def _block_maximum_condition(model, cand, part: ForwardEnsemble, adjoint_of: AdjointMap):
     """Per-path max |H_u| and max variational gap over one node-row block,
     part, at the adjoints of adjoint_of.
-
-    A broadcast x2 is copied into the layout of x (a view when it already
-    has it): numpy gives a product of two broadcasts over the paths a
-    C-order result, and H, which adds it to node-major arrays, runs slower.
     """
-    t, x, x1, u_star = part.times, part.x, part.x1, part.u
+    t, x, x1, x2, u_star = part.times, part.x, part.x1, part.x2, part.u
     y, z = value_slots(model, cand, t, x, x1, u_star)
-    x2 = np.ascontiguousarray(part.x2.T).T
     # p2 gets no name here, so the memory term the map keeps takes its place
     # in memory rather than adding a block to the peak.
     h_of_u = hamiltonian_at(model, t, x, x1, x2, y, z, *_H_ADJOINTS(adjoint_of(part)))
@@ -345,11 +338,9 @@ def maximum_condition_check(
     one node-row block at a time, and each block's per-path maxima are
     folded into (n_paths,) arrays.
     """
-    max_grad, worst_vi = np.full(ensemble.n_paths, -np.inf), np.full(ensemble.n_paths, -np.inf)
-    for blk_grad, blk_vi in ensemble.map_blocks(
+    max_grad, worst_vi = ensemble.max_over_blocks(
         lambda part: _block_maximum_condition(model, cand, part, adjoint_of)
-    ):
-        max_grad, worst_vi = np.maximum(max_grad, blk_grad), np.maximum(worst_vi, blk_vi)
+    )
 
     worst = np.maximum(max_grad, worst_vi)
     j = int(np.argmax(worst))  # the worst path, the first one on ties

@@ -23,11 +23,11 @@ the paths takes its standard error over the pairs (pair_stderr).
 
 from __future__ import annotations
 
+import functools
 import math
-import os
 import threading
 from dataclasses import dataclass, replace
-from typing import BinaryIO, Callable, Iterator, TypeVar
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -53,8 +53,6 @@ DIVERGENCE_BOUND = 1e12
 # the (n_paths, n_steps) result.
 INCREMENT_BLOCK = 1 << 18
 _ULP53 = 2.0**-53  # a 53-bit integer times this is a uniform in [0, 1)
-
-T = TypeVar("T")
 
 
 @dataclass
@@ -83,12 +81,12 @@ class ForwardEnsemble:
     three ways: x1 rebuilds it at every node, part gives any slice of nodes
     and paths with x1 at every node, and blocks walks the node blocks,
     forward or in reverse, rebuilding each block's x1 into one reused
-    buffer.  map_blocks maps a function over those blocks, each split into
-    two halves of nodes, and is the one place in the package that starts a
-    thread: when the process may use two CPUs, each second half runs on a
-    thread of its own beside the first.  An ensemble built by hand passes
-    X1 at every node as x1_marks, keeps the default mark_every = 1 and
-    needs no model.
+    buffer.  max_over_blocks folds the maximum of a function over those
+    blocks, each split into two halves of nodes whose x2 is in the layout
+    of x, and is the one place in the package that starts a thread: each
+    second half runs on a thread of its own beside the first.  An ensemble
+    built by hand passes X1 at every node as x1_marks, keeps the default
+    mark_every = 1 and needs no model.
     """
 
     times: Array
@@ -142,45 +140,24 @@ class ForwardEnsemble:
         for blk in reversed(blks) if reverse else blks:
             yield blk, self._part(blk, slice(None), self._x1_rows(blk, out=buf))
 
-    def map_blocks(self, fn: Callable[["ForwardEnsemble"], T]) -> Iterator[T]:
-        """fn of each part that blocks() yields, split at its middle node:
-        fn(first half), then fn(second half), block after block.
+    def max_over_blocks(self, fn: Callable[["ForwardEnsemble"], tuple]) -> tuple:
+        """The elementwise, NaN-propagating maximum (np.maximum) of the
+        tuples fn returns for the halves of every part that blocks() yields.
 
-        Each half is a contiguous chunk of the node-major buffers.  When the
-        process may use more than one CPU, the second half runs on a thread
-        started for it, under the caller's numpy error state, while the
-        first runs on the calling thread.  Otherwise, and for a block of one
-        node, the block runs whole on the caller and gives one result.  Both
-        halves of a block finish before either result is yielded, and if
-        either raises, the first half's error is raised, as in a walk on one
-        thread.  So fn must not depend on which thread runs it, and a fold
-        of the results that does not depend on how the nodes are split (a
-        maximum, say) is the same bits with or without the second thread.
+        A block of two or more nodes is split at its middle node, and each
+        half is a contiguous chunk of the node-major buffers, with x2 in the
+        layout of x: the first half runs on the calling thread and the
+        second on a thread started for it, under the caller's numpy error
+        state.  A block of one node runs
+        whole on the caller.  Both halves of a block finish before either
+        result is folded, and if either raises, the first half's error is
+        raised, as in a walk on one thread.  The results are folded in node
+        order, and a maximum does not depend on how the nodes are split, so
+        it is the same bits as a maximum over the whole ensemble.  fn must
+        not depend on which thread runs it.
         """
-        two_cpus = _usable_cpus() > 1
-        for _, part in self.blocks():
-            mid = (part.n_steps + 1) // 2
-            if not two_cpus or mid == 0:
-                yield fn(part)
-                continue
-            err, out = dict(np.geterr(), call=np.geterrcall()), {}
-
-            def second_half(half=part.part(nodes=slice(mid, None))):
-                try:
-                    with np.errstate(**err):
-                        out["result"] = fn(half)
-                except BaseException as error:  # raised on the caller below
-                    out["error"] = error
-
-            worker = threading.Thread(target=second_half)
-            worker.start()
-            try:
-                first = fn(part.part(nodes=slice(mid)))
-            finally:
-                worker.join()
-            if "error" in out:
-                raise out["error"]
-            yield from (first, out["result"])
+        results = (result for _, part in self.blocks() for result in _map_halves(fn, part))
+        return functools.reduce(lambda top, result: tuple(map(np.maximum, top, result)), results)
 
     def _part(self, nodes: slice, paths: slice, x1_rows: Array) -> "ForwardEnsemble":
         return replace(
@@ -224,12 +201,39 @@ class ForwardEnsemble:
         return rows[start - base :: step]
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform
-    reports one, else every CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _map_halves(fn: Callable[[ForwardEnsemble], tuple], part: ForwardEnsemble):
+    """(fn(first half), fn(second half)) of part's nodes, the second half on
+    a thread of its own; (fn(part),) when part has one node."""
+
+    def half(nodes):
+        # A broadcast x2 is copied into the layout of x (a view when it
+        # already has it): numpy gives a product of two broadcasts over the
+        # paths a C-order result, and sums of it and node-major arrays run
+        # slower.
+        piece = part.part(nodes=nodes)
+        return replace(piece, x2=np.ascontiguousarray(piece.x2.T).T)
+
+    mid = (part.n_steps + 1) // 2
+    if mid == 0:
+        return (fn(half(slice(None))),)
+    err, out = dict(np.geterr(), call=np.geterrcall()), {}
+
+    def second_half(second):
+        try:
+            with np.errstate(**err):
+                out["result"] = fn(second)
+        except BaseException as error:  # raised on the caller below
+            out["error"] = error
+
+    worker = threading.Thread(target=second_half, args=(half(slice(mid, None)),))
+    worker.start()
+    try:
+        first = fn(half(slice(mid)))
+    finally:
+        worker.join()
+    if "error" in out:
+        raise out["error"]
+    return first, out["result"]
 
 
 def _x1_step(model: StructuredModel, h: float, x, x1, x2):

@@ -8,17 +8,15 @@ Three families of diagnostics:
   of a supplied map (pmp.AdjointMap, e.g. the closed form) match the
   value-derived ones of pmp.adjoint_from_value, p1 = V_x q, p2 = V_x1 q,
   k1 = (V_xx σ + V_x f_z) q, k2 = (V_xx1 σ + V_x1 f_z) q, at the map's own
-  q.  All three share one walk over the ensemble in node-row blocks
-  (ForwardEnsemble.map_blocks), and both adjoints are computed one block
-  at a time, so the check's temporaries stay the size of one block
-  whatever the ensemble size, and the reported maxima are the same bits as
-  over the whole ensemble.  When the process may use two CPUs, each block's
-  second half of nodes runs on a second thread beside the first half; the
-  two halves hold one block's temporaries between them, and a maximum does
-  not depend on how the nodes are split, so the report is the same bits
-  either way.  In each block G is one map of the control
-  (hjb.hamiltonian_at), so u* and every grid value pay only for the terms
-  that depend on the control.
+  q.  All three share one fold of maxima over the ensemble in node-row
+  blocks (ForwardEnsemble.max_over_blocks), and both adjoints are computed
+  one block at a time, so the check's temporaries stay the size of one
+  block whatever the ensemble size, and the reported maxima are the same
+  bits as over the whole ensemble.  Each block's second half of nodes runs
+  on a second thread beside the first half, and the two halves hold one
+  block's temporaries between them.  In each block G is one map of the
+  control (hjb.hamiltonian_at), so u* and every grid value pay only for the
+  terms that depend on the control.
 
 * compare_controls: paired Monte Carlo cost comparison of a base policy
   against perturbations, using common random numbers (identical per-path
@@ -82,13 +80,8 @@ def _block_relations(model, cand, part: ForwardEnsemble, axes):
     +inf and NaN entries, and either makes the plain max of G(u_alt) − G(u*)
     non-finite, so a finite plain max, taken in place, is the gap; only when
     it is not is G(u_alt) evaluated again and masked.
-
-    A broadcast x2 is copied into the layout of x (a view when it already
-    has it): numpy gives a product of two broadcasts over the paths a
-    C-order result, and G, which adds it to node-major arrays, runs slower.
     """
-    t, x, x1, u_star = part.times, part.x, part.x1, part.u
-    x2 = np.ascontiguousarray(part.x2.T).T
+    t, x, x1, x2, u_star = part.times, part.x, part.x1, part.x2, part.u
     # The slots are not kept here, so hamiltonian_at frees q once it has
     # taken the memory term.
     g_of_u = hamiltonian_at(model, t, x, x1, x2, args_from_candidate(cand, t, x, x1))
@@ -135,10 +128,6 @@ def relations_report(
     """
     box = model.control_set
     axes = [box.axis_grid(i, CONTROL_GRID_POINTS) for i in range(box.n_controls)]
-    shape = (len(_ADJOINTS), ensemble.n_paths)
-    err, top = np.full(shape, -np.inf), np.full(shape, -np.inf)
-    time_slope = -np.inf
-    gaps = np.full(sum(map(len, axes)), -np.inf)
 
     def block(part):
         return (
@@ -146,9 +135,7 @@ def relations_report(
             *_block_relations(model, cand, part, axes),
         )
 
-    for blk_err, blk_top, blk_slope, blk_gaps in ensemble.map_blocks(block):
-        err, top = np.maximum(err, blk_err), np.maximum(top, blk_top)
-        time_slope, gaps = np.maximum(time_slope, blk_slope), np.maximum(gaps, blk_gaps)
+    err, top, time_slope, gaps = ensemble.max_over_blocks(block)
     scale = np.maximum(top, 1e-300)
     mismatch = {
         name: nan_max(0.0, float(np.max(err[j] / scale[j]))) for j, name in enumerate(_ADJOINTS)

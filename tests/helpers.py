@@ -10,7 +10,7 @@ criteria do.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,20 +51,20 @@ def closed_form_adjoints(params: merton.MertonParams) -> pmp.AdjointMap:
     )
 
 
-def node_map(adjoint: pmp.Adjoints) -> pmp.AdjointMap:
-    """The adjoint map of adjoints held as whole (n_paths, n_nodes) arrays.
+def node_map(ensemble: ForwardEnsemble, adjoint: pmp.Adjoints) -> pmp.AdjointMap:
+    """The adjoint map of adjoints held as whole (n_paths, n_nodes) arrays
+    of ensemble.
 
     It serves the ensemble checks, which call their map on node-row blocks
-    of every path: a block is found by its node times.
+    of every path: a block is found by its node times among ensemble's.
     """
 
     def adjoint_of(part: ForwardEnsemble) -> pmp.Adjoints:
-        start = int(np.searchsorted(adjoint.times, part.times[0]))
+        start = int(np.searchsorted(ensemble.times, part.times[0]))
         blk = slice(start, start + part.times.size)
-        assert np.array_equal(adjoint.times[blk], part.times)
+        assert np.array_equal(ensemble.times[blk], part.times)
         assert part.n_paths == adjoint.p1.shape[0], "a block of every path"
-        fields = {name: getattr(adjoint, name)[:, blk] for name in ADJOINT_FIELDS}
-        return replace(adjoint, times=part.times, **fields)
+        return pmp.Adjoints(**{name: getattr(adjoint, name)[:, blk] for name in ADJOINT_FIELDS})
 
     return adjoint_of
 

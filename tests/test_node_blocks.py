@@ -4,15 +4,13 @@ relations_report (with its adjoint mismatch), check_p3_zero and
 maximum_condition_check walk the ensemble's node blocks
 (ForwardEnsemble.blocks, which yields the blocks of core.node_blocks) and
 take the adjoints as a map of the block; write_adjoint_csv calls that map
-per path block.  relations_report and maximum_condition_check walk the
-blocks through ForwardEnsemble.map_blocks, which runs each block's second
-half on a second thread when the process may use two CPUs, and their
-reports must be the same bits with that thread and without it.
-simulate_q gives q one node-row block at a time, and q_factor_check folds
-its maximum over those blocks.  The references below
-are the same checks written over whole (n_paths, n_nodes) arrays at once,
-from the map called on the whole ensemble; every report and every byte
-must be the same at any block size.
+per path block.  relations_report and maximum_condition_check fold their
+maxima over the blocks with ForwardEnsemble.max_over_blocks, which runs
+each block's second half on a second thread.  simulate_q gives q one
+node-row block at a time, and q_factor_check folds its maximum over those
+blocks.  The references below are the same checks written over whole
+(n_paths, n_nodes) arrays at once, from the map called on the whole
+ensemble; every report and every byte must be the same at any block size.
 """
 
 import dataclasses
@@ -191,26 +189,6 @@ def set_rows(monkeypatch, rows, n_paths):
     monkeypatch.setattr(core, "NODE_BLOCK", rows * n_paths)
 
 
-def set_cpus(monkeypatch, n):
-    """Let the process see n usable CPUs, as map_blocks counts them."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: n)
-
-
-def with_and_without_second_thread(monkeypatch):
-    """Run the loop body with map_blocks' second thread off (one usable
-    CPU), then on (two)."""
-    for n in (1, 2):
-        set_cpus(monkeypatch, n)
-        yield n
-
-
-@pytest.fixture(params=[1, 2], ids=["one_cpu", "two_cpus"])
-def cpus(request, monkeypatch):
-    set_cpus(monkeypatch, request.param)
-    return request.param
-
-
 def merton_model():
     p = merton.MertonParams(**P0)
     return p, merton.build_model(p), merton.value_function(p)
@@ -315,9 +293,8 @@ class TestSameBitsAsWholeEnsemble:
         model, cand, ens, adjoint_of = merton_setup
         set_rows(monkeypatch, rows, N_PATHS)
         whole = reference_relations_report(model, cand, ens, adjoint_of(ens))
-        for _ in with_and_without_second_thread(monkeypatch):
-            blocked = verify.relations_report(model, cand, ens, adjoint_of)
-            assert as_text(blocked) == as_text(whole)
+        blocked = verify.relations_report(model, cand, ens, adjoint_of)
+        assert as_text(blocked) == as_text(whole)
         assert blocked.extra["grid_optimality"] > 0.0  # the detuned controls leave a gap
         assert min(blocked.extra["adjoint_mismatch"].values()) > 0.0
 
@@ -338,9 +315,8 @@ class TestSameBitsAsWholeEnsemble:
         model, cand, ens, adjoint_of = merton_setup
         set_rows(monkeypatch, rows, N_PATHS)
         whole = reference_maximum_condition_check(model, cand, ens, adjoint_of(ens))
-        for _ in with_and_without_second_thread(monkeypatch):
-            blocked = pmp.maximum_condition_check(model, cand, ens, adjoint_of)
-            assert as_text(blocked) == as_text(whole)
+        blocked = pmp.maximum_condition_check(model, cand, ens, adjoint_of)
+        assert as_text(blocked) == as_text(whole)
         assert blocked.max_residual > 1e-3
 
     @pytest.mark.parametrize("rows", ROWS)
@@ -356,11 +332,10 @@ class TestSameBitsAsWholeEnsemble:
             adj = adjoint_of(ens)
             whole = reference_relations_report(model, cand, ens, adj)
             whole_max = reference_maximum_condition_check(model, cand, ens, adj)
-            for _ in with_and_without_second_thread(monkeypatch):
-                blocked = verify.relations_report(model, cand, ens, adjoint_of)
-                blocked_max = pmp.maximum_condition_check(model, cand, ens, adjoint_of)
-                assert as_text(blocked) == as_text(whole)
-                assert as_text(blocked_max) == as_text(whole_max)
+            blocked = verify.relations_report(model, cand, ens, adjoint_of)
+            blocked_max = pmp.maximum_condition_check(model, cand, ens, adjoint_of)
+            assert as_text(blocked) == as_text(whole)
+            assert as_text(blocked_max) == as_text(whole_max)
             # the NaN p1 makes p3 NaN from its node back to node 0, across
             # the blocks through the carried sum
             blocked_p3 = pmp.check_p3_zero(model, cand, ens, adjoint_of)
@@ -384,9 +359,8 @@ class TestSameBitsAsWholeEnsemble:
         set_rows(monkeypatch, rows, N_PATHS)
         with np.errstate(all="ignore"):
             whole = reference_relations_report(model, cand, ens, adjoint_of(ens))
-            for _ in with_and_without_second_thread(monkeypatch):
-                blocked = verify.relations_report(model, cand, ens, adjoint_of)
-                assert as_text(blocked) == as_text(whole)
+            blocked = verify.relations_report(model, cand, ens, adjoint_of)
+            assert as_text(blocked) == as_text(whole)
         assert np.isfinite(blocked.extra["grid_optimality"])
 
         t, x, x1, x2, u = ens.times, ens.x, ens.x1, ens.x2, ens.u
@@ -400,44 +374,92 @@ class TestSameBitsAsWholeEnsemble:
             assert bad(g_alt).any() and np.isfinite(g_alt).any()
 
 
-class TestMapBlocks:
-    """ForwardEnsemble.map_blocks: each block split at its middle node, the
-    second half on a second thread when two CPUs may be used, the results
-    in node order, and errors as a walk on one thread raises them."""
+class TestMaxOverBlocks:
+    """ForwardEnsemble.max_over_blocks: each block of two or more nodes split
+    at its middle node, the second half on a thread of its own, the results
+    folded by a NaN-propagating maximum, and errors raised as a walk on one
+    thread raises them."""
+
+    @staticmethod
+    def record_halves(ens):
+        """Walk ens with a function that records, under a lock, each part's
+        first node, its times, its x1 and the thread that ran it; returns
+        the records in node order and the fold of each part's per-path max
+        of x1."""
+        lock, seen = threading.Lock(), []
+
+        def record(part):  # x1 is copied: a part's x1 lives until the next block
+            first = int(np.searchsorted(ens.times, part.times[0]))
+            with lock:
+                seen.append((first, part.times, part.x1.copy(), threading.get_ident()))
+            return (np.max(part.x1, axis=1),)
+
+        (top,) = ens.max_over_blocks(record)
+        return sorted(seen, key=lambda entry: entry[0]), top
 
     @pytest.mark.parametrize("rows", ROWS)
-    def test_halves_in_node_order(self, merton_setup, monkeypatch, cpus, rows):
+    def test_every_node_once(self, merton_setup, monkeypatch, rows):
         _, _, ens, _ = merton_setup
         set_rows(monkeypatch, rows, N_PATHS)
+        seen, top = self.record_halves(ens)
+        assert np.array_equal(np.concatenate([t for _, t, _, _ in seen]), ens.times)
+        assert np.array_equal(np.concatenate([x1 for _, _, x1, _ in seen], axis=1), ens.x1)
+        assert np.array_equal(top, np.max(ens.x1, axis=1))
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_second_halves_on_another_thread(self, merton_setup, monkeypatch, rows):
+        _, _, ens, _ = merton_setup
+        set_rows(monkeypatch, rows, N_PATHS)
+        seen, _ = self.record_halves(ens)
         caller = threading.get_ident()
-
-        def seen(part):  # x1 is copied: a part's x1 lives until the next block
-            return part.times, part.x1.copy(), threading.get_ident()
-
-        results = list(ens.map_blocks(seen))
-        assert np.array_equal(np.concatenate([t for t, _, _ in results]), ens.times)
-        assert np.array_equal(np.concatenate([x1 for _, x1, _ in results], axis=1), ens.x1)
         want = []
         for blk in core.node_blocks(N_PATHS, N_STEPS + 1):
-            split = cpus > 1 and blk.stop - blk.start > 1
-            want += [True, False] if split else [True]
-        assert [ident == caller for _, _, ident in results] == want
+            mid = (blk.stop - blk.start) // 2
+            want += [(blk.start, True)] + ([(blk.start + mid, False)] if mid else [])
+        assert [(first, ident == caller) for first, _, _, ident in seen] == want
+        assert len({ident for *_, ident in seen} - {caller}) == (rows > 1)
 
-    def test_caller_error_state_reaches_the_second_half(self, merton_setup, monkeypatch, cpus):
+    def test_odd_and_one_node_blocks(self, merton_setup, monkeypatch):
+        # A block of three nodes splits 1 + 2; a block of one node runs
+        # whole on the caller.
+        _, _, ens, _ = merton_setup
+        set_rows(monkeypatch, 3, N_PATHS)
+        caller = threading.get_ident()
+        seen, top = self.record_halves(ens.part(nodes=slice(0, 3)))
+        assert [(t.size, ident == caller) for _, t, _, ident in seen] == [(1, True), (2, False)]
+        assert np.array_equal(top, np.max(ens.x1[:, :3], axis=1))
+        seen, top = self.record_halves(ens.part(nodes=slice(5, 6)))
+        assert [(t.size, ident == caller) for _, t, _, ident in seen] == [(1, True)]
+        assert np.array_equal(top, ens.x1[:, 5])
+
+    @pytest.mark.parametrize("node", [10, 40], ids=["first_half", "second_half"])
+    def test_nan_in_one_half_folds_to_nan(self, merton_setup, monkeypatch, node):
+        # One block of 65 nodes, split 32 + 33: the NaN is in one half only.
+        _, _, ens, _ = merton_setup
+        ens = with_nan_node(ens, path=2, node=node)
+        set_rows(monkeypatch, N_STEPS + 1, N_PATHS)
+        per_path, overall = ens.max_over_blocks(
+            lambda part: (np.max(part.x, axis=1), np.max(part.x))
+        )
+        assert np.isnan(per_path[2]) and np.isfinite(np.delete(per_path, 2)).all()
+        assert np.array_equal(per_path, np.max(ens.x, axis=1), equal_nan=True)
+        assert np.isnan(overall)
+
+    def test_caller_error_state_reaches_the_second_half(self, merton_setup, monkeypatch):
         # One block of 65 nodes, split 32 + 33: only the second half holds
         # node 40, where the division by zero is.
         _, _, ens, _ = merton_setup
         set_rows(monkeypatch, N_STEPS + 1, N_PATHS)
 
         def inverse(part):
-            return 1.0 / (part.times - ens.times[40])
+            return (np.max(1.0 / (part.times - ens.times[40])),)
 
         with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
-            list(ens.map_blocks(inverse))
+            ens.max_over_blocks(inverse)
         with np.errstate(divide="ignore"):
-            assert np.isinf(np.concatenate(list(ens.map_blocks(inverse)))).sum() == 1
+            assert ens.max_over_blocks(inverse) == (np.inf,)
 
-    def test_first_half_error_wins(self, merton_setup, monkeypatch, cpus):
+    def test_first_half_error_wins(self, merton_setup, monkeypatch):
         # Both halves raise; the error is the first half's, as when the
         # whole block fails on one thread, and no half is left running.
         model, cand, ens, adjoint_of = merton_setup
@@ -454,9 +476,9 @@ class TestMapBlocks:
         with pytest.raises(core.DomainError, match=r"from t = 0\.0$"):
             verify.relations_report(model, cand, ens, failing)
         assert threading.active_count() == before
-        assert sorted(finished) == ([0.0, float(ens.times[32])] if cpus > 1 else [0.0])
+        assert sorted(finished) == [0.0, float(ens.times[32])]
 
-    def test_cli_exits_three_on_errors_in_both_halves(self, tmp_path, monkeypatch, capsys, cpus):
+    def test_cli_exits_three_on_errors_in_both_halves(self, tmp_path, monkeypatch, capsys):
         # Negative wealth at a node of each half of the one block: the
         # closed form has no value there, a DomainError in both halves.
         simulate = sdde.simulate_forward
@@ -566,9 +588,7 @@ def _linear_tie():
     p1[1, 40] = 4.0
     p1[3, 1] = -2.0
     zero = node_major(0.0)
-    adj = pmp.Adjoints(
-        times=ens.times, p1=p1, p2=zero, p3=zero, q=zero, k1=zero, k2=zero
-    )
+    adj = pmp.Adjoints(p1=p1, p2=zero, p3=zero, q=zero, k1=zero, k2=zero)
     return model, cand, ens, adj
 
 
@@ -578,9 +598,8 @@ class TestWorstPathTie:
         model, cand, ens, adj = _linear_tie()
         set_rows(monkeypatch, rows, N_PATHS)
         whole = reference_maximum_condition_check(model, cand, ens, adj)
-        for _ in with_and_without_second_thread(monkeypatch):
-            blocked = pmp.maximum_condition_check(model, cand, ens, node_map(adj))
-            assert as_text(blocked) == as_text(whole)
+        blocked = pmp.maximum_condition_check(model, cand, ens, node_map(ens, adj))
+        assert as_text(blocked) == as_text(whole)
         assert blocked.max_residual == 4.0
         assert blocked.extra == {"max_abs_h_u": 4.0, "max_variational": 2.0}
 

@@ -133,12 +133,14 @@ class TestP3Reduction:
         adj = pmp.adjoint_from_value(
             merton_run["model"], merton_run["cand"], ens, merton_run["q"]
         )
-        report = pmp.check_p3_zero(merton_run["model"], merton_run["cand"], ens, node_map(adj))
+        report = pmp.check_p3_zero(
+            merton_run["model"], merton_run["cand"], ens, node_map(ens, adj)
+        )
         assert report.passed, report.extra
 
     def test_broken_theta_leaves_residual(self):
         model, cand, ens, adj = _broken_theta_run(n_paths=2, seed=6)
-        report = pmp.check_p3_zero(model, cand, ens, node_map(adj))
+        report = pmp.check_p3_zero(model, cand, ens, node_map(ens, adj))
         assert not report.passed
         assert report.max_residual > 1e-4
 
@@ -178,7 +180,7 @@ class TestMaximumCondition:
             merton_run["model"], merton_run["cand"], ens, merton_run["q"]
         )
         report = pmp.maximum_condition_check(
-            merton_run["model"], merton_run["cand"], ens, node_map(adj)
+            merton_run["model"], merton_run["cand"], ens, node_map(ens, adj)
         )
         assert report.passed, report.extra
 
@@ -190,7 +192,7 @@ class TestMaximumCondition:
         q = merton.exact_q_factor(merton_run["params"], ens.times)
         adj = pmp.adjoint_from_value(merton_run["model"], merton_run["cand"], ens, q)
         report = pmp.maximum_condition_check(
-            merton_run["model"], merton_run["cand"], ens, node_map(adj)
+            merton_run["model"], merton_run["cand"], ens, node_map(ens, adj)
         )
         assert not report.passed
         assert report.extra["max_abs_h_u"] > 1e-3
@@ -230,7 +232,7 @@ class TestEnsembleReportIsWorstPath:
         one_adj = dataclasses.replace(
             adj, **{f: getattr(adj, f)[rows] for f in ("p1", "p2", "p3", "q", "k1", "k2")}
         )
-        return one_ens, node_map(one_adj)
+        return one_ens, node_map(one_ens, one_adj)
 
     @pytest.mark.parametrize("check", [pmp.check_p3_zero, pmp.maximum_condition_check])
     def test_check_reports_worst_path(self, run, check):
@@ -239,7 +241,7 @@ class TestEnsembleReportIsWorstPath:
         # path has the same relative residual.  A fixed offset breaks that
         # and makes the paths of smallest |p1| the worst ones.
         adj = dataclasses.replace(adj, p2=adj.p2 - 1e-3)
-        whole = check(model, cand, ens, node_map(adj))
+        whole = check(model, cand, ens, node_map(ens, adj))
         singles = [
             check(model, cand, *self._one_path(ens, adj, i)) for i in range(self.N_PATHS)
         ]
@@ -257,7 +259,8 @@ class TestEnsembleReportIsWorstPath:
         given = dataclasses.replace(
             adj, p1=adj.p1 + 1e-3, p2=adj.p2 - 2e-4, k1=adj.k1 + 3e-3, k2=adj.k2 + 1e-5
         )
-        whole = verify.relations_report(model, cand, ens, node_map(given)).extra["adjoint_mismatch"]
+        whole = verify.relations_report(model, cand, ens, node_map(ens, given))
+        whole = whole.extra["adjoint_mismatch"]
         singles = [
             verify.relations_report(
                 model, cand, *self._one_path(ens, given, i)
@@ -324,7 +327,8 @@ class TestConvexityProbe:
     def _records(self, model):
         # y = −V = 0.5 and z = −σV_x = 0.1 under the linear model's σ = 0.5.
         ens = _still_ensemble(x=1.0, x1=0.9, x2=0.8, u=[0.5])
-        return model, _constant_candidate(v=-0.5, v_x=-0.2), ens, node_map(_frozen_adjoints(ens))
+        adjoint_of = node_map(ens, _frozen_adjoints(ens))
+        return model, _constant_candidate(v=-0.5, v_x=-0.2), ens, adjoint_of
 
     def test_linear_hamiltonian_passes(self):
         report = pmp.convexity_spot_check(*self._records(_linear_model()))
@@ -341,7 +345,7 @@ class TestConvexityProbe:
         model, cand, ens, _ = self._records(_linear_model())
         adj = _frozen_adjoints(ens)
         adj.p1[0, ens.n_steps // 2] = np.nan
-        report = pmp.convexity_spot_check(model, cand, ens, node_map(adj))
+        report = pmp.convexity_spot_check(model, cand, ens, node_map(ens, adj))
         assert np.isnan(report.max_residual)
         assert np.isnan(report.extra["min_eigenvalues"][1])
         assert not report.passed
@@ -356,7 +360,7 @@ class TestConvexityProbe:
         x, x1 = ens.x[0], ens.x1[0]
         ens.u[:, 0] = merton.optimal_u(ens.times, x, x1, p), merton.optimal_c(ens.times, x, x1, p)
         adj = pmp.adjoint_from_value(model, cand, ens, np.ones(ens.times.size))
-        report = pmp.convexity_spot_check(model, cand, ens, node_map(adj))
+        report = pmp.convexity_spot_check(model, cand, ens, node_map(ens, adj))
         assert report.passed, report.extra
 
     def test_each_probe_at_its_node_time(self):
@@ -365,7 +369,7 @@ class TestConvexityProbe:
         model = _linear_model(b1=lambda t, x, x1, u: -t * np.asarray(x, float) ** 2)
         cand = _constant_candidate(v=-0.5, v_x=-0.2)
         ens = _still_ensemble(x=1.0, x1=0.9, x2=0.8, u=[0.5], start=0.2, n_steps=4, h=0.2)
-        report = pmp.convexity_spot_check(model, cand, ens, node_map(_frozen_adjoints(ens)))
+        report = pmp.convexity_spot_check(model, cand, ens, node_map(ens, _frozen_adjoints(ens)))
         assert report.extra["min_eigenvalues"] == pytest.approx([-0.4, -1.2], rel=1e-6)
 
 
@@ -445,6 +449,6 @@ def _frozen_adjoints(ens, p1=1.0, p2=0.2, q=1.0, k1=0.3):
         return np.full(ens.x.shape, c, float)
 
     return pmp.Adjoints(
-        times=ens.times, p1=full(p1), p2=full(p2), p3=full(0.0), q=full(q), k1=full(k1),
+        p1=full(p1), p2=full(p2), p3=full(0.0), q=full(q), k1=full(k1),
         k2=full(0.0),
     )

@@ -525,7 +525,7 @@ class TestStepIsRecorded:
         sol = bsdde.solve_backward(model, ens, bsdde.polynomial_basis(2))
         q = simulated_q(model, ens)
         adj = pmp.adjoint_from_value(model, cand, ens, q)
-        p3 = pmp.check_p3_zero(model, cand, ens, node_map(adj))
+        p3 = pmp.check_p3_zero(model, cand, ens, node_map(ens, adj))
         return ens, sol, q, p3
 
     def test_sweeps_do_not_depend_on_where_the_grid_starts(self):
@@ -709,7 +709,7 @@ class TestCsvExport:
         names = ["p1", "p2", "p3", "q", "k1", "k2"]
 
         def adjoint_of(part):
-            return pmp.Adjoints(part.times, part.x, part.x1, part.x2, part.u[0], -part.x, -part.x1)
+            return pmp.Adjoints(part.x, part.x1, part.x2, part.u[0], -part.x, -part.x1)
 
         out = io.BytesIO()
         pmp.write_adjoint_csv(ens, out, adjoint_of)

@@ -37,7 +37,7 @@ class TestRelations:
         cfg = core.SimConfig(n_steps=128, n_paths=64, master_seed=5)
         ens = sdde.simulate_forward(setup["model"], setup["policy"], INITIAL, cfg)
         report = verify.relations_report(
-            setup["model"], setup["cand"], ens, node_map(self._adjoints(setup, ens))
+            setup["model"], setup["cand"], ens, node_map(ens, self._adjoints(setup, ens))
         )
         assert report.passed, report.to_dict()
 
@@ -46,7 +46,7 @@ class TestRelations:
         cfg = core.SimConfig(n_steps=64, n_paths=8, master_seed=5)
         ens = sdde.simulate_forward(setup["model"], policy, INITIAL, cfg)
         report = verify.relations_report(
-            setup["model"], setup["cand"], ens, node_map(self._adjoints(setup, ens))
+            setup["model"], setup["cand"], ens, node_map(ens, self._adjoints(setup, ens))
         )
         assert not report.passed
         # V_t equals the maximized Hamiltonian, not the one at halved u.
@@ -59,7 +59,7 @@ class TestRelations:
         p1 = adj.p1.copy()
         p1[3, 10] = np.nan
         report = verify.relations_report(
-            setup["model"], setup["cand"], ens, node_map(dataclasses.replace(adj, p1=p1))
+            setup["model"], setup["cand"], ens, node_map(ens, dataclasses.replace(adj, p1=p1))
         )
         assert np.isnan(report.extra["adjoint_mismatch"]["p1"])
         assert report.extra["adjoint_mismatch"]["p2"] < 1e-4
@@ -69,7 +69,7 @@ class TestRelations:
         cfg = core.SimConfig(n_steps=32, n_paths=4, master_seed=5)
         ens = sdde.simulate_forward(setup["model"], setup["policy"], INITIAL, cfg)
         d = verify.relations_report(
-            setup["model"], setup["cand"], ens, node_map(self._adjoints(setup, ens))
+            setup["model"], setup["cand"], ens, node_map(ens, self._adjoints(setup, ens))
         ).to_dict()
         assert d["check"] == "relations"
         assert set(d["adjoint_mismatch"]) == {"p1", "p2", "k1", "k2"}
