@@ -20,10 +20,11 @@ b̂ = b1 + e^{λδ}(x − λx1)·b2, each of F ∈ {b̂, σ, f1, φ} must satisf
 after the feedback control and the value-consistent (y, z) slots are
 substituted into the coefficients.
 
-G is a function of the control at a fixed state: hamiltonian_at computes its
-control-free memory term once for a batch of states and returns u ↦ G, so a
-sweep over controls (a maximization, a grid of alternatives) pays only for
-the terms that depend on u.  maximize_hamiltonian works on plain arrays that
+G is a function of the control at a fixed state, and generalized_hamiltonian
+is the one way to it: it computes the control-free memory term once for a
+batch of states and returns u ↦ G, so a sweep over controls (a
+maximization, its hint, a grid of alternatives) pays only for the terms
+that depend on u.  maximize_hamiltonian works on plain arrays that
 broadcast together, and evaluates its tensor grid one node at a time, so its
 memory is that of a few probe arrays.  hjb_residual takes a sequence of
 probe times: it calls the candidate and the maximizer hint once per time, as
@@ -108,7 +109,7 @@ def args_from_candidate(cand: ValueCandidate, s, x, x1) -> GArgs:
     )
 
 
-def hamiltonian_at(model: StructuredModel, s, x, x1, x2, args: GArgs):
+def generalized_hamiltonian(model: StructuredModel, s, x, x1, x2, args: GArgs):
     """The map u ↦ G(s, x, x1, x2, k, p, R, q, u) at fixed states.
 
     The memory term (x − λx1 − e^{-λδ}x2)·q does not depend on u, so it is
@@ -132,13 +133,6 @@ def hamiltonian_at(model: StructuredModel, s, x, x1, x2, args: GArgs):
         return g
 
     return g
-
-
-def generalized_hamiltonian(
-    model: StructuredModel, s, x, x1, x2, u, args: GArgs
-):
-    """G = b·p + ½σ²R + (x − λx1 − e^{-λδ}x2)·q + f(s, x, x1, k, σp, u)."""
-    return hamiltonian_at(model, s, x, x1, x2, args)(u)
 
 
 def _golden_refine(fun, lo: Array, hi: Array):
@@ -193,11 +187,11 @@ def maximize_hamiltonian(
     n_u = box.n_controls
     shape = np.broadcast_shapes(np.shape(s), np.shape(x), np.shape(x1), np.shape(x2))
     with np.errstate(all="ignore"):
-        g_of_u = hamiltonian_at(model, s, x, x1, x2, args)
+        g_of_u = generalized_hamiltonian(model, s, x, x1, x2, args)
 
-    def eval_at(u_mat, g=g_of_u):
+    def eval_at(u_mat):
         with np.errstate(all="ignore"):
-            val = g(u_mat)
+            val = g_of_u(u_mat)
         val = np.where(np.isfinite(val), val, -np.inf)
         return np.broadcast_to(val, shape)
 
@@ -215,10 +209,7 @@ def maximize_hamiltonian(
         keep_better(u, eval_at(u))
     if hint is not None:
         hint = np.stack([np.broadcast_to(h, shape) for h in box.clamp(hint)])
-        keep_better(
-            hint,
-            eval_at(hint, lambda u: generalized_hamiltonian(model, s, x, x1, x2, u, args)),
-        )
+        keep_better(hint, eval_at(hint))
 
     for _ in range(REFINE_SWEEPS):
         for i in range(n_u):

@@ -12,9 +12,12 @@ with a triple of first-order adjoints (p1, p2, p3), their martingale parts
     dq(t) = q(t) [f_y dt + f_z dW(t)],   q(s) = 1.
 
 H is a function of the control at fixed states and adjoints, as G is in
-hjb: hamiltonian_at computes its memory term p2·(x − λx1 − e^{-λδ}x2) once
-and returns u ↦ H, which the maximum condition differentiates and the
-convexity probe evaluates.
+hjb (hjb.generalized_hamiltonian): hamiltonian_at computes its memory term
+p2·(x − λx1 − e^{-λδ}x2) once and returns u ↦ H, which the maximum
+condition differentiates and the convexity probe evaluates.  The maximum
+condition's variational inequality H_u(u*)·(u* − v) is linear in the
+alternative control v, so it is tested at the two ends of each control
+coordinate of the box, where its maximum over the box lies.
 
 f_y and f_z are the model's analytic partials of the generator
 (StructuredModel.f_y and f_z); a model without them cannot enter this layer.
@@ -43,9 +46,10 @@ adjoints for each block of paths the CSV writer asks for.  simulate_q
 likewise gives q one node-row block at a time, carrying one row of log q
 forward, and q_factor_check folds its maximum over those blocks.  So their
 temporaries stay the size of one block whatever the ensemble size.
-The checks read the ensemble's controls u and step h as stored; each
-scales its residuals path by path and reports the worst path.  The
-convexity probe takes path 0 at nodes 0 and n_steps // 2.
+The checks read the ensemble's controls u and step h as stored.  The p3
+and maximum-condition checks take their residuals path by path and report
+the worst path, both through _worst_path.  The convexity probe takes path 0
+at nodes 0 and n_steps // 2.
 """
 
 from __future__ import annotations
@@ -68,11 +72,6 @@ HESSIAN_REL_STEP = 3e-4
 # convexity_spot_check passes when every Hessian eigenvalue is above
 # −CONVEXITY_TOL_FACTOR·(1 + |λ_max|).
 CONVEXITY_TOL_FACTOR = 1e-6
-
-# Points per control coordinate of the grids against which
-# maximum_condition_check and verify.relations_report test the stored
-# control.
-CONTROL_GRID_POINTS = 9
 
 # Pass thresholds of q_factor_check, check_p3_zero and maximum_condition_check.
 Q_FACTOR_TOL = 1e-10
@@ -215,6 +214,22 @@ def adjoint_from_value(
     )
 
 
+def _worst_path(check: str, probes: int, worst: Array, tolerance: float, **extra) -> CheckReport:
+    """The report of the path with the largest of the per-path residuals
+    worst: its residual, passing below tolerance, and its entry of each
+    per-path array in extra.
+
+    The worst path is that of argmax, the first one on ties, and a NaN
+    residual counts as the worst.
+    """
+    i = int(np.argmax(worst))
+    residual = float(worst[i])
+    return CheckReport(
+        check, probes, residual, tolerance, passed=residual < tolerance,
+        extra={name: float(values[i]) for name, values in extra.items()},
+    )
+
+
 def _block_p3(model, cand, part: ForwardEnsemble, adjoint: Adjoints, carry, terminal: bool):
     """Per-path max |p3 drift|, max |p3| and max |p1| over one node-row
     block, part, whose adjoints are adjoint, as a (3, n_paths) array, and
@@ -264,17 +279,8 @@ def check_p3_zero(
     max_drift, max_p3, top = maxima
 
     worst = np.maximum(max_drift, max_p3) / np.maximum(top, 1e-300)
-    i = int(np.argmax(worst))  # the worst path, the first one on ties
-    return CheckReport(
-        check="p3_zero",
-        probes=n_nodes,
-        max_residual=float(worst[i]),
-        tolerance=P3_TOL,
-        passed=bool(worst[i] < P3_TOL),
-        extra={
-            "max_drift": float(max_drift[i]),
-            "max_backintegrated": float(max_p3[i]),
-        },
+    return _worst_path(
+        "p3_zero", n_nodes, worst, P3_TOL, max_drift=max_drift, max_backintegrated=max_p3
     )
 
 
@@ -314,11 +320,13 @@ def _block_maximum_condition(model, cand, part: ForwardEnsemble, adjoint_of: Adj
     grad = hamiltonian_control_gradient(h_of_u, u_star)
     max_grad = np.max(np.abs(grad), axis=(0, 2))
 
+    # H_u(u*)·(u* − v) is linear in v, and its rounded value is monotone in
+    # v, so its maximum over the box lies at one of the box's two ends.
     worst_vi = np.full(part.n_paths, -np.inf)
     box = model.control_set
-    for i in range(u_star.shape[0]):
-        for u_alt in box.axis_grid(i, CONTROL_GRID_POINTS):
-            worst_vi = np.maximum(worst_vi, np.max(grad[i] * (u_star[i] - u_alt), axis=1))
+    for i, ends in enumerate(zip(box.lower, box.upper)):
+        for v in ends:
+            worst_vi = np.maximum(worst_vi, np.max(grad[i] * (u_star[i] - v), axis=1))
     return max_grad, worst_vi
 
 
@@ -331,9 +339,9 @@ def maximum_condition_check(
     """First-order optimality of the stored controls along each path.
 
     Checks |H_u| at the stored control (interior stationarity) and the
-    variational inequality H_u(u*)·(u* − u) over a grid of
-    CONTROL_GRID_POINTS values per control coordinate; both must stay below
-    MAXIMUM_CONDITION_TOL.
+    variational inequality H_u(u*)·(u* − v) over the control box, which,
+    being linear in v, is tested at the two ends of each control
+    coordinate; both must stay below MAXIMUM_CONDITION_TOL.
     The report is that of the worst path.  The adjoints and H_u are taken
     one node-row block at a time, and each block's per-path maxima are
     folded into (n_paths,) arrays.
@@ -343,14 +351,9 @@ def maximum_condition_check(
     )
 
     worst = np.maximum(max_grad, worst_vi)
-    j = int(np.argmax(worst))  # the worst path, the first one on ties
-    return CheckReport(
-        check="maximum_condition",
-        probes=ensemble.x.shape[1],
-        max_residual=float(worst[j]),
-        tolerance=MAXIMUM_CONDITION_TOL,
-        passed=bool(worst[j] < MAXIMUM_CONDITION_TOL),
-        extra={"max_abs_h_u": float(max_grad[j]), "max_variational": float(worst_vi[j])},
+    return _worst_path(
+        "maximum_condition", ensemble.x.shape[1], worst, MAXIMUM_CONDITION_TOL,
+        max_abs_h_u=max_grad, max_variational=worst_vi,
     )
 
 

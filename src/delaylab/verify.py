@@ -15,8 +15,9 @@ Three families of diagnostics:
   bits as over the whole ensemble.  Each block's second half of nodes runs
   on a second thread beside the first half, and the two halves hold one
   block's temporaries between them.  In each block G is one map of the
-  control (hjb.hamiltonian_at), so u* and every grid value pay only for the
-  terms that depend on the control.
+  control (hjb.generalized_hamiltonian), so u* and every grid value pay only
+  for the terms that depend on the control.  G is not linear in the
+  control, so its grid keeps CONTROL_GRID_POINTS values per coordinate.
 
 * compare_controls: paired Monte Carlo cost comparison of a base policy
   against perturbations, using common random numbers (identical per-path
@@ -45,12 +46,16 @@ import numpy as np
 from . import sdde
 from .core import FeedbackPolicy, SimConfig, StructuredModel, nan_max
 from .bsdde import RegressionBasis, cost_samples
-from .hjb import CheckReport, ValueCandidate, args_from_candidate, hamiltonian_at
-from .pmp import CONTROL_GRID_POINTS, AdjointMap, Adjoints, adjoint_from_value
+from .hjb import CheckReport, ValueCandidate, args_from_candidate, generalized_hamiltonian
+from .pmp import AdjointMap, Adjoints, adjoint_from_value
 from .sdde import ForwardEnsemble
 
 # Discretization allowance of closed_form_cost_check, per unit of step size.
 COST_BIAS_ALLOWANCE = 0.5
+
+# Points per control coordinate of the grid against which relations_report
+# tests the stored control.
+CONTROL_GRID_POINTS = 9
 
 # Pass threshold of relations_report.
 RELATIONS_TOL = 1e-4
@@ -75,16 +80,17 @@ def _block_relations(model, cand, part: ForwardEnsemble, axes):
     for each (coordinate, value) of the control grid, coordinate by
     coordinate along axes.
 
-    G is one map of the control at the block's states (hjb.hamiltonian_at).
+    G is one map of the control at the block's states
+    (hjb.generalized_hamiltonian).
     A gap reads every non-finite G(u_alt) as −inf.  The masking changes only
     +inf and NaN entries, and either makes the plain max of G(u_alt) − G(u*)
     non-finite, so a finite plain max, taken in place, is the gap; only when
     it is not is G(u_alt) evaluated again and masked.
     """
     t, x, x1, x2, u_star = part.times, part.x, part.x1, part.x2, part.u
-    # The slots are not kept here, so hamiltonian_at frees q once it has
-    # taken the memory term.
-    g_of_u = hamiltonian_at(model, t, x, x1, x2, args_from_candidate(cand, t, x, x1))
+    # The slots are not kept here, so generalized_hamiltonian frees q once
+    # it has taken the memory term.
+    g_of_u = generalized_hamiltonian(model, t, x, x1, x2, args_from_candidate(cand, t, x, x1))
 
     g_star = g_of_u(u_star)
     slope = np.max(np.abs(cand.v_s(t, x, x1) - g_star))
@@ -116,7 +122,7 @@ def relations_report(
     """Consistency of the candidate value and adjoints along simulated paths.
 
     The grid optimality of the stored control is checked coordinate by
-    coordinate, over pmp.CONTROL_GRID_POINTS values of each.  Each grid
+    coordinate, over CONTROL_GRID_POINTS values of each.  Each grid
     value keeps one NaN-propagating maximum over the node-row blocks, and
     those maxima are folded in grid order; a NaN gap (G(u*) could not be
     evaluated) makes grid_optimality NaN.  The supplied adjoints are

@@ -57,9 +57,7 @@ class TestGeneralizedHamiltonian:
 
         def g_at(**kw):
             args = hjb.GArgs(**{**base.__dict__, **kw})
-            val = hjb.generalized_hamiltonian(
-                model, 0.2, 1.0, 0.9, 0.4, u[:, None], args
-            )
+            val = hjb.generalized_hamiltonian(model, 0.2, 1.0, 0.9, 0.4, args)(u[:, None])
             return float(np.asarray(val).ravel()[0])
 
         for slot in ("p", "R", "q"):
@@ -152,15 +150,15 @@ class TestX2Independence:
 
 class TestHamiltonianAt:
     def test_same_bits_as_the_written_out_formula(self, merton_setup):
-        # The closure adds the memory term it computed once in the place a
-        # direct evaluation of G does: ((b·p + ½σ²R) + memory) + f.
+        # The map adds the memory term it computed once in the place the
+        # written-out formula does: ((b·p + ½σ²R) + memory) + f.
         model, cand = merton_setup["model"], merton_setup["cand"]
         prm = model.params
         s = 0.3
         x, x1 = np.meshgrid(XS, X1S, indexing="ij")
         x2 = np.array([-1.0, 0.5, 2.0]).reshape(-1, 1, 1)
         args = hjb.args_from_candidate(cand, s, x, x1)
-        g_of_u = hjb.hamiltonian_at(model, s, x, x1, x2, args)
+        g_of_u = hjb.generalized_hamiltonian(model, s, x, x1, x2, args)
         for u in ([0.5, 0.3], [2.0, 1.5], [-1.0, 0.0]):
             u = np.reshape(u, (2, 1, 1, 1))
             b = model.drift(s, x, x1, x2, u)
@@ -169,7 +167,6 @@ class TestHamiltonianAt:
             memory = (x - prm.e_minus * x2 - prm.lam * x1) * args.q
             want = b * args.p + 0.5 * sg**2 * args.R + memory + f
             assert np.array_equal(g_of_u(u), want)
-            assert np.array_equal(hjb.generalized_hamiltonian(model, s, x, x1, x2, u, args), want)
 
 
 # A generic model whose coefficients and policy read t, and a candidate whose

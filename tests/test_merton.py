@@ -182,7 +182,7 @@ class TestControls:
         )
         g_star = float(
             np.asarray(
-                hjb.generalized_hamiltonian(model, s, x, x1, 0.0, u_star[:, None], args)
+                hjb.generalized_hamiltonian(model, s, x, x1, 0.0, args)(u_star[:, None])
             ).ravel()[0]
         )
         rng = np.random.default_rng(4)
@@ -191,9 +191,7 @@ class TestControls:
             u_alt[1] = max(u_alt[1], 0.0)
             g_alt = float(
                 np.asarray(
-                    hjb.generalized_hamiltonian(
-                        model, s, x, x1, 0.0, u_alt[:, None], args
-                    )
+                    hjb.generalized_hamiltonian(model, s, x, x1, 0.0, args)(u_alt[:, None])
                 ).ravel()[0]
             )
             assert g_alt <= g_star + 1e-12

@@ -69,7 +69,7 @@ def reference_relations_report(model, cand, ensemble, adjoint, n_grid=9, tol=1e-
     x, x1, x2, u_star = ensemble.x, ensemble.x1, ensemble.x2, ensemble.u
     args = args_from_candidate(cand, t, x, x1)
 
-    g_star = generalized_hamiltonian(model, t, x, x1, x2, u_star, args)
+    g_star = generalized_hamiltonian(model, t, x, x1, x2, args)(u_star)
     v_t = cand.v_s(t, x, x1)
     time_slope = float(np.max(np.abs(v_t - g_star)))
 
@@ -80,7 +80,7 @@ def reference_relations_report(model, cand, ensemble, adjoint, n_grid=9, tol=1e-
         for val in box.axis_grid(i, n_grid):
             u_alt[i] = val
             with np.errstate(all="ignore"):
-                g_alt = generalized_hamiltonian(model, t, x, x1, x2, u_alt, args)
+                g_alt = generalized_hamiltonian(model, t, x, x1, x2, args)(u_alt)
             g_alt = np.where(np.isfinite(g_alt), g_alt, -np.inf)
             gap = float(np.max(g_alt - g_star))
             worst_gap = np.nan if np.isnan(gap) or np.isnan(worst_gap) else max(worst_gap, gap)
@@ -336,6 +336,23 @@ class TestSameBitsAsWholeEnsemble:
         assert blocked.max_residual > 1e-3
 
     @pytest.mark.parametrize("rows", ROWS)
+    @pytest.mark.parametrize("scale", [1.01, 0.97])
+    def test_maximum_condition_check_off_the_stored_control(
+        self, merton_setup, monkeypatch, rows, scale
+    ):
+        # The check tests the variational inequality at the box's two ends
+        # only; the reference tests it on a 9-value grid that starts and
+        # ends there.  With the stored controls scaled, H_u moves at every
+        # node, and both must report the same positive inequality.
+        model, cand, ens, adjoint_of = merton_setup
+        ens = dataclasses.replace(ens, u=ens.u * scale)
+        set_rows(monkeypatch, rows, N_PATHS)
+        whole = reference_maximum_condition_check(model, cand, ens, adjoint_of(ens))
+        blocked = pmp.maximum_condition_check(model, cand, ens, adjoint_of)
+        assert as_text(blocked) == as_text(whole)
+        assert blocked.extra["max_variational"] > 0.0
+
+    @pytest.mark.parametrize("rows", ROWS)
     def test_non_finite_g_star_in_one_block(self, merton_setup, monkeypatch, rows):
         # G is NaN at one node of one path, so in one block only.  Every grid
         # value's gap is then NaN over the whole ensemble, and the report
@@ -381,12 +398,12 @@ class TestSameBitsAsWholeEnsemble:
 
         t, x, x1, x2, u = ens.times, ens.x, ens.x1, ens.x2, ens.u
         args = args_from_candidate(cand, t, x, x1)
-        assert np.all(np.isfinite(generalized_hamiltonian(model, t, x, x1, x2, u, args)))
+        assert np.all(np.isfinite(generalized_hamiltonian(model, t, x, x1, x2, args)(u)))
         for i, bound, bad in ((1, merton.C_BOUND, np.isposinf), (0, -merton.U_BOUND, np.isnan)):
             u_alt = u.copy()
             u_alt[i] = bound
             with np.errstate(all="ignore"):
-                g_alt = generalized_hamiltonian(model, t, x, x1, x2, u_alt, args)
+                g_alt = generalized_hamiltonian(model, t, x, x1, x2, args)(u_alt)
             assert bad(g_alt).any() and np.isfinite(g_alt).any()
 
 

@@ -196,6 +196,33 @@ class TestMaximumCondition:
         )
         assert not report.passed
         assert report.extra["max_abs_h_u"] > 1e-3
+    def test_infinite_gradient_reads_infinite(self):
+        # H = p1·u on the box [−1, 1] at u* = 0, with p1 = inf at one node.
+        # There H_u is inf, and the variational inequality at the box's ends
+        # is inf·(0 − (−1)) = inf: the check fails on inf, not on the NaN of
+        # inf·0 that an alternative equal to u* would give.
+        zeros = lambda t, x, x1, *rest: np.zeros_like(x)  # noqa: E731
+        model = core.StructuredModel(
+            params=core.ModelParams(lam=0.0, delta=0.5, horizon_T=1.0),
+            b1=lambda t, x, x1, u: u[0],
+            b2=zeros,
+            sigma=lambda t, x, x1, u: np.ones_like(x),
+            f1=zeros,
+            f2=zeros,
+            phi=lambda x, x1: x,
+            control_set=core.ControlBox(lower=[-1.0], upper=[1.0]),
+        )
+        cand = hjb.ValueCandidate(*[zeros] * 6)
+        cfg = core.SimConfig(n_steps=4, n_paths=2, master_seed=1)
+        ens = sdde.simulate_forward(model, constant_policy([0.0]), INITIAL, cfg)
+        zero = np.zeros(ens.x.shape)
+        p1 = zero.copy()
+        p1[1, 2] = np.inf
+        adj = pmp.Adjoints(p1=p1, p2=zero, p3=zero, q=zero, k1=zero, k2=zero)
+        with np.errstate(all="ignore"):
+            report = pmp.maximum_condition_check(model, cand, ens, node_map(ens, adj))
+        assert report.extra == {"max_abs_h_u": math.inf, "max_variational": math.inf}
+        assert not report.passed
 
 
 class TestEnsembleReportIsWorstPath:
