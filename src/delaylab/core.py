@@ -309,6 +309,8 @@ class FeedbackPolicy:
     def at(self, t: float, x, x1) -> Array:
         """The controls at (t, x, x1) as a float (n_controls, *x.shape) array.
 
+        t is a float or an array that broadcasts with x.
+
         Callers only read the result, so a float array that evaluate returns
         in that shape is passed on without a copy.
         """

@@ -21,18 +21,18 @@ after the feedback control and the value-consistent (y, z) slots are
 substituted into the coefficients.
 
 G is a function of the control at a fixed state, and generalized_hamiltonian
-is the one way to it: it computes the control-free memory term once for a
-batch of states and returns u ↦ G, so a sweep over controls (a
-maximization, its hint, a grid of alternatives) pays only for the terms
-that depend on u.  maximize_hamiltonian works on plain arrays that
-broadcast together, and evaluates its tensor grid one node at a time, so its
-memory is that of a few probe arrays.  hjb_residual takes a sequence of
-probe times: it calls the candidate and the maximizer hint once per time, as
-a float, and stacks their results on one axis just before the probe axes;
-x2 may put its values on a leading axis of their own.  check-hjb makes one
-such sweep over all its times and x2 values, and the two residual checks are
-reductions of that one residual: hjb_residual_check of its x2 = 0 slice,
-x2_independence_check of its spread over x2.
+is the one way to it: it takes a candidate value, evaluates its slots and
+the control-free memory term once for a batch of states, and returns u ↦ G,
+so a sweep over controls (a maximization, its hint, a grid of alternatives)
+pays only for the terms that depend on u.  maximize_hamiltonian works on
+plain arrays that broadcast together, and evaluates its tensor grid one node
+at a time, so its memory is that of a few probe arrays.  hjb_residual takes
+a sequence of probe times and puts them on one axis just before the probe
+axes: it calls each candidate partial and the maximizer hint once over all
+of them, and x2 may put its values on a leading axis of their own.
+check-hjb makes one such sweep over all its times and x2 values, and the two
+residual checks are reductions of that one residual: hjb_residual_check of
+its x2 = 0 slice, x2_independence_check of its spread over x2.
 """
 
 from __future__ import annotations
@@ -89,38 +89,20 @@ def value_slots(model: StructuredModel, cand: ValueCandidate, s, x, x1, u):
     return y, z
 
 
-@dataclass(frozen=True)
-class GArgs:
-    """Slot values for the generalized Hamiltonian: k = -V, p = -V_x,
-    R = -V_xx, q = -V_x1 when instantiated from a candidate value."""
+def generalized_hamiltonian(model: StructuredModel, s, x, x1, x2, cand: ValueCandidate):
+    """The map u ↦ G(s, x, x1, x2, k, p, R, q, u) at fixed states, at the
+    candidate's slots k = −V, p = −V_x, R = −V_xx, q = −V_x1.
 
-    k: Array
-    p: Array
-    R: Array
-    q: Array
-
-
-def args_from_candidate(cand: ValueCandidate, s, x, x1) -> GArgs:
-    return GArgs(
-        k=-cand.v(s, x, x1),
-        p=-cand.v_x(s, x, x1),
-        R=-cand.v_xx(s, x, x1),
-        q=-cand.v_x1(s, x, x1),
-    )
-
-
-def generalized_hamiltonian(model: StructuredModel, s, x, x1, x2, args: GArgs):
-    """The map u ↦ G(s, x, x1, x2, k, p, R, q, u) at fixed states.
-
-    The memory term (x − λx1 − e^{-λδ}x2)·q does not depend on u, so it is
-    computed once here.  Each call of the returned map adds ½σ²·R, the
-    memory term and f, in that order, into one array, b·p, so that each
+    The slots and the memory term (x − λx1 − e^{-λδ}x2)·q do not depend on
+    u, so they are computed once here, each candidate partial in one call
+    over the broadcast states.  Each call of the returned map adds ½σ²·R,
+    the memory term and f, in that order, into one array, b·p, so that each
     term is freed before the next is computed and the sum keeps the bits of
     b·p + ½σ²·R + memory + f.  The map keeps k, p and R but not q, which
     only the memory term reads.
     """
-    memory = model.x1_drift(x, x1, x2) * args.q
-    k, p, R = args.k, args.p, args.R
+    memory = model.x1_drift(x, x1, x2) * -cand.v_x1(s, x, x1)
+    k, p, R = -cand.v(s, x, x1), -cand.v_x(s, x, x1), -cand.v_xx(s, x, x1)
 
     def g(u):
         sg = model.sigma(s, x, x1, u)
@@ -164,21 +146,21 @@ def maximize_hamiltonian(
     x,
     x1,
     x2,
-    args: GArgs,
+    cand: ValueCandidate,
     hint: Array | None = None,
 ):
-    """Supremum of G over the control box at probe states.
+    """Supremum of G over the control box at probe states, at the slots of
+    the candidate value cand.
 
-    s, x, x1, x2 and the slots of args are arrays that broadcast together to
-    the probe shape.  G is evaluated on a tensor grid of
-    HAMILTONIAN_GRID_POINTS nodes per control coordinate, one node at a time,
-    and each probe keeps its first best node, as argmax would.  hint, an
-    array of n_controls controls that each broadcast to the probe shape, is
-    clamped into the box and taken where it does strictly better.  Each
-    control coordinate is then refined around the best by golden-section
-    search, in REFINE_SWEEPS sweeps over the coordinates.  Returns
-    (g_max, u_star) with g_max of the probe shape and u_star of shape
-    (n_controls,) + shape.
+    s, x, x1 and x2 are arrays that broadcast together to the probe shape.
+    G is evaluated on a tensor grid of HAMILTONIAN_GRID_POINTS nodes per
+    control coordinate, one node at a time, and each probe keeps its first
+    best node, as argmax would.  hint, an array of n_controls controls that
+    each broadcast to the probe shape, is clamped into the box and taken
+    where it does strictly better.  Each control coordinate is then refined
+    around the best by golden-section search, in REFINE_SWEEPS sweeps over
+    the coordinates.  Returns (g_max, u_star) with g_max of the probe shape
+    and u_star of shape (n_controls,) + shape.
 
     Non-finite G values (e.g. utility singularities at a zero-consumption
     grid node) are treated as -inf and never selected.
@@ -187,7 +169,7 @@ def maximize_hamiltonian(
     n_u = box.n_controls
     shape = np.broadcast_shapes(np.shape(s), np.shape(x), np.shape(x1), np.shape(x2))
     with np.errstate(all="ignore"):
-        g_of_u = generalized_hamiltonian(model, s, x, x1, x2, args)
+        g_of_u = generalized_hamiltonian(model, s, x, x1, x2, cand)
 
     def eval_at(u_mat):
         with np.errstate(all="ignore"):
@@ -241,29 +223,22 @@ def hjb_residual(
 ):
     """Residual −V_s + sup_u G at probe times and states; also returns the argmax.
 
-    x and x1 broadcast together to the probe shape.  The candidate's slots,
-    V_s and the maximizer's hint are computed at each time as a float, as in
-    a call at that time alone: numpy rounds a term such as Q(s) ** −γ
-    differently for a float s than for an array.  Their results are stacked
-    on one axis just before the probe axes, and x2 broadcasts against that
-    (len(times),) + probe shape, so it may put its values on a leading axis
-    of their own.  The residual has the broadcast shape, and u_star
-    (n_controls,) + that shape.
+    x and x1 broadcast together to the probe shape.  The times go on one axis
+    just before the probe axes, as an array, so the candidate's slots, V_s
+    and the maximizer's hint are each computed in one call over every
+    time.  numpy rounds a term such as Q(s) ** −γ differently for a float s
+    than for an array; as every call hands the candidate arrays, a call at
+    one time gives the bits of its slice of a call at several.  x2 broadcasts
+    against that (len(times),) + probe shape, so it may put its values on a
+    leading axis of their own.  The residual has the broadcast shape, and
+    u_star (n_controls,) + that shape.
     """
     x, x1 = np.broadcast_arrays(np.asarray(x, float), np.asarray(x1, float))
-    times = [float(si) for si in times]
-    per_time = [args_from_candidate(cand, si, x, x1) for si in times]
-    args = GArgs(**{
-        slot: np.stack([np.broadcast_to(getattr(a, slot), x.shape) for a in per_time])
-        for slot in ("k", "p", "R", "q")
-    })
-    v_s = np.stack([np.broadcast_to(cand.v_s(si, x, x1), x.shape) for si in times])
-    hint = None
-    if maximizer is not None:
-        hint = np.stack([maximizer.at(si, x, x1) for si in times], axis=1)
-    s = np.reshape(times, (-1,) + (1,) * x.ndim)
-    g_max, u_star = maximize_hamiltonian(model, s, x, x1, x2, args, hint)
-    return -v_s + g_max, u_star
+    s = np.reshape(np.asarray(times, float), (-1,) + (1,) * x.ndim)
+    # at returns the shape of its x, so x and x1 take the time axis of s.
+    hint = None if maximizer is None else maximizer.at(s, *np.broadcast_arrays(x, x1, s)[:2])
+    g_max, u_star = maximize_hamiltonian(model, s, x, x1, x2, cand, hint)
+    return -cand.v_s(s, x, x1) + g_max, u_star
 
 
 @dataclass

@@ -137,7 +137,9 @@ def simulate_q(
     Uses multiplicative exponential stepping, which is exact when f_y and
     f_z are constants (the recursive-utility case) and first-order accurate
     otherwise.  The partials are taken at y = z = 0, which is exact whenever
-    f is affine in (y, z).
+    f is affine in (y, z).  adjoint_from_value takes f_z at the candidate's
+    slots instead (value_slots); the two agree only for generators affine
+    in (y, z), as every model that reaches this layer today is.
 
     Yields (blk, q[:, blk]) for each node-row block blk of
     ForwardEnsemble.blocks in turn, q node-major like the ensemble and a
@@ -192,6 +194,11 @@ def adjoint_from_value(
     q is the adjoint factor, per node (n_nodes,) or per path and node.
     ensemble.x1 is read at every node, so a simulated ensemble rebuilds it
     whole; the checks pass parts of it (ForwardEnsemble.part and blocks).
+
+    f_z is taken at the candidate's slots y = −V, z = −σ·V_x (value_slots),
+    where simulate_q takes it at y = z = 0; the two agree only for
+    generators affine in (y, z), as every model that reaches this layer
+    today is.
     """
     t, x, x1, u = ensemble.times, ensemble.x, ensemble.x1, ensemble.u
     fz = model.f_z(t, x, x1, ensemble.x2, *value_slots(model, cand, t, x, x1, u), u)

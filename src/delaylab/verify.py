@@ -46,7 +46,7 @@ import numpy as np
 from . import sdde
 from .core import FeedbackPolicy, SimConfig, StructuredModel, nan_max
 from .bsdde import RegressionBasis, cost_samples
-from .hjb import CheckReport, ValueCandidate, args_from_candidate, generalized_hamiltonian
+from .hjb import CheckReport, ValueCandidate, generalized_hamiltonian
 from .pmp import AdjointMap, Adjoints, adjoint_from_value
 from .sdde import ForwardEnsemble
 
@@ -88,9 +88,9 @@ def _block_relations(model, cand, part: ForwardEnsemble, axes):
     it is not is G(u_alt) evaluated again and masked.
     """
     t, x, x1, x2, u_star = part.times, part.x, part.x1, part.x2, part.u
-    # The slots are not kept here, so generalized_hamiltonian frees q once
-    # it has taken the memory term.
-    g_of_u = generalized_hamiltonian(model, t, x, x1, x2, args_from_candidate(cand, t, x, x1))
+    # generalized_hamiltonian evaluates the candidate's slots at the block's
+    # states itself, and frees q once it has taken the memory term.
+    g_of_u = generalized_hamiltonian(model, t, x, x1, x2, cand)
 
     g_star = g_of_u(u_star)
     slope = np.max(np.abs(cand.v_s(t, x, x1) - g_star))

@@ -53,11 +53,21 @@ class TestGeneralizedHamiltonian:
         # G is affine in each of (p, R, q) separately for fixed inputs.
         model = merton_setup["model"]
         u = np.array([0.5, 0.3])
-        base = hjb.GArgs(k=1.0, p=2.0, R=-1.0, q=0.5)
+        base = dict(k=1.0, p=2.0, R=-1.0, q=0.5)
 
         def g_at(**kw):
-            args = hjb.GArgs(**{**base.__dict__, **kw})
-            val = hjb.generalized_hamiltonian(model, 0.2, 1.0, 0.9, 0.4, args)(u[:, None])
+            slots = {**base, **kw}
+            # A candidate whose slots k = −V, p = −V_x, R = −V_xx, q = −V_x1
+            # are these constants.
+            cand = hjb.ValueCandidate(
+                v=lambda s, x, x1: -slots["k"],
+                v_s=None,
+                v_x=lambda s, x, x1: -slots["p"],
+                v_xx=lambda s, x, x1: -slots["R"],
+                v_x1=lambda s, x, x1: -slots["q"],
+                v_xx1=None,
+            )
+            val = hjb.generalized_hamiltonian(model, 0.2, 1.0, 0.9, 0.4, cand)(u[:, None])
             return float(np.asarray(val).ravel()[0])
 
         for slot in ("p", "R", "q"):
@@ -157,22 +167,23 @@ class TestHamiltonianAt:
         s = 0.3
         x, x1 = np.meshgrid(XS, X1S, indexing="ij")
         x2 = np.array([-1.0, 0.5, 2.0]).reshape(-1, 1, 1)
-        args = hjb.args_from_candidate(cand, s, x, x1)
-        g_of_u = hjb.generalized_hamiltonian(model, s, x, x1, x2, args)
+        g_of_u = hjb.generalized_hamiltonian(model, s, x, x1, x2, cand)
+        k, p, R, q = (-dv(s, x, x1) for dv in (cand.v, cand.v_x, cand.v_xx, cand.v_x1))
         for u in ([0.5, 0.3], [2.0, 1.5], [-1.0, 0.0]):
             u = np.reshape(u, (2, 1, 1, 1))
             b = model.drift(s, x, x1, x2, u)
             sg = model.sigma(s, x, x1, u)
-            f = model.generator(s, x, x1, x2, args.k, sg * args.p, u)
-            memory = (x - prm.e_minus * x2 - prm.lam * x1) * args.q
-            want = b * args.p + 0.5 * sg**2 * args.R + memory + f
+            f = model.generator(s, x, x1, x2, k, sg * p, u)
+            memory = (x - prm.e_minus * x2 - prm.lam * x1) * q
+            want = b * p + 0.5 * sg**2 * R + memory + f
             assert np.array_equal(g_of_u(u), want)
 
 
 # A generic model whose coefficients and policy read t, and a candidate whose
-# Q(s) = (1.5 − s)^0.7 goes through numpy's scalar power for a float s: a
-# batched sweep that handed the candidate an array of times would round some
-# of its numbers differently.
+# Q(s) = (1.5 − s)^0.7 is rounded differently for a float s than for an
+# array: every hjb_residual call, batched or at one time, hands the candidate
+# arrays, so a slice of a batched sweep keeps the bits of a call at its time
+# alone, where a float would not.
 GENERIC_T = {
     "kind": "generic",
     "params": {"lambda": 0.1, "delta": 0.5, "horizon_T": 1.0},
@@ -292,6 +303,30 @@ class TestBatchedProbeTimes:
             want_res, want_u = hjb.hjb_residual(model, cand, [s], xg, x1g, x2, maximizer=maximizer)
             assert np.array_equal(res[:, i], want_res[:, 0], equal_nan=True)
             assert np.array_equal(u_star[:, :, i], want_u[:, :, 0])
+
+
+class TestOneCandidateCall:
+    def test_each_partial_is_called_once_per_sweep(self, merton_setup):
+        # check-hjb's sweep over every probe time and x2 value calls each
+        # partial it reads once, over all the times, and never V_xx1.
+        cand = merton_setup["cand"]
+        calls = dict.fromkeys(("v", "v_s", "v_x", "v_xx", "v_x1", "v_xx1"), 0)
+
+        def counted(name):
+            fun = getattr(cand, name)
+
+            def wrapped(s, x, x1):
+                calls[name] += 1
+                return fun(s, x, x1)
+
+            return wrapped
+
+        counting = hjb.ValueCandidate(**{name: counted(name) for name in calls})
+        sweep(
+            merton_setup["model"], counting, SS, [0.0, -10.0, -5.0, 5.0, 10.0],
+            maximizer=merton_setup["policy"],
+        )
+        assert calls == {"v": 1, "v_s": 1, "v_x": 1, "v_xx": 1, "v_x1": 1, "v_xx1": 0}
 
 
 def constant_hint(u):

@@ -173,7 +173,6 @@ class TestControls:
         model = merton.build_model(p0)
         cand = merton.value_function(p0)
         s, x, x1 = 0.4, 1.5, 1.1
-        args = hjb.args_from_candidate(cand, s, x, x1)
         u_star = np.array(
             [
                 float(merton.optimal_u(s, x, x1, p0)),
@@ -182,7 +181,7 @@ class TestControls:
         )
         g_star = float(
             np.asarray(
-                hjb.generalized_hamiltonian(model, s, x, x1, 0.0, args)(u_star[:, None])
+                hjb.generalized_hamiltonian(model, s, x, x1, 0.0, cand)(u_star[:, None])
             ).ravel()[0]
         )
         rng = np.random.default_rng(4)
@@ -191,7 +190,7 @@ class TestControls:
             u_alt[1] = max(u_alt[1], 0.0)
             g_alt = float(
                 np.asarray(
-                    hjb.generalized_hamiltonian(model, s, x, x1, 0.0, args)(u_alt[:, None])
+                    hjb.generalized_hamiltonian(model, s, x, x1, 0.0, cand)(u_alt[:, None])
                 ).ravel()[0]
             )
             assert g_alt <= g_star + 1e-12

@@ -7,7 +7,10 @@ as drawn from the initial path φ ≡ 1, from the doubled path φ ≡ 2, and
 negated (−dw) from φ ≡ 1.  bsdde.cost_samples with merton.build_basis gives
 each run's cost.
 
-- Doubling the initial path doubles every x exactly.  Utility and the
+- Doubling the initial path doubles every x, x1 and x2 exactly and leaves
+  the controls as they are, at the demo's δ = 1, where x2 is φ broadcast
+  over the paths, and at δ = 0.25, where x2 has rows of its own; the
+  feedback controls are 0-homogeneous in the state.  Utility and the
   terminal payoff are γ-homogeneous, and the generator is linear in y, so in
   exact arithmetic the cost scales by exactly 2^γ.  The basis
   {1, x, x1, x², x·x1, x1², m^γ} spans the same space after the scaling, but
@@ -45,11 +48,10 @@ SWAP_STDERR_BOUND = 1e-4
 CASES = [(size, seed) for size in SCALING_BOUND for seed in (1, 2, 3)]
 
 
-def demo_params():
+def demo_params(**changes):
     params = json.loads(DEMO.read_text())["model"]["params"]
-    return merton.MertonParams(
-        **{("lam" if key == "lambda" else key): value for key, value in params.items()}
-    )
+    params = {("lam" if key == "lambda" else key): value for key, value in params.items()}
+    return merton.MertonParams(**{**params, **changes})
 
 
 @pytest.fixture(scope="module", params=CASES, ids=lambda c: "P%d-N%d-seed%d" % (*c[0], c[1]))
@@ -73,10 +75,41 @@ def runs(request):
     }
 
 
+@pytest.fixture(scope="module", params=CASES, ids=lambda c: "P%d-N%d-seed%d" % (*c[0], c[1]))
+def short_delay_runs(request):
+    """The drawn and doubled forward runs of one Brownian draw at δ = 0.25."""
+    (n_paths, n_steps), seed = request.param
+    p = demo_params(delta=0.25)
+    model, policy = merton.build_model(p), merton.build_policy(p)
+    cfg = core.SimConfig(n_steps=n_steps, n_paths=n_paths, master_seed=seed)
+    dw = sdde.brownian_increments(seed, n_paths, n_steps, cfg.step_size(model.params))
+    return [
+        sdde.simulate_forward(model, policy, lambda tau: value, cfg, dw) for value in (1.0, 2.0)
+    ]
+
+
+def assert_state_doubles(drawn, doubled):
+    """x1, rebuilt from its marks, and x2 double exactly; u does not move."""
+    assert np.array_equal(doubled.x1, 2.0 * drawn.x1)
+    assert np.array_equal(doubled.x2, 2.0 * drawn.x2)
+    assert np.array_equal(doubled.u, drawn.u)
+
+
 class TestDoubledInitialPath:
     def test_x_doubles_exactly(self, runs):
         (drawn, _), (doubled, _) = runs["drawn"], runs["doubled"]
         assert np.array_equal(doubled.x, 2.0 * drawn.x)
+
+    def test_x1_x2_double_and_u_holds(self, runs):
+        (drawn, _), (doubled, _) = runs["drawn"], runs["doubled"]
+        assert drawn.x2.strides[0] == 0  # φ broadcast over the paths
+        assert_state_doubles(drawn, doubled)
+
+    def test_short_delay_state_doubles_and_u_holds(self, short_delay_runs):
+        drawn, doubled = short_delay_runs
+        assert drawn.x2.strides[0] != 0  # rows of its own
+        assert np.array_equal(doubled.x, 2.0 * drawn.x)
+        assert_state_doubles(drawn, doubled)
 
     def test_cost_scales_by_two_to_the_gamma(self, runs):
         (_, drawn), (_, doubled) = runs["drawn"], runs["doubled"]

@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from delaylab import cli, core, hjb, merton, pmp, sdde, verify
-from delaylab.hjb import CheckReport, args_from_candidate, generalized_hamiltonian, value_slots
+from delaylab.hjb import CheckReport, generalized_hamiltonian, value_slots
 from helpers import closed_form_adjoints, constant_policy, node_map, value_adjoints
 
 P0 = dict(
@@ -67,9 +67,8 @@ def reference_relations_report(model, cand, ensemble, adjoint, n_grid=9, tol=1e-
 
     t = ensemble.times
     x, x1, x2, u_star = ensemble.x, ensemble.x1, ensemble.x2, ensemble.u
-    args = args_from_candidate(cand, t, x, x1)
 
-    g_star = generalized_hamiltonian(model, t, x, x1, x2, args)(u_star)
+    g_star = generalized_hamiltonian(model, t, x, x1, x2, cand)(u_star)
     v_t = cand.v_s(t, x, x1)
     time_slope = float(np.max(np.abs(v_t - g_star)))
 
@@ -80,7 +79,7 @@ def reference_relations_report(model, cand, ensemble, adjoint, n_grid=9, tol=1e-
         for val in box.axis_grid(i, n_grid):
             u_alt[i] = val
             with np.errstate(all="ignore"):
-                g_alt = generalized_hamiltonian(model, t, x, x1, x2, args)(u_alt)
+                g_alt = generalized_hamiltonian(model, t, x, x1, x2, cand)(u_alt)
             g_alt = np.where(np.isfinite(g_alt), g_alt, -np.inf)
             gap = float(np.max(g_alt - g_star))
             worst_gap = np.nan if np.isnan(gap) or np.isnan(worst_gap) else max(worst_gap, gap)
@@ -397,13 +396,12 @@ class TestSameBitsAsWholeEnsemble:
         assert np.isfinite(blocked.extra["grid_optimality"])
 
         t, x, x1, x2, u = ens.times, ens.x, ens.x1, ens.x2, ens.u
-        args = args_from_candidate(cand, t, x, x1)
-        assert np.all(np.isfinite(generalized_hamiltonian(model, t, x, x1, x2, args)(u)))
+        assert np.all(np.isfinite(generalized_hamiltonian(model, t, x, x1, x2, cand)(u)))
         for i, bound, bad in ((1, merton.C_BOUND, np.isposinf), (0, -merton.U_BOUND, np.isnan)):
             u_alt = u.copy()
             u_alt[i] = bound
             with np.errstate(all="ignore"):
-                g_alt = generalized_hamiltonian(model, t, x, x1, x2, args)(u_alt)
+                g_alt = generalized_hamiltonian(model, t, x, x1, x2, cand)(u_alt)
             assert bad(g_alt).any() and np.isfinite(g_alt).any()
 
 
