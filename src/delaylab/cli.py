@@ -32,6 +32,7 @@ domain failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -468,12 +469,7 @@ def cmd_check_pmp(run: Run):
 
 def cmd_check_relations(run: Run):
     ensemble = sdde.simulate_forward(run.model, run.policy, run.initial, run.sim)
-
-    def adjoint_of(part):
-        return merton.closed_form_adjoints(
-            run.params, part, merton.exact_q_factor(run.params, part.times)
-        )
-
+    adjoint_of = functools.partial(merton.closed_form_adjoints, run.params)
     return {}, [
         verify.relations_report(run.model, run.cand, ensemble, adjoint_of),
         verify.closed_form_cost_check(run.model, run.cand, ensemble, run.basis),

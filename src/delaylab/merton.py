@@ -39,7 +39,10 @@ The optimal feedback controls are
 and, with q(t) = e^{−β(t−s)}, the adjoints have the closed forms
 
     p1 = −Q m^{γ−1} q,   p2 = θ p1,   p3 = 0,
-    k1 = (1 − γ) σ u* X Q m^{γ−2} q,   k2 = θ k1.
+    k1 = (1 − γ) σ u* X Q m^{γ−2} q,   k2 = θ k1;
+
+closed_form_adjoints gives all but p3, the zero that pmp.Adjoints does not
+hold.
 """
 
 from __future__ import annotations
@@ -365,18 +368,15 @@ def build_basis(p: MertonParams, degree: int = 2) -> RegressionBasis:
     return RegressionBasis(n_features=row + 1, fill=fill)
 
 
-def closed_form_adjoints(
-    p: MertonParams,
-    ensemble: ForwardEnsemble,
-    q: Array,
-) -> Adjoints:
-    """Adjoint trajectories from the explicit formulas over the ensemble.
+def closed_form_adjoints(p: MertonParams, ensemble: ForwardEnsemble) -> Adjoints:
+    """Adjoint trajectories from the explicit formulas over the ensemble,
+    at the exact adjoint factor q = exact_q_factor at its node times.
 
-    q is the adjoint factor, per node (n_nodes,) or per path and node.
     ensemble.x1 is read at every node, so a simulated ensemble rebuilds it
     whole; the checks pass parts of it (ForwardEnsemble.part and blocks).
     """
     t, x, x1 = ensemble.times, ensemble.x, ensemble.x1
+    q = exact_q_factor(p, t)
     m = _memory_wealth(p, x, x1)
     g = p.gamma
     qv = q_closed_form(t, p)
@@ -384,12 +384,7 @@ def closed_form_adjoints(
     p1 = -qv * m ** (g - 1.0) * q
     k1 = (1.0 - g) * p.sigma * ustar * x * qv * m ** (g - 2.0) * q
     return Adjoints(
-        p1=p1,
-        p2=p.theta * p1,
-        p3=np.broadcast_to(0.0, p1.shape),
-        q=np.broadcast_to(np.asarray(q, float), p1.shape),
-        k1=k1,
-        k2=p.theta * k1,
+        p1=p1, p2=p.theta * p1, q=np.broadcast_to(q, p1.shape), k1=k1, k2=p.theta * k1
     )
 
 

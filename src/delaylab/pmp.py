@@ -12,7 +12,8 @@ with a triple of first-order adjoints (p1, p2, p3), their martingale parts
     dq(t) = q(t) [f_y dt + f_z dW(t)],   q(s) = 1.
 
 H is a function of the control at fixed states and adjoints, as G is in
-hjb (hjb.generalized_hamiltonian): hamiltonian_at computes its memory term
+hjb (hjb.generalized_hamiltonian): hamiltonian_at takes the adjoint record
+whole, as G takes the candidate; it computes its memory term
 p2·(x − λx1 − e^{-λδ}x2) once and returns u ↦ H, which the maximum
 condition differentiates and the convexity probe evaluates.  The maximum
 condition's variational inequality H_u(u*)·(u* − v) is linear in the
@@ -32,6 +33,8 @@ with terminal values p1(T) = −φ_x q(T), p2(T) = −φ_x1 q(T), p3(T) = 0.
 The p3 ≡ 0 reduction is equivalent to the pointwise identity
 b2·p1 − e^{-λδ}·p2 − q·f2 = 0 along each optimal path, which is checked both
 directly and by back-integrating the p3 drift from its terminal value.
+Adjoints holds only what varies, (p1, p2, q, k1, k2); adjoint.csv writes
+its p3 column as the zero of that theorem.
 
 The adjoints are element by element in the ensemble, so the checks never
 hold them over the whole ensemble: they take a map adjoint_of(part) ->
@@ -55,7 +58,6 @@ at nodes 0 and n_steps // 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
@@ -82,18 +84,17 @@ MAXIMUM_CONDITION_TOL = 1e-6
 @dataclass
 class Adjoints:
     """Adjoint trajectories of an ensemble part, seen as (n_paths, n_nodes)
-    arrays of that part.
+    arrays of that part: p1, p2, q, k1 and k2.  p3 ≡ 0 is a theorem, which
+    check_p3_zero tests, so it is not held.
 
     They are computed element by element from the part's state, in its
     layout: a node-row block gives node-major fields, each the transpose of
     a C-order (n_nodes, n_paths) array, or a broadcast view of a smaller
-    array.  p3 ≡ 0 is stored as a broadcast 0.0, which holds no array of its
-    own.
+    array.
     """
 
     p1: Array
     p2: Array
-    p3: Array
     q: Array
     k1: Array
     k2: Array
@@ -103,21 +104,19 @@ class Adjoints:
 # part with its adjoint factor q.
 AdjointMap = Callable[[ForwardEnsemble], Adjoints]
 
-# The adjoints H reads, (p1, p2, q, k1); taken from a map's result, they
-# let k2 be freed before H is evaluated.
-_H_ADJOINTS = attrgetter("p1", "p2", "q", "k1")
 
-
-def hamiltonian_at(model: StructuredModel, t, x, x1, x2, y, z, p1, p2, q, k1):
+def hamiltonian_at(model: StructuredModel, t, x, x1, x2, y, z, adjoint: Adjoints):
     """The map u ↦ H = p1 b + p2 (x − λx1 − e^{-λδ}x2) + k1 σ − q f at
-    fixed states and adjoints.
+    fixed states and the adjoints of the record adjoint.
 
     The memory term p2 (x − λx1 − e^{-λδ}x2) does not depend on u, so it is
-    computed once here; the map keeps it but not p2.  Each call adds the
-    terms in that order into one array, so that each coefficient is freed
-    before the next one is computed.
+    computed once here.  The map keeps p1, q, k1 and the memory term but
+    not the record, so p2 and k2 are freed once the caller lets the record
+    go.  Each call adds the terms in that order into one array, so that
+    each coefficient is freed before the next one is computed.
     """
-    memory = p2 * model.x1_drift(x, x1, x2)
+    p1, q, k1 = adjoint.p1, adjoint.q, adjoint.k1
+    memory = adjoint.p2 * model.x1_drift(x, x1, x2)
 
     def h_of_u(u):
         h = p1 * model.drift(t, x, x1, x2, u)
@@ -214,7 +213,6 @@ def adjoint_from_value(
     return Adjoints(
         p1=np.broadcast_to(p1, x.shape),
         p2=np.broadcast_to(p2, x.shape),
-        p3=np.broadcast_to(0.0, x.shape),
         q=np.broadcast_to(np.asarray(q, float), x.shape),
         k1=np.broadcast_to(k1, x.shape),
         k2=np.broadcast_to(k2, x.shape),
@@ -321,9 +319,9 @@ def _block_maximum_condition(model, cand, part: ForwardEnsemble, adjoint_of: Adj
     """
     t, x, x1, x2, u_star = part.times, part.x, part.x1, part.x2, part.u
     y, z = value_slots(model, cand, t, x, x1, u_star)
-    # p2 gets no name here, so the memory term the map keeps takes its place
-    # in memory rather than adding a block to the peak.
-    h_of_u = hamiltonian_at(model, t, x, x1, x2, y, z, *_H_ADJOINTS(adjoint_of(part)))
+    # The record gets no name here, so the memory term the map keeps takes
+    # p2's place in memory rather than adding a block to the peak.
+    h_of_u = hamiltonian_at(model, t, x, x1, x2, y, z, adjoint_of(part))
     grad = hamiltonian_control_gradient(h_of_u, u_star)
     max_grad = np.max(np.abs(grad), axis=(0, 2))
 
@@ -373,11 +371,11 @@ def convexity_spot_check(
     """Numerical Hessian probe of H in (x, x1, x2, y, z, u).
 
     The probes are path 0 at nodes 0 and n_steps // 2.  Each takes the
-    state and controls of the ensemble at its node, the adjoints (p1, p2,
-    q, k1) of adjoint_of called on that one node, the value-consistent
-    slots y = −V, z = −σV_x there, and its own node time.  This is a
-    sampling heuristic: it can only refute convexity, and only at these
-    probes.  Passes when every Hessian eigenvalue is above
+    state and controls of the ensemble at its node, the adjoint record of
+    adjoint_of called on that one path and node, the value-consistent
+    slots y = −V, z = −σV_x there, and its own node time, so that H is a
+    (1, 1) array.  This is a sampling heuristic: it can only refute
+    convexity, and only at these probes.  Passes when every Hessian eigenvalue is above
     −CONVEXITY_TOL_FACTOR·(1 + |λ_max|).  A probe whose Hessian is not
     finite (e.g. a NaN adjoint) has NaN eigenvalues and fails the check.
     """
@@ -386,15 +384,15 @@ def convexity_spot_check(
     nodes = (0, ensemble.n_steps // 2)
     for k in nodes:
         t = float(ensemble.times[k])
-        node = ensemble.part(nodes=slice(k, k + 1))
+        node = ensemble.part(nodes=slice(k, k + 1), paths=slice(0, 1))
         x, x1, u = node.x[0, 0], node.x1[0, 0], node.u[:, 0, 0]
         y, z = value_slots(model, cand, t, x, x1, u)
         base = np.array([x, x1, node.x2[0, 0], y, z, *u], float)
         n_var = base.size
-        p1, p2, q, k1 = (a[0, 0] for a in _H_ADJOINTS(adjoint_of(node)))
+        adjoint = adjoint_of(node)
 
         def h_of(v):
-            return float(hamiltonian_at(model, t, *v[:5], p1, p2, q, k1)(v[5:]))
+            return float(hamiltonian_at(model, t, *v[:5], adjoint)(v[5:])[0, 0])
 
         steps = HESSIAN_REL_STEP * (1.0 + np.abs(base))
         hess = np.empty((n_var, n_var))
@@ -436,12 +434,13 @@ def write_adjoint_csv(
 
     adjoint_of is called on each block of paths the CSV writer asks for,
     about core.NODE_BLOCK values, so no adjoint array spans the whole
-    ensemble.
+    ensemble.  p3 ≡ 0 is written as a broadcast zero, whose path stride 0
+    write_long_csv formats once per call.
     """
     names = ["p1", "p2", "p3", "q", "k1", "k2"]
 
     def columns_of(blk):
-        adjoint = adjoint_of(ensemble.part(paths=blk))
-        return [getattr(adjoint, name) for name in names]
+        a = adjoint_of(ensemble.part(paths=blk))
+        return [a.p1, a.p2, np.broadcast_to(0.0, a.p1.shape), a.q, a.k1, a.k2]
 
     write_long_csv(stream, names, ensemble.times, ensemble.n_paths, columns_of)

@@ -9,6 +9,7 @@ criteria do.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -20,7 +21,7 @@ from delaylab.core import Array, ControlBox, FeedbackPolicy, ModelParams, Struct
 from delaylab.hjb import ValueCandidate
 from delaylab.sdde import ForwardEnsemble, pair_stderr
 
-ADJOINT_FIELDS = ("p1", "p2", "p3", "q", "k1", "k2")
+ADJOINT_FIELDS = ("p1", "p2", "q", "k1", "k2")
 
 
 def constant_policy(values: Sequence[float], label: str = "constant") -> FeedbackPolicy:
@@ -44,11 +45,9 @@ def value_adjoints(
 
 
 def closed_form_adjoints(params: merton.MertonParams) -> pmp.AdjointMap:
-    """The adjoint map of merton.closed_form_adjoints with the exact q, as
-    check-relations builds it."""
-    return lambda part: merton.closed_form_adjoints(
-        params, part, merton.exact_q_factor(params, part.times)
-    )
+    """The adjoint map of merton.closed_form_adjoints, as check-relations
+    builds it."""
+    return functools.partial(merton.closed_form_adjoints, params)
 
 
 def node_map(ensemble: ForwardEnsemble, adjoint: pmp.Adjoints) -> pmp.AdjointMap:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from delaylab import bsdde, core, merton, pmp, sdde, verify
-from helpers import constant_policy, simulated_q, value_adjoints
+from helpers import ADJOINT_FIELDS, constant_policy, simulated_q, value_adjoints
 
 INITIAL = lambda tau: 1.0  # noqa: E731
 
@@ -353,6 +353,8 @@ class TestCostSamples:
         run = bsdde.cost_samples(model, ens, basis)
         assert np.array_equal(run.cost, sol.cost) and np.array_equal(run.stderr, sol.stderr)
         assert np.array_equal(run.samples, sol.y[:, 0])
+        assert isinstance(sol, bsdde.CostSamples)
+        assert np.shares_memory(sol.samples, sol.y) and np.array_equal(sol.samples, sol.y[:, 0])
         assert run.degraded_steps == sol.degraded_steps
         return run
 
@@ -426,7 +428,7 @@ class TestNodeMajorLayout:
         q = merton.exact_q_factor(p, ens.times)
         adj_a = pmp.adjoint_from_value(model, cand, ens, q)
         adj_b = pmp.adjoint_from_value(model, cand, path, q)
-        for name in ("p1", "p2", "p3", "q", "k1", "k2"):
+        for name in ADJOINT_FIELDS:
             assert np.array_equal(getattr(adj_a, name), getattr(adj_b, name))
         adjoint_of = value_adjoints(model, cand, p)  # each block's adjoints in its layout
         for check in (pmp.check_p3_zero, pmp.maximum_condition_check):

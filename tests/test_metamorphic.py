@@ -21,10 +21,20 @@ each run's cost.
   the cost must not move; how BLAS sums the Gram matrices decides whether it
   moves by rounding.
 
+The delayed linear-quadratic regulator (helpers.LQParams) has its own
+doubling relation.  Its drift and its feedback control u* = −P(t)Z are
+linear in the state and σ is constant, so doubling both φ (1 → 2) and σ
+doubles x, the marks of x1, x2 and u bit for bit on the same draw; its
+δ = 0.25 gives x2 rows of its own.  Its utility and payoff are quadratic
+and its offset c(s) is proportional to σ², so the cost scales by exactly 4
+in exact arithmetic; bsdde.polynomial_basis(2) spans the same space after
+the scaling, and again the ridge makes the fit miss 4J by a little.
+
 The bounds on the cost below are the measured misses with a margin: the
 regression's target (ROADMAP item 1) may tighten them, never loosen them.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -32,6 +42,7 @@ import numpy as np
 import pytest
 
 from delaylab import bsdde, core, merton, sdde
+from helpers import LQParams, lq_model, lq_policy
 
 DEMO = Path(__file__).resolve().parents[1] / "demos" / "merton.json"
 
@@ -44,6 +55,11 @@ SCALING_BOUND = {(200, 16): 5e-4, (4_000, 64): 1.5e-5}
 # five cases.
 SWAP_COST_BOUND = 1e-6
 SWAP_STDERR_BOUND = 1e-4
+
+# (P, N) -> the bound on |J(2φ, 2σ) / (4 J(φ, σ)) − 1| of the LQ regulator.
+# Measured at seeds 1–3: 3.0e-5, 1.1e-5, 3.6e-5 at (200, 16); 7.5e-6,
+# 1.0e-6, 6.6e-6 at (4 000, 64).
+LQ_SCALING_BOUND = {(200, 16): 1e-4, (4_000, 64): 2e-5}
 
 CASES = [(size, seed) for size in SCALING_BOUND for seed in (1, 2, 3)]
 
@@ -88,6 +104,27 @@ def short_delay_runs(request):
     ]
 
 
+@pytest.fixture(scope="module", params=CASES, ids=lambda c: "P%d-N%d-seed%d" % (*c[0], c[1]))
+def lq_runs(request):
+    """The LQ regulator's forward run and cost from φ ≡ 1 at its σ, and from
+    φ ≡ 2 at 2σ, on one Brownian draw."""
+    (n_paths, n_steps), seed = request.param
+    lq = LQParams()
+    cfg = core.SimConfig(n_steps=n_steps, n_paths=n_paths, master_seed=seed)
+    dw = sdde.brownian_increments(seed, n_paths, n_steps, cfg.step_size(lq_model(lq).params))
+
+    def run(p, value):
+        model = lq_model(p)
+        ens = sdde.simulate_forward(model, lq_policy(p), lambda tau: value, cfg, dw)
+        return ens, bsdde.cost_samples(model, ens, bsdde.polynomial_basis(2))
+
+    return {
+        "size": (n_paths, n_steps),
+        "drawn": run(lq, 1.0),
+        "doubled": run(dataclasses.replace(lq, sigma=2.0 * lq.sigma), 2.0),
+    }
+
+
 def assert_state_doubles(drawn, doubled):
     """x1, rebuilt from its marks, and x2 double exactly; u does not move."""
     assert np.array_equal(doubled.x1, 2.0 * drawn.x1)
@@ -128,3 +165,16 @@ class TestNegatedIncrements:
         (_, drawn), (_, negated) = runs["drawn"], runs["negated"]
         assert abs(negated.cost / drawn.cost - 1.0) < SWAP_COST_BOUND
         assert abs(negated.stderr / drawn.stderr - 1.0) < SWAP_STDERR_BOUND
+
+
+class TestLQDoubledPathAndNoise:
+    def test_state_and_control_double_exactly(self, lq_runs):
+        (drawn, _), (doubled, _) = lq_runs["drawn"], lq_runs["doubled"]
+        assert drawn.x2.strides[0] != 0  # rows of its own
+        for name in ("x", "x1_marks", "x2", "u"):
+            assert np.array_equal(getattr(doubled, name), 2.0 * getattr(drawn, name)), name
+
+    def test_cost_scales_by_four(self, lq_runs):
+        (_, drawn), (_, doubled) = lq_runs["drawn"], lq_runs["doubled"]
+        miss = abs(doubled.cost / (4.0 * drawn.cost) - 1.0)
+        assert miss < LQ_SCALING_BOUND[lq_runs["size"]]

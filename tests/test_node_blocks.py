@@ -129,9 +129,7 @@ def reference_check_p3_zero(model, cand, ensemble, adjoint, tol=1e-10):
 def reference_maximum_condition_check(model, cand, ensemble, adjoint, n_grid=9, tol=1e-6):
     t, x, x1, x2, u_star = ensemble.times, ensemble.x, ensemble.x1, ensemble.x2, ensemble.u
     y, z = value_slots(model, cand, t, x, x1, u_star)
-    h_of_u = pmp.hamiltonian_at(
-        model, t, x, x1, x2, y, z, adjoint.p1, adjoint.p2, adjoint.q, adjoint.k1
-    )
+    h_of_u = pmp.hamiltonian_at(model, t, x, x1, x2, y, z, adjoint)
     grad = pmp.hamiltonian_control_gradient(h_of_u, u_star)
     max_grad = np.max(np.abs(grad), axis=(0, 2))
 
@@ -615,7 +613,7 @@ def _linear_tie():
     p1[1, 40] = 4.0
     p1[3, 1] = -2.0
     zero = node_major(0.0)
-    adj = pmp.Adjoints(p1=p1, p2=zero, p3=zero, q=zero, k1=zero, k2=zero)
+    adj = pmp.Adjoints(p1=p1, p2=zero, q=zero, k1=zero, k2=zero)
     return model, cand, ens, adj
 
 
@@ -645,11 +643,12 @@ class TestAdjointCsv:
         _, _, ens, _ = merton_setup
         p, model, cand = merton_model()
         adjoint_of = value_adjoints(model, cand, p)
-        whole = adjoint_of(ens)
+        # The reference writes p3 from a zero array of its own.
+        whole, zero = adjoint_of(ens), np.zeros(ens.x.shape)
         want = io.BytesIO()
         core.write_long_csv(
             want, self.NAMES, ens.times, ens.n_paths,
-            lambda blk: [getattr(whole, name)[blk] for name in self.NAMES],
+            lambda blk: [getattr(whole, name, zero)[blk] for name in self.NAMES],
         )
         assert core.CSV_BLOCK_ROWS >= N_PATHS * (N_STEPS + 1)  # the reference is one block
 

@@ -1,13 +1,17 @@
 """Adjoint factor, vanishing x2-adjoint, maximum condition, convexity probe."""
 
 import dataclasses
+import io
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from delaylab import core, hjb, merton, pmp, sdde, verify
-from helpers import ADJOINT_FIELDS, constant_policy, node_map, simulated_q
+from helpers import (
+    ADJOINT_FIELDS, closed_form_adjoints, constant_policy, node_map, simulated_q, value_adjoints,
+)
 
 P0 = dict(
     r=0.03, mu0=0.08, sigma=0.2, beta=0.1, gamma=0.5,
@@ -87,7 +91,7 @@ class TestAdjointConstruction:
         assert np.array_equal(ens.x1, x1)
         for produce in (
             lambda e: pmp.adjoint_from_value(model, cand, e, q),
-            lambda e: merton.closed_form_adjoints(p, e, q),
+            lambda e: merton.closed_form_adjoints(p, e),
         ):
             got, want = produce(ens), produce(every_row)
             for name in ADJOINT_FIELDS:
@@ -99,8 +103,8 @@ class TestAdjointConstruction:
         built = pmp.adjoint_from_value(
             merton_run["model"], merton_run["cand"], ens, merton_run["q"]
         )
-        explicit = merton.closed_form_adjoints(p, ens, merton_run["q"])
-        for name in ("p1", "p2", "p3", "k1", "k2"):
+        explicit = merton.closed_form_adjoints(p, ens)
+        for name in ("p1", "p2", "k1", "k2"):
             a, b = getattr(built, name), getattr(explicit, name)
             assert a.shape == (ens.n_paths, ens.n_steps + 1), name
             assert np.max(np.abs(a - b)) < 1e-10, name
@@ -116,7 +120,6 @@ class TestAdjointConstruction:
         phi_x = m_T ** (p.gamma - 1.0)
         assert adj.p1[:, -1] == pytest.approx(-phi_x * merton_run["q"][-1], rel=1e-12)
         assert adj.p2[:, -1] == pytest.approx(p.theta * adj.p1[:, -1], rel=1e-12)
-        assert np.all(adj.p3[:, -1] == 0.0)
 
     def test_p2_proportional_to_p1(self, merton_run):
         p = merton_run["params"]
@@ -163,7 +166,7 @@ class TestHamiltonianAt:
         assert (x2.strides[0] == 0) if delta == 1.0 else x2.T.flags.c_contiguous
         adj = pmp.adjoint_from_value(model, cand, part, merton.exact_q_factor(p, t))
         y, z = hjb.value_slots(model, cand, t, x, x1, u_star)
-        h_of_u = pmp.hamiltonian_at(model, t, x, x1, x2, y, z, adj.p1, adj.p2, adj.q, adj.k1)
+        h_of_u = pmp.hamiltonian_at(model, t, x, x1, x2, y, z, adj)
         for u in (u_star, u_star + np.reshape([0.1, -0.05], (2, 1, 1))):
             b = model.drift(t, x, x1, x2, u)
             sg = model.sigma(t, x, x1, u)
@@ -171,6 +174,24 @@ class TestHamiltonianAt:
             memory = adj.p2 * (x - prm.e_minus * x2 - prm.lam * x1)
             want = adj.p1 * b + memory + adj.k1 * sg - adj.q * f
             assert np.array_equal(h_of_u(u), want)
+
+    def test_map_frees_the_record(self):
+        # The map keeps p1, q, k1 and the memory term, not the record, so
+        # the record and its k2, which H does not read, die with their
+        # last outside reference.
+        p = merton.MertonParams(**P0)
+        model, cand = merton.build_model(p), merton.value_function(p)
+        cfg = core.SimConfig(n_steps=16, n_paths=4, master_seed=31)
+        ens = sdde.simulate_forward(model, merton.build_policy(p), INITIAL, cfg)
+        t, x, x1, x2, u = ens.times, ens.x, ens.x1, ens.x2, ens.u
+        y, z = hjb.value_slots(model, cand, t, x, x1, u)
+        adj = merton.closed_form_adjoints(p, ens)
+        record, k2 = weakref.ref(adj), weakref.ref(adj.k2)
+        h_of_u = pmp.hamiltonian_at(model, t, x, x1, x2, y, z, adj)
+        del adj
+        assert record() is None
+        assert k2() is None
+        assert np.all(np.isfinite(h_of_u(u)))
 
 
 class TestMaximumCondition:
@@ -218,7 +239,7 @@ class TestMaximumCondition:
         zero = np.zeros(ens.x.shape)
         p1 = zero.copy()
         p1[1, 2] = np.inf
-        adj = pmp.Adjoints(p1=p1, p2=zero, p3=zero, q=zero, k1=zero, k2=zero)
+        adj = pmp.Adjoints(p1=p1, p2=zero, q=zero, k1=zero, k2=zero)
         with np.errstate(all="ignore"):
             report = pmp.maximum_condition_check(model, cand, ens, node_map(ens, adj))
         assert report.extra == {"max_abs_h_u": math.inf, "max_variational": math.inf}
@@ -257,7 +278,7 @@ class TestEnsembleReportIsWorstPath:
             ens, **{f: getattr(ens, f)[rows] for f in ("x", "x1_marks", "x2", "dw")}, u=ens.u[:, rows]
         )
         one_adj = dataclasses.replace(
-            adj, **{f: getattr(adj, f)[rows] for f in ("p1", "p2", "p3", "q", "k1", "k2")}
+            adj, **{f: getattr(adj, f)[rows] for f in ADJOINT_FIELDS}
         )
         return one_ens, node_map(one_ens, one_adj)
 
@@ -316,15 +337,13 @@ class TestAdjointDrift:
         n_paths, block = 32_000, 4_000
 
         def path_defects(ens, h):
-            q = merton.exact_q_factor(p, ens.times)
-            adj = merton.closed_form_adjoints(p, ens, q)
+            adj = merton.closed_form_adjoints(p, ens)
             t, x, x1, x2, u = ens.times, ens.x, ens.x1, ens.x2, ens.u
             y = -cand.v(t, x, x1)
             z = -model.sigma(t, x, x1, u) * cand.v_x(t, x, x1)
             e = 1e-6 * (1.0 + np.abs(x))
-            adjoints = adj.p1, adj.p2, adj.q, adj.k1
-            h_up = pmp.hamiltonian_at(model, t, x + e, x1, x2, y, z, *adjoints)(u)
-            h_dn = pmp.hamiltonian_at(model, t, x - e, x1, x2, y, z, *adjoints)(u)
+            h_up = pmp.hamiltonian_at(model, t, x + e, x1, x2, y, z, adj)(u)
+            h_dn = pmp.hamiltonian_at(model, t, x - e, x1, x2, y, z, adj)(u)
             h_x = (h_up - h_dn) / (2 * e)
             res = (
                 -(adj.p1[:, 1:] - adj.p1[:, :-1])
@@ -401,15 +420,20 @@ class TestConvexityProbe:
 
 
 class TestZeroP3:
-    def test_producers_store_a_zero_view(self, merton_run):
-        ens, q = merton_run["ensemble"], merton_run["q"]
-        for adj in (
-            pmp.adjoint_from_value(merton_run["model"], merton_run["cand"], ens, q),
-            merton.closed_form_adjoints(merton_run["params"], ens, q),
-        ):
-            assert adj.p3.shape == ens.x.shape
-            assert adj.p3.strides == (0, 0)  # one shared zero, no array
-            assert np.all(adj.p3 == 0.0)
+    def test_records_omit_p3_and_the_csv_writes_zero(self, merton_run):
+        # p3 ≡ 0 is not held by either producer's record; adjoint.csv
+        # writes it as 0 on every row.
+        p, model, cand, ens = (merton_run[k] for k in ("params", "model", "cand", "ensemble"))
+        for adjoint_of in (value_adjoints(model, cand, p), closed_form_adjoints(p)):
+            adj = adjoint_of(ens)
+            assert tuple(f.name for f in dataclasses.fields(adj)) == ADJOINT_FIELDS
+            assert not hasattr(adj, "p3")
+            out = io.BytesIO()
+            pmp.write_adjoint_csv(ens, out, adjoint_of)
+            header, *rows = out.getvalue().decode("ascii").splitlines()
+            column = header.split(",").index("p3")
+            assert len(rows) == ens.n_paths * (ens.n_steps + 1)
+            assert {row.split(",")[column] for row in rows} == {"0"}
 
 
 def _broken_theta_run(n_paths, seed, u_factor=1.0, initial=INITIAL):
@@ -470,12 +494,9 @@ def _constant_candidate(v, v_x):
 
 
 def _frozen_adjoints(ens, p1=1.0, p2=0.2, q=1.0, k1=0.3):
-    """Adjoints that hold (p1, p2, q, k1) at every node, p3 = k2 = 0."""
+    """Adjoints that hold (p1, p2, q, k1) at every node, k2 = 0."""
 
     def full(c):
         return np.full(ens.x.shape, c, float)
 
-    return pmp.Adjoints(
-        p1=full(p1), p2=full(p2), p3=full(0.0), q=full(q), k1=full(k1),
-        k2=full(0.0),
-    )
+    return pmp.Adjoints(p1=full(p1), p2=full(p2), q=full(q), k1=full(k1), k2=full(0.0))

@@ -698,18 +698,20 @@ class TestCsvExport:
     def test_backward_and_adjoint_bytes_match_per_value_format(self):
         ens = _awkward_ensemble(n_paths=3, n_steps=2, n_u=1)
         sol = bsdde.BackwardSolution(
-            times=ens.times, y=ens.x, z=ens.x1, cost=0.0, stderr=0.0, degraded_steps=[]
+            cost=0.0, stderr=0.0, samples=ens.x[:, 0], degraded_steps=[],
+            times=ens.times, y=ens.x, z=ens.x1,
         )
         out = io.BytesIO()
         bsdde.write_backward_csv(sol, out)
         want = _reference_csv(["y", "z"], ens.times, [ens.x, ens.x1])
         assert out.getvalue().decode("ascii") == want
 
-        cols = [ens.x, ens.x1, ens.x2, ens.u[0], -ens.x, -ens.x1]
+        # p3 is written as the zero that Adjoints does not hold.
+        cols = [ens.x, ens.x1, np.zeros(ens.x.shape), ens.u[0], ens.x2, -ens.x]
         names = ["p1", "p2", "p3", "q", "k1", "k2"]
 
         def adjoint_of(part):
-            return pmp.Adjoints(part.x, part.x1, part.x2, part.u[0], -part.x, -part.x1)
+            return pmp.Adjoints(part.x, part.x1, part.u[0], part.x2, -part.x)
 
         out = io.BytesIO()
         pmp.write_adjoint_csv(ens, out, adjoint_of)
